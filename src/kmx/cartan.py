@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations
 from math import gcd
 from typing import Iterable, Optional, Sequence
 
@@ -280,7 +280,8 @@ class RootDatum:
     def form_weights(self, l1: Sequence, l2: Sequence) -> Fraction:
         """(l1 | l2) on the weight side, via nu^{-1} = gram^{-1}."""
         sol = exact.rat_solve(self.gram, tuple(map(Fraction, l2)))
-        assert sol is not None
+        if sol is None:
+            raise InternalError("invariant form is degenerate")
         return self.pair(l1, sol[0])
 
     def fundamental_weight(self, i: int) -> IntVec:
@@ -327,10 +328,12 @@ class RootDatum:
 
         Positive on its support, with alpha_j(c) <= 0 for every j; the zero
         set of c on the Tits cone is exactly the face of type Theta.  Per
-        component: the primitive positive null vector (affine) or the
-        lexicographically smallest positive certificate found under a
-        doubling bound (indefinite).  Any valid certificate defines the same
-        face; canonicality is only for reproducibility.
+        component C of Theta: the simplex certificate u > 0 with
+        A_C^T u <= 0 (`exact.lp_feasible`), scaled to a primitive integer
+        vector.  On an affine component every such u is a multiple of the
+        positive null vector, so the result is that primitive null vector.
+        Any valid certificate defines the same face; canonicality is only
+        for reproducibility.
         """
         key = tuple(sorted(set(theta)))
         if key in self._ctheta:
@@ -338,32 +341,13 @@ class RootDatum:
         if not is_special(self.gcm, key):
             raise NotSpecial(key)
         coef = {i: 0 for i in range(self.n)}
-        for comp, ct in classify(self.gcm, key).components:
-            at = tuple(tuple(self.gcm.a[i][j] for i in comp) for j in comp)  # A_C^T
-            if ct is ComponentType.AFF:
-                sol = exact.rat_solve(at, (0,) * len(comp))
-                assert sol is not None
-                _, kernel = sol
-                if len(kernel) != 1:
-                    raise InternalError("affine component with kernel dimension != 1")
-                vec = exact.primitive(kernel[0])
-                if any(x <= 0 for x in vec):
-                    raise InternalError("affine null vector not positive")
-                for i, x in zip(comp, vec):
-                    coef[i] = int(x)
-            else:
-                found = None
-                bound = 1
-                while found is None and bound <= 1 << 20:
-                    for cand in product(range(1, bound + 1), repeat=len(comp)):
-                        if all(sum(r * x for r, x in zip(row, cand)) <= 0 for row in at):
-                            found = cand
-                            break
-                    bound *= 2
-                if found is None:
-                    raise InternalError("no exposing certificate under doubling bound")
-                for i, x in zip(comp, found):
-                    coef[i] = x
+        for comp in _components(self.gcm.a, key):
+            at = exact.rat_mat([[self.gcm.a[i][j] for i in comp] for j in comp])  # A_C^T
+            u = exact.lp_feasible(LPProblem(matrix=at, relations=("le",) * len(comp)))
+            if u is None:
+                raise InternalError(f"special component {comp} has no exposing certificate")
+            for i, x in zip(comp, exact.primitive(u)):
+                coef[i] = x
         c = tuple(coef.get(j, 0) for j in range(self.n)) + (0,) * (self.m - self.n)
         for j in range(self.n):
             val = self.pair(self.alpha[j], c)

@@ -178,7 +178,8 @@ def rat_solve(m, b) -> Optional[tuple[RatVec, tuple[RatVec, ...]]]:
             v[c] = -rows[i][fc]
         kernel.append(tuple(Fraction(z) for z in primitive(v)))
     sol = tuple(x)
-    assert mat_vec(m, sol) == tuple(Fraction(z) for z in b)
+    if mat_vec(m, sol) != tuple(Fraction(z) for z in b):
+        raise InternalError("rat_solve solution fails to re-substitute")
     return sol, tuple(kernel)
 
 
@@ -293,6 +294,26 @@ def saturate_span(vectors: Sequence[Sequence[int]], dim: int) -> tuple[IntVec, .
     return kernel_lattice_basis(int_mat(rel))
 
 
+def lattice_coords(basis: Sequence[Sequence[int]], x: Sequence[int]) -> Optional[IntVec]:
+    """Integer coordinates of x in a saturated lattice basis, or None off its span.
+
+    The basis must be independent and saturated (its Z-span is its Q-span
+    intersected with Z^n), as the bases of `saturate_span` and
+    `kernel_lattice_basis` are.  A point of the span therefore has integer
+    coordinates; a fractional one means the basis is not saturated and
+    raises InternalError.
+    """
+    if not basis:
+        return None if any(x) else ()
+    sol = rat_solve(transpose(basis), tuple(x))
+    if sol is None:
+        return None
+    coords, kernel = sol
+    if kernel or any(c.denominator != 1 for c in coords):
+        raise InternalError("lattice basis is not independent and saturated")
+    return tuple(int(c) for c in coords)
+
+
 @dataclass(frozen=True)
 class LPProblem:
     """Homogeneous rational feasibility problem.
@@ -322,7 +343,7 @@ def lp_feasible(p: LPProblem) -> Optional[RatVec]:
     homogeneous, so u_i > 0 and (Mu)_r < 0 may be scaled to u_i >= 1 and
     (Mu)_r <= -1.  Phase-1 simplex with Bland's rule decides feasibility.
     The returned u satisfies every relation exactly, and still does after
-    clearing denominators.
+    scaling to a primitive integer vector (`primitive`).
     """
     m = [list(row) for row in p.matrix]
     nr = len(m)
@@ -443,13 +464,6 @@ def nonneg_solve(a: Sequence[Sequence], b: Sequence) -> Optional[RatVec]:
     if x is None:
         return None
     sol = tuple(x)
-    assert mat_vec(a, sol) == tuple(Fraction(z) for z in b)
+    if mat_vec(a, sol) != tuple(Fraction(z) for z in b):
+        raise InternalError("nonneg_solve solution fails to re-substitute")
     return sol
-
-
-def clear_denominators(u: Sequence[Fraction]) -> IntVec:
-    den = 1
-    for x in u:
-        fx = Fraction(x)
-        den = den * fx.denominator // gcd(den, fx.denominator)
-    return tuple(int(Fraction(x) * den) for x in u)

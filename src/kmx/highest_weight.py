@@ -43,6 +43,21 @@ def _root_gram(datum: RootDatum) -> tuple[tuple[Fraction, ...], ...]:
     return datum.gcm.b
 
 
+def _compositions(n: int, h: int) -> list[Beta]:
+    """All b in Z_{>=0}^n with sum h, in lexicographic order."""
+    out = []
+
+    def rec(pos, left, acc):
+        if pos == n - 1:
+            out.append(tuple(acc + [left]))
+            return
+        for k in range(left + 1):
+            rec(pos + 1, left - k, acc + [k])
+
+    rec(0, h, [])
+    return out
+
+
 def root_multiplicities(datum: RootDatum, max_height: int) -> dict[Beta, int]:
     """Multiplicities of positive roots up to the given height.
 
@@ -64,21 +79,10 @@ def root_multiplicities(datum: RootDatum, max_height: int) -> dict[Beta, int]:
     def rho_form(b: Beta) -> Fraction:
         return sum(Fraction(b[i], 1) / datum.gcm.eps[i] for i in range(n))
 
-    def gen(h):
-        out = []
-        def rec(pos, left, acc):
-            if pos == n - 1:
-                out.append(tuple(acc + [left]))
-                return
-            for k in range(left + 1):
-                rec(pos + 1, left - k, acc + [k])
-        rec(0, h, [])
-        return out
-
     c: dict[Beta, Fraction] = {}
     mult: dict[Beta, int] = {}
     for h in range(1, max_height + 1):
-        for b in gen(h):
+        for b in _compositions(n, h):
             if h == 1:
                 c[b] = Fraction(1)
                 mult[b] = 1
@@ -179,21 +183,10 @@ def weights_and_mults(datum: RootDatum, hw: Sequence[int], depth: int,
     def form_wr(wt, b):  # (weight | root-cone element)
         return sum(Fraction(wt[i], 1) / datum.gcm.eps[i] * b[i] for i in range(n))
 
-    def betas(h):
-        out = []
-        def rec(pos, left, acc):
-            if pos == n - 1:
-                out.append(tuple(acc + [left]))
-                return
-            for k in range(left + 1):
-                rec(pos + 1, left - k, acc + [k])
-        rec(0, h, [])
-        return out
-
     rho_pair = lambda b: sum(Fraction(b[i], 1) / datum.gcm.eps[i] for i in range(n))
     mult: dict[Beta, Fraction] = {(0,) * n: Fraction(1)}
     for h in range(1, depth + 1):
-        for b in betas(h):
+        for b in _compositions(n, h):
             denom = 2 * (form_wr(lam_top, b) + rho_pair(b)) - form_rr(b, b)
             total = Fraction(0)
             for alpha, ma in rmult.items():

@@ -180,19 +180,12 @@ def that_idempotent(face: Face) -> ThatElt:
 
 def _restricted_eval(x: ThatElt, weight: Sequence[int]) -> Fraction:
     """Evaluate the restricted data on a lattice point of span(face)."""
-    if not x.basis:
-        if any(weight):
-            raise InternalError("weight outside the face span")
-        return Fraction(1)
-    coords = exact.rat_solve(exact.transpose(exact.int_mat(x.basis)), weight)
+    coords = exact.lattice_coords(x.basis, weight)
     if coords is None:
         raise InternalError("weight outside the face span")
-    c, _ = coords
-    if any(ci.denominator != 1 for ci in c):
-        raise InternalError("span lattice basis is not saturated")
     val = Fraction(1)
-    for v, ci in zip(x.values, c):
-        val *= v ** int(ci)
+    for v, ci in zip(x.values, coords):
+        val *= v ** ci
     return val
 
 

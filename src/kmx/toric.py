@@ -13,7 +13,8 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import exact
-from .errors import NotAFace, NotInMonoid, RankMismatch, SizeGuard
+from .errors import (InternalError, NotAFace, NotInMonoid, PreconditionViolated, RankMismatch,
+                     SizeGuard)
 from .exact import IntVec
 
 RANK_GUARD = 8
@@ -177,19 +178,11 @@ class LatticeMonoid:
                 return f
         raise NotAFace(f"no face with active set {act}")
 
-    def _point_in_face(self, x, f: MonoidFace) -> bool:
-        return (self.contains(x)
-                and all(exact.vec_dot(self.inequalities[i], x) == 0 for i in f.active)
-                and self._in_hull(x, f))
-
-    def _in_hull(self, x, f: MonoidFace) -> bool:
-        if not f.hull:
-            return not any(x)
-        sol = exact.rat_solve(exact.transpose(exact.int_mat(f.hull)), tuple(x))
-        return sol is not None and all(c.denominator == 1 for c in sol[0])
-
     def face_contains(self, f: MonoidFace, x: Sequence[int]) -> bool:
-        return self._point_in_face(x, f)
+        """x lies in f: a saturated monoid meets the zero set of f's active
+        facets exactly in f, so no test against the hull lattice is needed."""
+        return (self.contains(x)
+                and all(exact.vec_dot(self.inequalities[i], x) == 0 for i in f.active))
 
     def top_face(self) -> MonoidFace:
         return self.faces()[-1]
@@ -211,9 +204,7 @@ class LatticeMonoid:
 
     def relative_interior_contains(self, f: MonoidFace, x: Sequence[int]) -> bool:
         """In f but in no proper subface: active sets coincide."""
-        if not self._point_in_face(x, f):
-            return False
-        return self.active_set(x) == f.active
+        return self.contains(x) and self.active_set(x) == f.active
 
     def hull_basis(self, f: MonoidFace) -> tuple[IntVec, ...]:
         return f.hull
@@ -259,18 +250,9 @@ class MhatElt:
     def __call__(self, x: Sequence[int]) -> Fraction:
         if not self.monoid.contains(x):
             raise NotInMonoid(f"{tuple(x)} is outside the monoid")
-        f = self.face
-        if not self.monoid.face_contains(f, x):
+        if not self.monoid.face_contains(self.face, x):
             return Fraction(0)
-        if not f.hull:
-            return Fraction(1)
-        sol = exact.rat_solve(exact.transpose(exact.int_mat(f.hull)), tuple(x))
-        assert sol is not None
-        val = Fraction(1)
-        for v, c in zip(self.values, sol[0]):
-            assert c.denominator == 1
-            val *= v ** int(c)
-        return val
+        return _eval_on_span(self, x)
 
 
 def mhat_idempotent(monoid: LatticeMonoid, f: MonoidFace) -> MhatElt:
@@ -293,7 +275,8 @@ def mhat_unit(monoid: LatticeMonoid, values: Sequence[Fraction]) -> MhatElt:
 
 def mhat_mul(x: MhatElt, y: MhatElt) -> MhatElt:
     """Pointwise product: support is the meet, values multiply on its hull."""
-    assert x.monoid is y.monoid
+    if x.monoid is not y.monoid:
+        raise PreconditionViolated("product of elements of two different monoids")
     m = x.monoid
     f = m.face_meet(x.face, y.face)
     vals = []
@@ -304,11 +287,11 @@ def mhat_mul(x: MhatElt, y: MhatElt) -> MhatElt:
     return MhatElt(monoid=m, face_index=f.index, values=tuple(vals))
 
 
-def _eval_on_span(x: MhatElt, b: IntVec) -> Fraction:
-    f = x.face
-    sol = exact.rat_solve(exact.transpose(exact.int_mat(f.hull)), tuple(b))
-    assert sol is not None and all(c.denominator == 1 for c in sol[0])
+def _eval_on_span(x: MhatElt, b: Sequence[int]) -> Fraction:
+    coords = exact.lattice_coords(x.face.hull, b)
+    if coords is None:
+        raise InternalError("point outside the span of the support face")
     val = Fraction(1)
-    for v, c in zip(x.values, sol[0]):
-        val *= v ** int(c)
+    for v, c in zip(x.values, coords):
+        val *= v ** c
     return val

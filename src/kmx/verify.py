@@ -567,16 +567,17 @@ def check_toric(count: int = 100) -> CheckResult:
             hits = [f.index for f in m1.faces() if m1.relative_interior_contains(f, x)]
             if len(hits) != 1:
                 bad_part += 1
-        # meets agree with set intersection on the box
+        # meets agree with set intersection on the box: each point's set of
+        # containing faces is computed once and read for every face pair
         fl = m1.faces()
+        containing = [frozenset(f.index for f in fl if m1.face_contains(f, x))
+                      for x in pts if m1.contains(x)]
         for fa in fl:
             for fb in fl:
                 meet = m1.face_meet(fa, fb)
-                for x in pts:
-                    if not m1.contains(x):
-                        continue
-                    inter = m1.face_contains(fa, x) and m1.face_contains(fb, x)
-                    if inter != m1.face_contains(meet, x):
+                for faces_of_x in containing:
+                    inter = fa.index in faces_of_x and fb.index in faces_of_x
+                    if inter != (meet.index in faces_of_x):
                         bad_meet += 1
     lines.append(f"{count} random cones, {boxes} box points: "
                  f"membership {bad_mem}, round-trip {bad_rt}, "

@@ -78,7 +78,8 @@ class WeylElt:
         return self.mat_p == exact.identity(self.datum.m)
 
     def __mul__(self, other: "WeylElt") -> "WeylElt":
-        assert self.datum is other.datum
+        if self.datum is not other.datum:
+            raise PreconditionViolated("product of Weyl elements of two root data")
         return _from_mats(
             self.datum,
             exact.mat_mul(self.mat_p, other.mat_p),
@@ -286,7 +287,8 @@ def dominant_rep(datum: RootDatum, weight: Sequence, cap: int = 2000) -> Dominan
         i = next((i for i in range(datum.n) if cur[i] < 0), None)
         if i is None:
             facet = tuple(i for i in range(datum.n) if cur[i] == 0)
-            assert w.act_weight(cur) == lam
+            if w.act_weight(cur) != lam:
+                raise InternalError("dominant representative does not map back to the input")
             return DominantResult(dominant=cur, w=w, facet_type=facet)
         s = simple(datum, i)
         cur = s.act_weight(cur)

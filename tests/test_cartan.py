@@ -140,6 +140,37 @@ def test_exposing_functional_properties_all_specials():
                 assert datum.pair(datum.alpha[j], c) <= 0
 
 
+def _e10_rows():
+    """E10 = T_{7,3,2}: the chain 0-1-...-8 with node 9 joined to node 6."""
+    rows = [[2 if i == j else 0 for j in range(10)] for i in range(10)]
+    for i, j in [(k, k + 1) for k in range(8)] + [(6, 9)]:
+        rows[i][j] = rows[j][i] = -1
+    return rows
+
+
+def test_exposing_coweight_e10():
+    e10 = build_realization(_e10_rows())
+    assert (e10.n, e10.l, e10.m) == (10, 10, 10)
+    for theta in (tuple(range(10)), tuple(range(1, 10))):  # E10 and its E8^(1)
+        c = e10.exposing_coweight(theta)
+        assert all((c[i] > 0) == (i in theta) for i in range(10))
+        for j in range(10):
+            assert e10.pair(e10.alpha[j], c) <= 0
+
+
+@pytest.mark.parametrize("rows,theta,null_vector", [
+    (((2, -1, -1), (-1, 2, -1), (-1, -1, 2)), (0, 1, 2), (1, 1, 1)),  # A2^(1)
+    (((2, -4), (-1, 2)), (0, 1), (1, 2)),                             # A2^(2)
+    (_e10_rows(), tuple(range(1, 10)), (1, 2, 3, 4, 5, 6, 4, 2, 3)),  # E8^(1) in E10
+])
+def test_exposing_coweight_affine_is_primitive_null_vector(rows, theta, null_vector):
+    datum = build_realization(rows)
+    c = datum.exposing_coweight(theta)
+    assert tuple(c[i] for i in theta) == null_vector
+    for j in theta:
+        assert datum.pair(datum.alpha[j], c) == 0
+
+
 @pytest.mark.parametrize("rows,n,l,m", [
     (A2_ROWS, 2, 2, 2),
     (AFFINE_A1_ROWS, 2, 1, 3),

@@ -6,9 +6,10 @@ import pytest
 from conftest import all_small_gcms, grid_certificate
 
 from kmx import exact
-from kmx.exact import (LPProblem, clear_denominators, int_mat, kernel_lattice_basis,
-                       lp_feasible, mat_mul, mat_vec, nonneg_solve, rat_mat,
-                       rat_solve, smith_normal_form)
+from kmx.errors import InternalError
+from kmx.exact import (LPProblem, int_mat, kernel_lattice_basis, lattice_coords,
+                       lp_feasible, mat_mul, mat_vec, nonneg_solve, primitive, rat_mat,
+                       rat_solve, saturate_span, smith_normal_form)
 
 
 def test_rat_solve_identity():
@@ -122,6 +123,35 @@ def test_kernel_lattice_is_saturated():
     assert ((1, 1) in basis) or ((-1, -1) in basis)
 
 
+def test_lattice_coords_resubstitute():
+    rng = random.Random(3)
+    for _ in range(60):
+        dim = rng.randrange(1, 5)
+        gens = [[rng.randrange(-3, 4) for _ in range(dim)] for _ in range(rng.randrange(1, 4))]
+        basis = saturate_span(gens, dim)
+        for _ in range(5):
+            coef = [rng.randrange(-3, 4) for _ in gens]
+            x = tuple(sum(k * g[i] for k, g in zip(coef, gens)) for i in range(dim))
+            coords = lattice_coords(basis, x)
+            assert coords is not None and all(isinstance(c, int) for c in coords)
+            assert tuple(sum(c * b[i] for c, b in zip(coords, basis))
+                         for i in range(dim)) == x
+
+
+def test_lattice_coords_off_span_and_empty_basis():
+    assert lattice_coords(((1, 1, 0),), (1, 0, 0)) is None
+    assert lattice_coords(((1, 0, 0), (0, 1, 0)), (2, -3, 1)) is None
+    assert lattice_coords((), (0, 0)) == ()
+    assert lattice_coords((), (0, 1)) is None
+
+
+def test_lattice_coords_rejects_unsaturated_basis():
+    # (1, 1) is in the Q-span of (2, 2) but not in its Z-span
+    with pytest.raises(InternalError):
+        lattice_coords(((2, 2),), (1, 1))
+    assert lattice_coords(((2, 2),), (4, 4)) == (2,)
+
+
 def test_lp_examples():
     a2 = [[2, -1], [-1, 2]]
     neg = rat_mat([[-x for x in row] for row in a2])
@@ -155,7 +185,7 @@ def test_lp_certificate_survives_clearing_denominators():
     a = rat_mat([[2, -2, 0], [-2, 2, -1], [0, -1, 2]])
     u = lp_feasible(LPProblem(matrix=a, relations=("le", "le", "le")))
     assert u is not None
-    ints = clear_denominators(u)
+    ints = primitive(u)
     assert all(sum(r * x for r, x in zip(row, ints)) <= 0 for row in a)
     assert all(x >= 1 for x in ints)
 

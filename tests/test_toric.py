@@ -5,6 +5,7 @@ from itertools import product
 import pytest
 
 from kmx.errors import NotInMonoid, RankMismatch, SizeGuard
+from kmx.exact import int_mat, rat_solve, transpose, vec_dot
 from kmx.toric import LatticeMonoid, mhat_idempotent, mhat_idempotents, mhat_mul, mhat_unit
 
 
@@ -187,6 +188,35 @@ def test_monoid_face_axioms_on_box():
                         continue
                     ina, inb, ins = (m.face_contains(f, v) for v in (a, b, s))
                     assert ins == (ina and inb)
+
+
+def _face_contains_by_hull(m, f, x):
+    """Reference: the active facets of f vanish on x and x has integer
+    coordinates in the hull basis of f."""
+    if not (m.contains(x) and all(vec_dot(m.inequalities[i], x) == 0 for i in f.active)):
+        return False
+    if not f.hull:
+        return not any(x)
+    sol = rat_solve(transpose(int_mat(f.hull)), tuple(x))
+    return sol is not None and all(c.denominator == 1 for c in sol[0])
+
+
+def test_face_contains_agrees_with_hull_lattice_test():
+    # a saturated monoid meets the active facets' zero set exactly in the face
+    rng = random.Random(44)
+    checked = 0
+    for _ in range(30):
+        rank = rng.randrange(2, 5)
+        gens = [tuple(rng.randrange(-3, 4) for _ in range(rank))
+                for _ in range(rng.randrange(1, rank + 3))]
+        m = LatticeMonoid(gens, rank)
+        for x in product(range(-2, 3), repeat=rank):
+            if not m.contains(x):
+                continue
+            for f in m.faces():
+                assert m.face_contains(f, x) == _face_contains_by_hull(m, f, x)
+                checked += 1
+    assert checked > 1000
 
 
 def test_cross_module_tits_cone_monoid_finite_type():
