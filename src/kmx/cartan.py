@@ -82,19 +82,24 @@ def _components(a: IntMat, subset: Sequence[int]) -> list[tuple[int, ...]]:
 
 
 def validate_and_symmetrize(rows: Sequence[Sequence[int]]) -> GCM:
-    """Validate a GCM and compute its canonical positive symmetrizer."""
+    """Validate a GCM and compute its canonical positive symmetrizer.
+    Messages name entries 1-based."""
+    n = len(rows) if isinstance(rows, (list, tuple)) else 0
+    if n == 0 or any(not isinstance(r, (list, tuple)) or len(r) != n for r in rows):
+        raise NotGCM("matrix must be a square nonempty list of rows")
+    for i, row in enumerate(rows):
+        for j, x in enumerate(row):
+            if type(x) is not int:  # bool, float and str are rejected, not rounded
+                raise NotGCM(f"entry a[{i + 1}][{j + 1}] = {x!r} is not an integer")
     a = exact.int_mat(rows)
-    n = len(a)
-    if n == 0 or any(len(r) != n for r in a):
-        raise NotGCM("matrix must be square and nonempty")
     for i in range(n):
         if a[i][i] != 2:
-            raise NotGCM(f"diagonal entry a[{i}][{i}] = {a[i][i]} != 2")
+            raise NotGCM(f"diagonal entry a[{i + 1}][{i + 1}] = {a[i][i]} != 2")
         for j in range(n):
             if i != j and a[i][j] > 0:
-                raise NotGCM(f"positive off-diagonal entry a[{i}][{j}]")
+                raise NotGCM(f"positive off-diagonal entry a[{i + 1}][{j + 1}]")
             if (a[i][j] == 0) != (a[j][i] == 0):
-                raise NotGCM(f"zero-pattern asymmetry at ({i},{j})")
+                raise NotGCM(f"zero-pattern asymmetry at ({i + 1},{j + 1})")
     # Solve eps_i * a_ji = eps_j * a_ij along edges, per component.
     eps: list[Optional[Fraction]] = [None] * n
     for comp in _components(a, range(n)):
@@ -111,7 +116,8 @@ def validate_and_symmetrize(rows: Sequence[Sequence[int]]) -> GCM:
         for i in comp:
             for j in comp:
                 if eps[i] * a[j][i] != eps[j] * a[i][j]:
-                    raise NotSymmetrizable(f"no positive symmetrizer: cycle through ({i},{j})")
+                    raise NotSymmetrizable(
+                        f"no positive symmetrizer: cycle through ({i + 1},{j + 1})")
         # Normalize the component to integers with gcd 1.
         den = 1
         for i in comp:
@@ -245,8 +251,6 @@ class RootDatum:
         self._perp: dict[tuple[int, ...], tuple[int, ...]] = {}
         self._ctheta: dict[tuple[int, ...], IntVec] = {}
         self._special: Optional[tuple[tuple[int, ...], ...]] = None
-        self._simple_p: Optional[tuple[IntMat, ...]] = None
-        self._simple_q: Optional[tuple[IntMat, ...]] = None
         self._root_mults: dict[int, dict[IntVec, int]] = {}
 
     def _verify(self):

@@ -33,16 +33,21 @@ def _load_gcm(args) -> RootDatum:
     return build_realization(payload["A"])
 
 
-def _parse_subset(text: str) -> tuple[int, ...]:
-    text = text.strip()
-    if not text:
-        return ()
-    return tuple(sorted(int(x) - 1 for x in text.replace(",", " ").split()))
+def _indices(datum, toks) -> tuple[int, ...]:
+    """0-based simple indices of the 1-based ones the user typed."""
+    index = {str(i + 1): i for i in range(datum.n)}
+    for t in toks:
+        if str(t) not in index:
+            raise DomainError(f"simple index {t} out of range 1..{datum.n}")
+    return tuple(index[str(t)] for t in toks)
+
+
+def _parse_subset(datum, text: str) -> tuple[int, ...]:
+    return tuple(sorted(_indices(datum, text.replace(",", " ").split())))
 
 
 def _parse_word(datum, text: str):
-    word = tuple(int(x) - 1 for x in text.split())
-    return W.from_word(datum, word)
+    return W.from_word(datum, _indices(datum, text.split()))
 
 
 def _parse_weight(datum, text: str):
@@ -57,14 +62,14 @@ def _parse_face(datum, text: str) -> FC.Face:
     if text.startswith("{"):
         payload = json.loads(text)
         wtxt = payload.get("w", "")
-        theta = tuple(int(x) - 1 for x in payload.get("theta", ()))
+        theta = _indices(datum, payload.get("theta", ()))
     else:
         fields = {}
         for part in text.split(";"):
             key, _, val = part.partition("=")
             fields[key.strip()] = val.strip()
         wtxt = fields.get("w", "")
-        theta = _parse_subset(fields.get("theta", ""))
+        theta = _parse_subset(datum, fields.get("theta", ""))
     return FC.normalize_face(_parse_word(datum, wtxt), theta)
 
 
@@ -83,7 +88,7 @@ def _wmon_json(x: MO.WmonElt) -> dict:
 def _parse_wmon(datum, text: str) -> MO.WmonElt:
     payload = json.loads(text)
     face = FC.normalize_face(_parse_word(datum, payload["face"]["w"]),
-                             tuple(int(x) - 1 for x in payload["face"]["theta"]))
+                             _indices(datum, payload["face"]["theta"]))
     return MO.wm_normalize(_parse_word(datum, payload.get("w", "")), face)
 
 
@@ -105,7 +110,7 @@ def _parse_nhat(datum, text: str) -> MO.NhatElt:
     face = FC.full_cone(datum)
     if payload.get("face"):
         face = FC.normalize_face(_parse_word(datum, payload["face"]["w"]),
-                                 tuple(int(x) - 1 for x in payload["face"]["theta"]))
+                                 _indices(datum, payload["face"]["theta"]))
     torus = _parse_torus(datum, payload.get("t", ["1"] * datum.m))
     return MO.nhat_from(_parse_word(datum, payload.get("w", "")), torus, face)
 
@@ -178,7 +183,7 @@ def cmd_validate(args):
 
 def cmd_classify(args):
     datum = _load_gcm(args)
-    subset = _parse_subset(args.subset) if args.subset else None
+    subset = _parse_subset(datum, args.subset) if args.subset else None
     cls = classify(datum.gcm, subset)
     _emit(args, {
         "components": [{"set": [i + 1 for i in comp], "type": t.value}
@@ -195,7 +200,7 @@ def cmd_special(args):
 
 def cmd_expose(args):
     datum = _load_gcm(args)
-    theta = _parse_subset(args.theta)
+    theta = _parse_subset(datum, args.theta)
     c = datum.exposing_coweight(theta)
     _emit(args, {"theta": [i + 1 for i in theta], "coweight": list(c)})
 
@@ -311,7 +316,7 @@ def cmd_that_mul(args):
     def parse(text):
         payload = json.loads(text)
         face = FC.normalize_face(_parse_word(datum, payload["face"]["w"]),
-                                 tuple(int(i) - 1 for i in payload["face"]["theta"]))
+                                 _indices(datum, payload["face"]["theta"]))
         return MO.that_normalize(_parse_torus(datum, payload.get("t", ["1"] * datum.m)), face)
 
     x, y = parse(args.left), parse(args.right)

@@ -1,9 +1,13 @@
 """Coxeter/Weyl engine with exact integer matrices.
 
-Elements act on the weight lattice P in the fundamental-weight basis and on
-the root lattice in the simple-root basis; equality is always decided by the
-P-matrix, never by words.  The stored word is the lexicographically smallest
-reduced word, recomputed from the matrix by greedy left-descent stripping.
+An element w is stored as P, its matrix on the weight lattice in the
+fundamental-weight basis, and P^{-1}; equality is decided by P, never by
+words.  A product with a simple reflection s_i = I - alpha_i e_i^T is a
+rank-1 update, a product with the identity returns the other factor, and
+any other product takes two matrix products.  Descents are signs of w.rho,
+where rho = (1, ..., 1): s_i w < w iff (P rho)_i < 0, w s_i < w iff
+(P^{-1} rho)_i < 0.  The stored word is the lexicographically smallest
+reduced word, read by walking v = w.rho down to rho.
 """
 
 from __future__ import annotations
@@ -14,35 +18,25 @@ from typing import Iterable, Optional, Sequence
 
 from . import exact
 from .cartan import RootDatum
-from .errors import InternalError, NotInTitsCone, PreconditionViolated, Undecided
+from .errors import (DomainError, InternalError, NotInTitsCone, PreconditionViolated,
+                     Undecided)
 from .exact import IntMat
 
 Vec = tuple
 
 
-def _simple_matrices(datum: RootDatum) -> tuple[tuple[IntMat, ...], tuple[IntMat, ...]]:
-    """Reflection matrices on P (Lambda-basis) and on Q (alpha-basis)."""
-    m, n = datum.m, datum.n
-    ps = []
-    qs = []
-    for i in range(n):
-        al = datum.alpha[i]
-        p = [[1 if r == c else 0 for c in range(m)] for r in range(m)]
-        for r in range(m):
-            p[r][i] -= al[r]
-        ps.append(tuple(tuple(row) for row in p))
-        a = datum.gcm.a
-        q = [[1 if r == c else 0 for c in range(n)] for r in range(n)]
-        for c in range(n):
-            q[i][c] -= a[i][c]
-        qs.append(tuple(tuple(row) for row in q))
-    return tuple(ps), tuple(qs)
+def _minus_column(mat: IntMat, i: int, al: Sequence[int]) -> IntMat:
+    """mat * s_i: column i of mat becomes mat[:, i] - mat * alpha_i."""
+    nz = [(k, a) for k, a in enumerate(al) if a]
+    return tuple(row[:i] + (row[i] - sum(row[k] * a for k, a in nz),) + row[i + 1:]
+                 for row in mat)
 
 
-def simple_mats(datum: RootDatum):
-    if datum._simple_p is None:
-        datum._simple_p, datum._simple_q = _simple_matrices(datum)
-    return datum._simple_p, datum._simple_q
+def _minus_rows(mat: IntMat, i: int, al: Sequence[int]) -> IntMat:
+    """s_i * mat: row r of mat becomes mat[r] - alpha_i[r] * mat[i]."""
+    top = mat[i]
+    return tuple(tuple(x - a * y for x, y in zip(row, top)) if a else row
+                 for row, a in zip(mat, al))
 
 
 @dataclass(frozen=True)
@@ -50,9 +44,7 @@ class WeylElt:
     datum: RootDatum = field(compare=False)
     mat_p: IntMat
     mat_p_inv: IntMat = field(compare=False)
-    mat_q: IntMat = field(compare=False)
-    mat_q_inv: IntMat = field(compare=False)
-    # canonical reduced word; computed lazily from the matrix when needed
+    # canonical reduced word; computed lazily from w.rho when needed
     _word: Optional[tuple[int, ...]] = field(compare=False, default=None)
 
     def __hash__(self):
@@ -66,8 +58,7 @@ class WeylElt:
     @property
     def word(self) -> tuple[int, ...]:
         if self._word is None:
-            object.__setattr__(self, "_word", _canonical_word(
-                self.datum, self.mat_p, self.mat_p_inv, self.mat_q, self.mat_q_inv))
+            object.__setattr__(self, "_word", _canonical_word(self.datum, self.mat_p))
         return self._word  # type: ignore[return-value]
 
     @property
@@ -75,22 +66,29 @@ class WeylElt:
         return len(self.word)
 
     def is_identity(self) -> bool:
-        return self.mat_p == exact.identity(self.datum.m)
+        return self.mat_p == identity_elt(self.datum).mat_p
 
     def __mul__(self, other: "WeylElt") -> "WeylElt":
         if self.datum is not other.datum:
             raise PreconditionViolated("product of Weyl elements of two root data")
-        return _from_mats(
-            self.datum,
-            exact.mat_mul(self.mat_p, other.mat_p),
-            exact.mat_mul(other.mat_p_inv, self.mat_p_inv),
-            exact.mat_mul(self.mat_q, other.mat_q),
-            exact.mat_mul(other.mat_q_inv, self.mat_q_inv),
-        )
+        alpha = self.datum.alpha
+        if other._word is not None and len(other._word) == 1:
+            i = other._word[0]
+            return WeylElt(self.datum, _minus_column(self.mat_p, i, alpha[i]),
+                           _minus_rows(self.mat_p_inv, i, alpha[i]))
+        if self._word is not None and len(self._word) == 1:
+            i = self._word[0]
+            return WeylElt(self.datum, _minus_rows(other.mat_p, i, alpha[i]),
+                           _minus_column(other.mat_p_inv, i, alpha[i]))
+        if self.is_identity():
+            return other
+        if other.is_identity():
+            return self
+        return WeylElt(self.datum, exact.mat_mul(self.mat_p, other.mat_p),
+                       exact.mat_mul(other.mat_p_inv, self.mat_p_inv))
 
     def inv(self) -> "WeylElt":
-        return _from_mats(self.datum, self.mat_p_inv, self.mat_p,
-                          self.mat_q_inv, self.mat_q)
+        return WeylElt(self.datum, self.mat_p_inv, self.mat_p)
 
     # -- actions -------------------------------------------------------------
 
@@ -104,16 +102,23 @@ class WeylElt:
         return tuple(sum(mi[r][c] * y[r] for r in rng) for c in rng)
 
     def act_root(self, c: Sequence) -> Vec:
-        return exact.mat_vec(self.mat_q, tuple(c))
+        """w on the root lattice in the simple-root basis: the reflections of
+        the canonical word, s_i acting by c_i -= sum_j a_ij c_j."""
+        a = self.datum.gcm.a
+        v = list(c)
+        for i in reversed(self.word):
+            v[i] -= sum(x * y for x, y in zip(a[i], v))
+        return tuple(v)
 
     # -- descents ------------------------------------------------------------
 
     def right_descent(self, i: int) -> bool:
-        """True iff w(alpha_i) is a negative root."""
-        return all(self.mat_q[r][i] <= 0 for r in range(self.datum.n))
+        """True iff w(alpha_i) is a negative root, i.e. (P^{-1} rho)_i < 0."""
+        return sum(self.mat_p_inv[i]) < 0
 
     def left_descent(self, i: int) -> bool:
-        return all(self.mat_q_inv[r][i] <= 0 for r in range(self.datum.n))
+        """True iff w^{-1}(alpha_i) is a negative root, i.e. (P rho)_i < 0."""
+        return sum(self.mat_p[i]) < 0
 
     def right_descents(self) -> tuple[int, ...]:
         return tuple(i for i in range(self.datum.n) if self.right_descent(i))
@@ -122,56 +127,40 @@ class WeylElt:
         return tuple(i for i in range(self.datum.n) if self.left_descent(i))
 
 
-def _canonical_word(datum, mat_p, mat_p_inv, mat_q, mat_q_inv) -> tuple[int, ...]:
-    """Lex-smallest reduced word by greedy smallest-left-descent stripping."""
-    ps, qs = simple_mats(datum)
-    n, m = datum.n, datum.m
+def _canonical_word(datum: RootDatum, mat_p: IntMat) -> tuple[int, ...]:
+    """Lex-smallest reduced word: strip the smallest left descent of w.rho."""
+    v = [sum(row) for row in mat_p]
     word = []
-    p, pi, q, qi = mat_p, mat_p_inv, mat_q, mat_q_inv
-    ident = exact.identity(m)
-    while p != ident:
-        i = next((i for i in range(n) if all(qi[r][i] <= 0 for r in range(n))), None)
-        if i is None:
-            raise InternalError("nonidentity element with no left descent")
-        word.append(i)
-        p = exact.mat_mul(ps[i], p)
-        pi = exact.mat_mul(pi, ps[i])
-        q = exact.mat_mul(qs[i], q)
-        qi = exact.mat_mul(qi, qs[i])
+    while (i := next((i for i in range(datum.n) if v[i] < 0), None)) is not None:
+        word.append(i)  # s_i v = v - <v, h_i> alpha_i
+        v = [x - v[i] * a for x, a in zip(v, datum.alpha[i])]
+    if tuple(v) != datum.rho():
+        raise InternalError("w.rho is dominant but differs from rho")
     return tuple(word)
 
 
-def _from_mats(datum, mat_p, mat_p_inv, mat_q, mat_q_inv) -> WeylElt:
-    return WeylElt(datum, mat_p, mat_p_inv, mat_q, mat_q_inv)
-
-
 def identity_elt(datum: RootDatum) -> WeylElt:
-    cached = getattr(datum, "_identity_elt", None)
-    if cached is None:
-        m, n = datum.m, datum.n
-        cached = WeylElt(datum, exact.identity(m), exact.identity(m),
-                         exact.identity(n), exact.identity(n), ())
-        setattr(datum, "_identity_elt", cached)
-    return cached
+    if not hasattr(datum, "_identity_elt"):
+        ident = exact.identity(datum.m)
+        datum._identity_elt = WeylElt(datum, ident, ident, ())
+    return datum._identity_elt
 
 
 def simple(datum: RootDatum, i: int) -> WeylElt:
-    cached = getattr(datum, "_simple_elts", None)
-    if cached is None:
-        ps, qs = simple_mats(datum)
-        cached = tuple(WeylElt(datum, ps[j], ps[j], qs[j], qs[j], (j,))
-                       for j in range(datum.n))
-        setattr(datum, "_simple_elts", cached)
-    return cached[i]
+    if not hasattr(datum, "_simple_elts"):
+        ident = exact.identity(datum.m)
+        mats = (_minus_column(ident, j, datum.alpha[j]) for j in range(datum.n))
+        datum._simple_elts = tuple(WeylElt(datum, s, s, (j,)) for j, s in enumerate(mats))
+    return datum._simple_elts[i]
 
 
 def from_word(datum: RootDatum, word: Iterable[int]) -> WeylElt:
-    """Multiply out a word of simple indices; the result carries its
+    """Multiply out a word of 0-based simple indices; the result carries its
     canonical reduced word, length and descent data."""
     w = identity_elt(datum)
     for i in word:
         if not 0 <= i < datum.n:
-            raise ValueError(f"simple index {i} out of range")
+            raise DomainError(f"simple index {i + 1} out of range 1..{datum.n}")
         w = w * simple(datum, i)
     return w
 

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -30,6 +31,26 @@ def test_validate_rejects_bad_diagonal_and_positive_offdiag():
         validate_and_symmetrize([[1, -1], [-1, 2]])
     with pytest.raises(NotGCM):
         validate_and_symmetrize([[2, 1], [1, 2]])
+
+
+@pytest.mark.parametrize("bad,where", [
+    (-1.5, "a[1][2] = -1.5"), (-1.0, "a[1][2] = -1.0"), ("-1", "a[1][2] = '-1'"),
+    (Fraction(-1), "a[1][2] = Fraction(-1, 1)"), (False, "a[1][2] = False"),
+])
+def test_validate_rejects_non_integer_entries(bad, where):
+    with pytest.raises(NotGCM, match=re.escape(where) + " is not an integer"):
+        validate_and_symmetrize([[2, bad], [-1, 2]])
+    with pytest.raises(NotGCM, match=re.escape("a[1][1] = True")):
+        validate_and_symmetrize([[True, -1], [-1, 2]])
+    # the exact layer still takes integral fractions from internal callers
+    assert exact.int_mat([[Fraction(2), Fraction(-4, 2)]]) == ((2, -2),)
+
+
+def test_validate_messages_are_one_based():
+    with pytest.raises(NotGCM, match=re.escape("a[1][1] = 1 != 2")):
+        validate_and_symmetrize([[1, -1], [-1, 2]])
+    with pytest.raises(NotGCM, match=re.escape("a[2][1]")):
+        validate_and_symmetrize([[2, -1], [1, 2]])
 
 
 def test_validate_rejects_nonsymmetrizable():

@@ -60,6 +60,35 @@ def test_malformed_input_exit_1(capsys):
     assert code == 1
 
 
+# Bad 1-based indices and non-integer Cartan entries are domain errors that
+# name what the user typed.
+INPUT_ERRORS = [
+    (["classify", "--gcm", A2, "-S", "0"], "simple index 0 out of range 1..2"),
+    (["expose", "--gcm", HYP, "--theta", "0,1"], "simple index 0 out of range 1..3"),
+    (["weyl-reduce", "--gcm", HYP, "--word", "0 1"], "simple index 0 out of range 1..3"),
+    (["weyl-reduce", "--gcm", A2, "--word", "3"], "simple index 3 out of range 1..2"),
+    (["face-normalize", "--gcm", HYP, "--face", '{"w": "1", "theta": [1, 4]}'],
+     "simple index 4 out of range 1..3"),
+    (["wmon-inv", "--gcm", HYP, "--elt", '{"w": "3", "face": {"w": "", "theta": [0]}}'],
+     "simple index 0 out of range 1..3"),
+    (["classify", "--gcm", '{"A": [[2,-1.5],[-1,2]]}'], "a[1][2] = -1.5 is not an integer"),
+    (["classify", "--gcm", '{"A": [[2,-1],[true,2]]}'], "a[2][1] = True is not an integer"),
+    (["validate", "--gcm", '{"A": [[1,-1],[-1,2]]}'], "diagonal entry a[1][1] = 1 != 2"),
+]
+
+
+@pytest.mark.parametrize("argv,message", INPUT_ERRORS,
+                         ids=[f"{c[0][0]}{i}" for i, c in enumerate(INPUT_ERRORS)])
+def test_bad_index_or_entry_is_a_domain_error(capsys, argv, message):
+    from kmx import errors
+
+    code, out = run(capsys, argv)
+    assert code == 1
+    err = json.loads(out)["error"]
+    assert issubclass(getattr(errors, err["kind"]), errors.DomainError)
+    assert message in err["message"]
+
+
 def test_guard_error_exit_3(capsys):
     code, out = run(capsys, ["module-weights", "--gcm", A2,
                              "--hw", "1,0", "--depth", "99"])

@@ -6,8 +6,8 @@ import pytest
 from kmx import weyl as W
 from kmx.cartan import (A2_ROWS, AFFINE_A1_ROWS, HYPERBOLIC_ROWS,
                         build_realization, classify)
-from kmx.errors import NotInTitsCone, PreconditionViolated, Undecided
-from kmx.exact import vec_sub
+from kmx.errors import DomainError, NotInTitsCone, PreconditionViolated, Undecided
+from kmx.exact import identity, mat_mul, mat_vec, vec_sub
 
 A2 = build_realization(A2_ROWS)
 AFF = build_realization(AFFINE_A1_ROWS)
@@ -195,3 +195,131 @@ def test_antidominant_termination_and_special_support():
 def test_antidominant_precondition_violated():
     with pytest.raises(PreconditionViolated):
         W.antidominant_coweight(HYP, (-5, 0, 0))
+
+
+# -- the two-matrix kernel against the four-matrix reference -------------------
+
+
+def _rows(n, edges):
+    rows = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for i, j in edges:
+        rows[i][j] = rows[j][i] = -1
+    return rows
+
+
+KERNEL_DATA = {
+    "A3": build_realization(((2, -1, 0), (-1, 2, -1), (0, -1, 2))),
+    "G2": build_realization(((2, -1), (-3, 2))),
+    "A2^(1)": build_realization(((2, -1, -1), (-1, 2, -1), (-1, -1, 2))),
+    "hyperbolic-3": HYP,
+    "D8++": build_realization(_rows(10, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5),
+                                         (5, 6), (5, 7), (1, 8), (8, 9)])),
+    "E10": build_realization(_rows(10, [(k, k + 1) for k in range(8)] + [(6, 9)])),
+}
+
+
+class RefElt:
+    """The former kernel: P and P^{-1} on the weight lattice, Q and Q^{-1} on
+    the root lattice in the simple-root basis, every product four dense
+    matrix products, descents from the sign of a Q-matrix column."""
+
+    def __init__(self, datum, p, pi, q, qi):
+        self.datum, self.p, self.pi, self.q, self.qi = datum, p, pi, q, qi
+
+    @classmethod
+    def identity(cls, datum):
+        m, n = datum.m, datum.n
+        return cls(datum, identity(m), identity(m), identity(n), identity(n))
+
+    @classmethod
+    def simple(cls, datum, i):
+        m, n, al, a = datum.m, datum.n, datum.alpha[i], datum.gcm.a
+        p = tuple(tuple(int(r == c) - (al[r] if c == i else 0) for c in range(m))
+                  for r in range(m))
+        q = tuple(tuple(int(r == c) - (a[i][c] if r == i else 0) for c in range(n))
+                  for r in range(n))
+        return cls(datum, p, p, q, q)
+
+    @classmethod
+    def from_word(cls, datum, word):
+        x = cls.identity(datum)
+        for i in word:
+            x = x * cls.simple(datum, i)
+        return x
+
+    def __mul__(self, other):
+        return RefElt(self.datum, mat_mul(self.p, other.p), mat_mul(other.pi, self.pi),
+                      mat_mul(self.q, other.q), mat_mul(other.qi, self.qi))
+
+    def right_descent(self, i):
+        return all(row[i] <= 0 for row in self.q)
+
+    def left_descent(self, i):
+        return all(row[i] <= 0 for row in self.qi)
+
+    def word(self):
+        """Greedy smallest-left-descent stripping."""
+        out, x = [], self
+        while x.p != identity(self.datum.m):
+            i = next(i for i in range(self.datum.n) if x.left_descent(i))
+            out.append(i)
+            x = RefElt.simple(self.datum, i) * x
+        return tuple(out)
+
+
+def _random_words(datum, count, seed, max_len):
+    rng = random.Random(seed)
+    return [[rng.randrange(datum.n) for _ in range(rng.randint(0, max_len))]
+            for _ in range(count)]
+
+
+@pytest.mark.parametrize("name", list(KERNEL_DATA))
+def test_kernel_agrees_with_four_matrix_reference(name):
+    datum = KERNEL_DATA[name]
+    rng = random.Random(11)
+    for word in _random_words(datum, 25, 10, 9 if datum.n > 3 else 12):
+        w, ref = W.from_word(datum, word), RefElt.from_word(datum, word)
+        assert w.mat_p == ref.p and w.mat_p_inv == ref.pi
+        assert (w * w.inv()).is_identity() and (w.inv() * w).is_identity()
+        assert w.word == ref.word()
+        assert W.from_word(datum, w.word) == w
+        for i in range(datum.n):
+            assert w.left_descent(i) == ref.left_descent(i)
+            assert w.right_descent(i) == ref.right_descent(i)
+        c = tuple(rng.randrange(-3, 4) for _ in range(datum.n))
+        assert w.act_root(c) == mat_vec(ref.q, c)
+        assert w.inv().act_root(c) == mat_vec(ref.qi, c)
+
+
+@pytest.mark.parametrize("name", list(KERNEL_DATA))
+def test_simple_products_agree_with_general_product(name):
+    datum = KERNEL_DATA[name]
+    for word in _random_words(datum, 15, 12, 8):
+        w = W.from_word(datum, word)
+        for i in range(datum.n):
+            s = W.simple(datum, i)
+            s_plain = W.WeylElt(datum, s.mat_p, s.mat_p_inv)  # no word: general path
+            for rank1, general, factors in ((w * s, w * s_plain, (w.mat_p, s.mat_p)),
+                                            (s * w, s_plain * w, (s.mat_p, w.mat_p))):
+                assert rank1.mat_p == general.mat_p == mat_mul(*factors)
+                assert rank1.mat_p_inv == general.mat_p_inv
+
+
+def test_simple_products_take_no_matrix_product(monkeypatch):
+    def forbidden(a, b):
+        raise AssertionError("mat_mul called for a product with a simple reflection")
+
+    monkeypatch.setattr(W.exact, "mat_mul", forbidden)
+    datum = KERNEL_DATA["D8++"]
+    word = (0, 1, 8, 9, 5, 6, 7)
+    w, s = W.from_word(datum, word), W.simple(datum, 5)
+    assert s * w * s == W.from_word(datum, (5,) + word + (5,))
+    rep, u = W.min_coset_right(w, (5, 6, 7))
+    assert rep.length + u.length == w.length
+
+
+def test_from_word_rejects_out_of_range_index_one_based():
+    with pytest.raises(DomainError, match="simple index 3 out of range 1..2"):
+        W.from_word(A2, (0, 2))
+    with pytest.raises(DomainError, match="simple index 0 out of range"):
+        W.from_word(A2, (-1,))
