@@ -19,7 +19,8 @@ from math import gcd
 from typing import Iterable, Optional, Sequence
 
 from . import exact
-from .errors import InternalError, NotGCM, NotSpecial, NotSymmetrizable, SizeGuard
+from .errors import (DomainError, InternalError, NotGCM, NotSpecial, NotSymmetrizable,
+                     SizeGuard)
 from .exact import IntMat, IntVec, LPProblem, RatVec
 
 SPECIAL_SET_RANK_GUARD = 16
@@ -79,6 +80,19 @@ def _components(a: IntMat, subset: Sequence[int]) -> list[tuple[int, ...]]:
                     stack.append(j)
         comps.append(tuple(sorted(comp)))
     return comps
+
+
+def one_based(n: int, toks: Iterable, what: str = "simple index") -> tuple[int, ...]:
+    """0-based indices of the 1-based ones a user typed, each in 1..n.
+
+    Anything else (0, n + 1, -1, a non-number) raises DomainError naming
+    the token as typed.
+    """
+    index = {str(i + 1): i for i in range(n)}
+    for t in toks:
+        if str(t) not in index:
+            raise DomainError(f"{what} {t} out of range 1..{n}")
+    return tuple(index[str(t)] for t in toks)
 
 
 def validate_and_symmetrize(rows: Sequence[Sequence[int]]) -> GCM:

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import faces as FC, highest_weight as HW, monoids as MO, toric, verify
 from . import weyl as W
-from .cartan import RootDatum, build_realization, classify, special_sets
+from .cartan import RootDatum, build_realization, classify, one_based, special_sets
 from .errors import DomainError, GuardError, NotInTitsCone
 
 
@@ -33,21 +33,12 @@ def _load_gcm(args) -> RootDatum:
     return build_realization(payload["A"])
 
 
-def _indices(datum, toks) -> tuple[int, ...]:
-    """0-based simple indices of the 1-based ones the user typed."""
-    index = {str(i + 1): i for i in range(datum.n)}
-    for t in toks:
-        if str(t) not in index:
-            raise DomainError(f"simple index {t} out of range 1..{datum.n}")
-    return tuple(index[str(t)] for t in toks)
-
-
 def _parse_subset(datum, text: str) -> tuple[int, ...]:
-    return tuple(sorted(_indices(datum, text.replace(",", " ").split())))
+    return tuple(sorted(one_based(datum.n, text.replace(",", " ").split())))
 
 
 def _parse_word(datum, text: str):
-    return W.from_word(datum, _indices(datum, text.split()))
+    return W.from_word(datum, one_based(datum.n, text.split()))
 
 
 def _parse_weight(datum, text: str):
@@ -62,7 +53,7 @@ def _parse_face(datum, text: str) -> FC.Face:
     if text.startswith("{"):
         payload = json.loads(text)
         wtxt = payload.get("w", "")
-        theta = _indices(datum, payload.get("theta", ()))
+        theta = one_based(datum.n, payload.get("theta", ()))
     else:
         fields = {}
         for part in text.split(";"):
@@ -88,7 +79,7 @@ def _wmon_json(x: MO.WmonElt) -> dict:
 def _parse_wmon(datum, text: str) -> MO.WmonElt:
     payload = json.loads(text)
     face = FC.normalize_face(_parse_word(datum, payload["face"]["w"]),
-                             _indices(datum, payload["face"]["theta"]))
+                             one_based(datum.n, payload["face"]["theta"]))
     return MO.wm_normalize(_parse_word(datum, payload.get("w", "")), face)
 
 
@@ -110,7 +101,7 @@ def _parse_nhat(datum, text: str) -> MO.NhatElt:
     face = FC.full_cone(datum)
     if payload.get("face"):
         face = FC.normalize_face(_parse_word(datum, payload["face"]["w"]),
-                                 _indices(datum, payload["face"]["theta"]))
+                                 one_based(datum.n, payload["face"]["theta"]))
     torus = _parse_torus(datum, payload.get("t", ["1"] * datum.m))
     return MO.nhat_from(_parse_word(datum, payload.get("w", "")), torus, face)
 
@@ -316,7 +307,7 @@ def cmd_that_mul(args):
     def parse(text):
         payload = json.loads(text)
         face = FC.normalize_face(_parse_word(datum, payload["face"]["w"]),
-                                 _indices(datum, payload["face"]["theta"]))
+                                 one_based(datum.n, payload["face"]["theta"]))
         return MO.that_normalize(_parse_torus(datum, payload.get("t", ["1"] * datum.m)), face)
 
     x, y = parse(args.left), parse(args.right)

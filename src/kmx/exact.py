@@ -1,8 +1,11 @@
 """Exact rational and integer linear algebra plus LP feasibility.
 
-Everything here works over arbitrary-precision rationals (fractions.Fraction);
-no floating point is used anywhere in the package.  Matrices are dense tuples
-of tuples, adequate for the small ranks this library targets.
+Rational routines (rank, det, rat_solve, the simplex) work over
+arbitrary-precision rationals (fractions.Fraction); integer routines
+(int_rref, smith_normal_form and the lattice helpers) stay in Python ints
+and never form a fraction.  No floating point is used anywhere in the
+package.  Matrices are dense tuples of tuples, adequate for the small ranks
+this library targets.
 """
 
 from __future__ import annotations
@@ -181,6 +184,52 @@ def rat_solve(m, b) -> Optional[tuple[RatVec, tuple[RatVec, ...]]]:
     if mat_vec(m, sol) != tuple(Fraction(z) for z in b):
         raise InternalError("rat_solve solution fails to re-substitute")
     return sol, tuple(kernel)
+
+
+def int_rref(m: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], IntMat, int]:
+    """Fraction-free Gauss-Jordan elimination of an integer matrix.
+
+    Returns (pivots, rows, d).  `pivots` are the pivot columns in increasing
+    order, i.e. the first columns, left to right, that are independent of
+    the columns before them.  `rows` are the rank nonzero rows of d times
+    the reduced row echelon form, and d > 0 is the common pivot (d = 1 for
+    the zero matrix).  Column c of `rows` over d is thus the coordinate
+    vector of column c of m in the pivot columns.
+
+    The elimination is Bareiss's one-step fraction-free scheme (Bareiss
+    1968) carried through the rows above the pivot too: every division is
+    exact and every entry stays a minor of m, so no fraction is formed.
+    The result re-substitutes exactly: m[:, pivots] * rows == d * m.
+    """
+    a = [list(row) for row in m]
+    nr = len(a)
+    nc = len(a[0]) if nr else 0
+    pivots: list[int] = []
+    prev = 1
+    for c in range(nc):
+        r = len(pivots)
+        if r == nr:
+            break
+        p = next((i for i in range(r, nr) if a[i][c]), None)
+        if p is None:
+            continue
+        a[r], a[p] = a[p], a[r]
+        prow = a[r]
+        pv = prow[c]
+        for i in range(nr):
+            if i != r:
+                f = a[i][c]
+                a[i] = [(pv * x - f * y) // prev for x, y in zip(a[i], prow)]
+        prev = pv
+        pivots.append(c)
+    sign = -1 if prev < 0 else 1
+    rows = tuple(tuple(sign * x for x in row) for row in a[:len(pivots)])
+    d = sign * prev
+    for row in m:
+        if any(sum(row[p] * rr[j] for p, rr in zip(pivots, rows)) != d * row[j]
+               for j in range(nc)):
+            raise InternalError("int_rref fails to re-substitute")
+    return tuple(pivots), rows, d
 
 
 def smith_normal_form(m: IntMat) -> tuple[IntMat, IntMat, IntMat]:

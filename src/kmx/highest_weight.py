@@ -1,11 +1,15 @@
 """Depth-truncated integrable highest-weight modules and operator words.
 
 Everything is exact.  A slice stores, per weight down to a fixed height, a
-basis of lowering monomials selected by fraction-free rank computation on
-contravariant Gram matrices, together with the raising and lowering operator
-matrices in those bases.  Operator application is either exact (all terms
-stay inside the slice) or a hard DepthExceeded error; results are never
-silently truncated.
+basis of lowering monomials, its Gram matrix under the contravariant form,
+and the raising and lowering operator matrices in those bases.  At each
+weight the candidates f_i b (b a basis vector one step up) have an integer
+Gram matrix; one fraction-free Gauss-Jordan elimination of it
+(exact.int_rref) picks the first independent candidates in degree-lex order
+as the basis and gives every candidate's coordinates in it, which are the
+lowering matrices.  Operator application is either exact (all terms stay
+inside the slice) or a hard DepthExceeded error; results are never silently
+truncated.
 
 Weight multiplicities come from two independent routes: the Freudenthal
 recursion (fed by root multiplicities computed with the standard Peterson
@@ -21,9 +25,9 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import exact, faces as FC, monoids as MO, weyl as W
-from .cartan import RootDatum
-from .errors import (DepthExceeded, DepthTooLarge, InternalError, NotDominant,
-                     NotFactored, SizeGuard, ZeroTorusValue)
+from .cartan import RootDatum, one_based
+from .errors import (DepthExceeded, DepthTooLarge, DomainError, InternalError,
+                     NotDominant, NotFactored, SizeGuard, ZeroTorusValue)
 from .exact import IntVec
 from .faces import Face
 from .monoids import NhatElt, WmonElt
@@ -63,8 +67,10 @@ def root_multiplicities(datum: RootDatum, max_height: int) -> dict[Beta, int]:
 
     Peterson's recurrence over the root cone: with c_b = sum_k mult(b/k)/k,
     (b | b - 2 rho) c_b = sum over proper decompositions b' + b'' = b of
-    (b' | b'') c_b' c_b''.  Real roots come out with multiplicity one, which
-    the test suite spot-checks against the Weyl orbit of the simple roots.
+    (b' | b'') c_b' c_b''.  Where (b | b - 2 rho) = 0, b is not a root and
+    c_b is the sum over k >= 2 alone.  Real roots come out with multiplicity
+    one, which the test suite spot-checks against the Weyl orbit of the
+    simple roots.
     """
     cache = datum._root_mults
     if max_height in cache:
@@ -95,18 +101,20 @@ def root_multiplicities(datum: RootDatum, max_height: int) -> dict[Beta, int]:
                 cb2 = c.get(b2, Fraction(0))
                 if cb1 and cb2:
                     total += form(b1, b2) * cb1 * cb2
+            # the part of c_b that comes from proper divisors b/k, k >= 2
+            below = sum((Fraction(mult.get(tuple(x // k for x in b), 0), k)
+                         for k in range(2, h + 1) if all(x % k == 0 for x in b)),
+                        Fraction(0))
             if coeff == 0:
+                # b is not a root (e.g. b = 2 theta in A2), but c_b still
+                # carries the multiples below it
                 if total != 0:
                     raise InternalError("Peterson coefficient vanished unexpectedly")
-                c[b] = Fraction(0)
+                c[b] = below
                 mult[b] = 0
                 continue
             cb = total / coeff
-            m = cb
-            for k in range(2, h + 1):
-                if all(x % k == 0 for x in b):
-                    sub = tuple(x // k for x in b)
-                    m -= Fraction(mult.get(sub, 0), k)
+            m = cb - below
             if m.denominator != 1 or m < 0:
                 raise InternalError(f"root multiplicity {m} at {b} is not a natural number")
             c[b] = cb
@@ -221,7 +229,7 @@ def weights_and_mults(datum: RootDatum, hw: Sequence[int], depth: int,
 
 def _depth_guard(datum: RootDatum, depth: int, max_depth: Optional[int]):
     if depth < 0:
-        raise ValueError("depth must be nonnegative")
+        raise DomainError(f"depth {depth} is negative")
     if max_depth is not None:
         if depth > max_depth:
             raise DepthTooLarge(f"depth {depth} over the requested cap {max_depth}")
@@ -279,7 +287,6 @@ class ModuleSlice:
         self.spaces[self.hw] = top
         level: list[Wt] = [self.hw]
         for h in range(1, self.depth + 2):
-            probe_only = h == self.depth + 1
             targets: dict[Wt, None] = {}
             for mu in level:
                 for i in range(n):
@@ -287,20 +294,25 @@ class ModuleSlice:
                     targets.setdefault(lam, None)
             new_level = []
             for lam in sorted(targets):
-                ws = self._build_space(lam, h, register=not probe_only)
-                if ws is None:
+                if h > self.depth:
+                    # probe pass: lam is a weight iff its Gram matrix is nonzero
+                    found = self._candidates(lam)
+                    if found is not None and any(map(any, found[2])):
+                        self._nonzero_beyond.add(lam)
                     continue
-                if probe_only:
-                    self._nonzero_beyond.add(lam)
-                else:
+                ws = self._build_space(lam, h)
+                if ws is not None:
                     self.spaces[lam] = ws
                     new_level.append(lam)
             level = new_level
             if not level:
                 break
 
-    def _build_space(self, lam: Wt, h: int, register: bool = True
-                     ) -> Optional[WeightSpace]:
+    def _candidates(self, lam: Wt):
+        """The spanning set f_i b_k of the space at lam (b_k running over the
+        basis at lam + alpha_i, degree-lex order), each candidate's e_j-images
+        in the bases above, and the candidates' Gram matrix in ints; None
+        when no space lies above lam."""
         datum = self.datum
         n, m = datum.n, datum.m
         cands: list[tuple[int, int]] = []  # (i, index in basis of lam + alpha_i)
@@ -338,9 +350,11 @@ class ModuleSlice:
                     vec[k] += Fraction(up[i])
                 imgs[jj] = tuple(vec)
             e_imgs.append(imgs)
-        # Gram matrix of the candidates via contravariance.
+        # Gram matrix of the candidates via contravariance.  Its entries are
+        # Shapovalov values of lowering monomials on an integral weight, so
+        # they are integers.
         nc = len(cands)
-        gram_full = [[Fraction(0)] * nc for _ in range(nc)]
+        gram = [[0] * nc for _ in range(nc)]
         for b in range(nc):
             for a in range(nc):
                 i, k = cands[a]
@@ -349,61 +363,50 @@ class ModuleSlice:
                 img = e_imgs[b].get(i)
                 if img is None:
                     continue
-                gram_full[a][b] = sum(src.gram[k][c] * img[c] for c in range(src.dim))
-        # Greedy pivot selection in degree-lex candidate order.
-        selected: list[int] = []
-        reduced: list[list[Fraction]] = []
-        for c in range(nc):
-            col = [gram_full[r][c] for r in range(nc)]
-            for rc in reduced:
-                piv = next((r for r, x in enumerate(rc) if x != 0), None)
-                if piv is not None and col[piv] != 0:
-                    f = col[piv] / rc[piv]
-                    col = [x - f * y for x, y in zip(col, rc)]
-            if any(col):
-                selected.append(c)
-                reduced.append(col)
+                x = sum(src.gram[k][c] * img[c] for c in range(src.dim))
+                if x.denominator != 1:
+                    raise InternalError(f"Gram entry {x} at weight {lam} is not an integer")
+                gram[a][b] = int(x)
+        return cands, e_imgs, gram
+
+    def _build_space(self, lam: Wt, h: int) -> Optional[WeightSpace]:
+        found = self._candidates(lam)
+        if found is None:
+            return None
+        cands, e_imgs, gram_full = found
+        # The contravariant form is nondegenerate on L(hw), so the column
+        # relations of the Gram matrix are the linear relations of the
+        # candidates: its pivot columns are the first independent candidates
+        # in degree-lex order, and column c of the reduced form over d holds
+        # candidate c's coordinates in that basis.
+        selected, rows, d = exact.int_rref(gram_full)
         if not selected:
             return None
-        if not register:  # probe pass: only the nonvanishing matters
-            return WeightSpace(weight=lam, height=h, words=((),) * len(selected),
-                               gram=())
+        datum = self.datum
+        n, m = datum.n, datum.m
         words = []
         for c in selected:
             i, k = cands[c]
             up = tuple(lam[j] + datum.alpha[i][j] for j in range(m))
             words.append((i,) + self.spaces[up].words[k])
-        gram = tuple(tuple(gram_full[a][b] for b in selected) for a in selected)
+        gram = tuple(tuple(Fraction(gram_full[a][b]) for b in selected) for a in selected)
         ws = WeightSpace(weight=lam, height=h, words=tuple(words), gram=gram)
-        # Coordinates of every candidate in the selected basis.
-        coords: list[tuple[Fraction, ...]] = []
-        for c in range(nc):
-            rhs = tuple(gram_full[s][c] for s in selected)
-            sol = exact.rat_solve(gram, rhs)
-            if sol is None:
-                raise InternalError("Gram matrix singular on the selected basis")
-            coords.append(sol[0])
         # f-matrices into this space, and e-matrices out of it.
-        for i in range(self.datum.n):
+        for i in range(n):
             up = tuple(lam[j] + datum.alpha[i][j] for j in range(m))
             src = self.spaces.get(up)
             if src is None:
                 continue
-            cols = []
-            for k in range(src.dim):
-                c = cands.index((i, k))
-                cols.append(coords[c])
-            src.f_mat[i] = tuple(tuple(cols[k][r] for k in range(src.dim))
-                                 for r in range(ws.dim))
-        for j in range(self.datum.n):
+            first = cands.index((i, 0))
+            src.f_mat[i] = tuple(tuple(Fraction(row[first + k], d) for k in range(src.dim))
+                                 for row in rows)
+        for j in range(n):
             tgt_wt = tuple(lam[jj] + datum.alpha[j][jj] for jj in range(m))
             tgt = self.spaces.get(tgt_wt)
             if tgt is None:
                 continue
-            rows = []
-            for r in range(tgt.dim):
-                rows.append(tuple(e_imgs[s][j][r] for s in selected))
-            ws.e_mat[j] = tuple(rows)
+            ws.e_mat[j] = tuple(tuple(e_imgs[s][j][r] for s in selected)
+                                for r in range(tgt.dim))
         return ws
 
     # queries ---------------------------------------------------------------------
@@ -834,22 +837,26 @@ def parse_word(datum: RootDatum, text: str) -> GhatWord:
         if xp is not None or xm is not None:
             body = xp if xp is not None else xm
             idx, val = body.split(";")
-            i = int(idx) - 1
+            (i,) = one_based(datum.n, [idx.strip()])
             letters.append(xplus(i, Fraction(val)) if xp is not None
                            else xminus(i, Fraction(val)))
         elif tt is not None:
             hspec, val = tt.split(";")
             hspec = hspec.strip()
             if hspec.startswith("h"):
-                j = int(hspec[1:]) - 1
+                (j,) = one_based(datum.m, [hspec[1:].strip()], "coweight index")
                 h = tuple(1 if k == j else 0 for k in range(datum.m))
             elif hspec.startswith("v="):
                 h = tuple(int(x) for x in hspec[2:].split(","))
+                if len(h) != datum.m:
+                    raise DomainError(f"torus coweight {hspec[2:]} needs "
+                                      f"{datum.m} coordinates")
             else:
                 raise ValueError(f"bad torus coweight {hspec!r}")
             letters.append(torus_letter(h, Fraction(val)))
         elif nn is not None:
-            letters.append(nsimple(int(nn) - 1))
+            (i,) = one_based(datum.n, [nn.strip()])
+            letters.append(nsimple(i))
         else:
             fields = {}
             for part in ee.split(";"):
@@ -857,8 +864,8 @@ def parse_word(datum: RootDatum, text: str) -> GhatWord:
                 fields[key.strip()] = val.strip()
             wtxt = fields.get("w", "")
             ttxt = fields.get("theta", "")
-            wword = tuple(int(x) - 1 for x in wtxt.split()) if wtxt else ()
-            th = tuple(int(x) - 1 for x in ttxt.split(",")) if ttxt else ()
+            wword = one_based(datum.n, wtxt.split())
+            th = one_based(datum.n, [t.strip() for t in ttxt.split(",")]) if ttxt else ()
             face = FC.normalize_face(W.from_word(datum, wword), th)
             letters.append(idem(face))
         pos = mm.end()

@@ -74,6 +74,27 @@ INPUT_ERRORS = [
     (["classify", "--gcm", '{"A": [[2,-1.5],[-1,2]]}'], "a[1][2] = -1.5 is not an integer"),
     (["classify", "--gcm", '{"A": [[2,-1],[true,2]]}'], "a[2][1] = True is not an integer"),
     (["validate", "--gcm", '{"A": [[1,-1],[-1,2]]}'], "diagonal entry a[1][1] = 1 != 2"),
+    # the ghat word syntax reads the same 1-based indices
+    (["ghat-theta", "--gcm", A2, "--hw", "1,0", "--depth", "2", "--word", "N(0)"],
+     "simple index 0 out of range 1..2"),
+    (["ghat-theta", "--gcm", A2, "--hw", "1,0", "--depth", "2", "--word", "X-(3;1)"],
+     "simple index 3 out of range 1..2"),
+    (["ghat-eval", "--gcm", A2, "--hw", "1,0", "--depth", "2", "--word", "X+(0;1)"],
+     "simple index 0 out of range 1..2"),
+    (["ghat-theta", "--gcm", A2, "--hw", "1,0", "--depth", "2", "--word", "T(h0;2)"],
+     "coweight index 0 out of range 1..2"),
+    (["ghat-theta", "--gcm", AFF, "--hw", "1,0,0", "--depth", "2", "--word", "T(h4;2)"],
+     "coweight index 4 out of range 1..3"),
+    (["ghat-theta", "--gcm", A2, "--hw", "1,0", "--depth", "2", "--word", "T(v=1,0,1;2)"],
+     "torus coweight 1,0,1 needs 2 coordinates"),
+    (["ghat-cell", "--gcm", A2, "--word", "E(w=; theta=0)"],
+     "simple index 0 out of range 1..2"),
+    (["ghat-cell", "--gcm", HYP, "--word", "E(w=4 1; theta=1,2)"],
+     "simple index 4 out of range 1..3"),
+    (["ghat-equal", "--gcm", A2, "--word1", "N(1)", "--word2", "N(0)", "--probes", "1,0:2"],
+     "simple index 0 out of range 1..2"),
+    (["module-weights", "--gcm", A2, "--hw", "1,0", "--depth", "-1"],
+     "depth -1 is negative"),
 ]
 
 
@@ -87,6 +108,14 @@ def test_bad_index_or_entry_is_a_domain_error(capsys, argv, message):
     err = json.loads(out)["error"]
     assert issubclass(getattr(errors, err["kind"]), errors.DomainError)
     assert message in err["message"]
+
+
+def test_module_weights_past_the_vanishing_peterson_coefficient(capsys):
+    # at 2 theta (height 4) the Peterson coefficient of A2 vanishes; the
+    # multiplicities below height 5 must still come out right
+    payload = run_json(capsys, ["module-weights", "--gcm", A2, "--hw", "1,0",
+                                "--depth", "5"])
+    assert [e["weight"] for e in payload["weights"]] == [[-1, 1], [0, -1], [1, 0]]
 
 
 def test_guard_error_exit_3(capsys):

@@ -7,7 +7,7 @@ from conftest import all_small_gcms, grid_certificate
 
 from kmx import exact
 from kmx.errors import InternalError
-from kmx.exact import (LPProblem, int_mat, kernel_lattice_basis, lattice_coords,
+from kmx.exact import (LPProblem, int_mat, int_rref, kernel_lattice_basis, lattice_coords,
                        lp_feasible, mat_mul, mat_vec, nonneg_solve, primitive, rat_mat,
                        rat_solve, saturate_span, smith_normal_form)
 
@@ -67,6 +67,53 @@ def _determinantal_divisors(m):
         diag.append(g // prev)
         prev = g
     return diag
+
+
+def _check_int_rref(m):
+    """int_rref against rank and one rat_solve per column."""
+    pivots, rows, d = int_rref(m)
+    nr, nc = len(m), len(m[0]) if m else 0
+    assert d > 0 and len(pivots) == len(rows) == exact.rank(m)
+    assert list(pivots) == sorted(pivots)
+    basis = [[m[i][p] for p in pivots] for i in range(nr)]
+    for c in range(nc):
+        coords = tuple(Fraction(rows[t][c], d) for t in range(len(pivots)))
+        if pivots:
+            sol = rat_solve(basis, [m[i][c] for i in range(nr)])
+            assert sol is not None and sol[1] == () and sol[0] == coords
+        # greedy pivots: no column depends only on later pivot columns
+        assert all(x == 0 for p, x in zip(pivots, coords) if p > c)
+    return pivots, rows, d
+
+
+def test_int_rref_examples():
+    # the zero matrix and 1 x 1 matrices
+    assert int_rref([[0, 0], [0, 0]]) == ((), (), 1)
+    assert int_rref([[0]]) == ((), (), 1)
+    assert int_rref([[-3]]) == ((0,), ((3,),), 3)
+    # a zero first column and a row swap: column 2 is twice column 1
+    pivots, rows, d = _check_int_rref([[0, 0, 0, 1], [0, 2, 4, 3]])
+    assert pivots == (1, 3)
+    assert all(rows[t][2] == 2 * rows[t][1] for t in range(2))
+    # a symmetric rank-2 Gram matrix with a repeated candidate
+    assert _check_int_rref([[2, 1, 2], [1, 2, 1], [2, 1, 2]])[0] == (0, 1)
+
+
+def test_int_rref_agrees_with_rank_and_rat_solve():
+    rng = random.Random(11)
+    for _ in range(300):
+        nr, nc = rng.randrange(1, 7), rng.randrange(1, 7)
+        k = rng.randrange(0, min(nr, nc) + 1)
+        # a rank <= k product, then some columns zeroed
+        a = [[rng.randrange(-4, 5) for _ in range(k)] for _ in range(nr)]
+        b = [[rng.randrange(-4, 5) for _ in range(nc)] for _ in range(k)]
+        m = [[sum(a[i][s] * b[s][j] for s in range(k)) for j in range(nc)]
+             for i in range(nr)]
+        for j in range(nc):
+            if rng.random() < 0.2:
+                for row in m:
+                    row[j] = 0
+        _check_int_rref(m)
 
 
 @pytest.mark.parametrize("m,expected", [

@@ -6,7 +6,8 @@ import pytest
 from kmx import faces as FC, highest_weight as HW, monoids as MO, weyl as W
 from kmx.cartan import (A2_ROWS, AFFINE_A1_ROWS, HYPERBOLIC_ROWS,
                         build_realization)
-from kmx.errors import DepthExceeded, DepthTooLarge, NotDominant, NotFactored
+from kmx.errors import (DepthExceeded, DepthTooLarge, DomainError, NotDominant,
+                        NotFactored)
 
 A2 = build_realization(A2_ROWS)
 AFF = build_realization(AFFINE_A1_ROWS)
@@ -74,6 +75,41 @@ def test_freudenthal_vs_gram_rank_to_depth_four():
                       (HYP, (0, 0, 1))):
         assert HW.build_basis(datum, hw, 4).dims() \
             == HW.weights_and_mults(datum, hw, 4)
+
+
+ORACLE_ALGEBRAS = {
+    "A2": A2_ROWS,
+    "B2": ((2, -2), (-1, 2)),
+    "G2": ((2, -3), (-1, 2)),
+    "A3": ((2, -1, 0), (-1, 2, -1), (0, -1, 2)),
+    "A1^(1)": AFFINE_A1_ROWS,
+    "A2^(2)": ((2, -4), (-1, 2)),
+    "A2^(1)": ((2, -1, -1), (-1, 2, -1), (-1, -1, 2)),
+    "hyperbolic-3": HYPERBOLIC_ROWS,
+}
+ORACLE_CASES = [(alg, hw, 6 if hw == "rho" and alg in ("A2^(1)", "hyperbolic-3") else 8)
+                for alg in ORACLE_ALGEBRAS for hw in ("rho", "L1")]
+
+
+@pytest.mark.parametrize("alg,hw_name,depth", ORACLE_CASES,
+                         ids=[f"{a}-{h}-{d}" for a, h, d in ORACLE_CASES])
+def test_freudenthal_vs_gram_rank_to_depth_eight(alg, hw_name, depth):
+    """Both multiplicity routes agree past the heights where the Peterson
+    coefficient (b | b - 2 rho) vanishes off the roots (2 theta in A2)."""
+    datum = build_realization(ORACLE_ALGEBRAS[alg])
+    hw = datum.rho() if hw_name == "rho" else datum.fundamental_weight(0)
+    assert HW.build_basis(datum, hw, depth).dims() \
+        == HW.weights_and_mults(datum, hw, depth)
+
+
+def test_root_multiplicities_a2_to_height_eight():
+    assert HW.root_multiplicities(A2, 8) == {(1, 0): 1, (0, 1): 1, (1, 1): 1}
+
+
+def test_negative_depth_is_a_domain_error():
+    for build in (HW.build_basis, HW.weights_and_mults, HW.ModuleSlice):
+        with pytest.raises(DomainError, match="depth -1 is negative"):
+            build(A2, (1, 0), -1)
 
 
 def test_contravariance_all_pairs():

@@ -1,0 +1,200 @@
+"""The slice build against the greedy reference it replaced.
+
+`RefSlice` keeps the earlier construction of `ModuleSlice`: candidates are
+picked one by one by Gaussian elimination over Fraction in degree-lex order,
+and each candidate's coordinates come from its own `exact.rat_solve` of the
+selected Gram matrix.  The fraction-free build must give the same slices,
+entry for entry.
+"""
+
+from fractions import Fraction
+from typing import Optional
+
+import pytest
+
+from kmx import exact, highest_weight as HW
+from kmx.cartan import build_realization
+from kmx.errors import InternalError
+from kmx.highest_weight import WeightSpace, Wt
+
+ALGEBRAS = {
+    "A2": ((2, -1), (-1, 2)),
+    "B2": ((2, -2), (-1, 2)),
+    "G2": ((2, -3), (-1, 2)),
+    "A3": ((2, -1, 0), (-1, 2, -1), (0, -1, 2)),
+    "A1^(1)": ((2, -2), (-2, 2)),
+    "A2^(2)": ((2, -4), (-1, 2)),
+    "A2^(1)": ((2, -1, -1), (-1, 2, -1), (-1, -1, 2)),
+    "hyperbolic-3": ((2, -2, 0), (-2, 2, -1), (0, -1, 2)),
+}
+# rho and Lambda_1 on every algebra at depth 8, but rho on A2^(1) and on the
+# hyperbolic matrix at depth 5: the slices of the benchmark's hw-slices stream
+SPECS = [(alg, hw, 5 if hw == "rho" and alg in ("A2^(1)", "hyperbolic-3") else 8)
+         for alg in ALGEBRAS for hw in ("rho", "L1")]
+
+
+class RefSlice(HW.ModuleSlice):
+    """ModuleSlice built by greedy pivoting and one rat_solve per candidate."""
+
+    def _build(self):
+        datum = self.datum
+        n, m = datum.n, datum.m
+        top = WeightSpace(weight=self.hw, height=0, words=((),),
+                          gram=((Fraction(1),),))
+        self.spaces[self.hw] = top
+        level: list[Wt] = [self.hw]
+        for h in range(1, self.depth + 2):
+            probe_only = h == self.depth + 1
+            targets: dict[Wt, None] = {}
+            for mu in level:
+                for i in range(n):
+                    lam = tuple(mu[j] - datum.alpha[i][j] for j in range(m))
+                    targets.setdefault(lam, None)
+            new_level = []
+            for lam in sorted(targets):
+                ws = self._build_space(lam, h, register=not probe_only)
+                if ws is None:
+                    continue
+                if probe_only:
+                    self._nonzero_beyond.add(lam)
+                else:
+                    self.spaces[lam] = ws
+                    new_level.append(lam)
+            level = new_level
+            if not level:
+                break
+
+    def _build_space(self, lam: Wt, h: int, register: bool = True
+                     ) -> Optional[WeightSpace]:
+        datum = self.datum
+        n, m = datum.n, datum.m
+        cands: list[tuple[int, int]] = []  # (i, index in basis of lam + alpha_i)
+        for i in range(n):
+            up = tuple(lam[j] + datum.alpha[i][j] for j in range(m))
+            src = self.spaces.get(up)
+            if src is not None:
+                cands.extend((i, k) for k in range(src.dim))
+        if not cands:
+            return None
+        # e_j-image of each candidate, in the basis at lam + alpha_j.
+        e_imgs: list[dict[int, tuple[Fraction, ...]]] = []
+        for (i, k) in cands:
+            up = tuple(lam[j] + datum.alpha[i][j] for j in range(m))
+            src = self.spaces[up]
+            imgs: dict[int, tuple[Fraction, ...]] = {}
+            for jj in range(n):
+                tgt_wt = tuple(lam[j] + datum.alpha[jj][j] for j in range(m))
+                tgt = self.spaces.get(tgt_wt)
+                if tgt is None:
+                    continue
+                vec = [Fraction(0)] * tgt.dim
+                # e_jj f_i b_k = f_i (e_jj b_k) + [jj == i] * up(h_i) * b_k
+                up_e = src.e_mat.get(jj)
+                if up_e is not None:
+                    mid_wt = tuple(up[j] + datum.alpha[jj][j] for j in range(m))
+                    mid = self.spaces.get(mid_wt)
+                    if mid is not None:
+                        fmat = mid.f_mat.get(i)
+                        if fmat is not None:
+                            col = [up_e[r][k] for r in range(len(up_e))]
+                            for r in range(tgt.dim):
+                                vec[r] += sum(fmat[r][c] * col[c] for c in range(mid.dim))
+                if jj == i:  # [e_i, f_i] = h_i acts by up(h_i) on b_k
+                    vec[k] += Fraction(up[i])
+                imgs[jj] = tuple(vec)
+            e_imgs.append(imgs)
+        # Gram matrix of the candidates via contravariance.
+        nc = len(cands)
+        gram_full = [[Fraction(0)] * nc for _ in range(nc)]
+        for b in range(nc):
+            for a in range(nc):
+                i, k = cands[a]
+                up = tuple(lam[j] + datum.alpha[i][j] for j in range(m))
+                src = self.spaces[up]
+                img = e_imgs[b].get(i)
+                if img is None:
+                    continue
+                gram_full[a][b] = sum(src.gram[k][c] * img[c] for c in range(src.dim))
+        # Greedy pivot selection in degree-lex candidate order.
+        selected: list[int] = []
+        reduced: list[list[Fraction]] = []
+        for c in range(nc):
+            col = [gram_full[r][c] for r in range(nc)]
+            for rc in reduced:
+                piv = next((r for r, x in enumerate(rc) if x != 0), None)
+                if piv is not None and col[piv] != 0:
+                    f = col[piv] / rc[piv]
+                    col = [x - f * y for x, y in zip(col, rc)]
+            if any(col):
+                selected.append(c)
+                reduced.append(col)
+        if not selected:
+            return None
+        if not register:  # probe pass: only the nonvanishing matters
+            return WeightSpace(weight=lam, height=h, words=((),) * len(selected),
+                               gram=())
+        words = []
+        for c in selected:
+            i, k = cands[c]
+            up = tuple(lam[j] + datum.alpha[i][j] for j in range(m))
+            words.append((i,) + self.spaces[up].words[k])
+        gram = tuple(tuple(gram_full[a][b] for b in selected) for a in selected)
+        ws = WeightSpace(weight=lam, height=h, words=tuple(words), gram=gram)
+        # Coordinates of every candidate in the selected basis.
+        coords: list[tuple[Fraction, ...]] = []
+        for c in range(nc):
+            rhs = tuple(gram_full[s][c] for s in selected)
+            sol = exact.rat_solve(gram, rhs)
+            if sol is None:
+                raise InternalError("Gram matrix singular on the selected basis")
+            coords.append(sol[0])
+        # f-matrices into this space, and e-matrices out of it.
+        for i in range(self.datum.n):
+            up = tuple(lam[j] + datum.alpha[i][j] for j in range(m))
+            src = self.spaces.get(up)
+            if src is None:
+                continue
+            cols = []
+            for k in range(src.dim):
+                c = cands.index((i, k))
+                cols.append(coords[c])
+            src.f_mat[i] = tuple(tuple(cols[k][r] for k in range(src.dim))
+                                 for r in range(ws.dim))
+        for j in range(self.datum.n):
+            tgt_wt = tuple(lam[jj] + datum.alpha[j][jj] for jj in range(m))
+            tgt = self.spaces.get(tgt_wt)
+            if tgt is None:
+                continue
+            rows = []
+            for r in range(tgt.dim):
+                rows.append(tuple(e_imgs[s][j][r] for s in selected))
+            ws.e_mat[j] = tuple(rows)
+        return ws
+
+
+def _slice(cls, alg, hw_name, depth):
+    datum = build_realization(ALGEBRAS[alg])
+    hw = datum.rho() if hw_name == "rho" else datum.fundamental_weight(0)
+    return cls(datum, hw, depth)
+
+
+@pytest.mark.parametrize("alg,hw_name,depth", SPECS,
+                         ids=[f"{a}-{h}-{d}" for a, h, d in SPECS])
+def test_slice_equals_greedy_reference(alg, hw_name, depth):
+    new = _slice(HW.ModuleSlice, alg, hw_name, depth)
+    ref = _slice(RefSlice, alg, hw_name, depth)
+    assert new._nonzero_beyond == ref._nonzero_beyond
+    assert new.order == ref.order
+    for wt, sp in ref.spaces.items():
+        got = new.spaces[wt]
+        assert (got.height, got.words, got.gram) == (sp.height, sp.words, sp.gram), wt
+        assert got.f_mat == sp.f_mat, wt
+        assert got.e_mat == sp.e_mat, wt
+
+
+def test_non_integral_gram_entry_is_an_internal_error():
+    datum = build_realization(ALGEBRAS["A2"])
+    sl = HW.ModuleSlice(datum, (1, 1), 1)
+    sl.spaces[(1, 1)].gram = ((Fraction(1, 2),),)
+    with pytest.raises(InternalError):
+        sl._candidates((-1, 2))
