@@ -95,6 +95,26 @@ def one_based(n: int, toks: Iterable, what: str = "simple index") -> tuple[int, 
     return tuple(index[str(t)] for t in toks)
 
 
+def typed_numbers(toks: Iterable, what: str, *, integral: bool = False) -> tuple:
+    """The exact numbers a user typed: Fractions (a/b with b != 0), or ints
+    when `integral` is set.
+
+    Anything else (1/0, a letter, 3/2 where an integer is expected) raises
+    DomainError naming the token as typed.
+    """
+    kind = "an integer" if integral else "a number a/b with b != 0"
+    out = []
+    for t in toks:
+        try:
+            x = Fraction(str(t))
+        except (ValueError, ZeroDivisionError):
+            x = None
+        if x is None or (integral and x.denominator != 1):
+            raise DomainError(f"{what} {t} is not {kind}")
+        out.append(int(x) if integral else x)
+    return tuple(out)
+
+
 def validate_and_symmetrize(rows: Sequence[Sequence[int]]) -> GCM:
     """Validate a GCM and compute its canonical positive symmetrizer.
     Messages name entries 1-based."""
@@ -230,36 +250,27 @@ class RootDatum:
         a = gcm.a
         n = gcm.n
         self.n = n
-        self.l = exact.rank(a)
-        self.m = 2 * n - self.l
-        m = self.m
-        # Completion of A^T to rank n with unit extra coordinates.
-        alpha: list[list[int]] = []
-        basis_rows: list[list[Fraction]] = []
-        extra = 0
-        for i in range(n):
-            row = [a[j][i] for j in range(n)] + [0] * (m - n)
-            cand = basis_rows + [[Fraction(x) for x in row]]
-            if exact.rank(cand) == len(cand):
-                basis_rows.append([Fraction(x) for x in row])
-            else:
-                row[n + extra] = 1
-                extra += 1
-                basis_rows.append([Fraction(x) for x in row])
-            alpha.append(row)
-        if extra != m - n or exact.rank(alpha) != n:
-            raise InternalError("realization completion failed")
+        # Column i of A is alpha_i's first n coordinates.  The pivot columns
+        # are the ones independent of the columns before them; each other
+        # column gets one extra unit coordinate, completing A^T to rank n.
+        pivots, _, _ = exact.int_rref(a)
+        self.l = len(pivots)
+        self.m = m = 2 * n - self.l
+        alpha = [[a[j][i] for j in range(n)] + [0] * (m - n) for i in range(n)]
+        for extra, i in enumerate(i for i in range(n) if i not in pivots):
+            alpha[i][n + extra] = 1
         self.alpha: tuple[IntVec, ...] = tuple(tuple(r) for r in alpha)
-        # Invariant form on the coweight side, Gram matrix in the e-basis.
-        gram = [[Fraction(0)] * m for _ in range(m)]
+        # Invariant form on the coweight side, Gram matrix in the e-basis;
+        # eps is integral, so its entries are ints.
+        eps = tuple(int(e) for e in gcm.eps)
+        if eps != gcm.eps:
+            raise InternalError("symmetrizer is not integral")
+        gram = [[0] * m for _ in range(m)]
         for i in range(n):
             for j in range(m):
-                gram[i][j] = Fraction(self.alpha[i][j]) * gcm.eps[i]
-        for j in range(m):
-            for i in range(n, m):
-                gram[i][j] = gram[j][i] if j < n else Fraction(0)
-        self.gram: tuple[RatVec, ...] = tuple(tuple(r) for r in gram)
-        if exact.det(self.gram) == 0:
+                gram[i][j] = gram[j][i] = self.alpha[i][j] * eps[i]
+        self.gram: IntMat = tuple(tuple(r) for r in gram)
+        if len(exact.int_rref(self.gram)[0]) != m:
             raise InternalError("invariant form is degenerate")
         self._verify()
         self._perp: dict[tuple[int, ...], tuple[int, ...]] = {}
@@ -287,17 +298,14 @@ class RootDatum:
 
     # -- pairings and forms -------------------------------------------------
 
-    def pair(self, weight: Sequence, coweight: Sequence) -> Fraction:
-        """<weight, coweight> in (Lambda-basis, e-basis) coordinates."""
-        return sum(Fraction(x) * Fraction(y) for x, y in zip(weight, coweight))
-
-    def form_coweights(self, h1: Sequence, h2: Sequence) -> Fraction:
-        return exact.vec_dot(exact.mat_vec(self.gram, tuple(map(Fraction, h1))),
-                             tuple(map(Fraction, h2)))
+    def pair(self, weight: Sequence, coweight: Sequence):
+        """<weight, coweight> in (Lambda-basis, e-basis) coordinates: an int
+        on int input, a Fraction on Fraction input."""
+        return exact.vec_dot(weight, coweight)
 
     def form_weights(self, l1: Sequence, l2: Sequence) -> Fraction:
         """(l1 | l2) on the weight side, via nu^{-1} = gram^{-1}."""
-        sol = exact.rat_solve(self.gram, tuple(map(Fraction, l2)))
+        sol = exact.rat_solve(self.gram, l2)
         if sol is None:
             raise InternalError("invariant form is degenerate")
         return self.pair(l1, sol[0])
@@ -314,8 +322,7 @@ class RootDatum:
 
     def weight_height(self, top: Sequence, low: Sequence) -> Optional[int]:
         """Height of top - low as a nonnegative root-lattice element."""
-        diff = exact.vec_sub(tuple(map(Fraction, top)), tuple(map(Fraction, low)))
-        sol = exact.rat_solve(exact.transpose(self.alpha), diff)
+        sol = exact.rat_solve(exact.transpose(self.alpha), exact.vec_sub(top, low))
         if sol is None:
             return None
         coords, kernel = sol

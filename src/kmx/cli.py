@@ -12,11 +12,11 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import faces as FC, highest_weight as HW, monoids as MO, toric, verify
 from . import weyl as W
-from .cartan import RootDatum, build_realization, classify, one_based, special_sets
+from .cartan import (RootDatum, build_realization, classify, one_based, special_sets,
+                     typed_numbers)
 from .errors import DomainError, GuardError, NotInTitsCone
 
 
@@ -41,8 +41,12 @@ def _parse_word(datum, text: str):
     return W.from_word(datum, one_based(datum.n, text.split()))
 
 
+def _numbers(text: str, what: str, integral: bool = False) -> tuple:
+    return typed_numbers(text.replace(",", " ").split(), what, integral=integral)
+
+
 def _parse_weight(datum, text: str):
-    vals = tuple(Fraction(x) for x in text.replace(",", " ").split())
+    vals = _numbers(text, "weight coordinate")
     if len(vals) != datum.m:
         raise DomainError(f"weight needs {datum.m} coordinates")
     return vals
@@ -84,7 +88,7 @@ def _parse_wmon(datum, text: str) -> MO.WmonElt:
 
 
 def _parse_torus(datum, vals) -> MO.TorusVals:
-    t = tuple(Fraction(str(v)) for v in vals)
+    t = typed_numbers(vals, "torus value")
     if len(t) != datum.m:
         raise DomainError(f"torus element needs {datum.m} values")
     return t
@@ -223,7 +227,7 @@ def cmd_weyl_reduce(args):
 def cmd_dominant(args):
     datum = _load_gcm(args)
     if args.antidominant:
-        d = tuple(int(Fraction(x)) for x in args.weight.replace(",", " ").split())
+        d = _numbers(args.weight, "coweight coordinate", integral=True)
         dmin, v = W.antidominant_coweight(datum, d)
         _emit(args, {
             "antidominant": list(dmin),
@@ -343,7 +347,7 @@ def cmd_toric_saturate(args):
         "num_faces": len(m.faces()),
     }
     if args.contains is not None:
-        x = tuple(int(v) for v in args.contains.replace(",", " ").split())
+        x = _numbers(args.contains, "lattice point coordinate", integral=True)
         out["contains"] = m.contains(x)
     _emit(args, out)
 
@@ -359,7 +363,7 @@ def cmd_toric_faces(args):
                  "hull": [list(b) for b in f.hull],
                  "subfaces": [g.index for g in m.closure_order(f)]}
         if args.ri is not None:
-            x = tuple(int(v) for v in args.ri.replace(",", " ").split())
+            x = _numbers(args.ri, "lattice point coordinate", integral=True)
             entry["relative_interior_contains"] = m.relative_interior_contains(f, x)
         if args.dual:
             d = m.dual_face(f)
@@ -368,7 +372,7 @@ def cmd_toric_faces(args):
                                   "num_faces": len(d.faces())}
         out["face"] = entry
     if args.principal_open is not None:
-        x = tuple(int(v) for v in args.principal_open.replace(",", " ").split())
+        x = _numbers(args.principal_open, "lattice point coordinate", integral=True)
         out["principal_open"] = [f.index for f in m.principal_open(x)]
     if args.idempotents:
         out["idempotents"] = [{"face": e.face_index, "values": [str(v) for v in e.values]}
@@ -377,7 +381,7 @@ def cmd_toric_faces(args):
 
 
 def _parse_hw(datum, text):
-    vals = tuple(int(Fraction(x)) for x in text.replace(",", " ").split())
+    vals = _numbers(text, "highest weight coordinate", integral=True)
     if len(vals) != datum.m:
         raise DomainError(f"highest weight needs {datum.m} coordinates")
     return vals
@@ -435,9 +439,10 @@ def cmd_ghat_equal(args):
     probes = []
     for chunk in args.probes.split(";"):
         parts = chunk.split(":")
-        hw = _parse_hw(datum, parts[0])
-        depth = int(parts[1])
-        probes.append((hw, depth, int(parts[2])) if len(parts) > 2 else (hw, depth))
+        if len(parts) not in (2, 3):
+            raise DomainError(f"probe {chunk} is not hw:depth[:height]")
+        probes.append((_parse_hw(datum, parts[0]),)
+                      + typed_numbers(parts[1:], "probe depth or height", integral=True))
     res = HW.probe_equal(datum, w1, w2, probes)
     if isinstance(res, HW.EqualOnProbes):
         _emit(args, {"verdict": "equal_on_probes",

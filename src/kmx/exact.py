@@ -1,11 +1,13 @@
 """Exact rational and integer linear algebra plus LP feasibility.
 
-Rational routines (rank, det, rat_solve, the simplex) work over
-arbitrary-precision rationals (fractions.Fraction); integer routines
-(int_rref, smith_normal_form and the lattice helpers) stay in Python ints
-and never form a fraction.  No floating point is used anywhere in the
-package.  Matrices are dense tuples of tuples, adequate for the small ranks
-this library targets.
+One Gaussian elimination serves every rank and solve question: int_rref,
+a fraction-free Gauss-Jordan elimination in Python ints.  rat_solve scales
+each row of a rational system to integers and reads its answer off that one
+elimination.  The other integer routines (smith_normal_form and the lattice
+helpers) stay in Python ints too and never form a fraction; only the
+simplex pivots over arbitrary-precision rationals (fractions.Fraction).  No
+floating point is used anywhere in the package.  Matrices are dense tuples
+of tuples, adequate for the small ranks this library targets.
 """
 
 from __future__ import annotations
@@ -98,94 +100,6 @@ def primitive(v: Sequence) -> IntVec:
     return tuple(ints)
 
 
-def rank(m) -> int:
-    """Rank of a rational matrix by exact Gaussian elimination."""
-    rows = [list(map(Fraction, row)) for row in m]
-    nr = len(rows)
-    nc = len(rows[0]) if nr else 0
-    r = 0
-    for c in range(nc):
-        piv = next((i for i in range(r, nr) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        pv = rows[r][c]
-        for i in range(nr):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c] / pv
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        r += 1
-        if r == nr:
-            break
-    return r
-
-
-def det(m) -> Fraction:
-    rows = [list(map(Fraction, row)) for row in m]
-    n = len(rows)
-    sign = 1
-    d = Fraction(1)
-    for c in range(n):
-        piv = next((i for i in range(c, n) if rows[i][c] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            rows[c], rows[piv] = rows[piv], rows[c]
-            sign = -sign
-        pv = rows[c][c]
-        d *= pv
-        for i in range(c + 1, n):
-            if rows[i][c] != 0:
-                f = rows[i][c] / pv
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
-    return sign * d
-
-
-def rat_solve(m, b) -> Optional[tuple[RatVec, tuple[RatVec, ...]]]:
-    """Solve M x = b exactly.
-
-    Returns (particular solution, kernel basis) or None when the system is
-    inconsistent.  The result re-substitutes exactly: M x == b holds
-    identically.  Kernel basis vectors are scaled to primitive integers.
-    """
-    rows = [[Fraction(x) for x in row] + [Fraction(bi)] for row, bi in zip(m, b)]
-    nr = len(rows)
-    nc = len(m[0]) if nr else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(nc):
-        piv = next((i for i in range(r, nr) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        pv = rows[r][c]
-        rows[r] = [a / pv for a in rows[r]]
-        for i in range(nr):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * p for a, p in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    for i in range(r, nr):
-        if rows[i][nc] != 0:
-            return None
-    x = [Fraction(0)] * nc
-    for i, c in enumerate(pivots):
-        x[c] = rows[i][nc]
-    free = [c for c in range(nc) if c not in pivots]
-    kernel = []
-    for fc in free:
-        v = [Fraction(0)] * nc
-        v[fc] = Fraction(1)
-        for i, c in enumerate(pivots):
-            v[c] = -rows[i][fc]
-        kernel.append(tuple(Fraction(z) for z in primitive(v)))
-    sol = tuple(x)
-    if mat_vec(m, sol) != tuple(Fraction(z) for z in b):
-        raise InternalError("rat_solve solution fails to re-substitute")
-    return sol, tuple(kernel)
-
-
 def int_rref(m: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], IntMat, int]:
     """Fraction-free Gauss-Jordan elimination of an integer matrix.
 
@@ -230,6 +144,39 @@ def int_rref(m: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], IntMat, int]:
                for j in range(nc)):
             raise InternalError("int_rref fails to re-substitute")
     return tuple(pivots), rows, d
+
+
+def rat_solve(m, b) -> Optional[tuple[RatVec, tuple[RatVec, ...]]]:
+    """Solve M x = b exactly.
+
+    Returns (particular solution, kernel basis) or None when the system is
+    inconsistent.  The result re-substitutes exactly: M x == b holds
+    identically.  Kernel basis vectors are scaled to primitive integers.
+
+    Each row of [M | b] is scaled to integers and the whole goes through one
+    `int_rref`: the system is inconsistent iff b is a pivot column, and x
+    and the kernel are read off the reduced rows over the common pivot.
+    """
+    nc = len(m[0]) if m else 0
+    pivots, rows, d = int_rref([primitive_ray(tuple(row) + (bi,)) for row, bi in zip(m, b)])
+    if nc in pivots:
+        return None
+    x = [Fraction(0)] * nc
+    for row, c in zip(rows, pivots):
+        x[c] = Fraction(row[nc], d)
+    kernel = []
+    for fc in range(nc):
+        if fc in pivots:
+            continue
+        v = [0] * nc
+        v[fc] = d
+        for row, c in zip(rows, pivots):
+            v[c] = -row[fc]
+        kernel.append(tuple(Fraction(z) for z in primitive(v)))
+    sol = tuple(x)
+    if mat_vec(m, sol) != tuple(Fraction(z) for z in b):
+        raise InternalError("rat_solve solution fails to re-substitute")
+    return sol, tuple(kernel)
 
 
 def smith_normal_form(m: IntMat) -> tuple[IntMat, IntMat, IntMat]:

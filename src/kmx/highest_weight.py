@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import exact, faces as FC, monoids as MO, weyl as W
-from .cartan import RootDatum, one_based
+from .cartan import RootDatum, one_based, typed_numbers
 from .errors import (DepthExceeded, DepthTooLarge, DomainError, InternalError,
                      NotDominant, NotFactored, SizeGuard, ZeroTorusValue)
 from .exact import IntVec
@@ -42,9 +42,18 @@ Beta = IntVec  # element of the positive root cone in simple-root coordinates
 # -- root multiplicities (Peterson recurrence) -----------------------------------
 
 
-def _root_gram(datum: RootDatum) -> tuple[tuple[Fraction, ...], ...]:
-    """(alpha_i | alpha_j) = a_ij / eps_i, the symmetrized matrix B."""
-    return datum.gcm.b
+def _form(bmat, b1: Beta, b2: Beta) -> Fraction:
+    """(b1 | b2) on the root lattice, with bmat[i][j] = (alpha_i | alpha_j)
+    (the symmetrized matrix B = gcm.b)."""
+    n = len(b1)
+    return sum(bmat[i][j] * b1[i] * b2[j] for i in range(n) for j in range(n)
+               if b1[i] and b2[j])
+
+
+def _weight_form(eps, wt: Sequence[int], b: Beta) -> Fraction:
+    """(wt | b) = sum_i wt(h_i) b_i / eps_i; wt = rho = (1, ..., 1) gives
+    (rho | b)."""
+    return sum(Fraction(wt[i] * b[i]) / eps[i] for i in range(len(b)))
 
 
 def _compositions(n: int, h: int) -> list[Beta]:
@@ -76,15 +85,7 @@ def root_multiplicities(datum: RootDatum, max_height: int) -> dict[Beta, int]:
     if max_height in cache:
         return cache[max_height]
     n = datum.n
-    gram = _root_gram(datum)
-
-    def form(b1: Beta, b2: Beta) -> Fraction:
-        return sum(gram[i][j] * b1[i] * b2[j] for i in range(n) for j in range(n)
-                   if b1[i] and b2[j])
-
-    def rho_form(b: Beta) -> Fraction:
-        return sum(Fraction(b[i], 1) / datum.gcm.eps[i] for i in range(n))
-
+    bmat, eps, rho = datum.gcm.b, datum.gcm.eps, datum.rho()
     c: dict[Beta, Fraction] = {}
     mult: dict[Beta, int] = {}
     for h in range(1, max_height + 1):
@@ -93,14 +94,14 @@ def root_multiplicities(datum: RootDatum, max_height: int) -> dict[Beta, int]:
                 c[b] = Fraction(1)
                 mult[b] = 1
                 continue
-            coeff = form(b, b) - 2 * rho_form(b)
+            coeff = _form(bmat, b, b) - 2 * _weight_form(eps, rho, b)
             total = Fraction(0)
             for b1 in _proper_summands(b):
                 b2 = tuple(x - y for x, y in zip(b, b1))
                 cb1 = c.get(b1, Fraction(0))
                 cb2 = c.get(b2, Fraction(0))
                 if cb1 and cb2:
-                    total += form(b1, b2) * cb1 * cb2
+                    total += _form(bmat, b1, b2) * cb1 * cb2
             # the part of c_b that comes from proper divisors b/k, k >= 2
             below = sum((Fraction(mult.get(tuple(x // k for x in b), 0), k)
                          for k in range(2, h + 1) if all(x % k == 0 for x in b)),
@@ -181,21 +182,13 @@ def weights_and_mults(datum: RootDatum, hw: Sequence[int], depth: int,
     lam_top = _check_dominant(datum, hw)
     _depth_guard(datum, depth, max_depth)
     n = datum.n
-    gram = _root_gram(datum)
+    bmat, eps = datum.gcm.b, datum.gcm.eps
+    lam_rho = exact.vec_add(lam_top, datum.rho())
     rmult = root_multiplicities(datum, depth)
-
-    def form_rr(b1, b2):
-        return sum(gram[i][j] * b1[i] * b2[j] for i in range(n) for j in range(n)
-                   if b1[i] and b2[j])
-
-    def form_wr(wt, b):  # (weight | root-cone element)
-        return sum(Fraction(wt[i], 1) / datum.gcm.eps[i] * b[i] for i in range(n))
-
-    rho_pair = lambda b: sum(Fraction(b[i], 1) / datum.gcm.eps[i] for i in range(n))
     mult: dict[Beta, Fraction] = {(0,) * n: Fraction(1)}
     for h in range(1, depth + 1):
         for b in _compositions(n, h):
-            denom = 2 * (form_wr(lam_top, b) + rho_pair(b)) - form_rr(b, b)
+            denom = 2 * _weight_form(eps, lam_rho, b) - _form(bmat, b, b)
             total = Fraction(0)
             for alpha, ma in rmult.items():
                 k = 1
@@ -204,8 +197,8 @@ def weights_and_mults(datum: RootDatum, hw: Sequence[int], depth: int,
                     mu = mult.get(upper, Fraction(0))
                     if mu:
                         # (lam + k alpha | alpha) with lam = hw - b
-                        val = form_wr(lam_top, alpha) - form_rr(b, alpha) \
-                            + k * form_rr(alpha, alpha)
+                        val = _weight_form(eps, lam_top, alpha) - _form(bmat, b, alpha) \
+                            + k * _form(bmat, alpha, alpha)
                         total += ma * mu * val
                     k += 1
             total *= 2
@@ -249,7 +242,7 @@ class WeightSpace:
     weight: Wt
     height: int
     words: tuple[tuple[int, ...], ...]
-    gram: tuple[tuple[Fraction, ...], ...]
+    gram: tuple[tuple[int, ...], ...]
     # f_mat[i]: matrix of f_i from this space to the space at weight - alpha_i
     f_mat: dict[int, tuple[tuple[Fraction, ...], ...]] = field(default_factory=dict)
     # e_mat[i]: matrix of e_i from this space to the space at weight + alpha_i
@@ -282,8 +275,7 @@ class ModuleSlice:
     def _build(self):
         datum = self.datum
         n, m = datum.n, datum.m
-        top = WeightSpace(weight=self.hw, height=0, words=((),),
-                          gram=((Fraction(1),),))
+        top = WeightSpace(weight=self.hw, height=0, words=((),), gram=((1,),))
         self.spaces[self.hw] = top
         level: list[Wt] = [self.hw]
         for h in range(1, self.depth + 2):
@@ -389,7 +381,7 @@ class ModuleSlice:
             i, k = cands[c]
             up = tuple(lam[j] + datum.alpha[i][j] for j in range(m))
             words.append((i,) + self.spaces[up].words[k])
-        gram = tuple(tuple(Fraction(gram_full[a][b]) for b in selected) for a in selected)
+        gram = tuple(tuple(gram_full[a][b] for b in selected) for a in selected)
         ws = WeightSpace(weight=lam, height=h, words=tuple(words), gram=gram)
         # f-matrices into this space, and e-matrices out of it.
         for i in range(n):
@@ -832,28 +824,31 @@ def parse_word(datum: RootDatum, text: str) -> GhatWord:
             if rest[pos].isspace():
                 pos += 1
                 continue
-            raise ValueError(f"cannot parse word at: {rest[pos:]!r}")
+            raise DomainError(f"cannot parse word at: {rest[pos:]!r}")
         xp, xm, tt, nn, ee = mm.groups()
+        body = xp if xp is not None else xm if xm is not None else tt
+        if body is not None:
+            spec, sep, val = body.partition(";")
+            if not sep or ";" in val:
+                raise DomainError(f"letter {mm.group(0)} needs two fields 'a;b'")
+            spec = spec.strip()
+            (t,) = typed_numbers([val.strip()], "letter parameter")
         if xp is not None or xm is not None:
-            body = xp if xp is not None else xm
-            idx, val = body.split(";")
-            (i,) = one_based(datum.n, [idx.strip()])
-            letters.append(xplus(i, Fraction(val)) if xp is not None
-                           else xminus(i, Fraction(val)))
+            (i,) = one_based(datum.n, [spec])
+            letters.append(xplus(i, t) if xp is not None else xminus(i, t))
         elif tt is not None:
-            hspec, val = tt.split(";")
-            hspec = hspec.strip()
-            if hspec.startswith("h"):
-                (j,) = one_based(datum.m, [hspec[1:].strip()], "coweight index")
+            if spec.startswith("h"):
+                (j,) = one_based(datum.m, [spec[1:].strip()], "coweight index")
                 h = tuple(1 if k == j else 0 for k in range(datum.m))
-            elif hspec.startswith("v="):
-                h = tuple(int(x) for x in hspec[2:].split(","))
+            elif spec.startswith("v="):
+                h = typed_numbers([x.strip() for x in spec[2:].split(",")],
+                                  "torus coweight coordinate", integral=True)
                 if len(h) != datum.m:
-                    raise DomainError(f"torus coweight {hspec[2:]} needs "
+                    raise DomainError(f"torus coweight {spec[2:]} needs "
                                       f"{datum.m} coordinates")
             else:
-                raise ValueError(f"bad torus coweight {hspec!r}")
-            letters.append(torus_letter(h, Fraction(val)))
+                raise DomainError(f"bad torus coweight {spec!r}")
+            letters.append(torus_letter(h, t))
         elif nn is not None:
             (i,) = one_based(datum.n, [nn.strip()])
             letters.append(nsimple(i))

@@ -227,10 +227,6 @@ class LatticeMonoid:
         return tuple(g for g in self.faces() if self.face_leq(fm, g))
 
 
-def saturate_and_faces(generators: Sequence[Sequence[int]], rank: int) -> LatticeMonoid:
-    return LatticeMonoid(generators, rank)
-
-
 # -- the Hom monoid -------------------------------------------------------------
 
 

@@ -165,9 +165,6 @@ def from_word(datum: RootDatum, word: Iterable[int]) -> WeylElt:
     return w
 
 
-mul_reduce = from_word
-
-
 # -- coset normal forms -------------------------------------------------------
 
 
@@ -209,18 +206,6 @@ def min_double_coset(w: WeylElt, k: Sequence[int], j: Sequence[int]) -> WeylElt:
         if cur3 == cur:
             return cur
         cur = cur3
-
-
-def coset_normalize(w: WeylElt, j: Sequence[int], side: str = "right",
-                    k: Sequence[int] = ()):
-    """Dispatch for one-sided and double coset normal forms."""
-    if side == "right":
-        return min_coset_right(w, j)
-    if side == "left":
-        return min_coset_left(w, j)
-    if side == "double":
-        return min_double_coset(w, k, j)
-    raise ValueError(f"unknown side {side!r}")
 
 
 def in_parabolic(w: WeylElt, j: Sequence[int]) -> bool:

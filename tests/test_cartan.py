@@ -1,7 +1,9 @@
 import re
 from fractions import Fraction
 
+import exact_reference as ref
 import pytest
+from conftest import all_small_gcms
 
 from kmx import exact
 from kmx.cartan import (A2_ROWS, AFFINE_A1_ROWS, HYPERBOLIC_ROWS, ComponentType,
@@ -216,7 +218,47 @@ def test_realization_identities():
             assert datum.form_weights(datum.alpha[i], datum.alpha[i]) \
                 == 2 / datum.gcm.eps[i] > 0
         # independence of simple roots and coroots
-        assert exact.rank(datum.alpha) == datum.n
+        assert ref.rank(datum.alpha) == datum.n
+
+
+def _d8pp_rows():
+    """Over-extended D8: D8 with the affine node 9 and the extending node 10."""
+    rows = [[2 if i == j else 0 for j in range(10)] for i in range(10)]
+    for i, j in [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (5, 7), (1, 8), (8, 9)]:
+        rows[i][j] = rows[j][i] = -1
+    return rows
+
+
+def test_realization_completion_matches_the_rank_loop():
+    # the completion read off the pivots of one int_rref(A) against the
+    # former loop of one Fraction rank per simple root
+    ranks = []
+    for rows in [*all_small_gcms(3), _d8pp_rows(), _e10_rows()]:
+        try:
+            datum = build_realization([list(r) for r in rows])
+        except NotSymmetrizable:
+            continue
+        assert datum.alpha == ref.completion(datum.gcm.a)
+        assert (datum.l, datum.m) == (ref.rank(datum.gcm.a), len(datum.alpha[0]))
+        assert ref.det(datum.gram) != 0
+        ranks.append(datum.l)
+    # 364 symmetrizable 3 x 3 matrices, 28 of them of rank 2, then D8++ and E10
+    assert len(ranks) == 366 and ranks.count(2) == 28
+
+
+def test_pair_and_gram_stay_integral():
+    for rows in (A2_ROWS, AFFINE_A1_ROWS, ((2, -2), (-1, 2)), _d8pp_rows()):
+        datum = build_realization(rows)
+        assert all(type(x) is int for row in datum.gram for x in row)
+        coweights = [datum.coroot(j) for j in range(datum.m)] + [tuple(range(-2, datum.m - 2))]
+        for i in range(datum.n):
+            for h in coweights:
+                val = datum.pair(datum.alpha[i], h)
+                assert type(val) is int
+                assert val == sum(Fraction(x) * Fraction(y) for x, y in zip(datum.alpha[i], h))
+    hyp = build_realization(HYPERBOLIC_ROWS)
+    val = hyp.pair(tuple(map(Fraction, hyp.alpha[0])), (Fraction(1, 2), 0, 0))
+    assert type(val) is Fraction and val == 1
 
 
 def test_realization_full_rank_case_alpha_in_terms_of_weights():
@@ -230,7 +272,7 @@ def test_realization_affine_added_dual_pair():
     aff = build_realization(AFFINE_A1_ROWS)
     # alpha_1, alpha_2 independent; the third fundamental weight pairs only
     # with the added coroot direction
-    assert exact.rank(aff.alpha) == 2
+    assert ref.rank(aff.alpha) == 2
     assert aff.pair(aff.fundamental_weight(2), aff.coroot(2)) == 1
     assert aff.pair(aff.fundamental_weight(2), aff.coroot(0)) == 0
 

@@ -95,6 +95,29 @@ INPUT_ERRORS = [
      "simple index 0 out of range 1..2"),
     (["module-weights", "--gcm", A2, "--hw", "1,0", "--depth", "-1"],
      "depth -1 is negative"),
+    # numbers are read once: integers where a lattice point is expected,
+    # a/b with b != 0 elsewhere
+    (["ghat-theta", "--gcm", A2, "--hw", "1,0", "--depth", "2", "--word", "X+(1;1/0)"],
+     "letter parameter 1/0 is not a number a/b with b != 0"),
+    (["dominant", "--gcm", A2, "--weight", "1/0,1"],
+     "weight coordinate 1/0 is not a number a/b with b != 0"),
+    (["module-weights", "--gcm", A2, "--hw", "1/2,0", "--depth", "2"],
+     "highest weight coordinate 1/2 is not an integer"),
+    (["dominant", "--gcm", A2, "--antidominant", "--weight", "3/2,1"],
+     "coweight coordinate 3/2 is not an integer"),
+    (["ghat-theta", "--gcm", A2, "--hw", "1,0", "--depth", "2", "--word", "T(v=1/2,0;2)"],
+     "torus coweight coordinate 1/2 is not an integer"),
+    (["ghat-theta", "--gcm", A2, "--hw", "1,0", "--depth", "2", "--word", "X+(1)"],
+     "letter X+(1) needs two fields"),
+    (["ghat-theta", "--gcm", A2, "--hw", "1,0", "--depth", "2", "--word", "T(h1)"],
+     "letter T(h1) needs two fields"),
+    (["ghat-equal", "--gcm", A2, "--word1", "N(1)", "--word2", "N(1)", "--probes", "1,0"],
+     "probe 1,0 is not hw:depth[:height]"),
+    (["toric-saturate", "--monoid", '{"rank": 2, "generators": [[1,0],[1,2]]}',
+      "--contains", "1/2,1"], "lattice point coordinate 1/2 is not an integer"),
+    (["that-mul", "--gcm", A2, "--left", '{"face": {"w": "", "theta": []}, "t": ["x", "1"]}',
+      "--right", '{"face": {"w": "", "theta": []}, "t": ["1", "1"]}'],
+     "torus value x is not a number a/b with b != 0"),
 ]
 
 
@@ -145,7 +168,7 @@ COVERAGE = [
     (["expose", "--gcm", HYP, "--theta", "1,2"], "coweight"),
     # cartan: build_realization (and exact.smith_normal_form underneath)
     (["realize", "--gcm", AFF], "alpha"),
-    # weyl: mul_reduce / act
+    # weyl: from_word / descents
     (["weyl-reduce", "--gcm", A2, "--word", "2 1 2"], "word"),
     # weyl: dominant_rep
     (["dominant", "--gcm", AFF, "--weight", "0,1,0"], "status"),
@@ -154,7 +177,7 @@ COVERAGE = [
      "antidominant"),
     # faces: normalize_face
     (["face-normalize", "--gcm", HYP, "--face", "w=1;theta=1,2"], "theta"),
-    # faces: includes (coset_normalize underneath)
+    # faces: includes (min_double_coset underneath)
     (["face-include", "--gcm", HYP, "--left", "w=;theta=1,2",
       "--right", "w=;theta=1,2,3"], "included"),
     # faces: intersect (antidominant minimization underneath)
@@ -181,7 +204,7 @@ COVERAGE = [
       "--left", '{"w": "1", "t": ["1","1","1"], "face": {"w":"","theta":[]}}',
       "--right", '{"w": "2", "t": ["2","1","1"], "face": {"w":"","theta":[]}}',
       "--conj-face", "w=;theta=1,2"], "product"),
-    # toric: saturate_and_faces + membership
+    # toric: LatticeMonoid + membership
     (["toric-saturate", "--monoid", '{"rank": 2, "generators": [[1,0],[1,2]]}',
       "--contains", "1,1"], "contains"),
     # toric: monoid_face_ops / mhat_idempotents / closure / principal open

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from math import gcd
 
+import exact_reference as ref
 import pytest
 from conftest import all_small_gcms, grid_certificate
 
@@ -56,7 +57,7 @@ def _determinantal_divisors(m):
         for rows in combinations(range(nr), k):
             for cols in combinations(range(nc), k):
                 sub = [[m[r][c] for c in cols] for r in rows]
-                g = gcd(g, abs(int(exact.det(sub))))
+                g = gcd(g, abs(int(ref.det(sub))))
         divisors.append(g)
     diag = []
     prev = 1
@@ -70,16 +71,16 @@ def _determinantal_divisors(m):
 
 
 def _check_int_rref(m):
-    """int_rref against rank and one rat_solve per column."""
+    """int_rref against the reference rank and one reference solve per column."""
     pivots, rows, d = int_rref(m)
     nr, nc = len(m), len(m[0]) if m else 0
-    assert d > 0 and len(pivots) == len(rows) == exact.rank(m)
+    assert d > 0 and len(pivots) == len(rows) == ref.rank(m)
     assert list(pivots) == sorted(pivots)
     basis = [[m[i][p] for p in pivots] for i in range(nr)]
     for c in range(nc):
         coords = tuple(Fraction(rows[t][c], d) for t in range(len(pivots)))
         if pivots:
-            sol = rat_solve(basis, [m[i][c] for i in range(nr)])
+            sol = ref.rat_solve(basis, [m[i][c] for i in range(nr)])
             assert sol is not None and sol[1] == () and sol[0] == coords
         # greedy pivots: no column depends only on later pivot columns
         assert all(x == 0 for p, x in zip(pivots, coords) if p > c)
@@ -116,6 +117,31 @@ def test_int_rref_agrees_with_rank_and_rat_solve():
         _check_int_rref(m)
 
 
+def test_rat_solve_agrees_with_the_reference_solver():
+    # seeded rational systems of rank <= k: consistent ones (b = M x0),
+    # inconsistent ones (b perturbed) and rank-deficient ones with kernels
+    rng = random.Random(5)
+    seen = {"none": 0, "kernel": 0, "unique": 0}
+
+    def frac():
+        return Fraction(rng.randrange(-6, 7), rng.randrange(1, 5))
+
+    for _ in range(400):
+        nr, nc = rng.randrange(1, 6), rng.randrange(1, 6)
+        k = rng.randrange(0, min(nr, nc) + 1)
+        a = [[frac() for _ in range(k)] for _ in range(nr)]
+        c = [[frac() for _ in range(nc)] for _ in range(k)]
+        m = [[sum((a[i][s] * c[s][j] for s in range(k)), Fraction(0)) for j in range(nc)]
+             for i in range(nr)]
+        b = list(mat_vec(m, [frac() for _ in range(nc)]))
+        if rng.random() < 0.4:
+            b[rng.randrange(nr)] += frac()
+        got, want = rat_solve(m, b), ref.rat_solve(m, b)
+        assert got == want
+        seen["none" if got is None else "kernel" if got[1] else "unique"] += 1
+    assert min(seen.values()) >= 40, seen
+
+
 @pytest.mark.parametrize("m,expected", [
     ([[1, 0], [0, 1]], [1, 1]),
     ([[2, 0], [0, 3]], [1, 6]),
@@ -135,7 +161,7 @@ def test_snf_identity_and_unimodularity():
         m = int_mat([[rng.randrange(-5, 6) for _ in range(nc)] for _ in range(nr)])
         u, d, v = smith_normal_form(m)
         assert mat_mul(mat_mul(u, m), v) == d
-        assert abs(exact.det(u)) == 1 and abs(exact.det(v)) == 1
+        assert abs(ref.det(u)) == 1 and abs(ref.det(v)) == 1
         diag = [d[i][i] for i in range(min(nr, nc))]
         for a, b in zip(diag, diag[1:]):
             assert (a == 0 and b == 0) or (a != 0 and b % a == 0)

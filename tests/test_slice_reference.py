@@ -2,17 +2,18 @@
 
 `RefSlice` keeps the earlier construction of `ModuleSlice`: candidates are
 picked one by one by Gaussian elimination over Fraction in degree-lex order,
-and each candidate's coordinates come from its own `exact.rat_solve` of the
-selected Gram matrix.  The fraction-free build must give the same slices,
-entry for entry.
+and each candidate's coordinates come from its own solve of the selected
+Gram matrix, by the Fraction elimination kept in `exact_reference`.  The
+fraction-free build must give the same slices, entry for entry.
 """
 
 from fractions import Fraction
 from typing import Optional
 
+import exact_reference
 import pytest
 
-from kmx import exact, highest_weight as HW
+from kmx import highest_weight as HW
 from kmx.cartan import build_realization
 from kmx.errors import InternalError
 from kmx.highest_weight import WeightSpace, Wt
@@ -144,7 +145,7 @@ class RefSlice(HW.ModuleSlice):
         coords: list[tuple[Fraction, ...]] = []
         for c in range(nc):
             rhs = tuple(gram_full[s][c] for s in selected)
-            sol = exact.rat_solve(gram, rhs)
+            sol = exact_reference.rat_solve(gram, rhs)
             if sol is None:
                 raise InternalError("Gram matrix singular on the selected basis")
             coords.append(sol[0])
