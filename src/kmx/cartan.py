@@ -170,7 +170,7 @@ def validate_and_symmetrize(rows: Sequence[Sequence[int]]) -> GCM:
 
 @lru_cache(maxsize=None)
 def _component_type_cached(gcm: GCM, comp: tuple[int, ...]) -> ComponentType:
-    sub = exact.rat_mat(gcm.submatrix(comp))
+    sub = gcm.submatrix(comp)
     neg = tuple(tuple(-x for x in row) for row in sub)
     fin = exact.lp_feasible(LPProblem(matrix=neg, relations=("lt",) * len(sub)))
     aff = exact.lp_feasible(LPProblem(matrix=sub, relations=("eq",) * len(sub)))
@@ -367,7 +367,7 @@ class RootDatum:
             raise NotSpecial(key)
         coef = {i: 0 for i in range(self.n)}
         for comp in _components(self.gcm.a, key):
-            at = exact.rat_mat([[self.gcm.a[i][j] for i in comp] for j in comp])  # A_C^T
+            at = tuple(tuple(self.gcm.a[i][j] for i in comp) for j in comp)  # A_C^T
             u = exact.lp_feasible(LPProblem(matrix=at, relations=("le",) * len(comp)))
             if u is None:
                 raise InternalError(f"special component {comp} has no exposing certificate")

@@ -52,20 +52,37 @@ def _parse_weight(datum, text: str):
     return vals
 
 
+_KINDS = {str: "a string", list: "a list", dict: "an object"}
+
+
+def _field(obj: dict, key: str, kind: type, default=None, where: str = ""):
+    """obj[key], checked to be of `kind`, or `default` when it is absent and
+    one is given; otherwise a DomainError naming the field."""
+    if key not in obj and default is not None:
+        return default
+    if key not in obj:
+        raise DomainError(f'field "{where}{key}" is missing')
+    if not isinstance(obj[key], kind):
+        raise DomainError(f'field "{where}{key}" is not {_KINDS[kind]}')
+    return obj[key]
+
+
+def _json_face(datum, obj: dict, where: str = "") -> FC.Face:
+    """The face {"w": word, "theta": [...]} of a JSON object; both default to empty."""
+    return FC.normalize_face(_parse_word(datum, _field(obj, "w", str, "", where)),
+                             one_based(datum.n, _field(obj, "theta", list, [], where)))
+
+
 def _parse_face(datum, text: str) -> FC.Face:
     text = text.strip()
     if text.startswith("{"):
-        payload = json.loads(text)
-        wtxt = payload.get("w", "")
-        theta = one_based(datum.n, payload.get("theta", ()))
-    else:
-        fields = {}
-        for part in text.split(";"):
-            key, _, val = part.partition("=")
-            fields[key.strip()] = val.strip()
-        wtxt = fields.get("w", "")
-        theta = _parse_subset(datum, fields.get("theta", ""))
-    return FC.normalize_face(_parse_word(datum, wtxt), theta)
+        return _json_face(datum, json.loads(text))
+    fields = {}
+    for part in text.split(";"):
+        key, _, val = part.partition("=")
+        fields[key.strip()] = val.strip()
+    return FC.normalize_face(_parse_word(datum, fields.get("w", "")),
+                             _parse_subset(datum, fields.get("theta", "")))
 
 
 def _face_json(face: FC.Face) -> dict:
@@ -80,11 +97,27 @@ def _wmon_json(x: MO.WmonElt) -> dict:
             "is_unit": x.is_unit()}
 
 
-def _parse_wmon(datum, text: str) -> MO.WmonElt:
+def _parse_element(datum, text: str, *, face_optional: bool = False):
+    """(Weyl element, face, torus values) of a JSON monoid element
+    {"w": word, "face": {"w": word, "theta": [...]}, "t": [values]}.
+
+    "w" defaults to the empty word, "t" to the unit torus and, only when
+    `face_optional`, "face" to the full cone.  A payload that is not an
+    object, or a field that is missing or of the wrong kind, is a
+    DomainError naming it.
+    """
     payload = json.loads(text)
-    face = FC.normalize_face(_parse_word(datum, payload["face"]["w"]),
-                             one_based(datum.n, payload["face"]["theta"]))
-    return MO.wm_normalize(_parse_word(datum, payload.get("w", "")), face)
+    if not isinstance(payload, dict):
+        raise DomainError(f"element {text} is not a JSON object")
+    face = _field(payload, "face", dict, {} if face_optional else None)
+    return (_parse_word(datum, _field(payload, "w", str, "")),
+            _json_face(datum, face, "face."),
+            _parse_torus(datum, _field(payload, "t", list, ["1"] * datum.m)))
+
+
+def _parse_wmon(datum, text: str) -> MO.WmonElt:
+    w, face, _ = _parse_element(datum, text)
+    return MO.wm_normalize(w, face)
 
 
 def _parse_torus(datum, vals) -> MO.TorusVals:
@@ -101,13 +134,8 @@ def _that_json(x: MO.ThatElt) -> dict:
 
 
 def _parse_nhat(datum, text: str) -> MO.NhatElt:
-    payload = json.loads(text)
-    face = FC.full_cone(datum)
-    if payload.get("face"):
-        face = FC.normalize_face(_parse_word(datum, payload["face"]["w"]),
-                                 one_based(datum.n, payload["face"]["theta"]))
-    torus = _parse_torus(datum, payload.get("t", ["1"] * datum.m))
-    return MO.nhat_from(_parse_word(datum, payload.get("w", "")), torus, face)
+    w, face, torus = _parse_element(datum, text, face_optional=True)
+    return MO.nhat_from(w, torus, face)
 
 
 def _nhat_json(x: MO.NhatElt) -> dict:
@@ -120,11 +148,20 @@ def _nhat_json(x: MO.NhatElt) -> dict:
             "kappa": _wmon_json(kappa)}
 
 
+def _json_ints(vals, what: str) -> tuple[int, ...]:
+    """JSON values that must be integers, each named as typed in JSON."""
+    return typed_numbers([json.dumps(v) for v in vals], what, integral=True)
+
+
 def _parse_monoid(args) -> toric.LatticeMonoid:
     payload = json.loads(args.monoid)
-    if "rank" not in payload or "generators" not in payload:
+    if (not isinstance(payload, dict) or "rank" not in payload
+            or not isinstance(payload.get("generators"), list)
+            or any(not isinstance(g, list) for g in payload["generators"])):
         raise DomainError('monoid input must be {"rank": r, "generators": [[...], ...]}')
-    return toric.LatticeMonoid(payload["generators"], payload["rank"])
+    (rank,) = _json_ints([payload["rank"]], "monoid rank")
+    return toric.LatticeMonoid(
+        [_json_ints(g, "generator coordinate") for g in payload["generators"]], rank)
 
 
 def _vec_str_list(v):
@@ -309,10 +346,8 @@ def cmd_that_mul(args):
     datum = _load_gcm(args)
 
     def parse(text):
-        payload = json.loads(text)
-        face = FC.normalize_face(_parse_word(datum, payload["face"]["w"]),
-                                 one_based(datum.n, payload["face"]["theta"]))
-        return MO.that_normalize(_parse_torus(datum, payload.get("t", ["1"] * datum.m)), face)
+        _, face, torus = _parse_element(datum, text)
+        return MO.that_normalize(torus, face)
 
     x, y = parse(args.left), parse(args.right)
     out = _that_json(MO.that_mul(x, y))
@@ -358,6 +393,8 @@ def cmd_toric_faces(args):
     out = {"faces": [{"index": f.index, "dim": f.dim,
                       "hull": [list(b) for b in f.hull]} for f in faces]}
     if args.face is not None:
+        if not 0 <= args.face < len(faces):
+            raise DomainError(f"face index {args.face} out of range 0..{len(faces) - 1}")
         f = faces[args.face]
         entry = {"index": f.index, "dim": f.dim,
                  "hull": [list(b) for b in f.hull],

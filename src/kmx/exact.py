@@ -1,11 +1,12 @@
 """Exact rational and integer linear algebra plus LP feasibility.
 
-One Gaussian elimination serves every rank and solve question: int_rref,
-a fraction-free Gauss-Jordan elimination in Python ints.  rat_solve scales
-each row of a rational system to integers and reads its answer off that one
-elimination.  The other integer routines (smith_normal_form and the lattice
-helpers) stay in Python ints too and never form a fraction; only the
-simplex pivots over arbitrary-precision rationals (fractions.Fraction).  No
+One fraction-free pivot step (`_bareiss_pivot`, Bareiss 1968) serves both
+the Gauss-Jordan elimination `int_rref` and the phase-1 simplex, so every
+elimination runs in Python ints.  rat_solve scales each row of a rational
+system to integers and reads its answer off one `int_rref`; the simplex
+keeps an integer tableau over its last pivot.  The other integer routines
+(smith_normal_form and the lattice helpers) stay in Python ints too, and a
+Fraction is formed only where a rational number is the answer.  No
 floating point is used anywhere in the package.  Matrices are dense tuples
 of tuples, adequate for the small ranks this library targets.
 """
@@ -14,30 +15,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Literal, Optional, Sequence
 
 from .errors import InternalError
 
-Rat = Fraction
-
 IntVec = tuple[int, ...]
 RatVec = tuple[Fraction, ...]
 IntMat = tuple[IntVec, ...]
-RatMat = tuple[RatVec, ...]
 
 Relation = Literal["le", "eq", "lt"]
 
 
 def int_mat(rows: Sequence[Sequence[int]]) -> IntMat:
     m = tuple(tuple(int(x) for x in row) for row in rows)
-    if m and any(len(row) != len(m[0]) for row in m):
-        raise ValueError("ragged matrix")
-    return m
-
-
-def rat_mat(rows: Sequence[Sequence]) -> RatMat:
-    m = tuple(tuple(Fraction(x) for x in row) for row in rows)
     if m and any(len(row) != len(m[0]) for row in m):
         raise ValueError("ragged matrix")
     return m
@@ -77,15 +68,13 @@ def vec_scale(c, v):
 
 
 def primitive_ray(v: Sequence) -> IntVec:
-    """Scale by a positive rational to a primitive integer vector (direction kept)."""
-    fr = [Fraction(x) for x in v]
-    den = 1
-    for x in fr:
-        den = den * x.denominator // gcd(den, x.denominator)
-    ints = [int(x * den) for x in fr]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
+    """Scale by a positive rational to a primitive integer vector (direction kept).
+
+    Entries are ints or Fractions; both carry `numerator` and `denominator`.
+    """
+    den = lcm(*(x.denominator for x in v))
+    ints = [x.numerator * (den // x.denominator) for x in v]
+    g = gcd(*ints)
     if g == 0:
         return tuple(ints)
     return tuple(x // g for x in ints)
@@ -100,6 +89,23 @@ def primitive(v: Sequence) -> IntVec:
     return tuple(ints)
 
 
+def _bareiss_pivot(rows: list[list[int]], r: int, c: int, prev: int) -> int:
+    """One fraction-free Gauss-Jordan step on the pivot rows[r][c] (Bareiss 1968).
+
+    Every other row becomes (pv * row - row[c] * rows[r]) // prev, where pv
+    is the pivot and prev the pivot of the step before (1 at the start).
+    Every entry stays a minor of the starting matrix, so the division is
+    exact; row r is kept.  Returns pv: the matrix over pv is the reduced one.
+    """
+    prow = rows[r]
+    pv = prow[c]
+    for i, row in enumerate(rows):
+        if i != r:
+            f = row[c]
+            rows[i] = [(pv * x - f * y) // prev for x, y in zip(row, prow)]
+    return pv
+
+
 def int_rref(m: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], IntMat, int]:
     """Fraction-free Gauss-Jordan elimination of an integer matrix.
 
@@ -110,9 +116,8 @@ def int_rref(m: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], IntMat, int]:
     the zero matrix).  Column c of `rows` over d is thus the coordinate
     vector of column c of m in the pivot columns.
 
-    The elimination is Bareiss's one-step fraction-free scheme (Bareiss
-    1968) carried through the rows above the pivot too: every division is
-    exact and every entry stays a minor of m, so no fraction is formed.
+    Each pivot is one `_bareiss_pivot`, carried through the rows above the
+    pivot too, so no fraction is formed.
     The result re-substitutes exactly: m[:, pivots] * rows == d * m.
     """
     a = [list(row) for row in m]
@@ -128,13 +133,7 @@ def int_rref(m: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], IntMat, int]:
         if p is None:
             continue
         a[r], a[p] = a[p], a[r]
-        prow = a[r]
-        pv = prow[c]
-        for i in range(nr):
-            if i != r:
-                f = a[i][c]
-                a[i] = [(pv * x - f * y) // prev for x, y in zip(a[i], prow)]
-        prev = pv
+        prev = _bareiss_pivot(a, r, c, prev)
         pivots.append(c)
     sign = -1 if prev < 0 else 1
     rows = tuple(tuple(sign * x for x in row) for row in a[:len(pivots)])
@@ -310,18 +309,38 @@ def lattice_coords(basis: Sequence[Sequence[int]], x: Sequence[int]) -> Optional
     return tuple(int(c) for c in coords)
 
 
+def eval_character(basis: Sequence[Sequence[int]], values: Sequence, x: Sequence[int]) -> Fraction:
+    """Value at x of the character taking values[k] on basis[k]: the product
+    of values[k] ** c_k over the coordinates c of x (`lattice_coords`).
+
+    InternalError when x is off the span of the basis.
+    """
+    coords = lattice_coords(basis, x)
+    if coords is None:
+        raise InternalError("point outside the span of the basis")
+    val = Fraction(1)
+    for v, c in zip(values, coords):
+        val *= Fraction(v) ** c
+    return val
+
+
+def _int_rows(m: Sequence[Sequence], what: str) -> None:
+    """ValueError unless every entry of m is a Python int; none is truncated."""
+    if any(type(x) is not int for row in m for x in row):
+        raise ValueError(f"{what} must have integer entries")
+
+
 @dataclass(frozen=True)
 class LPProblem:
-    """Homogeneous rational feasibility problem.
+    """Homogeneous integer feasibility problem in strictly positive u.
 
     Each row r of `matrix` is constrained by `relations[r]` against zero:
-    'le' means (M u)_r <= 0, 'eq' means = 0, 'lt' means < 0.  When
-    `strict_positive` is set every variable must satisfy u_i > 0.
+    'le' means (M u)_r <= 0, 'eq' means = 0, 'lt' means < 0; every variable
+    must satisfy u_i > 0.
     """
 
-    matrix: RatMat
+    matrix: IntMat
     relations: tuple[Relation, ...]
-    strict_positive: bool = True
 
     def __post_init__(self):
         if not self.matrix or not self.matrix[0]:
@@ -330,136 +349,91 @@ class LPProblem:
             raise ValueError("one relation per row required")
         if any(r not in ("le", "eq", "lt") for r in self.relations):
             raise ValueError("bad relation")
+        _int_rows(self.matrix, "LP matrix")
 
 
 def lp_feasible(p: LPProblem) -> Optional[RatVec]:
     """Exact certificate u for an LPProblem, or None when infeasible.
 
     Strict relations are handled by margin normalization: the system is
-    homogeneous, so u_i > 0 and (Mu)_r < 0 may be scaled to u_i >= 1 and
-    (Mu)_r <= -1.  Phase-1 simplex with Bland's rule decides feasibility.
-    The returned u satisfies every relation exactly, and still does after
-    scaling to a primitive integer vector (`primitive`).
+    homogeneous, so u_i > 0 and (Mu)_r < 0 may be scaled to u = 1 + x with
+    x >= 0 and (Mu)_r <= -1.  Phase-1 simplex with Bland's rule decides
+    feasibility.  The returned u satisfies every relation exactly, and still
+    does after scaling to a primitive integer vector (`primitive`).
     """
-    m = [list(row) for row in p.matrix]
-    nr = len(m)
-    nv = len(m[0])
-    # Substitute u = 1 + x (x >= 0) when strictly positive, else u = xp - xm.
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    kinds: list[str] = []
-    for r in range(nr):
-        coeff = [Fraction(x) for x in m[r]]
-        if p.strict_positive:
-            base = sum(coeff)
-            body = coeff
-        else:
-            base = Fraction(0)
-            body = coeff + [-c for c in coeff]
-        if p.relations[r] == "le":
-            rows.append(body)
-            rhs.append(-base)
-            kinds.append("le")
-        elif p.relations[r] == "eq":
-            rows.append(body)
-            rhs.append(-base)
-            kinds.append("eq")
-        else:  # strict: (Mu)_r <= -1
-            rows.append(body)
-            rhs.append(Fraction(-1) - base)
-            kinds.append("le")
-    width = nv if p.strict_positive else 2 * nv
-    x = _simplex_feasible(rows, rhs, kinds, width)
-    if x is None:
+    # row . x <= -row . 1 ('le'), == ('eq') or <= -row . 1 - 1 ('lt')
+    rhs = [-sum(row) - (rel == "lt") for row, rel in zip(p.matrix, p.relations)]
+    kinds = ["eq" if rel == "eq" else "le" for rel in p.relations]
+    sol = _simplex_feasible(p.matrix, rhs, kinds)
+    if sol is None:
         return None
-    if p.strict_positive:
-        u = tuple(Fraction(1) + xi for xi in x[:nv])
-    else:
-        u = tuple(x[i] - x[nv + i] for i in range(nv))
-    for r in range(nr):
-        val = vec_dot(p.matrix[r], u)
-        ok = {"le": val <= 0, "eq": val == 0, "lt": val < 0}[p.relations[r]]
-        if not ok or (p.strict_positive and any(ui <= 0 for ui in u)):
-            raise InternalError("simplex returned an invalid certificate")
-    return u
+    x, d = sol
+    du = [d + xi for xi in x]  # d * u with d > 0
+    if min(du) <= 0 or not all({"le": v <= 0, "eq": v == 0, "lt": v < 0}[rel]
+                               for v, rel in zip(mat_vec(p.matrix, du), p.relations)):
+        raise InternalError("simplex returned an invalid certificate")
+    return tuple(Fraction(ui, d) for ui in du)
 
 
-def _simplex_feasible(rows, rhs, kinds, width) -> Optional[list[Fraction]]:
+def _simplex_feasible(rows, rhs, kinds) -> Optional[tuple[list[int], int]]:
+    """Phase-1 simplex on an integer tableau: some x >= 0 with row . x <= b
+    ('le') or == b ('eq'), as (numerators, d) with x = numerators / d, or None.
+
+    The columns are the variables, one slack per 'le' row and b; row i's
+    artificial basic variable has index width + ns + i and never re-enters,
+    so its column is not stored.  The phase-1 objective is pivoted alongside
+    as the last row.  Each pivot is one `_bareiss_pivot`, so the tableau is
+    the integer one over the last pivot d > 0.  Bland's rule picks the
+    entering column; the ratio test compares by cross-multiplying, ties to
+    the smaller basic index.
+    """
     nr = len(rows)
-    # Normalize b >= 0, tracking slack signs.
-    slack_sign = []
-    for i in range(nr):
-        s = Fraction(1)
-        if rhs[i] < 0:
-            rows[i] = [-v for v in rows[i]]
-            rhs[i] = -rhs[i]
-            s = Fraction(-1)
-        slack_sign.append(s if kinds[i] == "le" else Fraction(0))
-    ns = sum(1 for k in kinds if k == "le")
-    total = width + ns + nr
-    tab = [[Fraction(0)] * (total + 1) for _ in range(nr)]
+    width = len(rows[0]) if rows else 0
+    ns = kinds.count("le")
+    tab = []
     si = 0
-    basis = [0] * nr
-    for i in range(nr):
-        for j in range(width):
-            tab[i][j] = rows[i][j]
-        if kinds[i] == "le":
-            tab[i][width + si] = slack_sign[i]
+    for row, b, kind in zip(rows, rhs, kinds):
+        s = -1 if b < 0 else 1  # keep b >= 0
+        slack = [0] * ns
+        if kind == "le":
+            slack[si] = s
             si += 1
-        tab[i][width + ns + i] = Fraction(1)
-        tab[i][total] = rhs[i]
-        basis[i] = width + ns + i
-    # Objective: minimize sum of artificials -> reduced cost row.
-    obj = [Fraction(0)] * (total + 1)
-    for i in range(nr):
-        for j in range(total + 1):
-            obj[j] += tab[i][j]
-    for k in range(width + ns, total):
-        obj[k] = Fraction(0)
+        tab.append([s * v for v in row] + slack + [s * b])
+    tab.append([sum(t[j] for t in tab) for j in range(width + ns + 1)])
+    basis = list(range(width + ns, width + ns + nr))
+    d = 1
     while True:
-        enter = next((j for j in range(width + ns) if obj[j] > 0), None)
+        enter = next((j for j in range(width + ns) if tab[nr][j] > 0), None)
         if enter is None:
             break
-        # Bland: smallest eligible entering index; ratio test, ties by index.
         leave = None
-        best = None
         for i in range(nr):
-            if tab[i][enter] > 0:
-                ratio = tab[i][total] / tab[i][enter]
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
-                    leave = i
+            e = tab[i][enter]
+            if e > 0 and (leave is None or (tab[i][-1] * tab[leave][enter], basis[i])
+                          < (tab[leave][-1] * e, basis[leave])):
+                leave = i
         if leave is None:
             raise InternalError("phase-1 objective unbounded")
-        pv = tab[leave][enter]
-        tab[leave] = [v / pv for v in tab[leave]]
-        for i in range(nr):
-            if i != leave and tab[i][enter] != 0:
-                f = tab[i][enter]
-                tab[i] = [v - f * w for v, w in zip(tab[i], tab[leave])]
-        f = obj[enter]
-        obj = [v - f * w for v, w in zip(obj, tab[leave])]
+        d = _bareiss_pivot(tab, leave, enter, d)
         basis[leave] = enter
-    if obj[total] != 0:
+    if tab[nr][-1] != 0:
         return None
-    x = [Fraction(0)] * (width + ns)
+    x = [0] * (width + ns)
     for i in range(nr):
         if basis[i] < width + ns:
-            x[basis[i]] = tab[i][total]
-        elif tab[i][total] != 0:
+            x[basis[i]] = tab[i][-1]
+        elif tab[i][-1] != 0:
             return None  # artificial stuck at a positive level
-    return x[:width]
+    return x[:width], d
 
 
-def nonneg_solve(a: Sequence[Sequence], b: Sequence) -> Optional[RatVec]:
+def nonneg_solve(a: Sequence[Sequence[int]], b: Sequence[int]) -> Optional[RatVec]:
     """Some x >= 0 with A x = b, or None.  Phase-1 simplex, exact."""
-    rows = [[Fraction(x) for x in row] for row in a]
-    rhs = [Fraction(x) for x in b]
-    width = len(rows[0]) if rows else 0
-    x = _simplex_feasible(rows, rhs, ["eq"] * len(rows), width)
-    if x is None:
+    _int_rows(list(a) + [b], "nonneg_solve input")
+    sol = _simplex_feasible(a, b, ["eq"] * len(a))
+    if sol is None:
         return None
-    sol = tuple(x)
-    if mat_vec(a, sol) != tuple(Fraction(z) for z in b):
+    x, d = sol
+    if mat_vec(a, x) != tuple(d * z for z in b):
         raise InternalError("nonneg_solve solution fails to re-substitute")
-    return sol
+    return tuple(Fraction(xi, d) for xi in x)

@@ -178,22 +178,12 @@ def that_idempotent(face: Face) -> ThatElt:
     return that_normalize(torus_one(face.datum), face)
 
 
-def _restricted_eval(x: ThatElt, weight: Sequence[int]) -> Fraction:
-    """Evaluate the restricted data on a lattice point of span(face)."""
-    coords = exact.lattice_coords(x.basis, weight)
-    if coords is None:
-        raise InternalError("weight outside the face span")
-    val = Fraction(1)
-    for v, ci in zip(x.values, coords):
-        val *= v ** ci
-    return val
-
-
 def that_mul(x: ThatElt, y: ThatElt) -> ThatElt:
     """(t e(R)) (t' e(S)) = t t' e(R cap S); re-restrict to the smaller span."""
     face = F.intersect(x.face, y.face)
     basis = _span_lattice_basis(face)
-    vals = tuple(_restricted_eval(x, b) * _restricted_eval(y, b) for b in basis)
+    vals = tuple(exact.eval_character(x.basis, x.values, b)
+                 * exact.eval_character(y.basis, y.values, b) for b in basis)
     return ThatElt(face=face, basis=basis, values=vals)
 
 
@@ -204,14 +194,14 @@ def that_act(u: WeylElt, x: ThatElt) -> ThatElt:
     vals = []
     for b in basis:
         pre = u.inv().act_weight(b)
-        vals.append(_restricted_eval(x, tuple(int(c) for c in pre)))
+        vals.append(exact.eval_character(x.basis, x.values, tuple(int(c) for c in pre)))
     return ThatElt(face=face, basis=basis, values=tuple(vals))
 
 
 def that_eval(x: ThatElt, weight: Sequence[int], *, known_in_cone: bool = False):
     """Operator value on a weight: t(lam) on the face, else Zero."""
     if F.contains(x.face, weight, known_in_cone=known_in_cone):
-        return _restricted_eval(x, weight)
+        return exact.eval_character(x.basis, x.values, weight)
     return ZERO
 
 

@@ -13,8 +13,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import exact
-from .errors import (InternalError, NotAFace, NotInMonoid, PreconditionViolated, RankMismatch,
-                     SizeGuard)
+from .errors import NotAFace, NotInMonoid, PreconditionViolated, RankMismatch, SizeGuard
 from .exact import IntVec
 
 RANK_GUARD = 8
@@ -25,13 +24,11 @@ def _dd_pair(inequalities: Sequence[IntVec], dim: int) -> tuple[tuple[IntVec, ..
     """Double description: (lineality basis, extreme rays) of
     {y : a . y >= 0 for all a}.
 
-    Exact incremental method; zero sets are recomputed against all
-    inequalities processed so far, which keeps the combinatorial adjacency
-    test sound.
+    Exact incremental method in primitive integer vectors; zero sets are
+    recomputed against all inequalities processed so far, which keeps the
+    combinatorial adjacency test sound.
     """
-    lineality: list[tuple[Fraction, ...]] = [
-        tuple(Fraction(1 if i == j else 0) for j in range(dim)) for i in range(dim)
-    ]
+    lineality: list[IntVec] = list(exact.identity(dim))
     rays: list[IntVec] = []
     processed: list[IntVec] = []
 
@@ -43,16 +40,19 @@ def _dd_pair(inequalities: Sequence[IntVec], dim: int) -> tuple[tuple[IntVec, ..
         av = [exact.vec_dot(a, v) for v in lineality]
         pivot = next((k for k, val in enumerate(av) if val != 0), None)
         if pivot is not None:
-            # Split one lineality direction into a ray; project the rest.
+            # Split one lineality direction into a ray; project the rest
+            # onto a . y = 0 along it, scaled to primitive integer vectors.
             v0 = lineality[pivot]
             c0 = av[pivot]
-            lineality = [exact.vec_sub(v, exact.vec_scale(av[k] / c0, v0))
+            sgn = 1 if c0 > 0 else -1
+            lineality = [exact.primitive(exact.vec_sub(exact.vec_scale(c0, v),
+                                                       exact.vec_scale(av[k], v0)))
                          for k, v in enumerate(lineality) if k != pivot]
             new_rays = [exact.primitive_ray(exact.vec_sub(
-                r, exact.vec_scale(Fraction(exact.vec_dot(a, r)) / c0, v0)))
+                exact.vec_scale(abs(c0), r), exact.vec_scale(sgn * exact.vec_dot(a, r), v0)))
                 for r in rays]
-            r0 = v0 if c0 > 0 else exact.vec_scale(Fraction(-1), v0)
-            rays = list(dict.fromkeys(new_rays + [exact.primitive_ray(r0)]))
+            r0 = exact.primitive_ray(exact.vec_scale(sgn, v0))
+            rays = list(dict.fromkeys(new_rays + [r0]))
         else:
             vals = [exact.vec_dot(a, r) for r in rays]
             zsets = [zero_set(r) for r in rays]
@@ -72,7 +72,7 @@ def _dd_pair(inequalities: Sequence[IntVec], dim: int) -> tuple[tuple[IntVec, ..
         processed.append(tuple(a))
 
     prim_rays = sorted({exact.primitive_ray(r) for r in rays if any(r)})
-    lin_basis = exact.saturate_span([exact.primitive(v) for v in lineality if any(v)], dim)
+    lin_basis = exact.saturate_span([v for v in lineality if any(v)], dim)
     return lin_basis, tuple(prim_rays)
 
 
@@ -91,7 +91,9 @@ class LatticeMonoid:
     """Saturation of the monoid generated by integer vectors: cone cap lattice."""
 
     def __init__(self, generators: Sequence[Sequence[int]], rank: int):
-        if rank < 0 or rank > RANK_GUARD:
+        if rank < 0:
+            raise RankMismatch(f"rank {rank} is negative")
+        if rank > RANK_GUARD:
             raise SizeGuard(f"rank guarded to <= {RANK_GUARD}")
         gens = [tuple(int(x) for x in g) for g in generators]
         if any(len(g) != rank for g in gens):
@@ -248,7 +250,7 @@ class MhatElt:
             raise NotInMonoid(f"{tuple(x)} is outside the monoid")
         if not self.monoid.face_contains(self.face, x):
             return Fraction(0)
-        return _eval_on_span(self, x)
+        return exact.eval_character(self.face.hull, self.values, x)
 
 
 def mhat_idempotent(monoid: LatticeMonoid, f: MonoidFace) -> MhatElt:
@@ -275,19 +277,6 @@ def mhat_mul(x: MhatElt, y: MhatElt) -> MhatElt:
         raise PreconditionViolated("product of elements of two different monoids")
     m = x.monoid
     f = m.face_meet(x.face, y.face)
-    vals = []
-    for b in f.hull:
-        vx = _eval_on_span(x, b)
-        vy = _eval_on_span(y, b)
-        vals.append(vx * vy)
-    return MhatElt(monoid=m, face_index=f.index, values=tuple(vals))
-
-
-def _eval_on_span(x: MhatElt, b: Sequence[int]) -> Fraction:
-    coords = exact.lattice_coords(x.face.hull, b)
-    if coords is None:
-        raise InternalError("point outside the span of the support face")
-    val = Fraction(1)
-    for v, c in zip(x.values, coords):
-        val *= v ** c
-    return val
+    vals = tuple(exact.eval_character(x.face.hull, x.values, b)
+                 * exact.eval_character(y.face.hull, y.values, b) for b in f.hull)
+    return MhatElt(monoid=m, face_index=f.index, values=vals)

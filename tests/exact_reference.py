@@ -1,10 +1,11 @@
 """Reference eliminations over Fraction, kept for the tests only.
 
-These are the Gaussian eliminations the package used before `exact.int_rref`
-became its only one: rank, determinant and solve over Fraction, and the
-realization completion that called `rank` once per simple root.  Tests
-compare the package against them, so that no reference rests on
-`int_rref` itself.
+These are the Gaussian eliminations the package used before its one
+fraction-free pivot step served them all: rank, determinant and solve over
+Fraction, the realization completion that called `rank` once per simple
+root, and the phase-1 simplex on a Fraction tableau behind `lp_feasible`
+and `nonneg_solve`.  Tests compare the package against them, so that no
+reference rests on the integer pivot itself.
 """
 
 from fractions import Fraction
@@ -102,7 +103,6 @@ def rat_solve(m, b) -> Optional[tuple[RatVec, tuple[RatVec, ...]]]:
     return sol, tuple(kernel)
 
 
-
 def completion(a):
     """Simple roots of the canonical realization of A (n x n, rank l) in
     2n - l coordinates: column i of A, plus one extra unit coordinate when
@@ -125,3 +125,112 @@ def completion(a):
     if extra != m - n or rank(alpha) != n:
         raise InternalError("realization completion failed")
     return tuple(tuple(r) for r in alpha)
+
+
+def lp_feasible(matrix, relations) -> Optional[RatVec]:
+    """Certificate u > 0 with (M u)_r <= 0, = 0 or < 0 per relation
+    ('le', 'eq', 'lt'), or None; u = 1 + x with x >= 0 on a Fraction tableau."""
+    m = [list(row) for row in matrix]
+    nr = len(m)
+    nv = len(m[0])
+    rows: list[list[Fraction]] = []
+    rhs: list[Fraction] = []
+    kinds: list[str] = []
+    for r in range(nr):
+        coeff = [Fraction(x) for x in m[r]]
+        base = sum(coeff)
+        body = coeff
+        if relations[r] == "le":
+            rows.append(body)
+            rhs.append(-base)
+            kinds.append("le")
+        elif relations[r] == "eq":
+            rows.append(body)
+            rhs.append(-base)
+            kinds.append("eq")
+        else:  # strict: (Mu)_r <= -1
+            rows.append(body)
+            rhs.append(Fraction(-1) - base)
+            kinds.append("le")
+    x = _simplex_feasible(rows, rhs, kinds, nv)
+    if x is None:
+        return None
+    return tuple(Fraction(1) + xi for xi in x[:nv])
+
+
+def _simplex_feasible(rows, rhs, kinds, width) -> Optional[list[Fraction]]:
+    nr = len(rows)
+    # Normalize b >= 0, tracking slack signs.
+    slack_sign = []
+    for i in range(nr):
+        s = Fraction(1)
+        if rhs[i] < 0:
+            rows[i] = [-v for v in rows[i]]
+            rhs[i] = -rhs[i]
+            s = Fraction(-1)
+        slack_sign.append(s if kinds[i] == "le" else Fraction(0))
+    ns = sum(1 for k in kinds if k == "le")
+    total = width + ns + nr
+    tab = [[Fraction(0)] * (total + 1) for _ in range(nr)]
+    si = 0
+    basis = [0] * nr
+    for i in range(nr):
+        for j in range(width):
+            tab[i][j] = rows[i][j]
+        if kinds[i] == "le":
+            tab[i][width + si] = slack_sign[i]
+            si += 1
+        tab[i][width + ns + i] = Fraction(1)
+        tab[i][total] = rhs[i]
+        basis[i] = width + ns + i
+    # Objective: minimize sum of artificials -> reduced cost row.
+    obj = [Fraction(0)] * (total + 1)
+    for i in range(nr):
+        for j in range(total + 1):
+            obj[j] += tab[i][j]
+    for k in range(width + ns, total):
+        obj[k] = Fraction(0)
+    while True:
+        enter = next((j for j in range(width + ns) if obj[j] > 0), None)
+        if enter is None:
+            break
+        # Bland: smallest eligible entering index; ratio test, ties by index.
+        leave = None
+        best = None
+        for i in range(nr):
+            if tab[i][enter] > 0:
+                ratio = tab[i][total] / tab[i][enter]
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best = ratio
+                    leave = i
+        if leave is None:
+            raise InternalError("phase-1 objective unbounded")
+        pv = tab[leave][enter]
+        tab[leave] = [v / pv for v in tab[leave]]
+        for i in range(nr):
+            if i != leave and tab[i][enter] != 0:
+                f = tab[i][enter]
+                tab[i] = [v - f * w for v, w in zip(tab[i], tab[leave])]
+        f = obj[enter]
+        obj = [v - f * w for v, w in zip(obj, tab[leave])]
+        basis[leave] = enter
+    if obj[total] != 0:
+        return None
+    x = [Fraction(0)] * (width + ns)
+    for i in range(nr):
+        if basis[i] < width + ns:
+            x[basis[i]] = tab[i][total]
+        elif tab[i][total] != 0:
+            return None  # artificial stuck at a positive level
+    return x[:width]
+
+
+def nonneg_solve(a, b) -> Optional[RatVec]:
+    """Some x >= 0 with A x = b, or None.  Phase-1 simplex, exact."""
+    rows = [[Fraction(x) for x in row] for row in a]
+    rhs = [Fraction(x) for x in b]
+    width = len(rows[0]) if rows else 0
+    x = _simplex_feasible(rows, rhs, ["eq"] * len(rows), width)
+    if x is None:
+        return None
+    return tuple(x)

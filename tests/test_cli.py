@@ -118,6 +118,33 @@ INPUT_ERRORS = [
     (["that-mul", "--gcm", A2, "--left", '{"face": {"w": "", "theta": []}, "t": ["x", "1"]}',
       "--right", '{"face": {"w": "", "theta": []}, "t": ["1", "1"]}'],
      "torus value x is not a number a/b with b != 0"),
+    # JSON monoid elements are read by one checked reader
+    (["wmon-inv", "--gcm", A2, "--elt", "[1]"], "element [1] is not a JSON object"),
+    (["wmon-inv", "--gcm", A2, "--elt", '{"w": "1"}'], 'field "face" is missing'),
+    (["wmon-inv", "--gcm", A2, "--elt", '{"w": "1", "face": [1]}'],
+     'field "face" is not an object'),
+    (["wmon-mul", "--gcm", A2, "--left", '{"w": 1, "face": {"w": "", "theta": []}}',
+      "--right", '{"face": {"w": "", "theta": []}}'], 'field "w" is not a string'),
+    (["that-mul", "--gcm", A2, "--left", '{"face": {"w": "", "theta": 1}}',
+      "--right", '{"face": {"w": "", "theta": []}}'], 'field "face.theta" is not a list'),
+    (["that-mul", "--gcm", A2, "--left", '{"face": {"w": "", "theta": []}, "t": "12"}',
+      "--right", '{"face": {"w": "", "theta": []}}'], 'field "t" is not a list'),
+    (["nhat-mul", "--gcm", A2, "--left", '{"w": "1", "face": {"w": 2}}',
+      "--right", '{"w": "2"}'], 'field "face.w" is not a string'),
+    (["nhat-mul", "--gcm", A2, "--left", '"1"', "--right", '{"w": "2"}'],
+     'element "1" is not a JSON object'),
+    # lattice-monoid input: integers only, face indices in range
+    (["toric-saturate", "--monoid", '{"rank": 2, "generators": [[1.5, 0], [0, 1]]}'],
+     "generator coordinate 1.5 is not an integer"),
+    (["toric-saturate", "--monoid", '{"rank": "2", "generators": [[1, 0], [0, 1]]}'],
+     'monoid rank "2" is not an integer'),
+    (["toric-saturate", "--monoid", '{"rank": -1, "generators": []}'], "rank -1 is negative"),
+    (["toric-saturate", "--monoid", '{"rank": 2, "generators": [1, 0]}'],
+     'monoid input must be {"rank": r, "generators": [[...], ...]}'),
+    (["toric-faces", "--monoid", '{"rank": 2, "generators": [[1, 0], [0, 1]]}', "--face", "-1"],
+     "face index -1 out of range 0..3"),
+    (["toric-faces", "--monoid", '{"rank": 2, "generators": [[1, 0], [0, 1]]}', "--face", "99"],
+     "face index 99 out of range 0..3"),
 ]
 
 

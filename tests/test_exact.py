@@ -9,8 +9,8 @@ from conftest import all_small_gcms, grid_certificate
 from kmx import exact
 from kmx.errors import InternalError
 from kmx.exact import (LPProblem, int_mat, int_rref, kernel_lattice_basis, lattice_coords,
-                       lp_feasible, mat_mul, mat_vec, nonneg_solve, primitive, rat_mat,
-                       rat_solve, saturate_span, smith_normal_form)
+                       lp_feasible, mat_mul, mat_vec, nonneg_solve, primitive, rat_solve,
+                       saturate_span, smith_normal_form)
 
 
 def test_rat_solve_identity():
@@ -227,26 +227,26 @@ def test_lattice_coords_rejects_unsaturated_basis():
 
 def test_lp_examples():
     a2 = [[2, -1], [-1, 2]]
-    neg = rat_mat([[-x for x in row] for row in a2])
+    neg = int_mat([[-x for x in row] for row in a2])
     u = lp_feasible(LPProblem(matrix=neg, relations=("lt", "lt")))
     assert u is not None
     assert all(sum(r * x for r, x in zip(row, u)) > 0 for row in a2)
 
-    aff = rat_mat([[2, -2], [-2, 2]])
+    aff = int_mat([[2, -2], [-2, 2]])
     u = lp_feasible(LPProblem(matrix=aff, relations=("eq", "eq")))
     assert u is not None and all(x > 0 for x in u)
 
-    assert lp_feasible(LPProblem(matrix=rat_mat(a2), relations=("lt", "lt"))) is None
+    assert lp_feasible(LPProblem(matrix=int_mat(a2), relations=("lt", "lt"))) is None
 
 
 def test_lp_agrees_with_grid_search():
     for n in (2, 3):
         for a in all_small_gcms(n):
-            neg = rat_mat([[-x for x in row] for row in a])
+            neg = int_mat([[-x for x in row] for row in a])
             systems = (
                 (LPProblem(matrix=neg, relations=("lt",) * n), "gt"),  # Au > 0
-                (LPProblem(matrix=rat_mat(a), relations=("eq",) * n), "eq"),
-                (LPProblem(matrix=rat_mat(a), relations=("lt",) * n), "lt"),
+                (LPProblem(matrix=int_mat(a), relations=("eq",) * n), "eq"),
+                (LPProblem(matrix=int_mat(a), relations=("lt",) * n), "lt"),
             )
             for prob, grid_rel in systems:
                 got = lp_feasible(prob)
@@ -255,7 +255,7 @@ def test_lp_agrees_with_grid_search():
 
 
 def test_lp_certificate_survives_clearing_denominators():
-    a = rat_mat([[2, -2, 0], [-2, 2, -1], [0, -1, 2]])
+    a = int_mat([[2, -2, 0], [-2, 2, -1], [0, -1, 2]])
     u = lp_feasible(LPProblem(matrix=a, relations=("le", "le", "le")))
     assert u is not None
     ints = primitive(u)
@@ -268,3 +268,51 @@ def test_nonneg_solve():
     sol = nonneg_solve([[1, 1], [0, 2]], (1, 1))
     assert sol == (Fraction(1, 2), Fraction(1, 2))
     assert nonneg_solve([[1, 1], [0, 2]], (-1, 0)) is None
+
+
+def test_simplex_agrees_with_the_reference_tableau():
+    # the integer tableau takes the Fraction tableau's pivots, so both give
+    # the same certificate, or both None, on every system
+    rng = random.Random(6)
+    outcomes = {"lp": [0, 0], "nonneg": [0, 0]}
+    for _ in range(3000):
+        nr, nc = rng.randrange(1, 5), rng.randrange(1, 7)
+        m = tuple(tuple(rng.randrange(-3, 4) for _ in range(nc)) for _ in range(nr))
+        rels = tuple(rng.choice(("le", "eq", "lt")) for _ in range(nr))
+        got = lp_feasible(LPProblem(matrix=m, relations=rels))
+        assert got == ref.lp_feasible(m, rels), (m, rels)
+        outcomes["lp"][got is None] += 1
+        b = tuple(rng.randrange(-3, 4) for _ in range(nr))
+        got = nonneg_solve(m, b)
+        assert got == ref.nonneg_solve(m, b), (m, b)
+        outcomes["nonneg"][got is None] += 1
+    # feasible and infeasible systems both well represented
+    assert min(min(v) for v in outcomes.values()) > 1000, outcomes
+
+
+@pytest.mark.parametrize("bad", [Fraction(1), 1.0, True, "1"])
+def test_lp_and_nonneg_solve_reject_non_int_entries(bad):
+    with pytest.raises(ValueError):
+        LPProblem(matrix=((bad, -1), (-1, 2)), relations=("le", "le"))
+    with pytest.raises(ValueError):
+        nonneg_solve([[bad, 1]], (1,))
+    with pytest.raises(ValueError):
+        nonneg_solve([[1, 1]], (bad,))
+
+
+def test_int_rref_and_the_simplex_share_one_pivot_step(monkeypatch):
+    calls = []
+    step = exact._bareiss_pivot
+
+    def counted(rows, r, c, prev):
+        calls.append((r, c))
+        return step(rows, r, c, prev)
+
+    monkeypatch.setattr(exact, "_bareiss_pivot", counted)
+    int_rref([[2, -1], [-1, 2]])
+    assert len(calls) == 2
+    lp_feasible(LPProblem(matrix=((-2, 1), (1, -2)), relations=("lt", "lt")))
+    assert len(calls) > 2
+    before = len(calls)
+    nonneg_solve([[1, 1], [0, 2]], (1, 1))
+    assert len(calls) > before

@@ -4,14 +4,31 @@ from pathlib import Path
 import kmx
 
 
-def test_no_assert_in_library():
-    # `python -O` strips assert statements; every guard must be a raise
+def _offence(node):
+    if isinstance(node, ast.Assert):
+        return "assert"
+    if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+        return f"float literal {node.value!r}"
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float":
+        return "float( call"
+    return None
+
+
+def test_no_assert_or_float_in_library():
+    # `python -O` strips assert statements, so every guard must be a raise;
+    # and the package is exact, so no float literal and no float( call
     src = Path(kmx.__file__).parent
-    found = [f"{path.name}:{node.lineno}"
+    found = [f"{path.name}:{node.lineno} {_offence(node)}"
              for path in sorted(src.glob("*.py"))
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
-             if isinstance(node, ast.Assert)]
+             if _offence(node)]
     assert found == []
+
+
+def test_offence_finder_sees_each_kind():
+    tree = ast.parse("assert x\ny = 0.5\nz = float(y)\nw = 2j\nv = 1 / 2")
+    assert [_offence(node) for node in ast.walk(tree) if _offence(node)] == [
+        "assert", "float literal 0.5", "float( call", "float literal 2j"]
 
 
 def test_no_value_error_for_user_input():

@@ -2,10 +2,11 @@ import random
 from fractions import Fraction as Fr
 from itertools import product
 
+import exact_reference as ref
 import pytest
 
 from kmx.errors import NotInMonoid, RankMismatch, SizeGuard
-from kmx.exact import int_mat, rat_solve, transpose, vec_dot
+from kmx.exact import int_mat, nonneg_solve, rat_solve, transpose, vec_dot
 from kmx.toric import LatticeMonoid, mhat_idempotent, mhat_idempotents, mhat_mul, mhat_unit
 
 
@@ -277,3 +278,27 @@ def test_cross_module_tits_cone_monoid_affine_type():
         for mu in small:
             s = tuple(x + y for x, y in zip(lam, mu))
             assert member(s)
+
+
+def test_lineality_and_equalities_checked_without_the_double_description():
+    # the integer lineality path against the reference rank and the simplex:
+    # equalities cut out span(gens), lineality is the span of the generators
+    # whose negatives lie in the cone
+    rng = random.Random(61)
+    seen_lin = seen_eq = 0
+    for _ in range(200):
+        rank = rng.randrange(1, 6)
+        gens = [tuple(rng.randrange(-3, 4) for _ in range(rank))
+                for _ in range(rng.randrange(1, rank + 4))]
+        m = LatticeMonoid(gens, rank)
+        cols = transpose(gens)
+        assert all(vec_dot(e, g) == 0 for e in m.equalities for g in gens)
+        assert len(m.equalities) == rank - ref.rank(gens) == ref.rank(m.equalities)
+        for v in m.lineality:
+            for s in (1, -1):
+                assert nonneg_solve(cols, tuple(s * x for x in v)) is not None
+        neg_in_cone = [g for g in gens if nonneg_solve(cols, tuple(-x for x in g)) is not None]
+        assert len(m.lineality) == ref.rank(neg_in_cone)
+        seen_lin += bool(m.lineality)
+        seen_eq += bool(m.equalities)
+    assert seen_lin > 30 and seen_eq > 30, (seen_lin, seen_eq)
