@@ -115,6 +115,16 @@ def typed_numbers(toks: Iterable, what: str, *, integral: bool = False) -> tuple
     return tuple(out)
 
 
+def exact_ints(vals: Iterable, what: str) -> tuple[int, ...]:
+    """The entries of an integer vector as given: an entry that is not a
+    Python int (a bool, float, Fraction, str) is a DomainError naming it."""
+    vals = tuple(vals)
+    for x in vals:
+        if type(x) is not int:
+            raise DomainError(f"{what} {x!r} is not an integer")
+    return vals
+
+
 def validate_and_symmetrize(rows: Sequence[Sequence[int]]) -> GCM:
     """Validate a GCM and compute its canonical positive symmetrizer.
     Messages name entries 1-based."""

@@ -2,8 +2,11 @@
 
 All indices are 1-based in input and output.  Output is deterministic JSON
 (fixed key order, exact rationals as strings); --text renders small aligned
-tables instead.  Exit codes: 0 success, 1 domain error, 2 usage error,
-3 resource guard.
+tables instead.  Exit codes: 0 success, 1 domain error (bad input, malformed
+JSON, an unreadable file), 2 usage error, 3 resource guard, 4 internal error
+(any other exception: a bug, never a verdict on the input).  Exits 1, 3 and 4
+print an {"error": {"kind", "message"}} body; exit 4 also prints the
+traceback on stderr.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 
 from . import faces as FC, highest_weight as HW, monoids as MO, toric, verify
 from . import weyl as W
@@ -45,14 +49,22 @@ def _numbers(text: str, what: str, integral: bool = False) -> tuple:
     return typed_numbers(text.replace(",", " ").split(), what, integral=integral)
 
 
-def _parse_weight(datum, text: str):
-    vals = _numbers(text, "weight coordinate")
+def _parse_weight(datum, text: str, what: str = "weight", integral: bool = False):
+    """The datum.m coordinates of a weight (or coweight) as typed."""
+    vals = _numbers(text, f"{what} coordinate", integral)
     if len(vals) != datum.m:
-        raise DomainError(f"weight needs {datum.m} coordinates")
+        raise DomainError(f"{what} needs {datum.m} coordinates")
     return vals
 
 
 _KINDS = {str: "a string", list: "a list", dict: "an object"}
+
+
+def _only_fields(obj: dict, keys: tuple, where: str = "") -> None:
+    """DomainError naming the first field of obj that is not one of keys."""
+    extra = sorted(set(obj) - set(keys))
+    if extra:
+        raise DomainError(f'field "{where}{extra[0]}" is unknown')
 
 
 def _field(obj: dict, key: str, kind: type, default=None, where: str = ""):
@@ -68,7 +80,9 @@ def _field(obj: dict, key: str, kind: type, default=None, where: str = ""):
 
 
 def _json_face(datum, obj: dict, where: str = "") -> FC.Face:
-    """The face {"w": word, "theta": [...]} of a JSON object; both default to empty."""
+    """The face {"w": word, "theta": [...]} of a JSON object; both default to
+    empty, and any other field is a DomainError."""
+    _only_fields(obj, ("w", "theta"), where)
     return FC.normalize_face(_parse_word(datum, _field(obj, "w", str, "", where)),
                              one_based(datum.n, _field(obj, "theta", list, [], where)))
 
@@ -77,12 +91,7 @@ def _parse_face(datum, text: str) -> FC.Face:
     text = text.strip()
     if text.startswith("{"):
         return _json_face(datum, json.loads(text))
-    fields = {}
-    for part in text.split(";"):
-        key, _, val = part.partition("=")
-        fields[key.strip()] = val.strip()
-    return FC.normalize_face(_parse_word(datum, fields.get("w", "")),
-                             _parse_subset(datum, fields.get("theta", "")))
+    return FC.parse_face(datum, text)
 
 
 def _face_json(face: FC.Face) -> dict:
@@ -103,12 +112,13 @@ def _parse_element(datum, text: str, *, face_optional: bool = False):
 
     "w" defaults to the empty word, "t" to the unit torus and, only when
     `face_optional`, "face" to the full cone.  A payload that is not an
-    object, or a field that is missing or of the wrong kind, is a
+    object, or a field that is missing, unknown or of the wrong kind, is a
     DomainError naming it.
     """
     payload = json.loads(text)
     if not isinstance(payload, dict):
         raise DomainError(f"element {text} is not a JSON object")
+    _only_fields(payload, ("w", "face", "t"))
     face = _field(payload, "face", dict, {} if face_optional else None)
     return (_parse_word(datum, _field(payload, "w", str, "")),
             _json_face(datum, face, "face."),
@@ -171,7 +181,8 @@ def _vec_str_list(v):
 def _default_depth(args) -> int:
     if getattr(args, "depth", None) is not None:
         return args.depth
-    return int(os.environ.get("KMX_DEPTH", "4"))
+    (depth,) = typed_numbers([os.environ.get("KMX_DEPTH", "4")], "KMX_DEPTH", integral=True)
+    return depth
 
 
 def _emit(args, obj) -> None:
@@ -264,7 +275,7 @@ def cmd_weyl_reduce(args):
 def cmd_dominant(args):
     datum = _load_gcm(args)
     if args.antidominant:
-        d = _numbers(args.weight, "coweight coordinate", integral=True)
+        d = _parse_weight(datum, args.weight, "coweight", integral=True)
         dmin, v = W.antidominant_coweight(datum, d)
         _emit(args, {
             "antidominant": list(dmin),
@@ -418,10 +429,7 @@ def cmd_toric_faces(args):
 
 
 def _parse_hw(datum, text):
-    vals = _numbers(text, "highest weight coordinate", integral=True)
-    if len(vals) != datum.m:
-        raise DomainError(f"highest weight needs {datum.m} coordinates")
-    return vals
+    return _parse_weight(datum, text, "highest weight", integral=True)
 
 
 def cmd_module_weights(args):
@@ -608,19 +616,17 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         args.fn(args)
-    except DomainError as e:
+    except Exception as e:
+        if isinstance(e, (DomainError, json.JSONDecodeError, UnicodeDecodeError, OSError)):
+            code = 1  # bad input, malformed JSON, an unreadable file
+        elif isinstance(e, GuardError):
+            code = 3
+        else:
+            code = 4  # InternalError or any other exception: a bug in kmx
+            traceback.print_exc()
         sys.stdout.write(json.dumps({"error": {"kind": type(e).__name__,
                                                "message": str(e)}}) + "\n")
-        return 1
-    except GuardError as e:
-        sys.stdout.write(json.dumps({"error": {"kind": type(e).__name__,
-                                               "message": str(e)}}) + "\n")
-        return 3
-    except (ValueError, KeyError, IndexError, OSError) as e:
-        # malformed user input (bad JSON, bad word syntax, missing file)
-        sys.stdout.write(json.dumps({"error": {"kind": type(e).__name__,
-                                               "message": str(e)}}) + "\n")
-        return 1
+        return code
     return 0
 
 

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import weyl as W
-from .cartan import RootDatum, classify, is_special
-from .errors import NotSpecial
+from .cartan import RootDatum, classify, is_special, one_based
+from .errors import DomainError, NotSpecial
 from .exact import IntVec, vec_add
 from .weyl import WeylElt, antidominant_coweight, dominant_rep
 
@@ -63,6 +63,25 @@ def full_cone(datum: RootDatum) -> Face:
 
 def standard_face(datum: RootDatum, theta: Sequence[int]) -> Face:
     return normalize_face(W.identity_elt(datum), theta)
+
+
+def parse_face(datum: RootDatum, text: str) -> Face:
+    """The face written "w=3 1; theta=1,2": a 1-based Weyl word and special
+    set (theta separated by commas or spaces), either field left out when
+    empty.  An unknown or repeated key, or a field without '=', is a
+    DomainError."""
+    fields: dict[str, str] = {}
+    for part in filter(str.strip, text.split(";")):
+        key, sep, val = (x.strip() for x in part.partition("="))
+        if not sep:
+            raise DomainError(f"face field {part.strip()!r} is not key=value")
+        if key not in ("w", "theta"):
+            raise DomainError(f"unknown face field {key!r}")
+        if key in fields:
+            raise DomainError(f"face field {key!r} given twice")
+        fields[key] = val
+    return normalize_face(W.from_word(datum, one_based(datum.n, fields.get("w", "").split())),
+                          one_based(datum.n, fields.get("theta", "").replace(",", " ").split()))
 
 
 def act_face(u: WeylElt, r: Face) -> Face:

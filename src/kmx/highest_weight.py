@@ -11,6 +11,12 @@ lowering matrices.  Operator application is either exact (all terms stay
 inside the slice) or a hard DepthExceeded error; results are never silently
 truncated.
 
+A lowering f_i out of the bottom layer lands one step past the window.  Its
+target weight is marked nonzero when some candidate there has a nonzero
+e_j-image: L(hw) is irreducible, so a vector below the top that every e_j
+kills is zero, and the Gram matrices of the built spaces are nondegenerate,
+so this is the same as asking for a nonzero Gram entry without forming one.
+
 Weight multiplicities come from two independent routes: the Freudenthal
 recursion (fed by root multiplicities computed with the standard Peterson
 recurrence) and the Gram-rank route used to build the bases.  The test suite
@@ -19,13 +25,14 @@ crosses them against each other; neither consults the other here.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import exact, faces as FC, monoids as MO, weyl as W
-from .cartan import RootDatum, one_based, typed_numbers
+from .cartan import RootDatum, exact_ints, one_based, typed_numbers
 from .errors import (DepthExceeded, DepthTooLarge, DomainError, InternalError,
                      NotDominant, NotFactored, SizeGuard, ZeroTorusValue)
 from .exact import IntVec
@@ -37,6 +44,11 @@ DEFAULT_MAX_RANK = 3
 
 Wt = IntVec  # weight in fundamental-weight coordinates
 Beta = IntVec  # element of the positive root cone in simple-root coordinates
+
+
+def _shift(datum: RootDatum, wt: Wt, i: int, sign: int = 1) -> Wt:
+    """wt + sign * alpha_i."""
+    return tuple(x + sign * a for x, a in zip(wt, datum.alpha[i]))
 
 
 # -- root multiplicities (Peterson recurrence) -----------------------------------
@@ -163,7 +175,7 @@ def real_roots_with_witness(datum: RootDatum, max_height: int
 
 
 def _check_dominant(datum: RootDatum, hw: Sequence[int]) -> Wt:
-    lam = tuple(int(x) for x in hw)
+    lam = exact_ints(hw, "highest weight coordinate")
     if len(lam) != datum.m:
         raise NotDominant(f"highest weight needs {datum.m} coordinates")
     if any(lam[i] < 0 for i in range(datum.n)):
@@ -274,22 +286,21 @@ class ModuleSlice:
 
     def _build(self):
         datum = self.datum
-        n, m = datum.n, datum.m
-        top = WeightSpace(weight=self.hw, height=0, words=((),), gram=((1,),))
-        self.spaces[self.hw] = top
+        self.spaces[self.hw] = WeightSpace(weight=self.hw, height=0, words=((),), gram=((1,),))
         level: list[Wt] = [self.hw]
         for h in range(1, self.depth + 2):
             targets: dict[Wt, None] = {}
             for mu in level:
-                for i in range(n):
-                    lam = tuple(mu[j] - datum.alpha[i][j] for j in range(m))
-                    targets.setdefault(lam, None)
+                for i in range(datum.n):
+                    targets.setdefault(_shift(datum, mu, i, -1), None)
             new_level = []
             for lam in sorted(targets):
                 if h > self.depth:
-                    # probe pass: lam is a weight iff its Gram matrix is nonzero
-                    found = self._candidates(lam)
-                    if found is not None and any(map(any, found[2])):
+                    # probe pass: lam is a weight iff some candidate there
+                    # has a nonzero e-image (module docstring)
+                    found = self._e_images(lam)
+                    if found is not None and any(any(img) for imgs in found[1]
+                                                 for img in imgs.values()):
                         self._nonzero_beyond.add(lam)
                     continue
                 ws = self._build_space(lam, h)
@@ -300,65 +311,55 @@ class ModuleSlice:
             if not level:
                 break
 
-    def _candidates(self, lam: Wt):
+    def _e_images(self, lam: Wt):
         """The spanning set f_i b_k of the space at lam (b_k running over the
-        basis at lam + alpha_i, degree-lex order), each candidate's e_j-images
-        in the bases above, and the candidates' Gram matrix in ints; None
-        when no space lies above lam."""
-        datum = self.datum
-        n, m = datum.n, datum.m
-        cands: list[tuple[int, int]] = []  # (i, index in basis of lam + alpha_i)
-        for i in range(n):
-            up = tuple(lam[j] + datum.alpha[i][j] for j in range(m))
-            src = self.spaces.get(up)
-            if src is not None:
-                cands.extend((i, k) for k in range(src.dim))
+        basis at lam + alpha_i, degree-lex order) and each candidate's
+        e_j-images in the bases above; None when no space lies above lam."""
+        datum, spaces = self.datum, self.spaces
+        above = {i: spaces.get(_shift(datum, lam, i)) for i in range(datum.n)}
+        above = {i: sp for i, sp in above.items() if sp is not None}
+        cands = [(i, k) for i, src in above.items() for k in range(src.dim)]
         if not cands:
             return None
-        # e_j-image of each candidate, in the basis at lam + alpha_j.
         e_imgs: list[dict[int, tuple[Fraction, ...]]] = []
         for (i, k) in cands:
-            up = tuple(lam[j] + datum.alpha[i][j] for j in range(m))
-            src = self.spaces[up]
+            src = above[i]
             imgs: dict[int, tuple[Fraction, ...]] = {}
-            for jj in range(n):
-                tgt_wt = tuple(lam[j] + datum.alpha[jj][j] for j in range(m))
-                tgt = self.spaces.get(tgt_wt)
-                if tgt is None:
-                    continue
+            for j, tgt in above.items():
                 vec = [Fraction(0)] * tgt.dim
-                # e_jj f_i b_k = f_i (e_jj b_k) + [jj == i] * up(h_i) * b_k
-                up_e = src.e_mat.get(jj)
+                # e_j f_i b_k = f_i (e_j b_k) + [j == i] * up(h_i) * b_k
+                up_e = src.e_mat.get(j)
                 if up_e is not None:
-                    mid_wt = tuple(up[j] + datum.alpha[jj][j] for j in range(m))
-                    mid = self.spaces.get(mid_wt)
-                    if mid is not None:
-                        fmat = mid.f_mat.get(i)
-                        if fmat is not None:
-                            col = [up_e[r][k] for r in range(len(up_e))]
-                            for r in range(tgt.dim):
-                                vec[r] += sum(fmat[r][c] * col[c] for c in range(mid.dim))
-                if jj == i:  # [e_i, f_i] = h_i acts by up(h_i) on b_k
-                    vec[k] += Fraction(up[i])
-                imgs[jj] = tuple(vec)
+                    fmat = spaces[_shift(datum, src.weight, j)].f_mat[i]
+                    col = [row[k] for row in up_e]
+                    for r in range(tgt.dim):
+                        vec[r] += sum(x * y for x, y in zip(fmat[r], col))
+                if j == i:  # [e_i, f_i] = h_i acts by up(h_i) on b_k
+                    vec[k] += src.weight[i]
+                imgs[j] = tuple(vec)
             e_imgs.append(imgs)
-        # Gram matrix of the candidates via contravariance.  Its entries are
+        return cands, e_imgs
+
+    def _candidates(self, lam: Wt):
+        """_e_images plus the candidates' Gram matrix in ints; None when no
+        space lies above lam."""
+        found = self._e_images(lam)
+        if found is None:
+            return None
+        cands, e_imgs = found
+        # <f_i b_k | c> = <b_k | e_i c> by contravariance.  The entries are
         # Shapovalov values of lowering monomials on an integral weight, so
         # they are integers.
-        nc = len(cands)
-        gram = [[0] * nc for _ in range(nc)]
-        for b in range(nc):
-            for a in range(nc):
-                i, k = cands[a]
-                up = tuple(lam[j] + datum.alpha[i][j] for j in range(m))
-                src = self.spaces[up]
-                img = e_imgs[b].get(i)
-                if img is None:
-                    continue
-                x = sum(src.gram[k][c] * img[c] for c in range(src.dim))
+        gram = []
+        for i, k in cands:
+            src_row = self.spaces[_shift(self.datum, lam, i)].gram[k]
+            row = []
+            for imgs in e_imgs:
+                x = sum(g * y for g, y in zip(src_row, imgs[i]))
                 if x.denominator != 1:
                     raise InternalError(f"Gram entry {x} at weight {lam} is not an integer")
-                gram[a][b] = int(x)
+                row.append(int(x))
+            gram.append(row)
         return cands, e_imgs, gram
 
     def _build_space(self, lam: Wt, h: int) -> Optional[WeightSpace]:
@@ -374,31 +375,21 @@ class ModuleSlice:
         selected, rows, d = exact.int_rref(gram_full)
         if not selected:
             return None
-        datum = self.datum
-        n, m = datum.n, datum.m
-        words = []
-        for c in selected:
-            i, k = cands[c]
-            up = tuple(lam[j] + datum.alpha[i][j] for j in range(m))
-            words.append((i,) + self.spaces[up].words[k])
+        datum, spaces = self.datum, self.spaces
+        words = tuple((i,) + spaces[_shift(datum, lam, i)].words[k]
+                      for i, k in (cands[c] for c in selected))
         gram = tuple(tuple(gram_full[a][b] for b in selected) for a in selected)
-        ws = WeightSpace(weight=lam, height=h, words=tuple(words), gram=gram)
-        # f-matrices into this space, and e-matrices out of it.
-        for i in range(n):
-            up = tuple(lam[j] + datum.alpha[i][j] for j in range(m))
-            src = self.spaces.get(up)
+        ws = WeightSpace(weight=lam, height=h, words=words, gram=gram)
+        # f_i into this space and e_i out of it, both against lam + alpha_i.
+        for i in range(datum.n):
+            src = spaces.get(_shift(datum, lam, i))
             if src is None:
                 continue
             first = cands.index((i, 0))
             src.f_mat[i] = tuple(tuple(Fraction(row[first + k], d) for k in range(src.dim))
                                  for row in rows)
-        for j in range(n):
-            tgt_wt = tuple(lam[jj] + datum.alpha[j][jj] for jj in range(m))
-            tgt = self.spaces.get(tgt_wt)
-            if tgt is None:
-                continue
-            ws.e_mat[j] = tuple(tuple(e_imgs[s][j][r] for s in selected)
-                                for r in range(tgt.dim))
+            ws.e_mat[i] = tuple(tuple(e_imgs[s][i][r] for s in selected)
+                                for r in range(src.dim))
         return ws
 
     # queries ---------------------------------------------------------------------
@@ -418,7 +409,10 @@ class ModuleSlice:
 
 def build_basis(datum: RootDatum, hw: Sequence[int], depth: int,
                 *, max_depth: Optional[int] = None) -> ModuleSlice:
-    key = (tuple(int(x) for x in hw), depth)
+    """ModuleSlice(datum, hw, depth), cached on the datum.  The input checks
+    and guards run on every call, before the cache is read."""
+    key = (_check_dominant(datum, hw), depth)
+    _depth_guard(datum, depth, max_depth)
     cache = getattr(datum, "_slice_cache", None)
     if cache is None:
         cache = {}
@@ -459,38 +453,23 @@ class Vector:
                                    for wt, v in self.parts.items()})
 
 
-def _apply_e(v: Vector, i: int) -> Vector:
+def _apply(v: Vector, i: int, sign: int) -> Vector:
+    """e_i v (sign 1) or f_i v (sign -1).  A missing matrix is DepthExceeded
+    when its target weight is nonzero past the window, a certified zero
+    otherwise."""
     sl = v.slice
     out: dict[Wt, list[Fraction]] = {}
     for wt, coeffs in v.parts.items():
         sp = sl.spaces[wt]
-        emat = sp.e_mat.get(i)
-        if emat is None:
-            continue
-        tgt_wt = tuple(wt[j] + sl.datum.alpha[i][j] for j in range(sl.datum.m))
-        tgt = sl.spaces[tgt_wt]
-        acc = out.setdefault(tgt_wt, [Fraction(0)] * tgt.dim)
-        for r in range(tgt.dim):
-            acc[r] += sum(emat[r][c] * coeffs[c] for c in range(sp.dim))
-    return Vector(sl, {wt: tuple(v2) for wt, v2 in out.items()}).prune()
-
-
-def _apply_f(v: Vector, i: int) -> Vector:
-    sl = v.slice
-    out: dict[Wt, list[Fraction]] = {}
-    for wt, coeffs in v.parts.items():
-        sp = sl.spaces[wt]
-        fmat = sp.f_mat.get(i)
-        if fmat is None:
-            tgt_wt = tuple(wt[j] - sl.datum.alpha[i][j] for j in range(sl.datum.m))
+        tgt_wt = _shift(sl.datum, wt, i, sign)
+        mat = (sp.e_mat if sign > 0 else sp.f_mat).get(i)
+        if mat is None:
             if tgt_wt in sl._nonzero_beyond:
                 raise DepthExceeded(needed=sp.height + 1, depth=sl.depth)
             continue  # certified zero: the target weight space vanishes
-        tgt_wt = tuple(wt[j] - sl.datum.alpha[i][j] for j in range(sl.datum.m))
-        tgt = sl.spaces[tgt_wt]
-        acc = out.setdefault(tgt_wt, [Fraction(0)] * tgt.dim)
-        for r in range(tgt.dim):
-            acc[r] += sum(fmat[r][c] * coeffs[c] for c in range(sp.dim))
+        acc = out.setdefault(tgt_wt, [Fraction(0)] * len(mat))
+        for r, row in enumerate(mat):
+            acc[r] += sum(x * c for x, c in zip(row, coeffs))
     return Vector(sl, {wt: tuple(v2) for wt, v2 in out.items()}).prune()
 
 
@@ -503,18 +482,11 @@ def _exp_series(v: Vector, step, t: Fraction) -> Vector:
         term = step(term)
         if term.is_zero():
             return total
-        coeff = t ** k / _factorial(k)
+        coeff = t ** k / math.factorial(k)
         total = total.add(term.scale(coeff))
         k += 1
         if k > 2 * v.slice.depth + 4:
             raise InternalError("exponential failed to terminate inside the slice")
-
-
-def _factorial(k: int) -> Fraction:
-    out = 1
-    for j in range(2, k + 1):
-        out *= j
-    return Fraction(out)
 
 
 # letters: ("X+", i, t) ("X-", i, t) ("T", coweight, s) ("N", i) ("E", Face)
@@ -541,7 +513,7 @@ def torus_letter(h: Sequence[int], s) -> Letter:
     s = Fraction(s)
     if s == 0:
         raise ZeroTorusValue("torus parameter must be nonzero")
-    return ("T", tuple(int(x) for x in h), s)
+    return ("T", exact_ints(h, "torus coweight coordinate"), s)
 
 
 def nsimple(i: int) -> Letter:
@@ -555,20 +527,17 @@ def idem(face: Face) -> Letter:
 def apply_letter(letter: Letter, v: Vector) -> Vector:
     sl = v.slice
     tag = letter[0]
-    if tag == "X+":
-        return _exp_series(v, lambda u: _apply_e(u, letter[1]), letter[2])
-    if tag == "X-":
-        return _exp_series(v, lambda u: _apply_f(u, letter[1]), letter[2])
+    if tag in ("X+", "X-"):
+        sign = 1 if tag == "X+" else -1
+        return _exp_series(v, lambda u: _apply(u, letter[1], sign), letter[2])
     if tag == "T":
         h, s = letter[1], letter[2]
         return Vector(sl, {
             wt: tuple(s ** int(exact.vec_dot(wt, h)) * x for x in coeffs)
             for wt, coeffs in v.parts.items()}).prune()
-    if tag == "N":
+    if tag == "N":  # n_i = exp(e_i) exp(-f_i) exp(e_i)
         i = letter[1]
-        out = apply_letter(xplus(i, 1), v)
-        out = apply_letter(xminus(i, -1), out)
-        return apply_letter(xplus(i, 1), out)
+        return apply_word(GhatWord((xplus(i, 1), xminus(i, -1), xplus(i, 1))), v)
     if tag == "E":
         face: Face = letter[1]
         c = face.exposing()
@@ -680,9 +649,9 @@ def probe_equal(datum: RootDatum, w1: GhatWord, w2: GhatWord, probes: Sequence):
             for r in range(len(rows)):
                 for c in range(len(cols)):
                     if m1[r][c] != m2[r][c]:
-                        return Distinct(probe=(tuple(hw), d), row=rows[r],
+                        return Distinct(probe=(sl.hw, d), row=rows[r],
                                         col=cols[c], left=m1[r][c], right=m2[r][c])
-        tried.append((tuple(int(x) for x in hw), d))
+        tried.append((sl.hw, d))
     return EqualOnProbes(probes=tuple(tried))
 
 
@@ -853,15 +822,6 @@ def parse_word(datum: RootDatum, text: str) -> GhatWord:
             (i,) = one_based(datum.n, [nn.strip()])
             letters.append(nsimple(i))
         else:
-            fields = {}
-            for part in ee.split(";"):
-                key, _, val = part.partition("=")
-                fields[key.strip()] = val.strip()
-            wtxt = fields.get("w", "")
-            ttxt = fields.get("theta", "")
-            wword = one_based(datum.n, wtxt.split())
-            th = one_based(datum.n, [t.strip() for t in ttxt.split(",")]) if ttxt else ()
-            face = FC.normalize_face(W.from_word(datum, wword), th)
-            letters.append(idem(face))
+            letters.append(idem(FC.parse_face(datum, ee)))
         pos = mm.end()
     return GhatWord(tuple(letters))

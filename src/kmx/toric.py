@@ -13,6 +13,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import exact
+from .cartan import exact_ints
 from .errors import NotAFace, NotInMonoid, PreconditionViolated, RankMismatch, SizeGuard
 from .exact import IntVec
 
@@ -95,7 +96,7 @@ class LatticeMonoid:
             raise RankMismatch(f"rank {rank} is negative")
         if rank > RANK_GUARD:
             raise SizeGuard(f"rank guarded to <= {RANK_GUARD}")
-        gens = [tuple(int(x) for x in g) for g in generators]
+        gens = [exact_ints(g, "generator coordinate") for g in generators]
         if any(len(g) != rank for g in gens):
             raise RankMismatch("generator length differs from the ambient rank")
         if len(gens) > GENERATOR_GUARD:

@@ -461,8 +461,7 @@ def check_multiplicity_oracles() -> CheckResult:
                 em = sp.e_mat.get(i)
                 if em is None:
                     continue
-                up = tuple(wt[j] + datum.alpha[i][j] for j in range(datum.m))
-                usp = sl.spaces[up]
+                usp = sl.spaces[HW._shift(datum, wt, i)]
                 fm = usp.f_mat[i]
                 for a in range(sp.dim):
                     for b in range(usp.dim):

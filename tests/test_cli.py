@@ -145,6 +145,29 @@ INPUT_ERRORS = [
      "face index -1 out of range 0..3"),
     (["toric-faces", "--monoid", '{"rank": 2, "generators": [[1, 0], [0, 1]]}', "--face", "99"],
      "face index 99 out of range 0..3"),
+    # one face reader for --face and E(...): unknown or repeated keys and
+    # fields without '=' are rejected, JSON faces and elements name the field
+    (["face-normalize", "--gcm", HYP, "--face", "w=1;thetaa=1,2"],
+     "unknown face field 'thetaa'"),
+    (["face-normalize", "--gcm", HYP, "--face", "[1]"], "face field '[1]' is not key=value"),
+    (["face-normalize", "--gcm", HYP, "--face", "w=1;w=2;theta=1,2"],
+     "face field 'w' given twice"),
+    (["face-normalize", "--gcm", HYP, "--face", '{"w":"1","th":[1]}'], 'field "th" is unknown'),
+    (["face-include", "--gcm", HYP, "--left", "w=;theta=1,2", "--right", "theta"],
+     "face field 'theta' is not key=value"),
+    (["ghat-theta", "--gcm", HYP, "--hw", "1,0,0", "--depth", "2",
+      "--word", "E(w=1; thet=1,2)"], "unknown face field 'thet'"),
+    (["ghat-cell", "--gcm", HYP, "--word", "E(w=1; theta=1,2; theta=1,2)"],
+     "face field 'theta' given twice"),
+    (["wmon-inv", "--gcm", HYP, "--elt", '{"w": "3", "face": {}, "x": 1}'],
+     'field "x" is unknown'),
+    (["nhat-mul", "--gcm", A2, "--left", '{"w": "1", "face": {"w": "", "thet": []}}',
+      "--right", '{"w": "2"}'], 'field "face.thet" is unknown'),
+    # a coweight has as many coordinates as a weight
+    (["dominant", "--gcm", HYP, "--antidominant", "--weight", "1,0,0,0"],
+     "coweight needs 3 coordinates"),
+    (["dominant", "--gcm", HYP, "--antidominant", "--weight", ""],
+     "coweight needs 3 coordinates"),
 ]
 
 
@@ -158,6 +181,41 @@ def test_bad_index_or_entry_is_a_domain_error(capsys, argv, message):
     err = json.loads(out)["error"]
     assert issubclass(getattr(errors, err["kind"]), errors.DomainError)
     assert message in err["message"]
+
+
+def test_face_text_reader_accepts_both_theta_separators(capsys):
+    want = run_json(capsys, ["face-normalize", "--gcm", HYP, "--face", "w=1;theta=1,2"])
+    for face in ("w=1; theta=1 2", " theta = 2, 1 ; w = 1 ;", "w=1;theta=1,,2"):
+        assert run_json(capsys, ["face-normalize", "--gcm", HYP, "--face", face]) == want
+    assert run_json(capsys, ["face-normalize", "--gcm", HYP, "--face", ""]) == {
+        "w": "", "theta": []}
+    cells = {run(capsys, ["ghat-cell", "--gcm", HYP, "--word", f"E(w=3; theta={t})"])
+             for t in ("1,2", "1 2", " 2 , 1 ")}
+    assert len(cells) == 1 and next(iter(cells))[0] == 0
+
+
+def test_internal_errors_exit_4(capsys, monkeypatch):
+    from kmx import cli
+    from kmx.errors import InternalError
+
+    # a bare KeyError, ValueError or IndexError is a bug too, not bad input
+    for exc in (InternalError("a theorem failed"), KeyError("k"), ValueError("v"),
+                IndexError("i")):
+        def broken(args, exc=exc):
+            raise exc
+
+        monkeypatch.setattr(cli, "cmd_validate", broken)
+        code, out = run(capsys, ["validate", "--gcm", A2])
+        assert code == 4
+        assert json.loads(out) == {"error": {"kind": type(exc).__name__, "message": str(exc)}}
+
+
+def test_depth_env_is_read_as_an_integer(capsys, monkeypatch):
+    monkeypatch.setenv("KMX_DEPTH", "1.5")
+    code, out = run(capsys, ["module-weights", "--gcm", A2, "--hw", "1,1"])
+    assert code == 1
+    assert json.loads(out)["error"] == {"kind": "DomainError",
+                                        "message": "KMX_DEPTH 1.5 is not an integer"}
 
 
 def test_module_weights_past_the_vanishing_peterson_coefficient(capsys):

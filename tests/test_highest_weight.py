@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction as Fr
 
 import pytest
@@ -59,8 +60,8 @@ def test_build_basis_examples():
     sl = HW.build_basis(A2, (1, 0), 2)
     assert sum(sl.dims().values()) == 3
     v = sl.highest_vector()
-    assert not HW._apply_f(v, 0).is_zero()
-    assert HW._apply_f(v, 1).is_zero()  # <f_2 v | f_2 v> = Lambda_1(h_2) = 0
+    assert not HW._apply(v, 0, -1).is_zero()
+    assert HW._apply(v, 1, -1).is_zero()  # <f_2 v | f_2 v> = Lambda_1(h_2) = 0
 
     sl = HW.build_basis(AFF, (1, 0, 0), 1)
     assert sl.dims() == {(1, 0, 0): 1, (-1, 2, 0): 1}
@@ -188,8 +189,8 @@ def test_depth_certified_zero_at_boundary():
     sl = HW.build_basis(A2, (1, 0), 2)
     low = (0, -1)
     unit = HW.Vector(sl, {low: (Fr(1),)})
-    assert HW._apply_f(unit, 0).is_zero()
-    assert HW._apply_f(unit, 1).is_zero()
+    assert HW._apply(unit, 0, -1).is_zero()
+    assert HW._apply(unit, 1, -1).is_zero()
 
 
 def test_weight_string_trichotomy():
@@ -273,7 +274,7 @@ def test_unipotent_radical_fixes_parabolic_submodule():
         new = []
         for v in frontier:
             for j in jset:
-                img = HW._apply_f(v, j)
+                img = HW._apply(v, j, -1)
                 if not img.is_zero():
                     new.append(img)
         vecs.extend(new)
@@ -423,6 +424,65 @@ def test_rank_guard_default_and_override():
         HW.build_basis(big, hw, 2)
     sl = HW.build_basis(big, hw, 2, max_depth=2)  # explicit cap lifts the guard
     assert sl.dims() == HW.weights_and_mults(big, hw, 2, max_depth=2)
+
+
+def test_cached_slice_still_passes_the_guards():
+    # a slice cached under an explicit cap is not handed out without one
+    from kmx.errors import SizeGuard
+    d4 = build_realization(((2, -1, 0, 0), (-1, 2, -1, -1), (0, -1, 2, 0), (0, -1, 0, 2)))
+    hw = (1, 0, 0, 0)
+    sl = HW.build_basis(d4, hw, 2, max_depth=2)
+    assert HW.build_basis(d4, hw, 2, max_depth=2) is sl
+    with pytest.raises(SizeGuard):
+        HW.build_basis(d4, hw, 2)
+    with pytest.raises(SizeGuard):
+        HW.ModuleSlice(d4, hw, 2)
+    with pytest.raises(DepthTooLarge):
+        HW.build_basis(d4, hw, 2, max_depth=1)
+    with pytest.raises(NotDominant):
+        HW.build_basis(d4, (-1, 0, 0, 0), 2, max_depth=2)
+
+
+@pytest.mark.parametrize("vec,shown", [((Fr(3, 2), 0), "Fraction(3, 2)"),
+                                       ((1, True), "True"),
+                                       ((1, "0"), "'0'")])
+def test_integer_vectors_are_not_truncated(vec, shown):
+    # (3/2, 0) is rejected, never read as (1, 0)
+    for what, build in (("highest weight", lambda: HW.ModuleSlice(A2, vec, 2)),
+                        ("highest weight", lambda: HW.build_basis(A2, vec, 2)),
+                        ("highest weight", lambda: HW.weights_and_mults(A2, vec, 2)),
+                        ("torus coweight", lambda: HW.torus_letter(vec, 2))):
+        with pytest.raises(DomainError, match=rf"{what} coordinate {re.escape(shown)} "
+                                               "is not an integer"):
+            build()
+
+
+def test_probe_pass_forms_no_gram_matrix():
+    # the weights one step past the window are decided by e-images alone,
+    # and agree with a nonzero Gram entry there
+    seen = []
+
+    class Recording(HW.ModuleSlice):
+        def _candidates(self, lam):
+            seen.append(lam)
+            return super()._candidates(lam)
+
+    for datum, hw, depth in ((A2, (1, 0), 1), (AFF, (1, 0, 0), 3), (HYP, (1, 1, 1), 3)):
+        seen.clear()
+        sl = Recording(datum, hw, depth)
+        assert all(datum.weight_height(sl.hw, lam) <= depth for lam in seen)
+        past = set()
+        for wt in sl.spaces:
+            if sl.spaces[wt].height == depth:
+                for i in range(datum.n):
+                    past.add(HW._shift(datum, wt, i, -1))
+        gram_nonzero = set()
+        for lam in past:
+            found = HW.ModuleSlice._candidates(sl, lam)
+            if found is not None and any(map(any, found[2])):
+                gram_nonzero.add(lam)
+        assert sl._nonzero_beyond == gram_nonzero
+        assert sl._nonzero_beyond  # none of these modules ends inside the window
 
 
 def test_idem_annihilates_iff_type_outside_facet():

@@ -5,7 +5,7 @@ from itertools import product
 import exact_reference as ref
 import pytest
 
-from kmx.errors import NotInMonoid, RankMismatch, SizeGuard
+from kmx.errors import DomainError, NotInMonoid, RankMismatch, SizeGuard
 from kmx.exact import int_mat, nonneg_solve, rat_solve, transpose, vec_dot
 from kmx.toric import LatticeMonoid, mhat_idempotent, mhat_idempotents, mhat_mul, mhat_unit
 
@@ -150,6 +150,13 @@ def test_guards_and_errors():
         LatticeMonoid([(0,) * 9], 9)
     with pytest.raises(RankMismatch):
         LatticeMonoid([(1, 0, 0)], 2)
+    # generator entries are read as they are, never truncated
+    with pytest.raises(DomainError, match=r"generator coordinate 1\.5 is not an integer"):
+        LatticeMonoid([(1.5, 0), (0, 1)], 2)
+    with pytest.raises(DomainError, match="generator coordinate True is not an integer"):
+        LatticeMonoid([(1, 0), (0, True)], 2)
+    with pytest.raises(DomainError, match=r"generator coordinate Fraction\(1, 2\)"):
+        LatticeMonoid([(Fr(1, 2), 0)], 2)
     m = N2()
     with pytest.raises(NotInMonoid):
         m.active_set((-1, 0))
