@@ -10,6 +10,7 @@ Index convention: 0-based everywhere inside the library; the CLI shifts to
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -95,23 +96,25 @@ def one_based(n: int, toks: Iterable, what: str = "simple index") -> tuple[int, 
     return tuple(index[str(t)] for t in toks)
 
 
+_NUMBER = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
 def typed_numbers(toks: Iterable, what: str, *, integral: bool = False) -> tuple:
-    """The exact numbers a user typed: Fractions (a/b with b != 0), or ints
+    """The exact numbers a user typed: Fractions written [+-]digits or
+    [+-]digits/digits with a nonzero denominator, or ints written [+-]digits
     when `integral` is set.
 
-    Anything else (1/0, a letter, 3/2 where an integer is expected) raises
-    DomainError naming the token as typed.
+    Anything else (1/0, a letter, 0.5, 1e3, 3/2 where an integer is
+    expected) raises DomainError naming the token as typed.
     """
     kind = "an integer" if integral else "a number a/b with b != 0"
     out = []
     for t in toks:
-        try:
-            x = Fraction(str(t))
-        except (ValueError, ZeroDivisionError):
-            x = None
-        if x is None or (integral and x.denominator != 1):
+        mm = _NUMBER.fullmatch(str(t))
+        if mm is None or mm[2] is not None and (integral or int(mm[2]) == 0):
             raise DomainError(f"{what} {t} is not {kind}")
-        out.append(int(x) if integral else x)
+        num = int(mm[1])
+        out.append(num if integral else Fraction(num, int(mm[2] or 1)))
     return tuple(out)
 
 

@@ -34,6 +34,7 @@ def _load_gcm(args) -> RootDatum:
         raise DomainError("no Cartan matrix given: use -i FILE or --gcm JSON")
     if not isinstance(payload, dict) or "A" not in payload:
         raise DomainError('Cartan matrix input must be {"A": [[...], ...]}')
+    _only_fields(payload, ("A",))
     return build_realization(payload["A"])
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Literal, Optional, Sequence
 
 from .errors import InternalError
@@ -52,7 +53,7 @@ def mat_vec(a, v):
 
 
 def vec_dot(u, v):
-    return sum(x * y for x, y in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def vec_add(u, v):

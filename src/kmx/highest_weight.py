@@ -11,6 +11,18 @@ lowering matrices.  Operator application is either exact (all terms stay
 inside the slice) or a hard DepthExceeded error; results are never silently
 truncated.
 
+Every rational object of the engine is Python ints over one denominator,
+in the style of Bareiss's fraction-free elimination.  An operator matrix is
+a pair (ints, den): f_mat[i] is the int_rref rows over its common pivot d,
+and e_mat[i] holds the selected candidates' e-images over the lcm of their
+denominators.  Each e-image is a gcd-reduced (ints, den) pair, and each
+Gram entry is the exact quotient of an integer dot product by den (a
+remainder is an InternalError).  A Vector is int parts over one den in
+lowest terms, so adding, scaling, the operator step and the torus letter
+all run in ints.  Fraction appears only in the Peterson recurrence (its c_b
+are rational by definition), in the letter parameters, and in the values
+handed back by theta, matrix_coefficient, inner, evaluate_word and Distinct.
+
 A lowering f_i out of the bottom layer lands one step past the window.  Its
 target weight is marked nonzero when some candidate there has a nonzero
 e_j-image: L(hw) is irreducible, so a vector below the top that every e_j
@@ -35,7 +47,7 @@ from . import exact, faces as FC, monoids as MO, weyl as W
 from .cartan import RootDatum, exact_ints, one_based, typed_numbers
 from .errors import (DepthExceeded, DepthTooLarge, DomainError, InternalError,
                      NotDominant, NotFactored, SizeGuard, ZeroTorusValue)
-from .exact import IntVec
+from .exact import IntMat, IntVec
 from .faces import Face
 from .monoids import NhatElt, WmonElt
 
@@ -49,6 +61,23 @@ Beta = IntVec  # element of the positive root cone in simple-root coordinates
 def _shift(datum: RootDatum, wt: Wt, i: int, sign: int = 1) -> Wt:
     """wt + sign * alpha_i."""
     return tuple(x + sign * a for x, a in zip(wt, datum.alpha[i]))
+
+
+def _lowest(ints: Sequence[int], den: int) -> tuple[IntVec, int]:
+    """The rational vector ints / den (den > 0) in lowest terms."""
+    g = math.gcd(den, *ints)
+    if g == 1:
+        return tuple(ints), den
+    return tuple(x // g for x in ints), den // g
+
+
+def _over_common_den(pairs: Sequence[tuple[IntVec, int]]) -> tuple[list[IntVec], int]:
+    """(ints, den) pairs over the lcm of their denominators: the scaled
+    ints, in order, and that lcm."""
+    if len(pairs) == 1:
+        return [pairs[0][0]], pairs[0][1]
+    den = math.lcm(*[d for _, d in pairs])
+    return [v if d == den else tuple(x * (den // d) for x in v) for v, d in pairs], den
 
 
 # -- root multiplicities (Peterson recurrence) -----------------------------------
@@ -189,46 +218,60 @@ def weights_and_mults(datum: RootDatum, hw: Sequence[int], depth: int,
 
     Freudenthal recursion over the depth cone; the denominator
     |hw + rho|^2 - |lam + rho|^2 vanishes only off the weight system, where
-    the numerator is checked to vanish as well.
+    the numerator is checked to vanish as well.  The loop runs in ints: the
+    form is scaled by L = lcm(eps), which makes (alpha_i | alpha_j) and
+    (Lambda_i | alpha_j) integral, and each multiplicity is the exact
+    quotient of two integers.
     """
     lam_top = _check_dominant(datum, hw)
     _depth_guard(datum, depth, max_depth)
     n = datum.n
-    bmat, eps = datum.gcm.b, datum.gcm.eps
-    lam_rho = exact.vec_add(lam_top, datum.rho())
-    rmult = root_multiplicities(datum, depth)
-    mult: dict[Beta, Fraction] = {(0,) * n: Fraction(1)}
+    eps = tuple(int(e) for e in datum.gcm.eps)
+    scale = math.lcm(*eps)
+    # L (alpha_i | alpha_j) = a_ij L / eps_i and L (Lambda_i | alpha_i) = L / eps_i
+    lb = [[a * (scale // eps[i]) for a in row] for i, row in enumerate(datum.gcm.a)]
+    lw = [scale // e for e in eps]
+    # L (hw + rho | alpha_i); only the first n coordinates pair with the roots
+    lam_rho = [lw[i] * (x + r) for i, (x, r) in
+               enumerate(zip(lam_top[:n], datum.rho()))]
+    # per root: alpha, mult, L (hw | alpha), L (alpha | alpha), L B alpha
+    roots = []
+    for alpha, ma in root_multiplicities(datum, depth).items():
+        b_alpha = [exact.vec_dot(row, alpha) for row in lb]
+        roots.append((alpha, ma, sum(lw[i] * lam_top[i] * alpha[i] for i in range(n)),
+                      exact.vec_dot(alpha, b_alpha), b_alpha))
+    mult: dict[Beta, int] = {(0,) * n: 1}
     for h in range(1, depth + 1):
         for b in _compositions(n, h):
-            denom = 2 * _weight_form(eps, lam_rho, b) - _form(bmat, b, b)
-            total = Fraction(0)
-            for alpha, ma in rmult.items():
+            denom = 2 * exact.vec_dot(lam_rho, b) \
+                - sum(b[i] * exact.vec_dot(lb[i], b) for i in range(n) if b[i])
+            total = 0
+            for alpha, ma, hw_a, a_a, b_alpha in roots:
+                # L (lam + k alpha | alpha) with lam = hw - b
+                base = hw_a - exact.vec_dot(b, b_alpha)
                 k = 1
                 while all(b[i] >= k * alpha[i] for i in range(n)):
-                    upper = tuple(b[i] - k * alpha[i] for i in range(n))
-                    mu = mult.get(upper, Fraction(0))
+                    mu = mult.get(tuple(b[i] - k * alpha[i] for i in range(n)))
                     if mu:
-                        # (lam + k alpha | alpha) with lam = hw - b
-                        val = _weight_form(eps, lam_top, alpha) - _form(bmat, b, alpha) \
-                            + k * _form(bmat, alpha, alpha)
-                        total += ma * mu * val
+                        total += ma * mu * (base + k * a_a)
                     k += 1
             total *= 2
             if denom == 0:
                 if total != 0:
                     raise InternalError("Freudenthal numerator nonzero at a null denominator")
-                mult[b] = Fraction(0)
-            else:
-                m = total / denom
-                if m.denominator != 1 or m < 0:
-                    raise InternalError(f"fractional weight multiplicity {m} at {b}")
-                mult[b] = m
+                mult[b] = 0
+                continue
+            m, rem = divmod(total, denom)
+            if rem or m < 0:
+                raise InternalError(f"weight multiplicity {total}/{denom} at {b} "
+                                    "is not a natural number")
+            mult[b] = m
     out: dict[Wt, int] = {}
     for b, m in mult.items():
         if m > 0:
             wt = tuple(lam_top[j] - sum(b[i] * datum.alpha[i][j] for i in range(n))
                        for j in range(datum.m))
-            out[wt] = int(m)
+            out[wt] = m
     return out
 
 
@@ -249,16 +292,20 @@ def _depth_guard(datum: RootDatum, depth: int, max_depth: Optional[int]):
 # -- module slices ----------------------------------------------------------------
 
 
+# An operator matrix as (ints, den): the integer matrix ints over den > 0.
+OpMat = tuple[IntMat, int]
+
+
 @dataclass
 class WeightSpace:
     weight: Wt
     height: int
     words: tuple[tuple[int, ...], ...]
-    gram: tuple[tuple[int, ...], ...]
+    gram: IntMat
     # f_mat[i]: matrix of f_i from this space to the space at weight - alpha_i
-    f_mat: dict[int, tuple[tuple[Fraction, ...], ...]] = field(default_factory=dict)
+    f_mat: dict[int, OpMat] = field(default_factory=dict)
     # e_mat[i]: matrix of e_i from this space to the space at weight + alpha_i
-    e_mat: dict[int, tuple[tuple[Fraction, ...], ...]] = field(default_factory=dict)
+    e_mat: dict[int, OpMat] = field(default_factory=dict)
 
     @property
     def dim(self) -> int:
@@ -300,7 +347,7 @@ class ModuleSlice:
                     # has a nonzero e-image (module docstring)
                     found = self._e_images(lam)
                     if found is not None and any(any(img) for imgs in found[1]
-                                                 for img in imgs.values()):
+                                                 for img, _ in imgs.values()):
                         self._nonzero_beyond.add(lam)
                     continue
                 ws = self._build_space(lam, h)
@@ -314,29 +361,32 @@ class ModuleSlice:
     def _e_images(self, lam: Wt):
         """The spanning set f_i b_k of the space at lam (b_k running over the
         basis at lam + alpha_i, degree-lex order) and each candidate's
-        e_j-images in the bases above; None when no space lies above lam."""
+        e_j-images in the bases above, each a gcd-reduced (ints, den) pair;
+        None when no space lies above lam."""
         datum, spaces = self.datum, self.spaces
         above = {i: spaces.get(_shift(datum, lam, i)) for i in range(datum.n)}
         above = {i: sp for i, sp in above.items() if sp is not None}
         cands = [(i, k) for i, src in above.items() for k in range(src.dim)]
         if not cands:
             return None
-        e_imgs: list[dict[int, tuple[Fraction, ...]]] = []
+        e_imgs: list[dict[int, tuple[IntVec, int]]] = []
         for (i, k) in cands:
             src = above[i]
-            imgs: dict[int, tuple[Fraction, ...]] = {}
+            imgs: dict[int, tuple[IntVec, int]] = {}
             for j, tgt in above.items():
-                vec = [Fraction(0)] * tgt.dim
                 # e_j f_i b_k = f_i (e_j b_k) + [j == i] * up(h_i) * b_k
                 up_e = src.e_mat.get(j)
-                if up_e is not None:
-                    fmat = spaces[_shift(datum, src.weight, j)].f_mat[i]
-                    col = [row[k] for row in up_e]
-                    for r in range(tgt.dim):
-                        vec[r] += sum(x * y for x, y in zip(fmat[r], col))
+                if up_e is None:
+                    vec, den = [0] * tgt.dim, 1
+                else:
+                    emat, de = up_e
+                    fmat, df = spaces[_shift(datum, src.weight, j)].f_mat[i]
+                    col = [row[k] for row in emat]
+                    vec = [exact.vec_dot(row, col) for row in fmat]
+                    den = de * df
                 if j == i:  # [e_i, f_i] = h_i acts by up(h_i) on b_k
-                    vec[k] += src.weight[i]
-                imgs[j] = tuple(vec)
+                    vec[k] += src.weight[i] * den
+                imgs[j] = _lowest(vec, den)
             e_imgs.append(imgs)
         return cands, e_imgs
 
@@ -355,10 +405,13 @@ class ModuleSlice:
             src_row = self.spaces[_shift(self.datum, lam, i)].gram[k]
             row = []
             for imgs in e_imgs:
-                x = sum(g * y for g, y in zip(src_row, imgs[i]))
-                if x.denominator != 1:
-                    raise InternalError(f"Gram entry {x} at weight {lam} is not an integer")
-                row.append(int(x))
+                img, den = imgs[i]
+                num = exact.vec_dot(src_row, img)
+                x, rem = divmod(num, den)
+                if rem:
+                    raise InternalError(f"Gram entry {num}/{den} at weight {lam} "
+                                        "is not an integer")
+                row.append(x)
             gram.append(row)
         return cands, e_imgs, gram
 
@@ -386,10 +439,9 @@ class ModuleSlice:
             if src is None:
                 continue
             first = cands.index((i, 0))
-            src.f_mat[i] = tuple(tuple(Fraction(row[first + k], d) for k in range(src.dim))
-                                 for row in rows)
-            ws.e_mat[i] = tuple(tuple(e_imgs[s][i][r] for s in selected)
-                                for r in range(src.dim))
+            src.f_mat[i] = (tuple(row[first:first + src.dim] for row in rows), d)
+            cols, den = _over_common_den([e_imgs[s][i] for s in selected])
+            ws.e_mat[i] = (tuple(zip(*cols)), den)
         return ws
 
     # queries ---------------------------------------------------------------------
@@ -404,7 +456,7 @@ class ModuleSlice:
         return tuple((wt, k) for wt in self.order for k in range(self.spaces[wt].dim))
 
     def highest_vector(self) -> "Vector":
-        return Vector(self, {self.hw: (Fraction(1),)})
+        return Vector(self, {self.hw: (1,)})
 
 
 def build_basis(datum: RootDatum, hw: Sequence[int], depth: int,
@@ -427,30 +479,49 @@ def build_basis(datum: RootDatum, hw: Sequence[int], depth: int,
 
 @dataclass
 class Vector:
-    slice: ModuleSlice
-    parts: dict[Wt, tuple[Fraction, ...]]
+    """The vector sum over wt of parts[wt] / den in the slice bases, with
+    int tuples parts[wt] and den > 0.  It is kept in lowest terms: no zero
+    part, and den and the entries coprime."""
 
-    def prune(self) -> "Vector":
-        self.parts = {wt: v for wt, v in self.parts.items() if any(v)}
-        return self
+    slice: ModuleSlice
+    parts: dict[Wt, IntVec]
+    den: int = 1
+
+    def __post_init__(self):
+        parts = {wt: v for wt, v in self.parts.items() if any(v)}
+        g = 1
+        if self.den != 1 and parts:
+            g = self.den
+            for v in parts.values():
+                g = math.gcd(g, *v)
+        if g != 1:
+            parts = {wt: tuple(x // g for x in v) for wt, v in parts.items()}
+        self.parts, self.den = parts, self.den // g
 
     def is_zero(self) -> bool:
         return not self.parts
 
     def add(self, other: "Vector") -> "Vector":
-        out = dict(self.parts)
+        den = math.lcm(self.den, other.den)
+        fa, fb = den // self.den, den // other.den
+        out = {wt: tuple(fa * x for x in v) for wt, v in self.parts.items()}
         for wt, v in other.parts.items():
             if wt in out:
-                out[wt] = tuple(a + b for a, b in zip(out[wt], v))
+                out[wt] = tuple(a + fb * b for a, b in zip(out[wt], v))
             else:
-                out[wt] = v
-        return Vector(self.slice, out).prune()
+                out[wt] = tuple(fb * b for b in v)
+        return Vector(self.slice, out, den)
 
     def scale(self, c: Fraction) -> "Vector":
-        if c == 0:
-            return Vector(self.slice, {})
-        return Vector(self.slice, {wt: tuple(c * x for x in v)
-                                   for wt, v in self.parts.items()})
+        return Vector(self.slice, {wt: tuple(c.numerator * x for x in v)
+                                   for wt, v in self.parts.items()},
+                      self.den * c.denominator)
+
+
+def _from_pieces(v: Vector, pieces: dict[Wt, tuple[IntVec, int]]) -> Vector:
+    """The vector with part pieces[wt] = (ints, den) at each wt, over v.den."""
+    vecs, den = _over_common_den(list(pieces.values()))
+    return Vector(v.slice, dict(zip(pieces, vecs)), den * v.den)
 
 
 def _apply(v: Vector, i: int, sign: int) -> Vector:
@@ -458,19 +529,19 @@ def _apply(v: Vector, i: int, sign: int) -> Vector:
     when its target weight is nonzero past the window, a certified zero
     otherwise."""
     sl = v.slice
-    out: dict[Wt, list[Fraction]] = {}
+    out: dict[Wt, tuple[IntVec, int]] = {}
     for wt, coeffs in v.parts.items():
         sp = sl.spaces[wt]
         tgt_wt = _shift(sl.datum, wt, i, sign)
-        mat = (sp.e_mat if sign > 0 else sp.f_mat).get(i)
-        if mat is None:
+        found = (sp.e_mat if sign > 0 else sp.f_mat).get(i)
+        if found is None:
             if tgt_wt in sl._nonzero_beyond:
                 raise DepthExceeded(needed=sp.height + 1, depth=sl.depth)
             continue  # certified zero: the target weight space vanishes
-        acc = out.setdefault(tgt_wt, [Fraction(0)] * len(mat))
-        for r, row in enumerate(mat):
-            acc[r] += sum(x * c for x, c in zip(row, coeffs))
-    return Vector(sl, {wt: tuple(v2) for wt, v2 in out.items()}).prune()
+        # distinct source weights have distinct targets
+        mat, den = found
+        out[tgt_wt] = (tuple(exact.vec_dot(row, coeffs) for row in mat), den)
+    return _from_pieces(v, out)
 
 
 def _exp_series(v: Vector, step, t: Fraction) -> Vector:
@@ -532,9 +603,11 @@ def apply_letter(letter: Letter, v: Vector) -> Vector:
         return _exp_series(v, lambda u: _apply(u, letter[1], sign), letter[2])
     if tag == "T":
         h, s = letter[1], letter[2]
-        return Vector(sl, {
-            wt: tuple(s ** int(exact.vec_dot(wt, h)) * x for x in coeffs)
-            for wt, coeffs in v.parts.items()}).prune()
+        pieces = {}
+        for wt, coeffs in v.parts.items():
+            c = s ** exact.vec_dot(wt, h)
+            pieces[wt] = (tuple(c.numerator * x for x in coeffs), c.denominator)
+        return _from_pieces(v, pieces)
     if tag == "N":  # n_i = exp(e_i) exp(-f_i) exp(e_i)
         i = letter[1]
         return apply_word(GhatWord((xplus(i, 1), xminus(i, -1), xplus(i, 1))), v)
@@ -542,7 +615,7 @@ def apply_letter(letter: Letter, v: Vector) -> Vector:
         face: Face = letter[1]
         c = face.exposing()
         return Vector(sl, {wt: coeffs for wt, coeffs in v.parts.items()
-                           if exact.vec_dot(wt, c) == 0}).prune()
+                           if exact.vec_dot(wt, c) == 0}, v.den)
     raise ValueError(f"unknown letter {letter!r}")
 
 
@@ -567,28 +640,26 @@ def evaluate_word(slice_: ModuleSlice, word: GhatWord,
     cols = []
     for wt, k in col_index:
         dim = slice_.spaces[wt].dim
-        unit = Vector(slice_, {wt: tuple(Fraction(1) if j == k else Fraction(0)
-                                         for j in range(dim))})
+        unit = Vector(slice_, {wt: tuple(int(j == k) for j in range(dim))})
         img = apply_word(word, unit)
         col = [Fraction(0)] * len(index)
         for wt2, coeffs in img.parts.items():
             for j, x in enumerate(coeffs):
-                col[pos[(wt2, j)]] = x
+                col[pos[(wt2, j)]] = Fraction(x, img.den)
         cols.append(col)
     return (index, col_index), tuple(tuple(cols[c][r] for c in range(len(col_index)))
                                      for r in range(len(index)))
 
 
 def inner(slice_: ModuleSlice, v: Vector, u: Vector) -> Fraction:
-    total = Fraction(0)
+    total = 0
     for wt, a in v.parts.items():
         b = u.parts.get(wt)
         if b is None:
             continue
         g = slice_.spaces[wt].gram
-        total += sum(a[r] * g[r][c] * b[c]
-                     for r in range(len(a)) for c in range(len(b)))
-    return total
+        total += sum(x * exact.vec_dot(row, b) for x, row in zip(a, g) if x)
+    return Fraction(total, v.den * u.den)
 
 
 def matrix_coefficient(slice_: ModuleSlice, v: Vector, u: Vector,

@@ -458,16 +458,17 @@ def check_multiplicity_oracles() -> CheckResult:
         for wt in sorted(sl.spaces):
             sp = sl.spaces[wt]
             for i in range(datum.n):
-                em = sp.e_mat.get(i)
-                if em is None:
+                if i not in sp.e_mat:
                     continue
+                em, de = sp.e_mat[i]
                 usp = sl.spaces[HW._shift(datum, wt, i)]
-                fm = usp.f_mat[i]
+                fm, df = usp.f_mat[i]
                 for a in range(sp.dim):
                     for b in range(usp.dim):
+                        # <e_i b_a | b_b> = <b_a | f_i b_b>, both over their dens
                         lhs = sum(usp.gram[r][b] * em[r][a] for r in range(usp.dim))
                         rhs = sum(sp.gram[a][c] * fm[c][b] for c in range(sp.dim))
-                        if lhs != rhs:
+                        if lhs * df != rhs * de:
                             bad += 1
         lines.append(f"{name} hw={hw}: contravariance violations {bad}")
         if bad:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from . import exact
-from .cartan import RootDatum
+from .cartan import RootDatum, exact_ints
 from .errors import (DomainError, InternalError, NotInTitsCone, PreconditionViolated,
                      Undecided)
 from .exact import IntMat
@@ -273,13 +273,16 @@ def dominant_rep(datum: RootDatum, weight: Sequence, cap: int = 2000) -> Dominan
 def antidominant_coweight(datum: RootDatum, coweight: Sequence) -> tuple[Vec, WeylElt]:
     """Minimize an integer coweight to its antidominant representative.
 
-    Precondition (caller-guaranteed): the input is a nonnegative integer
-    combination of Weyl images of exposing coweights, which forces
-    rho(u*d) >= 0 for every u.  Each step strictly decreases the nonnegative
-    integer rho(d), so the loop ends within rho(d) steps; violations raise
-    PreconditionViolated.
+    The coweight has datum.m Python-int coordinates; anything else is a
+    DomainError.  Precondition (caller-guaranteed): the input is a
+    nonnegative integer combination of Weyl images of exposing coweights,
+    which forces rho(u*d) >= 0 for every u.  Each step strictly decreases
+    the nonnegative integer rho(d), so the loop ends within rho(d) steps;
+    violations raise PreconditionViolated.
     """
-    d = tuple(int(x) for x in coweight)
+    d = exact_ints(coweight, "coweight coordinate")
+    if len(d) != datum.m:
+        raise DomainError(f"coweight needs {datum.m} coordinates")
     rho = datum.rho()
     budget = exact.vec_dot(rho, d)
     if budget < 0:

@@ -177,12 +177,13 @@ def test_contravariance_with_eps():
     sl = HW.build_basis(datum, (1, 1), 4)
     for wt, sp in sl.spaces.items():
         for i in range(2):
-            em = sp.e_mat.get(i)
-            if em is None:
+            if i not in sp.e_mat:
                 continue
+            # the (ints, den) operator matrices as rational values
+            em = [[Fr(x, sp.e_mat[i][1]) for x in row] for row in sp.e_mat[i][0]]
             up = tuple(wt[j] + datum.alpha[i][j] for j in range(2))
             usp = sl.spaces[up]
-            fm = usp.f_mat[i]
+            fm = [[Fr(x, usp.f_mat[i][1]) for x in row] for row in usp.f_mat[i][0]]
             for a in range(sp.dim):
                 for b in range(usp.dim):
                     lhs = sum(usp.gram[r][b] * em[r][a] for r in range(usp.dim))

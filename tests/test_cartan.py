@@ -8,8 +8,8 @@ from conftest import all_small_gcms
 from kmx import exact
 from kmx.cartan import (A2_ROWS, AFFINE_A1_ROWS, HYPERBOLIC_ROWS, ComponentType,
                         build_realization, classify, special_sets,
-                        validate_and_symmetrize)
-from kmx.errors import NotGCM, NotSpecial, NotSymmetrizable
+                        typed_numbers, validate_and_symmetrize)
+from kmx.errors import DomainError, NotGCM, NotSpecial, NotSymmetrizable
 
 
 def test_validate_a2():
@@ -46,6 +46,19 @@ def test_validate_rejects_non_integer_entries(bad, where):
         validate_and_symmetrize([[True, -1], [-1, 2]])
     # the exact layer still takes integral fractions from internal callers
     assert exact.int_mat([[Fraction(2), Fraction(-4, 2)]]) == ((2, -2),)
+
+
+def test_typed_numbers_read_only_integers_and_quotients():
+    assert typed_numbers(["3", "-3/6", "+0", "7/1", 2], "x") == (
+        Fraction(3), Fraction(-1, 2), Fraction(0), Fraction(7), Fraction(2))
+    assert typed_numbers(["-12", "+4", 5], "x", integral=True) == (-12, 4, 5)
+    for tok in ("1e3", "0.5", "1.", ".5", "1_000", "inf", "nan", " 1", "1/-2", "1/0",
+                "1//2", "/2", "", "--1", "3/2/1"):
+        with pytest.raises(DomainError, match=re.escape(f"x {tok} is not a number a/b")):
+            typed_numbers([tok], "x")
+    for tok in ("4/2", "1.0", "1e0", "3/2", "true"):
+        with pytest.raises(DomainError, match=re.escape(f"x {tok} is not an integer")):
+            typed_numbers([tok], "x", integral=True)
 
 
 def test_validate_messages_are_one_based():

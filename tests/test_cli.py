@@ -168,6 +168,15 @@ INPUT_ERRORS = [
      "coweight needs 3 coordinates"),
     (["dominant", "--gcm", HYP, "--antidominant", "--weight", ""],
      "coweight needs 3 coordinates"),
+    # numbers are written a, -a or a/b: no decimal or exponent forms
+    (["ghat-theta", "--gcm", A2, "--hw", "1,0", "--depth", "2", "--word", "T(h1;1e3)"],
+     "letter parameter 1e3 is not a number a/b with b != 0"),
+    (["dominant", "--gcm", A2, "--weight", "0.5,1"],
+     "weight coordinate 0.5 is not a number a/b with b != 0"),
+    (["dominant", "--gcm", A2, "--antidominant", "--weight", "4/2,1"],
+     "coweight coordinate 4/2 is not an integer"),
+    # the Cartan matrix object has the one key "A"
+    (["classify", "--gcm", '{"A": [[2,-1],[-1,2]], "B": 7}'], 'field "B" is unknown'),
 ]
 
 

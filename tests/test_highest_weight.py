@@ -78,6 +78,25 @@ def test_freudenthal_vs_gram_rank_to_depth_four():
             == HW.weights_and_mults(datum, hw, 4)
 
 
+def _assert_contravariant(sl):
+    """<e_i x | y> = <x | f_i y> on every pair of basis vectors, with the
+    (ints, den) operator matrices cross-multiplied: lhs / de == rhs / df."""
+    datum = sl.datum
+    for wt, sp in sl.spaces.items():
+        for i in range(datum.n):
+            if i not in sp.e_mat:
+                continue
+            em, de = sp.e_mat[i]
+            up = tuple(wt[j] + datum.alpha[i][j] for j in range(datum.m))
+            usp = sl.spaces[up]
+            fm, df = usp.f_mat[i]
+            for a in range(sp.dim):
+                for b in range(usp.dim):
+                    lhs = sum(usp.gram[r][b] * em[r][a] for r in range(usp.dim))
+                    rhs = sum(sp.gram[a][c] * fm[c][b] for c in range(sp.dim))
+                    assert lhs * df == rhs * de, (wt, i, a, b)
+
+
 ORACLE_ALGEBRAS = {
     "A2": A2_ROWS,
     "B2": ((2, -2), (-1, 2)),
@@ -87,20 +106,26 @@ ORACLE_ALGEBRAS = {
     "A2^(2)": ((2, -4), (-1, 2)),
     "A2^(1)": ((2, -1, -1), (-1, 2, -1), (-1, -1, 2)),
     "hyperbolic-3": HYPERBOLIC_ROWS,
+    "A3^(1)": ((2, -1, 0, -1), (-1, 2, -1, 0), (0, -1, 2, -1), (-1, 0, -1, 2)),
 }
-ORACLE_CASES = [(alg, hw, 6 if hw == "rho" and alg in ("A2^(1)", "hyperbolic-3") else 8)
-                for alg in ORACLE_ALGEBRAS for hw in ("rho", "L1")]
+# every rank-2 and rank-3 algebra at depth 8; A3^(1), past the default rank
+# guard, with rho at depth 6
+ORACLE_CASES = [(alg, hw, 8) for alg in ORACLE_ALGEBRAS if alg != "A3^(1)"
+                for hw in ("rho", "L1")] + [("A3^(1)", "rho", 6)]
 
 
 @pytest.mark.parametrize("alg,hw_name,depth", ORACLE_CASES,
                          ids=[f"{a}-{h}-{d}" for a, h, d in ORACLE_CASES])
 def test_freudenthal_vs_gram_rank_to_depth_eight(alg, hw_name, depth):
     """Both multiplicity routes agree past the heights where the Peterson
-    coefficient (b | b - 2 rho) vanishes off the roots (2 theta in A2)."""
+    coefficient (b | b - 2 rho) vanishes off the roots (2 theta in A2), and
+    the slice's operator matrices are adjoint under its Gram matrices."""
     datum = build_realization(ORACLE_ALGEBRAS[alg])
     hw = datum.rho() if hw_name == "rho" else datum.fundamental_weight(0)
-    assert HW.build_basis(datum, hw, depth).dims() \
-        == HW.weights_and_mults(datum, hw, depth)
+    cap = depth if datum.n > HW.DEFAULT_MAX_RANK else None  # lifts the rank guard
+    sl = HW.build_basis(datum, hw, depth, max_depth=cap)
+    assert sl.dims() == HW.weights_and_mults(datum, hw, depth, max_depth=cap)
+    _assert_contravariant(sl)
 
 
 def test_root_multiplicities_a2_to_height_eight():
@@ -115,20 +140,7 @@ def test_negative_depth_is_a_domain_error():
 
 def test_contravariance_all_pairs():
     for datum, hw in ((A2, (1, 1)), (AFF, (1, 0, 0))):
-        sl = HW.build_basis(datum, hw, 4)
-        for wt, sp in sl.spaces.items():
-            for i in range(datum.n):
-                em = sp.e_mat.get(i)
-                if em is None:
-                    continue
-                up = tuple(wt[j] + datum.alpha[i][j] for j in range(datum.m))
-                usp = sl.spaces[up]
-                fm = usp.f_mat[i]
-                for a in range(sp.dim):
-                    for b in range(usp.dim):
-                        lhs = sum(usp.gram[r][b] * em[r][a] for r in range(usp.dim))
-                        rhs = sum(sp.gram[a][c] * fm[c][b] for c in range(sp.dim))
-                        assert lhs == rhs
+        _assert_contravariant(HW.build_basis(datum, hw, 4))
 
 
 def test_gram_nonsingular_and_symmetric():
@@ -188,7 +200,7 @@ def test_depth_certified_zero_at_boundary():
     # certified zero, not a DepthExceeded
     sl = HW.build_basis(A2, (1, 0), 2)
     low = (0, -1)
-    unit = HW.Vector(sl, {low: (Fr(1),)})
+    unit = HW.Vector(sl, {low: (1,)})
     assert HW._apply(unit, 0, -1).is_zero()
     assert HW._apply(unit, 1, -1).is_zero()
 

@@ -5,8 +5,15 @@ picked one by one by Gaussian elimination over Fraction in degree-lex order,
 and each candidate's coordinates come from its own solve of the selected
 Gram matrix, by the Fraction elimination kept in `exact_reference`.  The
 fraction-free build must give the same slices, entry for entry.
+
+`_ref_word` keeps the earlier Fraction operator code: it applies a word to
+Fraction coordinates with the reference slice's Fraction matrices.  The
+integer vectors of the engine must give the same theta values and
+evaluate_word matrices.
 """
 
+import math
+import random
 from fractions import Fraction
 from typing import Optional
 
@@ -15,7 +22,8 @@ import pytest
 
 from kmx import highest_weight as HW
 from kmx.cartan import build_realization
-from kmx.errors import InternalError
+from kmx.errors import DepthExceeded, InternalError
+from kmx.exact import vec_dot
 from kmx.highest_weight import WeightSpace, Wt
 
 ALGEBRAS = {
@@ -173,6 +181,12 @@ class RefSlice(HW.ModuleSlice):
         return ws
 
 
+def _fractions(op):
+    """An (ints, den) operator matrix as the Fraction matrix it stands for."""
+    ints, den = op
+    return tuple(tuple(Fraction(x, den) for x in row) for row in ints)
+
+
 def _slice(cls, alg, hw_name, depth):
     datum = build_realization(ALGEBRAS[alg])
     hw = datum.rho() if hw_name == "rho" else datum.fundamental_weight(0)
@@ -189,8 +203,97 @@ def test_slice_equals_greedy_reference(alg, hw_name, depth):
     for wt, sp in ref.spaces.items():
         got = new.spaces[wt]
         assert (got.height, got.words, got.gram) == (sp.height, sp.words, sp.gram), wt
-        assert got.f_mat == sp.f_mat, wt
-        assert got.e_mat == sp.e_mat, wt
+        assert {i: _fractions(op) for i, op in got.f_mat.items()} == sp.f_mat, wt
+        assert {i: _fractions(op) for i, op in got.e_mat.items()} == sp.e_mat, wt
+
+
+def _ref_step(sl, parts, i, sign):
+    """e_i (sign 1) or f_i (sign -1) on {wt: Fraction coordinates}."""
+    out = {}
+    for wt, v in parts.items():
+        sp = sl.spaces[wt]
+        tgt = HW._shift(sl.datum, wt, i, sign)
+        mat = (sp.e_mat if sign > 0 else sp.f_mat).get(i)
+        if mat is None:
+            if tgt in sl._nonzero_beyond:
+                raise DepthExceeded(needed=sp.height + 1, depth=sl.depth)
+            continue
+        out[tgt] = [sum(x * c for x, c in zip(row, v)) for row in mat]
+    return {wt: v for wt, v in out.items() if any(v)}
+
+
+def _ref_word(sl, word, parts):
+    for letter in reversed(word.letters):
+        tag = letter[0]
+        if tag in ("X+", "X-"):
+            total, term, k = dict(parts), parts, 1
+            while True:
+                term = _ref_step(sl, term, letter[1], 1 if tag == "X+" else -1)
+                if not term:
+                    break
+                c = letter[2] ** k / math.factorial(k)
+                for wt, v in term.items():
+                    acc = total.get(wt, [Fraction(0)] * len(v))
+                    total[wt] = [a + c * x for a, x in zip(acc, v)]
+                k += 1
+            parts = {wt: v for wt, v in total.items() if any(v)}
+        elif tag == "T":
+            parts = {wt: [letter[2] ** vec_dot(wt, letter[1]) * x for x in v]
+                     for wt, v in parts.items()}
+        else:  # N(i) = exp(e_i) exp(-f_i) exp(e_i)
+            i = letter[1]
+            parts = _ref_word(sl, HW.GhatWord((HW.xplus(i, 1), HW.xminus(i, -1),
+                                               HW.xplus(i, 1))), parts)
+    return parts
+
+
+def _random_word(rng, datum):
+    letters = []
+    for _ in range(rng.randrange(1, 5)):
+        i, kind = rng.randrange(datum.n), rng.randrange(4)
+        t = Fraction(rng.choice((1, -2, 3)), rng.choice((1, 2, 3)))
+        if kind == 0:
+            letters.append(HW.xplus(i, t))
+        elif kind == 1:
+            letters.append(HW.xminus(i, t))
+        elif kind == 2:
+            letters.append(HW.torus_letter(datum.coroot(i), t))
+        else:
+            letters.append(HW.nsimple(i))
+    return HW.GhatWord(tuple(letters))
+
+
+@pytest.mark.parametrize("alg,hw_name", [("A2", "rho"), ("G2", "rho"), ("A2^(2)", "L1"),
+                                         ("A1^(1)", "rho"), ("hyperbolic-3", "L1")])
+def test_word_values_equal_the_fraction_reference(alg, hw_name):
+    new = _slice(HW.ModuleSlice, alg, hw_name, 4)
+    ref = _slice(RefSlice, alg, hw_name, 4)
+    rng = random.Random(f"{alg}-{hw_name}")
+    checked = 0
+    for _ in range(40):
+        word = _random_word(rng, new.datum)
+        try:
+            want = _ref_word(ref, word, {ref.hw: [Fraction(1)]})
+        except DepthExceeded:
+            with pytest.raises(DepthExceeded):
+                HW.theta(new, word)
+            continue
+        # the top Gram entry is 1, so theta is the top coordinate
+        got = HW.theta(new, word)
+        assert type(got) is Fraction
+        assert got == want.get(ref.hw, [0])[0], HW.format_word(word)
+        try:
+            (rows, cols), mat = HW.evaluate_word(new, word, max_height=1)
+        except DepthExceeded:
+            continue
+        for c, (wt, k) in enumerate(cols):
+            unit = [Fraction(int(j == k)) for j in range(new.spaces[wt].dim)]
+            col = _ref_word(ref, word, {wt: unit})
+            for r, (wt2, j) in enumerate(rows):
+                assert type(mat[r][c]) is Fraction
+                assert mat[r][c] == col.get(wt2, [0] * (j + 1))[j]
+        checked += 1
+    assert checked > 10
 
 
 def test_non_integral_gram_entry_is_an_internal_error():

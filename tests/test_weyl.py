@@ -172,6 +172,19 @@ def test_antidominant_examples():
     assert best == (1, 1, 0)
 
 
+@pytest.mark.parametrize("coweight,message", [
+    ((Fraction(3, 2), 1, 1), r"coweight coordinate Fraction\(3, 2\) is not an integer"),
+    ((1.0, 1, 1), r"coweight coordinate 1\.0 is not an integer"),
+    ((), "coweight needs 3 coordinates"),
+    ((1, 1), "coweight needs 3 coordinates"),
+    ((1, 1, 1, 0), "coweight needs 3 coordinates"),
+])
+def test_antidominant_rejects_non_integer_or_misshapen_coweights(coweight, message):
+    # (3/2, 1, 1) is not minimized as (1, 1, 1), and () is not the empty answer
+    with pytest.raises(DomainError, match=message):
+        W.antidominant_coweight(HYP, coweight)
+
+
 def test_antidominant_termination_and_special_support():
     rng = random.Random(7)
     for datum in (AFF, HYP):
