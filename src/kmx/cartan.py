@@ -273,6 +273,10 @@ class RootDatum:
         for extra, i in enumerate(i for i in range(n) if i not in pivots):
             alpha[i][n + extra] = 1
         self.alpha: tuple[IntVec, ...] = tuple(tuple(r) for r in alpha)
+        # (k, alpha_i[k]) for the nonzero coordinates of each simple root: the
+        # sparse form that the Weyl kernel's rank-1 updates read.
+        self.alpha_support: tuple[tuple[tuple[int, int], ...], ...] = tuple(
+            tuple((k, x) for k, x in enumerate(r) if x) for r in self.alpha)
         # Invariant form on the coweight side, Gram matrix in the e-basis;
         # eps is integral, so its entries are ints.
         eps = tuple(int(e) for e in gcm.eps)

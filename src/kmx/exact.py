@@ -28,8 +28,18 @@ IntMat = tuple[IntVec, ...]
 Relation = Literal["le", "eq", "lt"]
 
 
-def int_mat(rows: Sequence[Sequence[int]]) -> IntMat:
-    m = tuple(tuple(int(x) for x in row) for row in rows)
+def _exact_int(x) -> int:
+    """x as a Python int: an int, or a Fraction with denominator 1; anything
+    else is a ValueError, so nothing is truncated."""
+    if type(x) is int:
+        return x
+    if type(x) is Fraction and x.denominator == 1:
+        return x.numerator
+    raise ValueError(f"matrix entry {x!r} is not an integer")
+
+
+def int_mat(rows: Sequence[Sequence]) -> IntMat:
+    m = tuple(tuple(_exact_int(x) for x in row) for row in rows)
     if m and any(len(row) != len(m[0]) for row in m):
         raise ValueError("ragged matrix")
     return m

@@ -38,13 +38,11 @@ class Face:
 
     def exposing(self) -> IntVec:
         """Integer coweight whose zero set on the Tits cone is this face."""
-        return tuple(int(x) for x in
-                     self.w.act_coweight(self.datum.exposing_coweight(self.theta)))
+        return self.w.act_coweight(self.datum.exposing_coweight(self.theta))
 
     def span_normals(self) -> tuple[IntVec, ...]:
         """Coweights w*h_i (i in Theta) cutting out the linear span."""
-        return tuple(tuple(int(x) for x in self.w.act_coweight(self.datum.coroot(i)))
-                     for i in self.theta)
+        return tuple(self.w.act_coweight(self.datum.coroot(i)) for i in self.theta)
 
 
 def normalize_face(w: WeylElt, theta: Sequence[int]) -> Face:
@@ -53,8 +51,7 @@ def normalize_face(w: WeylElt, theta: Sequence[int]) -> Face:
     if not is_special(datum.gcm, key):
         raise NotSpecial(key)
     stab = key + datum.theta_perp(key)
-    rep, _ = W.min_coset_right(w, stab)
-    return Face(w=rep, theta=key)
+    return Face(w=W._strip_right(w, stab)[0], theta=key)
 
 
 def full_cone(datum: RootDatum) -> Face:

@@ -66,8 +66,7 @@ def _centralizer_rep(face: Face, sigma: WeylElt) -> WeylElt:
     strip to the minimal element of W_Theta tau, and conjugate back.
     """
     tau = face.w.inv() * sigma
-    rep, _ = W.min_coset_left(tau, face.theta)
-    return face.w * rep
+    return face.w * W._rep_left(tau, face.theta)
 
 
 def wm_normalize(w: WeylElt, face: Face) -> WmonElt:

@@ -3,11 +3,22 @@
 An element w is stored as P, its matrix on the weight lattice in the
 fundamental-weight basis, and P^{-1}; equality is decided by P, never by
 words.  A product with a simple reflection s_i = I - alpha_i e_i^T is a
-rank-1 update, a product with the identity returns the other factor, and
-any other product takes two matrix products.  Descents are signs of w.rho,
-where rho = (1, ..., 1): s_i w < w iff (P rho)_i < 0, w s_i < w iff
+rank-1 update that reads only the support of alpha_i (its nonzero
+coordinates, kept by the root datum as `alpha_support`): w s_i rewrites one
+column of P, s_i w the rows of P on that support.  A product with the
+identity returns the other factor, and any other product takes two matrix
+products.  The coweight action y -> y^T P^{-1} adds the rows of P^{-1} at
+the nonzero coordinates of y.  Descents are signs of w.rho, where
+rho = (1, ..., 1): s_i w < w iff (P rho)_i < 0, w s_i < w iff
 (P^{-1} rho)_i < 0.  The stored word is the lexicographically smallest
 reduced word, read by walking v = w.rho down to rho.
+
+Every coset normal form runs one descent walk, which strips simple
+reflections from the right and records their indices; the left-hand forms
+walk w^{-1}.  The factor u in W_J is multiplied out from those indices
+only by `min_coset_right` and `min_coset_left`, which return it; the
+double coset, the parabolic membership tests and the callers in `faces`
+and `monoids` read only the representative.
 """
 
 from __future__ import annotations
@@ -25,18 +36,31 @@ from .exact import IntMat
 Vec = tuple
 
 
-def _minus_column(mat: IntMat, i: int, al: Sequence[int]) -> IntMat:
-    """mat * s_i: column i of mat becomes mat[:, i] - mat * alpha_i."""
-    nz = [(k, a) for k, a in enumerate(al) if a]
-    return tuple(row[:i] + (row[i] - sum(row[k] * a for k, a in nz),) + row[i + 1:]
-                 for row in mat)
+Support = Sequence[tuple[int, int]]
 
 
-def _minus_rows(mat: IntMat, i: int, al: Sequence[int]) -> IntMat:
-    """s_i * mat: row r of mat becomes mat[r] - alpha_i[r] * mat[i]."""
+def _minus_column(mat: IntMat, i: int, support: Support) -> IntMat:
+    """mat * s_i: column i of mat becomes mat[:, i] - mat * alpha_i, where
+    support lists (k, alpha_i[k]) for the nonzero coordinates of alpha_i."""
+    out = []
+    for row in mat:
+        x = row[i]
+        for k, a in support:
+            x -= row[k] * a
+        new = list(row)
+        new[i] = x
+        out.append(tuple(new))
+    return tuple(out)
+
+
+def _minus_rows(mat: IntMat, i: int, support: Support) -> IntMat:
+    """s_i * mat: row r of mat becomes mat[r] - alpha_i[r] * mat[i]; only the
+    rows r in the support of alpha_i change."""
     top = mat[i]
-    return tuple(tuple(x - a * y for x, y in zip(row, top)) if a else row
-                 for row, a in zip(mat, al))
+    out = list(mat)
+    for r, a in support:
+        out[r] = tuple([x - a * y for x, y in zip(mat[r], top)])
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -71,15 +95,15 @@ class WeylElt:
     def __mul__(self, other: "WeylElt") -> "WeylElt":
         if self.datum is not other.datum:
             raise PreconditionViolated("product of Weyl elements of two root data")
-        alpha = self.datum.alpha
+        support = self.datum.alpha_support
         if other._word is not None and len(other._word) == 1:
             i = other._word[0]
-            return WeylElt(self.datum, _minus_column(self.mat_p, i, alpha[i]),
-                           _minus_rows(self.mat_p_inv, i, alpha[i]))
+            return WeylElt(self.datum, _minus_column(self.mat_p, i, support[i]),
+                           _minus_rows(self.mat_p_inv, i, support[i]))
         if self._word is not None and len(self._word) == 1:
             i = self._word[0]
-            return WeylElt(self.datum, _minus_rows(other.mat_p, i, alpha[i]),
-                           _minus_column(other.mat_p_inv, i, alpha[i]))
+            return WeylElt(self.datum, _minus_rows(other.mat_p, i, support[i]),
+                           _minus_column(other.mat_p_inv, i, support[i]))
         if self.is_identity():
             return other
         if other.is_identity():
@@ -96,10 +120,16 @@ class WeylElt:
         return exact.mat_vec(self.mat_p, tuple(x))
 
     def act_coweight(self, y: Sequence) -> Vec:
-        # contragredient action: the H-matrix is the transpose of mat_p_inv
-        mi = self.mat_p_inv
-        rng = range(len(y))
-        return tuple(sum(mi[r][c] * y[r] for r in rng) for c in rng)
+        """Contragredient action y^T P^{-1}: the rows of mat_p_inv at the
+        nonzero coordinates of y, scaled and added."""
+        m = len(self.mat_p_inv)
+        if len(y) != m:
+            raise DomainError(f"coweight needs {m} coordinates")
+        out = [0] * m
+        for yr, row in zip(y, self.mat_p_inv):
+            if yr:
+                out = [o + yr * x for o, x in zip(out, row)]
+        return tuple(out)
 
     def act_root(self, c: Sequence) -> Vec:
         """w on the root lattice in the simple-root basis: the reflections of
@@ -149,9 +179,14 @@ def identity_elt(datum: RootDatum) -> WeylElt:
 def simple(datum: RootDatum, i: int) -> WeylElt:
     if not hasattr(datum, "_simple_elts"):
         ident = exact.identity(datum.m)
-        mats = (_minus_column(ident, j, datum.alpha[j]) for j in range(datum.n))
+        mats = (_minus_column(ident, j, datum.alpha_support[j]) for j in range(datum.n))
         datum._simple_elts = tuple(WeylElt(datum, s, s, (j,)) for j, s in enumerate(mats))
     return datum._simple_elts[i]
+
+
+def _check_index(datum: RootDatum, i: int) -> None:
+    if not 0 <= i < datum.n:
+        raise DomainError(f"simple index {i + 1} out of range 1..{datum.n}")
 
 
 def from_word(datum: RootDatum, word: Iterable[int]) -> WeylElt:
@@ -159,8 +194,7 @@ def from_word(datum: RootDatum, word: Iterable[int]) -> WeylElt:
     canonical reduced word, length and descent data."""
     w = identity_elt(datum)
     for i in word:
-        if not 0 <= i < datum.n:
-            raise DomainError(f"simple index {i + 1} out of range 1..{datum.n}")
+        _check_index(datum, i)
         w = w * simple(datum, i)
     return w
 
@@ -168,49 +202,51 @@ def from_word(datum: RootDatum, word: Iterable[int]) -> WeylElt:
 # -- coset normal forms -------------------------------------------------------
 
 
+def _strip_right(w: WeylElt, j: Sequence[int]) -> tuple[WeylElt, list[int]]:
+    """The descent walk: w' = w s_{i1} ... s_{ik}, stripping the smallest
+    right descent in J at each step until none is left, and the stripped
+    indices i1, ..., ik.  Every index of J is checked first."""
+    datum = w.datum
+    js = sorted(set(j))
+    for i in js:
+        _check_index(datum, i)
+    letters: list[int] = []
+    while (i := next((i for i in js if w.right_descent(i)), None)) is not None:
+        w = w * simple(datum, i)
+        letters.append(i)
+    return w, letters
+
+
+def _rep_left(w: WeylElt, j: Sequence[int]) -> WeylElt:
+    """The minimal representative of W_J w: w^{-1} walked on the right."""
+    return _strip_right(w.inv(), j)[0].inv()
+
+
 def min_coset_right(w: WeylElt, j: Sequence[int]) -> tuple[WeylElt, WeylElt]:
     """Split w = w' * u with u in W_J and w' the minimal representative of
     w W_J (no right descent inside J)."""
-    js = sorted(set(j))
-    cur = w
-    u = identity_elt(w.datum)
-    while True:
-        i = next((i for i in js if cur.right_descent(i)), None)
-        if i is None:
-            return cur, u
-        s = simple(w.datum, i)
-        cur = cur * s
-        u = s * u
+    rep, letters = _strip_right(w, j)
+    return rep, from_word(w.datum, reversed(letters))
 
 
 def min_coset_left(w: WeylElt, j: Sequence[int]) -> tuple[WeylElt, WeylElt]:
     """Split w = u * w' with u in W_J and w' minimal in W_J w."""
-    js = sorted(set(j))
-    cur = w
-    u = identity_elt(w.datum)
-    while True:
-        i = next((i for i in js if cur.left_descent(i)), None)
-        if i is None:
-            return cur, u
-        s = simple(w.datum, i)
-        cur = s * cur
-        u = u * s
+    rep, letters = _strip_right(w.inv(), j)
+    return rep.inv(), from_word(w.datum, letters)
 
 
 def min_double_coset(w: WeylElt, k: Sequence[int], j: Sequence[int]) -> WeylElt:
     """The unique minimal element of W_K w W_J."""
     cur = w
     while True:
-        cur2, _ = min_coset_left(cur, k)
-        cur3, _ = min_coset_right(cur2, j)
-        if cur3 == cur:
+        nxt = _strip_right(_rep_left(cur, k), j)[0]
+        if nxt == cur:
             return cur
-        cur = cur3
+        cur = nxt
 
 
 def in_parabolic(w: WeylElt, j: Sequence[int]) -> bool:
-    rep, _ = min_coset_right(w, j)
-    return rep.is_identity()
+    return _strip_right(w, j)[0].is_identity()
 
 
 def in_parabolic_product(w: WeylElt, k: Sequence[int], j: Sequence[int]) -> bool:

@@ -142,6 +142,14 @@ def test_rat_solve_agrees_with_the_reference_solver():
     assert min(seen.values()) >= 40, seen
 
 
+@pytest.mark.parametrize("bad", [Fraction(3, 2), 1.5, 2.0, True, "1"])
+def test_int_mat_rejects_non_integral_entries(bad):
+    # 3/2 and 1.5 used to become 1
+    with pytest.raises(ValueError, match="is not an integer"):
+        int_mat([[bad, 2], [3, 4]])
+    assert int_mat([[Fraction(4, 2), -3], [0, Fraction(-7)]]) == ((2, -3), (0, -7))
+
+
 @pytest.mark.parametrize("m,expected", [
     ([[1, 0], [0, 1]], [1, 1]),
     ([[2, 0], [0, 3]], [1, 6]),

@@ -3,11 +3,13 @@ from fractions import Fraction
 
 import pytest
 
+from kmx import faces as F
+from kmx import monoids as M
 from kmx import weyl as W
 from kmx.cartan import (A2_ROWS, AFFINE_A1_ROWS, HYPERBOLIC_ROWS,
                         build_realization, classify)
 from kmx.errors import DomainError, NotInTitsCone, PreconditionViolated, Undecided
-from kmx.exact import identity, mat_mul, mat_vec, vec_sub
+from kmx.exact import identity, mat_mul, mat_vec, transpose, vec_sub
 
 A2 = build_realization(A2_ROWS)
 AFF = build_realization(AFFINE_A1_ROWS)
@@ -22,6 +24,10 @@ def test_act_defining_formulas():
     # affine: sigma_2(-h_1) = -h_1 - 2 h_2 since alpha_2(h_1) = -2
     s2 = W.simple(AFF, 1)
     assert tuple(s2.act_coweight((-1, 0, 0))) == (-1, -2, 0)
+    # a short coweight is not cut to its length, a long one is no IndexError
+    for bad in ((-1, 0), (-1, 0, 0, 0)):
+        with pytest.raises(DomainError, match="coweight needs 3 coordinates"):
+            s2.act_coweight(bad)
 
 
 def test_act_contragredient_and_form_invariance():
@@ -99,7 +105,9 @@ def test_coset_examples():
 
 def test_coset_split_laws():
     rng = random.Random(5)
-    for datum in (A2, AFF, HYP):
+    faces_rng = random.Random(15)  # a second stream keeps the word samples
+    for datum in (A2, AFF, HYP, KERNEL_DATA["D8++"], KERNEL_DATA["E10"]):
+        specials = datum.special_sets()
         for _ in range(30):
             w = W.from_word(datum, [rng.randrange(datum.n) for _ in range(6)])
             j = tuple(i for i in range(datum.n) if rng.randrange(2))
@@ -111,6 +119,14 @@ def test_coset_split_laws():
             rep2, u2 = W.min_coset_left(w, j)
             assert u2 * rep2 == w
             assert W.in_parabolic(u2, j)
+            # faces and the Weyl monoid take the same representatives
+            theta = faces_rng.choice(specials)
+            stab = theta + datum.theta_perp(theta)
+            assert F.normalize_face(w, theta).w == W.min_coset_right(w, stab)[0]
+            v = W.from_word(datum, [faces_rng.randrange(datum.n) for _ in range(6)])
+            face = F.normalize_face(v, theta)
+            assert M._centralizer_rep(face, w) \
+                == face.w * W.min_coset_left(face.w.inv() * w, theta)[0]
 
 
 def test_dominant_examples():
@@ -290,6 +306,8 @@ def _random_words(datum, count, seed, max_len):
 def test_kernel_agrees_with_four_matrix_reference(name):
     datum = KERNEL_DATA[name]
     rng = random.Random(11)
+    coweight_rng = random.Random(13)  # a second stream keeps the root samples
+    fractional = tuple(Fraction(k - 1, 2 + k % 3) for k in range(datum.m))
     for word in _random_words(datum, 25, 10, 9 if datum.n > 3 else 12):
         w, ref = W.from_word(datum, word), RefElt.from_word(datum, word)
         assert w.mat_p == ref.p and w.mat_p_inv == ref.pi
@@ -302,6 +320,9 @@ def test_kernel_agrees_with_four_matrix_reference(name):
         c = tuple(rng.randrange(-3, 4) for _ in range(datum.n))
         assert w.act_root(c) == mat_vec(ref.q, c)
         assert w.inv().act_root(c) == mat_vec(ref.qi, c)
+        y = tuple(coweight_rng.choice((0, 0, -2, -1, 1, 3)) for _ in range(datum.m))
+        for coweight in (y, fractional):
+            assert w.act_coweight(coweight) == mat_vec(transpose(ref.pi), coweight)
 
 
 @pytest.mark.parametrize("name", list(KERNEL_DATA))
@@ -336,3 +357,25 @@ def test_from_word_rejects_out_of_range_index_one_based():
         W.from_word(A2, (0, 2))
     with pytest.raises(DomainError, match="simple index 0 out of range"):
         W.from_word(A2, (-1,))
+
+
+COSET_WALKS = {
+    "min_coset_right": W.min_coset_right,
+    "min_coset_left": W.min_coset_left,
+    "in_parabolic": W.in_parabolic,
+    "min_double_coset-k": lambda w, j: W.min_double_coset(w, j, (0,)),
+    "min_double_coset-j": lambda w, j: W.min_double_coset(w, (0,), j),
+}
+
+
+@pytest.mark.parametrize("walk", list(COSET_WALKS))
+@pytest.mark.parametrize("datum,j,message", [
+    (A2, (-1,), "simple index 0 out of range 1..2"),  # it used to read node 2
+    (AFF, (2,), "simple index 3 out of range 1..2"),
+    (AFF, (0, 5), "simple index 6 out of range 1..2"),
+    (AFF, (-1,), "simple index 0 out of range 1..2"),  # it used to loop forever
+], ids=["A2-minus-one", "affine-three", "affine-six", "affine-minus-one"])
+def test_coset_walks_reject_out_of_range_index_one_based(walk, datum, j, message):
+    w = W.from_word(datum, (0, 1, 0))
+    with pytest.raises(DomainError, match=message):
+        COSET_WALKS[walk](w, j)
