@@ -83,6 +83,12 @@ def _components(a: IntMat, subset: Sequence[int]) -> list[tuple[int, ...]]:
     return comps
 
 
+def check_index(n: int, i: int, what: str = "simple index") -> None:
+    """A 0-based index outside 0..n-1 is a DomainError naming it 1-based."""
+    if not 0 <= i < n:
+        raise DomainError(f"{what} {i + 1} out of range 1..{n}")
+
+
 def one_based(n: int, toks: Iterable, what: str = "simple index") -> tuple[int, ...]:
     """0-based indices of the 1-based ones a user typed, each in 1..n.
 
@@ -292,6 +298,7 @@ class RootDatum:
         self._verify()
         self._perp: dict[tuple[int, ...], tuple[int, ...]] = {}
         self._ctheta: dict[tuple[int, ...], IntVec] = {}
+        self._stab: dict[tuple[int, ...], tuple[int, ...]] = {}
         self._special: Optional[tuple[tuple[int, ...], ...]] = None
         self._root_mults: dict[int, dict[IntVec, int]] = {}
 
@@ -331,6 +338,9 @@ class RootDatum:
         return tuple(1 if j == i else 0 for j in range(self.m))
 
     def coroot(self, i: int) -> IntVec:
+        """The i-th basis coweight e_i of H = Z^m: the coroot h_i for i < n,
+        one of the added directions for n <= i < m."""
+        check_index(self.m, i, "coroot index")
         return tuple(1 if j == i else 0 for j in range(self.m))
 
     def rho(self) -> IntVec:
@@ -356,14 +366,33 @@ class RootDatum:
             self._special = special_sets(self.gcm)
         return self._special
 
+    def _theta_key(self, theta: Iterable[int]) -> tuple[int, ...]:
+        """Theta sorted without repeats, every index checked to lie in 0..n-1."""
+        key = tuple(sorted(set(theta)))
+        for i in key[:1] + key[-1:]:  # sorted: the ends are the extremes
+            check_index(self.n, i)
+        return key
+
     def theta_perp(self, theta: Sequence[int]) -> tuple[int, ...]:
-        key = tuple(sorted(theta))
+        key = self._theta_key(theta)
         if key not in self._perp:
             self._perp[key] = tuple(
                 i for i in range(self.n)
                 if i not in key and all(self.gcm.a[i][j] == 0 for j in key)
             )
         return self._perp[key]
+
+    def stabilizer_type(self, theta: Sequence[int]) -> tuple[int, ...]:
+        """Theta u Theta^perp, sorted, for a special Theta: the type of the
+        parabolic subgroup that stabilizes the standard face of type Theta.
+        A Theta that is not special raises NotSpecial."""
+        key = self._theta_key(theta)
+        stab = self._stab.get(key)
+        if stab is None:
+            if not is_special(self.gcm, key):
+                raise NotSpecial(key)
+            stab = self._stab[key] = tuple(sorted(key + self.theta_perp(key)))
+        return stab
 
     def exposing_coweight(self, theta: Sequence[int]) -> IntVec:
         """Canonical integer coweight c_Theta with support Theta.
@@ -377,7 +406,7 @@ class RootDatum:
         Any valid certificate defines the same face; canonicality is only
         for reproducibility.
         """
-        key = tuple(sorted(set(theta)))
+        key = self._theta_key(theta)
         if key in self._ctheta:
             return self._ctheta[key]
         if not is_special(self.gcm, key):

@@ -509,8 +509,11 @@ def cmd_ghat_cell(args):
 
 
 def cmd_verify(args):
-    ok, report = verify.run_all()
+    timings = [] if args.timings else None
+    ok, report = verify.run_all(timings)
     sys.stdout.write(report)
+    for num, name, seconds in timings or ():
+        sys.stderr.write(f"[{num}] {name}: {seconds:.2f} s CPU\n")
     if not ok:
         sys.exit(1)
 
@@ -608,7 +611,9 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--probes", required=True, help="'hw:depth[:height];...'")
     p = verb("ghat-cell", cmd_ghat_cell, help="cell of a factored word")
     p.add_argument("--word", required=True)
-    verb("verify", cmd_verify, help="run the deterministic verification battery")
+    p = verb("verify", cmd_verify, help="run the deterministic verification battery")
+    p.add_argument("--timings", action="store_true",
+                   help="print each check's CPU seconds on stderr")
     return ap
 
 

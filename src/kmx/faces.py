@@ -5,11 +5,20 @@ representative modulo W_{Theta u Theta^perp}; this pair is unique per face.
 Faces are never enumerated globally (there can be infinitely many);
 every query is normal-form local.
 
+Normalizing strips the right descents in the stabilizer type
+Theta u Theta^perp, which the root datum keeps in a table per special Theta
+(`RootDatum.stabilizer_type`); an index of Theta outside 0..n-1 is a
+DomainError, checked before the table is read.
+
 Intersection realizes faces as exposed faces: each face is the zero set on
 the Tits cone of an integer coweight (a Weyl image of an exposing coweight),
 the coweights add, and antidominant minimization of the sum lands on a
-canonical exposing coweight whose support is special.  The Galois property
-with inclusion cross-validates this route against the double-coset route.
+canonical exposing coweight whose support is special (`_face_exposed_by`).
+Any Weyl image u c of an exposing coweight c of S exposes uS, and the normal
+form of a face is unique, so the Weyl-monoid products in `monoids` take
+their meets from c_R + u c_S the same way, without acting on S.  The Galois
+property with inclusion cross-validates this route against the double-coset
+route.
 """
 
 from __future__ import annotations
@@ -18,8 +27,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import weyl as W
-from .cartan import RootDatum, classify, is_special, one_based
-from .errors import DomainError, NotSpecial
+from .cartan import RootDatum, classify, one_based
+from .errors import DomainError
 from .exact import IntVec, vec_add
 from .weyl import WeylElt, antidominant_coweight, dominant_rep
 
@@ -46,12 +55,10 @@ class Face:
 
 
 def normalize_face(w: WeylElt, theta: Sequence[int]) -> Face:
-    datum = w.datum
+    """The face w R(Theta) in normal form.  An index of Theta outside
+    0..n-1 is a DomainError, a Theta that is not special NotSpecial."""
     key = tuple(sorted(set(theta)))
-    if not is_special(datum.gcm, key):
-        raise NotSpecial(key)
-    stab = key + datum.theta_perp(key)
-    return Face(w=W._strip_right(w, stab)[0], theta=key)
+    return Face(w=W._strip_right(w, w.datum.stabilizer_type(key))[0], theta=key)
 
 
 def full_cone(datum: RootDatum) -> Face:
@@ -93,14 +100,20 @@ def includes(r: Face, s: Face) -> bool:
     return W.in_parabolic_product(r.w.inv() * s.w, perp, s.theta)
 
 
+def _face_exposed_by(datum: RootDatum, d: IntVec) -> Face:
+    """The face that d exposes, for d a nonnegative integer combination of
+    Weyl images of exposing coweights.  The antidominant walk gives
+    d' = v d, whose support Theta is special and exposes R(Theta); so d
+    exposes v^{-1} R(Theta).  The zero coweight exposes the full cone."""
+    if not any(d):
+        return full_cone(datum)
+    dmin, v = antidominant_coweight(datum, d)
+    return normalize_face(v.inv(), tuple(i for i in range(datum.n) if dmin[i] != 0))
+
+
 def intersect(r: Face, s: Face) -> Face:
     """Meet in the face lattice via added exposing coweights."""
-    d = vec_add(r.exposing(), s.exposing())
-    if not any(d):
-        return full_cone(r.datum)
-    dmin, v = antidominant_coweight(r.datum, d)
-    support = tuple(i for i in range(r.datum.n) if dmin[i] != 0)
-    return normalize_face(v.inv(), support)
+    return _face_exposed_by(r.datum, vec_add(r.exposing(), s.exposing()))
 
 
 def face_of_point(datum: RootDatum, weight: Sequence, cap: int = 2000) -> Face:
@@ -138,8 +151,7 @@ def centralizes(r: Face, u: WeylElt) -> bool:
 
 
 def normalizes(r: Face, u: WeylElt) -> bool:
-    stab = r.theta + r.datum.theta_perp(r.theta)
-    return W.in_parabolic(r.w.inv() * u * r.w, stab)
+    return W.in_parabolic(r.w.inv() * u * r.w, r.datum.stabilizer_type(r.theta))
 
 
 def face_predicates(r: Face, *, weight: Optional[Sequence] = None,

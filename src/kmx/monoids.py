@@ -3,12 +3,17 @@
 Weyl monoid elements are congruence classes of pairs (face R, sigma) under
 (R, sigma) ~ (R, sigma') iff sigma' sigma^{-1} centralizes R; the class acts
 on the Tits cone by lam -> sigma(lam) if sigma(lam) lies in R, else an
-explicit absorbing Zero.  Torus-monoid elements t e(R) are canonicalized by
-the values of t on a Smith-basis of the lattice spanned by R.  Normalizer
+explicit absorbing Zero.  The class representative is w_R tau' with tau'
+minimal in W_Theta tau, tau = w_R^{-1} sigma; it is sigma itself unless tau
+has a left descent in Theta, read from the one vector tau rho, and only
+then is the coset walked.  The product (R, sigma)(S, tau) has face
+R cap sigma S, the face exposed by c_R + sigma c_S for exposing coweights
+c_R, c_S (`faces._face_exposed_by`), so no face is acted on; `nhat_mul`
+takes its face the same way.  Torus-monoid elements t e(R) are canonicalized
+by the values of t on a Smith-basis of the lattice spanned by R.  Normalizer
 elements are n_w t e(R) where n_w is the canonical lift of a reduced word;
 products use the rank-one cocycle n_i^2 = t_{h_i}(-1).
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -63,10 +68,16 @@ def _centralizer_rep(face: Face, sigma: WeylElt) -> WeylElt:
     """Canonical representative of the right coset Z_W(face) * sigma.
 
     Conjugate into W_Theta form through the face's minimal representative,
-    strip to the minimal element of W_Theta tau, and conjugate back.
+    strip to the minimal element of W_Theta tau, and conjugate back.  The
+    left descents of tau = w_R^{-1} sigma are the negative coordinates of
+    tau rho = P_{w_R}^{-1} (sigma rho); when none lies in Theta (always so
+    for Theta empty), tau is already minimal and the answer is sigma.
     """
-    tau = face.w.inv() * sigma
-    return face.w * W._rep_left(tau, face.theta)
+    if face.theta:
+        tau_rho = exact.mat_vec(face.w.mat_p_inv, [sum(row) for row in sigma.mat_p])
+        if any(tau_rho[i] < 0 for i in face.theta):
+            return face.w * W._rep_left(face.w.inv() * sigma, face.theta)
+    return sigma
 
 
 def wm_normalize(w: WeylElt, face: Face) -> WmonElt:
@@ -83,8 +94,10 @@ def wm_idempotent(face: Face) -> WmonElt:
 
 
 def wm_mul(x: WmonElt, y: WmonElt) -> WmonElt:
-    face = F.intersect(x.face, F.act_face(x.w, y.face))
-    return wm_normalize(x.w * y.w, face)
+    """(R, sigma)(S, tau) = (R cap sigma S, sigma tau): the meet is the face
+    exposed by c_R + sigma c_S, for exposing coweights c_R of R and c_S of S."""
+    d = exact.vec_add(x.face.exposing(), x.w.act_coweight(y.face.exposing()))
+    return wm_normalize(x.w * y.w, F._face_exposed_by(x.datum, d))
 
 
 def wm_invert(x: WmonElt) -> WmonElt:
@@ -314,8 +327,8 @@ def nhat_idempotent(face: Face) -> NhatElt:
 def nhat_mul(x: NhatElt, y: NhatElt) -> NhatElt:
     """e(R) n_v = n_v e(v^{-1} R) moves both idempotents to the right."""
     w, tau = nelt_mul((x.w, x.torus), (y.w, y.torus))
-    face = F.intersect(F.act_face(y.w.inv(), x.face), y.face)
-    return NhatElt(w=w, torus=tau, face=face)
+    d = exact.vec_add(y.w.inv().act_coweight(x.face.exposing()), y.face.exposing())
+    return NhatElt(w=w, torus=tau, face=F._face_exposed_by(x.datum, d))
 
 
 def nhat_to_wmon(x: NhatElt) -> WmonElt:

@@ -8,6 +8,7 @@ suite runs the same functions and additionally enforces the runtime bounds.
 from __future__ import annotations
 
 import random
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
@@ -652,11 +653,16 @@ ALL_CHECKS: tuple[tuple[str, Callable[[], CheckResult]], ...] = (
 )
 
 
-def run_all() -> tuple[bool, str]:
+def run_all(timings: Optional[list] = None) -> tuple[bool, str]:
+    """Run ALL_CHECKS, read at call time, and return (all passed, report).
+    With a `timings` list, append (number, name, CPU seconds) per check."""
     out = []
     all_ok = True
     for num, fn in ALL_CHECKS:
+        start = time.process_time()
         res = fn()
+        if timings is not None:
+            timings.append((num, res.name, time.process_time() - start))
         all_ok = all_ok and res.passed
         out.append(f"[{num}] {res.name}: {'PASS' if res.passed else 'FAIL'}")
         for line in res.lines:

@@ -5,20 +5,29 @@ fundamental-weight basis, and P^{-1}; equality is decided by P, never by
 words.  A product with a simple reflection s_i = I - alpha_i e_i^T is a
 rank-1 update that reads only the support of alpha_i (its nonzero
 coordinates, kept by the root datum as `alpha_support`): w s_i rewrites one
-column of P, s_i w the rows of P on that support.  A product with the
+column of P and the rows of P^{-1} on that support, s_i w the same on the
+inverse side.  A word is multiplied out once: `_multiply_out` applies its
+updates in place to one mutable copy of P and of P^{-1} and freezes them
+into one element, so `from_word` builds one element however long the word
+(a one-letter word is the cached simple reflection).  A product with the
 identity returns the other factor, and any other product takes two matrix
-products.  The coweight action y -> y^T P^{-1} adds the rows of P^{-1} at
-the nonzero coordinates of y.  Descents are signs of w.rho, where
-rho = (1, ..., 1): s_i w < w iff (P rho)_i < 0, w s_i < w iff
-(P^{-1} rho)_i < 0.  The stored word is the lexicographically smallest
-reduced word, read by walking v = w.rho down to rho.
+products.  The actions check the length of their vector; the coweight
+action y -> y^T P^{-1} adds the rows of P^{-1} at the nonzero coordinates
+of y.  Descents are signs of w.rho, where rho = (1, ..., 1):
+s_i w < w iff (P rho)_i < 0, w s_i < w iff (P^{-1} rho)_i < 0.  The stored
+word is the lexicographically smallest reduced word, read by walking
+v = w.rho down to rho.
 
-Every coset normal form runs one descent walk, which strips simple
-reflections from the right and records their indices; the left-hand forms
-walk w^{-1}.  The factor u in W_J is multiplied out from those indices
-only by `min_coset_right` and `min_coset_left`, which return it; the
-double coset, the parabolic membership tests and the callers in `faces`
-and `monoids` read only the representative.
+The walks run on one vector and build no element per step.  Every coset
+normal form runs one descent walk, which reads the right descents from
+v = w^{-1} rho (s_i takes v to v - v_i alpha_i), records the stripped
+indices and multiplies them out once; the left-hand forms walk w^{-1}.  The
+factor u in W_J is multiplied out from those indices only by
+`min_coset_right` and `min_coset_left`, which return it; the double coset,
+the parabolic membership tests and the callers in `faces` and `monoids`
+read only the representative.  `dominant_rep` reflects its weight in place
+and `antidominant_coweight` keeps the pairings alpha_j(d), updated in O(n)
+per reflection; each multiplies its witness out once, at the end.
 """
 
 from __future__ import annotations
@@ -28,39 +37,12 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from . import exact
-from .cartan import RootDatum, exact_ints
+from .cartan import RootDatum, check_index, exact_ints
 from .errors import (DomainError, InternalError, NotInTitsCone, PreconditionViolated,
                      Undecided)
 from .exact import IntMat
 
 Vec = tuple
-
-
-Support = Sequence[tuple[int, int]]
-
-
-def _minus_column(mat: IntMat, i: int, support: Support) -> IntMat:
-    """mat * s_i: column i of mat becomes mat[:, i] - mat * alpha_i, where
-    support lists (k, alpha_i[k]) for the nonzero coordinates of alpha_i."""
-    out = []
-    for row in mat:
-        x = row[i]
-        for k, a in support:
-            x -= row[k] * a
-        new = list(row)
-        new[i] = x
-        out.append(tuple(new))
-    return tuple(out)
-
-
-def _minus_rows(mat: IntMat, i: int, support: Support) -> IntMat:
-    """s_i * mat: row r of mat becomes mat[r] - alpha_i[r] * mat[i]; only the
-    rows r in the support of alpha_i change."""
-    top = mat[i]
-    out = list(mat)
-    for r, a in support:
-        out[r] = tuple([x - a * y for x, y in zip(mat[r], top)])
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -95,15 +77,10 @@ class WeylElt:
     def __mul__(self, other: "WeylElt") -> "WeylElt":
         if self.datum is not other.datum:
             raise PreconditionViolated("product of Weyl elements of two root data")
-        support = self.datum.alpha_support
         if other._word is not None and len(other._word) == 1:
-            i = other._word[0]
-            return WeylElt(self.datum, _minus_column(self.mat_p, i, support[i]),
-                           _minus_rows(self.mat_p_inv, i, support[i]))
+            return _multiply_out(self, other._word)
         if self._word is not None and len(self._word) == 1:
-            i = self._word[0]
-            return WeylElt(self.datum, _minus_rows(other.mat_p, i, support[i]),
-                           _minus_column(other.mat_p_inv, i, support[i]))
+            return _multiply_out(other.inv(), self._word).inv()  # s_i w = (w^-1 s_i)^-1
         if self.is_identity():
             return other
         if other.is_identity():
@@ -117,7 +94,10 @@ class WeylElt:
     # -- actions -------------------------------------------------------------
 
     def act_weight(self, x: Sequence) -> Vec:
-        return exact.mat_vec(self.mat_p, tuple(x))
+        x = tuple(x)
+        if len(x) != self.datum.m:
+            raise DomainError(f"weight needs {self.datum.m} coordinates")
+        return exact.mat_vec(self.mat_p, x)
 
     def act_coweight(self, y: Sequence) -> Vec:
         """Contragredient action y^T P^{-1}: the rows of mat_p_inv at the
@@ -136,6 +116,8 @@ class WeylElt:
         the canonical word, s_i acting by c_i -= sum_j a_ij c_j."""
         a = self.datum.gcm.a
         v = list(c)
+        if len(v) != self.datum.n:
+            raise DomainError(f"root needs {self.datum.n} coordinates")
         for i in reversed(self.word):
             v[i] -= sum(x * y for x, y in zip(a[i], v))
         return tuple(v)
@@ -178,25 +160,49 @@ def identity_elt(datum: RootDatum) -> WeylElt:
 
 def simple(datum: RootDatum, i: int) -> WeylElt:
     if not hasattr(datum, "_simple_elts"):
-        ident = exact.identity(datum.m)
-        mats = (_minus_column(ident, j, datum.alpha_support[j]) for j in range(datum.n))
-        datum._simple_elts = tuple(WeylElt(datum, s, s, (j,)) for j, s in enumerate(mats))
+        elts = []
+        for j in range(datum.n):
+            s = _multiply_out(identity_elt(datum), (j,))
+            elts.append(WeylElt(datum, s.mat_p, s.mat_p_inv, (j,)))
+        datum._simple_elts = tuple(elts)
     return datum._simple_elts[i]
 
 
-def _check_index(datum: RootDatum, i: int) -> None:
-    if not 0 <= i < datum.n:
-        raise DomainError(f"simple index {i + 1} out of range 1..{datum.n}")
+def _multiply_out(w: WeylElt, letters: Sequence[int]) -> WeylElt:
+    """w s_{i1} ... s_{ik} for the 0-based letters i1, ..., ik.
+
+    Each s_i = I - alpha_i e_i^T is a rank-1 update read over the support of
+    alpha_i, applied in place to one mutable copy of P (column i becomes
+    P[:, i] - P alpha_i) and of P^{-1} (row r on the support becomes
+    P^{-1}[r] - alpha_i[r] P^{-1}[i]); the two are frozen once, into one
+    WeylElt.  No letters: w itself."""
+    if not letters:
+        return w
+    support = w.datum.alpha_support
+    p = [list(row) for row in w.mat_p]
+    p_inv = list(w.mat_p_inv)
+    for i in letters:
+        sup = support[i]
+        for row in p:
+            x = row[i]
+            for k, a in sup:
+                x -= row[k] * a
+            row[i] = x
+        top = p_inv[i]
+        for r, a in sup:
+            p_inv[r] = tuple([x - a * y for x, y in zip(p_inv[r], top)])
+    return WeylElt(w.datum, tuple(map(tuple, p)), tuple(p_inv))
 
 
 def from_word(datum: RootDatum, word: Iterable[int]) -> WeylElt:
     """Multiply out a word of 0-based simple indices; the result carries its
     canonical reduced word, length and descent data."""
-    w = identity_elt(datum)
+    word = tuple(word)
     for i in word:
-        _check_index(datum, i)
-        w = w * simple(datum, i)
-    return w
+        check_index(datum.n, i)
+    if len(word) == 1:
+        return simple(datum, word[0])
+    return _multiply_out(identity_elt(datum), word)
 
 
 # -- coset normal forms -------------------------------------------------------
@@ -205,16 +211,24 @@ def from_word(datum: RootDatum, word: Iterable[int]) -> WeylElt:
 def _strip_right(w: WeylElt, j: Sequence[int]) -> tuple[WeylElt, list[int]]:
     """The descent walk: w' = w s_{i1} ... s_{ik}, stripping the smallest
     right descent in J at each step until none is left, and the stripped
-    indices i1, ..., ik.  Every index of J is checked first."""
+    indices i1, ..., ik.  Every index of J is checked first.
+
+    The walk reads the right descents of the current element from the one
+    vector v = w^{-1} rho (i is a descent iff v_i < 0), which a step with s_i
+    changes to v - v_i alpha_i; w' is multiplied out once at the end."""
     datum = w.datum
     js = sorted(set(j))
     for i in js:
-        _check_index(datum, i)
+        check_index(datum.n, i)
+    support = datum.alpha_support
+    v = [sum(row) for row in w.mat_p_inv]
     letters: list[int] = []
-    while (i := next((i for i in js if w.right_descent(i)), None)) is not None:
-        w = w * simple(datum, i)
+    while (i := next((i for i in js if v[i] < 0), None)) is not None:
+        c = v[i]
+        for k, a in support[i]:
+            v[k] -= c * a
         letters.append(i)
-    return w, letters
+    return _multiply_out(w, letters), letters
 
 
 def _rep_left(w: WeylElt, j: Sequence[int]) -> WeylElt:
@@ -226,7 +240,7 @@ def min_coset_right(w: WeylElt, j: Sequence[int]) -> tuple[WeylElt, WeylElt]:
     """Split w = w' * u with u in W_J and w' the minimal representative of
     w W_J (no right descent inside J)."""
     rep, letters = _strip_right(w, j)
-    return rep, from_word(w.datum, reversed(letters))
+    return rep, from_word(w.datum, letters[::-1])
 
 
 def min_coset_left(w: WeylElt, j: Sequence[int]) -> tuple[WeylElt, WeylElt]:
@@ -274,19 +288,24 @@ def dominant_rep(datum: RootDatum, weight: Sequence, cap: int = 2000) -> Dominan
       * lam(u * c_Theta) = 0 while lam vanishes on no larger set than the
         face span requires.
     Raises NotInTitsCone with the certificate, or Undecided(cap) if the
-    budget runs out without a verdict.
+    budget runs out without a verdict.  The walk keeps the current weight
+    and the applied letters; w is multiplied out once, when it is returned.
     """
     lam = tuple(Fraction(x) for x in weight)
+    if len(lam) != datum.m:
+        raise DomainError(f"weight needs {datum.m} coordinates")
     specials = [t for t in datum.special_sets() if t]
     cvecs = [(t, datum.exposing_coweight(t)) for t in specials]
-    w = identity_elt(datum)  # applied word, so that w * current = input
-    cur = lam
+    support = datum.alpha_support
+    letters: list[int] = []  # w = s_{letters[0]} s_{letters[1]} ..., w * current = input
+    cur = list(lam)
     for _ in range(cap + 1):
         for theta, c in cvecs:
             val = datum.pair(cur, c)
             if val < 0:
+                applied = from_word(datum, letters).inv().word
                 cert = (f"pairing with the type-{tuple(i + 1 for i in theta)} exposing "
-                        f"coweight is {val} < 0 after applying {w.inv().word}")
+                        f"coweight is {val} < 0 after applying {applied}")
                 raise NotInTitsCone(cert)
             if val == 0:
                 bad = next((i for i in theta if cur[i] != 0), None)
@@ -296,13 +315,16 @@ def dominant_rep(datum: RootDatum, weight: Sequence, cap: int = 2000) -> Dominan
                     raise NotInTitsCone(cert)
         i = next((i for i in range(datum.n) if cur[i] < 0), None)
         if i is None:
-            facet = tuple(i for i in range(datum.n) if cur[i] == 0)
-            if w.act_weight(cur) != lam:
+            dom = tuple(cur)
+            w = from_word(datum, letters)
+            facet = tuple(i for i in range(datum.n) if dom[i] == 0)
+            if w.act_weight(dom) != lam:
                 raise InternalError("dominant representative does not map back to the input")
-            return DominantResult(dominant=cur, w=w, facet_type=facet)
-        s = simple(datum, i)
-        cur = s.act_weight(cur)
-        w = w * s
+            return DominantResult(dominant=dom, w=w, facet_type=facet)
+        c = cur[i]  # s_i cur = cur - <cur, h_i> alpha_i
+        for k, a in support[i]:
+            cur[k] -= c * a
+        letters.append(i)
     raise Undecided(cap)
 
 
@@ -315,26 +337,27 @@ def antidominant_coweight(datum: RootDatum, coweight: Sequence) -> tuple[Vec, We
     which forces rho(u*d) >= 0 for every u.  Each step strictly decreases
     the nonnegative integer rho(d), so the loop ends within rho(d) steps;
     violations raise PreconditionViolated.
+
+    The walk keeps the pairings alpha_j(d): a step with s_i, c = alpha_i(d)
+    > 0, takes d_i -= c and alpha_j(d) -= c a_ij, O(n) per reflection.  The
+    returned v, with v * coweight = d, is multiplied out once at the end.
     """
-    d = exact_ints(coweight, "coweight coordinate")
+    d = list(exact_ints(coweight, "coweight coordinate"))
     if len(d) != datum.m:
         raise DomainError(f"coweight needs {datum.m} coordinates")
-    rho = datum.rho()
-    budget = exact.vec_dot(rho, d)
+    budget = exact.vec_dot(datum.rho(), d)
     if budget < 0:
         raise PreconditionViolated(f"rho(d) = {budget} < 0")
-    v = identity_elt(datum)
-    steps = 0
-    while True:
-        i = next((i for i in range(datum.n)
-                  if datum.pair(datum.alpha[i], d) > 0), None)
-        if i is None:
-            if any(x < 0 for x in d):
-                raise PreconditionViolated("antidominant limit has a negative coordinate")
-            return d, v
-        steps += 1
-        if steps > budget:
+    n, a = datum.n, datum.gcm.a
+    pairs = [exact.vec_dot(datum.alpha[j], d) for j in range(n)]
+    letters: list[int] = []
+    while (i := next((j for j in range(n) if pairs[j] > 0), None)) is not None:
+        if len(letters) == budget:
             raise PreconditionViolated("descent exceeded the rho budget")
-        s = simple(datum, i)
-        d = s.act_coweight(d)
-        v = s * v
+        c = pairs[i]
+        d[i] -= c
+        pairs = [x - c * y for x, y in zip(pairs, a[i])]
+        letters.append(i)
+    if any(x < 0 for x in d):
+        raise PreconditionViolated("antidominant limit has a negative coordinate")
+    return tuple(d), _multiply_out(identity_elt(datum), letters[::-1])

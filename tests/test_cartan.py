@@ -315,3 +315,41 @@ def test_decomposable_matrix_machinery():
     f = FC.standard_face(datum, (1, 2))
     assert FC.act_face(W.simple(datum, 0), f) == f  # s1 is in Theta-perp
     assert datum.theta_perp((1, 2)) == (0,)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda d: d.theta_perp((-1,)), "simple index 0 out of range 1..3"),  # it gave (0,)
+    (lambda d: d.theta_perp((0, 3)), "simple index 4 out of range 1..3"),
+    (lambda d: d.exposing_coweight((5,)), "simple index 6 out of range 1..3"),
+    (lambda d: d.exposing_coweight((-1, 0, 1)), "simple index 0 out of range 1..3"),
+    (lambda d: d.stabilizer_type((0, 1, 3)), "simple index 4 out of range 1..3"),
+    (lambda d: d.coroot(-1), "coroot index 0 out of range 1..3"),  # it gave (0, 0, 0)
+    (lambda d: d.coroot(3), "coroot index 4 out of range 1..3"),
+], ids=["perp-minus-one", "perp-four", "expose-six", "expose-minus-one",
+        "stabilizer-four", "coroot-minus-one", "coroot-four"])
+def test_index_arguments_rejected_one_based_before_the_tables(call, message):
+    hyp = build_realization(HYPERBOLIC_ROWS)
+    with pytest.raises(DomainError, match=message):
+        call(hyp)
+    assert hyp._perp == {} and hyp._ctheta == {} and hyp._stab == {}
+
+
+def test_coroot_covers_the_added_basis_coweights():
+    # m = 2n - l basis coweights: h_1, h_2 and the added direction
+    aff = build_realization(AFFINE_A1_ROWS)
+    assert [aff.coroot(j) for j in range(3)] == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    with pytest.raises(DomainError, match="coroot index 4 out of range 1..3"):
+        aff.coroot(3)
+
+
+def test_stabilizer_type_is_theta_with_its_perp():
+    hyp = build_realization(HYPERBOLIC_ROWS)
+    assert hyp.stabilizer_type(()) == (0, 1, 2)
+    assert hyp.stabilizer_type((1, 0)) == (0, 1)
+    assert hyp.stabilizer_type((0, 1, 2)) == (0, 1, 2)
+    rows = ((2, -2, 0, 0), (-2, 2, 0, 0), (0, 0, 2, -2), (0, 0, -2, 2))
+    block = build_realization(rows)
+    assert block.stabilizer_type((2, 3)) == (0, 1, 2, 3)
+    with pytest.raises(NotSpecial):
+        hyp.stabilizer_type((0,))
+    assert set(hyp._stab) == {(), (0, 1), (0, 1, 2)}

@@ -359,3 +359,24 @@ def test_input_file(tmp_path, capsys):
     path.write_text(HYP)
     payload = run_json(capsys, ["classify", "-i", str(path)])
     assert payload["theta_inf"] == [1, 2, 3]
+
+
+def test_verify_timings_go_to_stderr_only(capsys, monkeypatch):
+    import re
+
+    from kmx import verify
+    # run_all reads ALL_CHECKS at call time: three real checks, cut small
+    monkeypatch.setattr(verify, "ALL_CHECKS", (
+        ("1", verify.check_hyperbolic_example),
+        ("3", lambda: verify.check_face_galois(pairs=20)),
+        ("4", lambda: verify.check_weyl_monoid(triples=20)),
+    ))
+    assert main(["verify"]) == 0
+    plain = capsys.readouterr()
+    assert main(["verify", "--timings"]) == 0
+    timed = capsys.readouterr()
+    assert timed.out == plain.out and plain.err == ""
+    lines = timed.err.splitlines()
+    assert [line.split("]")[0] for line in lines] == ["[1", "[3", "[4"]
+    for line in lines:
+        assert re.fullmatch(r"\[\w\] [a-z0-9-]+: \d+\.\d\d s CPU", line), line

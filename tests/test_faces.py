@@ -5,7 +5,7 @@ import pytest
 from kmx import faces as FC, weyl as W
 from kmx.cartan import (A2_ROWS, AFFINE_A1_ROWS, HYPERBOLIC_ROWS,
                         build_realization, classify)
-from kmx.errors import NotInTitsCone, NotSpecial
+from kmx.errors import DomainError, NotInTitsCone, NotSpecial
 
 A2 = build_realization(A2_ROWS)
 AFF = build_realization(AFFINE_A1_ROWS)
@@ -249,3 +249,18 @@ def test_affine_membership_always_decides():
                     W.dominant_rep(AFF, (a, b, t), cap=500)
                 except NotInTitsCone:
                     pass
+
+
+@pytest.mark.parametrize("theta,message", [
+    ((5,), "simple index 6 out of range 1..2"),  # it was an IndexError
+    ((-1,), "simple index 0 out of range 1..2"),  # it was NotSpecial naming (-1,)
+    ((0, 1, 2), "simple index 3 out of range 1..2"),
+])
+def test_normalize_face_rejects_out_of_range_theta_one_based(theta, message):
+    datum = build_realization(AFFINE_A1_ROWS)
+    with pytest.raises(DomainError, match=message):
+        FC.normalize_face(W.from_word(datum, (0, 1)), theta)
+    # the bad key is checked before the stabilizer table is read or filled
+    assert datum._stab == {} and datum._perp == {}
+    FC.normalize_face(W.identity_elt(datum), (1, 0, 1))
+    assert set(datum._stab) == {(0, 1)}

@@ -30,6 +30,26 @@ def test_act_defining_formulas():
             s2.act_coweight(bad)
 
 
+@pytest.mark.parametrize("bad", [(1, 2), (1, 2, 0, 0), ()])
+def test_actions_reject_vectors_of_the_wrong_length(bad):
+    # on the rank-3 datum act_root((1, 2)) gave (5, 4), act_weight (-7, 10, 4)
+    w = W.from_word(HYP, (0, 1, 0))
+    with pytest.raises(DomainError, match="root needs 3 coordinates"):
+        w.act_root(bad)
+    with pytest.raises(DomainError, match="weight needs 3 coordinates"):
+        w.act_weight(bad)
+    # dominant_rep raised IndexError on a short weight, InternalError on a long one
+    with pytest.raises(DomainError, match="weight needs 3 coordinates"):
+        W.dominant_rep(HYP, bad)
+    # affine A1: roots have n = 2 coordinates, weights m = 3
+    s = W.simple(AFF, 0)
+    assert s.act_root((1, 0)) == (-1, 0)
+    with pytest.raises(DomainError, match="root needs 2 coordinates"):
+        s.act_root((1, 0, 0))
+    with pytest.raises(DomainError, match="weight needs 3 coordinates"):
+        s.act_weight((1, 0))
+
+
 def test_act_contragredient_and_form_invariance():
     rng = random.Random(3)
     for datum in (A2, AFF, HYP):
