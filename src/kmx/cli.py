@@ -1,11 +1,13 @@
 """Command-line front end.
 
-All indices are 1-based in input and output.  Output is deterministic JSON
-(fixed key order, exact rationals as strings); --text renders small aligned
-tables instead.  Exit codes: 0 success, 1 domain error (bad input, malformed
-JSON, an unreadable file), 2 usage error, 3 resource guard, 4 internal error
-(any other exception: a bug, never a verdict on the input).  Exits 1, 3 and 4
-print an {"error": {"kind", "message"}} body; exit 4 also prints the
+All indices are 1-based in input and output.  The verbs that need a Cartan
+matrix read it from -i FILE or --gcm JSON.  Every verb but verify prints
+deterministic JSON (fixed key order, exact rationals as strings); --text
+renders small aligned tables instead.  Exit codes: 0 success, 1 domain
+error (bad input, malformed JSON, an unreadable file), 2 usage error (an
+option the verb does not take included), 3 resource guard, 4 internal error
+(any other exception: a bug, never a verdict on the input).  Exits 1, 3 and
+4 print an {"error": {"kind", "message"}} body; exit 4 also prints the
 traceback on stderr.
 """
 
@@ -25,10 +27,10 @@ from .errors import DomainError, GuardError, NotInTitsCone
 
 
 def _load_gcm(args) -> RootDatum:
-    if getattr(args, "input", None):
+    if args.input:
         with open(args.input, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
-    elif getattr(args, "gcm", None):
+    elif args.gcm:
         payload = json.loads(args.gcm)
     else:
         raise DomainError("no Cartan matrix given: use -i FILE or --gcm JSON")
@@ -521,21 +523,21 @@ def cmd_verify(args):
 # -- parser -------------------------------------------------------------------------
 
 
-def _add_gcm_opts(p):
-    p.add_argument("-i", "--input", help="path to a JSON file {\"A\": [[...], ...]}")
-    p.add_argument("--gcm", help="inline JSON Cartan matrix")
-    p.add_argument("--text", action="store_true", help="aligned text output")
-
-
 def make_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="kmx",
         description="exact Kac-Moody monoid-completion combinatorics")
     sub = ap.add_subparsers(dest="verb", required=True)
 
-    def verb(name, fn, **kwargs):
+    def verb(name, fn, *, gcm=True, text=True, **kwargs):
+        """A subparser; `gcm` adds -i/--gcm for verbs that load a Cartan
+        matrix, `text` adds --text for verbs that print JSON."""
         p = sub.add_parser(name, **kwargs)
-        _add_gcm_opts(p)
+        if gcm:
+            p.add_argument("-i", "--input", help="path to a JSON file {\"A\": [[...], ...]}")
+            p.add_argument("--gcm", help="inline JSON Cartan matrix")
+        if text:
+            p.add_argument("--text", action="store_true", help="aligned text output")
         p.set_defaults(fn=fn)
         return p
 
@@ -580,10 +582,12 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)
     p.add_argument("--conj-face", help="conjugate this face idempotent by the left element")
-    p = verb("toric-saturate", cmd_toric_saturate, help="saturate a lattice monoid")
+    p = verb("toric-saturate", cmd_toric_saturate, gcm=False,
+             help="saturate a lattice monoid")
     p.add_argument("--monoid", required=True)
     p.add_argument("--contains", help="lattice point to test")
-    p = verb("toric-faces", cmd_toric_faces, help="face lattice of a lattice monoid")
+    p = verb("toric-faces", cmd_toric_faces, gcm=False,
+             help="face lattice of a lattice monoid")
     p.add_argument("--monoid", required=True)
     p.add_argument("--face", type=int, help="face index for detailed operations")
     p.add_argument("--ri", help="point for a relative-interior test")
@@ -611,7 +615,8 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--probes", required=True, help="'hw:depth[:height];...'")
     p = verb("ghat-cell", cmd_ghat_cell, help="cell of a factored word")
     p.add_argument("--word", required=True)
-    p = verb("verify", cmd_verify, help="run the deterministic verification battery")
+    p = verb("verify", cmd_verify, gcm=False, text=False,
+             help="run the deterministic verification battery")
     p.add_argument("--timings", action="store_true",
                    help="print each check's CPU seconds on stderr")
     return ap

@@ -33,9 +33,11 @@ class NotSymmetrizable(DomainError):
 
 
 class NotSpecial(DomainError):
+    """.theta is 0-based like every library index; the message is 1-based."""
+
     def __init__(self, theta):
         self.theta = tuple(sorted(theta))
-        super().__init__(f"subset {self.theta} is not special")
+        super().__init__(f"subset {tuple(i + 1 for i in self.theta)} is not special")
 
 
 class NotDominant(DomainError):

@@ -18,10 +18,13 @@ and e_mat[i] holds the selected candidates' e-images over the lcm of their
 denominators.  Each e-image is a gcd-reduced (ints, den) pair, and each
 Gram entry is the exact quotient of an integer dot product by den (a
 remainder is an InternalError).  A Vector is int parts over one den in
-lowest terms, so adding, scaling, the operator step and the torus letter
-all run in ints.  Fraction appears only in the Peterson recurrence (its c_b
-are rational by definition), in the letter parameters, and in the values
-handed back by theta, matrix_coefficient, inner, evaluate_word and Distinct.
+lowest terms, with den 1 on the zero vector, so adding, scaling, the
+operator step and the torus letter all run in ints and equal vectors
+compare equal.  column_image applies a word to one basis vector, and
+evaluate_word builds its matrix from those columns.  Fraction appears only
+in the Peterson recurrence (its c_b are rational by definition), in the
+letter parameters, and in the values handed back by theta,
+matrix_coefficient, inner, evaluate_word and Distinct.
 
 A lowering f_i out of the bottom layer lands one step past the window.  Its
 target weight is marked nonzero when some candidate there has a nonzero
@@ -481,7 +484,8 @@ def build_basis(datum: RootDatum, hw: Sequence[int], depth: int,
 class Vector:
     """The vector sum over wt of parts[wt] / den in the slice bases, with
     int tuples parts[wt] and den > 0.  It is kept in lowest terms: no zero
-    part, and den and the entries coprime."""
+    part, den and the entries coprime, and den 1 on the zero vector.  So two
+    vectors compare equal exactly when they are the same vector."""
 
     slice: ModuleSlice
     parts: dict[Wt, IntVec]
@@ -496,7 +500,7 @@ class Vector:
                 g = math.gcd(g, *v)
         if g != 1:
             parts = {wt: tuple(x // g for x in v) for wt, v in parts.items()}
-        self.parts, self.den = parts, self.den // g
+        self.parts, self.den = parts, (self.den // g if parts else 1)
 
     def is_zero(self) -> bool:
         return not self.parts
@@ -625,6 +629,12 @@ def apply_word(word: GhatWord, v: Vector) -> Vector:
     return v
 
 
+def column_image(slice_: ModuleSlice, word: GhatWord, wt: Wt, k: int) -> Vector:
+    """The word applied to basis vector k at weight wt."""
+    dim = slice_.spaces[wt].dim
+    return apply_word(word, Vector(slice_, {wt: tuple(int(j == k) for j in range(dim))}))
+
+
 def evaluate_word(slice_: ModuleSlice, word: GhatWord,
                   max_height: Optional[int] = None):
     """Matrix of the word over the slice basis.
@@ -639,9 +649,7 @@ def evaluate_word(slice_: ModuleSlice, word: GhatWord,
         (wt, k) for wt, k in index if slice_.spaces[wt].height <= max_height)
     cols = []
     for wt, k in col_index:
-        dim = slice_.spaces[wt].dim
-        unit = Vector(slice_, {wt: tuple(int(j == k) for j in range(dim))})
-        img = apply_word(word, unit)
+        img = column_image(slice_, word, wt, k)
         col = [Fraction(0)] * len(index)
         for wt2, coeffs in img.parts.items():
             for j, x in enumerate(coeffs):

@@ -237,10 +237,6 @@ def _gen_mul(i: int, v: WeylElt, t: TorusVals) -> tuple[WeylElt, TorusVals]:
     return s * v, t
 
 
-def nelt_identity(datum: RootDatum) -> NElt:
-    return (W.identity_elt(datum), torus_one(datum))
-
-
 def nelt_mul(a: NElt, b: NElt) -> NElt:
     w, tau = a
     v, s = b

@@ -3,6 +3,13 @@
 Each check exercises one acceptance property with fixed seeds and sorted
 iteration, so two runs print byte-identical reports.  The pytest acceptance
 suite runs the same functions and additionally enforces the runtime bounds.
+
+Every leg of a check writes its report line through _leg, which adds a FAIL
+line when the leg failed; legs with undecided instances count their
+True/False/None verdicts with _tally.  The operator legs of [6] read each
+word's images on a probe slice in one pass: _fitting_images applies the
+words to the basis vectors in height order, up to height 2, and keeps the
+heights below the first DepthExceeded.  No dense operator matrix is built.
 """
 
 from __future__ import annotations
@@ -46,8 +53,19 @@ def _rand_face(rng: random.Random, datum: RootDatum) -> FC.Face:
     return FC.normalize_face(_rand_weyl(rng, datum), theta)
 
 
-def _fail(lines, msg):
-    lines.append("FAIL " + msg)
+def _leg(lines: list, text: str, failed, what: str) -> bool:
+    """Append a leg's report line, and a FAIL line naming `what` when the
+    leg failed.  True when it passed."""
+    lines.append(text)
+    if failed:
+        lines.append("FAIL " + what)
+    return not failed
+
+
+def _tally(verdicts: list) -> tuple[int, int, int]:
+    """(decided, failed, undecided) over True/False/None verdicts."""
+    undecided = verdicts.count(None)
+    return len(verdicts) - undecided, verdicts.count(False), undecided
 
 
 # -- criterion 1 ------------------------------------------------------------------
@@ -62,11 +80,9 @@ def check_hyperbolic_example() -> CheckResult:
           and cls.components[0][0] == (0, 1, 2))
     lines.append(f"classification: {[(c, t.value) for c, t in cls.components]}")
     ss = special_sets(datum.gcm)
-    expect = ((), (0, 1), (0, 1, 2))
-    ok = ok and ss == expect
-    lines.append(f"special sets (1-based): {[tuple(i + 1 for i in t) for t in ss]}")
-    if not ok:
-        _fail(lines, "hyperbolic fixed point mismatch")
+    ok = ok and ss == ((), (0, 1), (0, 1, 2))
+    _leg(lines, f"special sets (1-based): {[tuple(i + 1 for i in t) for t in ss]}",
+         not ok, "hyperbolic fixed point mismatch")
     return CheckResult("hyperbolic-classification-and-special-sets", ok, tuple(lines))
 
 
@@ -82,11 +98,9 @@ def check_face_counts(samples: int = 1000) -> CheckResult:
         seen = set()
         for _ in range(samples):
             seen.add(_rand_face(rng, datum))
-        lines.append(f"{name}: {len(seen)} distinct faces from {samples} samples "
-                     f"(expected {expected})")
-        if len(seen) != expected:
-            ok = False
-            _fail(lines, f"{name} face count")
+        ok &= _leg(lines, f"{name}: {len(seen)} distinct faces from {samples} samples "
+                          f"(expected {expected})",
+                   len(seen) != expected, f"{name} face count")
     return CheckResult("face-count-collapse", ok, tuple(lines))
 
 
@@ -116,10 +130,8 @@ def check_face_galois(pairs: int = 1000) -> CheckResult:
                 rhs = FC.standard_face(datum, tuple(sorted(set(t1) | set(t2))))
                 if lhs != rhs:
                     bad += 1
-        lines.append(f"{name}: {pairs} pairs, {bad} violations")
-        if bad:
-            ok = False
-            _fail(lines, f"{name} Galois/lattice laws")
+        ok &= _leg(lines, f"{name}: {pairs} pairs, {bad} violations", bad,
+                   f"{name} Galois/lattice laws")
     return CheckResult("face-lattice-galois", ok, tuple(lines))
 
 
@@ -160,10 +172,8 @@ def check_weyl_monoid(triples: int = 1000) -> CheckResult:
                 bad += 1
             if MO.wm_mul(e1, e2) != MO.wm_idempotent(FC.intersect(x.face, y.face)):
                 bad += 1
-        lines.append(f"{name}: {triples} triples, {bad} violations")
-        if bad:
-            ok = False
-            _fail(lines, f"{name} monoid laws")
+        ok &= _leg(lines, f"{name}: {triples} triples, {bad} violations", bad,
+                   f"{name} monoid laws")
     # affine: the monoid is the group plus a single zero
     datum = build_realization(AFFINE_A1_ROWS)
     zero = MO.wm_idempotent(FC.standard_face(datum, (0, 1)))
@@ -174,8 +184,8 @@ def check_weyl_monoid(triples: int = 1000) -> CheckResult:
             bad += 1
         if MO.wm_mul(x, zero) != zero or MO.wm_mul(zero, x) != zero:
             bad += 1
-    lines.append(f"affine-A1 zero absorption: {bad} violations")
-    ok = ok and bad == 0
+    ok &= _leg(lines, f"affine-A1 zero absorption: {bad} violations", bad,
+               "affine-A1 zero absorption")
     return CheckResult("weyl-monoid-laws", ok, tuple(lines))
 
 
@@ -199,10 +209,8 @@ def check_kappa_and_cocycle(pairs: int = 500) -> CheckResult:
             if MO.nhat_to_wmon(MO.nhat_mul(a, b)) != MO.wm_mul(
                     MO.nhat_to_wmon(a), MO.nhat_to_wmon(b)):
                 bad += 1
-        lines.append(f"{name}: kappa respects {pairs} products, {bad} violations")
-        if bad:
-            ok = False
-            _fail(lines, f"{name} kappa homomorphism")
+        ok &= _leg(lines, f"{name}: kappa respects {pairs} products, {bad} violations",
+                   bad, f"{name} kappa homomorphism")
         # cocycle n_i(1)^2 = t_{h_i}(-1): algebraic and operator-level
         for i in range(datum.n):
             ni = MO.nelt_lift(W.simple(datum, i))
@@ -216,32 +224,72 @@ def check_kappa_and_cocycle(pairs: int = 500) -> CheckResult:
                 HW.GhatWord((HW.torus_letter(datum.coroot(i), Fraction(-1)),)),
                 [(probe_hw, 2, 0)])
             op_ok = isinstance(res, HW.EqualOnProbes)
-            lines.append(f"{name}: generator {i + 1} squared cocycle "
-                         f"algebraic={'ok' if alg_ok else 'BAD'} "
-                         f"operators={'ok' if op_ok else 'BAD'}")
-            if not (alg_ok and op_ok):
-                ok = False
-                _fail(lines, f"{name} cocycle at {i + 1}")
+            ok &= _leg(lines, f"{name}: generator {i + 1} squared cocycle "
+                              f"algebraic={'ok' if alg_ok else 'BAD'} "
+                              f"operators={'ok' if op_ok else 'BAD'}",
+                       not (alg_ok and op_ok), f"{name} cocycle at {i + 1}")
     return CheckResult("normalizer-quotient-and-cocycle", ok, tuple(lines))
 
 
 # -- criterion 6 ------------------------------------------------------------------
 
 
+# heights of the basis vectors that [6] applies its words to
+_PROBE_HEIGHT = 2
+
+# special sets whose idempotents [6] tests for absorption and zero absorption
+_SPECIAL_CASES = (
+    ("affine-A1", AFFINE_A1_ROWS, (0, 1)),
+    ("rank3-hyperbolic", HYPERBOLIC_ROWS, (0, 1)),
+    ("rank3-hyperbolic", HYPERBOLIC_ROWS, (0, 1, 2)),
+)
+
+
+def _fitting_images(sl: HW.ModuleSlice, words) -> list:
+    """(weight, images of `words`) for each basis vector of sl of height at
+    most h0: one pass in height order up to _PROBE_HEIGHT that stops at the
+    first DepthExceeded.  h0 is the failing vector's height - 1, or
+    _PROBE_HEIGHT when none fails.  Fitting is monotone in height, so h0 is
+    the largest bound under which every word fits on every vector."""
+    out = []
+    for wt, k in sl.basis_index():
+        h = sl.height_of(wt)
+        if h > _PROBE_HEIGHT:
+            break
+        try:
+            out.append((wt, [HW.column_image(sl, w, wt, k) for w in words]))
+        except DepthExceeded:
+            return [col for col in out if sl.height_of(col[0]) < h]
+    return out
+
+
 def _adaptive_probe(datum, w1, w2, probes) -> Optional[bool]:
     """Equality on the largest fitting probe heights; None when nothing fits."""
     verdicts = []
     for hw, depth in probes:
-        for h0 in (2, 1, 0):
-            try:
-                res = HW.probe_equal(datum, w1, w2, [(hw, depth, h0)])
-            except DepthExceeded:
-                continue
-            verdicts.append(isinstance(res, HW.EqualOnProbes))
-            break
+        cols = _fitting_images(HW.build_basis(datum, hw, depth), (w1, w2))
+        if cols:
+            verdicts.append(all(a == b for _, (a, b) in cols))
     if not verdicts:
         return None
     return all(verdicts)
+
+
+def _check_preserves(datum, word: HW.GhatWord, cvec) -> Optional[bool]:
+    """Does the word map face-supported basis vectors into the face span?
+
+    Checked on fundamental slices at the largest fitting heights; None when
+    no face-supported vector fits the depth window.
+    """
+    any_fit = False
+    for hw, depth in _fundamental_probes(datum, 5):
+        for wt, (img,) in _fitting_images(HW.build_basis(datum, hw, depth), (word,)):
+            if exact.vec_dot(wt, cvec) != 0:
+                continue
+            any_fit = True
+            if any(exact.vec_dot(wt_r, cvec) != 0 for wt_r in img.parts):
+                return False
+    return True if any_fit else None
 
 
 def _conj_letters(x: MO.NhatElt, mid: list) -> HW.GhatWord:
@@ -263,36 +311,25 @@ def check_operator_theorems() -> CheckResult:
 
     # conjugation identity: n e(R) n^{-1} = e(wR) as operators
     for name, datum in data:
-        tried = skipped = bad = 0
+        verdicts = []
         for _ in range(12):
             sigma = _rand_weyl(rng, datum, 2)
             face = _rand_face(rng, datum)
             lhs = _conj_letters(MO.nhat_from(sigma), [HW.idem(face)])
             rhs = HW.GhatWord((HW.idem(FC.act_face(sigma, face)),))
-            verdict = _adaptive_probe(datum, lhs, rhs, _fundamental_probes(datum, 5))
-            if verdict is None:
-                skipped += 1
-            else:
-                tried += 1
-                bad += 0 if verdict else 1
-        lines.append(f"{name}: projection conjugation {tried} instances, "
-                     f"{bad} failures, {skipped} beyond depth")
-        if bad:
-            ok = False
-            _fail(lines, f"{name} conjugation")
+            verdicts.append(_adaptive_probe(datum, lhs, rhs, _fundamental_probes(datum, 5)))
+        tried, bad, skipped = _tally(verdicts)
+        ok &= _leg(lines, f"{name}: projection conjugation {tried} instances, "
+                          f"{bad} failures, {skipped} beyond depth", bad,
+                   f"{name} conjugation")
 
     # absorption: exp(g_root) e(R(Theta)) = e(R(Theta)) for roots in the
     # Theta-subsystem (both signs)
-    absorb_cases = [
-        ("affine-A1", AFFINE_A1_ROWS, (0, 1)),
-        ("rank3-hyperbolic", HYPERBOLIC_ROWS, (0, 1)),
-        ("rank3-hyperbolic", HYPERBOLIC_ROWS, (0, 1, 2)),
-    ]
-    for name, rows, theta in absorb_cases:
+    for name, rows, theta in _SPECIAL_CASES:
         datum = build_realization(rows)
         face = FC.standard_face(datum, theta)
         roots = HW.real_roots_with_witness(datum, 3)
-        tried = skipped = bad = 0
+        verdicts = []
         for root in sorted(roots):
             if not all(i in theta for i, c in enumerate(root) if c):
                 continue
@@ -301,24 +338,18 @@ def check_operator_theorems() -> CheckResult:
             body = _conj_letters(MO.nhat_from(u), [HW.xplus(i, Fraction(1))])
             lhs = HW.GhatWord(body.letters + (HW.idem(face),))
             rhs = HW.GhatWord((HW.idem(face),))
-            verdict = _adaptive_probe(datum, lhs, rhs, _fundamental_probes(datum, 5))
-            if verdict is None:
-                skipped += 1
-            else:
-                tried += 1
-                bad += 0 if verdict else 1
-        lines.append(f"{name} type {tuple(i + 1 for i in theta)}: absorption "
-                     f"{tried} roots, {bad} failures, {skipped} beyond depth")
-        if bad or tried == 0:
-            ok = False
-            _fail(lines, f"{name} absorption")
+            verdicts.append(_adaptive_probe(datum, lhs, rhs, _fundamental_probes(datum, 5)))
+        tried, bad, skipped = _tally(verdicts)
+        ok &= _leg(lines, f"{name} type {tuple(i + 1 for i in theta)}: absorption "
+                          f"{tried} roots, {bad} failures, {skipped} beyond depth",
+                   bad or tried == 0, f"{name} absorption")
 
     # root condition vs actual invariance of the face-projected submodule
     for name, datum in data:
         roots = HW.real_roots_with_witness(datum, 4)
         faces = sorted({_rand_face(rng, datum) for _ in range(6)},
                        key=lambda f: (f.theta, f.w.word))
-        tried = skipped = bad = 0
+        verdicts = []
         for face in faces:
             cvec = face.exposing()
             for root in sorted(roots):
@@ -329,17 +360,11 @@ def check_operator_theorems() -> CheckResult:
                              or supp <= set(datum.theta_perp(face.theta)))
                 word = _conj_letters(MO.nhat_from(u), [HW.xplus(i, Fraction(1))])
                 verdict = _check_preserves(datum, word, cvec)
-                if verdict is None:
-                    skipped += 1
-                    continue
-                tried += 1
-                if verdict != predicate:
-                    bad += 1
-        lines.append(f"{name}: root-condition vs invariance {tried} instances, "
-                     f"{bad} disagreements, {skipped} beyond depth")
-        if bad:
-            ok = False
-            _fail(lines, f"{name} root condition")
+                verdicts.append(None if verdict is None else verdict == predicate)
+        tried, bad, skipped = _tally(verdicts)
+        ok &= _leg(lines, f"{name}: root-condition vs invariance {tried} instances, "
+                          f"{bad} disagreements, {skipped} beyond depth", bad,
+                   f"{name} root condition")
 
     # tensor indicator law on module weight pairs
     for name, datum in data:
@@ -359,23 +384,15 @@ def check_operator_theorems() -> CheckResult:
                     total += 1
                     if ((pl + pm == 0) != (pl == 0 and pm == 0)):
                         bad += 1
-        lines.append(f"{name}: indicator multiplicativity on {total} pairs, "
-                     f"{bad} violations")
-        if bad:
-            ok = False
-            _fail(lines, f"{name} tensor law")
+        ok &= _leg(lines, f"{name}: indicator multiplicativity on {total} pairs, "
+                          f"{bad} violations", bad, f"{name} tensor law")
 
     # zero absorption for special J
-    zero_cases = [
-        ("affine-A1", AFFINE_A1_ROWS, (0, 1)),
-        ("rank3-hyperbolic", HYPERBOLIC_ROWS, (0, 1)),
-        ("rank3-hyperbolic", HYPERBOLIC_ROWS, (0, 1, 2)),
-    ]
-    for name, rows, jset in zero_cases:
+    for name, rows, jset in _SPECIAL_CASES:
         datum = build_realization(rows)
         zface = FC.standard_face(datum, jset)
         zero = HW.GhatWord((HW.idem(zface),))
-        tried = skipped = bad = 0
+        verdicts = []
         for _ in range(10):
             letters = []
             for _ in range(rng.randrange(1, 4)):
@@ -388,50 +405,16 @@ def check_operator_theorems() -> CheckResult:
                 else:
                     letters.append(HW.torus_letter(datum.coroot(j),
                                                    Fraction(rng.choice([2, 3, -1]))))
-            word = HW.GhatWord(tuple(letters))
-            left = HW.GhatWord((HW.idem(zface),) + word.letters)
-            right = HW.GhatWord(word.letters + (HW.idem(zface),))
-            v1 = _adaptive_probe(datum, left, zero, _fundamental_probes(datum, 5))
-            v2 = _adaptive_probe(datum, right, zero, _fundamental_probes(datum, 5))
-            if v1 is None or v2 is None:
-                skipped += 1
-            else:
-                tried += 1
-                bad += 0 if (v1 and v2) else 1
-        lines.append(f"{name} J={tuple(i + 1 for i in jset)}: zero absorption "
-                     f"{tried} words, {bad} failures, {skipped} beyond depth")
-        if bad or tried == 0:
-            ok = False
-            _fail(lines, f"{name} zero absorption")
+            word = tuple(letters)
+            probes = _fundamental_probes(datum, 5)
+            v1 = _adaptive_probe(datum, HW.GhatWord(zero.letters + word), zero, probes)
+            v2 = _adaptive_probe(datum, HW.GhatWord(word + zero.letters), zero, probes)
+            verdicts.append(None if v1 is None or v2 is None else v1 and v2)
+        tried, bad, skipped = _tally(verdicts)
+        ok &= _leg(lines, f"{name} J={tuple(i + 1 for i in jset)}: zero absorption "
+                          f"{tried} words, {bad} failures, {skipped} beyond depth",
+                   bad or tried == 0, f"{name} zero absorption")
     return CheckResult("operator-theorems", ok, tuple(lines))
-
-
-def _check_preserves(datum, word: HW.GhatWord, cvec) -> Optional[bool]:
-    """Does the word map face-supported basis vectors into the face span?
-
-    Checked on fundamental slices with restricted columns; None when no
-    probe fits the depth window.
-    """
-    any_fit = False
-    for hw, depth in _fundamental_probes(datum, 5):
-        sl = HW.build_basis(datum, hw, depth)
-        for h0 in (2, 1, 0):
-            try:
-                (rows, cols), mat = HW.evaluate_word(sl, word, max_height=h0)
-            except DepthExceeded:
-                continue
-            relevant = False
-            for c, (wt_c, _) in enumerate(cols):
-                if exact.vec_dot(wt_c, cvec) != 0:
-                    continue
-                relevant = True
-                for r, (wt_r, _) in enumerate(rows):
-                    if mat[r][c] != 0 and exact.vec_dot(wt_r, cvec) != 0:
-                        return False
-            if relevant:
-                any_fit = True
-            break
-    return True if any_fit else None
 
 
 # -- criterion 7 ------------------------------------------------------------------
@@ -450,11 +433,9 @@ def check_multiplicity_oracles() -> CheckResult:
         freud = HW.weights_and_mults(datum, hw, 4)
         sl = HW.build_basis(datum, hw, 4)
         agree = freud == sl.dims()
-        lines.append(f"{name} hw={hw}: {len(freud)} weights, "
-                     f"routes {'agree' if agree else 'DISAGREE'}")
-        if not agree:
-            ok = False
-            _fail(lines, f"{name} multiplicities")
+        ok &= _leg(lines, f"{name} hw={hw}: {len(freud)} weights, "
+                          f"routes {'agree' if agree else 'DISAGREE'}",
+                   not agree, f"{name} multiplicities")
         bad = 0
         for wt in sorted(sl.spaces):
             sp = sl.spaces[wt]
@@ -471,10 +452,8 @@ def check_multiplicity_oracles() -> CheckResult:
                         rhs = sum(sp.gram[a][c] * fm[c][b] for c in range(sp.dim))
                         if lhs * df != rhs * de:
                             bad += 1
-        lines.append(f"{name} hw={hw}: contravariance violations {bad}")
-        if bad:
-            ok = False
-            _fail(lines, f"{name} contravariance")
+        ok &= _leg(lines, f"{name} hw={hw}: contravariance violations {bad}", bad,
+                   f"{name} contravariance")
     return CheckResult("multiplicity-cross-oracle", ok, tuple(lines))
 
 
@@ -522,11 +501,9 @@ def check_theta_multiplicative(count: int = 100) -> CheckResult:
             done += 1
             if t1 * t2 != t3:
                 bad += 1
-        lines.append(f"{name}: {done} words checked ({skipped} beyond depth), "
-                     f"{bad} violations")
-        if bad or done < count:
-            ok = False
-            _fail(lines, f"{name} theta multiplicativity")
+        ok &= _leg(lines, f"{name}: {done} words checked ({skipped} beyond depth), "
+                          f"{bad} violations", bad or done < count,
+                   f"{name} theta multiplicativity")
     return CheckResult("theta-multiplicativity", ok, tuple(lines))
 
 
@@ -535,7 +512,6 @@ def check_theta_multiplicative(count: int = 100) -> CheckResult:
 
 def check_toric(count: int = 100) -> CheckResult:
     lines = []
-    ok = True
     rng = random.Random(90)
     bad_mem = bad_rt = bad_part = bad_meet = 0
     boxes = 0
@@ -580,12 +556,10 @@ def check_toric(count: int = 100) -> CheckResult:
                     inter = fa.index in faces_of_x and fb.index in faces_of_x
                     if inter != (meet.index in faces_of_x):
                         bad_meet += 1
-    lines.append(f"{count} random cones, {boxes} box points: "
-                 f"membership {bad_mem}, round-trip {bad_rt}, "
-                 f"ri-partition {bad_part}, meet {bad_meet} violations")
-    if bad_mem or bad_rt or bad_part or bad_meet:
-        ok = False
-        _fail(lines, "toric lattice checks")
+    ok = _leg(lines, f"{count} random cones, {boxes} box points: "
+                     f"membership {bad_mem}, round-trip {bad_rt}, "
+                     f"ri-partition {bad_part}, meet {bad_meet} violations",
+              bad_mem or bad_rt or bad_part or bad_meet, "toric lattice checks")
     return CheckResult("toric-gordan-roundtrip", ok, tuple(lines))
 
 
@@ -596,7 +570,6 @@ def check_random_gcms(count: int = 24) -> CheckResult:
     from .cartan import validate_and_symmetrize
 
     lines = []
-    ok = True
     rng = random.Random(100)
     tried = bad = 0
     while tried < count:
@@ -630,10 +603,8 @@ def check_random_gcms(count: int = 24) -> CheckResult:
             meet = FC.intersect(r, s)
             if FC.includes(r, s) != (meet == s) or meet != FC.intersect(s, r):
                 bad += 1
-    lines.append(f"{tried} random symmetrizable matrices, {bad} violations")
-    if bad:
-        ok = False
-        _fail(lines, "randomized sweep")
+    ok = _leg(lines, f"{tried} random symmetrizable matrices, {bad} violations", bad,
+              "randomized sweep")
     return CheckResult("randomized-matrix-sweep", ok, tuple(lines))
 
 

@@ -6,8 +6,12 @@ prints a single pass/fail line (run pytest with -s to see them).
 """
 
 import time
+from pathlib import Path
 
 from kmx import verify
+
+# the report the benchmark gates byte for byte; read here, never written
+PINNED_REPORT = Path(__file__).resolve().parent.parent / "perfbench" / "verify_report.txt"
 
 
 def _timed(check, bound_seconds, name, **kwargs):
@@ -71,3 +75,4 @@ def test_criterion_10_verify_verb_deterministic(capsys):
     assert code1 == 0 and code2 == 0
     assert out1 == out2, "verify reports differ between invocations"
     assert "result: all checks passed" in out1
+    assert out1 == PINNED_REPORT.read_text(encoding="utf-8"), "report differs from the pin"

@@ -50,6 +50,48 @@ def test_domain_error_exit_1(capsys):
     assert json.loads(out)["error"]["kind"] == "NotSpecial"
 
 
+@pytest.mark.parametrize("argv,subset", [
+    (["face-normalize", "--face", "theta=1"], "(1,)"),
+    (["expose", "--theta", "3"], "(3,)"),
+])
+def test_not_special_names_its_subset_one_based(capsys, argv, subset):
+    code, out = run(capsys, [argv[0], "--gcm", HYP] + argv[1:])
+    assert code == 1
+    assert json.loads(out)["error"] == {"kind": "NotSpecial",
+                                        "message": f"subset {subset} is not special"}
+
+
+MONOID = '{"rank": 2, "generators": [[1,0],[0,1]]}'
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--gcm", "nonsense"],
+    ["verify", "-i", "A.json"],
+    ["verify", "--input", "A.json"],
+    ["verify", "--text"],
+    ["toric-saturate", "--gcm", "junk", "--monoid", MONOID],
+    ["toric-saturate", "-i", "A.json", "--monoid", MONOID],
+    ["toric-faces", "--gcm", "junk", "--monoid", MONOID],
+    ["toric-faces", "-i", "A.json", "--monoid", MONOID],
+])
+def test_options_a_verb_does_not_read_are_usage_errors(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+def test_option_sets_per_verb():
+    from kmx.cli import make_parser
+    parser = make_parser()
+    verbs = next(a for a in parser._actions
+                 if isinstance(a, type(parser._subparsers._group_actions[0]))).choices
+    for name, sub in verbs.items():
+        opts = {o for a in sub._actions for o in a.option_strings}
+        assert ({"-i", "--input", "--gcm"} <= opts) == (
+            name not in ("toric-saturate", "toric-faces", "verify")), name
+        assert ("--text" in opts) == (name != "verify"), name
+
+
 def test_malformed_input_exit_1(capsys):
     code, out = run(capsys, ["classify", "--gcm", "not json"])
     assert code == 1 and "error" in json.loads(out)

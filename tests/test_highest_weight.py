@@ -469,6 +469,29 @@ def test_integer_vectors_are_not_truncated(vec, shown):
             build()
 
 
+def test_zero_vectors_compare_equal():
+    # e_1 of the top vector is zero; it used to keep the source's den 3
+    sl = HW.build_basis(A2, (1, 1), 2)
+    zero = HW._apply(HW.Vector(sl, {sl.hw: (1,)}, 3), 0, 1)
+    assert zero.is_zero() and zero.den == 1
+    assert zero == HW.Vector(sl, {}) == HW.Vector(sl, {sl.hw: (0,)}, 7)
+    top = HW.Vector(sl, {sl.hw: (2,)}, 4)
+    assert top.add(top.scale(Fr(-1))) == HW.Vector(sl, {})
+    assert top == HW.Vector(sl, {sl.hw: (1,)}, 2)
+
+
+def test_evaluate_word_columns_are_column_images():
+    word = HW.parse_word(A2, "X-(1;2) N(2) T(h1;3) X+(2;-1)")
+    sl = HW.build_basis(A2, (1, 1), 4)
+    (rows, cols), mat = HW.evaluate_word(sl, word)
+    assert len(cols) == 8
+    for c, (wt, k) in enumerate(cols):
+        img = HW.column_image(sl, word, wt, k)
+        col = {row: mat[r][c] for r, row in enumerate(rows) if mat[r][c]}
+        assert col == {(wt2, j): Fr(x, img.den) for wt2, part in img.parts.items()
+                       for j, x in enumerate(part) if x}
+
+
 def test_probe_pass_forms_no_gram_matrix():
     # the weights one step past the window are decided by e-images alone,
     # and agree with a nonzero Gram entry there

@@ -1,0 +1,177 @@
+"""The verify battery's shared plumbing: the one-pass probe of [6] against
+the height-by-height retry it replaced, the verdict tally and the report
+lines."""
+
+import random
+from fractions import Fraction
+
+from kmx import exact, highest_weight as HW, monoids as MO, verify
+from kmx.errors import DepthExceeded
+
+DATA = sorted(verify._data().items())
+
+
+# -- the retry probes, kept as the reference ---------------------------------------
+
+
+def ref_adaptive_probe(datum, w1, w2, probes, heights):
+    """Try heights 2, 1, 0 in turn on each probe; record the height that fit
+    (-1 when none did) in `heights`."""
+    verdicts = []
+    for hw, depth in probes:
+        for h0 in (2, 1, 0):
+            try:
+                res = HW.probe_equal(datum, w1, w2, [(hw, depth, h0)])
+            except DepthExceeded:
+                continue
+            verdicts.append(isinstance(res, HW.EqualOnProbes))
+            heights.append(h0)
+            break
+        else:
+            heights.append(-1)
+    if not verdicts:
+        return None
+    return all(verdicts)
+
+
+def ref_check_preserves(datum, word, cvec, heights):
+    any_fit = False
+    for hw, depth in verify._fundamental_probes(datum, 5):
+        sl = HW.build_basis(datum, hw, depth)
+        for h0 in (2, 1, 0):
+            try:
+                (rows, cols), mat = HW.evaluate_word(sl, word, max_height=h0)
+            except DepthExceeded:
+                continue
+            heights.append(h0)
+            relevant = False
+            for c, (wt_c, _) in enumerate(cols):
+                if exact.vec_dot(wt_c, cvec) != 0:
+                    continue
+                relevant = True
+                for r, (wt_r, _) in enumerate(rows):
+                    if mat[r][c] != 0 and exact.vec_dot(wt_r, cvec) != 0:
+                        return False
+            if relevant:
+                any_fit = True
+            break
+        else:
+            heights.append(-1)
+    return True if any_fit else None
+
+
+def _rand_word(rng, datum):
+    letters = []
+    for _ in range(rng.randrange(1, 5)):
+        kind = rng.randrange(5)
+        i = rng.randrange(datum.n)
+        t = Fraction(rng.choice([1, 2, -1]), rng.choice([1, 2]))
+        if kind == 0:
+            letters.append(HW.xplus(i, t))
+        elif kind == 1:
+            letters.append(HW.xminus(i, t))
+        elif kind == 2:
+            letters.append(HW.torus_letter(datum.coroot(i), rng.choice([2, 3, -1])))
+        elif kind == 3:
+            letters.append(HW.nsimple(i))
+        else:
+            letters.append(HW.idem(verify._rand_face(rng, datum)))
+    return HW.GhatWord(tuple(letters))
+
+
+def test_one_pass_probes_match_the_retry():
+    rng = random.Random(611)
+    heights, verdicts = [], []
+    for _, datum in DATA:
+        probes = verify._fundamental_probes(datum, 5)
+        for _ in range(40):
+            w1 = _rand_word(rng, datum)
+            # a third of the pairs are one word twice, and must be equal
+            w2 = w1 if rng.randrange(3) == 0 else _rand_word(rng, datum)
+            got = verify._adaptive_probe(datum, w1, w2, probes)
+            assert got == ref_adaptive_probe(datum, w1, w2, probes, heights), (w1, w2)
+            verdicts.append(got)
+        roots = HW.real_roots_with_witness(datum, 4)
+        for root in sorted(roots):
+            u, i = roots[root]
+            conj = verify._conj_letters(MO.nhat_from(u), [HW.xplus(i, Fraction(1))])
+            for word in (conj, _rand_word(rng, datum)):
+                cvec = verify._rand_face(rng, datum).exposing()
+                got = verify._check_preserves(datum, word, cvec)
+                assert got == ref_check_preserves(datum, word, cvec, heights), (word, cvec)
+                verdicts.append(got)
+    # every verdict and every fitting height, none (-1) included, occurs
+    assert set(verdicts) == {True, False, None}
+    assert set(heights) == {-1, 0, 1, 2}
+
+
+def test_fitting_images_are_the_columns_of_the_fitting_height():
+    rng = random.Random(612)
+    heights = set()
+    for _, datum in DATA:
+        roots = HW.real_roots_with_witness(datum, 4)
+        words = [verify._conj_letters(MO.nhat_from(u), [HW.xplus(i, Fraction(1))])
+                 for u, i in (roots[root] for root in sorted(roots))]
+        words += [_rand_word(rng, datum) for _ in range(10)]
+        # on the rho slice at depth 3 a word can leave the window from one
+        # vector of a height and not from the vector before it
+        rho = (tuple(1 if j < datum.n else 0 for j in range(datum.m)), 3)
+        for hw, depth in verify._fundamental_probes(datum, 5) + [rho]:
+            sl = HW.build_basis(datum, hw, depth)
+            for word in words:
+                for h0 in (2, 1, 0):
+                    try:
+                        (rows, cols), mat = HW.evaluate_word(sl, word, max_height=h0)
+                    except DepthExceeded:
+                        continue
+                    break
+                else:
+                    h0, cols = -1, ()
+                heights.add(h0)
+                got = verify._fitting_images(sl, (word,))
+                assert [wt for wt, _ in got] == [wt for wt, _ in cols]
+                for c, (_, (img,)) in enumerate(got):
+                    assert {(wt, j): Fraction(x, img.den) for wt, part in img.parts.items()
+                            for j, x in enumerate(part) if x} == \
+                        {row: mat[r][c] for r, row in enumerate(rows) if mat[r][c]}
+    assert heights == {-1, 0, 1, 2}
+
+
+def test_operator_theorems_build_no_dense_matrix(monkeypatch):
+    calls = []
+    real = HW.evaluate_word
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(HW, "evaluate_word", counting)
+    assert verify.check_operator_theorems().passed
+    assert calls == []
+
+
+# -- tally and report lines ----------------------------------------------------------
+
+
+def test_tally_counts_decided_failed_undecided():
+    assert verify._tally([]) == (0, 0, 0)
+    assert verify._tally([True, None, False, True, None]) == (3, 1, 2)
+    assert verify._tally([False, False]) == (2, 2, 0)
+
+
+def test_leg_appends_a_fail_line_only_when_failed():
+    lines = []
+    assert verify._leg(lines, "x: 0 violations", 0, "x laws") is True
+    assert verify._leg(lines, "y: 2 violations", 2, "y laws") is False
+    assert lines == ["x: 0 violations", "y: 2 violations", "FAIL y laws"]
+
+
+def test_weyl_monoid_zero_absorption_leg_reports_failure(monkeypatch):
+    # a product that keeps its left factor breaks every law of [4]
+    monkeypatch.setattr(MO, "wm_mul", lambda x, y: x)
+    res = verify.check_weyl_monoid(triples=20)
+    assert not res.passed
+    assert "FAIL affine-A1 zero absorption" in res.lines
+    at = res.lines.index("FAIL affine-A1 zero absorption")
+    assert res.lines[at - 1].startswith("affine-A1 zero absorption: ")
+    assert res.lines[at - 1] != "affine-A1 zero absorption: 0 violations"
