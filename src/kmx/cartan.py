@@ -17,12 +17,15 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import gcd
-from typing import Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from . import exact
 from .errors import (DomainError, InternalError, NotGCM, NotSpecial, NotSymmetrizable,
                      SizeGuard)
 from .exact import IntMat, IntVec, LPProblem, RatVec
+
+if TYPE_CHECKING:
+    from .faces import Face
 
 SPECIAL_SET_RANK_GUARD = 16
 
@@ -299,6 +302,8 @@ class RootDatum:
         self._perp: dict[tuple[int, ...], tuple[int, ...]] = {}
         self._ctheta: dict[tuple[int, ...], IntVec] = {}
         self._stab: dict[tuple[int, ...], tuple[int, ...]] = {}
+        # the face each coweight exposes, filled by faces._face_exposed_by
+        self._exposed: dict[IntVec, Face] = {}
         self._special: Optional[tuple[tuple[int, ...], ...]] = None
         self._root_mults: dict[int, dict[IntVec, int]] = {}
 

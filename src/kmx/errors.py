@@ -79,18 +79,24 @@ class NotInTitsCone(DomainError):
 class Undecided(GuardError):
     """Tits-cone membership undecided within the iteration budget.
 
-    Explicitly NOT a membership verdict.
+    Explicitly NOT a membership verdict.  .weight is the last weight the
+    walk reached, when the raiser knows it.
     """
 
-    def __init__(self, bound: int):
+    def __init__(self, bound: int, *, weight=None):
         self.bound = bound
+        self.weight = weight
         super().__init__(f"undecided after {bound} iterations")
 
 
 class DepthExceeded(GuardError):
-    def __init__(self, needed: int, depth: int):
+    """.weight is the target weight that left the slice's window, when the
+    raiser knows it."""
+
+    def __init__(self, needed: int, depth: int, *, weight=None):
         self.needed = needed
         self.depth = depth
+        self.weight = weight
         super().__init__(f"needs module depth >= {needed}, slice has {depth}")
 
 

@@ -19,11 +19,18 @@ form of a face is unique, so the Weyl-monoid products in `monoids` take
 their meets from c_R + u c_S the same way, without acting on S.  The Galois
 property with inclusion cross-validates this route against the double-coset
 route.
+
+A root datum's face lattice is fixed, so each meet is computed once per
+datum: `_face_exposed_by` keeps the face that each coweight exposed in the
+datum's table `RootDatum._exposed` (keyed by the coweight's coordinates; a
+failed walk stores nothing), and a face keeps its exposing coweight
+w c_Theta once `Face.exposing` has computed it.  A face met again is the
+same object, so its coweight comes along.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from . import weyl as W
@@ -37,6 +44,9 @@ from .weyl import WeylElt, antidominant_coweight, dominant_rep
 class Face:
     w: WeylElt
     theta: tuple[int, ...]
+    # w c_Theta, filled by `exposing` on first use; init=False, so
+    # dataclasses.replace never carries it over to another w or Theta
+    _exposing: Optional[IntVec] = field(init=False, compare=False, repr=False, default=None)
 
     @property
     def datum(self) -> RootDatum:
@@ -46,8 +56,11 @@ class Face:
         return self.theta == ()
 
     def exposing(self) -> IntVec:
-        """Integer coweight whose zero set on the Tits cone is this face."""
-        return self.w.act_coweight(self.datum.exposing_coweight(self.theta))
+        """Integer coweight w c_Theta whose zero set on the Tits cone is this face."""
+        if self._exposing is None:
+            object.__setattr__(self, "_exposing",
+                               self.w.act_coweight(self.datum.exposing_coweight(self.theta)))
+        return self._exposing  # type: ignore[return-value]
 
     def span_normals(self) -> tuple[IntVec, ...]:
         """Coweights w*h_i (i in Theta) cutting out the linear span."""
@@ -104,11 +117,18 @@ def _face_exposed_by(datum: RootDatum, d: IntVec) -> Face:
     """The face that d exposes, for d a nonnegative integer combination of
     Weyl images of exposing coweights.  The antidominant walk gives
     d' = v d, whose support Theta is special and exposes R(Theta); so d
-    exposes v^{-1} R(Theta).  The zero coweight exposes the full cone."""
-    if not any(d):
-        return full_cone(datum)
-    dmin, v = antidominant_coweight(datum, d)
-    return normalize_face(v.inv(), tuple(i for i in range(datum.n) if dmin[i] != 0))
+    exposes v^{-1} R(Theta).  The zero coweight exposes the full cone.
+    The answer is looked up in, or else stored in, the datum's table."""
+    key = tuple(d)
+    face = datum._exposed.get(key)
+    if face is None:
+        if not any(d):
+            face = full_cone(datum)
+        else:
+            dmin, v = antidominant_coweight(datum, d)
+            face = normalize_face(v.inv(), tuple(i for i in range(datum.n) if dmin[i] != 0))
+        datum._exposed[key] = face
+    return face
 
 
 def intersect(r: Face, s: Face) -> Face:

@@ -540,7 +540,7 @@ def _apply(v: Vector, i: int, sign: int) -> Vector:
         found = (sp.e_mat if sign > 0 else sp.f_mat).get(i)
         if found is None:
             if tgt_wt in sl._nonzero_beyond:
-                raise DepthExceeded(needed=sp.height + 1, depth=sl.depth)
+                raise DepthExceeded(needed=sp.height + 1, depth=sl.depth, weight=tgt_wt)
             continue  # certified zero: the target weight space vanishes
         # distinct source weights have distinct targets
         mat, den = found

@@ -9,8 +9,12 @@ has a left descent in Theta, read from the one vector tau rho, and only
 then is the coset walked.  The product (R, sigma)(S, tau) has face
 R cap sigma S, the face exposed by c_R + sigma c_S for exposing coweights
 c_R, c_S (`faces._face_exposed_by`), so no face is acted on; `nhat_mul`
-takes its face the same way.  Torus-monoid elements t e(R) are canonicalized
-by the values of t on a Smith-basis of the lattice spanned by R.  Normalizer
+takes its face the same way.  That meet is looked up in the root datum's
+table of exposed faces and computed only the first time its coweight
+comes up, and the faces it returns keep their exposing coweights, so a
+face met again costs neither a walk nor a Weyl action.  Torus-monoid
+elements t e(R) are canonicalized by the values of t on a Smith-basis of
+the lattice spanned by R.  Normalizer
 elements are n_w t e(R) where n_w is the canonical lift of a reduced word;
 products use the rank-one cocycle n_i^2 = t_{h_i}(-1).
 """

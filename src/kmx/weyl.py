@@ -288,8 +288,9 @@ def dominant_rep(datum: RootDatum, weight: Sequence, cap: int = 2000) -> Dominan
       * lam(u * c_Theta) = 0 while lam vanishes on no larger set than the
         face span requires.
     Raises NotInTitsCone with the certificate, or Undecided(cap) if the
-    budget runs out without a verdict.  The walk keeps the current weight
-    and the applied letters; w is multiplied out once, when it is returned.
+    budget runs out without a verdict; its .weight is the last weight the
+    walk reached.  The walk keeps the current weight and the applied
+    letters; w is multiplied out once, when it is returned.
     """
     lam = tuple(Fraction(x) for x in weight)
     if len(lam) != datum.m:
@@ -325,7 +326,7 @@ def dominant_rep(datum: RootDatum, weight: Sequence, cap: int = 2000) -> Dominan
         for k, a in support[i]:
             cur[k] -= c * a
         letters.append(i)
-    raise Undecided(cap)
+    raise Undecided(cap, weight=tuple(cur))
 
 
 def antidominant_coweight(datum: RootDatum, coweight: Sequence) -> tuple[Vec, WeylElt]:

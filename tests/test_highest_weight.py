@@ -195,6 +195,18 @@ def test_depth_errors():
         HW.build_basis(AFF, (1, 0, 0), 99)
 
 
+def test_depth_exceeded_names_the_weight_that_left_the_window():
+    sl = HW.build_basis(AFF, (1, 0, 0), 2)
+    word = HW.GhatWord((HW.xminus(0, 1), HW.xminus(1, 1), HW.xminus(0, 1)))
+    with pytest.raises(DepthExceeded) as err:
+        HW.apply_word(word, sl.highest_vector())
+    wt = err.value.weight
+    assert wt not in sl.spaces and wt in sl._nonzero_beyond
+    assert AFF.weight_height((1, 0, 0), wt) == err.value.needed == 3
+    assert str(err.value) == "needs module depth >= 3, slice has 2"
+    assert DepthExceeded(needed=3, depth=2).weight is None
+
+
 def test_depth_certified_zero_at_boundary():
     # the finite A2 module ends at height 2; lowering at the boundary is a
     # certified zero, not a DepthExceeded

@@ -150,6 +150,20 @@ def test_operator_theorems_build_no_dense_matrix(monkeypatch):
     assert calls == []
 
 
+def test_operator_theorems_build_each_probe_slice_once(monkeypatch):
+    # the special-set legs read their data from the check's own _data()
+    built = []
+    init = HW.ModuleSlice.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(HW.ModuleSlice, "__init__", counting)
+    assert verify.check_operator_theorems().passed
+    assert len(built) == 10
+
+
 # -- tally and report lines ----------------------------------------------------------
 
 

@@ -185,6 +185,17 @@ def test_dominant_undecided_budget():
     assert tuple(res.dominant) == (1, 1, 1)
 
 
+def test_undecided_says_how_far_the_walk_got():
+    # two reflections undo s_1 s_2 of s_1 s_2 s_3 rho; the walk stops at s_3 rho
+    lam = W.from_word(HYP, (0, 1, 2)).act_weight((1, 1, 1))
+    with pytest.raises(Undecided) as err:
+        W.dominant_rep(HYP, lam, cap=1)
+    assert err.value.weight == W.simple(HYP, 2).act_weight((1, 1, 1))
+    assert err.value.bound == 1
+    assert str(err.value) == "undecided after 1 iterations"
+    assert Undecided(5).weight is None
+
+
 def test_not_in_cone_negative_lightcone():
     # the opposite lightcone component pairs negatively with the full-support
     # exposing coweight at once
