@@ -11,6 +11,7 @@ Index convention: 0-based everywhere inside the library; the CLI shifts to
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -114,11 +115,15 @@ def typed_numbers(toks: Iterable, what: str, *, integral: bool = False) -> tuple
     when `integral` is set.
 
     Anything else (1/0, a letter, 0.5, 1e3, 3/2 where an integer is
-    expected) raises DomainError naming the token as typed.
+    expected) raises DomainError naming the token as typed, and so does a
+    token longer than Python converts to int (4300 digits by default).
     """
     kind = "an integer" if integral else "a number a/b with b != 0"
+    limit = sys.get_int_max_str_digits()  # 0: no limit
     out = []
     for t in toks:
+        if limit and len(str(t)) > limit:
+            raise DomainError(f"{what} has {len(str(t))} characters, more than {limit}")
         mm = _NUMBER.fullmatch(str(t))
         if mm is None or mm[2] is not None and (integral or int(mm[2]) == 0):
             raise DomainError(f"{what} {t} is not {kind}")

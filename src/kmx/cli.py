@@ -26,12 +26,18 @@ from .cartan import (RootDatum, build_realization, classify, one_based, special_
 from .errors import DomainError, GuardError, NotInTitsCone
 
 
+def _json(text: str):
+    """Parsed JSON input whose integers are read by `typed_numbers`."""
+    return json.loads(text, parse_int=lambda s: typed_numbers([s], "JSON integer",
+                                                              integral=True)[0])
+
+
 def _load_gcm(args) -> RootDatum:
     if args.input:
         with open(args.input, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
+            payload = _json(fh.read())
     elif args.gcm:
-        payload = json.loads(args.gcm)
+        payload = _json(args.gcm)
     else:
         raise DomainError("no Cartan matrix given: use -i FILE or --gcm JSON")
     if not isinstance(payload, dict) or "A" not in payload:
@@ -93,7 +99,7 @@ def _json_face(datum, obj: dict, where: str = "") -> FC.Face:
 def _parse_face(datum, text: str) -> FC.Face:
     text = text.strip()
     if text.startswith("{"):
-        return _json_face(datum, json.loads(text))
+        return _json_face(datum, _json(text))
     return FC.parse_face(datum, text)
 
 
@@ -118,7 +124,7 @@ def _parse_element(datum, text: str, *, face_optional: bool = False):
     object, or a field that is missing, unknown or of the wrong kind, is a
     DomainError naming it.
     """
-    payload = json.loads(text)
+    payload = _json(text)
     if not isinstance(payload, dict):
         raise DomainError(f"element {text} is not a JSON object")
     _only_fields(payload, ("w", "face", "t"))
@@ -167,7 +173,7 @@ def _json_ints(vals, what: str) -> tuple[int, ...]:
 
 
 def _parse_monoid(args) -> toric.LatticeMonoid:
-    payload = json.loads(args.monoid)
+    payload = _json(args.monoid)
     if (not isinstance(payload, dict) or "rank" not in payload
             or not isinstance(payload.get("generators"), list)
             or any(not isinstance(g, list) for g in payload["generators"])):
@@ -325,7 +331,7 @@ def cmd_face_of_point(args):
     out = _face_json(face)
     if args.predicates:
         ref = _parse_face(datum, args.predicates)
-        preds = FC.face_predicates(ref, weight=lam)
+        preds = FC.face_predicates(ref, weight=lam, cap=args.cap)
         if args.element is not None:
             preds.update(FC.face_predicates(ref, u=_parse_word(datum, args.element)))
         out = {"face": out, "predicates": preds}
@@ -363,12 +369,11 @@ def cmd_that_mul(args):
         _, face, torus = _parse_element(datum, text)
         return MO.that_normalize(torus, face)
 
-    x, y = parse(args.left), parse(args.right)
-    out = _that_json(MO.that_mul(x, y))
+    prod = MO.that_mul(parse(args.left), parse(args.right))
+    out = _that_json(prod)
     if args.act is not None:
         out = {"product": out,
-               "acted": _that_json(MO.that_act(_parse_word(datum, args.act),
-                                               MO.that_mul(x, y)))}
+               "acted": _that_json(MO.that_act(_parse_word(datum, args.act), prod))}
     _emit(args, out)
 
 
@@ -412,7 +417,7 @@ def cmd_toric_faces(args):
         f = faces[args.face]
         entry = {"index": f.index, "dim": f.dim,
                  "hull": [list(b) for b in f.hull],
-                 "subfaces": [g.index for g in m.closure_order(f)]}
+                 "subfaces": [g.index for g in m.subfaces(f)]}
         if args.ri is not None:
             x = _numbers(args.ri, "lattice point coordinate", integral=True)
             entry["relative_interior_contains"] = m.relative_interior_contains(f, x)

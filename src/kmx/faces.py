@@ -149,11 +149,9 @@ def face_of_point(datum: RootDatum, weight: Sequence, cap: int = 2000) -> Face:
     return normalize_face(res.w, theta)
 
 
-def contains(r: Face, weight: Sequence, *, known_in_cone: bool = False,
-             cap: int = 2000) -> bool:
+def contains(r: Face, weight: Sequence, *, cap: int = 2000) -> bool:
     """Point containment: lam in X and lam(c_R) = 0 for the exposing coweight."""
-    if not known_in_cone:
-        dominant_rep(r.datum, weight, cap=cap)  # raises if not certified inside
+    dominant_rep(r.datum, weight, cap=cap)  # raises if not certified inside
     return r.datum.pair(weight, r.exposing()) == 0
 
 
@@ -176,10 +174,14 @@ def normalizes(r: Face, u: WeylElt) -> bool:
 
 def face_predicates(r: Face, *, weight: Optional[Sequence] = None,
                     u: Optional[WeylElt] = None, cap: int = 2000) -> dict:
+    """Predicates of r at `weight` and `u`.  One `face_of_point` walk certifies
+    the weight (or raises its verdict) and gives its own face: the weight
+    lies in r iff it pairs to zero with c_R, in r's interior iff that is r."""
     out: dict = {}
     if weight is not None:
-        out["contains"] = contains(r, weight, cap=cap)
-        out["in_relative_interior"] = in_relative_interior(r, weight, cap=cap)
+        own = face_of_point(r.datum, weight, cap=cap)
+        out["contains"] = r.datum.pair(weight, r.exposing()) == 0
+        out["in_relative_interior"] = own == r
         out["in_span"] = in_span(r, weight)
     if u is not None:
         out["centralizes"] = centralizes(r, u)

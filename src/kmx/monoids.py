@@ -108,16 +108,16 @@ def wm_invert(x: WmonElt) -> WmonElt:
     return wm_normalize(x.w.inv(), F.act_face(x.w.inv(), x.face))
 
 
-def wm_apply(x: WmonElt, weight: Sequence, *, known_in_cone: bool = False):
+def wm_apply(x: WmonElt, weight: Sequence):
     """Action on the Tits cone: sigma(lam) when it lands in the face, else Zero.
 
     Well-defined on congruence classes: replacing sigma by z sigma with z
     centralizing the face changes neither the membership test nor the image.
-    Tits-cone membership verdicts (NotInTitsCone / Undecided) pass through
-    unless the caller certifies the input with known_in_cone.
+    `faces.contains` certifies the image in the Tits cone, so its verdicts
+    (NotInTitsCone / Undecided) pass through.
     """
     img = x.w.act_weight(weight)
-    if F.contains(x.face, img, known_in_cone=known_in_cone):
+    if F.contains(x.face, img):
         return tuple(img)
     return ZERO
 
@@ -147,7 +147,7 @@ def torus_inv(a: TorusVals) -> TorusVals:
     return tuple(1 / x for x in a)
 
 
-def torus_eval(datum: RootDatum, t: TorusVals, weight: Sequence[int]) -> Fraction:
+def torus_eval(t: TorusVals, weight: Sequence[int]) -> Fraction:
     val = Fraction(1)
     for tv, c in zip(t, weight):
         val *= tv ** int(c)
@@ -156,9 +156,8 @@ def torus_eval(datum: RootDatum, t: TorusVals, weight: Sequence[int]) -> Fractio
 
 def torus_act(u: WeylElt, t: TorusVals) -> TorusVals:
     """(u t)(lam) = t(u^{-1} lam); exact via the integer matrix of u^{-1}."""
-    datum = u.datum
     cols = exact.transpose(u.mat_p_inv)
-    return tuple(torus_eval(datum, t, col) for col in cols)
+    return tuple(torus_eval(t, col) for col in cols)
 
 
 def _span_lattice_basis(face: Face) -> tuple[IntVec, ...]:
@@ -187,7 +186,7 @@ def that_normalize(t: TorusVals, face: Face) -> ThatElt:
         raise ZeroTorusValue("torus values must be nonzero")
     basis = _span_lattice_basis(face)
     return ThatElt(face=face, basis=basis,
-                   values=tuple(torus_eval(face.datum, t, b) for b in basis))
+                   values=tuple(torus_eval(t, b) for b in basis))
 
 
 def that_idempotent(face: Face) -> ThatElt:
@@ -214,9 +213,9 @@ def that_act(u: WeylElt, x: ThatElt) -> ThatElt:
     return ThatElt(face=face, basis=basis, values=tuple(vals))
 
 
-def that_eval(x: ThatElt, weight: Sequence[int], *, known_in_cone: bool = False):
+def that_eval(x: ThatElt, weight: Sequence[int]):
     """Operator value on a weight: t(lam) on the face, else Zero."""
-    if F.contains(x.face, weight, known_in_cone=known_in_cone):
+    if F.contains(x.face, weight):
         return exact.eval_character(x.basis, x.values, weight)
     return ZERO
 

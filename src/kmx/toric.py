@@ -4,6 +4,12 @@ Implements the finitely generated case of the cone/monoid correspondence:
 saturation as cone-intersect-lattice via exact double description, the full
 face lattice, relative interiors, hulls, dual faces, and the monoid of
 homomorphisms into the rationals with its idempotent and orbit structure.
+
+Every point query reads one pass over the facet pairings (`_locate`): x
+lies in a face F iff F's active facets vanish at x, and in its relative
+interior iff exactly they do.  The face lattice is built once, with
+indexes by active set and by ray set, so `face_of` and `face_meet` are
+lookups.
 """
 
 from __future__ import annotations
@@ -118,22 +124,29 @@ class LatticeMonoid:
 
     # -- membership ----------------------------------------------------------
 
-    def contains(self, x: Sequence[int]) -> bool:
+    def _locate(self, x: Sequence[int]) -> Optional[tuple[int, ...]]:
+        """The facets vanishing at x, or None when x is outside the monoid."""
         if len(x) != self.rank:
             raise RankMismatch("point has the wrong length")
-        return (all(exact.vec_dot(a, x) >= 0 for a in self.inequalities)
-                and all(exact.vec_dot(a, x) == 0 for a in self.equalities))
+        if any(exact.vec_dot(a, x) for a in self.equalities):
+            return None
+        vals = [exact.vec_dot(a, x) for a in self.inequalities]
+        return None if min(vals, default=0) < 0 else tuple(i for i, v in enumerate(vals) if v == 0)
+
+    def contains(self, x: Sequence[int]) -> bool:
+        return self._locate(x) is not None
 
     def active_set(self, x: Sequence[int]) -> tuple[int, ...]:
-        if not self.contains(x):
+        act = self._locate(x)
+        if act is None:
             raise NotInMonoid(f"{tuple(x)} is outside the monoid")
-        return tuple(i for i, a in enumerate(self.inequalities)
-                     if exact.vec_dot(a, x) == 0)
+        return act
 
     # -- face lattice ----------------------------------------------------------
 
     def faces(self) -> tuple[MonoidFace, ...]:
-        """All faces, ordered by (dimension, ray set).
+        """All faces, ordered by (dimension, ray set), indexed by active set
+        and by ray set.
 
         Faces are intersections of facets; each is identified by the set of
         extreme rays it contains (every face contains the lineality).
@@ -141,51 +154,40 @@ class LatticeMonoid:
         if self._faces is not None:
             return self._faces
         nray = len(self.rays)
-        full = frozenset(range(nray))
-        ray_sets = {full}
-        facet_rays = []
-        for a in self.inequalities:
-            fs = frozenset(k for k in range(nray)
-                           if exact.vec_dot(a, self.rays[k]) == 0)
-            facet_rays.append(fs)
-            ray_sets.add(fs)
-        frontier = set(ray_sets)
-        while frontier:
-            new = set()
-            for rs in frontier:
-                for fs in facet_rays:
-                    cand = rs & fs
-                    if cand not in ray_sets:
-                        new.add(cand)
-            ray_sets |= new
-            frontier = new
+        facet_rays = [frozenset(k for k in range(nray) if exact.vec_dot(a, self.rays[k]) == 0)
+                      for a in self.inequalities]
+        # the ray sets of all intersections of facets, the empty one included
+        ray_sets = {frozenset(range(nray))}
+        for fs in facet_rays:
+            ray_sets |= {rs & fs for rs in ray_sets}
         faces = []
         for rs in ray_sets:
             span_vecs = [self.rays[k] for k in sorted(rs)] + list(self.lineality)
             hull = exact.saturate_span(span_vecs, self.rank)
-            active = tuple(i for i, a in enumerate(self.inequalities)
-                           if all(exact.vec_dot(a, self.rays[k]) == 0 for k in rs))
+            active = tuple(i for i, fs in enumerate(facet_rays) if rs <= fs)
             faces.append((len(hull), tuple(sorted(rs)), active, hull))
         faces.sort(key=lambda t: (t[0], t[1]))
         self._faces = tuple(
             MonoidFace(index=i, ray_ids=rids, active=act, hull=hull, dim=d)
             for i, (d, rids, act, hull) in enumerate(faces)
         )
+        self._by_active = {f.active: f for f in self._faces}
+        self._by_rays = {f.ray_ids: f for f in self._faces}
         return self._faces
 
     def face_of(self, x: Sequence[int]) -> MonoidFace:
         """Smallest face containing x; its full active set matches that of x."""
         act = self.active_set(x)
-        for f in self.faces():
-            if f.active == act:
-                return f
-        raise NotAFace(f"no face with active set {act}")
+        self.faces()
+        if (f := self._by_active.get(act)) is None:
+            raise NotAFace(f"no face with active set {act}")
+        return f
 
     def face_contains(self, f: MonoidFace, x: Sequence[int]) -> bool:
         """x lies in f: a saturated monoid meets the zero set of f's active
         facets exactly in f, so no test against the hull lattice is needed."""
-        return (self.contains(x)
-                and all(exact.vec_dot(self.inequalities[i], x) == 0 for i in f.active))
+        act = self._locate(x)
+        return act is not None and set(f.active).issubset(act)
 
     def top_face(self) -> MonoidFace:
         return self.faces()[-1]
@@ -195,10 +197,10 @@ class LatticeMonoid:
 
     def face_meet(self, f: MonoidFace, g: MonoidFace) -> MonoidFace:
         rs = tuple(sorted(set(f.ray_ids) & set(g.ray_ids)))
-        for h in self.faces():
-            if h.ray_ids == rs:
-                return h
-        raise NotAFace("meet fell outside the computed lattice")
+        self.faces()
+        if (h := self._by_rays.get(rs)) is None:
+            raise NotAFace("meet fell outside the computed lattice")
+        return h
 
     def subfaces(self, f: MonoidFace) -> tuple[MonoidFace, ...]:
         return tuple(g for g in self.faces() if self.face_leq(g, f))
@@ -207,10 +209,7 @@ class LatticeMonoid:
 
     def relative_interior_contains(self, f: MonoidFace, x: Sequence[int]) -> bool:
         """In f but in no proper subface: active sets coincide."""
-        return self.contains(x) and self.active_set(x) == f.active
-
-    def hull_basis(self, f: MonoidFace) -> tuple[IntVec, ...]:
-        return f.hull
+        return self._locate(x) == f.active
 
     def dual_face(self, f: MonoidFace) -> "LatticeMonoid":
         """The monoid M - F, generated by M and the negated hull of F."""
@@ -219,10 +218,6 @@ class LatticeMonoid:
             gens.append(v)
             gens.append(tuple(-x for x in v))
         return LatticeMonoid(gens, self.rank)
-
-    def closure_order(self, f: MonoidFace) -> tuple[MonoidFace, ...]:
-        """Faces G whose torus orbit lies in the closure of T(F): the subfaces."""
-        return self.subfaces(f)
 
     def principal_open(self, m: Sequence[int]) -> tuple[MonoidFace, ...]:
         """Faces G with e(G)(m) != 0, i.e. G containing the ri-face of m."""
@@ -247,11 +242,9 @@ class MhatElt:
         return self.monoid.faces()[self.face_index]
 
     def __call__(self, x: Sequence[int]) -> Fraction:
-        if not self.monoid.contains(x):
-            raise NotInMonoid(f"{tuple(x)} is outside the monoid")
-        if not self.monoid.face_contains(self.face, x):
-            return Fraction(0)
-        return exact.eval_character(self.face.hull, self.values, x)
+        if set(self.face.active).issubset(self.monoid.active_set(x)):
+            return exact.eval_character(self.face.hull, self.values, x)
+        return Fraction(0)
 
 
 def mhat_idempotent(monoid: LatticeMonoid, f: MonoidFace) -> MhatElt:

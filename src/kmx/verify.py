@@ -525,31 +525,24 @@ def check_toric(count: int = 100) -> CheckResult:
         span = 2
         pts = list(iproduct(range(-span, span + 1), repeat=rank))
         cols = exact.transpose(exact.int_mat(gens))
-        for x in pts:
-            boxes += 1
-            oracle = exact.nonneg_solve(cols, x) is not None
-            if m1.contains(x) != oracle:
-                bad_mem += 1
+        boxes += len(pts)
+        inside = [m1.contains(x) for x in pts]
+        bad_mem += sum(member != (exact.nonneg_solve(cols, x) is not None)
+                       for x, member in zip(pts, inside))
         # round trip: regenerate from the cone description
         gens2 = list(m1.rays) + [v for b in m1.lineality for v in (b, tuple(-c for c in b))]
         m2 = toric.LatticeMonoid(gens2 or [(0,) * rank], rank)
-        for x in pts:
-            if m1.contains(x) != m2.contains(x):
-                bad_rt += 1
+        bad_rt += sum(member != m2.contains(x) for x, member in zip(pts, inside))
         if len(m1.faces()) != len(m2.faces()):
             bad_rt += 1
-        # relative interiors partition the monoid
-        for x in pts:
-            if not m1.contains(x):
-                continue
-            hits = [f.index for f in m1.faces() if m1.relative_interior_contains(f, x)]
-            if len(hits) != 1:
-                bad_part += 1
-        # meets agree with set intersection on the box: each point's set of
-        # containing faces is computed once and read for every face pair
+        # each member's active set is read once.  Relative interiors
+        # partition the monoid: exactly one face has that active set.  Meets
+        # agree with set intersection on the box: a member lies in the faces
+        # whose active sets its own contains
         fl = m1.faces()
-        containing = [frozenset(f.index for f in fl if m1.face_contains(f, x))
-                      for x in pts if m1.contains(x)]
+        actives = [set(m1.active_set(x)) for x, member in zip(pts, inside) if member]
+        bad_part += sum(sum(set(f.active) == act for f in fl) != 1 for act in actives)
+        containing = [frozenset(f.index for f in fl if set(f.active) <= act) for act in actives]
         for fa in fl:
             for fb in fl:
                 meet = m1.face_meet(fa, fb)

@@ -61,4 +61,8 @@ def test_caches_read_by_the_workloads_exist():
 
     for fn in (cartan._classify_cached, cartan._component_type_cached):
         assert callable(fn.cache_info) and callable(fn.cache_clear)
-    assert build_realization(A2_ROWS)._ctheta == {}
+    fresh = build_realization(A2_ROWS)
+    assert fresh._ctheta == {}
+    # cold_caches reads a `_slice_cache` attribute as a warm slice cache, so
+    # a fresh datum must not have one
+    assert not hasattr(fresh, "_slice_cache")

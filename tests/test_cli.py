@@ -219,6 +219,15 @@ INPUT_ERRORS = [
      "coweight coordinate 4/2 is not an integer"),
     # the Cartan matrix object has the one key "A"
     (["classify", "--gcm", '{"A": [[2,-1],[-1,2]], "B": 7}'], 'field "B" is unknown'),
+    # numbers longer than Python converts to int, typed or in JSON
+    (["dominant", "--gcm", A2, "--weight", "9" * 5000 + ",1"],
+     "weight coordinate has 5000 characters, more than"),
+    (["classify", "--gcm", '{"A": [[2,-%s],[-1,2]]}' % ("9" * 5000)],
+     "JSON integer has 5001 characters, more than"),
+    (["toric-saturate", "--monoid", '{"rank": 2, "generators": [[1,%s]]}' % ("9" * 5000)],
+     "JSON integer has 5000 characters, more than"),
+    (["that-mul", "--gcm", A2, "--left", '{"face": {}, "t": ["1", "%s"]}' % ("9" * 5000),
+      "--right", '{"face": {}}'], "torus value has 5000 characters, more than"),
 ]
 
 
@@ -282,6 +291,38 @@ def test_guard_error_exit_3(capsys):
                              "--hw", "1,0", "--depth", "99"])
     assert code == 3
     assert json.loads(out)["error"]["kind"] == "DepthTooLarge"
+
+
+def test_face_of_point_predicates_read_the_cap(capsys):
+    # w rho for w = (s1 s2)^1100 on affine A1: its walk to the dominant
+    # chamber needs more than the default 2000 steps
+    argv = ["face-of-point", "--gcm", AFF, "--weight=-4399,4401,-2418899", "--cap", "5000"]
+    full = {"w": "", "theta": []}
+    assert run_json(capsys, argv) == full
+    payload = run_json(capsys, argv + ["--predicates", "w=;theta=1,2"])
+    assert payload == {"face": full, "predicates": {
+        "contains": False, "in_relative_interior": False, "in_span": False}}
+    code, out = run(capsys, argv[:-2] + ["--predicates", "w=;theta=1,2"])
+    assert code == 3
+    assert json.loads(out)["error"] == {"kind": "Undecided",
+                                        "message": "undecided after 2000 iterations"}
+
+
+def test_that_mul_act_multiplies_once(capsys, monkeypatch):
+    from kmx import monoids
+
+    calls = []
+    real = monoids.that_mul
+
+    def counting(x, y):
+        calls.append(1)
+        return real(x, y)
+
+    monkeypatch.setattr(monoids, "that_mul", counting)
+    argv = next(argv for argv, _ in COVERAGE if argv[0] == "that-mul")
+    assert "--act" in argv
+    payload = run_json(capsys, argv)
+    assert set(payload) == {"product", "acted"} and len(calls) == 1
 
 
 def test_depth_env_override(capsys, monkeypatch):

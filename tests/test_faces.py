@@ -86,8 +86,8 @@ def test_face_of_point_examples():
 def test_predicates_examples():
     R12 = FC.standard_face(HYP, (0, 1))
     edge = FC.standard_face(HYP, (0, 1, 2))
-    assert FC.contains(edge, (0, 0, 0), known_in_cone=True)
-    assert FC.contains(R12, (0, 0, 0), known_in_cone=True)
+    assert FC.contains(edge, (0, 0, 0))
+    assert FC.contains(R12, (0, 0, 0))
     assert FC.in_relative_interior(R12, HYP.fundamental_weight(2))
     assert not FC.in_relative_interior(edge, HYP.fundamental_weight(2))
     assert FC.in_span(R12, HYP.fundamental_weight(2))
@@ -98,6 +98,36 @@ def test_predicates_examples():
                                u=W.simple(HYP, 0))
     assert preds == {"contains": True, "in_relative_interior": True,
                      "in_span": True, "centralizes": True, "normalizes": True}
+
+
+def test_face_predicates_walk_the_weight_once(monkeypatch):
+    # one face_of_point walk serves contains and in_relative_interior; the
+    # answers are those of the predicates run one by one
+    rng = random.Random(13)
+    cases = []
+    for datum in (AFF, HYP):
+        for _ in range(25):
+            r, s = rand_face(rng, datum), rand_face(rng, datum)
+            for lam in sample_points(rng, s, count=2):
+                cases.append((r, lam, {"contains": FC.contains(r, lam),
+                                       "in_relative_interior": FC.in_relative_interior(r, lam),
+                                       "in_span": FC.in_span(r, lam)}))
+    assert {tuple(want.values()) for _, _, want in cases} >= {
+        (True, True, True), (True, False, True), (False, False, False)}
+    walks = []
+    real = FC.dominant_rep
+
+    def counting(*args, **kwargs):
+        walks.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(FC, "dominant_rep", counting)
+    for r, lam, want in cases:
+        walks.clear()
+        assert FC.face_predicates(r, weight=lam) == want
+        assert len(walks) == 1
+    with pytest.raises(NotInTitsCone):
+        FC.face_predicates(FC.full_cone(AFF), weight=(1, -1, 0))
 
 
 def test_lattice_laws_random():

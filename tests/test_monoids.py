@@ -101,14 +101,11 @@ def test_wm_idempotents_commute_and_match_faces():
 def test_wm_apply_examples():
     s1 = W.simple(HYP, 0)
     lam1 = HYP.fundamental_weight(0)
-    out = MO.wm_apply(MO.wm_normalize(s1, FC.full_cone(HYP)), lam1,
-                      known_in_cone=True)
+    out = MO.wm_apply(MO.wm_normalize(s1, FC.full_cone(HYP)), lam1)
     assert tuple(out) == tuple(s1.act_weight(lam1))
     edge = FC.standard_face(HYP, (0, 1, 2))
-    assert MO.wm_apply(MO.wm_idempotent(edge), HYP.fundamental_weight(2),
-                       known_in_cone=True) is MO.ZERO
-    assert MO.wm_apply(MO.wm_idempotent(edge), (0, 0, 0),
-                       known_in_cone=True) == (0, 0, 0)
+    assert MO.wm_apply(MO.wm_idempotent(edge), HYP.fundamental_weight(2)) is MO.ZERO
+    assert MO.wm_apply(MO.wm_idempotent(edge), (0, 0, 0)) == (0, 0, 0)
 
 
 def test_wm_action_is_monoid_action():
@@ -119,9 +116,9 @@ def test_wm_action_is_monoid_action():
         x, y = rand_wmon(rng, datum), rand_wmon(rng, datum)
         lam = rng.choice(pts)
         lam = tuple(rand_weyl(rng, datum, 3).act_weight(lam))
-        lhs = MO.wm_apply(MO.wm_mul(x, y), lam, known_in_cone=True)
-        inner = MO.wm_apply(y, lam, known_in_cone=True)
-        rhs = MO.ZERO if inner is MO.ZERO else MO.wm_apply(x, inner, known_in_cone=True)
+        lhs = MO.wm_apply(MO.wm_mul(x, y), lam)
+        inner = MO.wm_apply(y, lam)
+        rhs = MO.ZERO if inner is MO.ZERO else MO.wm_apply(x, inner)
         assert lhs == rhs or (lhs is MO.ZERO and rhs is MO.ZERO)
 
 
@@ -132,7 +129,7 @@ def test_wm_stabilizer_of_facet_is_parabolic_submonoid():
     jset = (0, 1)
 
     def stabilizes(x):
-        out = MO.wm_apply(x, lam, known_in_cone=True)
+        out = MO.wm_apply(x, lam)
         return out is not MO.ZERO and tuple(out) == tuple(lam)
 
     stab = [x for x in (rand_wmon(rng, datum) for _ in range(250)) if stabilizes(x)]
@@ -143,7 +140,7 @@ def test_wm_stabilizer_of_facet_is_parabolic_submonoid():
             assert W.in_parabolic(x.w, jset)
         # idempotents in the stabilizer are the faces containing the point
         if x.is_idempotent():
-            assert FC.contains(x.face, lam, known_in_cone=True)
+            assert FC.contains(x.face, lam)
     # the stabilizer is a submonoid: closed under products on samples
     for x in stab[:10]:
         for y in stab[:10]:
@@ -211,8 +208,8 @@ def test_that_eval_operator_semantics():
     c = FC.standard_face(datum, (0, 1))
     x = MO.that_normalize(MO.torus_from_coweight(datum, datum.coroot(2), Fr(5)), c)
     # on the edge lattice Z*Lambda_3 the value is 5^k
-    assert MO.that_eval(x, (0, 0, 2), known_in_cone=True) == 25
-    assert MO.that_eval(x, (1, 0, 0), known_in_cone=True) is MO.ZERO
+    assert MO.that_eval(x, (0, 0, 2)) == 25
+    assert MO.that_eval(x, (1, 0, 0)) is MO.ZERO
 
 
 # -- canonical lifts and N-hat -----------------------------------------------------

@@ -43,9 +43,9 @@ def test_relative_interior_and_hull():
     assert m.relative_interior_contains(top, (1, 1))
     assert not m.relative_interior_contains(top, (1, 0))
     zero = m.faces()[0]
-    assert zero.dim == 0 and m.hull_basis(zero) == ()
+    assert zero.dim == 0 and zero.hull == ()
     xaxis = next(f for f in m.faces() if f.dim == 1 and m.face_contains(f, (1, 0)))
-    hull = m.hull_basis(xaxis)
+    hull = xaxis.hull
     assert len(hull) == 1 and tuple(abs(c) for c in hull[0]) == (1, 0)
 
 
@@ -95,9 +95,9 @@ def test_dual_face_lattice_formula():
 def test_closure_order_and_principal_open():
     m = N2()
     top = m.top_face()
-    assert len(m.closure_order(top)) == 4
+    assert len(m.subfaces(top)) == 4
     zero = m.faces()[0]
-    assert m.closure_order(zero) == (zero,)
+    assert m.subfaces(zero) == (zero,)
     po = m.principal_open((1, 1))
     assert [f.index for f in po] == [top.index]
     assert len(m.principal_open((0, 0))) == 4
@@ -278,7 +278,7 @@ def test_cross_module_tits_cone_monoid_affine_type():
                 assert member(tuple(x // k for x in lam))
         # edge face membership matches the face module predicate
         on_edge = pairing == 0
-        assert FC.contains(edge, lam, known_in_cone=True) == on_edge
+        assert FC.contains(edge, lam) == on_edge
     # monoid closure on members (stay inside the box to keep it cheap)
     small = [lam for lam in members if all(abs(x) <= 1 for x in lam)]
     for lam in small:

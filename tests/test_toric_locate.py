@@ -1,0 +1,160 @@
+"""One pairing pass per point, and the indexed face lattice.
+
+Every point predicate of a `LatticeMonoid` reads the point's active facet
+set from one pass over the facet pairings, and `face_of` and `face_meet`
+look faces up by active set and by ray set.  These tests hold the results
+against scan and pairing references kept here, on seeded random cones with
+lineality and equalities, and count the pairings each query makes.
+"""
+
+import random
+from fractions import Fraction as Fr
+from itertools import product
+
+import pytest
+
+from kmx import exact
+from kmx.errors import NotInMonoid, RankMismatch
+from kmx.exact import eval_character, vec_dot
+from kmx.toric import LatticeMonoid, MhatElt
+
+
+def _cones(seed=63, count=80):
+    """Seeded cones of ranks 1-5, drawn as in the lineality/equality test of
+    test_toric.py, so that many have lineality or equalities."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        rank = rng.randrange(1, 6)
+        gens = [tuple(rng.randrange(-3, 4) for _ in range(rank))
+                for _ in range(rng.randrange(1, rank + 4))]
+        yield LatticeMonoid(gens, rank)
+
+
+def _box(rank):
+    span = 2 if rank <= 3 else 1
+    return list(product(range(-span, span + 1), repeat=rank))
+
+
+# -- references: pair every inequality with the point or the rays ---------------
+
+
+def _ref_active(m, x):
+    if any(vec_dot(a, x) != 0 for a in m.equalities):
+        return None
+    if any(vec_dot(a, x) < 0 for a in m.inequalities):
+        return None
+    return tuple(i for i, a in enumerate(m.inequalities) if vec_dot(a, x) == 0)
+
+
+def _ref_face_active(m, f):
+    return tuple(i for i, a in enumerate(m.inequalities)
+                 if all(vec_dot(a, m.rays[k]) == 0 for k in f.ray_ids))
+
+
+def _ref_face_contains(m, f, x):
+    return (_ref_active(m, x) is not None
+            and all(vec_dot(m.inequalities[i], x) == 0 for i in f.active))
+
+
+def _ref_face_of(m, x):
+    act = _ref_active(m, x)
+    return next(f for f in m.faces() if f.active == act)
+
+
+def _ref_meet(m, f, g):
+    rs = tuple(sorted(set(f.ray_ids) & set(g.ray_ids)))
+    return next(h for h in m.faces() if h.ray_ids == rs)
+
+
+def test_point_queries_agree_with_scan_and_pairing_references():
+    rng = random.Random(66)
+    seen_lin = seen_eq = points = inside = 0
+    for m in _cones():
+        seen_lin += bool(m.lineality)
+        seen_eq += bool(m.equalities)
+        fl = m.faces()
+        for f in fl:
+            assert f.active == _ref_face_active(m, f)
+        for f in fl:
+            for g in fl:
+                assert m.face_meet(f, g) is _ref_meet(m, f, g)
+        elts = [MhatElt(monoid=m, face_index=f.index,
+                        values=tuple(Fr(rng.choice([2, 3, -1]), rng.choice([1, 5]))
+                                     for _ in f.hull)) for f in fl]
+        for x in _box(m.rank):
+            points += 1
+            act = _ref_active(m, x)
+            assert m.contains(x) == (act is not None)
+            for f in fl:
+                assert m.face_contains(f, x) == _ref_face_contains(m, f, x)
+                assert m.relative_interior_contains(f, x) == (act == f.active)
+            if act is None:
+                for call in (m.active_set, m.face_of, m.principal_open, elts[-1]):
+                    with pytest.raises(NotInMonoid):
+                        call(x)
+                continue
+            inside += 1
+            assert m.active_set(x) == act
+            assert m.face_of(x) is _ref_face_of(m, x)
+            own = m.face_of(x)
+            assert m.principal_open(x) == tuple(g for g in fl if m.face_leq(own, g))
+            for e in elts:
+                want = (eval_character(e.face.hull, e.values, x)
+                        if _ref_face_contains(m, e.face, x) else Fr(0))
+                assert e(x) == want
+    assert seen_lin > 10 and seen_eq > 10, (seen_lin, seen_eq)
+    assert points > 2000 and inside > 300, (points, inside)
+
+
+def test_wrong_length_is_a_rank_mismatch_for_every_point_query():
+    m = LatticeMonoid([(1, 0), (0, 1)], 2)
+    top = m.top_face()
+    for call in (m.contains, m.active_set, m.face_of, m.principal_open,
+                 lambda x: m.face_contains(top, x),
+                 lambda x: m.relative_interior_contains(top, x)):
+        with pytest.raises(RankMismatch):
+            call((1, 2, 3))
+
+
+@pytest.fixture
+def pairings(monkeypatch):
+    """Count the integer pairings the toric layer makes."""
+    calls = []
+    real = exact.vec_dot
+
+    def counting(u, v):
+        calls.append(1)
+        return real(u, v)
+
+    monkeypatch.setattr(exact, "vec_dot", counting)
+    return calls
+
+
+def test_each_point_query_makes_one_pairing_pass(pairings):
+    for m in _cones(seed=64, count=25):
+        fl = m.faces()
+        one_pass = len(m.equalities) + len(m.inequalities)
+        elt = MhatElt(monoid=m, face_index=fl[-1].index,
+                      values=(Fr(2),) * len(fl[-1].hull))
+        for x in _box(m.rank)[::7]:
+            member = _ref_active(m, x) is not None
+            queries = [m.contains, lambda x: m.face_contains(fl[0], x),
+                       lambda x: m.relative_interior_contains(fl[-1], x)]
+            if member:
+                queries += [m.active_set, m.face_of, m.principal_open, elt]
+            for query in queries:
+                pairings.clear()
+                query(x)
+                assert len(pairings) <= one_pass
+
+
+def test_face_lattice_pairs_each_facet_with_each_ray_once(pairings):
+    for m in _cones(seed=65, count=25):
+        pairings.clear()
+        fl = m.faces()
+        assert len(pairings) == len(m.inequalities) * len(m.rays)
+        pairings.clear()
+        for f in fl:
+            for g in fl:
+                m.face_meet(f, g)
+        assert not pairings
