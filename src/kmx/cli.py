@@ -331,7 +331,7 @@ def cmd_face_of_point(args):
     out = _face_json(face)
     if args.predicates:
         ref = _parse_face(datum, args.predicates)
-        preds = FC.face_predicates(ref, weight=lam, cap=args.cap)
+        preds = FC.point_predicates(ref, lam, face)  # the verb's walk serves them
         if args.element is not None:
             preds.update(FC.face_predicates(ref, u=_parse_word(datum, args.element)))
         out = {"face": out, "predicates": preds}

@@ -172,17 +172,23 @@ def normalizes(r: Face, u: WeylElt) -> bool:
     return W.in_parabolic(r.w.inv() * u * r.w, r.datum.stabilizer_type(r.theta))
 
 
+def point_predicates(r: Face, weight: Sequence, own: Face) -> dict:
+    """Predicates of r at a weight whose `face_of_point` is `own`; that walk
+    certified the weight in the Tits cone.  The weight lies in r iff it
+    pairs to zero with c_R, in r's interior iff its own face is r."""
+    return {"contains": r.datum.pair(weight, r.exposing()) == 0,
+            "in_relative_interior": own == r,
+            "in_span": in_span(r, weight)}
+
+
 def face_predicates(r: Face, *, weight: Optional[Sequence] = None,
                     u: Optional[WeylElt] = None, cap: int = 2000) -> dict:
     """Predicates of r at `weight` and `u`.  One `face_of_point` walk certifies
-    the weight (or raises its verdict) and gives its own face: the weight
-    lies in r iff it pairs to zero with c_R, in r's interior iff that is r."""
+    the weight (or raises its verdict) and gives the point predicates their
+    own face."""
     out: dict = {}
     if weight is not None:
-        own = face_of_point(r.datum, weight, cap=cap)
-        out["contains"] = r.datum.pair(weight, r.exposing()) == 0
-        out["in_relative_interior"] = own == r
-        out["in_span"] = in_span(r, weight)
+        out = point_predicates(r, weight, face_of_point(r.datum, weight, cap=cap))
     if u is not None:
         out["centralizes"] = centralizes(r, u)
         out["normalizes"] = normalizes(r, u)

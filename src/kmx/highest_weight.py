@@ -22,8 +22,7 @@ lowest terms, with den 1 on the zero vector, so adding, scaling, the
 operator step and the torus letter all run in ints and equal vectors
 compare equal.  column_image applies a word to one basis vector, and
 evaluate_word builds its matrix from those columns.  Fraction appears only
-in the Peterson recurrence (its c_b are rational by definition), in the
-letter parameters, and in the values handed back by theta,
+in the letter parameters and in the values handed back by theta,
 matrix_coefficient, inner, evaluate_word and Distinct.
 
 A lowering f_i out of the bottom layer lands one step past the window.  Its
@@ -33,9 +32,10 @@ kills is zero, and the Gram matrices of the built spaces are nondegenerate,
 so this is the same as asking for a nonzero Gram entry without forming one.
 
 Weight multiplicities come from two independent routes: the Freudenthal
-recursion (fed by root multiplicities computed with the standard Peterson
-recurrence) and the Gram-rank route used to build the bases.  The test suite
-crosses them against each other; neither consults the other here.
+recursion (fed by root multiplicities read off the Weyl denominator, an
+integer recurrence on ht(b) c_b) and the Gram-rank route used to build the
+bases.  The test suite crosses them against each other; neither consults
+the other here.
 """
 
 from __future__ import annotations
@@ -83,21 +83,7 @@ def _over_common_den(pairs: Sequence[tuple[IntVec, int]]) -> tuple[list[IntVec],
     return [v if d == den else tuple(x * (den // d) for x in v) for v, d in pairs], den
 
 
-# -- root multiplicities (Peterson recurrence) -----------------------------------
-
-
-def _form(bmat, b1: Beta, b2: Beta) -> Fraction:
-    """(b1 | b2) on the root lattice, with bmat[i][j] = (alpha_i | alpha_j)
-    (the symmetrized matrix B = gcm.b)."""
-    n = len(b1)
-    return sum(bmat[i][j] * b1[i] * b2[j] for i in range(n) for j in range(n)
-               if b1[i] and b2[j])
-
-
-def _weight_form(eps, wt: Sequence[int], b: Beta) -> Fraction:
-    """(wt | b) = sum_i wt(h_i) b_i / eps_i; wt = rho = (1, ..., 1) gives
-    (rho | b)."""
-    return sum(Fraction(wt[i] * b[i]) / eps[i] for i in range(len(b)))
+# -- root multiplicities (Weyl denominator) ------------------------------------
 
 
 def _compositions(n: int, h: int) -> list[Beta]:
@@ -118,67 +104,41 @@ def _compositions(n: int, h: int) -> list[Beta]:
 def root_multiplicities(datum: RootDatum, max_height: int) -> dict[Beta, int]:
     """Multiplicities of positive roots up to the given height.
 
-    Peterson's recurrence over the root cone: with c_b = sum_k mult(b/k)/k,
-    (b | b - 2 rho) c_b = sum over proper decompositions b' + b'' = b of
-    (b' | b'') c_b' c_b''.  Where (b | b - 2 rho) = 0, b is not a root and
-    c_b is the sum over k >= 2 alone.  Real roots come out with multiplicity
-    one, which the test suite spot-checks against the Weyl orbit of the
-    simple roots.
+    Read off the Weyl denominator d = weyl.denominator (Kac, ch. 10):
+    prod_{a > 0} (1 - e^{-a})^mult(a) = sum_b d_b e^{-b}, so
+    -log sum_b d_b e^{-b} = sum_b c_b e^{-b} with c_b = sum_k mult(b/k)/k.
+    The height derivation e^{-b} -> ht(b) e^{-b} turns the logarithm into a
+    recurrence on the integers g_b = ht(b) c_b = sum_k ht(b/k) mult(b/k):
+    g_b = -ht(b) d_b - sum of d_delta g_{b - delta} over delta in supp d
+    with 0 < delta < b.  Then ht(b) mult(b) is g_b less its k >= 2 terms.
+    Real roots come out with multiplicity one, which the test suite
+    spot-checks against the Weyl orbit of the simple roots.
     """
     cache = datum._root_mults
     if max_height in cache:
         return cache[max_height]
-    n = datum.n
-    bmat, eps, rho = datum.gcm.b, datum.gcm.eps, datum.rho()
-    c: dict[Beta, Fraction] = {}
+    d = W.denominator(datum, max_height)
+    steps = [(delta, sum(delta), e) for delta, e in d.items() if any(delta)]
+    g: dict[Beta, int] = {}
     mult: dict[Beta, int] = {}
     for h in range(1, max_height + 1):
-        for b in _compositions(n, h):
-            if h == 1:
-                c[b] = Fraction(1)
-                mult[b] = 1
-                continue
-            coeff = _form(bmat, b, b) - 2 * _weight_form(eps, rho, b)
-            total = Fraction(0)
-            for b1 in _proper_summands(b):
-                b2 = tuple(x - y for x, y in zip(b, b1))
-                cb1 = c.get(b1, Fraction(0))
-                cb2 = c.get(b2, Fraction(0))
-                if cb1 and cb2:
-                    total += _form(bmat, b1, b2) * cb1 * cb2
-            # the part of c_b that comes from proper divisors b/k, k >= 2
-            below = sum((Fraction(mult.get(tuple(x // k for x in b), 0), k)
-                         for k in range(2, h + 1) if all(x % k == 0 for x in b)),
-                        Fraction(0))
-            if coeff == 0:
-                # b is not a root (e.g. b = 2 theta in A2), but c_b still
-                # carries the multiples below it
-                if total != 0:
-                    raise InternalError("Peterson coefficient vanished unexpectedly")
-                c[b] = below
-                mult[b] = 0
-                continue
-            cb = total / coeff
-            m = cb - below
-            if m.denominator != 1 or m < 0:
-                raise InternalError(f"root multiplicity {m} at {b} is not a natural number")
-            c[b] = cb
-            mult[b] = int(m)
+        for b in _compositions(datum.n, h):
+            total = -h * d.get(b, 0)
+            for delta, hd, e in steps:
+                if hd < h and all(x <= y for x, y in zip(delta, b)):
+                    total -= e * g[tuple(y - x for x, y in zip(delta, b))]
+            g[b] = total
+            # the part of g_b that comes from proper divisors b/k, k >= 2
+            below = sum(h // k * mult[tuple(x // k for x in b)]
+                        for k in range(2, h + 1) if all(x % k == 0 for x in b))
+            m, rem = divmod(total - below, h)
+            if rem or m < 0:
+                raise InternalError(f"root multiplicity {total - below}/{h} at {b} "
+                                    "is not a natural number")
+            mult[b] = m
     result = {b: m for b, m in mult.items() if m > 0}
     cache[max_height] = result
     return result
-
-
-def _proper_summands(b: Beta):
-    n = len(b)
-    def rec(pos, acc, nonzero):
-        if pos == n:
-            if nonzero and any(x < y for x, y in zip(acc, b)):
-                yield tuple(acc)
-            return
-        for k in range(b[pos] + 1):
-            yield from rec(pos + 1, acc + [k], nonzero or k > 0)
-    yield from rec(0, [], False)
 
 
 def real_roots_with_witness(datum: RootDatum, max_height: int

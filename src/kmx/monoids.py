@@ -25,8 +25,8 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import exact, faces as F, weyl as W
-from .cartan import RootDatum
-from .errors import InternalError, PreconditionViolated, ZeroTorusValue
+from .cartan import RootDatum, exact_ints
+from .errors import DomainError, InternalError, PreconditionViolated, ZeroTorusValue
 from .exact import IntVec
 from .faces import Face
 from .weyl import WeylElt
@@ -131,12 +131,25 @@ def torus_one(datum: RootDatum) -> TorusVals:
     return (Fraction(1),) * datum.m
 
 
+def _checked_torus(datum: RootDatum, t: TorusVals) -> TorusVals:
+    """t, once it has datum.m values, all nonzero."""
+    if len(t) != datum.m:
+        raise DomainError(f"torus element needs {datum.m} values")
+    if any(v == 0 for v in t):
+        raise ZeroTorusValue("torus values must be nonzero")
+    return t
+
+
 def torus_from_coweight(datum: RootDatum, h: Sequence[int], s: Fraction) -> TorusVals:
-    """t_h(s): the homomorphism lam -> s^{lam(h)}."""
+    """t_h(s): the homomorphism lam -> s^{lam(h)}.  The coweight h has
+    datum.m Python-int coordinates; anything else is a DomainError."""
+    h = exact_ints(h, "torus coweight coordinate")
+    if len(h) != datum.m:
+        raise DomainError(f"torus coweight needs {datum.m} coordinates")
     s = Fraction(s)
     if s == 0:
         raise ZeroTorusValue("torus parameter must be nonzero")
-    return tuple(s ** int(y) for y in h)
+    return tuple(s ** y for y in h)
 
 
 def torus_mul(a: TorusVals, b: TorusVals) -> TorusVals:
@@ -182,8 +195,7 @@ class ThatElt:
 
 
 def that_normalize(t: TorusVals, face: Face) -> ThatElt:
-    if any(v == 0 for v in t):
-        raise ZeroTorusValue("torus values must be nonzero")
+    _checked_torus(face.datum, t)
     basis = _span_lattice_basis(face)
     return ThatElt(face=face, basis=basis,
                    values=tuple(torus_eval(t, b) for b in basis))
@@ -312,9 +324,7 @@ class NhatElt:
 def nhat_from(w: WeylElt, t: Optional[TorusVals] = None,
               face: Optional[Face] = None) -> NhatElt:
     datum = w.datum
-    t = torus_one(datum) if t is None else t
-    if any(v == 0 for v in t):
-        raise ZeroTorusValue("torus values must be nonzero")
+    t = torus_one(datum) if t is None else _checked_torus(datum, t)
     face = F.full_cone(datum) if face is None else face
     return NhatElt(w=w, torus=t, face=face)
 

@@ -20,7 +20,8 @@ from typing import Optional, Sequence
 
 from . import exact
 from .cartan import exact_ints
-from .errors import NotAFace, NotInMonoid, PreconditionViolated, RankMismatch, SizeGuard
+from .errors import (NotAFace, NotInMonoid, PreconditionViolated, RankMismatch, SizeGuard,
+                     ZeroTorusValue)
 from .exact import IntVec
 
 RANK_GUARD = 8
@@ -260,8 +261,10 @@ def mhat_unit(monoid: LatticeMonoid, values: Sequence[Fraction]) -> MhatElt:
     """A unit: nonzero values on the hull basis of the whole monoid."""
     top = monoid.top_face()
     vals = tuple(Fraction(v) for v in values)
-    if len(vals) != len(top.hull) or any(v == 0 for v in vals):
-        raise ValueError("need one nonzero value per hull basis vector")
+    if len(vals) != len(top.hull):
+        raise RankMismatch("need one nonzero value per hull basis vector")
+    if any(v == 0 for v in vals):
+        raise ZeroTorusValue("need one nonzero value per hull basis vector")
     return MhatElt(monoid=monoid, face_index=top.index, values=vals)
 
 

@@ -28,6 +28,9 @@ the parabolic membership tests and the callers in `faces` and `monoids`
 read only the representative.  `dominant_rep` reflects its weight in place
 and `antidominant_coweight` keeps the pairings alpha_j(d), updated in O(n)
 per reflection; each multiplies its witness out once, at the end.
+
+`denominator` walks the signed orbit of rho, truncated by height, on the
+vectors rho - w rho alone: it reads the GCM and builds no element.
 """
 
 from __future__ import annotations
@@ -362,3 +365,41 @@ def antidominant_coweight(datum: RootDatum, coweight: Sequence) -> tuple[Vec, We
     if any(x < 0 for x in d):
         raise PreconditionViolated("antidominant limit has a negative coordinate")
     return tuple(d), _multiply_out(identity_elt(datum), letters[::-1])
+
+
+# -- the Weyl denominator -----------------------------------------------------
+
+
+def denominator(datum: RootDatum, max_height: int) -> dict[Vec, int]:
+    """The Weyl denominator sum_w eps(w) e^{w rho - rho}, truncated: the map
+    rho - w rho (in simple-root coordinates) -> eps(w), for every w with
+    ht(rho - w rho) <= max_height.  The key 0 is w = 1.
+
+    A breadth-first walk from beta = 0.  At beta = rho - w rho the pairing
+    p = <w rho, h_i> = 1 - sum_k a_ik beta_k; the walk steps to
+    beta + p e_i = rho - s_i w rho only when p > 0.  Then w^{-1} alpha_i is
+    positive, so l(s_i w) = l(w) + 1: level k of the walk holds the w of
+    length k, and eps(w) = (-1)^k is the parity of the level.  Every w != 1
+    is reached from s_i w, for i a left descent of w, whose beta has
+    smaller height; rho is regular, so beta names w, and a beta met twice in
+    a level is one element.  A step raises the height by p > 0, so the
+    walk stops at max_height without losing an element below it.
+    """
+    if max_height < 0:
+        raise DomainError(f"height {max_height} is negative")
+    a, n = datum.gcm.a, datum.n
+    level: dict[Vec, int] = {(0,) * n: 1}
+    out = dict(level)
+    sign = 1
+    while level:
+        sign = -sign
+        nxt: dict[Vec, int] = {}
+        for beta in level:
+            h = sum(beta)
+            for i in range(n):
+                p = 1 - sum(x * y for x, y in zip(a[i], beta))
+                if p > 0 and h + p <= max_height:
+                    nxt[beta[:i] + (beta[i] + p,) + beta[i + 1:]] = sign
+        out.update(nxt)
+        level = nxt
+    return out

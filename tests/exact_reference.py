@@ -6,13 +6,19 @@ Fraction, the realization completion that called `rank` once per simple
 root, and the phase-1 simplex on a Fraction tableau behind `lp_feasible`
 and `nonneg_solve`.  Tests compare the package against them, so that no
 reference rests on the integer pivot itself.
+
+Beside them sits Peterson's recurrence for root multiplicities, which the
+package used before it read them off the Weyl denominator; it rests on the
+invariant form alone, not on the Weyl group.
 """
 
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
+from kmx.cartan import RootDatum
 from kmx.errors import InternalError
 from kmx.exact import RatVec, mat_vec, primitive
+from kmx.highest_weight import Beta, _compositions
 
 
 def rank(m) -> int:
@@ -234,3 +240,82 @@ def nonneg_solve(a, b) -> Optional[RatVec]:
     if x is None:
         return None
     return tuple(x)
+
+
+# -- root multiplicities (Peterson recurrence) -----------------------------------
+
+
+def _form(bmat, b1: Beta, b2: Beta) -> Fraction:
+    """(b1 | b2) on the root lattice, with bmat[i][j] = (alpha_i | alpha_j)
+    (the symmetrized matrix B = gcm.b)."""
+    n = len(b1)
+    return sum(bmat[i][j] * b1[i] * b2[j] for i in range(n) for j in range(n)
+               if b1[i] and b2[j])
+
+
+def _weight_form(eps, wt: Sequence[int], b: Beta) -> Fraction:
+    """(wt | b) = sum_i wt(h_i) b_i / eps_i; wt = rho = (1, ..., 1) gives
+    (rho | b)."""
+    return sum(Fraction(wt[i] * b[i]) / eps[i] for i in range(len(b)))
+
+
+def root_multiplicities(datum: RootDatum, max_height: int) -> dict[Beta, int]:
+    """Multiplicities of positive roots up to the given height.
+
+    Peterson's recurrence over the root cone: with c_b = sum_k mult(b/k)/k,
+    (b | b - 2 rho) c_b = sum over proper decompositions b' + b'' = b of
+    (b' | b'') c_b' c_b''.  Where (b | b - 2 rho) = 0, b is not a root and
+    c_b is the sum over k >= 2 alone.  Real roots come out with multiplicity
+    one, which the test suite spot-checks against the Weyl orbit of the
+    simple roots.  Unlike the package routine it keeps no cache on the
+    datum, so a comparison never reads its own answer back.
+    """
+    n = datum.n
+    bmat, eps, rho = datum.gcm.b, datum.gcm.eps, datum.rho()
+    c: dict[Beta, Fraction] = {}
+    mult: dict[Beta, int] = {}
+    for h in range(1, max_height + 1):
+        for b in _compositions(n, h):
+            if h == 1:
+                c[b] = Fraction(1)
+                mult[b] = 1
+                continue
+            coeff = _form(bmat, b, b) - 2 * _weight_form(eps, rho, b)
+            total = Fraction(0)
+            for b1 in _proper_summands(b):
+                b2 = tuple(x - y for x, y in zip(b, b1))
+                cb1 = c.get(b1, Fraction(0))
+                cb2 = c.get(b2, Fraction(0))
+                if cb1 and cb2:
+                    total += _form(bmat, b1, b2) * cb1 * cb2
+            # the part of c_b that comes from proper divisors b/k, k >= 2
+            below = sum((Fraction(mult.get(tuple(x // k for x in b), 0), k)
+                         for k in range(2, h + 1) if all(x % k == 0 for x in b)),
+                        Fraction(0))
+            if coeff == 0:
+                # b is not a root (e.g. b = 2 theta in A2), but c_b still
+                # carries the multiples below it
+                if total != 0:
+                    raise InternalError("Peterson coefficient vanished unexpectedly")
+                c[b] = below
+                mult[b] = 0
+                continue
+            cb = total / coeff
+            m = cb - below
+            if m.denominator != 1 or m < 0:
+                raise InternalError(f"root multiplicity {m} at {b} is not a natural number")
+            c[b] = cb
+            mult[b] = int(m)
+    return {b: m for b, m in mult.items() if m > 0}
+
+
+def _proper_summands(b: Beta):
+    n = len(b)
+    def rec(pos, acc, nonzero):
+        if pos == n:
+            if nonzero and any(x < y for x, y in zip(acc, b)):
+                yield tuple(acc)
+            return
+        for k in range(b[pos] + 1):
+            yield from rec(pos + 1, acc + [k], nonzero or k > 0)
+    yield from rec(0, [], False)

@@ -308,6 +308,43 @@ def test_face_of_point_predicates_read_the_cap(capsys):
                                         "message": "undecided after 2000 iterations"}
 
 
+FACE_OF_POINT_OUTPUTS = [  # argv after the verb, and the line it prints
+    (["--gcm", HYP, "--weight", "0,0,1", "--predicates", "w=;theta=1,2", "--element", "1"],
+     '{"face": {"w": "", "theta": [1, 2]}, "predicates": {"contains": true, '
+     '"in_relative_interior": true, "in_span": true, "centralizes": true, '
+     '"normalizes": true}}'),
+    (["--gcm", HYP, "--weight", "1,0,1", "--predicates", "w=3;theta=1,2", "--element", "3 1"],
+     '{"face": {"w": "", "theta": []}, "predicates": {"contains": false, '
+     '"in_relative_interior": false, "in_span": false, "centralizes": false, '
+     '"normalizes": false}}'),
+    (["--gcm", HYP, "--weight", "0,0,0", "--predicates", "w=;theta=1,2"],
+     '{"face": {"w": "", "theta": [1, 2, 3]}, "predicates": {"contains": true, '
+     '"in_relative_interior": false, "in_span": true}}'),
+    (["--gcm", AFF, "--weight=-4399,4401,-2418899", "--cap", "5000",
+      "--predicates", "w=;theta=1,2"],
+     '{"face": {"w": "", "theta": []}, "predicates": {"contains": false, '
+     '"in_relative_interior": false, "in_span": false}}'),
+]
+
+
+def test_face_of_point_predicates_walk_the_weight_once(capsys, monkeypatch):
+    # the printed face and the predicates read one dominant_rep walk
+    from kmx import faces
+
+    walks = []
+    real = faces.dominant_rep
+
+    def counting(*args, **kwargs):
+        walks.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(faces, "dominant_rep", counting)
+    for argv, printed in FACE_OF_POINT_OUTPUTS:
+        walks.clear()
+        assert run(capsys, ["face-of-point"] + argv) == (0, printed + "\n")
+        assert len(walks) == 1
+
+
 def test_that_mul_act_multiplies_once(capsys, monkeypatch):
     from kmx import monoids
 

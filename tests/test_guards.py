@@ -32,8 +32,8 @@ def test_offence_finder_sees_each_kind():
 
 
 def test_no_value_error_for_user_input():
-    # bad input is a DomainError: the CLI and the operator-word parser raise
-    # no bare ValueError
+    # bad input is a DomainError: the CLI, the operator-word parser and the
+    # toric and monoid layers raise no bare ValueError
     src = Path(kmx.__file__).parent
 
     def raises_value_error(tree):
@@ -48,3 +48,5 @@ def test_no_value_error_for_user_input():
                      if isinstance(node, ast.FunctionDef) and node.name == "parse_word"]
     assert raises_value_error(cli) == []
     assert raises_value_error(parse_word) == []
+    for name in ("toric.py", "monoids.py"):
+        assert raises_value_error(ast.parse((src / name).read_text())) == [], name

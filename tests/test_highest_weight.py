@@ -132,6 +132,26 @@ def test_root_multiplicities_a2_to_height_eight():
     assert HW.root_multiplicities(A2, 8) == {(1, 0): 1, (0, 1): 1, (1, 1): 1}
 
 
+MULT_ALGEBRAS = {**ORACLE_ALGEBRAS, "H(3,3)": ((2, -3), (-3, 2)),
+                 "D4": ((2, -1, 0, 0), (-1, 2, -1, -1), (0, -1, 2, 0), (0, -1, 0, 2))}
+
+
+@pytest.mark.parametrize("alg", MULT_ALGEBRAS)
+def test_root_multiplicities_match_peterson_to_height_ten(alg):
+    """The Weyl-denominator multiplicities equal Peterson's recurrence, kept
+    in exact_reference, at every height up to 10; H(3,3) reaches
+    multiplicity 16 there."""
+    from exact_reference import root_multiplicities as peterson
+    datum = build_realization(MULT_ALGEBRAS[alg])
+    ref = peterson(datum, 10)
+    assert HW.root_multiplicities(datum, 10) == ref
+    if alg == "H(3,3)":
+        assert max(ref.values()) == 16
+    for h in (5, 8):
+        assert HW.root_multiplicities(datum, h) == {b: m for b, m in ref.items()
+                                                    if sum(b) <= h}
+
+
 def test_negative_depth_is_a_domain_error():
     for build in (HW.build_basis, HW.weights_and_mults, HW.ModuleSlice):
         with pytest.raises(DomainError, match="depth -1 is negative"):

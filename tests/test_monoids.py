@@ -6,7 +6,7 @@ import pytest
 from kmx import faces as FC, monoids as MO, weyl as W
 from kmx.cartan import (A2_ROWS, AFFINE_A1_ROWS, HYPERBOLIC_ROWS,
                         build_realization)
-from kmx.errors import PreconditionViolated, ZeroTorusValue
+from kmx.errors import DomainError, PreconditionViolated, ZeroTorusValue
 
 A2 = build_realization(A2_ROWS)
 AFF = build_realization(AFFINE_A1_ROWS)
@@ -177,6 +177,25 @@ def test_that_normalize_examples():
     assert unit == MO.that_idempotent(FC.full_cone(AFF))
     with pytest.raises(ZeroTorusValue):
         MO.that_normalize((Fr(0), Fr(1), Fr(1)), c)
+
+
+def test_torus_inputs_are_checked_never_truncated():
+    # on A2 (m = 2): a fractional coordinate is not truncated to 0, and a
+    # short or long coweight or torus is not read as far as it goes
+    assert MO.torus_from_coweight(A2, (1, 0), 2) == (Fr(2), Fr(1))
+    with pytest.raises(DomainError, match=r"coordinate Fraction\(1, 2\) is not an integer"):
+        MO.torus_from_coweight(A2, (Fr(1, 2), 0), 2)
+    for h in ((1,), (1, 0, 0)):
+        with pytest.raises(DomainError, match="torus coweight needs 2 coordinates"):
+            MO.torus_from_coweight(A2, h, 2)
+    with pytest.raises(DomainError, match="torus element needs 2 values"):
+        MO.nhat_from(W.identity_elt(A2), (Fr(1),))
+    with pytest.raises(DomainError, match="torus element needs 2 values"):
+        MO.that_normalize((Fr(2),), FC.full_cone(A2))
+    with pytest.raises(DomainError, match="torus element needs 2 values"):
+        MO.that_normalize((Fr(2), Fr(1), Fr(1)), FC.full_cone(A2))
+    with pytest.raises(ZeroTorusValue):
+        MO.nhat_from(W.identity_elt(A2), (Fr(0), Fr(1)))
 
 
 def test_that_mul_examples():

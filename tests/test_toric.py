@@ -5,7 +5,7 @@ from itertools import product
 import exact_reference as ref
 import pytest
 
-from kmx.errors import DomainError, NotInMonoid, RankMismatch, SizeGuard
+from kmx.errors import DomainError, NotInMonoid, RankMismatch, SizeGuard, ZeroTorusValue
 from kmx.exact import int_mat, nonneg_solve, rat_solve, transpose, vec_dot
 from kmx.toric import LatticeMonoid, mhat_idempotent, mhat_idempotents, mhat_mul, mhat_unit
 
@@ -126,6 +126,15 @@ def test_mhat_operations():
     assert x((0, 1)) == 0
     # idempotent count equals face count
     assert len(mhat_idempotents(m)) == len(m.faces())
+
+
+def test_mhat_unit_rejects_bad_values_as_domain_errors():
+    m = N2()
+    for values, kind in (((Fr(2),), RankMismatch), ((Fr(2), Fr(3), Fr(1)), RankMismatch),
+                         ((Fr(0), Fr(3)), ZeroTorusValue)):
+        with pytest.raises(kind, match="need one nonzero value per hull basis vector"):
+            mhat_unit(m, values)
+        assert issubclass(kind, DomainError)
 
 
 def test_mhat_respects_addition():

@@ -9,7 +9,7 @@ from kmx import weyl as W
 from kmx.cartan import (A2_ROWS, AFFINE_A1_ROWS, HYPERBOLIC_ROWS,
                         build_realization, classify)
 from kmx.errors import DomainError, NotInTitsCone, PreconditionViolated, Undecided
-from kmx.exact import identity, mat_mul, mat_vec, transpose, vec_sub
+from kmx.exact import identity, mat_mul, mat_vec, rat_solve, transpose, vec_sub
 
 A2 = build_realization(A2_ROWS)
 AFF = build_realization(AFFINE_A1_ROWS)
@@ -410,3 +410,88 @@ def test_coset_walks_reject_out_of_range_index_one_based(walk, datum, j, message
     w = W.from_word(datum, (0, 1, 0))
     with pytest.raises(DomainError, match=message):
         COSET_WALKS[walk](w, j)
+
+
+# -- the Weyl denominator -----------------------------------------------------
+
+
+def _product_of_root_factors(n, roots, max_height):
+    """prod over (alpha, mult) of (1 - e^{-alpha})^mult, truncated at
+    max_height, as {beta: coefficient of e^{-beta}} without zero terms."""
+    series = {(0,) * n: 1}
+    for alpha, mult in roots:
+        for _ in range(mult):
+            nxt = dict(series)
+            for beta, c in series.items():
+                gamma = tuple(x + y for x, y in zip(beta, alpha))
+                if sum(gamma) <= max_height:
+                    nxt[gamma] = nxt.get(gamma, 0) - c
+            series = {b: c for b, c in nxt.items() if c}
+    return series
+
+
+FINITE_DENOMINATORS = {  # GCM rows and |W|
+    "A2": (A2_ROWS, 6),
+    "B2": (((2, -2), (-1, 2)), 8),
+    "G2": (((2, -3), (-1, 2)), 12),
+    "A3": (((2, -1, 0), (-1, 2, -1), (0, -1, 2)), 24),
+}
+
+
+@pytest.mark.parametrize("name", FINITE_DENOMINATORS)
+def test_denominator_of_a_finite_type_is_its_whole_signed_orbit(name):
+    """Height 20 is past ht(2 rho) on every case: the walk holds all of W,
+    the signs cancel, and the sum is the product over the positive roots."""
+    from kmx.highest_weight import real_roots_with_witness
+    rows, order = FINITE_DENOMINATORS[name]
+    datum = build_realization(rows)
+    d = W.denominator(datum, 20)
+    assert len(d) == order
+    assert sum(d.values()) == 0
+    positive = [b for b in real_roots_with_witness(datum, 20) if all(x >= 0 for x in b)]
+    assert d == _product_of_root_factors(datum.n, [(b, 1) for b in positive], 20)
+
+
+@pytest.mark.parametrize("rows", [AFFINE_A1_ROWS, HYPERBOLIC_ROWS, ((2, -3), (-3, 2))],
+                         ids=["A1^(1)", "hyperbolic-3", "H(3,3)"])
+def test_denominator_is_the_root_product_on_infinite_types(rows):
+    """On infinite types the truncated walk equals the product over the
+    positive roots with their multiplicities, taken from Peterson's
+    recurrence (exact_reference), which reads no Weyl group."""
+    from exact_reference import root_multiplicities as peterson
+    datum = build_realization(rows)
+    mults = peterson(build_realization(rows), 8)
+    assert W.denominator(datum, 8) == _product_of_root_factors(datum.n, mults.items(), 8)
+
+
+def test_denominator_signs_are_lengths_and_the_walk_builds_no_element(monkeypatch):
+    """A step of the walk raises the height by at least one, so every w with
+    ht(rho - w rho) <= 6 has length <= 6: on the hyperbolic matrix the walk
+    to height 6 is exactly those w of the length-6 ball, each signed
+    (-1)^l(w).  The walk itself multiplies out no Weyl element."""
+    datum = build_realization(HYPERBOLIC_ROWS)
+    ball, frontier = {W.identity_elt(datum)}, [W.identity_elt(datum)]
+    for _ in range(6):
+        frontier = list({w * W.simple(datum, i) for w in frontier
+                         for i in range(datum.n)} - ball)
+        ball.update(frontier)
+    expect = {}
+    for w in ball:
+        diff = vec_sub(datum.rho(), w.act_weight(datum.rho()))
+        beta = tuple(int(x) for x in rat_solve(transpose(datum.alpha), diff)[0])
+        if sum(beta) <= 6:
+            expect[beta] = (-1) ** w.length
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("denominator built a Weyl element")
+
+    monkeypatch.setattr(W, "_multiply_out", forbidden)
+    monkeypatch.setattr(W, "identity_elt", forbidden)
+    assert W.denominator(datum, 6) == expect
+    assert len(expect) > 10
+
+
+def test_denominator_rejects_a_negative_height():
+    assert W.denominator(A2, 0) == {(0, 0): 1}
+    with pytest.raises(DomainError, match="height -1 is negative"):
+        W.denominator(A2, -1)
