@@ -27,6 +27,7 @@ from .exact import IntMat, IntVec, LPProblem, RatVec
 
 if TYPE_CHECKING:
     from .faces import Face
+    from .weyl import WeylElt
 
 SPECIAL_SET_RANK_GUARD = 16
 
@@ -309,6 +310,10 @@ class RootDatum:
         self._stab: dict[tuple[int, ...], tuple[int, ...]] = {}
         # the face each coweight exposes, filled by faces._face_exposed_by
         self._exposed: dict[IntVec, Face] = {}
+        # the table of Weyl elements, one per P, and the canonical copy of
+        # each matrix row they hold; filled by weyl._element
+        self._weyl: dict[IntMat, WeylElt] = {}
+        self._weyl_rows: dict[IntVec, IntVec] = {}
         self._special: Optional[tuple[tuple[int, ...], ...]] = None
         self._root_mults: dict[int, dict[IntVec, int]] = {}
 

@@ -24,8 +24,13 @@ A root datum's face lattice is fixed, so each meet is computed once per
 datum: `_face_exposed_by` keeps the face that each coweight exposed in the
 datum's table `RootDatum._exposed` (keyed by the coweight's coordinates; a
 failed walk stores nothing), and a face keeps its exposing coweight
-w c_Theta once `Face.exposing` has computed it.  A face met again is the
-same object, so its coweight comes along.
+w c_Theta once `Face.exposing` has computed it.
+
+One object per face.  `normalize_face` keeps the face of each Theta on its
+representative w, which is the datum's one object for that element
+(`weyl`), and its descent walk is kept on the element it started from.  A
+face met again, by normalizing, by a meet or as the full cone, is the same
+object, so `exposing` runs once per face.
 """
 
 from __future__ import annotations
@@ -67,15 +72,24 @@ class Face:
         return tuple(self.w.act_coweight(self.datum.coroot(i)) for i in self.theta)
 
 
+def _face(rep: WeylElt, key: tuple[int, ...]) -> Face:
+    """The face (rep, Theta) in normal form, kept on its representative."""
+    kept = W._memo(rep, "_faces")
+    face = kept.get(key)
+    if face is None:
+        face = kept[key] = Face(w=rep, theta=key)
+    return face
+
+
 def normalize_face(w: WeylElt, theta: Sequence[int]) -> Face:
     """The face w R(Theta) in normal form.  An index of Theta outside
     0..n-1 is a DomainError, a Theta that is not special NotSpecial."""
     key = tuple(sorted(set(theta)))
-    return Face(w=W._strip_right(w, w.datum.stabilizer_type(key))[0], theta=key)
+    return _face(W._strip_right(w, w.datum.stabilizer_type(key))[0], key)
 
 
 def full_cone(datum: RootDatum) -> Face:
-    return Face(w=W.identity_elt(datum), theta=())
+    return _face(W.identity_elt(datum), ())
 
 
 def standard_face(datum: RootDatum, theta: Sequence[int]) -> Face:

@@ -580,7 +580,7 @@ def apply_letter(letter: Letter, v: Vector) -> Vector:
         c = face.exposing()
         return Vector(sl, {wt: coeffs for wt, coeffs in v.parts.items()
                            if exact.vec_dot(wt, c) == 0}, v.den)
-    raise ValueError(f"unknown letter {letter!r}")
+    raise DomainError(f"unknown letter {letter!r}")
 
 
 def apply_word(word: GhatWord, v: Vector) -> Vector:
@@ -786,7 +786,7 @@ def bruhat_cell(datum: RootDatum, word: GhatWord) -> WmonElt:
         elif tag == "E":
             fold(MO.nhat_idempotent(letter[1]))
         else:
-            raise ValueError(f"unknown letter {letter!r}")
+            raise DomainError(f"unknown letter {letter!r}")
     if middle is None:
         return MO.wm_unit(datum)
     return MO.nhat_to_wmon(middle)

@@ -161,16 +161,26 @@ def torus_inv(a: TorusVals) -> TorusVals:
 
 
 def torus_eval(t: TorusVals, weight: Sequence[int]) -> Fraction:
+    """t(lam) for an integer weight with one coordinate per value of t; a
+    coordinate that is not a Python int, or a wrong length, is a DomainError."""
+    weight = exact_ints(weight, "weight coordinate")
+    if len(weight) != len(t):
+        raise DomainError(f"weight needs {len(t)} coordinates")
+    return _torus_eval(t, weight)
+
+
+def _torus_eval(t: TorusVals, weight: Sequence[int]) -> Fraction:
+    """t(lam) for a weight its caller built as len(t) Python ints."""
     val = Fraction(1)
     for tv, c in zip(t, weight):
-        val *= tv ** int(c)
+        val *= tv ** c
     return val
 
 
 def torus_act(u: WeylElt, t: TorusVals) -> TorusVals:
     """(u t)(lam) = t(u^{-1} lam); exact via the integer matrix of u^{-1}."""
     cols = exact.transpose(u.mat_p_inv)
-    return tuple(torus_eval(t, col) for col in cols)
+    return tuple(_torus_eval(t, col) for col in cols)
 
 
 def _span_lattice_basis(face: Face) -> tuple[IntVec, ...]:
@@ -198,7 +208,7 @@ def that_normalize(t: TorusVals, face: Face) -> ThatElt:
     _checked_torus(face.datum, t)
     basis = _span_lattice_basis(face)
     return ThatElt(face=face, basis=basis,
-                   values=tuple(torus_eval(t, b) for b in basis))
+                   values=tuple(_torus_eval(t, b) for b in basis))
 
 
 def that_idempotent(face: Face) -> ThatElt:

@@ -620,14 +620,16 @@ ALL_CHECKS: tuple[tuple[str, Callable[[], CheckResult]], ...] = (
 
 def run_all(timings: Optional[list] = None) -> tuple[bool, str]:
     """Run ALL_CHECKS, read at call time, and return (all passed, report).
-    With a `timings` list, append (number, name, CPU seconds) per check."""
+    With a `timings` list, append (number, name, CPU seconds, Weyl elements
+    added to the root data's tables) per check."""
     out = []
     all_ok = True
     for num, fn in ALL_CHECKS:
-        start = time.process_time()
+        start, added = time.process_time(), W.elements_added()
         res = fn()
         if timings is not None:
-            timings.append((num, res.name, time.process_time() - start))
+            timings.append((num, res.name, time.process_time() - start,
+                            W.elements_added() - added))
         all_ok = all_ok and res.passed
         out.append(f"[{num}] {res.name}: {'PASS' if res.passed else 'FAIL'}")
         for line in res.lines:

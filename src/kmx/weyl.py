@@ -8,10 +8,10 @@ coordinates, kept by the root datum as `alpha_support`): w s_i rewrites one
 column of P and the rows of P^{-1} on that support, s_i w the same on the
 inverse side.  A word is multiplied out once: `_multiply_out` applies its
 updates in place to one mutable copy of P and of P^{-1} and freezes them
-into one element, so `from_word` builds one element however long the word
-(a one-letter word is the cached simple reflection).  A product with the
-identity returns the other factor, and any other product takes two matrix
-products.  The actions check the length of their vector; the coweight
+into one element, so `from_word` builds at most one element however long the
+word.  A product with the identity returns the other factor, and any other
+product takes one matrix product, and a second for P^{-1} only when the
+element is new.  The actions check the length of their vector; the coweight
 action y -> y^T P^{-1} adds the rows of P^{-1} at the nonzero coordinates
 of y.  Descents are signs of w.rho, where rho = (1, ..., 1):
 s_i w < w iff (P rho)_i < 0, w s_i < w iff (P^{-1} rho)_i < 0.  The stored
@@ -31,6 +31,21 @@ per reflection; each multiplies its witness out once, at the end.
 
 `denominator` walks the signed orbit of rho, truncated by height, on the
 vectors rho - w rho alone: it reads the GCM and builds no element.
+
+One object per element.  Each root datum keeps a table of its Weyl elements
+keyed by P (`RootDatum._weyl`), and every element this module builds comes
+from it (`_element`): the identity, the simple reflections, inverses, words
+multiplied out and products.  A new entry shares its rows with the datum's
+other elements (`RootDatum._weyl_rows`): row r of P is w^{-1} h_r, a real
+coroot for r < n, so few distinct rows occur.  An element keeps what it has
+worked out: its canonical word, its hash, its inverse (linked both ways),
+`_multiply_out` by the letters (so `from_word` on a word met before is a
+lookup on the identity), `_strip_right` by J (a fresh list of letters per
+call), and the faces it represents (`faces.normalize_face`).  The table
+grows by one entry per distinct element the datum meets, about 0.6 KB each
+at rank 10 with its memos; it lives as long as its datum, so building a new
+`RootDatum` starts a fresh table.  A `WeylElt` built directly equals and
+hashes like the table's element with the same P, but is not in the table.
 """
 
 from __future__ import annotations
@@ -48,18 +63,30 @@ from .exact import IntMat
 Vec = tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class WeylElt:
-    datum: RootDatum = field(compare=False)
+    """An element of W, equal to another by P.  `_word` and the fields after
+    it are what the element keeps once worked out (module docstring, "One
+    object per element")."""
+    datum: RootDatum
     mat_p: IntMat
-    mat_p_inv: IntMat = field(compare=False)
+    mat_p_inv: IntMat
     # canonical reduced word; computed lazily from w.rho when needed
-    _word: Optional[tuple[int, ...]] = field(compare=False, default=None)
+    _word: Optional[tuple[int, ...]] = None
+    _hash: Optional[int] = field(init=False, repr=False, default=None)
+    _inv: Optional["WeylElt"] = field(init=False, repr=False, default=None)
+    _products: Optional[dict] = field(init=False, repr=False, default=None)  # letters -> w s...
+    _strips: Optional[dict] = field(init=False, repr=False, default=None)  # J -> (rep, letters)
+    _faces: Optional[dict] = field(init=False, repr=False, default=None)  # Theta -> Face
 
     def __hash__(self):
-        return hash((id(self.datum), self.mat_p))
+        if self._hash is None:
+            _keep(self, "_hash", hash((id(self.datum), self.mat_p)))
+        return self._hash
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, WeylElt):
             return NotImplemented
         return self.datum is other.datum and self.mat_p == other.mat_p
@@ -67,7 +94,7 @@ class WeylElt:
     @property
     def word(self) -> tuple[int, ...]:
         if self._word is None:
-            object.__setattr__(self, "_word", _canonical_word(self.datum, self.mat_p))
+            _keep(self, "_word", _canonical_word(self.datum, self.mat_p))
         return self._word  # type: ignore[return-value]
 
     @property
@@ -75,7 +102,8 @@ class WeylElt:
         return len(self.word)
 
     def is_identity(self) -> bool:
-        return self.mat_p == identity_elt(self.datum).mat_p
+        e = identity_elt(self.datum)
+        return self is e or self.mat_p == e.mat_p
 
     def __mul__(self, other: "WeylElt") -> "WeylElt":
         if self.datum is not other.datum:
@@ -88,11 +116,19 @@ class WeylElt:
             return other
         if other.is_identity():
             return self
-        return WeylElt(self.datum, exact.mat_mul(self.mat_p, other.mat_p),
-                       exact.mat_mul(other.mat_p_inv, self.mat_p_inv))
+        p = exact.mat_mul(self.mat_p, other.mat_p)
+        found = self.datum._weyl.get(p)
+        if found is not None:
+            return found
+        return _element(self.datum, p, exact.mat_mul(other.mat_p_inv, self.mat_p_inv))
 
     def inv(self) -> "WeylElt":
-        return WeylElt(self.datum, self.mat_p_inv, self.mat_p)
+        if self._inv is None:
+            other = _element(self.datum, self.mat_p_inv, self.mat_p)
+            _keep(self, "_inv", other)
+            if self.datum._weyl.get(self.mat_p) is self:  # a table element: link back
+                _keep(other, "_inv", self)
+        return self._inv  # type: ignore[return-value]
 
     # -- actions -------------------------------------------------------------
 
@@ -154,52 +190,97 @@ def _canonical_word(datum: RootDatum, mat_p: IntMat) -> tuple[int, ...]:
     return tuple(word)
 
 
+def _keep(w: WeylElt, name: str, value) -> None:
+    """Store a value an element has worked out (the element is frozen)."""
+    object.__setattr__(w, name, value)
+
+
+def _memo(w: WeylElt, name: str) -> dict:
+    """The element's memo dict `name`, created empty on first use."""
+    d = getattr(w, name)
+    if d is None:
+        d = {}
+        _keep(w, name, d)
+    return d
+
+
+_added = 0  # elements added to the tables of all root data in this process
+
+
+def elements_added() -> int:
+    """How many Weyl elements the tables of all root data have taken in this
+    process; `kmx verify --timings` reports the growth per check."""
+    return _added
+
+
+def _element(datum: RootDatum, p: IntMat, p_inv: IntMat) -> WeylElt:
+    """The datum's element with matrix P, from its table `RootDatum._weyl`.
+    On a miss every row of P and P^{-1} becomes the datum's canonical copy of
+    that row (`RootDatum._weyl_rows`): row r of P is the coweight w^{-1} h_r,
+    a real coroot for r < n, so few distinct rows occur."""
+    global _added
+    w = datum._weyl.get(p)
+    if w is None:
+        rows = datum._weyl_rows
+        p = tuple([rows.setdefault(r, r) for r in p])
+        w = datum._weyl[p] = WeylElt(datum, p, tuple([rows.setdefault(r, r) for r in p_inv]))
+        _added += 1
+    return w
+
+
 def identity_elt(datum: RootDatum) -> WeylElt:
     if not hasattr(datum, "_identity_elt"):
         ident = exact.identity(datum.m)
-        datum._identity_elt = WeylElt(datum, ident, ident, ())
+        datum._identity_elt = _element(datum, ident, ident)
+        _keep(datum._identity_elt, "_word", ())
     return datum._identity_elt
 
 
 def simple(datum: RootDatum, i: int) -> WeylElt:
     if not hasattr(datum, "_simple_elts"):
-        elts = []
-        for j in range(datum.n):
-            s = _multiply_out(identity_elt(datum), (j,))
-            elts.append(WeylElt(datum, s.mat_p, s.mat_p_inv, (j,)))
-        datum._simple_elts = tuple(elts)
+        elts = tuple(_multiply_out(identity_elt(datum), (j,)) for j in range(datum.n))
+        for j, s in enumerate(elts):
+            _keep(s, "_word", (j,))  # its canonical word, read by the rank-1 products
+        datum._simple_elts = elts
     return datum._simple_elts[i]
 
 
 def _multiply_out(w: WeylElt, letters: Sequence[int]) -> WeylElt:
-    """w s_{i1} ... s_{ik} for the 0-based letters i1, ..., ik.
+    """w s_{i1} ... s_{ik} for the 0-based letters i1, ..., ik, kept in w's
+    memo under the letters.
 
     Each s_i = I - alpha_i e_i^T is a rank-1 update read over the support of
     alpha_i, applied in place to one mutable copy of P (column i becomes
     P[:, i] - P alpha_i) and of P^{-1} (row r on the support becomes
-    P^{-1}[r] - alpha_i[r] P^{-1}[i]); the two are frozen once, into one
-    WeylElt.  No letters: w itself."""
+    P^{-1}[r] - alpha_i[r] P^{-1}[i]); the two are frozen once and looked
+    up in the table.  No letters: w itself."""
     if not letters:
         return w
-    support = w.datum.alpha_support
-    p = [list(row) for row in w.mat_p]
-    p_inv = list(w.mat_p_inv)
-    for i in letters:
-        sup = support[i]
-        for row in p:
-            x = row[i]
-            for k, a in sup:
-                x -= row[k] * a
-            row[i] = x
-        top = p_inv[i]
-        for r, a in sup:
-            p_inv[r] = tuple([x - a * y for x, y in zip(p_inv[r], top)])
-    return WeylElt(w.datum, tuple(map(tuple, p)), tuple(p_inv))
+    key = tuple(letters)
+    memo = _memo(w, "_products")
+    out = memo.get(key)
+    if out is None:
+        support = w.datum.alpha_support
+        p = [list(row) for row in w.mat_p]
+        p_inv = list(w.mat_p_inv)
+        for i in key:
+            sup = support[i]
+            for row in p:
+                x = row[i]
+                for k, a in sup:
+                    x -= row[k] * a
+                row[i] = x
+            top = p_inv[i]
+            for r, a in sup:
+                p_inv[r] = tuple([x - a * y for x, y in zip(p_inv[r], top)])
+        out = memo[key] = _element(w.datum, tuple(map(tuple, p)), tuple(p_inv))
+    return out
 
 
 def from_word(datum: RootDatum, word: Iterable[int]) -> WeylElt:
     """Multiply out a word of 0-based simple indices; the result carries its
-    canonical reduced word, length and descent data."""
+    canonical reduced word, length and descent data.  A word met before is
+    a lookup in the identity's memo."""
     word = tuple(word)
     for i in word:
         check_index(datum.n, i)
@@ -214,24 +295,30 @@ def from_word(datum: RootDatum, word: Iterable[int]) -> WeylElt:
 def _strip_right(w: WeylElt, j: Sequence[int]) -> tuple[WeylElt, list[int]]:
     """The descent walk: w' = w s_{i1} ... s_{ik}, stripping the smallest
     right descent in J at each step until none is left, and the stripped
-    indices i1, ..., ik.  Every index of J is checked first.
+    indices i1, ..., ik as a fresh list.  Every index of J is checked first.
+    The walk is kept in w's memo under J.
 
     The walk reads the right descents of the current element from the one
     vector v = w^{-1} rho (i is a descent iff v_i < 0), which a step with s_i
     changes to v - v_i alpha_i; w' is multiplied out once at the end."""
-    datum = w.datum
-    js = sorted(set(j))
-    for i in js:
-        check_index(datum.n, i)
-    support = datum.alpha_support
-    v = [sum(row) for row in w.mat_p_inv]
-    letters: list[int] = []
-    while (i := next((i for i in js if v[i] < 0), None)) is not None:
-        c = v[i]
-        for k, a in support[i]:
-            v[k] -= c * a
-        letters.append(i)
-    return _multiply_out(w, letters), letters
+    key = tuple(j)
+    memo = _memo(w, "_strips")
+    walk = memo.get(key)
+    if walk is None:
+        datum = w.datum
+        js = sorted(set(key))
+        for i in js:
+            check_index(datum.n, i)
+        support = datum.alpha_support
+        v = [sum(row) for row in w.mat_p_inv]
+        letters: list[int] = []
+        while (i := next((i for i in js if v[i] < 0), None)) is not None:
+            c = v[i]
+            for k, a in support[i]:
+                v[k] -= c * a
+            letters.append(i)
+        walk = memo[key] = (_multiply_out(w, letters), tuple(letters))
+    return walk[0], list(walk[1])
 
 
 def _rep_left(w: WeylElt, j: Sequence[int]) -> WeylElt:

@@ -496,7 +496,17 @@ def test_verify_timings_go_to_stderr_only(capsys, monkeypatch):
     assert main(["verify", "--timings"]) == 0
     timed = capsys.readouterr()
     assert timed.out == plain.out and plain.err == ""
-    lines = timed.err.splitlines()
-    assert [line.split("]")[0] for line in lines] == ["[1", "[3", "[4"]
-    for line in lines:
-        assert re.fullmatch(r"\[\w\] [a-z0-9-]+: \d+\.\d\d s CPU", line), line
+    line_re = re.compile(r"\[(\w)\] [a-z0-9-]+: \d+\.\d\d s CPU, (\d+) Weyl elements")
+
+    def counts(err):
+        found = [line_re.fullmatch(line) for line in err.splitlines()]
+        assert all(found), err
+        return [(m[1], int(m[2])) for m in found]
+
+    # each check reports the Weyl elements its own fresh root data took: [1]
+    # builds none, and a second run reports the same counts
+    first = counts(timed.err)
+    assert [num for num, _ in first] == ["1", "3", "4"]
+    assert first[0][1] == 0 and first[2][1] > 0
+    assert main(["verify", "--timings"]) == 0
+    assert counts(capsys.readouterr().err) == first

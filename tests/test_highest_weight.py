@@ -387,6 +387,15 @@ def test_bruhat_cell_examples():
     assert cell == MO.wm_idempotent(c)
 
 
+def test_unknown_letters_are_domain_errors():
+    # a hand-built letter outside X+, X-, T, N, E was a bare ValueError
+    word = HW.GhatWord((("Q", 0),))
+    with pytest.raises(DomainError, match="unknown letter"):
+        HW.apply_word(word, HW.build_basis(A2, (1, 0), 2).highest_vector())
+    with pytest.raises(DomainError, match="unknown letter"):
+        HW.bruhat_cell(A2, word)
+
+
 def test_bruhat_cell_factored_and_rewrites():
     datum = HYP
     R12 = FC.standard_face(datum, (0, 1))

@@ -196,6 +196,14 @@ def test_torus_inputs_are_checked_never_truncated():
         MO.that_normalize((Fr(2), Fr(1), Fr(1)), FC.full_cone(A2))
     with pytest.raises(ZeroTorusValue):
         MO.nhat_from(W.identity_elt(A2), (Fr(0), Fr(1)))
+    # torus_eval read int(1/2) = 0 and zipped a short or long weight with t
+    t = (Fr(2), Fr(3))
+    assert MO.torus_eval(t, (1, 2)) == 18
+    with pytest.raises(DomainError, match=r"coordinate Fraction\(1, 2\) is not an integer"):
+        MO.torus_eval(t, (Fr(1, 2), 0))
+    for weight in ((1,), (1, 1, 5)):
+        with pytest.raises(DomainError, match="weight needs 2 coordinates"):
+            MO.torus_eval(t, weight)
 
 
 def test_that_mul_examples():

@@ -133,8 +133,9 @@ def test_centralizer_shortcut_agrees_with_the_walk(name, monkeypatch):
 
 
 def test_from_word_constructs_one_weyl_element(monkeypatch):
-    datum = KERNEL_DATA["E10"]
-    W.simple(datum, 0)  # the identity and the simple reflections are cached
+    # a fresh datum, so the table holds only what this test puts in it
+    datum = build_realization(KERNEL_DATA["E10"].gcm)
+    W.simple(datum, 0)  # the identity and the simple reflections are in the table
     built = []
     init = W.WeylElt.__init__
 
@@ -144,10 +145,26 @@ def test_from_word_constructs_one_weyl_element(monkeypatch):
 
     monkeypatch.setattr(W.WeylElt, "__init__", counting)
     rng = random.Random(35)
+    new_words = 0
     for k in range(12):
+        word = [rng.randrange(datum.n) for _ in range(k)]
+        new = RefElt.from_word(datum, word).p not in datum._weyl
+        new_words += new
         built.clear()
-        W.from_word(datum, [rng.randrange(datum.n) for _ in range(k)])
-        assert len(built) == (1 if k > 1 else 0), k
+        w = W.from_word(datum, word)
+        # a word whose element is new builds exactly that one element
+        assert len(built) == (1 if new else 0), k
+        built.clear()
+        assert W.from_word(datum, word) is w and built == [], k  # the word again
+    assert new_words == 10  # every word of length 2..11 here is a new element
+    for i in range(datum.n):
+        j = (i + 1) % datum.n
+        # words equal to the identity or to a simple reflection build nothing
+        for word in ((i, i), (i, j, j), (j, j, i), (i, j, j, i), (j, i, i, j, i)):
+            built.clear()
+            w = W.from_word(datum, word)
+            assert w is (W.identity_elt(datum) if len(word) % 2 == 0 else W.simple(datum, i))
+            assert built == [], word
 
 
 def test_products_call_no_face_action(monkeypatch):
