@@ -30,7 +30,8 @@ One object per face.  `normalize_face` keeps the face of each Theta on its
 representative w, which is the datum's one object for that element
 (`weyl`), and its descent walk is kept on the element it started from.  A
 face met again, by normalizing, by a meet or as the full cone, is the same
-object, so `exposing` runs once per face.
+object, so `exposing` runs once per face, and its table of Weyl-monoid
+classes (`Face._classes`, filled by `monoids.wm_normalize`) is one table.
 """
 
 from __future__ import annotations
@@ -52,6 +53,9 @@ class Face:
     # w c_Theta, filled by `exposing` on first use; init=False, so
     # dataclasses.replace never carries it over to another w or Theta
     _exposing: Optional[IntVec] = field(init=False, compare=False, repr=False, default=None)
+    # sigma -> the Weyl-monoid class (this face, sigma), filled by
+    # `monoids.wm_normalize`; init=False as above
+    _classes: Optional[dict] = field(init=False, compare=False, repr=False, default=None)
 
     @property
     def datum(self) -> RootDatum:

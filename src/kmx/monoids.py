@@ -12,15 +12,29 @@ c_R, c_S (`faces._face_exposed_by`), so no face is acted on; `nhat_mul`
 takes its face the same way.  That meet is looked up in the root datum's
 table of exposed faces and computed only the first time its coweight
 comes up, and the faces it returns keep their exposing coweights, so a
-face met again costs neither a walk nor a Weyl action.  Torus-monoid
-elements t e(R) are canonicalized by the values of t on a Smith-basis of
-the lattice spanned by R.  Normalizer
-elements are n_w t e(R) where n_w is the canonical lift of a reduced word;
-products use the rank-one cocycle n_i^2 = t_{h_i}(-1).
+face met again costs neither a walk nor a Weyl action.
+
+One object per class.  Each face keeps a table of its classes
+(`Face._classes`, sigma -> class): `wm_normalize` looks sigma up there,
+computes the representative only on a miss and keeps the class under both
+sigma and its representative, so `wm_unit`, `wm_idempotent`, `wm_invert`,
+`nhat_to_wmon` and `NhatElt.canonical` meet each class as one object.  A
+class keeps its products (`WmonElt._products`, y -> x y, keyed by y's value
+equality), so `wm_mul` computes each meet once per pair of classes.  The
+tables live as long as their datum; a class built directly equals and
+hashes like the table's by (face, w).  A Weyl element and a face of two
+root data make no class: that is a PreconditionViolated.
+
+Torus-monoid elements t e(R) are canonicalized by the values of t on a
+Smith-basis of the lattice spanned by R.  A character t(lam) is evaluated
+fraction-free: one integer numerator and one denominator, each a product of
+powers of the numerators and denominators of t, and one Fraction at the
+end.  Normalizer elements are n_w t e(R) where n_w is the canonical lift of
+a reduced word; products use the rank-one cocycle n_i^2 = t_{h_i}(-1).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -56,6 +70,9 @@ ZERO = ZeroWeight()
 class WmonElt:
     face: Face
     w: WeylElt  # canonical representative of Z_W(face) * w
+    # y -> x y, filled by `wm_mul`; init=False, compare=False, so equality
+    # and hashing stay by (face, w) and a directly built element works alike
+    _products: Optional[dict] = field(init=False, compare=False, repr=False, default=None)
 
     @property
     def datum(self) -> RootDatum:
@@ -85,7 +102,22 @@ def _centralizer_rep(face: Face, sigma: WeylElt) -> WeylElt:
 
 
 def wm_normalize(w: WeylElt, face: Face) -> WmonElt:
-    return WmonElt(face=face, w=_centralizer_rep(face, w))
+    """The class of (face, w), looked up in the face's table of classes by w.
+    On a miss the representative is computed once and the class is kept
+    under both w and its representative.  A Weyl element and a face of two
+    root data are a PreconditionViolated."""
+    if w.datum is not face.datum:
+        raise PreconditionViolated("Weyl-monoid class of a Weyl element and a face "
+                                   "of two root data")
+    classes = W._memo(face, "_classes")
+    x = classes.get(w)
+    if x is None:
+        rep = _centralizer_rep(face, w)
+        x = classes.get(rep)
+        if x is None:
+            x = classes[rep] = WmonElt(face=face, w=rep)
+        classes[w] = x
+    return x
 
 
 def wm_unit(datum: RootDatum, w: Optional[WeylElt] = None) -> WmonElt:
@@ -99,9 +131,14 @@ def wm_idempotent(face: Face) -> WmonElt:
 
 def wm_mul(x: WmonElt, y: WmonElt) -> WmonElt:
     """(R, sigma)(S, tau) = (R cap sigma S, sigma tau): the meet is the face
-    exposed by c_R + sigma c_S, for exposing coweights c_R of R and c_S of S."""
-    d = exact.vec_add(x.face.exposing(), x.w.act_coweight(y.face.exposing()))
-    return wm_normalize(x.w * y.w, F._face_exposed_by(x.datum, d))
+    exposed by c_R + sigma c_S, for exposing coweights c_R of R and c_S of S.
+    The product is kept on x, keyed by y, and computed only on a miss."""
+    kept = W._memo(x, "_products")
+    z = kept.get(y)
+    if z is None:
+        d = exact.vec_add(x.face.exposing(), x.w.act_coweight(y.face.exposing()))
+        z = kept[y] = wm_normalize(x.w * y.w, F._face_exposed_by(x.datum, d))
+    return z
 
 
 def wm_invert(x: WmonElt) -> WmonElt:
@@ -131,11 +168,21 @@ def torus_one(datum: RootDatum) -> TorusVals:
     return (Fraction(1),) * datum.m
 
 
+def _rational(t: TorusVals) -> TorusVals:
+    """t, once each value is a Fraction or a Python int: the character reads
+    their numerators and denominators, so a float, a bool or a str is a
+    DomainError naming it."""
+    for v in t:
+        if not isinstance(v, (Fraction, int)) or isinstance(v, bool):
+            raise DomainError(f"torus value {v!r} is not a Fraction or an int")
+    return t
+
+
 def _checked_torus(datum: RootDatum, t: TorusVals) -> TorusVals:
-    """t, once it has datum.m values, all nonzero."""
+    """t, once it has datum.m rational values, all nonzero."""
     if len(t) != datum.m:
         raise DomainError(f"torus element needs {datum.m} values")
-    if any(v == 0 for v in t):
+    if any(v == 0 for v in _rational(t)):
         raise ZeroTorusValue("torus values must be nonzero")
     return t
 
@@ -162,19 +209,27 @@ def torus_inv(a: TorusVals) -> TorusVals:
 
 def torus_eval(t: TorusVals, weight: Sequence[int]) -> Fraction:
     """t(lam) for an integer weight with one coordinate per value of t; a
-    coordinate that is not a Python int, or a wrong length, is a DomainError."""
+    coordinate that is not a Python int, a wrong length, or a value of t
+    that is not a Fraction or an int is a DomainError."""
     weight = exact_ints(weight, "weight coordinate")
     if len(weight) != len(t):
         raise DomainError(f"weight needs {len(t)} coordinates")
-    return _torus_eval(t, weight)
+    return _torus_eval(_rational(t), weight)
 
 
 def _torus_eval(t: TorusVals, weight: Sequence[int]) -> Fraction:
-    """t(lam) for a weight its caller built as len(t) Python ints."""
-    val = Fraction(1)
+    """t(lam) for a weight its caller built as len(t) Python ints: one integer
+    numerator and one denominator, each a product of powers, and one
+    Fraction at the end."""
+    num = den = 1
     for tv, c in zip(t, weight):
-        val *= tv ** c
-    return val
+        if c > 0:
+            num *= tv.numerator ** c
+            den *= tv.denominator ** c
+        elif c < 0:
+            num *= tv.denominator ** -c
+            den *= tv.numerator ** -c
+    return Fraction(num, den)
 
 
 def torus_act(u: WeylElt, t: TorusVals) -> TorusVals:
@@ -335,7 +390,11 @@ def nhat_from(w: WeylElt, t: Optional[TorusVals] = None,
               face: Optional[Face] = None) -> NhatElt:
     datum = w.datum
     t = torus_one(datum) if t is None else _checked_torus(datum, t)
-    face = F.full_cone(datum) if face is None else face
+    if face is None:
+        face = F.full_cone(datum)
+    elif face.datum is not datum:
+        raise PreconditionViolated("normalizer element of a Weyl element and a face "
+                                   "of two root data")
     return NhatElt(w=w, torus=t, face=face)
 
 

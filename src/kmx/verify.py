@@ -107,29 +107,37 @@ def check_face_counts(samples: int = 1000) -> CheckResult:
 # -- criterion 3 ------------------------------------------------------------------
 
 
+def _galois_laws(rng: random.Random, datum: RootDatum, pairs: int) -> int:
+    """Violations of the Galois and lattice laws of meet and inclusion on
+    `pairs` random pairs of faces of datum, and of the meets of standard
+    faces over all pairs of special sets."""
+    bad = 0
+    for _ in range(pairs):
+        r = _rand_face(rng, datum)
+        s = _rand_face(rng, datum)
+        meet = FC.intersect(r, s)
+        if FC.includes(r, s) != (meet == s):
+            bad += 1
+        if meet != FC.intersect(s, r) or FC.intersect(r, r) != r:
+            bad += 1
+        u = _rand_weyl(rng, datum, 4)
+        if FC.act_face(u, meet) != FC.intersect(FC.act_face(u, r), FC.act_face(u, s)):
+            bad += 1
+    for t1 in datum.special_sets():
+        for t2 in datum.special_sets():
+            lhs = FC.intersect(FC.standard_face(datum, t1), FC.standard_face(datum, t2))
+            rhs = FC.standard_face(datum, tuple(sorted(set(t1) | set(t2))))
+            if lhs != rhs:
+                bad += 1
+    return bad
+
+
 def check_face_galois(pairs: int = 1000) -> CheckResult:
     lines = []
     ok = True
     rng = random.Random(30)
     for name, datum in sorted(_data().items()):
-        bad = 0
-        for _ in range(pairs):
-            r = _rand_face(rng, datum)
-            s = _rand_face(rng, datum)
-            meet = FC.intersect(r, s)
-            if FC.includes(r, s) != (meet == s):
-                bad += 1
-            if meet != FC.intersect(s, r) or FC.intersect(r, r) != r:
-                bad += 1
-            u = _rand_weyl(rng, datum, 4)
-            if FC.act_face(u, meet) != FC.intersect(FC.act_face(u, r), FC.act_face(u, s)):
-                bad += 1
-        for t1 in datum.special_sets():
-            for t2 in datum.special_sets():
-                lhs = FC.intersect(FC.standard_face(datum, t1), FC.standard_face(datum, t2))
-                rhs = FC.standard_face(datum, tuple(sorted(set(t1) | set(t2))))
-                if lhs != rhs:
-                    bad += 1
+        bad = _galois_laws(rng, datum, pairs)
         ok &= _leg(lines, f"{name}: {pairs} pairs, {bad} violations", bad,
                    f"{name} Galois/lattice laws")
     return CheckResult("face-lattice-galois", ok, tuple(lines))
@@ -138,40 +146,48 @@ def check_face_galois(pairs: int = 1000) -> CheckResult:
 # -- criterion 4 ------------------------------------------------------------------
 
 
+def _rand_wmon(rng: random.Random, datum: RootDatum) -> MO.WmonElt:
+    return MO.wm_normalize(_rand_weyl(rng, datum, 5), _rand_face(rng, datum))
+
+
+def _monoid_laws(rng: random.Random, datum: RootDatum, triples: int) -> int:
+    """Violations of the Weyl-monoid laws on `triples` random triples of
+    classes of datum: associativity, the unit, unit regularity and its
+    factorization, and idempotents mirroring the face lattice."""
+    bad = 0
+    unit = MO.wm_unit(datum)
+    for _ in range(triples):
+        x, y, z = (_rand_wmon(rng, datum) for _ in range(3))
+        if MO.wm_mul(MO.wm_mul(x, y), z) != MO.wm_mul(x, MO.wm_mul(y, z)):
+            bad += 1
+        if MO.wm_mul(unit, x) != x or MO.wm_mul(x, unit) != x:
+            bad += 1
+        xi = MO.wm_invert(x)
+        if MO.wm_mul(MO.wm_mul(x, xi), x) != x or MO.wm_mul(MO.wm_mul(xi, x), xi) != xi:
+            bad += 1
+        # unit-regular factorization x = (unit part) * (idempotent)
+        upart = MO.wm_unit(datum, x.w)
+        epart = MO.wm_idempotent(FC.act_face(x.w.inv(), x.face))
+        if MO.wm_mul(upart, epart) != x:
+            bad += 1
+        if x.is_unit() != x.face.is_full_cone():
+            bad += 1
+        # idempotents commute and mirror the face lattice
+        e1 = MO.wm_idempotent(x.face)
+        e2 = MO.wm_idempotent(y.face)
+        if MO.wm_mul(e1, e2) != MO.wm_mul(e2, e1):
+            bad += 1
+        if MO.wm_mul(e1, e2) != MO.wm_idempotent(FC.intersect(x.face, y.face)):
+            bad += 1
+    return bad
+
+
 def check_weyl_monoid(triples: int = 1000) -> CheckResult:
     lines = []
     ok = True
     rng = random.Random(40)
-
-    def rand_elt(datum):
-        return MO.wm_normalize(_rand_weyl(rng, datum, 5), _rand_face(rng, datum))
-
     for name, datum in sorted(_data().items()):
-        bad = 0
-        unit = MO.wm_unit(datum)
-        for _ in range(triples):
-            x, y, z = (rand_elt(datum) for _ in range(3))
-            if MO.wm_mul(MO.wm_mul(x, y), z) != MO.wm_mul(x, MO.wm_mul(y, z)):
-                bad += 1
-            if MO.wm_mul(unit, x) != x or MO.wm_mul(x, unit) != x:
-                bad += 1
-            xi = MO.wm_invert(x)
-            if MO.wm_mul(MO.wm_mul(x, xi), x) != x or MO.wm_mul(MO.wm_mul(xi, x), xi) != xi:
-                bad += 1
-            # unit-regular factorization x = (unit part) * (idempotent)
-            upart = MO.wm_unit(datum, x.w)
-            epart = MO.wm_idempotent(FC.act_face(x.w.inv(), x.face))
-            if MO.wm_mul(upart, epart) != x:
-                bad += 1
-            if x.is_unit() != x.face.is_full_cone():
-                bad += 1
-            # idempotents commute and mirror the face lattice
-            e1 = MO.wm_idempotent(x.face)
-            e2 = MO.wm_idempotent(y.face)
-            if MO.wm_mul(e1, e2) != MO.wm_mul(e2, e1):
-                bad += 1
-            if MO.wm_mul(e1, e2) != MO.wm_idempotent(FC.intersect(x.face, y.face)):
-                bad += 1
+        bad = _monoid_laws(rng, datum, triples)
         ok &= _leg(lines, f"{name}: {triples} triples, {bad} violations", bad,
                    f"{name} monoid laws")
     # affine: the monoid is the group plus a single zero
@@ -179,7 +195,7 @@ def check_weyl_monoid(triples: int = 1000) -> CheckResult:
     zero = MO.wm_idempotent(FC.standard_face(datum, (0, 1)))
     bad = 0
     for _ in range(200):
-        x = rand_elt(datum)
+        x = _rand_wmon(rng, datum)
         if not x.is_unit() and x != zero:
             bad += 1
         if MO.wm_mul(x, zero) != zero or MO.wm_mul(zero, x) != zero:

@@ -9,7 +9,9 @@ reference rests on the integer pivot itself.
 
 Beside them sits Peterson's recurrence for root multiplicities, which the
 package used before it read them off the Weyl denominator; it rests on the
-invariant form alone, not on the Weyl group.
+invariant form alone, not on the Weyl group.  Last come the torus character
+and the torus action as a product of Fraction powers, which the package
+used before it kept one integer numerator and one denominator.
 """
 
 from fractions import Fraction
@@ -319,3 +321,16 @@ def _proper_summands(b: Beta):
         for k in range(b[pos] + 1):
             yield from rec(pos + 1, acc + [k], nonzero or k > 0)
     yield from rec(0, [], False)
+
+
+def torus_eval(t: Sequence[Fraction], weight: Sequence[int]) -> Fraction:
+    """t(lam): the product of the Fraction powers t_i ** lam_i."""
+    val = Fraction(1)
+    for tv, c in zip(t, weight):
+        val *= tv ** c
+    return val
+
+
+def torus_act(u, t: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    """(u t)(lam) = t(u^{-1} lam): t on each column of u's matrix P^{-1}."""
+    return tuple(torus_eval(t, col) for col in zip(*u.mat_p_inv))

@@ -152,9 +152,22 @@ def test_a_failed_walk_is_not_stored(monkeypatch):
     assert datum._exposed == {}
 
 
+def _class_pair(datum, spec):
+    """The normal forms of a wm_mul spec's two classes, computed through
+    `_centralizer_rep` without the face's table of classes."""
+    _, (rw, rt), x, (sw, st), y = spec
+    out = []
+    for fw, ft, word in ((rw, rt, x), (sw, st, y)):
+        face = F.normalize_face(W.from_word(datum, fw), ft)
+        out.append((face.w.word, face.theta,
+                    M._centralizer_rep(face, W.from_word(datum, word)).word))
+    return tuple(out)
+
+
 @pytest.mark.parametrize("name", ["hyperbolic-3", "A2^(1)", "affine-A1", "D8++"])
 def test_the_walk_runs_once_per_distinct_coweight(name, monkeypatch):
     datum = build_realization(DATA[name].gcm)
+    cold = build_realization(datum.gcm)
     walks, keys = [], []
     real_walk, real_lookup = F.antidominant_coweight, F._face_exposed_by
     monkeypatch.setattr(F, "antidominant_coweight",
@@ -162,8 +175,25 @@ def test_the_walk_runs_once_per_distinct_coweight(name, monkeypatch):
     monkeypatch.setattr(F, "_face_exposed_by",
                         lambda dt, d: keys.append(tuple(d)) or real_lookup(dt, d))
     specs = _operands(datum, 43, 45)
-    for spec in specs + specs:
+    pairs = set()
+    for spec in specs:
+        # a wm_mul of a pair of classes met before is read off the first
+        # class's kept products; every other spec makes one lookup
+        want = 1
+        if spec[0] == "wm_mul":
+            pair = _class_pair(cold, spec)
+            want = int(pair not in pairs)
+            pairs.add(pair)
+        before = len(keys)
         _run(datum, spec)
+        assert len(keys) - before == want, spec
+    first = len(keys)
+    assert first == 30 + len(pairs)  # 15 intersect and 15 nhat_mul specs
+    for spec in specs:  # the second pass looks up no wm_mul meet again
+        before = len(keys)
+        _run(datum, spec)
+        assert len(keys) - before == (spec[0] != "wm_mul"), spec
+    assert len(keys) == first + 30
     distinct = {k for k in keys if any(k)}
-    assert len(keys) == 90 and len(distinct) < len(keys)
+    assert len(distinct) < len(keys)
     assert sorted(walks) == sorted(distinct)

@@ -1,5 +1,8 @@
 """Property tests of the Weyl-monoid laws and the face Galois laws on the
-kernel reference data (finite, affine, hyperbolic, D8++ and E10)."""
+kernel reference data (finite, affine, hyperbolic, D8++ and E10), and of the
+torus character against its Fraction-power reference."""
+
+from fractions import Fraction
 
 import pytest
 
@@ -7,6 +10,7 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
+from exact_reference import torus_eval as ref_torus_eval  # noqa: E402
 from test_weyl import KERNEL_DATA  # noqa: E402
 
 from kmx import faces as F  # noqa: E402
@@ -51,3 +55,23 @@ def test_weyl_monoid_laws(case):
     e1, e2 = M.wm_idempotent(x.face), M.wm_idempotent(y.face)
     assert M.wm_mul(e1, e2) == M.wm_mul(e2, e1) \
         == M.wm_idempotent(F.intersect(x.face, y.face))
+
+
+@st.composite
+def torus_and_weight(draw):
+    """Nonzero Fractions of either sign and an integer weight of the same
+    length, its coordinates negative, zero or positive."""
+    size = draw(st.integers(0, 6))
+    num = st.integers(-40, 40).filter(bool)
+    t = tuple(Fraction(draw(num), draw(st.integers(1, 40))) for _ in range(size))
+    weight = tuple(draw(st.integers(-7, 7)) for _ in range(size))
+    return t, weight
+
+
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+@given(torus_and_weight())
+def test_torus_character_equals_the_fraction_power_reference(case):
+    t, weight = case
+    got = M._torus_eval(t, weight)
+    assert type(got) is Fraction and got == ref_torus_eval(t, weight)
+    assert M.torus_eval(t, weight) == got

@@ -204,6 +204,16 @@ def test_torus_inputs_are_checked_never_truncated():
     for weight in ((1,), (1, 1, 5)):
         with pytest.raises(DomainError, match="weight needs 2 coordinates"):
             MO.torus_eval(t, weight)
+    # the character reads numerators and denominators: a float torus value
+    # was evaluated in floating point, then raised AttributeError
+    for bad in ((0.5, Fr(1)), (Fr(1), True), ("2", Fr(1))):
+        with pytest.raises(DomainError, match="is not a Fraction or an int"):
+            MO.torus_eval(bad, (1, -1))
+        with pytest.raises(DomainError, match="is not a Fraction or an int"):
+            MO.nhat_from(W.identity_elt(A2), bad)
+        with pytest.raises(DomainError, match="is not a Fraction or an int"):
+            MO.that_normalize(bad, FC.full_cone(A2))
+    assert MO.torus_eval((2, Fr(1, 3)), (1, -1)) == 6
 
 
 def test_that_mul_examples():

@@ -5,7 +5,11 @@ lines."""
 import random
 from fractions import Fraction
 
-from kmx import exact, highest_weight as HW, monoids as MO, verify
+import pytest
+from test_weyl import KERNEL_DATA
+
+from kmx import exact, faces as FC, highest_weight as HW, monoids as MO, verify
+from kmx.cartan import build_realization
 from kmx.errors import DepthExceeded
 
 DATA = sorted(verify._data().items())
@@ -189,3 +193,20 @@ def test_weyl_monoid_zero_absorption_leg_reports_failure(monkeypatch):
     at = res.lines.index("FAIL affine-A1 zero absorption")
     assert res.lines[at - 1].startswith("affine-A1 zero absorption: ")
     assert res.lines[at - 1] != "affine-A1 zero absorption: 0 violations"
+
+
+@pytest.mark.parametrize("name", ["D8++", "E10"])
+def test_the_laws_of_checks_3_and_4_hold_at_rank_ten(name):
+    """[3]'s and [4]'s per-datum legs at their own volume, 1000 samples, on a
+    fresh rank-10 datum."""
+    datum = build_realization(KERNEL_DATA[name].gcm)
+    assert verify._galois_laws(random.Random(30), datum, 1000) == 0
+    assert verify._monoid_laws(random.Random(40), datum, 1000) == 0
+
+
+def test_the_law_legs_count_violations(monkeypatch):
+    datum = KERNEL_DATA["D8++"]
+    monkeypatch.setattr(FC, "includes", lambda r, s: True)
+    assert verify._galois_laws(random.Random(30), datum, 50) > 0
+    monkeypatch.setattr(MO, "wm_invert", lambda x: x)
+    assert verify._monoid_laws(random.Random(40), datum, 50) > 0
