@@ -20,10 +20,14 @@ Gram entry is the exact quotient of an integer dot product by den (a
 remainder is an InternalError).  A Vector is int parts over one den in
 lowest terms, with den 1 on the zero vector, so adding, scaling, the
 operator step and the torus letter all run in ints and equal vectors
-compare equal.  column_image applies a word to one basis vector, and
-evaluate_word builds its matrix from those columns.  Fraction appears only
-in the letter parameters and in the values handed back by theta,
-matrix_coefficient, inner, evaluate_word and Distinct.
+compare equal.  word_columns is the one pass that applies words to basis
+vectors: it walks the basis in height order up to a height bound and
+raises DepthExceeded at the first vector a word leaves the window from.
+evaluate_word builds its dense matrix from that pass, probe_equal compares
+its sparse images, and verify's fitted probes keep the heights below the
+vector it stopped at.  Fraction appears only in the letter parameters and
+in the values handed back by theta, matrix_coefficient, inner,
+evaluate_word and Distinct.
 
 A lowering f_i out of the bottom layer lands one step past the window.  Its
 target weight is marked nonzero when some candidate there has a nonzero
@@ -589,10 +593,21 @@ def apply_word(word: GhatWord, v: Vector) -> Vector:
     return v
 
 
-def column_image(slice_: ModuleSlice, word: GhatWord, wt: Wt, k: int) -> Vector:
-    """The word applied to basis vector k at weight wt."""
-    dim = slice_.spaces[wt].dim
-    return apply_word(word, Vector(slice_, {wt: tuple(int(j == k) for j in range(dim))}))
+def word_columns(slice_: ModuleSlice, words: Sequence[GhatWord],
+                 max_height: Optional[int] = None):
+    """(wt, k, images of `words`) for each basis vector k at wt, in
+    basis_index() order, up to height `max_height` (all of the slice when
+    None).  The words are applied to one vector before the next is taken;
+    the first vector that a word leaves the window from raises
+    DepthExceeded, so a caller either lets it raise or keeps the columns
+    yielded before it."""
+    for wt in slice_.order:
+        sp = slice_.spaces[wt]
+        if max_height is not None and sp.height > max_height:
+            return
+        for k in range(sp.dim):
+            basis = Vector(slice_, {wt: tuple(int(j == k) for j in range(sp.dim))})
+            yield wt, k, [apply_word(word, basis) for word in words]
 
 
 def evaluate_word(slice_: ModuleSlice, word: GhatWord,
@@ -605,18 +620,16 @@ def evaluate_word(slice_: ModuleSlice, word: GhatWord,
     """
     index = slice_.basis_index()
     pos = {key: p for p, key in enumerate(index)}
-    col_index = index if max_height is None else tuple(
-        (wt, k) for wt, k in index if slice_.spaces[wt].height <= max_height)
-    cols = []
-    for wt, k in col_index:
-        img = column_image(slice_, word, wt, k)
+    col_index, cols = [], []
+    for wt, k, (img,) in word_columns(slice_, (word,), max_height):
         col = [Fraction(0)] * len(index)
         for wt2, coeffs in img.parts.items():
             for j, x in enumerate(coeffs):
                 col[pos[(wt2, j)]] = Fraction(x, img.den)
+        col_index.append((wt, k))
         cols.append(col)
-    return (index, col_index), tuple(tuple(cols[c][r] for c in range(len(col_index)))
-                                     for r in range(len(index)))
+    return (index, tuple(col_index)), tuple(tuple(col[r] for col in cols)
+                                            for r in range(len(index)))
 
 
 def inner(slice_: ModuleSlice, v: Vector, u: Vector) -> Fraction:
@@ -668,28 +681,49 @@ class Distinct:
     right: Fraction
 
 
+def _first_difference(a: Vector, b: Vector) -> tuple[int, Wt, int]:
+    """(height, wt, j) of the first row, in basis order, at which the
+    unequal vectors a and b differ; the entries are compared as integers."""
+    sl = a.slice
+    zeros = {wt: (0,) * sl.spaces[wt].dim for wt in a.parts.keys() | b.parts.keys()}
+    return min((sl.spaces[wt].height, wt, j) for wt, zero in zeros.items()
+               for j, (x, y) in enumerate(zip(a.parts.get(wt, zero), b.parts.get(wt, zero)))
+               if x * b.den != y * a.den)
+
+
+def _entry(v: Vector, wt: Wt, j: int) -> Fraction:
+    part = v.parts.get(wt)
+    return Fraction(part[j] if part else 0, v.den)
+
+
 def probe_equal(datum: RootDatum, w1: GhatWord, w2: GhatWord, probes: Sequence):
     """Compare two words as operators on the given probes.
 
     Each probe is (hw, depth) or (hw, depth, max_height); the third entry
     restricts the compared columns to basis vectors of bounded height so
     that words with lowering content fit inside the window on infinite
-    modules.  EqualOnProbes is NOT a proof of equality in the ambient
-    monoid; Distinct returns an exact witness coefficient.
+    modules.  Each word makes its own full pass over the columns, w1 first,
+    so a word that leaves the window raises DepthExceeded even when the
+    other already differs.  The images are compared as sparse vectors;
+    Distinct holds the first differing entry in row-major order, the only
+    one formed as a Fraction.  EqualOnProbes is NOT a proof of equality in
+    the ambient monoid; Distinct returns an exact witness coefficient.
     """
     tried = []
     for probe in probes:
         hw, d = probe[0], probe[1]
         hmax = probe[2] if len(probe) > 2 else None
         sl = build_basis(datum, hw, d)
-        (rows, cols), m1 = evaluate_word(sl, w1, max_height=hmax)
-        _, m2 = evaluate_word(sl, w2, max_height=hmax)
-        if m1 != m2:
-            for r in range(len(rows)):
-                for c in range(len(cols)):
-                    if m1[r][c] != m2[r][c]:
-                        return Distinct(probe=(sl.hw, d), row=rows[r],
-                                        col=cols[c], left=m1[r][c], right=m2[r][c])
+        cols1 = list(word_columns(sl, (w1,), hmax))
+        cols2 = list(word_columns(sl, (w2,), hmax))
+        diffs = [(_first_difference(a, b), c) for c, ((_, _, (a,)), (_, _, (b,)))
+                 in enumerate(zip(cols1, cols2)) if a != b]
+        if diffs:
+            (_, wt, j), c = min(diffs)
+            col_wt, k, (a,) = cols1[c]
+            (b,) = cols2[c][2]
+            return Distinct(probe=(sl.hw, d), row=(wt, j), col=(col_wt, k),
+                            left=_entry(a, wt, j), right=_entry(b, wt, j))
         tried.append((sl.hw, d))
     return EqualOnProbes(probes=tuple(tried))
 

@@ -26,9 +26,14 @@ hashes like the table's by (face, w).  A Weyl element and a face of two
 root data make no class: that is a PreconditionViolated.
 
 Torus-monoid elements t e(R) are canonicalized by the values of t on a
-Smith-basis of the lattice spanned by R.  A character t(lam) is evaluated
-fraction-free: one integer numerator and one denominator, each a product of
-powers of the numerators and denominators of t, and one Fraction at the
+Smith-basis of the lattice spanned by R.  Each keeps the torus element t
+it was normalized from, and its product, its Weyl action and its value on
+a weight work through t: t agrees with the canonical values on that
+lattice, and every weight they read t on lies in it.  The public torus
+helpers check their input; the normalizer product calls their unchecked
+private forms on values it has checked.  A character t(lam) is evaluated
+fraction-free: one integer numerator and one denominator, each a product
+of powers of the numerators and denominators of t, and one Fraction at the
 end.  Normalizer elements are n_w t e(R) where n_w is the canonical lift of
 a reduced word; products use the rank-one cocycle n_i^2 = t_{h_i}(-1).
 """
@@ -178,13 +183,18 @@ def _rational(t: TorusVals) -> TorusVals:
     return t
 
 
+def _nonzero(t: TorusVals) -> TorusVals:
+    """t, once its values are rational and nonzero."""
+    if any(v == 0 for v in _rational(t)):
+        raise ZeroTorusValue("torus values must be nonzero")
+    return t
+
+
 def _checked_torus(datum: RootDatum, t: TorusVals) -> TorusVals:
     """t, once it has datum.m rational values, all nonzero."""
     if len(t) != datum.m:
         raise DomainError(f"torus element needs {datum.m} values")
-    if any(v == 0 for v in _rational(t)):
-        raise ZeroTorusValue("torus values must be nonzero")
-    return t
+    return _nonzero(t)
 
 
 def torus_from_coweight(datum: RootDatum, h: Sequence[int], s: Fraction) -> TorusVals:
@@ -200,11 +210,26 @@ def torus_from_coweight(datum: RootDatum, h: Sequence[int], s: Fraction) -> Toru
 
 
 def torus_mul(a: TorusVals, b: TorusVals) -> TorusVals:
+    """The product a b of two torus elements with as many values; a wrong
+    length or value type is a DomainError, a zero value a ZeroTorusValue."""
+    if len(a) != len(b):
+        raise DomainError(f"torus elements of {len(a)} and {len(b)} values")
+    return _torus_mul(_nonzero(a), _nonzero(b))
+
+
+def _torus_mul(a: TorusVals, b: TorusVals) -> TorusVals:
     return tuple(x * y for x, y in zip(a, b))
 
 
 def torus_inv(a: TorusVals) -> TorusVals:
-    return tuple(1 / x for x in a)
+    """The inverse of a torus element, value by value, as Fractions; a
+    value type other than Fraction or int is a DomainError, a zero value a
+    ZeroTorusValue."""
+    return _torus_inv(_nonzero(a))
+
+
+def _torus_inv(a: TorusVals) -> TorusVals:
+    return tuple(Fraction(1) / x for x in a)
 
 
 def torus_eval(t: TorusVals, weight: Sequence[int]) -> Fraction:
@@ -233,7 +258,15 @@ def _torus_eval(t: TorusVals, weight: Sequence[int]) -> Fraction:
 
 
 def torus_act(u: WeylElt, t: TorusVals) -> TorusVals:
-    """(u t)(lam) = t(u^{-1} lam); exact via the integer matrix of u^{-1}."""
+    """(u t)(lam) = t(u^{-1} lam) for t with one value per coordinate of
+    u's datum; a wrong length or value type is a DomainError, a zero value
+    a ZeroTorusValue."""
+    return _torus_act(u, _checked_torus(u.datum, t))
+
+
+def _torus_act(u: WeylElt, t: TorusVals) -> TorusVals:
+    """torus_act for a t its caller checked; exact via the integer matrix
+    of u^{-1}."""
     cols = exact.transpose(u.mat_p_inv)
     return tuple(_torus_eval(t, col) for col in cols)
 
@@ -248,11 +281,15 @@ def _span_lattice_basis(face: Face) -> tuple[IntVec, ...]:
 
 @dataclass(frozen=True)
 class ThatElt:
-    """t e(R) in canonical form: values of t on a Smith-basis of span(R) cap P."""
+    """t e(R) in canonical form: values of t on a Smith-basis of span(R) cap P.
+
+    `rep` is the torus element t itself, kept out of equality: it agrees
+    with the canonical values on span(R) cap P, the only place it is read."""
 
     face: Face
     basis: tuple[IntVec, ...]
     values: TorusVals
+    rep: TorusVals = field(compare=False, repr=False)
 
     @property
     def datum(self) -> RootDatum:
@@ -260,10 +297,10 @@ class ThatElt:
 
 
 def that_normalize(t: TorusVals, face: Face) -> ThatElt:
-    _checked_torus(face.datum, t)
+    t = tuple(_checked_torus(face.datum, t))
     basis = _span_lattice_basis(face)
     return ThatElt(face=face, basis=basis,
-                   values=tuple(_torus_eval(t, b) for b in basis))
+                   values=tuple(_torus_eval(t, b) for b in basis), rep=t)
 
 
 def that_idempotent(face: Face) -> ThatElt:
@@ -271,29 +308,21 @@ def that_idempotent(face: Face) -> ThatElt:
 
 
 def that_mul(x: ThatElt, y: ThatElt) -> ThatElt:
-    """(t e(R)) (t' e(S)) = t t' e(R cap S); re-restrict to the smaller span."""
+    """(t e(R)) (t' e(S)) = t t' e(R cap S)."""
     face = F.intersect(x.face, y.face)
-    basis = _span_lattice_basis(face)
-    vals = tuple(exact.eval_character(x.basis, x.values, b)
-                 * exact.eval_character(y.basis, y.values, b) for b in basis)
-    return ThatElt(face=face, basis=basis, values=vals)
+    return that_normalize(_torus_mul(x.rep, y.rep), face)
 
 
 def that_act(u: WeylElt, x: ThatElt) -> ThatElt:
     """sigma(t e(R)) = sigma(t) e(sigma R)."""
     face = F.act_face(u, x.face)
-    basis = _span_lattice_basis(face)
-    vals = []
-    for b in basis:
-        pre = u.inv().act_weight(b)
-        vals.append(exact.eval_character(x.basis, x.values, tuple(int(c) for c in pre)))
-    return ThatElt(face=face, basis=basis, values=tuple(vals))
+    return that_normalize(_torus_act(u, x.rep), face)
 
 
 def that_eval(x: ThatElt, weight: Sequence[int]):
     """Operator value on a weight: t(lam) on the face, else Zero."""
     if F.contains(x.face, weight):
-        return exact.eval_character(x.basis, x.values, weight)
+        return torus_eval(x.rep, weight)
     return ZERO
 
 
@@ -312,15 +341,15 @@ def _gen_mul(i: int, v: WeylElt, t: TorusVals) -> tuple[WeylElt, TorusVals]:
     s = W.simple(datum, i)
     if v.left_descent(i):
         v2 = s * v
-        corr = torus_act(v2.inv(), _minus_one_torus(datum, i))
-        return v2, torus_mul(corr, t)
+        corr = _torus_act(v2.inv(), _minus_one_torus(datum, i))
+        return v2, _torus_mul(corr, t)
     return s * v, t
 
 
 def nelt_mul(a: NElt, b: NElt) -> NElt:
     w, tau = a
     v, s = b
-    cur_v, cur_t = v, torus_mul(torus_act(v.inv(), tau), s)
+    cur_v, cur_t = v, _torus_mul(_torus_act(v.inv(), tau), s)
     for i in reversed(w.word):
         cur_v, cur_t = _gen_mul(i, cur_v, cur_t)
     return cur_v, cur_t
@@ -334,7 +363,7 @@ def nelt_inv(a: NElt) -> NElt:
     w, tau = a
     wi = w.inv()
     _, c0 = nelt_mul(nelt_lift(wi), nelt_lift(w))
-    corr = torus_act(w, torus_inv(torus_mul(tau, c0)))
+    corr = _torus_act(w, _torus_inv(_torus_mul(tau, c0)))
     return (wi, corr)
 
 

@@ -6,10 +6,12 @@ suite runs the same functions and additionally enforces the runtime bounds.
 
 Every leg of a check writes its report line through _leg, which adds a FAIL
 line when the leg failed; legs with undecided instances count their
-True/False/None verdicts with _tally.  The operator legs of [6] read each
-word's images on a probe slice in one pass: _fitting_images applies the
-words to the basis vectors in height order, up to height 2, and keeps the
-heights below the first DepthExceeded.  No dense operator matrix is built.
+True/False/None verdicts with _tally.  [5]'s operator cocycle and the
+operator legs of [6] read the words' images on a probe slice from one
+`highest_weight.word_columns` pass in height order: [5] through
+`probe_equal`, which lets a DepthExceeded raise, and [6] through
+_fitting_images, which reads up to height 2 and keeps the heights below
+the first DepthExceeded.  No dense operator matrix is built.
 """
 
 from __future__ import annotations
@@ -208,31 +210,43 @@ def check_weyl_monoid(triples: int = 1000) -> CheckResult:
 # -- criterion 5 ------------------------------------------------------------------
 
 
+def _rand_nhat(rng: random.Random, datum: RootDatum) -> MO.NhatElt:
+    tvals = tuple(Fraction(rng.choice([1, 2, 3, -1, -2]), rng.choice([1, 2]))
+                  for _ in range(datum.m))
+    return MO.nhat_from(_rand_weyl(rng, datum, 4), tvals, _rand_face(rng, datum))
+
+
+def _kappa_laws(rng: random.Random, datum: RootDatum, pairs: int) -> int:
+    """Violations of kappa(a b) = kappa(a) kappa(b) on `pairs` random pairs
+    of normalizer-monoid elements of datum."""
+    bad = 0
+    for _ in range(pairs):
+        a, b = _rand_nhat(rng, datum), _rand_nhat(rng, datum)
+        if MO.nhat_to_wmon(MO.nhat_mul(a, b)) != MO.wm_mul(
+                MO.nhat_to_wmon(a), MO.nhat_to_wmon(b)):
+            bad += 1
+    return bad
+
+
+def _cocycle_holds(datum: RootDatum, i: int) -> bool:
+    """n_i(1)^2 = t_{h_i}(-1) in the normalizer, algebraically."""
+    ni = MO.nelt_lift(W.simple(datum, i))
+    w2, t2 = MO.nelt_mul(ni, ni)
+    return w2.is_identity() and t2 == MO.torus_from_coweight(datum, datum.coroot(i),
+                                                             Fraction(-1))
+
+
 def check_kappa_and_cocycle(pairs: int = 500) -> CheckResult:
     lines = []
     ok = True
     rng = random.Random(50)
-
-    def rand_nhat(datum):
-        tvals = tuple(Fraction(rng.choice([1, 2, 3, -1, -2]), rng.choice([1, 2]))
-                      for _ in range(datum.m))
-        return MO.nhat_from(_rand_weyl(rng, datum, 4), tvals, _rand_face(rng, datum))
-
     for name, datum in sorted(_data().items()):
-        bad = 0
-        for _ in range(pairs):
-            a, b = rand_nhat(datum), rand_nhat(datum)
-            if MO.nhat_to_wmon(MO.nhat_mul(a, b)) != MO.wm_mul(
-                    MO.nhat_to_wmon(a), MO.nhat_to_wmon(b)):
-                bad += 1
+        bad = _kappa_laws(rng, datum, pairs)
         ok &= _leg(lines, f"{name}: kappa respects {pairs} products, {bad} violations",
                    bad, f"{name} kappa homomorphism")
         # cocycle n_i(1)^2 = t_{h_i}(-1): algebraic and operator-level
         for i in range(datum.n):
-            ni = MO.nelt_lift(W.simple(datum, i))
-            w2, t2 = MO.nelt_mul(ni, ni)
-            expect = MO.torus_from_coweight(datum, datum.coroot(i), Fraction(-1))
-            alg_ok = w2.is_identity() and t2 == expect
+            alg_ok = _cocycle_holds(datum, i)
             probe_hw = tuple(1 if j < datum.n else 0 for j in range(datum.m))
             res = HW.probe_equal(
                 datum,
@@ -263,19 +277,17 @@ _SPECIAL_CASES = (
 
 def _fitting_images(sl: HW.ModuleSlice, words) -> list:
     """(weight, images of `words`) for each basis vector of sl of height at
-    most h0: one pass in height order up to _PROBE_HEIGHT that stops at the
-    first DepthExceeded.  h0 is the failing vector's height - 1, or
-    _PROBE_HEIGHT when none fails.  Fitting is monotone in height, so h0 is
-    the largest bound under which every word fits on every vector."""
+    most h0, read from one `word_columns` pass up to _PROBE_HEIGHT.  h0 is
+    _PROBE_HEIGHT when the pass ends, else the height of the vector it
+    raised DepthExceeded at, less one.  Fitting is monotone in height, so
+    h0 is the largest bound under which every word fits on every vector."""
     out = []
-    for wt, k in sl.basis_index():
-        h = sl.height_of(wt)
-        if h > _PROBE_HEIGHT:
-            break
-        try:
-            out.append((wt, [HW.column_image(sl, w, wt, k) for w in words]))
-        except DepthExceeded:
-            return [col for col in out if sl.height_of(col[0]) < h]
+    try:
+        for wt, _, images in HW.word_columns(sl, words, _PROBE_HEIGHT):
+            out.append((wt, images))
+    except DepthExceeded:
+        h = sl.height_of(sl.basis_index()[len(out)][0])
+        return [col for col in out if sl.height_of(col[0]) < h]
     return out
 
 

@@ -9,9 +9,15 @@ reference rests on the integer pivot itself.
 
 Beside them sits Peterson's recurrence for root multiplicities, which the
 package used before it read them off the Weyl denominator; it rests on the
-invariant form alone, not on the Weyl group.  Last come the torus character
+invariant form alone, not on the Weyl group.  Then come the torus character
 and the torus action as a product of Fraction powers, which the package
 used before it kept one integer numerator and one denominator.
+
+Last come the dense word matrix and the probe comparison the package used
+before one height-ordered column pass served them: `evaluate_word` applies
+the word to each basis vector of the column window in turn, and
+`probe_equal` builds both words' dense Fraction matrices and scans them
+row by row.
 """
 
 from fractions import Fraction
@@ -20,6 +26,7 @@ from typing import Optional, Sequence
 from kmx.cartan import RootDatum
 from kmx.errors import InternalError
 from kmx.exact import RatVec, mat_vec, primitive
+from kmx import highest_weight as HW
 from kmx.highest_weight import Beta, _compositions
 
 
@@ -334,3 +341,44 @@ def torus_eval(t: Sequence[Fraction], weight: Sequence[int]) -> Fraction:
 def torus_act(u, t: Sequence[Fraction]) -> tuple[Fraction, ...]:
     """(u t)(lam) = t(u^{-1} lam): t on each column of u's matrix P^{-1}."""
     return tuple(torus_eval(t, col) for col in zip(*u.mat_p_inv))
+
+
+def evaluate_word(slice_, word, max_height: Optional[int] = None):
+    """((rows, cols), matrix) of the word over the slice basis, with the
+    columns restricted to basis vectors of height <= max_height."""
+    index = slice_.basis_index()
+    pos = {key: p for p, key in enumerate(index)}
+    col_index = index if max_height is None else tuple(
+        (wt, k) for wt, k in index if slice_.spaces[wt].height <= max_height)
+    cols = []
+    for wt, k in col_index:
+        dim = slice_.spaces[wt].dim
+        basis = HW.Vector(slice_, {wt: tuple(int(j == k) for j in range(dim))})
+        img = HW.apply_word(word, basis)
+        col = [Fraction(0)] * len(index)
+        for wt2, coeffs in img.parts.items():
+            for j, x in enumerate(coeffs):
+                col[pos[(wt2, j)]] = Fraction(x, img.den)
+        cols.append(col)
+    return (index, col_index), tuple(tuple(cols[c][r] for c in range(len(col_index)))
+                                     for r in range(len(index)))
+
+
+def probe_equal(datum, w1, w2, probes):
+    """EqualOnProbes, or Distinct at the first differing entry of the two
+    dense matrices in row-major order."""
+    tried = []
+    for probe in probes:
+        hw, d = probe[0], probe[1]
+        hmax = probe[2] if len(probe) > 2 else None
+        sl = HW.build_basis(datum, hw, d)
+        (rows, cols), m1 = evaluate_word(sl, w1, max_height=hmax)
+        _, m2 = evaluate_word(sl, w2, max_height=hmax)
+        if m1 != m2:
+            for r in range(len(rows)):
+                for c in range(len(cols)):
+                    if m1[r][c] != m2[r][c]:
+                        return HW.Distinct(probe=(sl.hw, d), row=rows[r],
+                                           col=cols[c], left=m1[r][c], right=m2[r][c])
+        tried.append((sl.hw, d))
+    return HW.EqualOnProbes(probes=tuple(tried))

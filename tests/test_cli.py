@@ -362,6 +362,23 @@ def test_that_mul_act_multiplies_once(capsys, monkeypatch):
     assert set(payload) == {"product", "acted"} and len(calls) == 1
 
 
+def test_ghat_equal_builds_no_dense_matrix(capsys, monkeypatch):
+    from kmx import highest_weight
+
+    calls = []
+    real = highest_weight.evaluate_word
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(highest_weight, "evaluate_word", counting)
+    verdicts = [run_json(capsys, ["ghat-equal", "--gcm", A2, "--word1", "N(1) N(1)",
+                                  "--word2", word2, "--probes", "1,0:2;1,1:4"])["verdict"]
+                for word2 in ("T(h1;-1)", "X+(1;1)")]
+    assert verdicts == ["equal_on_probes", "distinct"] and calls == []
+
+
 def test_depth_env_override(capsys, monkeypatch):
     monkeypatch.setenv("KMX_DEPTH", "1")
     payload = run_json(capsys, ["module-weights", "--gcm", A2, "--hw", "1,1"])

@@ -32,8 +32,9 @@ def test_offence_finder_sees_each_kind():
 
 
 def test_no_value_error_for_user_input():
-    # bad input is a DomainError: the CLI and the highest-weight, toric and
-    # monoid layers raise no bare ValueError
+    # bad input is a DomainError: no module raises a bare ValueError but
+    # exact.py, whose ValueErrors are its documented contract for matrix
+    # input
     src = Path(kmx.__file__).parent
 
     def raises_value_error(tree):
@@ -42,5 +43,8 @@ def test_no_value_error_for_user_input():
                 and "ValueError" in {n.id for n in ast.walk(node.exc)
                                      if isinstance(n, ast.Name)}]
 
-    for name in ("cli.py", "highest_weight.py", "toric.py", "monoids.py"):
-        assert raises_value_error(ast.parse((src / name).read_text())) == [], name
+    modules = sorted(path for path in src.glob("*.py") if path.name != "exact.py")
+    assert {"cli.py", "highest_weight.py", "verify.py", "weyl.py"} <= {p.name for p in modules}
+    for path in modules:
+        assert raises_value_error(ast.parse(path.read_text())) == [], path.name
+    assert raises_value_error(ast.parse((src / "exact.py").read_text()))

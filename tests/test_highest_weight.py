@@ -2,6 +2,7 @@ import random
 import re
 from fractions import Fraction as Fr
 
+import exact_reference as ref
 import pytest
 
 from kmx import faces as FC, highest_weight as HW, monoids as MO, weyl as W
@@ -360,6 +361,60 @@ def test_probe_equal_examples():
     assert {res.left, res.right} == {Fr(0), Fr(1)}
 
 
+def test_distinct_witness_is_row_major_first():
+    # exp(f_1) exp(e_1) against the identity on L(Lambda_1) of A2: the top
+    # column differs first at row 1 (f_1 v), the f_1 v column at row 0 (v);
+    # the witness is the row-major first entry, in the later column
+    word = HW.GhatWord((HW.xminus(0, Fr(1)), HW.xplus(0, Fr(1))))
+    sl = HW.build_basis(A2, (1, 0), 2)
+    (rows, cols), mat = HW.evaluate_word(sl, word)
+    eye = [[Fr(int(r == c)) for c in range(len(cols))] for r in range(len(rows))]
+    first_col = min(c for c in range(len(cols))
+                    if any(mat[r][c] != eye[r][c] for r in range(len(rows))))
+    assert first_col == 0 and mat[0][0] == 1 and mat[1][0] == 1
+    res = HW.probe_equal(A2, word, HW.GhatWord(()), [((1, 0), 2)])
+    assert res == HW.Distinct(probe=((1, 0), 2), row=rows[0], col=cols[1],
+                              left=Fr(1), right=Fr(0))
+    assert res == ref.probe_equal(A2, word, HW.GhatWord(()), [((1, 0), 2)])
+
+
+def _outcome(f, *args):
+    """f(*args), or the (needed, depth, weight) of the DepthExceeded it
+    raises."""
+    try:
+        return f(*args)
+    except DepthExceeded as e:
+        return ("DepthExceeded", e.needed, e.depth, e.weight)
+
+
+def test_word_columns_match_the_dense_reference():
+    """evaluate_word and probe_equal against the dense matrices and the
+    row-major scan of `exact_reference`, on seeded X+/X-/T/N/E words of
+    one to four letters, slices of depth 1-4 and column windows None, 0, 1
+    and 2 on the three data of `kmx verify`."""
+    from test_verify_legs import DATA, _rand_word
+
+    rng = random.Random(1700)
+    kinds = []
+    for _, datum in DATA:
+        hws = [tuple(int(j == k) for j in range(datum.m)) for k in range(datum.n)]
+        hws.append(tuple(int(j < datum.n) for j in range(datum.m)))
+        for _ in range(300):
+            hw, depth = rng.choice(hws), rng.randrange(1, 5)
+            hmax = rng.choice([None, 0, 1, 2])
+            w1 = _rand_word(rng, datum)
+            # a third of the pairs are one word twice
+            w2 = w1 if rng.randrange(3) == 0 else _rand_word(rng, datum)
+            sl = HW.build_basis(datum, hw, depth)
+            assert _outcome(HW.evaluate_word, sl, w1, hmax) == \
+                _outcome(ref.evaluate_word, sl, w1, hmax)
+            probes = [(hw, depth, hmax)]
+            got = _outcome(HW.probe_equal, datum, w1, w2, probes)
+            assert got == _outcome(ref.probe_equal, datum, w1, w2, probes), (w1, w2)
+            kinds.append(type(got).__name__)
+    assert set(kinds) == {"tuple", "EqualOnProbes", "Distinct"}
+
+
 def test_probe_conjugation_identity_sampled():
     rng = random.Random(52)
     c = FC.standard_face(AFF, (0, 1))
@@ -527,7 +582,8 @@ def test_evaluate_word_columns_are_column_images():
     (rows, cols), mat = HW.evaluate_word(sl, word)
     assert len(cols) == 8
     for c, (wt, k) in enumerate(cols):
-        img = HW.column_image(sl, word, wt, k)
+        dim = sl.spaces[wt].dim
+        img = HW.apply_word(word, HW.Vector(sl, {wt: tuple(int(j == k) for j in range(dim))}))
         col = {row: mat[r][c] for r, row in enumerate(rows) if mat[r][c]}
         assert col == {(wt2, j): Fr(x, img.den) for wt2, part in img.parts.items()
                        for j, x in enumerate(part) if x}

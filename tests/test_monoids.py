@@ -216,6 +216,70 @@ def test_torus_inputs_are_checked_never_truncated():
     assert MO.torus_eval((2, Fr(1, 3)), (1, -1)) == 6
 
 
+def test_torus_act_checks_its_torus():
+    # a short torus was zipped with the action's columns, a float value
+    # raised AttributeError
+    u = W.simple(A2, 0)
+    # (s_1 t)(Lambda_1) = t(Lambda_2 - Lambda_1), (s_1 t)(Lambda_2) = t(Lambda_2)
+    assert MO.torus_act(u, (Fr(2), 3)) == (Fr(3, 2), Fr(3))
+    for short_or_long in ((1,), (1, 1, 1)):
+        with pytest.raises(DomainError, match="torus element needs 2 values"):
+            MO.torus_act(u, short_or_long)
+    with pytest.raises(DomainError, match="is not a Fraction or an int"):
+        MO.torus_act(u, (0.5, 2.0))
+    with pytest.raises(ZeroTorusValue):
+        MO.torus_act(u, (Fr(0), Fr(1)))
+
+
+def test_torus_mul_checks_both_factors():
+    # a short factor was zipped with the other
+    assert MO.torus_mul((Fr(1, 2), 3), (2, Fr(1, 3))) == (1, 1)
+    with pytest.raises(DomainError, match="torus elements of 1 and 2 values"):
+        MO.torus_mul((1,), (2, 3))
+    with pytest.raises(DomainError, match="is not a Fraction or an int"):
+        MO.torus_mul((Fr(1), 2.0), (1, 1))
+    with pytest.raises(ZeroTorusValue):
+        MO.torus_mul((1, 1), (Fr(0), 1))
+
+
+def test_torus_inv_checks_its_values_and_stays_exact():
+    # a zero value raised ZeroDivisionError, a float or int one gave a float
+    assert MO.torus_inv((2, Fr(-3, 4))) == (Fr(1, 2), Fr(-4, 3))
+    assert all(type(v) is Fr for v in MO.torus_inv((2, 1)))
+    with pytest.raises(ZeroTorusValue):
+        MO.torus_inv((0, 1))
+    with pytest.raises(DomainError, match="is not a Fraction or an int"):
+        MO.torus_inv((0.5,))
+
+
+def test_that_ops_agree_with_the_canonical_character():
+    # T-hat works through the torus element it was normalized from; the
+    # character of the canonical values on span(R) cap P gives the same
+    # products, actions and values
+    from kmx.exact import eval_character
+
+    rng = random.Random(27)
+    for datum in (AFF, HYP):
+        for _ in range(30):
+            x = MO.that_normalize(rand_torus(rng, datum), rand_face(rng, datum))
+            y = MO.that_normalize(rand_torus(rng, datum), rand_face(rng, datum))
+            prod = MO.that_mul(x, y)
+            assert prod.values == tuple(eval_character(x.basis, x.values, b)
+                                        * eval_character(y.basis, y.values, b)
+                                        for b in prod.basis)
+            u = rand_weyl(rng, datum, 4)
+            acted = MO.that_act(u, x)
+            assert acted.values == tuple(
+                eval_character(x.basis, x.values, tuple(int(c) for c in u.inv().act_weight(b)))
+                for b in acted.basis)
+            # w lam lies on the face w R(Theta) for dominant lam with
+            # lam(h_i) = 0 on Theta
+            lam = tuple(int(j not in x.face.theta) for j in range(datum.m))
+            on_face = tuple(int(c) for c in x.face.w.act_weight(lam))
+            assert FC.contains(x.face, on_face)
+            assert MO.that_eval(x, on_face) == eval_character(x.basis, x.values, on_face)
+
+
 def test_that_mul_examples():
     rng = random.Random(25)
     for datum in (AFF, HYP):

@@ -1,10 +1,11 @@
 """The verify battery's shared plumbing: the one-pass probe of [6] against
-the height-by-height retry it replaced, the verdict tally and the report
-lines."""
+the height-by-height retry it replaced, run on the dense reference matrices
+of `exact_reference`, the verdict tally and the report lines."""
 
 import random
 from fractions import Fraction
 
+import exact_reference as ref
 import pytest
 from test_weyl import KERNEL_DATA
 
@@ -25,7 +26,7 @@ def ref_adaptive_probe(datum, w1, w2, probes, heights):
     for hw, depth in probes:
         for h0 in (2, 1, 0):
             try:
-                res = HW.probe_equal(datum, w1, w2, [(hw, depth, h0)])
+                res = ref.probe_equal(datum, w1, w2, [(hw, depth, h0)])
             except DepthExceeded:
                 continue
             verdicts.append(isinstance(res, HW.EqualOnProbes))
@@ -44,7 +45,7 @@ def ref_check_preserves(datum, word, cvec, heights):
         sl = HW.build_basis(datum, hw, depth)
         for h0 in (2, 1, 0):
             try:
-                (rows, cols), mat = HW.evaluate_word(sl, word, max_height=h0)
+                (rows, cols), mat = ref.evaluate_word(sl, word, max_height=h0)
             except DepthExceeded:
                 continue
             heights.append(h0)
@@ -125,7 +126,7 @@ def test_fitting_images_are_the_columns_of_the_fitting_height():
             for word in words:
                 for h0 in (2, 1, 0):
                     try:
-                        (rows, cols), mat = HW.evaluate_word(sl, word, max_height=h0)
+                        (rows, cols), mat = ref.evaluate_word(sl, word, max_height=h0)
                     except DepthExceeded:
                         continue
                     break
@@ -141,7 +142,9 @@ def test_fitting_images_are_the_columns_of_the_fitting_height():
     assert heights == {-1, 0, 1, 2}
 
 
-def test_operator_theorems_build_no_dense_matrix(monkeypatch):
+def _evaluate_word_calls(monkeypatch, run) -> int:
+    """How often run() calls HW.evaluate_word; run must return a truthy
+    value."""
     calls = []
     real = HW.evaluate_word
 
@@ -150,8 +153,18 @@ def test_operator_theorems_build_no_dense_matrix(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(HW, "evaluate_word", counting)
-    assert verify.check_operator_theorems().passed
-    assert calls == []
+    assert run()
+    return len(calls)
+
+
+def test_operator_theorems_build_no_dense_matrix(monkeypatch):
+    assert _evaluate_word_calls(monkeypatch,
+                                lambda: verify.check_operator_theorems().passed) == 0
+
+
+def test_kappa_and_cocycle_build_no_dense_matrix(monkeypatch):
+    assert _evaluate_word_calls(monkeypatch,
+                                lambda: verify.check_kappa_and_cocycle().passed) == 0
 
 
 def test_operator_theorems_build_each_probe_slice_once(monkeypatch):
@@ -204,9 +217,22 @@ def test_the_laws_of_checks_3_and_4_hold_at_rank_ten(name):
     assert verify._monoid_laws(random.Random(40), datum, 1000) == 0
 
 
+@pytest.mark.parametrize("name", ["D8++", "E10"])
+def test_the_algebraic_laws_of_check_5_hold_at_rank_ten(name):
+    """[5]'s kappa leg at its own volume, 500 pairs, and the algebraic
+    cocycle n_i(1)^2 = t_{h_i}(-1) at every i, on a fresh rank-10 datum."""
+    datum = build_realization(KERNEL_DATA[name].gcm)
+    assert verify._kappa_laws(random.Random(50), datum, 500) == 0
+    assert all(verify._cocycle_holds(datum, i) for i in range(datum.n))
+
+
 def test_the_law_legs_count_violations(monkeypatch):
     datum = KERNEL_DATA["D8++"]
     monkeypatch.setattr(FC, "includes", lambda r, s: True)
     assert verify._galois_laws(random.Random(30), datum, 50) > 0
     monkeypatch.setattr(MO, "wm_invert", lambda x: x)
     assert verify._monoid_laws(random.Random(40), datum, 50) > 0
+    monkeypatch.setattr(MO, "wm_mul", lambda x, y: x)
+    assert verify._kappa_laws(random.Random(50), datum, 50) > 0
+    monkeypatch.setattr(MO, "nelt_mul", lambda a, b: a)
+    assert not any(verify._cocycle_holds(datum, i) for i in range(datum.n))
