@@ -519,8 +519,9 @@ def cmd_verify(args):
     timings = [] if args.timings else None
     ok, report = verify.run_all(timings)
     sys.stdout.write(report)
-    for num, name, seconds, elements in timings or ():
-        sys.stderr.write(f"[{num}] {name}: {seconds:.2f} s CPU, {elements} Weyl elements\n")
+    for num, name, seconds, elements, runs in timings or ():
+        sys.stderr.write(f"[{num}] {name}: {seconds:.2f} s CPU, {elements} Weyl elements, "
+                         f"{runs} simplex runs\n")
     if not ok:
         sys.exit(1)
 
@@ -623,7 +624,8 @@ def make_parser() -> argparse.ArgumentParser:
     p = verb("verify", cmd_verify, gcm=False, text=False,
              help="run the deterministic verification battery")
     p.add_argument("--timings", action="store_true",
-                   help="print each check's CPU seconds and new Weyl elements on stderr")
+                   help="print each check's CPU seconds, new Weyl elements and simplex "
+                        "runs on stderr")
     return ap
 
 

@@ -9,6 +9,15 @@ keeps an integer tableau over its last pivot.  The other integer routines
 Fraction is formed only where a rational number is the answer.  No
 floating point is used anywhere in the package.  Matrices are dense tuples
 of tuples, adequate for the small ranks this library targets.
+
+Every answer of the one simplex, `_simplex_feasible`, is certified: a
+feasible x is re-substituted, and an infeasible end yields, from its final
+basis B, the Farkas vector y = c_B^T B^{-1} with y . A <= 0 < y . b
+(Farkas' lemma), checked before it is believed.  `nonneg_feasible` keeps
+these certificates, Farkas vectors and feasible bases alike, and reuses
+them for every later right-hand side they decide, so one simplex run
+answers many points of one matrix.  A certificate that fails its check is
+an InternalError.  `simplex_runs()` counts the runs of the process.
 """
 
 from __future__ import annotations
@@ -336,9 +345,26 @@ def eval_character(basis: Sequence[Sequence[int]], values: Sequence, x: Sequence
 
 
 def _int_rows(m: Sequence[Sequence], what: str) -> None:
-    """ValueError unless every entry of m is a Python int; none is truncated."""
+    """ValueError unless m is a rectangular matrix of Python ints; none is
+    truncated, and no row is dropped or zipped short."""
     if any(type(x) is not int for row in m for x in row):
         raise ValueError(f"{what} must have integer entries")
+    if any(len(row) != len(m[0]) for row in m):
+        raise ValueError(f"{what} is ragged")
+
+
+def _nonneg_input(a: Sequence[Sequence], points: Sequence[Sequence],
+                  what: str) -> tuple[IntMat, tuple[IntVec, ...]]:
+    """A and the right-hand sides as int tuples, once A is a rectangular int
+    matrix and each right-hand side has one int per row of A; else
+    ValueError."""
+    a = tuple(tuple(row) for row in a)
+    points = tuple(tuple(b) for b in points)
+    _int_rows(a, f"{what} matrix")
+    _int_rows(points, f"{what} right-hand side")
+    if any(len(b) != len(a) for b in points):
+        raise ValueError(f"{what} right-hand side needs {len(a)} entries, one per row")
+    return a, points
 
 
 @dataclass(frozen=True)
@@ -375,10 +401,9 @@ def lp_feasible(p: LPProblem) -> Optional[RatVec]:
     # row . x <= -row . 1 ('le'), == ('eq') or <= -row . 1 - 1 ('lt')
     rhs = [-sum(row) - (rel == "lt") for row, rel in zip(p.matrix, p.relations)]
     kinds = ["eq" if rel == "eq" else "le" for rel in p.relations]
-    sol = _simplex_feasible(p.matrix, rhs, kinds)
-    if sol is None:
+    x, d, _ = _simplex_feasible(p.matrix, rhs, kinds)
+    if x is None:
         return None
-    x, d = sol
     du = [d + xi for xi in x]  # d * u with d > 0
     if min(du) <= 0 or not all({"le": v <= 0, "eq": v == 0, "lt": v < 0}[rel]
                                for v, rel in zip(mat_vec(p.matrix, du), p.relations)):
@@ -386,9 +411,20 @@ def lp_feasible(p: LPProblem) -> Optional[RatVec]:
     return tuple(Fraction(ui, d) for ui in du)
 
 
-def _simplex_feasible(rows, rhs, kinds) -> Optional[tuple[list[int], int]]:
+_simplex_runs = 0  # `_simplex_feasible` runs in this process
+
+
+def simplex_runs() -> int:
+    """How many phase-1 simplex runs this process has made; `kmx verify
+    --timings` reports the count per check."""
+    return _simplex_runs
+
+
+def _simplex_feasible(rows, rhs, kinds) -> tuple[Optional[list[int]], int, list[int]]:
     """Phase-1 simplex on an integer tableau: some x >= 0 with row . x <= b
-    ('le') or == b ('eq'), as (numerators, d) with x = numerators / d, or None.
+    ('le') or == b ('eq'), as (numerators, d, basis) with x = numerators / d,
+    or (None, d, basis) when there is none.  `basis` is the final basic
+    index of each row, the certificate `_basis_inverse` reads.
 
     The columns are the variables, one slack per 'le' row and b; row i's
     artificial basic variable has index width + ns + i and never re-enters,
@@ -398,6 +434,8 @@ def _simplex_feasible(rows, rhs, kinds) -> Optional[tuple[list[int], int]]:
     entering column; the ratio test compares by cross-multiplying, ties to
     the smaller basic index.
     """
+    global _simplex_runs
+    _simplex_runs += 1
     nr = len(rows)
     width = len(rows[0]) if rows else 0
     ns = kinds.count("le")
@@ -428,23 +466,124 @@ def _simplex_feasible(rows, rhs, kinds) -> Optional[tuple[list[int], int]]:
         d = _bareiss_pivot(tab, leave, enter, d)
         basis[leave] = enter
     if tab[nr][-1] != 0:
-        return None
+        return None, d, basis
     x = [0] * (width + ns)
     for i in range(nr):
         if basis[i] < width + ns:
             x[basis[i]] = tab[i][-1]
         elif tab[i][-1] != 0:
-            return None  # artificial stuck at a positive level
-    return x[:width], d
+            return None, d, basis  # artificial stuck at a positive level
+    return x[:width], d, basis
+
+
+def _basis_inverse(a: IntMat, b: IntVec, basis: Sequence[int]) -> tuple[IntMat, int]:
+    """(d B^{-1}, d) for a final basis of `_simplex_feasible` on A x = b.
+
+    B is that basis in the original system: column a_k for a structural
+    index k, and s_i e_i for row i's artificial, where s_i = -1 if b_i < 0
+    else 1 is the sign the simplex normalised row i with.  One `int_rref` of
+    [B | I] gives [d I | d B^{-1}]; a singular B is an InternalError.
+    """
+    m = len(a)
+    n = len(a[0]) if m else 0
+    sign = [-1 if bi < 0 else 1 for bi in b]
+    rows = [[row[k] if k < n else (sign[i] if k - n == i else 0) for k in basis]
+            + [int(i == j) for j in range(m)] for i, row in enumerate(a)]
+    pivots, red, d = int_rref(rows)
+    if pivots != tuple(range(m)):
+        raise InternalError("the simplex's final basis is singular")
+    return tuple(row[m:] for row in red), d
+
+
+def _farkas(a: IntMat, b: IntVec, basis: Sequence[int]) -> IntVec:
+    """The Farkas vector of an infeasible phase-1 end on A x = b: y = d c_B^T
+    B^{-1} (`_basis_inverse`), where c is 1 on the artificials.
+
+    InternalError unless y . a_j <= 0 for every column a_j and y . b > 0,
+    which proves that no x >= 0 has A x = b (Schrijver, Theory of Linear and
+    Integer Programming, 1986, section 7.3); y then decides every b' with
+    y . b' > 0 the same way.
+    """
+    inv, _ = _basis_inverse(a, b, basis)
+    n = len(a[0]) if a else 0
+    y = (0,) * len(a)
+    for row, k in zip(inv, basis):
+        if k >= n:
+            y = vec_add(y, row)
+    if vec_dot(y, b) <= 0 or any(vec_dot(y, col) > 0 for col in zip(*a)):
+        raise InternalError("phase-1 basis gives no Farkas certificate")
+    return y
+
+
+def _basis_decides(a: IntMat, cert: tuple[IntMat, int, tuple[int, ...]], b: IntVec) -> bool:
+    """Whether a feasible basis certificate (d B^{-1}, d, basis) proves that
+    some x >= 0 has A x = b: z = d B^{-1} b must be >= 0 and zero at the
+    artificial positions.  Then x with x_{basis[r]} = z_r / d is one, and a
+    failed re-substitution A (d x) = d b is an InternalError."""
+    inv, d, basis = cert
+    n = len(a[0]) if a else 0
+    x = [0] * n
+    for row, k in zip(inv, basis):
+        z = vec_dot(row, b)
+        if z < 0 or (z and k >= n):
+            return False
+        if k < n:
+            x[k] = z
+    if mat_vec(a, x) != vec_scale(d, b):
+        raise InternalError("basis certificate fails to re-substitute")
+    return True
 
 
 def nonneg_solve(a: Sequence[Sequence[int]], b: Sequence[int]) -> Optional[RatVec]:
-    """Some x >= 0 with A x = b, or None.  Phase-1 simplex, exact."""
-    _int_rows(list(a) + [b], "nonneg_solve input")
-    sol = _simplex_feasible(a, b, ["eq"] * len(a))
-    if sol is None:
+    """Some x >= 0 with A x = b, or None.  Phase-1 simplex, exact: x is
+    re-substituted, and None rests on the final basis's Farkas vector
+    (`_farkas`).  A ragged A, a right-hand side whose length is not the row
+    count, or an entry that is not a Python int is a ValueError."""
+    a, (b,) = _nonneg_input(a, (b,), "nonneg_solve input")
+    x, d, basis = _simplex_feasible(a, b, ["eq"] * len(a))
+    if x is None:
+        _farkas(a, b, basis)
         return None
-    x, d = sol
-    if mat_vec(a, x) != tuple(d * z for z in b):
+    if mat_vec(a, x) != vec_scale(d, b):
         raise InternalError("nonneg_solve solution fails to re-substitute")
     return tuple(Fraction(xi, d) for xi in x)
+
+
+def nonneg_feasible(a: Sequence[Sequence[int]],
+                    points: Sequence[Sequence[int]]) -> tuple[bool, ...]:
+    """For each b of `points`, whether some x >= 0 has A x = b.
+
+    Every answer rests on an exact certificate, and a certificate serves
+    every later point it also decides.  A point that no kept certificate
+    decides is a miss: one `_simplex_feasible` run.  An infeasible end keeps
+    its Farkas vector y (`_farkas`), which decides b False when y . b > 0.
+    A feasible end keeps (d B^{-1}, d, basis) (`_basis_inverse`), which
+    decides b True when `_basis_decides` re-substitutes an x >= 0 from it.
+    A miss that its own certificate does not decide is an InternalError.
+    Input is checked as in `nonneg_solve`.
+    """
+    a, points = _nonneg_input(a, points, "nonneg_feasible input")
+    farkas: list[IntVec] = []
+    bases: list[tuple[IntMat, int, tuple[int, ...]]] = []
+
+    def decide(b: IntVec) -> Optional[bool]:
+        if any(vec_dot(y, b) > 0 for y in farkas):
+            return False
+        if any(_basis_decides(a, cert, b) for cert in bases):
+            return True
+        return None
+
+    out = []
+    for b in points:
+        found = decide(b)
+        if found is None:
+            x, _, basis = _simplex_feasible(a, b, ["eq"] * len(a))
+            if x is None:
+                farkas.append(_farkas(a, b, basis))
+            else:
+                bases.append((*_basis_inverse(a, b, basis), tuple(basis)))
+            found = decide(b)
+            if found is not (x is not None):
+                raise InternalError("a phase-1 certificate does not decide its own point")
+        out.append(found)
+    return tuple(out)

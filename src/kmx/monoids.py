@@ -30,8 +30,10 @@ Smith-basis of the lattice spanned by R.  Each keeps the torus element t
 it was normalized from, and its product, its Weyl action and its value on
 a weight work through t: t agrees with the canonical values on that
 lattice, and every weight they read t on lies in it.  The public torus
-helpers check their input; the normalizer product calls their unchecked
-private forms on values it has checked.  A character t(lam) is evaluated
+and normalizer helpers (`torus_mul`, `nelt_mul`, `nelt_inv`, ...) check
+their input; the normalizer monoid (`nhat_mul`, `nhat_inv`,
+`NhatElt.canonical`) calls their unchecked private forms on values that
+`nhat_from` checked.  A character t(lam) is evaluated
 fraction-free: one integer numerator and one denominator, each a product
 of powers of the numerators and denominators of t, and one Fraction at the
 end.  Normalizer elements are n_w t e(R) where n_w is the canonical lift of
@@ -346,7 +348,26 @@ def _gen_mul(i: int, v: WeylElt, t: TorusVals) -> tuple[WeylElt, TorusVals]:
     return s * v, t
 
 
+def _checked_nelt(a: NElt) -> NElt:
+    """a = (w, t), once t has one nonzero rational value per coordinate of
+    w's datum (`_checked_torus`)."""
+    w, t = a
+    return w, _checked_torus(w.datum, t)
+
+
 def nelt_mul(a: NElt, b: NElt) -> NElt:
+    """The product (n_w tau)(n_v s) = n_{wv} t.  Each torus element needs one
+    nonzero rational value per coordinate of its datum: a wrong length or
+    value type is a DomainError, a zero value a ZeroTorusValue, and factors
+    of two root data are a PreconditionViolated."""
+    a, b = _checked_nelt(a), _checked_nelt(b)
+    if a[0].datum is not b[0].datum:
+        raise PreconditionViolated("normalizer product of elements of two root data")
+    return _nelt_mul(a, b)
+
+
+def _nelt_mul(a: NElt, b: NElt) -> NElt:
+    """nelt_mul for factors its caller checked."""
     w, tau = a
     v, s = b
     cur_v, cur_t = v, _torus_mul(_torus_act(v.inv(), tau), s)
@@ -360,9 +381,16 @@ def nelt_lift(w: WeylElt) -> NElt:
 
 
 def nelt_inv(a: NElt) -> NElt:
+    """The inverse of n_w tau in the normalizer; the torus element is checked
+    as in `nelt_mul`."""
+    return _nelt_inv(_checked_nelt(a))
+
+
+def _nelt_inv(a: NElt) -> NElt:
+    """nelt_inv for an element its caller checked."""
     w, tau = a
     wi = w.inv()
-    _, c0 = nelt_mul(nelt_lift(wi), nelt_lift(w))
+    _, c0 = _nelt_mul(nelt_lift(wi), nelt_lift(w))
     corr = _torus_act(w, _torus_inv(_torus_mul(tau, c0)))
     return (wi, corr)
 
@@ -391,14 +419,14 @@ class NhatElt:
             return cached
         kappa_class = nhat_to_wmon(self)
         sigma = kappa_class.w
-        q = nelt_mul(nelt_inv(nelt_lift(sigma)), (self.w, self.torus))
+        q = _nelt_mul(_nelt_inv(nelt_lift(sigma)), (self.w, self.torus))
         v, s0 = q
         vbar = self.face.w.inv() * v * self.face.w
         if not W.in_parabolic(vbar, self.face.theta):
             raise InternalError("leftover Weyl part does not centralize the face")
-        m = nelt_mul(nelt_mul(nelt_lift(self.face.w), nelt_lift(vbar)),
-                     nelt_inv(nelt_lift(self.face.w)))
-        res = nelt_mul(q, nelt_inv(m))
+        m = _nelt_mul(_nelt_mul(nelt_lift(self.face.w), nelt_lift(vbar)),
+                      _nelt_inv(nelt_lift(self.face.w)))
+        res = _nelt_mul(q, _nelt_inv(m))
         if not res[0].is_identity():
             raise InternalError("centralizer lift failed to cancel the Weyl part")
         restricted = that_normalize(res[1], self.face)
@@ -433,7 +461,7 @@ def nhat_idempotent(face: Face) -> NhatElt:
 
 def nhat_mul(x: NhatElt, y: NhatElt) -> NhatElt:
     """e(R) n_v = n_v e(v^{-1} R) moves both idempotents to the right."""
-    w, tau = nelt_mul((x.w, x.torus), (y.w, y.torus))
+    w, tau = _nelt_mul((x.w, x.torus), (y.w, y.torus))
     d = exact.vec_add(y.w.inv().act_coweight(x.face.exposing()), y.face.exposing())
     return NhatElt(w=w, torus=tau, face=F._face_exposed_by(x.datum, d))
 
@@ -456,5 +484,5 @@ def nhat_conj_idem(x: NhatElt, face: Face) -> Face:
 
 def nhat_inv(x: NhatElt) -> NhatElt:
     """Monoid inverse: (n t e(R))^inv = e(R) (n t)^{-1} = (nt)^{-1} e(wR)."""
-    w, tau = nelt_inv((x.w, x.torus))
+    w, tau = _nelt_inv((x.w, x.torus))
     return NhatElt(w=w, torus=tau, face=F.act_face(x.w, x.face))

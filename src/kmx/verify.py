@@ -555,8 +555,8 @@ def check_toric(count: int = 100) -> CheckResult:
         cols = exact.transpose(exact.int_mat(gens))
         boxes += len(pts)
         inside = [m1.contains(x) for x in pts]
-        bad_mem += sum(member != (exact.nonneg_solve(cols, x) is not None)
-                       for x, member in zip(pts, inside))
+        bad_mem += sum(member != feasible
+                       for member, feasible in zip(inside, exact.nonneg_feasible(cols, pts)))
         # round trip: regenerate from the cone description
         gens2 = list(m1.rays) + [v for b in m1.lineality for v in (b, tuple(-c for c in b))]
         m2 = toric.LatticeMonoid(gens2 or [(0,) * rank], rank)
@@ -649,15 +649,15 @@ ALL_CHECKS: tuple[tuple[str, Callable[[], CheckResult]], ...] = (
 def run_all(timings: Optional[list] = None) -> tuple[bool, str]:
     """Run ALL_CHECKS, read at call time, and return (all passed, report).
     With a `timings` list, append (number, name, CPU seconds, Weyl elements
-    added to the root data's tables) per check."""
+    added to the root data's tables, simplex runs) per check."""
     out = []
     all_ok = True
     for num, fn in ALL_CHECKS:
-        start, added = time.process_time(), W.elements_added()
+        start, added, runs = time.process_time(), W.elements_added(), exact.simplex_runs()
         res = fn()
         if timings is not None:
             timings.append((num, res.name, time.process_time() - start,
-                            W.elements_added() - added))
+                            W.elements_added() - added, exact.simplex_runs() - runs))
         all_ok = all_ok and res.passed
         out.append(f"[{num}] {res.name}: {'PASS' if res.passed else 'FAIL'}")
         for line in res.lines:

@@ -513,17 +513,19 @@ def test_verify_timings_go_to_stderr_only(capsys, monkeypatch):
     assert main(["verify", "--timings"]) == 0
     timed = capsys.readouterr()
     assert timed.out == plain.out and plain.err == ""
-    line_re = re.compile(r"\[(\w)\] [a-z0-9-]+: \d+\.\d\d s CPU, (\d+) Weyl elements")
+    line_re = re.compile(r"\[(\w)\] [a-z0-9-]+: \d+\.\d\d s CPU, (\d+) Weyl elements, "
+                         r"(\d+) simplex runs")
 
     def counts(err):
         found = [line_re.fullmatch(line) for line in err.splitlines()]
         assert all(found), err
-        return [(m[1], int(m[2])) for m in found]
+        return [(m[1], int(m[2]), int(m[3])) for m in found]
 
-    # each check reports the Weyl elements its own fresh root data took: [1]
-    # builds none, and a second run reports the same counts
+    # each check reports the Weyl elements its own fresh root data took and
+    # the simplex runs their classification made: [1] reuses the data of the
+    # run before and builds none, and a second run reports the same counts
     first = counts(timed.err)
-    assert [num for num, _ in first] == ["1", "3", "4"]
-    assert first[0][1] == 0 and first[2][1] > 0
+    assert [num for num, _, _ in first] == ["1", "3", "4"]
+    assert first[0][1:] == (0, 0) and first[2][1] > 0 and first[2][2] > 0
     assert main(["verify", "--timings"]) == 0
     assert counts(capsys.readouterr().err) == first

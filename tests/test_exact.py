@@ -9,8 +9,8 @@ from conftest import all_small_gcms, grid_certificate
 from kmx import exact
 from kmx.errors import InternalError
 from kmx.exact import (LPProblem, int_mat, int_rref, kernel_lattice_basis, lattice_coords,
-                       lp_feasible, mat_mul, mat_vec, nonneg_solve, primitive, rat_solve,
-                       saturate_span, smith_normal_form)
+                       lp_feasible, mat_mul, mat_vec, nonneg_feasible, nonneg_solve,
+                       primitive, rat_solve, saturate_span, smith_normal_form)
 
 
 def test_rat_solve_identity():
@@ -306,6 +306,85 @@ def test_lp_and_nonneg_solve_reject_non_int_entries(bad):
         nonneg_solve([[bad, 1]], (1,))
     with pytest.raises(ValueError):
         nonneg_solve([[1, 1]], (bad,))
+
+
+@pytest.mark.parametrize("call", [
+    # the -5 was dropped, and the full system is feasible
+    lambda: LPProblem(matrix=((-1,), (1, -5)), relations=("le", "le")),
+    # IndexError before
+    lambda: nonneg_solve([[1, 0], [0, 1]], (1,)),
+    # InternalError before
+    lambda: nonneg_solve([[1], [1, 1]], (1, 2)),
+    lambda: nonneg_solve([[1, 0], [0, 1]], (1, 2, 3)),
+    lambda: nonneg_feasible([[1], [1, 1]], [(1, 2)]),
+    lambda: nonneg_feasible([[1, 0], [0, 1]], [(1, 2), (1,)]),
+    lambda: nonneg_feasible([[1, 0], [0, 1]], [(1, 2.0)]),
+], ids=["lp-ragged", "solve-short-b", "solve-ragged", "solve-long-b", "feasible-ragged",
+        "feasible-short-b", "feasible-float-b"])
+def test_malformed_lp_input_is_a_value_error(call):
+    with pytest.raises(ValueError):
+        call()
+
+
+def test_nonneg_feasible_agrees_with_nonneg_solve_and_the_reference():
+    # half of the right-hand sides are A x for a random x >= 0, so both
+    # answers are well represented; every fifth system is one of the
+    # rank-deficient shapes (4, 1) and (4, 2).  The Fraction reference runs
+    # on every tenth system: on all 60,000 points it takes about 20 s
+    rng = random.Random(18)
+    runs = 0
+    answers = [0, 0]
+    for k in range(3000):
+        nr, nc = (4, 1 + k % 2) if k % 5 == 0 else (rng.randrange(1, 5), rng.randrange(1, 7))
+        a = tuple(tuple(rng.randrange(-3, 4) for _ in range(nc)) for _ in range(nr))
+        pts = [tuple(rng.randrange(-3, 4) for _ in range(nr)) if j % 2
+               else mat_vec(a, [rng.randrange(3) for _ in range(nc)]) for j in range(20)]
+        before = exact.simplex_runs()
+        got = nonneg_feasible(a, pts)
+        runs += exact.simplex_runs() - before
+        assert list(got) == [nonneg_solve(a, b) is not None for b in pts], (a, pts)
+        if k % 10 == 0:
+            assert list(got) == [ref.nonneg_solve(a, b) is not None for b in pts], (a, pts)
+        for g in got:
+            answers[g] += 1
+        assert nonneg_feasible(a, []) == ()
+        assert nonneg_feasible(a, [(0,) * nr]) == (True,)
+    assert min(answers) > 15000, answers
+    # one simplex run decides about five points (11,850 runs for 60,000)
+    assert runs < 15000, runs
+    assert nonneg_feasible((), [(), ()]) == (True, True)
+    assert nonneg_feasible(((), ()), [(0, 0), (1, 0)]) == (True, False)
+
+
+FEASIBLE, INFEASIBLE = (1, 1), (-1, 0)  # for A = [[1, 1], [0, 2]]
+
+
+@pytest.mark.parametrize("change, b, solve_checks_it", [
+    # a feasible point reported infeasible: its basis gives no Farkas vector
+    (lambda x, d, basis, n: (None, d, basis), FEASIBLE, True),
+    # an infeasible point reported feasible
+    (lambda x, d, basis, n: ([0] * n, 1, basis), INFEASIBLE, True),
+    # a singular basis
+    (lambda x, d, basis, n: (x, d, basis[:1] * len(basis)), INFEASIBLE, True),
+    # the starting, all-artificial basis certifies neither point; nonneg_solve
+    # re-substitutes its x and reads no basis for a feasible point
+    (lambda x, d, basis, n: (x, d, [n + i for i in range(len(basis))]), INFEASIBLE, True),
+    (lambda x, d, basis, n: (x, d, [n + i for i in range(len(basis))]), FEASIBLE, False),
+], ids=["feasible-as-infeasible", "infeasible-as-feasible", "singular-basis",
+        "start-basis-infeasible", "start-basis-feasible"])
+def test_a_wrong_simplex_verdict_or_basis_is_an_internal_error(monkeypatch, change, b,
+                                                               solve_checks_it):
+    a = [[1, 1], [0, 2]]
+    real = exact._simplex_feasible
+    monkeypatch.setattr(exact, "_simplex_feasible",
+                        lambda rows, rhs, kinds: change(*real(rows, rhs, kinds), len(rows[0])))
+    with pytest.raises(InternalError):
+        nonneg_feasible(a, [b])
+    if solve_checks_it:
+        with pytest.raises(InternalError):
+            nonneg_solve(a, b)
+    else:
+        assert nonneg_solve(a, b) is not None
 
 
 def test_int_rref_and_the_simplex_share_one_pivot_step(monkeypatch):

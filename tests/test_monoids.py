@@ -252,6 +252,54 @@ def test_torus_inv_checks_its_values_and_stays_exact():
         MO.torus_inv((0.5,))
 
 
+def test_nelt_mul_checks_both_factors():
+    # a one-value torus was zipped with the action's columns into a
+    # two-value product
+    s0, s1 = MO.nelt_lift(W.simple(A2, 0)), MO.nelt_lift(W.simple(A2, 1))
+    assert MO.nelt_mul((W.simple(A2, 0), (Fr(2), 3)), s1)[0] == W.from_word(A2, [0, 1])
+    for bad in ((1,), (1, 1, 1)):
+        with pytest.raises(DomainError, match="torus element needs 2 values"):
+            MO.nelt_mul((W.simple(A2, 0), bad), s1)
+        with pytest.raises(DomainError, match="torus element needs 2 values"):
+            MO.nelt_mul(s0, (W.simple(A2, 1), bad))
+    with pytest.raises(DomainError, match="is not a Fraction or an int"):
+        MO.nelt_mul((W.simple(A2, 0), (0.5, 2.0)), s1)
+    with pytest.raises(ZeroTorusValue):
+        MO.nelt_mul(s0, (W.simple(A2, 1), (Fr(0), 1)))
+    with pytest.raises(PreconditionViolated):
+        MO.nelt_mul(s0, MO.nelt_lift(W.simple(AFF, 0)))
+
+
+def test_nelt_inv_checks_its_torus():
+    # a float value raised AttributeError
+    a = (W.simple(A2, 0), (Fr(1, 2), 2))
+    w, t = MO.nelt_mul(a, MO.nelt_inv(a))
+    assert w.is_identity() and t == MO.torus_one(A2)
+    with pytest.raises(DomainError, match="is not a Fraction or an int"):
+        MO.nelt_inv((W.simple(A2, 0), (0.5, 2.0)))
+    with pytest.raises(DomainError, match="torus element needs 2 values"):
+        MO.nelt_inv((W.simple(A2, 0), (1,)))
+    with pytest.raises(ZeroTorusValue):
+        MO.nelt_inv((W.simple(A2, 0), (0, 1)))
+
+
+def test_the_normalizer_monoid_runs_the_unchecked_forms(monkeypatch):
+    # nhat_from checks the torus element once; products, inverses and
+    # canonical forms then call neither checked normalizer form
+    rng = random.Random(28)
+    xs = [rand_nhat(rng, HYP) for _ in range(6)]
+    want = [[MO.nhat_mul(x, y).canonical() for y in xs] for x in xs]
+    inverses = [MO.nhat_inv(x).canonical() for x in xs]
+
+    def checked(*args):
+        raise AssertionError("a checked normalizer form was called")
+
+    monkeypatch.setattr(MO, "nelt_mul", checked)
+    monkeypatch.setattr(MO, "nelt_inv", checked)
+    assert [[MO.nhat_mul(x, y).canonical() for y in xs] for x in xs] == want
+    assert [MO.nhat_inv(x).canonical() for x in xs] == inverses
+
+
 def test_that_ops_agree_with_the_canonical_character():
     # T-hat works through the torus element it was normalized from; the
     # character of the canonical values on span(R) cap P gives the same

@@ -236,3 +236,13 @@ def test_the_law_legs_count_violations(monkeypatch):
     assert verify._kappa_laws(random.Random(50), datum, 50) > 0
     monkeypatch.setattr(MO, "nelt_mul", lambda a, b: a)
     assert not any(verify._cocycle_holds(datum, i) for i in range(datum.n))
+
+
+def test_the_toric_oracle_reuses_its_simplex_certificates(monkeypatch):
+    # [9] asks 20,700 box points of its 100 cones; one exact certificate per
+    # simplex run decides the points after it, so about 550 runs decide them
+    calls = []
+    monkeypatch.setattr(exact, "nonneg_solve", lambda a, b: calls.append(b))
+    runs = exact.simplex_runs()
+    assert verify.check_toric().passed
+    assert calls == [] and exact.simplex_runs() - runs <= 600
