@@ -143,6 +143,17 @@ def exact_ints(vals: Iterable, what: str) -> tuple[int, ...]:
     return vals
 
 
+def exact_rationals(vals: Iterable, what: str) -> tuple:
+    """The entries of a rational vector as given: a character reads their
+    numerators and denominators, so an entry that is not a Fraction or a
+    Python int (a bool, float, str) is a DomainError naming it."""
+    vals = tuple(vals)
+    for x in vals:
+        if not isinstance(x, (Fraction, int)) or isinstance(x, bool):
+            raise DomainError(f"{what} {x!r} is not a Fraction or an int")
+    return vals
+
+
 def validate_and_symmetrize(rows: Sequence[Sequence[int]]) -> GCM:
     """Validate a GCM and compute its canonical positive symmetrizer.
     Messages name entries 1-based."""

@@ -5,10 +5,18 @@ the Gauss-Jordan elimination `int_rref` and the phase-1 simplex, so every
 elimination runs in Python ints.  rat_solve scales each row of a rational
 system to integers and reads its answer off one `int_rref`; the simplex
 keeps an integer tableau over its last pivot.  The other integer routines
-(smith_normal_form and the lattice helpers) stay in Python ints too, and a
-Fraction is formed only where a rational number is the answer.  No
-floating point is used anywhere in the package.  Matrices are dense tuples
-of tuples, adequate for the small ranks this library targets.
+stay in Python ints too, and a Fraction is formed only where a rational
+number is the answer.  No floating point is used anywhere in the package.
+Matrices are dense tuples of tuples, adequate for the small ranks this
+library targets.
+
+One lattice routine and one character routine serve both Hom monoids
+(`monoids`' T-hat and `toric`'s M-hat).  `kernel_lattice_basis` gives
+the saturated lattice cut out by a set of integer rows from one Smith
+normal form; the span of a face is cut out by its normals, so this is each
+face's lattice.  `character` reads t(x) = prod t_i ** x_i fraction-free.
+An element that keeps its torus element t reads its values through
+`character` and needs no coordinates in the face lattice.
 
 Every answer of the one simplex, `_simplex_feasible`, is certified: a
 feasible x is re-substituted, and an infeasible end yields, from its final
@@ -278,70 +286,35 @@ def smith_normal_form(m: IntMat) -> tuple[IntMat, IntMat, IntMat]:
     return uu, dd, vv
 
 
-def kernel_lattice_basis(m: IntMat) -> tuple[IntVec, ...]:
-    """Basis of the saturated lattice {x in Z^nc : M x = 0}, via SNF."""
-    nr = len(m)
-    nc = len(m[0]) if nr else 0
-    if nr == 0:
-        return tuple(tuple(row) for row in identity(nc))
+def kernel_lattice_basis(rows: Sequence[Sequence[int]], dim: int) -> tuple[IntVec, ...]:
+    """Saturated basis of the lattice {x in Z^dim : R x = 0}: the columns j
+    of V for one SNF U R V = D whose D_jj is zero or past the last row, since
+    R x = 0 iff D (V^{-1} x) = 0 and V is unimodular.  No rows give the
+    standard basis of Z^dim."""
+    m = int_mat(rows)
+    if not m:
+        return identity(dim)
+    if len(m[0]) != dim:
+        raise ValueError(f"kernel rows have {len(m[0])} entries, not {dim}")
     _, d, v = smith_normal_form(m)
-    cols = []
-    for j in range(nc):
-        dj = d[j][j] if j < nr else 0
-        if dj == 0:
-            cols.append(tuple(v[i][j] for i in range(nc)))
-    return tuple(cols)
+    return tuple(tuple(row[j] for row in v)
+                 for j in range(dim) if j >= len(m) or d[j][j] == 0)
 
 
-def saturate_span(vectors: Sequence[Sequence[int]], dim: int) -> tuple[IntVec, ...]:
-    """Basis of the saturation (Q-span intersect Z^dim) of the given vectors.
-
-    The saturation equals the kernel of the relations cutting out the span,
-    so two SNF passes give a canonical saturated basis.
-    """
-    vs = [tuple(v) for v in vectors if any(v)]
-    if not vs:
-        return ()
-    # Relations: integer functionals vanishing on the span.
-    rel = kernel_lattice_basis(int_mat(vs))
-    if not rel:
-        return tuple(tuple(row) for row in identity(dim))
-    return kernel_lattice_basis(int_mat(rel))
-
-
-def lattice_coords(basis: Sequence[Sequence[int]], x: Sequence[int]) -> Optional[IntVec]:
-    """Integer coordinates of x in a saturated lattice basis, or None off its span.
-
-    The basis must be independent and saturated (its Z-span is its Q-span
-    intersected with Z^n), as the bases of `saturate_span` and
-    `kernel_lattice_basis` are.  A point of the span therefore has integer
-    coordinates; a fractional one means the basis is not saturated and
-    raises InternalError.
-    """
-    if not basis:
-        return None if any(x) else ()
-    sol = rat_solve(transpose(basis), tuple(x))
-    if sol is None:
-        return None
-    coords, kernel = sol
-    if kernel or any(c.denominator != 1 for c in coords):
-        raise InternalError("lattice basis is not independent and saturated")
-    return tuple(int(c) for c in coords)
-
-
-def eval_character(basis: Sequence[Sequence[int]], values: Sequence, x: Sequence[int]) -> Fraction:
-    """Value at x of the character taking values[k] on basis[k]: the product
-    of values[k] ** c_k over the coordinates c of x (`lattice_coords`).
-
-    InternalError when x is off the span of the basis.
-    """
-    coords = lattice_coords(basis, x)
-    if coords is None:
-        raise InternalError("point outside the span of the basis")
-    val = Fraction(1)
-    for v, c in zip(values, coords):
-        val *= Fraction(v) ** c
-    return val
+def character(t: Sequence[Fraction], x: Sequence[int]) -> Fraction:
+    """t(x) = prod t_i ** x_i for nonzero rationals t (Fractions or ints) and
+    an integer vector x of the same length: one integer numerator and one
+    denominator, each a product of powers of the numerators and denominators
+    of t, and one Fraction at the end."""
+    num = den = 1
+    for tv, c in zip(t, x):
+        if c > 0:
+            num *= tv.numerator ** c
+            den *= tv.denominator ** c
+        elif c < 0:
+            num *= tv.denominator ** -c
+            den *= tv.numerator ** -c
+    return Fraction(num, den)
 
 
 def _int_rows(m: Sequence[Sequence], what: str) -> None:
@@ -398,13 +371,17 @@ def lp_feasible(p: LPProblem) -> Optional[RatVec]:
     feasibility.  The returned u satisfies every relation exactly, and still
     does after scaling to a primitive integer vector (`primitive`).
     """
-    # row . x <= -row . 1 ('le'), == ('eq') or <= -row . 1 - 1 ('lt')
+    # row . x + s_r == -row . 1 ('le'), row . x == -row . 1 ('eq') or
+    # row . x + s_r == -row . 1 - 1 ('lt'), one slack s_r >= 0 per
+    # inequality row, the slack columns after the variables
+    slacks = [r for r, rel in enumerate(p.relations) if rel != "eq"]
+    rows = [tuple(row) + tuple(int(r == k) for k in slacks)
+            for r, row in enumerate(p.matrix)]
     rhs = [-sum(row) - (rel == "lt") for row, rel in zip(p.matrix, p.relations)]
-    kinds = ["eq" if rel == "eq" else "le" for rel in p.relations]
-    x, d, _ = _simplex_feasible(p.matrix, rhs, kinds)
+    x, d, _ = _simplex_feasible(rows, rhs)
     if x is None:
         return None
-    du = [d + xi for xi in x]  # d * u with d > 0
+    du = [d + xi for xi in x[:len(p.matrix[0])]]  # d * u with d > 0
     if min(du) <= 0 or not all({"le": v <= 0, "eq": v == 0, "lt": v < 0}[rel]
                                for v, rel in zip(mat_vec(p.matrix, du), p.relations)):
         raise InternalError("simplex returned an invalid certificate")
@@ -420,39 +397,32 @@ def simplex_runs() -> int:
     return _simplex_runs
 
 
-def _simplex_feasible(rows, rhs, kinds) -> tuple[Optional[list[int]], int, list[int]]:
-    """Phase-1 simplex on an integer tableau: some x >= 0 with row . x <= b
-    ('le') or == b ('eq'), as (numerators, d, basis) with x = numerators / d,
-    or (None, d, basis) when there is none.  `basis` is the final basic
-    index of each row, the certificate `_basis_inverse` reads.
+def _simplex_feasible(rows, rhs) -> tuple[Optional[list[int]], int, list[int]]:
+    """Phase-1 simplex on an integer tableau: some x >= 0 with A x = b, as
+    (numerators, d, basis) with x = numerators / d, or (None, d, basis) when
+    there is none.  `basis` is the final basic index of each row, the
+    certificate `_basis_inverse` reads.
 
-    The columns are the variables, one slack per 'le' row and b; row i's
-    artificial basic variable has index width + ns + i and never re-enters,
-    so its column is not stored.  The phase-1 objective is pivoted alongside
-    as the last row.  Each pivot is one `_bareiss_pivot`, so the tableau is
-    the integer one over the last pivot d > 0.  Bland's rule picks the
-    entering column; the ratio test compares by cross-multiplying, ties to
-    the smaller basic index.
+    The columns are the variables and b; row i's artificial basic variable
+    has index width + i and never re-enters, so its column is not stored.
+    The phase-1 objective is pivoted alongside as the last row.  Each pivot
+    is one `_bareiss_pivot`, so the tableau is the integer one over the
+    last pivot d > 0.  Bland's rule picks the entering column; the ratio
+    test compares by cross-multiplying, ties to the smaller basic index.
     """
     global _simplex_runs
     _simplex_runs += 1
     nr = len(rows)
     width = len(rows[0]) if rows else 0
-    ns = kinds.count("le")
     tab = []
-    si = 0
-    for row, b, kind in zip(rows, rhs, kinds):
+    for row, b in zip(rows, rhs):
         s = -1 if b < 0 else 1  # keep b >= 0
-        slack = [0] * ns
-        if kind == "le":
-            slack[si] = s
-            si += 1
-        tab.append([s * v for v in row] + slack + [s * b])
-    tab.append([sum(t[j] for t in tab) for j in range(width + ns + 1)])
-    basis = list(range(width + ns, width + ns + nr))
+        tab.append([s * v for v in row] + [s * b])
+    tab.append([sum(t[j] for t in tab) for j in range(width + 1)])
+    basis = list(range(width, width + nr))
     d = 1
     while True:
-        enter = next((j for j in range(width + ns) if tab[nr][j] > 0), None)
+        enter = next((j for j in range(width) if tab[nr][j] > 0), None)
         if enter is None:
             break
         leave = None
@@ -467,13 +437,13 @@ def _simplex_feasible(rows, rhs, kinds) -> tuple[Optional[list[int]], int, list[
         basis[leave] = enter
     if tab[nr][-1] != 0:
         return None, d, basis
-    x = [0] * (width + ns)
+    x = [0] * width
     for i in range(nr):
-        if basis[i] < width + ns:
+        if basis[i] < width:
             x[basis[i]] = tab[i][-1]
         elif tab[i][-1] != 0:
             return None, d, basis  # artificial stuck at a positive level
-    return x[:width], d, basis
+    return x, d, basis
 
 
 def _basis_inverse(a: IntMat, b: IntVec, basis: Sequence[int]) -> tuple[IntMat, int]:
@@ -540,7 +510,7 @@ def nonneg_solve(a: Sequence[Sequence[int]], b: Sequence[int]) -> Optional[RatVe
     (`_farkas`).  A ragged A, a right-hand side whose length is not the row
     count, or an entry that is not a Python int is a ValueError."""
     a, (b,) = _nonneg_input(a, (b,), "nonneg_solve input")
-    x, d, basis = _simplex_feasible(a, b, ["eq"] * len(a))
+    x, d, basis = _simplex_feasible(a, b)
     if x is None:
         _farkas(a, b, basis)
         return None
@@ -577,7 +547,7 @@ def nonneg_feasible(a: Sequence[Sequence[int]],
     for b in points:
         found = decide(b)
         if found is None:
-            x, _, basis = _simplex_feasible(a, b, ["eq"] * len(a))
+            x, _, basis = _simplex_feasible(a, b)
             if x is None:
                 farkas.append(_farkas(a, b, basis))
             else:

@@ -25,19 +25,20 @@ tables live as long as their datum; a class built directly equals and
 hashes like the table's by (face, w).  A Weyl element and a face of two
 root data make no class: that is a PreconditionViolated.
 
-Torus-monoid elements t e(R) are canonicalized by the values of t on a
-Smith-basis of the lattice spanned by R.  Each keeps the torus element t
-it was normalized from, and its product, its Weyl action and its value on
-a weight work through t: t agrees with the canonical values on that
-lattice, and every weight they read t on lies in it.  The public torus
-and normalizer helpers (`torus_mul`, `nelt_mul`, `nelt_inv`, ...) check
-their input; the normalizer monoid (`nhat_mul`, `nhat_inv`,
+Torus-monoid elements t e(R) are canonicalized by the values of t on the
+saturated basis of span(R) cap P that `exact.kernel_lattice_basis` reads
+off the normals of R.  Each keeps the torus element t it was normalized
+from, and its product, its Weyl action and its value on a weight work
+through t: t agrees with the canonical values on that lattice, and every
+weight they read t on lies in it.  `toric`'s M-hat keeps its torus element
+the same way.  The public torus and normalizer helpers (`torus_mul`,
+`nelt_mul`, `nelt_inv`, ...) check their input, the values by
+`cartan.exact_rationals`; the normalizer monoid (`nhat_mul`, `nhat_inv`,
 `NhatElt.canonical`) calls their unchecked private forms on values that
-`nhat_from` checked.  A character t(lam) is evaluated
-fraction-free: one integer numerator and one denominator, each a product
-of powers of the numerators and denominators of t, and one Fraction at the
-end.  Normalizer elements are n_w t e(R) where n_w is the canonical lift of
-a reduced word; products use the rank-one cocycle n_i^2 = t_{h_i}(-1).
+`nhat_from` checked.  A character t(lam) is `exact.character`, evaluated
+fraction-free.  Normalizer elements are n_w t e(R) where n_w is the
+canonical lift of a reduced word; products use the rank-one cocycle
+n_i^2 = t_{h_i}(-1).
 """
 from __future__ import annotations
 
@@ -46,7 +47,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import exact, faces as F, weyl as W
-from .cartan import RootDatum, exact_ints
+from .cartan import RootDatum, exact_ints, exact_rationals
 from .errors import DomainError, InternalError, PreconditionViolated, ZeroTorusValue
 from .exact import IntVec
 from .faces import Face
@@ -175,19 +176,9 @@ def torus_one(datum: RootDatum) -> TorusVals:
     return (Fraction(1),) * datum.m
 
 
-def _rational(t: TorusVals) -> TorusVals:
-    """t, once each value is a Fraction or a Python int: the character reads
-    their numerators and denominators, so a float, a bool or a str is a
-    DomainError naming it."""
-    for v in t:
-        if not isinstance(v, (Fraction, int)) or isinstance(v, bool):
-            raise DomainError(f"torus value {v!r} is not a Fraction or an int")
-    return t
-
-
 def _nonzero(t: TorusVals) -> TorusVals:
-    """t, once its values are rational and nonzero."""
-    if any(v == 0 for v in _rational(t)):
+    """t, once its values are rational (`exact_rationals`) and nonzero."""
+    if any(v == 0 for v in exact_rationals(t, "torus value")):
         raise ZeroTorusValue("torus values must be nonzero")
     return t
 
@@ -241,22 +232,7 @@ def torus_eval(t: TorusVals, weight: Sequence[int]) -> Fraction:
     weight = exact_ints(weight, "weight coordinate")
     if len(weight) != len(t):
         raise DomainError(f"weight needs {len(t)} coordinates")
-    return _torus_eval(_rational(t), weight)
-
-
-def _torus_eval(t: TorusVals, weight: Sequence[int]) -> Fraction:
-    """t(lam) for a weight its caller built as len(t) Python ints: one integer
-    numerator and one denominator, each a product of powers, and one
-    Fraction at the end."""
-    num = den = 1
-    for tv, c in zip(t, weight):
-        if c > 0:
-            num *= tv.numerator ** c
-            den *= tv.denominator ** c
-        elif c < 0:
-            num *= tv.denominator ** -c
-            den *= tv.numerator ** -c
-    return Fraction(num, den)
+    return exact.character(exact_rationals(t, "torus value"), weight)
 
 
 def torus_act(u: WeylElt, t: TorusVals) -> TorusVals:
@@ -270,20 +246,13 @@ def _torus_act(u: WeylElt, t: TorusVals) -> TorusVals:
     """torus_act for a t its caller checked; exact via the integer matrix
     of u^{-1}."""
     cols = exact.transpose(u.mat_p_inv)
-    return tuple(_torus_eval(t, col) for col in cols)
-
-
-def _span_lattice_basis(face: Face) -> tuple[IntVec, ...]:
-    """Smith-basis of (span of the face) intersected with P."""
-    normals = face.span_normals()
-    if not normals:
-        return tuple(tuple(row) for row in exact.identity(face.datum.m))
-    return exact.kernel_lattice_basis(exact.int_mat(normals))
+    return tuple(exact.character(t, col) for col in cols)
 
 
 @dataclass(frozen=True)
 class ThatElt:
-    """t e(R) in canonical form: values of t on a Smith-basis of span(R) cap P.
+    """t e(R) in canonical form: values of t on the saturated basis of
+    span(R) cap P.
 
     `rep` is the torus element t itself, kept out of equality: it agrees
     with the canonical values on span(R) cap P, the only place it is read."""
@@ -300,9 +269,9 @@ class ThatElt:
 
 def that_normalize(t: TorusVals, face: Face) -> ThatElt:
     t = tuple(_checked_torus(face.datum, t))
-    basis = _span_lattice_basis(face)
+    basis = exact.kernel_lattice_basis(face.span_normals(), face.datum.m)
     return ThatElt(face=face, basis=basis,
-                   values=tuple(_torus_eval(t, b) for b in basis), rep=t)
+                   values=tuple(exact.character(t, b) for b in basis), rep=t)
 
 
 def that_idempotent(face: Face) -> ThatElt:

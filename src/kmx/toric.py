@@ -5,6 +5,14 @@ saturation as cone-intersect-lattice via exact double description, the full
 face lattice, relative interiors, hulls, dual faces, and the monoid of
 homomorphisms into the rationals with its idempotent and orbit structure.
 
+Every lattice here, the lineality, the equalities and each face's hull,
+is the saturated kernel of integer rows (`exact.kernel_lattice_basis`): a
+face's hull is the kernel of the equalities and its active facets.  An
+element t e(F) of the Hom monoid M-hat keeps its torus element t, as
+`monoids`' T-hat does: its values on the hull, its product (t t' on the
+meet) and its value at a point of F are all `exact.character` of t, so no
+point is written in coordinates of a hull basis.
+
 Every point query reads one pass over the facet pairings (`_locate`): x
 lies in a face F iff F's active facets vanish at x, and in its relative
 interior iff exactly they do.  The face lattice is built once, with
@@ -19,7 +27,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import exact
-from .cartan import exact_ints
+from .cartan import exact_ints, exact_rationals
 from .errors import (NotAFace, NotInMonoid, PreconditionViolated, RankMismatch, SizeGuard,
                      ZeroTorusValue)
 from .exact import IntVec
@@ -30,7 +38,8 @@ GENERATOR_GUARD = 64
 
 def _dd_pair(inequalities: Sequence[IntVec], dim: int) -> tuple[tuple[IntVec, ...], tuple[IntVec, ...]]:
     """Double description: (lineality basis, extreme rays) of
-    {y : a . y >= 0 for all a}.
+    {y : a . y >= 0 for all a}.  The lineality is the kernel of the
+    inequalities, read as a saturated lattice (`exact.kernel_lattice_basis`).
 
     Exact incremental method in primitive integer vectors; zero sets are
     recomputed against all inequalities processed so far, which keeps the
@@ -80,8 +89,7 @@ def _dd_pair(inequalities: Sequence[IntVec], dim: int) -> tuple[tuple[IntVec, ..
         processed.append(tuple(a))
 
     prim_rays = sorted({exact.primitive_ray(r) for r in rays if any(r)})
-    lin_basis = exact.saturate_span([v for v in lineality if any(v)], dim)
-    return lin_basis, tuple(prim_rays)
+    return exact.kernel_lattice_basis(inequalities, dim), tuple(prim_rays)
 
 
 @dataclass(frozen=True)
@@ -91,7 +99,7 @@ class MonoidFace:
     index: int
     ray_ids: tuple[int, ...]       # cone rays contained in the face
     active: tuple[int, ...]        # facet inequalities vanishing on the face
-    hull: tuple[IntVec, ...]       # Smith-basis of (span F) cap lattice
+    hull: tuple[IntVec, ...]       # saturated basis of (span F) cap lattice
     dim: int
 
 
@@ -150,7 +158,11 @@ class LatticeMonoid:
         and by ray set.
 
         Faces are intersections of facets; each is identified by the set of
-        extreme rays it contains (every face contains the lineality).
+        extreme rays it contains (every face contains the lineality).  A
+        face's span is cut out by the equalities and its active facets
+        (Schrijver, Theory of Linear and Integer Programming, 1986, 8.3), so
+        its hull is their saturated kernel: one Smith normal form per face
+        with any such row.
         """
         if self._faces is not None:
             return self._faces
@@ -163,9 +175,9 @@ class LatticeMonoid:
             ray_sets |= {rs & fs for rs in ray_sets}
         faces = []
         for rs in ray_sets:
-            span_vecs = [self.rays[k] for k in sorted(rs)] + list(self.lineality)
-            hull = exact.saturate_span(span_vecs, self.rank)
             active = tuple(i for i, fs in enumerate(facet_rays) if rs <= fs)
+            hull = exact.kernel_lattice_basis(
+                self.equalities + tuple(self.inequalities[i] for i in active), self.rank)
             faces.append((len(hull), tuple(sorted(rs)), active, hull))
         faces.sort(key=lambda t: (t[0], t[1]))
         self._faces = tuple(
@@ -231,12 +243,17 @@ class LatticeMonoid:
 
 @dataclass(frozen=True)
 class MhatElt:
-    """A rational-valued monoid homomorphism with support face `face`:
-    nonzero scalars on the hull basis of the face, zero off the face."""
+    """t e(F), a rational-valued monoid homomorphism with support face `face`:
+    the values of t on the hull basis of the face, zero off the face.
+
+    `rep` is the torus element t itself, kept out of equality: it agrees
+    with the canonical values on the hull lattice, the only place it is
+    read."""
 
     monoid: LatticeMonoid = field(compare=False)
     face_index: int
     values: tuple[Fraction, ...]
+    rep: tuple[Fraction, ...] = field(compare=False, repr=False)
 
     @property
     def face(self) -> MonoidFace:
@@ -244,36 +261,44 @@ class MhatElt:
 
     def __call__(self, x: Sequence[int]) -> Fraction:
         if set(self.face.active).issubset(self.monoid.active_set(x)):
-            return exact.eval_character(self.face.hull, self.values, x)
+            return exact.character(self.rep, x)
         return Fraction(0)
 
 
-def mhat_idempotent(monoid: LatticeMonoid, f: MonoidFace) -> MhatElt:
+def mhat_normalize(monoid: LatticeMonoid, t: Sequence[Fraction], f: MonoidFace) -> MhatElt:
+    """t e(F) for a torus element t of `monoid.rank` nonzero values, each a
+    Fraction or an int: another value type is a DomainError, a wrong length
+    a RankMismatch and a zero value a ZeroTorusValue.  A face of another
+    monoid is a PreconditionViolated."""
+    faces = monoid.faces()
+    if f.index >= len(faces) or faces[f.index] is not f:
+        raise PreconditionViolated("Hom-monoid element on a face of another monoid")
+    t = exact_rationals(t, "torus value")
+    if len(t) != monoid.rank:
+        raise RankMismatch(f"torus element needs {monoid.rank} values, one per coordinate")
+    if any(v == 0 for v in t):
+        raise ZeroTorusValue("torus values must be nonzero")
     return MhatElt(monoid=monoid, face_index=f.index,
-                   values=(Fraction(1),) * len(f.hull))
+                   values=tuple(exact.character(t, b) for b in f.hull), rep=t)
+
+
+def mhat_idempotent(monoid: LatticeMonoid, f: MonoidFace) -> MhatElt:
+    return mhat_normalize(monoid, (Fraction(1),) * monoid.rank, f)
 
 
 def mhat_idempotents(monoid: LatticeMonoid) -> tuple[MhatElt, ...]:
     return tuple(mhat_idempotent(monoid, f) for f in monoid.faces())
 
 
-def mhat_unit(monoid: LatticeMonoid, values: Sequence[Fraction]) -> MhatElt:
-    """A unit: nonzero values on the hull basis of the whole monoid."""
-    top = monoid.top_face()
-    vals = tuple(Fraction(v) for v in values)
-    if len(vals) != len(top.hull):
-        raise RankMismatch("need one nonzero value per hull basis vector")
-    if any(v == 0 for v in vals):
-        raise ZeroTorusValue("need one nonzero value per hull basis vector")
-    return MhatElt(monoid=monoid, face_index=top.index, values=vals)
+def mhat_unit(monoid: LatticeMonoid, t: Sequence[Fraction]) -> MhatElt:
+    """A unit: t e(F) for the whole monoid F, t checked as in `mhat_normalize`."""
+    return mhat_normalize(monoid, t, monoid.top_face())
 
 
 def mhat_mul(x: MhatElt, y: MhatElt) -> MhatElt:
-    """Pointwise product: support is the meet, values multiply on its hull."""
+    """(t e(F)) (t' e(G)) = t t' e(F cap G)."""
     if x.monoid is not y.monoid:
         raise PreconditionViolated("product of elements of two different monoids")
     m = x.monoid
-    f = m.face_meet(x.face, y.face)
-    vals = tuple(exact.eval_character(x.face.hull, x.values, b)
-                 * exact.eval_character(y.face.hull, y.values, b) for b in f.hull)
-    return MhatElt(monoid=m, face_index=f.index, values=vals)
+    return mhat_normalize(m, tuple(a * b for a, b in zip(x.rep, y.rep)),
+                          m.face_meet(x.face, y.face))

@@ -13,11 +13,18 @@ invariant form alone, not on the Weyl group.  Then come the torus character
 and the torus action as a product of Fraction powers, which the package
 used before it kept one integer numerator and one denominator.
 
-Last come the dense word matrix and the probe comparison the package used
+Then come the dense word matrix and the probe comparison the package used
 before one height-ordered column pass served them: `evaluate_word` applies
 the word to each basis vector of the column window in turn, and
 `probe_equal` builds both words' dense Fraction matrices and scans them
 row by row.
+
+Last come the lattice helpers the package used before each face lattice
+became the saturated kernel of its normals and each Hom-monoid element
+kept its torus element: `saturate_span` saturates the span of a set of
+vectors by two Smith normal forms, and `eval_character` reads a character
+given by its values on a saturated basis through the point's coordinates
+in that basis (`lattice_coords`, one rational solve).
 """
 
 from fractions import Fraction
@@ -25,7 +32,7 @@ from typing import Optional, Sequence
 
 from kmx.cartan import RootDatum
 from kmx.errors import InternalError
-from kmx.exact import RatVec, mat_vec, primitive
+from kmx.exact import IntVec, RatVec, identity, int_mat, mat_vec, primitive, smith_normal_form
 from kmx import highest_weight as HW
 from kmx.highest_weight import Beta, _compositions
 
@@ -382,3 +389,68 @@ def probe_equal(datum, w1, w2, probes):
                                            col=cols[c], left=m1[r][c], right=m2[r][c])
         tried.append((sl.hw, d))
     return HW.EqualOnProbes(probes=tuple(tried))
+
+
+def _kernel_lattice_basis(m) -> tuple[IntVec, ...]:
+    """Basis of the saturated lattice {x in Z^nc : M x = 0}, via SNF."""
+    nr = len(m)
+    nc = len(m[0]) if nr else 0
+    if nr == 0:
+        return tuple(tuple(row) for row in identity(nc))
+    _, d, v = smith_normal_form(m)
+    cols = []
+    for j in range(nc):
+        dj = d[j][j] if j < nr else 0
+        if dj == 0:
+            cols.append(tuple(v[i][j] for i in range(nc)))
+    return tuple(cols)
+
+
+def saturate_span(vectors: Sequence[Sequence[int]], dim: int) -> tuple[IntVec, ...]:
+    """Basis of the saturation (Q-span intersect Z^dim) of the given vectors.
+
+    The saturation equals the kernel of the relations cutting out the span,
+    so two SNF passes give a canonical saturated basis.
+    """
+    vs = [tuple(v) for v in vectors if any(v)]
+    if not vs:
+        return ()
+    # Relations: integer functionals vanishing on the span.
+    rel = _kernel_lattice_basis(int_mat(vs))
+    if not rel:
+        return tuple(tuple(row) for row in identity(dim))
+    return _kernel_lattice_basis(int_mat(rel))
+
+
+def lattice_coords(basis: Sequence[Sequence[int]], x: Sequence[int]) -> Optional[IntVec]:
+    """Integer coordinates of x in a saturated lattice basis, or None off its span.
+
+    The basis must be independent and saturated (its Z-span is its Q-span
+    intersected with Z^n).  A point of the span therefore has integer
+    coordinates; a fractional one means the basis is not saturated and
+    raises InternalError.
+    """
+    if not basis:
+        return None if any(x) else ()
+    sol = rat_solve(tuple(zip(*basis)), tuple(x))
+    if sol is None:
+        return None
+    coords, kernel = sol
+    if kernel or any(c.denominator != 1 for c in coords):
+        raise InternalError("lattice basis is not independent and saturated")
+    return tuple(int(c) for c in coords)
+
+
+def eval_character(basis: Sequence[Sequence[int]], values: Sequence, x: Sequence[int]) -> Fraction:
+    """Value at x of the character taking values[k] on basis[k]: the product
+    of values[k] ** c_k over the coordinates c of x (`lattice_coords`).
+
+    InternalError when x is off the span of the basis.
+    """
+    coords = lattice_coords(basis, x)
+    if coords is None:
+        raise InternalError("point outside the span of the basis")
+    val = Fraction(1)
+    for v, c in zip(values, coords):
+        val *= Fraction(v) ** c
+    return val

@@ -38,6 +38,23 @@ def test_face_intersect_example(capsys):
     assert payload == {"w": "", "theta": [1, 2, 3]}
 
 
+def test_toric_faces_prints_each_hull_as_a_kernel_basis(capsys):
+    # a hull is the saturated kernel of the equalities and the face's active
+    # facets, printed as the Smith normal form gives it; face 1's basis
+    # vector reads (1, -1, -2), the negative of the generator spanning it
+    payload = run_json(capsys, ["toric-faces", "--monoid",
+                                '{"rank": 3, "generators": [[3,-2,-2],[-1,1,2],[1,-3,-1]]}'])
+    assert payload == {"faces": [
+        {"index": 0, "dim": 0, "hull": []},
+        {"index": 1, "dim": 1, "hull": [[1, -1, -2]]},
+        {"index": 2, "dim": 1, "hull": [[-1, 3, 1]]},
+        {"index": 3, "dim": 1, "hull": [[3, -2, -2]]},
+        {"index": 4, "dim": 2, "hull": [[1, -5, 0], [0, -2, 1]]},
+        {"index": 5, "dim": 2, "hull": [[0, 1, 4], [1, 0, 2]]},
+        {"index": 6, "dim": 2, "hull": [[1, 4, 0], [0, 7, 1]]},
+        {"index": 7, "dim": 3, "hull": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}]}
+
+
 def test_usage_error_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["bogus"])

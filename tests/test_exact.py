@@ -8,9 +8,9 @@ from conftest import all_small_gcms, grid_certificate
 
 from kmx import exact
 from kmx.errors import InternalError
-from kmx.exact import (LPProblem, int_mat, int_rref, kernel_lattice_basis, lattice_coords,
-                       lp_feasible, mat_mul, mat_vec, nonneg_feasible, nonneg_solve,
-                       primitive, rat_solve, saturate_span, smith_normal_form)
+from kmx.exact import (LPProblem, int_mat, int_rref, kernel_lattice_basis, lp_feasible,
+                       mat_mul, mat_vec, nonneg_feasible, nonneg_solve, primitive, rat_solve,
+                       smith_normal_form)
 
 
 def test_rat_solve_identity():
@@ -199,38 +199,11 @@ def test_snf_diagonal_invariant_under_unimodular():
 
 
 def test_kernel_lattice_is_saturated():
-    basis = kernel_lattice_basis(int_mat([[2, -2], [-2, 2]]))
+    basis = kernel_lattice_basis([[2, -2], [-2, 2]], 2)
     # the saturated kernel of this matrix contains (1,1), not just (2,2)
     assert ((1, 1) in basis) or ((-1, -1) in basis)
-
-
-def test_lattice_coords_resubstitute():
-    rng = random.Random(3)
-    for _ in range(60):
-        dim = rng.randrange(1, 5)
-        gens = [[rng.randrange(-3, 4) for _ in range(dim)] for _ in range(rng.randrange(1, 4))]
-        basis = saturate_span(gens, dim)
-        for _ in range(5):
-            coef = [rng.randrange(-3, 4) for _ in gens]
-            x = tuple(sum(k * g[i] for k, g in zip(coef, gens)) for i in range(dim))
-            coords = lattice_coords(basis, x)
-            assert coords is not None and all(isinstance(c, int) for c in coords)
-            assert tuple(sum(c * b[i] for c, b in zip(coords, basis))
-                         for i in range(dim)) == x
-
-
-def test_lattice_coords_off_span_and_empty_basis():
-    assert lattice_coords(((1, 1, 0),), (1, 0, 0)) is None
-    assert lattice_coords(((1, 0, 0), (0, 1, 0)), (2, -3, 1)) is None
-    assert lattice_coords((), (0, 0)) == ()
-    assert lattice_coords((), (0, 1)) is None
-
-
-def test_lattice_coords_rejects_unsaturated_basis():
-    # (1, 1) is in the Q-span of (2, 2) but not in its Z-span
-    with pytest.raises(InternalError):
-        lattice_coords(((2, 2),), (1, 1))
-    assert lattice_coords(((2, 2),), (4, 4)) == (2,)
+    with pytest.raises(ValueError, match="kernel rows have 2 entries, not 3"):
+        kernel_lattice_basis([[1, 0]], 3)
 
 
 def test_lp_examples():
@@ -377,7 +350,7 @@ def test_a_wrong_simplex_verdict_or_basis_is_an_internal_error(monkeypatch, chan
     a = [[1, 1], [0, 2]]
     real = exact._simplex_feasible
     monkeypatch.setattr(exact, "_simplex_feasible",
-                        lambda rows, rhs, kinds: change(*real(rows, rhs, kinds), len(rows[0])))
+                        lambda rows, rhs: change(*real(rows, rhs), len(rows[0])))
     with pytest.raises(InternalError):
         nonneg_feasible(a, [b])
     if solve_checks_it:

@@ -1,5 +1,6 @@
-"""`exact.smith_normal_form` and `exact.int_rref` against sympy on seeded
-integer matrices, full-rank and rank-deficient."""
+"""`exact.smith_normal_form`, `exact.int_rref` and
+`exact.kernel_lattice_basis` against sympy on seeded integer matrices,
+full-rank and rank-deficient."""
 
 import random
 from fractions import Fraction
@@ -10,7 +11,8 @@ sympy = pytest.importorskip("sympy")
 
 from sympy.matrices.normalforms import invariant_factors  # noqa: E402
 
-from kmx.exact import int_rref, mat_mul, smith_normal_form  # noqa: E402
+from kmx.exact import (identity, int_rref, kernel_lattice_basis, mat_mul,  # noqa: E402
+                       smith_normal_form)
 
 
 def _matrices(seed, count):
@@ -60,3 +62,24 @@ def test_int_rref_rank_pivots_and_rows_match_sympy(k):
         for i, row in enumerate(rows):
             assert [Fraction(x, d) for x in row] == \
                 [Fraction(int(x.p), int(x.q)) for x in rref.row(i)], m
+
+
+@pytest.mark.parametrize("k", range(0, len(MATRICES), 20))
+def test_kernel_lattice_basis_is_the_saturated_kernel(k):
+    # as many vectors as the kernel's dimension, each killed by the rows,
+    # and a basis whose invariant factors are all 1: it spans its Q-span
+    # intersected with Z^dim
+    for m in MATRICES[k:k + 20]:
+        dim = len(m[0])
+        basis = kernel_lattice_basis(m, dim)
+        sm = sympy.Matrix(m)
+        assert len(basis) == dim - sm.rank(), m
+        assert all(v == sympy.zeros(len(m), 1) for v in (sm * sympy.Matrix(b) for b in basis)), m
+        if basis:
+            factors = invariant_factors(sympy.Matrix(basis), domain=sympy.ZZ)
+            assert all(abs(int(x)) == 1 for x in factors), m
+
+
+def test_no_rows_give_the_whole_lattice():
+    for dim in range(5):
+        assert kernel_lattice_basis((), dim) == identity(dim)

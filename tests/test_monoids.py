@@ -304,7 +304,7 @@ def test_that_ops_agree_with_the_canonical_character():
     # T-hat works through the torus element it was normalized from; the
     # character of the canonical values on span(R) cap P gives the same
     # products, actions and values
-    from kmx.exact import eval_character
+    from exact_reference import eval_character
 
     rng = random.Random(27)
     for datum in (AFF, HYP):

@@ -5,7 +5,8 @@ from itertools import product
 import exact_reference as ref
 import pytest
 
-from kmx.errors import DomainError, NotInMonoid, RankMismatch, SizeGuard, ZeroTorusValue
+from kmx.errors import (DomainError, NotInMonoid, PreconditionViolated, RankMismatch, SizeGuard,
+                        ZeroTorusValue)
 from kmx.exact import int_mat, nonneg_solve, rat_solve, transpose, vec_dot
 from kmx.toric import LatticeMonoid, mhat_idempotent, mhat_idempotents, mhat_mul, mhat_unit
 
@@ -129,12 +130,30 @@ def test_mhat_operations():
 
 
 def test_mhat_unit_rejects_bad_values_as_domain_errors():
+    # a torus element has one nonzero Fraction or int per coordinate; a
+    # float, a bool or a str is never read as a number
     m = N2()
-    for values, kind in (((Fr(2),), RankMismatch), ((Fr(2), Fr(3), Fr(1)), RankMismatch),
-                         ((Fr(0), Fr(3)), ZeroTorusValue)):
-        with pytest.raises(kind, match="need one nonzero value per hull basis vector"):
+    for values, kind, msg in (
+            ((Fr(2),), RankMismatch, "torus element needs 2 values"),
+            ((Fr(2), Fr(3), Fr(1)), RankMismatch, "torus element needs 2 values"),
+            ((Fr(0), Fr(3)), ZeroTorusValue, "torus values must be nonzero"),
+            ((0.1, 2.0), DomainError, "torus value 0.1 is not a Fraction or an int"),
+            ((True, 2), DomainError, "torus value True is not a Fraction or an int"),
+            (("3", 2), DomainError, "torus value '3' is not a Fraction or an int")):
+        with pytest.raises(kind, match=msg):
             mhat_unit(m, values)
         assert issubclass(kind, DomainError)
+
+
+def test_mhat_on_a_face_of_another_monoid_is_a_precondition_violation():
+    # face 0 of the half-plane is its lineality, dim 1; face 0 of the
+    # quadrant is the origin, dim 0
+    m, half = N2(), LatticeMonoid([(1, 0), (-1, 0), (0, 1)], 2)
+    for f in (half.faces()[0], half.top_face()):
+        with pytest.raises(PreconditionViolated, match="face of another monoid"):
+            mhat_idempotent(m, f)
+    with pytest.raises(PreconditionViolated, match="two different monoids"):
+        mhat_mul(mhat_unit(m, (2, 3)), mhat_unit(half, (2, 3)))
 
 
 def test_mhat_respects_addition():
@@ -148,10 +167,12 @@ def test_mhat_respects_addition():
 
 
 def test_unit_group_is_hom_of_hull():
+    # the torus element is seen only on the hull lattice, the x-axis here
     g = LatticeMonoid([(1, 0), (-1, 0)], 2)
-    u = mhat_unit(g, (Fr(3, 2),))
+    u = mhat_unit(g, (Fr(3, 2), Fr(7)))
     assert u((2, 0)) == Fr(9, 4)
     assert u((-1, 0)) == Fr(2, 3)
+    assert u == mhat_unit(g, (Fr(3, 2), 1))
 
 
 def test_guards_and_errors():
@@ -318,3 +339,37 @@ def test_lineality_and_equalities_checked_without_the_double_description():
         seen_lin += bool(m.lineality)
         seen_eq += bool(m.equalities)
     assert seen_lin > 30 and seen_eq > 30, (seen_lin, seen_eq)
+
+
+def _same_lattice(basis, reference):
+    """Each basis has integer coordinates in the other; `lattice_coords`
+    raises InternalError on a basis that is dependent or not saturated."""
+    return (all(ref.lattice_coords(reference, v) is not None for v in basis)
+            and all(ref.lattice_coords(basis, v) is not None for v in reference))
+
+
+def test_face_lineality_and_equality_lattices_match_the_saturated_spans():
+    # every lattice of a cone is the saturated kernel of integer rows; the
+    # reference saturates a spanning set by two Smith normal forms instead:
+    # the hull of a face is spanned by its rays and the lineality, the
+    # lineality by the generators whose negatives lie in the cone, and the
+    # equalities by the rational kernel of the generators
+    rng = random.Random(62)
+    faces = 0
+    for _ in range(300):
+        rank = rng.randrange(1, 6)
+        gens = [tuple(rng.randrange(-3, 4) for _ in range(rank))
+                for _ in range(rng.randrange(1, rank + 4))]
+        m = LatticeMonoid(gens, rank)
+        cols = transpose(gens)
+        neg_in_cone = [g for g in gens
+                       if ref.nonneg_solve(cols, tuple(-x for x in g)) is not None]
+        assert _same_lattice(m.lineality, ref.saturate_span(neg_in_cone, rank))
+        _, kernel = ref.rat_solve(gens, (0,) * len(gens))
+        assert _same_lattice(m.equalities, ref.saturate_span(kernel, rank))
+        for f in m.faces():
+            span = [m.rays[k] for k in f.ray_ids] + list(m.lineality)
+            assert _same_lattice(f.hull, ref.saturate_span(span, rank))
+            assert f.dim == len(f.hull)
+            faces += 1
+    assert faces > 2000, faces

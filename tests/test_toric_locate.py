@@ -4,7 +4,10 @@ Every point predicate of a `LatticeMonoid` reads the point's active facet
 set from one pass over the facet pairings, and `face_of` and `face_meet`
 look faces up by active set and by ray set.  These tests hold the results
 against scan and pairing references kept here, on seeded random cones with
-lineality and equalities, and count the pairings each query makes.
+lineality and equalities, and count the pairings each query makes.  An
+element of M-hat reads its values through the torus element it keeps; it
+is held against the character of its canonical values read through
+coordinates in the hull basis (`exact_reference.eval_character`).
 """
 
 import random
@@ -12,11 +15,12 @@ from fractions import Fraction as Fr
 from itertools import product
 
 import pytest
+from exact_reference import eval_character
 
 from kmx import exact
 from kmx.errors import NotInMonoid, RankMismatch
-from kmx.exact import eval_character, vec_dot
-from kmx.toric import LatticeMonoid, MhatElt
+from kmx.exact import vec_dot
+from kmx.toric import LatticeMonoid, mhat_mul, mhat_normalize, mhat_unit
 
 
 def _cones(seed=63, count=80):
@@ -78,9 +82,8 @@ def test_point_queries_agree_with_scan_and_pairing_references():
         for f in fl:
             for g in fl:
                 assert m.face_meet(f, g) is _ref_meet(m, f, g)
-        elts = [MhatElt(monoid=m, face_index=f.index,
-                        values=tuple(Fr(rng.choice([2, 3, -1]), rng.choice([1, 5]))
-                                     for _ in f.hull)) for f in fl]
+        elts = [mhat_normalize(m, tuple(Fr(rng.choice([2, 3, -1]), rng.choice([1, 5]))
+                                        for _ in range(m.rank)), f) for f in fl]
         for x in _box(m.rank):
             points += 1
             act = _ref_active(m, x)
@@ -106,6 +109,29 @@ def test_point_queries_agree_with_scan_and_pairing_references():
     assert points > 2000 and inside > 300, (points, inside)
 
 
+def test_mhat_products_agree_with_the_canonical_character():
+    # the product works through t t'; the characters of the two factors'
+    # canonical values, read through hull coordinates, give the same values
+    # on the meet's hull, and the product is the pointwise product
+    rng = random.Random(67)
+    products = 0
+    for m in _cones(seed=71, count=40):
+        fl = m.faces()
+        elts = [mhat_normalize(m, tuple(Fr(rng.choice([2, 3, -1]), rng.choice([1, 5]))
+                                        for _ in range(m.rank)), f) for f in fl]
+        box = [x for x in _box(m.rank)[::4] if m.contains(x)]
+        for x in elts:
+            for y in rng.sample(elts, min(4, len(elts))):
+                prod = mhat_mul(x, y)
+                assert prod.face is m.face_meet(x.face, y.face)
+                assert prod.values == tuple(eval_character(x.face.hull, x.values, b)
+                                            * eval_character(y.face.hull, y.values, b)
+                                            for b in prod.face.hull)
+                assert all(prod(p) == x(p) * y(p) for p in box)
+                products += 1
+    assert products > 300, products
+
+
 def test_wrong_length_is_a_rank_mismatch_for_every_point_query():
     m = LatticeMonoid([(1, 0), (0, 1)], 2)
     top = m.top_face()
@@ -116,26 +142,30 @@ def test_wrong_length_is_a_rank_mismatch_for_every_point_query():
             call((1, 2, 3))
 
 
+def _counting(monkeypatch, name):
+    """Count the calls of `exact.<name>`."""
+    calls = []
+    real = getattr(exact, name)
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(exact, name, counting)
+    return calls
+
+
 @pytest.fixture
 def pairings(monkeypatch):
     """Count the integer pairings the toric layer makes."""
-    calls = []
-    real = exact.vec_dot
-
-    def counting(u, v):
-        calls.append(1)
-        return real(u, v)
-
-    monkeypatch.setattr(exact, "vec_dot", counting)
-    return calls
+    return _counting(monkeypatch, "vec_dot")
 
 
 def test_each_point_query_makes_one_pairing_pass(pairings):
     for m in _cones(seed=64, count=25):
         fl = m.faces()
         one_pass = len(m.equalities) + len(m.inequalities)
-        elt = MhatElt(monoid=m, face_index=fl[-1].index,
-                      values=(Fr(2),) * len(fl[-1].hull))
+        elt = mhat_unit(m, (Fr(2),) * m.rank)
         for x in _box(m.rank)[::7]:
             member = _ref_active(m, x) is not None
             queries = [m.contains, lambda x: m.face_contains(fl[0], x),
@@ -158,3 +188,33 @@ def test_face_lattice_pairs_each_facet_with_each_ray_once(pairings):
             for g in fl:
                 m.face_meet(f, g)
         assert not pairings
+
+
+def test_mhat_products_units_and_values_solve_no_system(monkeypatch):
+    # M-hat keeps its torus element, so no point is written in coordinates
+    # of a hull basis
+    solves = _counting(monkeypatch, "rat_solve")
+    rng = random.Random(68)
+    ops = 0
+    for m in _cones(seed=69, count=25):
+        fl = m.faces()
+        units = [mhat_unit(m, tuple(Fr(rng.choice([2, -3]), rng.choice([1, 7]))
+                                    for _ in range(m.rank))) for _ in range(2)]
+        elts = units + [mhat_mul(units[0], mhat_normalize(m, units[1].rep, f)) for f in fl]
+        for x in _box(m.rank)[::3]:
+            if m.contains(x):
+                for e in elts:
+                    e(x)
+                    ops += 1
+    assert ops > 1000 and not solves, (ops, len(solves))
+
+
+def test_face_lattice_runs_one_smith_normal_form_per_face(monkeypatch):
+    # each hull is the saturated kernel of the equalities and the face's
+    # active facets; a face with neither is the whole lattice, and no SNF
+    snfs = _counting(monkeypatch, "smith_normal_form")
+    for m in _cones(seed=70, count=25):
+        snfs.clear()
+        fl = m.faces()
+        assert len(snfs) == sum(bool(m.equalities or f.active) for f in fl)
+        assert len(snfs) >= len(fl) - 1
