@@ -18,16 +18,17 @@ and e_mat[i] holds the selected candidates' e-images over the lcm of their
 denominators.  Each e-image is a gcd-reduced (ints, den) pair, and each
 Gram entry is the exact quotient of an integer dot product by den (a
 remainder is an InternalError).  A Vector is int parts over one den in
-lowest terms, with den 1 on the zero vector, so adding, scaling, the
-operator step and the torus letter all run in ints and equal vectors
-compare equal.  word_columns is the one pass that applies words to basis
-vectors: it walks the basis in height order up to a height bound and
-raises DepthExceeded at the first vector a word leaves the window from.
-evaluate_word builds its dense matrix from that pass, probe_equal compares
-its sparse images, and verify's fitted probes keep the heights below the
-vector it stopped at.  Fraction appears only in the letter parameters and
-in the values handed back by theta, matrix_coefficient, inner,
-evaluate_word and Distinct.
+lowest terms, with den 1 on the zero vector, so equal vectors compare
+equal.  Each X+- letter sums its exponential series in ints over one
+running denominator and reduces once, to a Vector, at its end; the T
+letter reads s^<wt,h> as an int pair.  word_columns is the one pass that
+applies words to basis vectors: it walks the basis in height order up to a
+height bound and raises DepthExceeded at the first vector a word leaves the
+window from.  evaluate_word builds its dense matrix from that pass,
+probe_equal compares its sparse images, and verify's fitted probes keep the
+heights below the vector it stopped at.  Fraction appears only in the
+letter parameters and in the values handed back by theta,
+matrix_coefficient, inner, evaluate_word and Distinct.
 
 A lowering f_i out of the bottom layer lands one step past the window.  Its
 target weight is marked nonzero when some candidate there has a nonzero
@@ -48,6 +49,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add, sub
 from typing import Optional, Sequence
 
 from . import exact, faces as FC, monoids as MO, weyl as W
@@ -201,11 +203,13 @@ def weights_and_mults(datum: RootDatum, hw: Sequence[int], depth: int,
     # L (hw + rho | alpha_i); only the first n coordinates pair with the roots
     lam_rho = [lw[i] * (x + r) for i, (x, r) in
                enumerate(zip(lam_top[:n], datum.rho()))]
-    # per root: alpha, mult, L (hw | alpha), L (alpha | alpha), L B alpha
+    # per root: alpha, its support (i, a_i > 0), mult, L (hw | alpha),
+    # L (alpha | alpha), L B alpha
     roots = []
     for alpha, ma in root_multiplicities(datum, depth).items():
         b_alpha = [exact.vec_dot(row, alpha) for row in lb]
-        roots.append((alpha, ma, sum(lw[i] * lam_top[i] * alpha[i] for i in range(n)),
+        roots.append((alpha, [(i, a) for i, a in enumerate(alpha) if a > 0], ma,
+                      sum(lw[i] * lam_top[i] * alpha[i] for i in range(n)),
                       exact.vec_dot(alpha, b_alpha), b_alpha))
     mult: dict[Beta, int] = {(0,) * n: 1}
     for h in range(1, depth + 1):
@@ -213,15 +217,17 @@ def weights_and_mults(datum: RootDatum, hw: Sequence[int], depth: int,
             denom = 2 * exact.vec_dot(lam_rho, b) \
                 - sum(b[i] * exact.vec_dot(lb[i], b) for i in range(n) if b[i])
             total = 0
-            for alpha, ma, hw_a, a_a, b_alpha in roots:
+            for alpha, supp, ma, hw_a, a_a, b_alpha in roots:
+                # the k >= 1 with b - k alpha >= 0
+                kmax = min(b[i] // a for i, a in supp)
+                if not kmax:
+                    continue
                 # L (lam + k alpha | alpha) with lam = hw - b
                 base = hw_a - exact.vec_dot(b, b_alpha)
-                k = 1
-                while all(b[i] >= k * alpha[i] for i in range(n)):
+                for k in range(1, kmax + 1):
                     mu = mult.get(tuple(b[i] - k * alpha[i] for i in range(n)))
                     if mu:
                         total += ma * mu * (base + k * a_a)
-                    k += 1
             total *= 2
             if denom == 0:
                 if total != 0:
@@ -469,22 +475,6 @@ class Vector:
     def is_zero(self) -> bool:
         return not self.parts
 
-    def add(self, other: "Vector") -> "Vector":
-        den = math.lcm(self.den, other.den)
-        fa, fb = den // self.den, den // other.den
-        out = {wt: tuple(fa * x for x in v) for wt, v in self.parts.items()}
-        for wt, v in other.parts.items():
-            if wt in out:
-                out[wt] = tuple(a + fb * b for a, b in zip(out[wt], v))
-            else:
-                out[wt] = tuple(fb * b for b in v)
-        return Vector(self.slice, out, den)
-
-    def scale(self, c: Fraction) -> "Vector":
-        return Vector(self.slice, {wt: tuple(c.numerator * x for x in v)
-                                   for wt, v in self.parts.items()},
-                      self.den * c.denominator)
-
 
 def _from_pieces(v: Vector, pieces: dict[Wt, tuple[IntVec, int]]) -> Vector:
     """The vector with part pieces[wt] = (ints, den) at each wt, over v.den."""
@@ -492,15 +482,18 @@ def _from_pieces(v: Vector, pieces: dict[Wt, tuple[IntVec, int]]) -> Vector:
     return Vector(v.slice, dict(zip(pieces, vecs)), den * v.den)
 
 
-def _apply(v: Vector, i: int, sign: int) -> Vector:
-    """e_i v (sign 1) or f_i v (sign -1).  A missing matrix is DepthExceeded
-    when its target weight is nonzero past the window, a certified zero
-    otherwise."""
-    sl = v.slice
-    out: dict[Wt, tuple[IntVec, int]] = {}
-    for wt, coeffs in v.parts.items():
+def _step(sl: ModuleSlice, parts: dict[Wt, IntVec], i: int, sign: int
+          ) -> tuple[dict[Wt, IntVec], int]:
+    """X = e_i (sign 1) or f_i (sign -1) on int parts, unreduced: (ints, m)
+    with X parts = ints / m, zero parts dropped.  A missing matrix is
+    DepthExceeded when its target weight is nonzero past the window, a
+    certified zero otherwise."""
+    alpha = sl.datum.alpha[i]
+    shift = add if sign > 0 else sub
+    images = []
+    for wt, coeffs in parts.items():
         sp = sl.spaces[wt]
-        tgt_wt = _shift(sl.datum, wt, i, sign)
+        tgt_wt = tuple(map(shift, wt, alpha))
         found = (sp.e_mat if sign > 0 else sp.f_mat).get(i)
         if found is None:
             if tgt_wt in sl._nonzero_beyond:
@@ -508,23 +501,53 @@ def _apply(v: Vector, i: int, sign: int) -> Vector:
             continue  # certified zero: the target weight space vanishes
         # distinct source weights have distinct targets
         mat, den = found
-        out[tgt_wt] = (tuple(exact.vec_dot(row, coeffs) for row in mat), den)
-    return _from_pieces(v, out)
+        img = tuple(exact.vec_dot(row, coeffs) for row in mat)
+        if any(img):
+            images.append((tgt_wt, img, den))
+    if not images:
+        return {}, 1
+    m = math.lcm(*[den for _, _, den in images])
+    return {wt: img if den == m else tuple(x * (m // den) for x in img)
+            for wt, img, den in images}, m
 
 
-def _exp_series(v: Vector, step, t: Fraction) -> Vector:
-    """exp(t X) v as a finite sum; X must be locally nilpotent on v."""
-    total = v
-    term = v
+def _apply(v: Vector, i: int, sign: int) -> Vector:
+    """e_i v (sign 1) or f_i v (sign -1), by _step."""
+    parts, m = _step(v.slice, v.parts, i, sign)
+    return Vector(v.slice, parts, m * v.den)
+
+
+def _exp_series(v: Vector, i: int, sign: int, t: Fraction) -> Vector:
+    """exp(t X) v = sum_k t^k / k! X^k v for X = e_i (sign 1) or f_i
+    (sign -1), which must be locally nilpotent on v.
+
+    The sum runs in ints over one running denominator.  X^k v is kept
+    unreduced as term / (v.den q_k), q_k the product of the _step
+    denominators, and with t = p/q its coefficient p^k / (q^k k!) is folded
+    in as ints.  Each term's denominator v.den q_k q^k k! divides the next
+    one's, so their running lcm is the latest and the total is rescaled by
+    the quotient at each step.  The one reduction is the Vector at the end.
+    """
+    sl = v.slice
+    p, q = t.numerator, t.denominator
+    total, den = dict(v.parts), 1  # the sum so far is total / (v.den den)
+    term, pk = v.parts, 1  # X^k v is term / (v.den q_k), p^k
     k = 1
     while True:
-        term = step(term)
-        if term.is_zero():
-            return total
-        coeff = t ** k / math.factorial(k)
-        total = total.add(term.scale(coeff))
+        term, m = _step(sl, term, i, sign)
+        if not term:
+            return Vector(sl, total, den * v.den)
+        pk *= p
+        grow = m * q * k  # den / den_{k-1}, den = q_k q^k k!
+        den *= grow
+        if grow != 1:
+            total = {wt: tuple(grow * x for x in u) for wt, u in total.items()}
+        for wt, u in term.items():
+            old = total.get(wt)
+            total[wt] = (tuple(pk * x for x in u) if old is None
+                         else tuple(a + pk * x for a, x in zip(old, u)))
         k += 1
-        if k > 2 * v.slice.depth + 4:
+        if k > 2 * sl.depth + 4:
             raise InternalError("exponential failed to terminate inside the slice")
 
 
@@ -568,13 +591,20 @@ def apply_letter(letter: Letter, v: Vector) -> Vector:
     tag = letter[0]
     if tag in ("X+", "X-"):
         sign = 1 if tag == "X+" else -1
-        return _exp_series(v, lambda u: _apply(u, letter[1], sign), letter[2])
+        return _exp_series(v, letter[1], sign, letter[2])
     if tag == "T":
         h, s = letter[1], letter[2]
+        p, q = s.numerator, s.denominator
+        if not p:  # a hand-built letter; torus_letter rejects it
+            raise ZeroTorusValue("torus parameter must be nonzero")
         pieces = {}
         for wt, coeffs in v.parts.items():
-            c = s ** exact.vec_dot(wt, h)
-            pieces[wt] = (tuple(c.numerator * x for x in coeffs), c.denominator)
+            # s^e as num / den with den > 0: (p^e, q^e) or (q^-e, p^-e)
+            e = exact.vec_dot(wt, h)
+            num, den = (p ** e, q ** e) if e >= 0 else (q ** -e, p ** -e)
+            if den < 0:
+                num, den = -num, -den
+            pieces[wt] = (tuple(num * x for x in coeffs), den)
         return _from_pieces(v, pieces)
     if tag == "N":  # n_i = exp(e_i) exp(-f_i) exp(e_i)
         i = letter[1]

@@ -246,11 +246,12 @@ class MhatElt:
     """t e(F), a rational-valued monoid homomorphism with support face `face`:
     the values of t on the hull basis of the face, zero off the face.
 
+    Elements of two monoids differ: a LatticeMonoid compares by identity.
     `rep` is the torus element t itself, kept out of equality: it agrees
     with the canonical values on the hull lattice, the only place it is
     read."""
 
-    monoid: LatticeMonoid = field(compare=False)
+    monoid: LatticeMonoid
     face_index: int
     values: tuple[Fraction, ...]
     rep: tuple[Fraction, ...] = field(compare=False, repr=False)

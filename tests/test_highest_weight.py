@@ -8,8 +8,8 @@ import pytest
 from kmx import faces as FC, highest_weight as HW, monoids as MO, weyl as W
 from kmx.cartan import (A2_ROWS, AFFINE_A1_ROWS, HYPERBOLIC_ROWS,
                         build_realization)
-from kmx.errors import (DepthExceeded, DepthTooLarge, DomainError, NotDominant,
-                        NotFactored)
+from kmx.errors import (DepthExceeded, DepthTooLarge, DomainError, InternalError,
+                        NotDominant, NotFactored, ZeroTorusValue)
 
 A2 = build_realization(A2_ROWS)
 AFF = build_realization(AFFINE_A1_ROWS)
@@ -236,6 +236,46 @@ def test_depth_certified_zero_at_boundary():
     unit = HW.Vector(sl, {low: (1,)})
     assert HW._apply(unit, 0, -1).is_zero()
     assert HW._apply(unit, 1, -1).is_zero()
+
+
+def _minus(wt, k, alpha):
+    return tuple(x - k * a for x, a in zip(wt, alpha))
+
+
+def test_exponential_letters_raise_at_the_first_term_past_the_window():
+    # exp(-2/3 f_1) on the top v of L(3 Lambda_1) of affine A1: f_1 v and
+    # f_1^2 v lie inside the depth-2 window, f_1^3 v is the first term past it
+    sl = HW.ModuleSlice(AFF, (3, 0, 0), 2)
+    with pytest.raises(DepthExceeded) as err:
+        HW.apply_letter(HW.xminus(0, Fr(-2, 3)), sl.highest_vector())
+    assert err.value.weight == _minus(sl.hw, 3, AFF.alpha[0]) in sl._nonzero_beyond
+    assert err.value.needed == 3
+    # raising never leaves a genuine window, so the e_i branch of the guard
+    # is reached on a slice doctored to lose e_1 at hw - alpha_1: exp(e_1)
+    # on f_1^2 v keeps its first term and raises at the second
+    sl = HW.ModuleSlice(A2, (2, 0), 2)
+    low, mid = _minus(sl.hw, 2, A2.alpha[0]), _minus(sl.hw, 1, A2.alpha[0])
+    del sl.spaces[mid].e_mat[0]
+    sl._nonzero_beyond.add(sl.hw)
+    with pytest.raises(DepthExceeded) as err:
+        HW.apply_letter(HW.xplus(0, Fr(3, 2)), HW.Vector(sl, {low: (1,)}))
+    assert err.value.weight == sl.hw
+
+
+def test_a_series_past_its_bound_is_an_internal_error():
+    # on L(6 Lambda_1) of A2, exp(f_1) of the top and exp(e_1) of the
+    # bottom of the 1-string each have seven terms; the bound 2 depth + 4
+    # of a slice whose depth is read as 1 stops them at the sixth
+    sl = HW.ModuleSlice(A2, (6, 0), 6)
+    top, bottom = sl.highest_vector(), HW.Vector(sl, {_minus(sl.hw, 6, A2.alpha[0]): (1,)})
+    want = [HW.apply_letter(HW.xminus(0, 1), top), HW.apply_letter(HW.xplus(0, 1), bottom)]
+    sl.depth = 1
+    for letter, v in ((HW.xminus(0, 1), top), (HW.xplus(0, 1), bottom)):
+        with pytest.raises(InternalError, match="exponential failed to terminate"):
+            HW.apply_letter(letter, v)
+    sl.depth = 2
+    assert [HW.apply_letter(HW.xminus(0, 1), top),
+            HW.apply_letter(HW.xplus(0, 1), bottom)] == want
 
 
 def test_weight_string_trichotomy():
@@ -572,7 +612,9 @@ def test_zero_vectors_compare_equal():
     assert zero.is_zero() and zero.den == 1
     assert zero == HW.Vector(sl, {}) == HW.Vector(sl, {sl.hw: (0,)}, 7)
     top = HW.Vector(sl, {sl.hw: (2,)}, 4)
-    assert top.add(top.scale(Fr(-1))) == HW.Vector(sl, {})
+    # the parts below the top cancel, and no zero part is left
+    word = HW.GhatWord((HW.xminus(0, Fr(-3, 2)), HW.xminus(0, Fr(3, 2))))
+    assert HW.apply_word(word, top) == top
     assert top == HW.Vector(sl, {sl.hw: (1,)}, 2)
 
 
@@ -644,3 +686,9 @@ def test_classical_dimensions():
     adjoint = HW.build_basis(A2, (1, 1), 4).dims()
     assert sum(adjoint.values()) == 8
     assert adjoint[(0, 0)] == 2
+
+
+def test_a_hand_built_zero_torus_letter_is_a_zero_torus_value():
+    sl = HW.build_basis(A2, (1, 0), 2)
+    with pytest.raises(ZeroTorusValue):
+        HW.apply_letter(("T", A2.coroot(0), Fr(0)), sl.highest_vector())

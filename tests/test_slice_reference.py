@@ -247,11 +247,13 @@ def _ref_word(sl, word, parts):
     return parts
 
 
-def _random_word(rng, datum):
+def _random_word(rng, datum, values=None):
+    """One to four letters; each parameter is drawn from `values` when given."""
     letters = []
     for _ in range(rng.randrange(1, 5)):
         i, kind = rng.randrange(datum.n), rng.randrange(4)
-        t = Fraction(rng.choice((1, -2, 3)), rng.choice((1, 2, 3)))
+        t = rng.choice(values) if values else \
+            Fraction(rng.choice((1, -2, 3)), rng.choice((1, 2, 3)))
         if kind == 0:
             letters.append(HW.xplus(i, t))
         elif kind == 1:
@@ -294,6 +296,49 @@ def test_word_values_equal_the_fraction_reference(alg, hw_name):
                 assert mat[r][c] == col.get(wt2, [0] * (j + 1))[j]
         checked += 1
     assert checked > 10
+
+
+def _assert_canonical(v):
+    """v is in lowest terms: no zero part, den coprime to the entries, den 1
+    on the zero vector."""
+    assert v.den > 0 and all(any(part) for part in v.parts.values())
+    assert math.gcd(v.den, *[x for part in v.parts.values() for x in part]) == 1
+    assert v.parts or v.den == 1
+
+
+@pytest.mark.parametrize("alg,hw_name,depth", SPECS,
+                         ids=[f"{a}-{h}-{d}" for a, h, d in SPECS])
+def test_whole_images_equal_the_fraction_reference(alg, hw_name, depth):
+    # the slices of the benchmark's hw-slices stream; letter parameters with
+    # negative numerators and denominators > 1
+    new = _slice(HW.ModuleSlice, alg, hw_name, depth)
+    ref = _slice(RefSlice, alg, hw_name, depth)
+    starts = [(HW.Vector(new, {new.hw: (2,)}, 4), {ref.hw: [Fraction(1, 2)]})]
+    for wt in new.order:
+        sp = new.spaces[wt]
+        if sp.height > 2:
+            break
+        for k in range(sp.dim):
+            starts.append((HW.Vector(new, {wt: tuple(int(j == k) for j in range(sp.dim))}),
+                           {wt: [Fraction(int(j == k)) for j in range(sp.dim)]}))
+    rng = random.Random(f"{alg}-{hw_name}-{depth}")
+    values = (Fraction(-2, 3), Fraction(3, 2), Fraction(-1, 2))
+    compared = 0
+    for _ in range(10):
+        word = _random_word(rng, new.datum, values)
+        for v, parts in starts:
+            try:
+                want = _ref_word(ref, word, parts)
+            except DepthExceeded:
+                with pytest.raises(DepthExceeded):
+                    HW.apply_word(word, v)
+                continue
+            got = HW.apply_word(word, v)
+            _assert_canonical(got)
+            assert {wt: [Fraction(x, got.den) for x in part]
+                    for wt, part in got.parts.items()} == want, HW.format_word(word)
+            compared += 1
+    assert compared >= 5 * len(starts)
 
 
 def test_non_integral_gram_entry_is_an_internal_error():

@@ -156,6 +156,18 @@ def test_mhat_on_a_face_of_another_monoid_is_a_precondition_violation():
         mhat_mul(mhat_unit(m, (2, 3)), mhat_unit(half, (2, 3)))
 
 
+def test_elements_of_two_monoids_differ():
+    # the same face index and values, but face 1 is the y-axis of a and the
+    # x-axis of b
+    a, b = N2(), LatticeMonoid([(1, 0), (1, 1)], 2)
+    x, y = mhat_idempotent(a, a.faces()[1]), mhat_idempotent(b, b.faces()[1])
+    assert (x.face_index, x.values) == (y.face_index, y.values)
+    assert (x((1, 0)), y((1, 0))) == (0, 1)
+    assert x != y
+    assert len({x, y}) == 2
+    assert x == mhat_idempotent(a, a.faces()[1])
+
+
 def test_mhat_respects_addition():
     m = LatticeMonoid([(1, 0), (1, 2)], 2)
     u = mhat_unit(m, (Fr(2), Fr(5)))
