@@ -529,7 +529,10 @@ def nonneg_feasible(a: Sequence[Sequence[int]],
     its Farkas vector y (`_farkas`), which decides b False when y . b > 0.
     A feasible end keeps (d B^{-1}, d, basis) (`_basis_inverse`), which
     decides b True when `_basis_decides` re-substitutes an x >= 0 from it.
-    A miss that its own certificate does not decide is an InternalError.
+    A certificate that decides a point moves to the front of its list, so
+    neighbouring points try it first; each is a sound proof, so the order
+    changes neither an answer nor a miss.  A miss that its own certificate
+    does not decide is an InternalError.
     Input is checked as in `nonneg_solve`.
     """
     a, points = _nonneg_input(a, points, "nonneg_feasible input")
@@ -537,10 +540,14 @@ def nonneg_feasible(a: Sequence[Sequence[int]],
     bases: list[tuple[IntMat, int, tuple[int, ...]]] = []
 
     def decide(b: IntVec) -> Optional[bool]:
-        if any(vec_dot(y, b) > 0 for y in farkas):
-            return False
-        if any(_basis_decides(a, cert, b) for cert in bases):
-            return True
+        for k, y in enumerate(farkas):
+            if vec_dot(y, b) > 0:
+                farkas.insert(0, farkas.pop(k))
+                return False
+        for k, cert in enumerate(bases):
+            if _basis_decides(a, cert, b):
+                bases.insert(0, bases.pop(k))
+                return True
         return None
 
     out = []

@@ -15,21 +15,27 @@ point is written in coordinates of a hull basis.
 
 Every point query reads one pass over the facet pairings (`_locate`): x
 lies in a face F iff F's active facets vanish at x, and in its relative
-interior iff exactly they do.  The face lattice is built once, with
-indexes by active set and by ray set, so `face_of` and `face_meet` are
-lookups.
+interior iff exactly they do.  The pass checks x's coordinates once, so a
+point that is not an integer vector is a DomainError for every query, and
+it ends at the first negative pairing.  The face lattice is built once,
+with indexes by active set and by ray set, so `face_of` and `face_meet` are
+lookups.  A face's dimension comes from one elimination of its normals
+(`exact.int_rref`); its hull, one Smith normal form, is built when it is
+first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from operator import mul
 from typing import Optional, Sequence
 
 from . import exact
 from .cartan import exact_ints, exact_rationals
-from .errors import (NotAFace, NotInMonoid, PreconditionViolated, RankMismatch, SizeGuard,
-                     ZeroTorusValue)
+from .errors import (InternalError, NotAFace, NotInMonoid, PreconditionViolated, RankMismatch,
+                     SizeGuard, ZeroTorusValue)
 from .exact import IntVec
 
 RANK_GUARD = 8
@@ -92,15 +98,38 @@ def _dd_pair(inequalities: Sequence[IntVec], dim: int) -> tuple[tuple[IntVec, ..
     return exact.kernel_lattice_basis(inequalities, dim), tuple(prim_rays)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MonoidFace:
-    """A face of a finitely generated saturated monoid."""
+    """A face of a finitely generated saturated monoid.
+
+    Its hull, a saturated basis of (span F) cap lattice, is the kernel of
+    its normals, built on first read.  Faces compare and hash by index, ray
+    set, active set, hull and dimension."""
 
     index: int
     ray_ids: tuple[int, ...]       # cone rays contained in the face
     active: tuple[int, ...]        # facet inequalities vanishing on the face
-    hull: tuple[IntVec, ...]       # saturated basis of (span F) cap lattice
     dim: int
+    normals: tuple[IntVec, ...] = field(repr=False)  # equalities and active facets
+    rank: int = field(repr=False)                    # of the ambient lattice
+
+    @cached_property
+    def hull(self) -> tuple[IntVec, ...]:
+        hull = exact.kernel_lattice_basis(self.normals, self.rank)
+        if len(hull) != self.dim:
+            raise InternalError(f"face hull has {len(hull)} vectors, not dimension {self.dim}")
+        return hull
+
+    def _key(self):
+        return self.index, self.ray_ids, self.active, self.hull, self.dim
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
 
 class LatticeMonoid:
@@ -134,13 +163,23 @@ class LatticeMonoid:
     # -- membership ----------------------------------------------------------
 
     def _locate(self, x: Sequence[int]) -> Optional[tuple[int, ...]]:
-        """The facets vanishing at x, or None when x is outside the monoid."""
+        """The facets vanishing at x, or None when x is outside the monoid:
+        one pass that ends at the first nonzero equality or negative facet
+        pairing.  A coordinate that is not a Python int is a DomainError."""
+        x = exact_ints(x, "point coordinate")
         if len(x) != self.rank:
             raise RankMismatch("point has the wrong length")
-        if any(exact.vec_dot(a, x) for a in self.equalities):
-            return None
-        vals = [exact.vec_dot(a, x) for a in self.inequalities]
-        return None if min(vals, default=0) < 0 else tuple(i for i, v in enumerate(vals) if v == 0)
+        for a in self.equalities:
+            if sum(map(mul, a, x)):
+                return None
+        active = []
+        for i, a in enumerate(self.inequalities):
+            v = sum(map(mul, a, x))
+            if v < 0:
+                return None
+            if not v:
+                active.append(i)
+        return tuple(active)
 
     def contains(self, x: Sequence[int]) -> bool:
         return self._locate(x) is not None
@@ -159,10 +198,11 @@ class LatticeMonoid:
 
         Faces are intersections of facets; each is identified by the set of
         extreme rays it contains (every face contains the lineality).  A
-        face's span is cut out by the equalities and its active facets
-        (Schrijver, Theory of Linear and Integer Programming, 1986, 8.3), so
-        its hull is their saturated kernel: one Smith normal form per face
-        with any such row.
+        face's span is cut out by its normals, the equalities and its active
+        facets (Schrijver, Theory of Linear and Integer Programming, 1986,
+        8.3), so its dimension is the rank less theirs, read off one
+        `exact.int_rref`, and its hull is their saturated kernel, built on
+        first read.
         """
         if self._faces is not None:
             return self._faces
@@ -176,13 +216,13 @@ class LatticeMonoid:
         faces = []
         for rs in ray_sets:
             active = tuple(i for i, fs in enumerate(facet_rays) if rs <= fs)
-            hull = exact.kernel_lattice_basis(
-                self.equalities + tuple(self.inequalities[i] for i in active), self.rank)
-            faces.append((len(hull), tuple(sorted(rs)), active, hull))
+            normals = self.equalities + tuple(self.inequalities[i] for i in active)
+            dim = self.rank - len(exact.int_rref(normals)[0])
+            faces.append((dim, tuple(sorted(rs)), active, normals))
         faces.sort(key=lambda t: (t[0], t[1]))
         self._faces = tuple(
-            MonoidFace(index=i, ray_ids=rids, active=act, hull=hull, dim=d)
-            for i, (d, rids, act, hull) in enumerate(faces)
+            MonoidFace(index=i, ray_ids=rids, active=act, dim=d, normals=normals, rank=self.rank)
+            for i, (d, rids, act, normals) in enumerate(faces)
         )
         self._by_active = {f.active: f for f in self._faces}
         self._by_rays = {f.ray_ids: f for f in self._faces}

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
@@ -554,30 +555,37 @@ def check_toric(count: int = 100) -> CheckResult:
         pts = list(iproduct(range(-span, span + 1), repeat=rank))
         cols = exact.transpose(exact.int_mat(gens))
         boxes += len(pts)
-        inside = [m1.contains(x) for x in pts]
-        bad_mem += sum(member != feasible
-                       for member, feasible in zip(inside, exact.nonneg_feasible(cols, pts)))
+        # each box point is located once: None outside, else its active set
+        located = [m1._locate(x) for x in pts]
+        bad_mem += sum((act is not None) != feasible
+                       for act, feasible in zip(located, exact.nonneg_feasible(cols, pts)))
         # round trip: regenerate from the cone description
         gens2 = list(m1.rays) + [v for b in m1.lineality for v in (b, tuple(-c for c in b))]
         m2 = toric.LatticeMonoid(gens2 or [(0,) * rank], rank)
-        bad_rt += sum(member != m2.contains(x) for x, member in zip(pts, inside))
+        bad_rt += sum((act is not None) != m2.contains(x) for x, act in zip(pts, located))
         if len(m1.faces()) != len(m2.faces()):
             bad_rt += 1
-        # each member's active set is read once.  Relative interiors
-        # partition the monoid: exactly one face has that active set.  Meets
-        # agree with set intersection on the box: a member lies in the faces
-        # whose active sets its own contains
+        # Relative interiors partition the monoid: exactly one face has a
+        # member's active set.  Meets agree with set intersection on the
+        # box: a member lies in the faces whose active sets its own
+        # contains.  Both laws read a member only through its active set, so
+        # each distinct active set, and then each distinct set of faces
+        # containing it, is checked once and counted with its multiplicity
         fl = m1.faces()
-        actives = [set(m1.active_set(x)) for x, member in zip(pts, inside) if member]
-        bad_part += sum(sum(set(f.active) == act for f in fl) != 1 for act in actives)
-        containing = [frozenset(f.index for f in fl if set(f.active) <= act) for act in actives]
+        face_actives = [frozenset(f.active) for f in fl]
+        actives = Counter(frozenset(act) for act in located if act is not None)
+        containing = Counter()
+        for act, mult in actives.items():
+            bad_part += mult * (face_actives.count(act) != 1)
+            containing[frozenset(f.index for f, f_act in zip(fl, face_actives)
+                                 if f_act <= act)] += mult
         for fa in fl:
             for fb in fl:
-                meet = m1.face_meet(fa, fb)
-                for faces_of_x in containing:
+                meet = m1.face_meet(fa, fb).index
+                for faces_of_x, mult in containing.items():
                     inter = fa.index in faces_of_x and fb.index in faces_of_x
-                    if inter != (meet.index in faces_of_x):
-                        bad_meet += 1
+                    if inter != (meet in faces_of_x):
+                        bad_meet += mult
     ok = _leg(lines, f"{count} random cones, {boxes} box points: "
                      f"membership {bad_mem}, round-trip {bad_rt}, "
                      f"ri-partition {bad_part}, meet {bad_meet} violations",

@@ -24,7 +24,10 @@ became the saturated kernel of its normals and each Hom-monoid element
 kept its torus element: `saturate_span` saturates the span of a set of
 vectors by two Smith normal forms, and `eval_character` reads a character
 given by its values on a saturated basis through the point's coordinates
-in that basis (`lattice_coords`, one rational solve).
+in that basis (`lattice_coords`, one rational solve).  Beside them,
+`toric_faces` builds a lattice monoid's face list the way the package did
+before each face's dimension came from one elimination: one Smith normal
+form per face, the faces sorted by (hull size, ray set).
 """
 
 from fractions import Fraction
@@ -454,3 +457,25 @@ def eval_character(basis: Sequence[Sequence[int]], values: Sequence, x: Sequence
     for v, c in zip(values, coords):
         val *= Fraction(v) ** c
     return val
+
+
+def toric_faces(m) -> list[tuple[int, tuple[int, ...], tuple[int, ...], tuple[IntVec, ...]]]:
+    """(dimension, ray ids, active facets, hull) of every face of the lattice
+    monoid m, in the package's face order: the ray sets of all intersections
+    of facets, each face's hull the saturated kernel of the equalities and
+    its active facets (one SNF), sorted by (len(hull), ray ids)."""
+    nray = len(m.rays)
+    facet_rays = [frozenset(k for k in range(nray)
+                            if sum(a * r for a, r in zip(ineq, m.rays[k])) == 0)
+                  for ineq in m.inequalities]
+    ray_sets = {frozenset(range(nray))}
+    for fs in facet_rays:
+        ray_sets |= {rs & fs for rs in ray_sets}
+    faces = []
+    for rs in ray_sets:
+        active = tuple(i for i, fs in enumerate(facet_rays) if rs <= fs)
+        rows = m.equalities + tuple(m.inequalities[i] for i in active)
+        hull = _kernel_lattice_basis(int_mat(rows)) if rows else identity(m.rank)
+        faces.append((len(hull), tuple(sorted(rs)), active, hull))
+    faces.sort(key=lambda t: (t[0], t[1]))
+    return faces

@@ -329,6 +329,54 @@ def test_nonneg_feasible_agrees_with_nonneg_solve_and_the_reference():
     assert nonneg_feasible(((), ()), [(0, 0), (1, 0)]) == (True, False)
 
 
+def _ref_feasible(a, pts, order):
+    """nonneg_feasible's answers and simplex runs when each point tries the
+    kept certificates, Farkas vectors and then feasible bases, in the order
+    that `order` (a function of a list) gives them."""
+    farkas, bases, out = [], [], []
+    runs = exact.simplex_runs()
+    for b in pts:
+        if any(exact.vec_dot(y, b) > 0 for y in order(farkas)):
+            out.append(False)
+        elif any(exact._basis_decides(a, cert, b) for cert in order(bases)):
+            out.append(True)
+        else:
+            x, _, basis = exact._simplex_feasible(a, b)
+            if x is None:
+                farkas.append(exact._farkas(a, b, basis))
+            else:
+                bases.append((*exact._basis_inverse(a, b, basis), tuple(basis)))
+            out.append(x is not None)
+    return out, exact.simplex_runs() - runs
+
+
+def test_nonneg_feasible_does_not_depend_on_the_certificate_order():
+    # systems shaped as above, their points in the given, reversed and a
+    # shuffled order.  Every certificate is a sound proof, so the order in
+    # which the kept ones are tried changes neither an answer nor which
+    # points miss them all: nonneg_feasible's answers and simplex runs are
+    # those of the kept, reversed and shuffled certificate orders.  The
+    # point order itself may change the misses, not the answers
+    rng = random.Random(19)
+    shuffled = lambda xs: rng.sample(xs, len(xs))
+    runs = 0
+    for k in range(300):
+        nr, nc = (4, 1 + k % 2) if k % 5 == 0 else (rng.randrange(1, 5), rng.randrange(1, 7))
+        a = tuple(tuple(rng.randrange(-3, 4) for _ in range(nc)) for _ in range(nr))
+        pts = [tuple(rng.randrange(-3, 4) for _ in range(nr)) if j % 2
+               else mat_vec(a, [rng.randrange(3) for _ in range(nc)]) for j in range(20)]
+        want = [nonneg_solve(a, b) is not None for b in pts]
+        for order in (pts, pts[::-1], shuffled(pts)):
+            before = exact.simplex_runs()
+            got = nonneg_feasible(a, order)
+            got_runs = exact.simplex_runs() - before
+            assert list(got) == [want[pts.index(b)] for b in order], (a, order)
+            for certs in (list, lambda xs: xs[::-1], shuffled):
+                assert _ref_feasible(a, order, certs) == (list(got), got_runs), (a, order)
+            runs += got_runs
+    assert runs > 1000, runs
+
+
 FEASIBLE, INFEASIBLE = (1, 1), (-1, 0)  # for A = [[1, 1], [0, 2]]
 
 

@@ -4,7 +4,11 @@ Every point predicate of a `LatticeMonoid` reads the point's active facet
 set from one pass over the facet pairings, and `face_of` and `face_meet`
 look faces up by active set and by ray set.  These tests hold the results
 against scan and pairing references kept here, on seeded random cones with
-lineality and equalities, and count the pairings each query makes.  An
+lineality and equalities, and count the pairings and locations each query
+makes.  A point that is not an integer vector is a DomainError for every
+query.  Faces read their dimensions off one elimination and build their
+hulls when first read, in the face order of the one-SNF-per-face
+reference (`exact_reference.toric_faces`).  An
 element of M-hat reads its values through the torus element it keeps; it
 is held against the character of its canonical values read through
 coordinates in the hull basis (`exact_reference.eval_character`).
@@ -15,12 +19,12 @@ from fractions import Fraction as Fr
 from itertools import product
 
 import pytest
-from exact_reference import eval_character
+from exact_reference import eval_character, toric_faces
 
 from kmx import exact
-from kmx.errors import NotInMonoid, RankMismatch
+from kmx.errors import DomainError, InternalError, NotInMonoid, RankMismatch
 from kmx.exact import vec_dot
-from kmx.toric import LatticeMonoid, mhat_mul, mhat_normalize, mhat_unit
+from kmx.toric import LatticeMonoid, MonoidFace, mhat_mul, mhat_normalize, mhat_unit
 
 
 def _cones(seed=63, count=80):
@@ -211,10 +215,98 @@ def test_mhat_products_units_and_values_solve_no_system(monkeypatch):
 
 def test_face_lattice_runs_one_smith_normal_form_per_face(monkeypatch):
     # each hull is the saturated kernel of the equalities and the face's
-    # active facets; a face with neither is the whole lattice, and no SNF
+    # active facets, built when first read; a face with neither is the whole
+    # lattice, and no SNF.  Building the lattice reads no hull
     snfs = _counting(monkeypatch, "smith_normal_form")
     for m in _cones(seed=70, count=25):
         snfs.clear()
         fl = m.faces()
+        assert not snfs
+        hulls = [f.hull for f in fl]
         assert len(snfs) == sum(bool(m.equalities or f.active) for f in fl)
         assert len(snfs) >= len(fl) - 1
+        snfs.clear()
+        assert [f.hull for f in fl] == hulls and not snfs
+
+
+def test_face_dims_hulls_and_order_match_the_one_snf_per_face_reference():
+    # dim = rank - rank(normals) is the hull's length, so the face order by
+    # (dimension, ray set) is the old one by (hull size, ray set)
+    checked = 0
+    for m in _cones(seed=72, count=150):
+        fl = m.faces()
+        for f in fl:
+            assert f.dim == len(f.hull)
+            assert f.hull == exact.kernel_lattice_basis(
+                m.equalities + tuple(m.inequalities[i] for i in f.active), m.rank)
+        assert [(f.dim, f.ray_ids, f.active, f.hull) for f in fl] == toric_faces(m)
+        checked += len(fl)
+    assert checked > 1000, checked
+
+
+def test_faces_compare_and_hash_by_their_hulls():
+    m = LatticeMonoid([(1, 0), (0, 1)], 2)
+    m2 = LatticeMonoid([(1, 0), (0, 1)], 2)
+    assert m.faces() == m2.faces() and len(set(m.faces() + m2.faces())) == len(m.faces())
+    # a face that differs from faces()[1] only in its normals, those of
+    # faces()[2], differs in its hull, so it is another face
+    f, g = m.faces()[1:3]
+    other = MonoidFace(index=f.index, ray_ids=f.ray_ids, active=f.active, dim=f.dim,
+                       normals=g.normals, rank=2)
+    assert other.hull == g.hull != f.hull and other != f
+
+
+def test_a_hull_of_the_wrong_size_is_an_internal_error():
+    f = LatticeMonoid([(1, 0), (0, 1)], 2).faces()[1]
+    wrong = MonoidFace(index=f.index, ray_ids=f.ray_ids, active=f.active, dim=2,
+                       normals=f.normals, rank=2)
+    with pytest.raises(InternalError):
+        wrong.hull
+
+
+def _point_queries(m):
+    """Every point query of m, by name: the monoid's and an M-hat value."""
+    top = m.top_face()
+    return {"contains": m.contains, "active_set": m.active_set, "face_of": m.face_of,
+            "face_contains": lambda x: m.face_contains(top, x),
+            "relative_interior_contains": lambda x: m.relative_interior_contains(top, x),
+            "principal_open": m.principal_open,
+            "mhat_value": mhat_unit(m, tuple(Fr(k + 2) for k in range(m.rank)))}
+
+
+@pytest.mark.parametrize("query", ["contains", "active_set", "face_of", "face_contains",
+                                   "relative_interior_contains", "principal_open",
+                                   "mhat_value"])
+@pytest.mark.parametrize("point", [(0.1, 0.2), (1.0, 0), (True, 0), (1, False), ("1", 0),
+                                   (1, None), (Fr(1), 0), (0, Fr(1, 2))],
+                         ids=["float", "integral-float", "bool", "false", "str", "none",
+                              "integral-fraction", "fraction"])
+def test_a_point_that_is_not_an_integer_vector_is_a_domain_error(query, point):
+    # (0.1, 0.2) was a member with active set () and (True, 0) was read as
+    # (1, 0); ("1", 0) and (1, None) were raw TypeErrors
+    m = LatticeMonoid([(1, 0), (0, 1)], 2)
+    with pytest.raises(DomainError):
+        _point_queries(m)[query](point)
+
+
+def test_each_point_query_locates_its_point_once(monkeypatch):
+    calls = []
+    real = LatticeMonoid._locate
+
+    def counting(self, x):
+        calls.append(1)
+        return real(self, x)
+
+    monkeypatch.setattr(LatticeMonoid, "_locate", counting)
+    asked = 0
+    for m in _cones(seed=73, count=15):
+        queries = _point_queries(m)
+        for x in _box(m.rank)[::5]:
+            if _ref_active(m, x) is None:
+                continue
+            for query in queries.values():
+                calls.clear()
+                query(x)
+                assert len(calls) == 1
+                asked += 1
+    assert asked > 100, asked

@@ -3,13 +3,15 @@ the height-by-height retry it replaced, run on the dense reference matrices
 of `exact_reference`, the verdict tally and the report lines."""
 
 import random
+import re
 from fractions import Fraction
+from itertools import product
 
 import exact_reference as ref
 import pytest
 from test_weyl import KERNEL_DATA
 
-from kmx import exact, faces as FC, highest_weight as HW, monoids as MO, verify
+from kmx import exact, faces as FC, highest_weight as HW, monoids as MO, toric, verify
 from kmx.cartan import build_realization
 from kmx.errors import DepthExceeded
 
@@ -246,3 +248,42 @@ def test_the_toric_oracle_reuses_its_simplex_certificates(monkeypatch):
     runs = exact.simplex_runs()
     assert verify.check_toric().passed
     assert calls == [] and exact.simplex_runs() - runs <= 600
+
+
+def _ref_toric_law_counts(count):
+    """(ri-partition, meet) violations of check_toric's first `count` cones,
+    drawn as it draws them, read point by point over every pair of faces."""
+    rng = random.Random(90)
+    bad_part = bad_meet = 0
+    for _ in range(count):
+        rank = rng.randrange(2, 5)
+        ngen = rng.randrange(1, rank + 3)
+        gens = [tuple(rng.randrange(-3, 4) for _ in range(rank)) for _ in range(ngen)]
+        m = toric.LatticeMonoid(gens, rank)
+        fl = m.faces()
+        for x in product(range(-2, 3), repeat=rank):
+            act = m._locate(x)
+            if act is None:
+                continue
+            bad_part += sum(set(f.active) == set(act) for f in fl) != 1
+            for fa in fl:
+                for fb in fl:
+                    meet = m.face_meet(fa, fb)
+                    inter = m.face_contains(fa, x) and m.face_contains(fb, x)
+                    bad_meet += inter != m.face_contains(meet, x)
+    return bad_part, bad_meet
+
+
+def test_the_toric_laws_counted_per_face_set_match_the_per_point_count(monkeypatch):
+    # [9] counts the ri-partition and meet laws once per distinct active set
+    # and face set, with multiplicity; a wrong meet and a dropped active
+    # facet give the same nonzero counts as the per-point triple loop
+    real_meet, real_locate = toric.LatticeMonoid.face_meet, toric.LatticeMonoid._locate
+    monkeypatch.setattr(toric.LatticeMonoid, "face_meet", lambda self, f, g: real_meet(self, f, f))
+    monkeypatch.setattr(toric.LatticeMonoid, "_locate",
+                        lambda self, x: None if (a := real_locate(self, x)) is None else a[1:])
+    res = verify.check_toric(count=10)
+    counts = re.search(r"ri-partition (\d+), meet (\d+) violations", res.lines[0])
+    want = _ref_toric_law_counts(10)
+    assert not res.passed and min(want) > 0, (res.lines, want)
+    assert (int(counts[1]), int(counts[2])) == want
