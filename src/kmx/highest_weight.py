@@ -2,14 +2,17 @@
 
 Everything is exact.  A slice stores, per weight down to a fixed height, a
 basis of lowering monomials, its Gram matrix under the contravariant form,
-and the raising and lowering operator matrices in those bases.  At each
-weight the candidates f_i b (b a basis vector one step up) have an integer
-Gram matrix; one fraction-free Gauss-Jordan elimination of it
-(exact.int_rref) picks the first independent candidates in degree-lex order
-as the basis and gives every candidate's coordinates in it, which are the
-lowering matrices.  Operator application is either exact (all terms stay
-inside the slice) or a hard DepthExceeded error; results are never silently
-truncated.
+and the raising and lowering operator matrices in those bases.  The slice
+is a weight graph: the build forms each weight lam = mu - alpha_i once,
+together with the spaces above it, and each weight space keeps its
+neighbours up[i] and down[i], the spaces at weight +- alpha_i, which every
+later step reads.  At each weight the candidates f_i b (b a basis vector
+one step up) have an integer Gram matrix; one fraction-free Gauss-Jordan
+elimination of it (exact.int_rref) picks the first independent candidates
+in degree-lex order as the basis and gives every candidate's coordinates in
+it, which are the lowering matrices.  Operator application is either exact
+(all terms stay inside the slice) or a hard DepthExceeded error; results
+are never silently truncated.
 
 Every rational object of the engine is Python ints over one denominator,
 in the style of Bareiss's fraction-free elimination.  An operator matrix is
@@ -67,11 +70,6 @@ Wt = IntVec  # weight in fundamental-weight coordinates
 Beta = IntVec  # element of the positive root cone in simple-root coordinates
 
 
-def _shift(datum: RootDatum, wt: Wt, i: int, sign: int = 1) -> Wt:
-    """wt + sign * alpha_i."""
-    return tuple(x + sign * a for x, a in zip(wt, datum.alpha[i]))
-
-
 def _lowest(ints: Sequence[int], den: int) -> tuple[IntVec, int]:
     """The rational vector ints / den (den > 0) in lowest terms."""
     g = math.gcd(den, *ints)
@@ -120,6 +118,7 @@ def root_multiplicities(datum: RootDatum, max_height: int) -> dict[Beta, int]:
     Real roots come out with multiplicity one, which the test suite
     spot-checks against the Weyl orbit of the simple roots.
     """
+    exact_ints((max_height,), "height")
     cache = datum._root_mults
     if max_height in cache:
         return cache[max_height]
@@ -249,9 +248,11 @@ def weights_and_mults(datum: RootDatum, hw: Sequence[int], depth: int,
 
 
 def _depth_guard(datum: RootDatum, depth: int, max_depth: Optional[int]):
+    exact_ints((depth,), "depth")
     if depth < 0:
         raise DomainError(f"depth {depth} is negative")
     if max_depth is not None:
+        exact_ints((max_depth,), "max depth")
         if depth > max_depth:
             raise DepthTooLarge(f"depth {depth} over the requested cap {max_depth}")
         return  # an explicit cap also lifts the default rank guard
@@ -275,10 +276,13 @@ class WeightSpace:
     height: int
     words: tuple[tuple[int, ...], ...]
     gram: IntMat
-    # f_mat[i]: matrix of f_i from this space to the space at weight - alpha_i
+    # f_mat[i]: matrix of f_i from this space to down[i], the space at weight - alpha_i
     f_mat: dict[int, OpMat] = field(default_factory=dict)
-    # e_mat[i]: matrix of e_i from this space to the space at weight + alpha_i
+    # e_mat[i]: matrix of e_i from this space to up[i], the space at weight + alpha_i
     e_mat: dict[int, OpMat] = field(default_factory=dict)
+    # the neighbouring spaces: up has the keys of e_mat, down those of f_mat
+    up: dict[int, "WeightSpace"] = field(default_factory=dict, compare=False, repr=False)
+    down: dict[int, "WeightSpace"] = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def dim(self) -> int:
@@ -290,58 +294,62 @@ class ModuleSlice:
 
     def __init__(self, datum: RootDatum, hw: Sequence[int], depth: int,
                  *, max_depth: Optional[int] = None):
+        self.spaces: dict[Wt, WeightSpace] = {}
         self.datum = datum
         self.hw = _check_dominant(datum, hw)
         self.depth = depth
         _depth_guard(datum, depth, max_depth)
-        self.spaces: dict[Wt, WeightSpace] = {}
         # weights just past the window that are genuinely nonzero; lowering
         # into one of these is a DepthExceeded, everything else is exact
         self._nonzero_beyond: set[Wt] = set()
         self._build()
-        self.order: tuple[Wt, ...] = tuple(sorted(
-            self.spaces, key=lambda wt: (self.spaces[wt].height, wt)))
+        # the build inserts the spaces in (height, weight) order
+        self.order: tuple[Wt, ...] = tuple(self.spaces)
+
+    def __del__(self):
+        # The neighbour maps link the spaces in cycles.  Cutting them frees
+        # a dropped slice at once, not at the next full garbage collection.
+        for sp in self.spaces.values():
+            sp.up.clear()
+            sp.down.clear()
 
     # construction ---------------------------------------------------------------
 
     def _build(self):
-        datum = self.datum
-        self.spaces[self.hw] = WeightSpace(weight=self.hw, height=0, words=((),), gram=((1,),))
-        level: list[Wt] = [self.hw]
+        top = WeightSpace(weight=self.hw, height=0, words=((),), gram=((1,),))
+        self.spaces[self.hw] = top
+        level = [top]
         for h in range(1, self.depth + 2):
-            targets: dict[Wt, None] = {}
-            for mu in level:
-                for i in range(datum.n):
-                    targets.setdefault(_shift(datum, mu, i, -1), None)
+            # each weight lam one step down, formed once, with the spaces
+            # above it: i -> the space at lam + alpha_i, in increasing i
+            targets: dict[Wt, dict[int, WeightSpace]] = {}
+            for i, a in enumerate(self.datum.alpha):
+                for mu in level:
+                    targets.setdefault(tuple(map(sub, mu.weight, a)), {})[i] = mu
             new_level = []
             for lam in sorted(targets):
+                above = targets[lam]
                 if h > self.depth:
                     # probe pass: lam is a weight iff some candidate there
                     # has a nonzero e-image (module docstring)
-                    found = self._e_images(lam)
-                    if found is not None and any(any(img) for imgs in found[1]
-                                                 for img, _ in imgs.values()):
+                    if any(any(img) for imgs in self._e_images(above)[1]
+                           for img, _ in imgs.values()):
                         self._nonzero_beyond.add(lam)
                     continue
-                ws = self._build_space(lam, h)
+                ws = self._build_space(lam, h, above)
                 if ws is not None:
                     self.spaces[lam] = ws
-                    new_level.append(lam)
+                    new_level.append(ws)
             level = new_level
             if not level:
                 break
 
-    def _e_images(self, lam: Wt):
-        """The spanning set f_i b_k of the space at lam (b_k running over the
-        basis at lam + alpha_i, degree-lex order) and each candidate's
-        e_j-images in the bases above, each a gcd-reduced (ints, den) pair;
-        None when no space lies above lam."""
-        datum, spaces = self.datum, self.spaces
-        above = {i: spaces.get(_shift(datum, lam, i)) for i in range(datum.n)}
-        above = {i: sp for i, sp in above.items() if sp is not None}
+    @staticmethod
+    def _e_images(above: dict[int, WeightSpace]):
+        """The spanning set f_i b_k of the space below `above` (b_k running
+        over the basis of above[i], degree-lex order) and each candidate's
+        e_j-images in the bases above, each a gcd-reduced (ints, den) pair."""
         cands = [(i, k) for i, src in above.items() for k in range(src.dim)]
-        if not cands:
-            return None
         e_imgs: list[dict[int, tuple[IntVec, int]]] = []
         for (i, k) in cands:
             src = above[i]
@@ -353,7 +361,7 @@ class ModuleSlice:
                     vec, den = [0] * tgt.dim, 1
                 else:
                     emat, de = up_e
-                    fmat, df = spaces[_shift(datum, src.weight, j)].f_mat[i]
+                    fmat, df = src.up[j].f_mat[i]
                     col = [row[k] for row in emat]
                     vec = [exact.vec_dot(row, col) for row in fmat]
                     den = de * df
@@ -363,19 +371,17 @@ class ModuleSlice:
             e_imgs.append(imgs)
         return cands, e_imgs
 
-    def _candidates(self, lam: Wt):
-        """_e_images plus the candidates' Gram matrix in ints; None when no
-        space lies above lam."""
-        found = self._e_images(lam)
-        if found is None:
-            return None
-        cands, e_imgs = found
+    def _build_space(self, lam: Wt, h: int, above: dict[int, WeightSpace]
+                     ) -> Optional[WeightSpace]:
+        """The space at lam below `above` (i -> the space at lam + alpha_i),
+        linked to it both ways; None when lam is not a weight."""
+        cands, e_imgs = self._e_images(above)
         # <f_i b_k | c> = <b_k | e_i c> by contravariance.  The entries are
         # Shapovalov values of lowering monomials on an integral weight, so
         # they are integers.
-        gram = []
+        gram_full = []
         for i, k in cands:
-            src_row = self.spaces[_shift(self.datum, lam, i)].gram[k]
+            src_row = above[i].gram[k]
             row = []
             for imgs in e_imgs:
                 img, den = imgs[i]
@@ -385,14 +391,7 @@ class ModuleSlice:
                     raise InternalError(f"Gram entry {num}/{den} at weight {lam} "
                                         "is not an integer")
                 row.append(x)
-            gram.append(row)
-        return cands, e_imgs, gram
-
-    def _build_space(self, lam: Wt, h: int) -> Optional[WeightSpace]:
-        found = self._candidates(lam)
-        if found is None:
-            return None
-        cands, e_imgs, gram_full = found
+            gram_full.append(row)
         # The contravariant form is nondegenerate on L(hw), so the column
         # relations of the Gram matrix are the linear relations of the
         # candidates: its pivot columns are the first independent candidates
@@ -401,20 +400,16 @@ class ModuleSlice:
         selected, rows, d = exact.int_rref(gram_full)
         if not selected:
             return None
-        datum, spaces = self.datum, self.spaces
-        words = tuple((i,) + spaces[_shift(datum, lam, i)].words[k]
-                      for i, k in (cands[c] for c in selected))
+        words = tuple((i,) + above[i].words[k] for i, k in (cands[c] for c in selected))
         gram = tuple(tuple(gram_full[a][b] for b in selected) for a in selected)
         ws = WeightSpace(weight=lam, height=h, words=words, gram=gram)
-        # f_i into this space and e_i out of it, both against lam + alpha_i.
-        for i in range(datum.n):
-            src = spaces.get(_shift(datum, lam, i))
-            if src is None:
-                continue
+        # f_i into this space and e_i out of it, both against above[i].
+        for i, src in above.items():
             first = cands.index((i, 0))
             src.f_mat[i] = (tuple(row[first:first + src.dim] for row in rows), d)
             cols, den = _over_common_den([e_imgs[s][i] for s in selected])
             ws.e_mat[i] = (tuple(zip(*cols)), den)
+            src.down[i], ws.up[i] = ws, src
         return ws
 
     # queries ---------------------------------------------------------------------
@@ -485,17 +480,17 @@ def _from_pieces(v: Vector, pieces: dict[Wt, tuple[IntVec, int]]) -> Vector:
 def _step(sl: ModuleSlice, parts: dict[Wt, IntVec], i: int, sign: int
           ) -> tuple[dict[Wt, IntVec], int]:
     """X = e_i (sign 1) or f_i (sign -1) on int parts, unreduced: (ints, m)
-    with X parts = ints / m, zero parts dropped.  A missing matrix is
-    DepthExceeded when its target weight is nonzero past the window, a
+    with X parts = ints / m, zero parts dropped.  Each image lands in the
+    neighbouring space up[i] or down[i].  A missing matrix is DepthExceeded
+    when its target weight, formed only then, is nonzero past the window, a
     certified zero otherwise."""
-    alpha = sl.datum.alpha[i]
-    shift = add if sign > 0 else sub
-    images = []
+    wts, images = [], []
     for wt, coeffs in parts.items():
         sp = sl.spaces[wt]
-        tgt_wt = tuple(map(shift, wt, alpha))
-        found = (sp.e_mat if sign > 0 else sp.f_mat).get(i)
+        mats, nbrs = (sp.e_mat, sp.up) if sign > 0 else (sp.f_mat, sp.down)
+        found = mats.get(i)
         if found is None:
+            tgt_wt = tuple(map(add if sign > 0 else sub, wt, sl.datum.alpha[i]))
             if tgt_wt in sl._nonzero_beyond:
                 raise DepthExceeded(needed=sp.height + 1, depth=sl.depth, weight=tgt_wt)
             continue  # certified zero: the target weight space vanishes
@@ -503,18 +498,12 @@ def _step(sl: ModuleSlice, parts: dict[Wt, IntVec], i: int, sign: int
         mat, den = found
         img = tuple(exact.vec_dot(row, coeffs) for row in mat)
         if any(img):
-            images.append((tgt_wt, img, den))
+            wts.append(nbrs[i].weight)
+            images.append((img, den))
     if not images:
         return {}, 1
-    m = math.lcm(*[den for _, _, den in images])
-    return {wt: img if den == m else tuple(x * (m // den) for x in img)
-            for wt, img, den in images}, m
-
-
-def _apply(v: Vector, i: int, sign: int) -> Vector:
-    """e_i v (sign 1) or f_i v (sign -1), by _step."""
-    parts, m = _step(v.slice, v.parts, i, sign)
-    return Vector(v.slice, parts, m * v.den)
+    vecs, m = _over_common_den(images)
+    return dict(zip(wts, vecs)), m
 
 
 def _exp_series(v: Vector, i: int, sign: int, t: Fraction) -> Vector:

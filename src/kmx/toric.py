@@ -136,6 +136,7 @@ class LatticeMonoid:
     """Saturation of the monoid generated by integer vectors: cone cap lattice."""
 
     def __init__(self, generators: Sequence[Sequence[int]], rank: int):
+        exact_ints((rank,), "rank")
         if rank < 0:
             raise RankMismatch(f"rank {rank} is negative")
         if rank > RANK_GUARD:
@@ -158,7 +159,6 @@ class LatticeMonoid:
             ineqs.append(eq)
             ineqs.append(tuple(-x for x in eq))
         self.lineality, self.rays = _dd_pair(ineqs, rank)
-        self._faces: Optional[tuple[MonoidFace, ...]] = None
 
     # -- membership ----------------------------------------------------------
 
@@ -193,8 +193,13 @@ class LatticeMonoid:
     # -- face lattice ----------------------------------------------------------
 
     def faces(self) -> tuple[MonoidFace, ...]:
-        """All faces, ordered by (dimension, ray set), indexed by active set
-        and by ray set.
+        """All faces, ordered by (dimension, ray set)."""
+        return self._lattice[0]
+
+    @cached_property
+    def _lattice(self) -> tuple[tuple[MonoidFace, ...], dict, dict]:
+        """The faces, and the same faces indexed by active set and by ray
+        set, built together on first use.
 
         Faces are intersections of facets; each is identified by the set of
         extreme rays it contains (every face contains the lineality).  A
@@ -204,8 +209,6 @@ class LatticeMonoid:
         `exact.int_rref`, and its hull is their saturated kernel, built on
         first read.
         """
-        if self._faces is not None:
-            return self._faces
         nray = len(self.rays)
         facet_rays = [frozenset(k for k in range(nray) if exact.vec_dot(a, self.rays[k]) == 0)
                       for a in self.inequalities]
@@ -220,19 +223,16 @@ class LatticeMonoid:
             dim = self.rank - len(exact.int_rref(normals)[0])
             faces.append((dim, tuple(sorted(rs)), active, normals))
         faces.sort(key=lambda t: (t[0], t[1]))
-        self._faces = tuple(
+        faces = tuple(
             MonoidFace(index=i, ray_ids=rids, active=act, dim=d, normals=normals, rank=self.rank)
             for i, (d, rids, act, normals) in enumerate(faces)
         )
-        self._by_active = {f.active: f for f in self._faces}
-        self._by_rays = {f.ray_ids: f for f in self._faces}
-        return self._faces
+        return faces, {f.active: f for f in faces}, {f.ray_ids: f for f in faces}
 
     def face_of(self, x: Sequence[int]) -> MonoidFace:
         """Smallest face containing x; its full active set matches that of x."""
         act = self.active_set(x)
-        self.faces()
-        if (f := self._by_active.get(act)) is None:
+        if (f := self._lattice[1].get(act)) is None:
             raise NotAFace(f"no face with active set {act}")
         return f
 
@@ -250,8 +250,7 @@ class LatticeMonoid:
 
     def face_meet(self, f: MonoidFace, g: MonoidFace) -> MonoidFace:
         rs = tuple(sorted(set(f.ray_ids) & set(g.ray_ids)))
-        self.faces()
-        if (h := self._by_rays.get(rs)) is None:
+        if (h := self._lattice[2].get(rs)) is None:
             raise NotAFace("meet fell outside the computed lattice")
         return h
 

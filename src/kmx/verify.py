@@ -467,13 +467,9 @@ def check_multiplicity_oracles() -> CheckResult:
                           f"routes {'agree' if agree else 'DISAGREE'}",
                    not agree, f"{name} multiplicities")
         bad = 0
-        for wt in sorted(sl.spaces):
-            sp = sl.spaces[wt]
-            for i in range(datum.n):
-                if i not in sp.e_mat:
-                    continue
-                em, de = sp.e_mat[i]
-                usp = sl.spaces[HW._shift(datum, wt, i)]
+        for sp in sl.spaces.values():
+            for i, (em, de) in sp.e_mat.items():
+                usp = sp.up[i]
                 fm, df = usp.f_mat[i]
                 for a in range(sp.dim):
                     for b in range(usp.dim):

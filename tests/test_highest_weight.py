@@ -10,10 +10,17 @@ from kmx.cartan import (A2_ROWS, AFFINE_A1_ROWS, HYPERBOLIC_ROWS,
                         build_realization)
 from kmx.errors import (DepthExceeded, DepthTooLarge, DomainError, InternalError,
                         NotDominant, NotFactored, ZeroTorusValue)
+from kmx.toric import LatticeMonoid
 
 A2 = build_realization(A2_ROWS)
 AFF = build_realization(AFFINE_A1_ROWS)
 HYP = build_realization(HYPERBOLIC_ROWS)
+
+
+def _apply(v, i, sign):
+    """e_i v (sign 1) or f_i v (sign -1), through the engine's one step."""
+    parts, m = HW._step(v.slice, v.parts, i, sign)
+    return HW.Vector(v.slice, parts, m * v.den)
 
 
 # -- weights and multiplicities ----------------------------------------------------
@@ -61,8 +68,8 @@ def test_build_basis_examples():
     sl = HW.build_basis(A2, (1, 0), 2)
     assert sum(sl.dims().values()) == 3
     v = sl.highest_vector()
-    assert not HW._apply(v, 0, -1).is_zero()
-    assert HW._apply(v, 1, -1).is_zero()  # <f_2 v | f_2 v> = Lambda_1(h_2) = 0
+    assert not _apply(v, 0, -1).is_zero()
+    assert _apply(v, 1, -1).is_zero()  # <f_2 v | f_2 v> = Lambda_1(h_2) = 0
 
     sl = HW.build_basis(AFF, (1, 0, 0), 1)
     assert sl.dims() == {(1, 0, 0): 1, (-1, 2, 0): 1}
@@ -234,8 +241,8 @@ def test_depth_certified_zero_at_boundary():
     sl = HW.build_basis(A2, (1, 0), 2)
     low = (0, -1)
     unit = HW.Vector(sl, {low: (1,)})
-    assert HW._apply(unit, 0, -1).is_zero()
-    assert HW._apply(unit, 1, -1).is_zero()
+    assert _apply(unit, 0, -1).is_zero()
+    assert _apply(unit, 1, -1).is_zero()
 
 
 def _minus(wt, k, alpha):
@@ -359,7 +366,7 @@ def test_unipotent_radical_fixes_parabolic_submodule():
         new = []
         for v in frontier:
             for j in jset:
-                img = HW._apply(v, j, -1)
+                img = _apply(v, j, -1)
                 if not img.is_zero():
                     new.append(img)
         vecs.extend(new)
@@ -605,10 +612,22 @@ def test_integer_vectors_are_not_truncated(vec, shown):
             build()
 
 
+@pytest.mark.parametrize("size", [2.0, True, "2", Fr(2)], ids=repr)
+def test_a_size_that_is_not_an_int_is_a_domain_error(size):
+    # never a TypeError from range(), and True is not read as 1
+    for build in (lambda: HW.build_basis(A2, (1, 0), size),
+                  lambda: HW.build_basis(A2, (1, 0), 2, max_depth=size),
+                  lambda: HW.weights_and_mults(A2, (1, 0), size),
+                  lambda: HW.root_multiplicities(A2, size),
+                  lambda: LatticeMonoid([(1, 0)], size)):
+        with pytest.raises(DomainError, match=rf"{re.escape(repr(size))} is not an integer"):
+            build()
+
+
 def test_zero_vectors_compare_equal():
     # e_1 of the top vector is zero; it used to keep the source's den 3
     sl = HW.build_basis(A2, (1, 1), 2)
-    zero = HW._apply(HW.Vector(sl, {sl.hw: (1,)}, 3), 0, 1)
+    zero = _apply(HW.Vector(sl, {sl.hw: (1,)}, 3), 0, 1)
     assert zero.is_zero() and zero.den == 1
     assert zero == HW.Vector(sl, {}) == HW.Vector(sl, {sl.hw: (0,)}, 7)
     top = HW.Vector(sl, {sl.hw: (2,)}, 4)
@@ -637,24 +656,26 @@ def test_probe_pass_forms_no_gram_matrix():
     seen = []
 
     class Recording(HW.ModuleSlice):
-        def _candidates(self, lam):
+        def _build_space(self, lam, h, above):
             seen.append(lam)
-            return super()._candidates(lam)
+            return super()._build_space(lam, h, above)
 
     for datum, hw, depth in ((A2, (1, 0), 1), (AFF, (1, 0, 0), 3), (HYP, (1, 1, 1), 3)):
         seen.clear()
         sl = Recording(datum, hw, depth)
         assert all(datum.weight_height(sl.hw, lam) <= depth for lam in seen)
-        past = set()
-        for wt in sl.spaces:
-            if sl.spaces[wt].height == depth:
+        # the spaces one step past the window, each with the spaces above it
+        past: dict = {}
+        for wt, sp in sl.spaces.items():
+            if sp.height == depth:
                 for i in range(datum.n):
-                    past.add(HW._shift(datum, wt, i, -1))
-        gram_nonzero = set()
-        for lam in past:
-            found = HW.ModuleSlice._candidates(sl, lam)
-            if found is not None and any(map(any, found[2])):
-                gram_nonzero.add(lam)
+                    past.setdefault(_minus(wt, 1, datum.alpha[i]), {})[i] = sp
+        # a built space there is a nonzero Gram matrix there (int_rref
+        # selects a pivot); building it links it to the bottom layer of
+        # this throwaway slice
+        gram_nonzero = {lam for lam, above in past.items()
+                        if HW.ModuleSlice._build_space(sl, lam, depth + 1,
+                                                       dict(sorted(above.items())))}
         assert sl._nonzero_beyond == gram_nonzero
         assert sl._nonzero_beyond  # none of these modules ends inside the window
 

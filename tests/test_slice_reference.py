@@ -12,8 +12,10 @@ integer vectors of the engine must give the same theta values and
 evaluate_word matrices.
 """
 
+import gc
 import math
 import random
+import weakref
 from fractions import Fraction
 from typing import Optional
 
@@ -207,12 +209,40 @@ def test_slice_equals_greedy_reference(alg, hw_name, depth):
         assert {i: _fractions(op) for i, op in got.e_mat.items()} == sp.e_mat, wt
 
 
+@pytest.mark.parametrize("alg,hw_name,depth", SPECS,
+                         ids=[f"{a}-{h}-{d}" for a, h, d in SPECS])
+def test_each_space_keeps_its_neighbours(alg, hw_name, depth):
+    sl = _slice(HW.ModuleSlice, alg, hw_name, depth)
+    for wt, sp in sl.spaces.items():
+        assert sp.up.keys() == sp.e_mat.keys() and sp.down.keys() == sp.f_mat.keys(), wt
+        # up[i] and down[i] are the spaces at wt +- alpha_i, absent exactly
+        # when no space lies there
+        for i, a in enumerate(sl.datum.alpha):
+            for nbrs, sign in ((sp.up, 1), (sp.down, -1)):
+                nbr_wt = tuple(x + sign * y for x, y in zip(wt, a))
+                assert nbrs.get(i) is sl.spaces.get(nbr_wt), (wt, i, sign)
+    assert list(sl.order) == sorted(sl.spaces, key=lambda wt: (sl.spaces[wt].height, wt))
+
+
+def test_a_dropped_slice_is_freed_at_once():
+    # the neighbour maps are cut when the slice goes, so no space waits
+    # for the cycle collector
+    gc.disable()
+    try:
+        sl = _slice(HW.ModuleSlice, "A2^(1)", "rho", 3)
+        top = weakref.ref(sl.spaces[sl.hw])
+        del sl
+        assert top() is None
+    finally:
+        gc.enable()
+
+
 def _ref_step(sl, parts, i, sign):
     """e_i (sign 1) or f_i (sign -1) on {wt: Fraction coordinates}."""
     out = {}
     for wt, v in parts.items():
         sp = sl.spaces[wt]
-        tgt = HW._shift(sl.datum, wt, i, sign)
+        tgt = tuple(x + sign * a for x, a in zip(wt, sl.datum.alpha[i]))
         mat = (sp.e_mat if sign > 0 else sp.f_mat).get(i)
         if mat is None:
             if tgt in sl._nonzero_beyond:
@@ -344,6 +374,7 @@ def test_whole_images_equal_the_fraction_reference(alg, hw_name, depth):
 def test_non_integral_gram_entry_is_an_internal_error():
     datum = build_realization(ALGEBRAS["A2"])
     sl = HW.ModuleSlice(datum, (1, 1), 1)
-    sl.spaces[(1, 1)].gram = ((Fraction(1, 2),),)
+    top = sl.spaces[(1, 1)]
+    top.gram = ((Fraction(1, 2),),)
     with pytest.raises(InternalError):
-        sl._candidates((-1, 2))
+        sl._build_space((-1, 2), 1, {0: top})
