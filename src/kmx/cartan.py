@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from . import exact
 from .errors import (DomainError, InternalError, NotGCM, NotSpecial, NotSymmetrizable,
-                     SizeGuard)
+                     RankMismatch, SizeGuard, ZeroTorusValue)
 from .exact import IntMat, IntVec, LPProblem, RatVec
 
 if TYPE_CHECKING:
@@ -151,6 +151,17 @@ def exact_rationals(vals: Iterable, what: str) -> tuple:
     for x in vals:
         if not isinstance(x, (Fraction, int)) or isinstance(x, bool):
             raise DomainError(f"{what} {x!r} is not a Fraction or an int")
+    return vals
+
+
+def torus_values(vals: Iterable, m: int) -> tuple:
+    """The m values of a torus element as given, read by `exact_rationals`:
+    a wrong count is a RankMismatch and a zero value a ZeroTorusValue."""
+    vals = exact_rationals(vals, "torus value")
+    if len(vals) != m:
+        raise RankMismatch(f"torus element needs {m} values")
+    if 0 in vals:
+        raise ZeroTorusValue("torus values must be nonzero")
     return vals
 
 
@@ -361,6 +372,7 @@ class RootDatum:
         return self.pair(l1, sol[0])
 
     def fundamental_weight(self, i: int) -> IntVec:
+        check_index(self.m, i, "fundamental weight index")
         return tuple(1 if j == i else 0 for j in range(self.m))
 
     def coroot(self, i: int) -> IntVec:

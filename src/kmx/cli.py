@@ -122,7 +122,8 @@ def _parse_element(datum, text: str, *, face_optional: bool = False):
     "w" defaults to the empty word, "t" to the unit torus and, only when
     `face_optional`, "face" to the full cone.  A payload that is not an
     object, or a field that is missing, unknown or of the wrong kind, is a
-    DomainError naming it.
+    DomainError naming it.  The monoid that takes the torus values reads
+    their count and zeros (`cartan.torus_values`).
     """
     payload = _json(text)
     if not isinstance(payload, dict):
@@ -131,19 +132,12 @@ def _parse_element(datum, text: str, *, face_optional: bool = False):
     face = _field(payload, "face", dict, {} if face_optional else None)
     return (_parse_word(datum, _field(payload, "w", str, "")),
             _json_face(datum, face, "face."),
-            _parse_torus(datum, _field(payload, "t", list, ["1"] * datum.m)))
+            typed_numbers(_field(payload, "t", list, ["1"] * datum.m), "torus value"))
 
 
 def _parse_wmon(datum, text: str) -> MO.WmonElt:
     w, face, _ = _parse_element(datum, text)
     return MO.wm_normalize(w, face)
-
-
-def _parse_torus(datum, vals) -> MO.TorusVals:
-    t = typed_numbers(vals, "torus value")
-    if len(t) != datum.m:
-        raise DomainError(f"torus element needs {datum.m} values")
-    return t
 
 
 def _that_json(x: MO.ThatElt) -> dict:

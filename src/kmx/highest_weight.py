@@ -56,9 +56,10 @@ from operator import add, sub
 from typing import Optional, Sequence
 
 from . import exact, faces as FC, monoids as MO, weyl as W
-from .cartan import RootDatum, exact_ints, one_based, typed_numbers
+from .cartan import (RootDatum, check_index, exact_ints, exact_rationals, one_based,
+                     torus_values, typed_numbers)
 from .errors import (DepthExceeded, DepthTooLarge, DomainError, InternalError,
-                     NotDominant, NotFactored, SizeGuard, ZeroTorusValue)
+                     NotDominant, NotFactored, SizeGuard)
 from .exact import IntMat, IntVec
 from .faces import Face
 from .monoids import NhatElt, WmonElt
@@ -553,18 +554,20 @@ class GhatWord:
 
 
 def xplus(i: int, t) -> Letter:
-    return ("X+", i, Fraction(t))
+    (t,) = exact_rationals((t,), "letter parameter")
+    return ("X+", i, Fraction(t, 1))
 
 
 def xminus(i: int, t) -> Letter:
-    return ("X-", i, Fraction(t))
+    (t,) = exact_rationals((t,), "letter parameter")
+    return ("X-", i, Fraction(t, 1))
 
 
 def torus_letter(h: Sequence[int], s) -> Letter:
-    s = Fraction(s)
-    if s == 0:
-        raise ZeroTorusValue("torus parameter must be nonzero")
-    return ("T", exact_ints(h, "torus coweight coordinate"), s)
+    """T(h; s), with s read as a one-value torus element
+    (`cartan.torus_values`)."""
+    (s,) = torus_values((s,), 1)
+    return ("T", exact_ints(h, "torus coweight coordinate"), Fraction(s, 1))
 
 
 def nsimple(i: int) -> Letter:
@@ -576,16 +579,22 @@ def idem(face: Face) -> Letter:
 
 
 def apply_letter(letter: Letter, v: Vector) -> Vector:
+    """The letter applied to v.  An X+, X- or N index outside the slice's
+    datum, or a T coweight of the wrong length, is a DomainError; so is a
+    hand-built T letter whose s `cartan.torus_values` rejects."""
     sl = v.slice
     tag = letter[0]
+    if tag in ("X+", "X-", "N"):
+        check_index(sl.datum.n, letter[1])
     if tag in ("X+", "X-"):
         sign = 1 if tag == "X+" else -1
         return _exp_series(v, letter[1], sign, letter[2])
     if tag == "T":
-        h, s = letter[1], letter[2]
+        h = letter[1]
+        (s,) = torus_values((letter[2],), 1)
+        if len(h) != sl.datum.m:
+            raise DomainError(f"torus coweight needs {sl.datum.m} coordinates")
         p, q = s.numerator, s.denominator
-        if not p:  # a hand-built letter; torus_letter rejects it
-            raise ZeroTorusValue("torus parameter must be nonzero")
         pieces = {}
         for wt, coeffs in v.parts.items():
             # s^e as num / den with den > 0: (p^e, q^e) or (q^-e, p^-e)
@@ -597,7 +606,7 @@ def apply_letter(letter: Letter, v: Vector) -> Vector:
         return _from_pieces(v, pieces)
     if tag == "N":  # n_i = exp(e_i) exp(-f_i) exp(e_i)
         i = letter[1]
-        return apply_word(GhatWord((xplus(i, 1), xminus(i, -1), xplus(i, 1))), v)
+        return _exp_series(_exp_series(_exp_series(v, i, 1, 1), i, -1, -1), i, 1, 1)
     if tag == "E":
         face: Face = letter[1]
         c = face.exposing()
@@ -619,7 +628,12 @@ def word_columns(slice_: ModuleSlice, words: Sequence[GhatWord],
     None).  The words are applied to one vector before the next is taken;
     the first vector that a word leaves the window from raises
     DepthExceeded, so a caller either lets it raise or keeps the columns
-    yielded before it."""
+    yielded before it.  A `max_height` that is not a Python int, or is
+    negative, is a DomainError."""
+    if max_height is not None:
+        exact_ints((max_height,), "height")
+        if max_height < 0:
+            raise DomainError(f"height {max_height} is negative")
     for wt in slice_.order:
         sp = slice_.spaces[wt]
         if max_height is not None and sp.height > max_height:
@@ -804,6 +818,8 @@ def bruhat_cell(datum: RootDatum, word: GhatWord) -> WmonElt:
 
     for letter in word.letters:
         tag = letter[0]
+        if tag in ("X+", "X-"):
+            check_index(datum.n, letter[1])
         if tag == "X-":
             root = tuple(-1 if j == letter[1] else 0 for j in range(datum.n))
             if stage == 0:

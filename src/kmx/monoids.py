@@ -31,11 +31,12 @@ off the normals of R.  Each keeps the torus element t it was normalized
 from, and its product, its Weyl action and its value on a weight work
 through t: t agrees with the canonical values on that lattice, and every
 weight they read t on lies in it.  `toric`'s M-hat keeps its torus element
-the same way.  The public torus and normalizer helpers (`torus_mul`,
-`nelt_mul`, `nelt_inv`, ...) check their input, the values by
-`cartan.exact_rationals`; the normalizer monoid (`nhat_mul`, `nhat_inv`,
-`NhatElt.canonical`) calls their unchecked private forms on values that
-`nhat_from` checked.  A character t(lam) is `exact.character`, evaluated
+the same way.  Every torus element a caller hands in (`torus_mul`,
+`nelt_mul`, `that_normalize`, `nhat_from`, ...) is read by
+`cartan.torus_values`, and the parameter s of t_h(s) as a one-value torus
+element; the normalizer monoid (`nhat_mul`, `nhat_inv`,
+`NhatElt.canonical`) calls the unchecked private forms on values that
+`nhat_from` read.  A character t(lam) is `exact.character`, evaluated
 fraction-free.  Normalizer elements are n_w t e(R) where n_w is the
 canonical lift of a reduced word; products use the rank-one cocycle
 n_i^2 = t_{h_i}(-1).
@@ -47,8 +48,8 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import exact, faces as F, weyl as W
-from .cartan import RootDatum, exact_ints, exact_rationals
-from .errors import DomainError, InternalError, PreconditionViolated, ZeroTorusValue
+from .cartan import RootDatum, exact_ints, exact_rationals, torus_values
+from .errors import DomainError, InternalError, PreconditionViolated
 from .exact import IntVec
 from .faces import Face
 from .weyl import WeylElt
@@ -159,9 +160,10 @@ def wm_apply(x: WmonElt, weight: Sequence):
     Well-defined on congruence classes: replacing sigma by z sigma with z
     centralizing the face changes neither the membership test nor the image.
     `faces.contains` certifies the image in the Tits cone, so its verdicts
-    (NotInTitsCone / Undecided) pass through.
+    (NotInTitsCone / Undecided) pass through.  The weight is read by
+    `cartan.exact_rationals` before it is acted on.
     """
-    img = x.w.act_weight(weight)
+    img = x.w.act_weight(exact_rationals(weight, "weight coordinate"))
     if F.contains(x.face, img):
         return tuple(img)
     return ZERO
@@ -176,38 +178,23 @@ def torus_one(datum: RootDatum) -> TorusVals:
     return (Fraction(1),) * datum.m
 
 
-def _nonzero(t: TorusVals) -> TorusVals:
-    """t, once its values are rational (`exact_rationals`) and nonzero."""
-    if any(v == 0 for v in exact_rationals(t, "torus value")):
-        raise ZeroTorusValue("torus values must be nonzero")
-    return t
-
-
-def _checked_torus(datum: RootDatum, t: TorusVals) -> TorusVals:
-    """t, once it has datum.m rational values, all nonzero."""
-    if len(t) != datum.m:
-        raise DomainError(f"torus element needs {datum.m} values")
-    return _nonzero(t)
-
-
 def torus_from_coweight(datum: RootDatum, h: Sequence[int], s: Fraction) -> TorusVals:
     """t_h(s): the homomorphism lam -> s^{lam(h)}.  The coweight h has
-    datum.m Python-int coordinates; anything else is a DomainError."""
+    datum.m Python-int coordinates; anything else is a DomainError.  s is
+    read as a one-value torus element (`cartan.torus_values`)."""
     h = exact_ints(h, "torus coweight coordinate")
     if len(h) != datum.m:
         raise DomainError(f"torus coweight needs {datum.m} coordinates")
-    s = Fraction(s)
-    if s == 0:
-        raise ZeroTorusValue("torus parameter must be nonzero")
+    (s,) = torus_values((s,), 1)
+    s = Fraction(s, 1)  # an int to a negative power is a float
     return tuple(s ** y for y in h)
 
 
 def torus_mul(a: TorusVals, b: TorusVals) -> TorusVals:
-    """The product a b of two torus elements with as many values; a wrong
-    length or value type is a DomainError, a zero value a ZeroTorusValue."""
-    if len(a) != len(b):
-        raise DomainError(f"torus elements of {len(a)} and {len(b)} values")
-    return _torus_mul(_nonzero(a), _nonzero(b))
+    """The product a b of two torus elements with as many values, each read
+    by `cartan.torus_values`: b's count is read against a's."""
+    a = torus_values(a, len(a))
+    return _torus_mul(a, torus_values(b, len(a)))
 
 
 def _torus_mul(a: TorusVals, b: TorusVals) -> TorusVals:
@@ -215,10 +202,9 @@ def _torus_mul(a: TorusVals, b: TorusVals) -> TorusVals:
 
 
 def torus_inv(a: TorusVals) -> TorusVals:
-    """The inverse of a torus element, value by value, as Fractions; a
-    value type other than Fraction or int is a DomainError, a zero value a
-    ZeroTorusValue."""
-    return _torus_inv(_nonzero(a))
+    """The inverse of a torus element, value by value, as Fractions; a is
+    read by `cartan.torus_values`."""
+    return _torus_inv(torus_values(a, len(a)))
 
 
 def _torus_inv(a: TorusVals) -> TorusVals:
@@ -226,20 +212,17 @@ def _torus_inv(a: TorusVals) -> TorusVals:
 
 
 def torus_eval(t: TorusVals, weight: Sequence[int]) -> Fraction:
-    """t(lam) for an integer weight with one coordinate per value of t; a
-    coordinate that is not a Python int, a wrong length, or a value of t
-    that is not a Fraction or an int is a DomainError."""
+    """t(lam) for an integer weight: a coordinate that is not a Python int
+    is a DomainError, and t is read by `cartan.torus_values` as one value
+    per coordinate."""
     weight = exact_ints(weight, "weight coordinate")
-    if len(weight) != len(t):
-        raise DomainError(f"weight needs {len(t)} coordinates")
-    return exact.character(exact_rationals(t, "torus value"), weight)
+    return exact.character(torus_values(t, len(weight)), weight)
 
 
 def torus_act(u: WeylElt, t: TorusVals) -> TorusVals:
     """(u t)(lam) = t(u^{-1} lam) for t with one value per coordinate of
-    u's datum; a wrong length or value type is a DomainError, a zero value
-    a ZeroTorusValue."""
-    return _torus_act(u, _checked_torus(u.datum, t))
+    u's datum, read by `cartan.torus_values`."""
+    return _torus_act(u, torus_values(t, u.datum.m))
 
 
 def _torus_act(u: WeylElt, t: TorusVals) -> TorusVals:
@@ -268,7 +251,7 @@ class ThatElt:
 
 
 def that_normalize(t: TorusVals, face: Face) -> ThatElt:
-    t = tuple(_checked_torus(face.datum, t))
+    t = torus_values(t, face.datum.m)
     basis = exact.kernel_lattice_basis(face.span_normals(), face.datum.m)
     return ThatElt(face=face, basis=basis,
                    values=tuple(exact.character(t, b) for b in basis), rep=t)
@@ -317,22 +300,15 @@ def _gen_mul(i: int, v: WeylElt, t: TorusVals) -> tuple[WeylElt, TorusVals]:
     return s * v, t
 
 
-def _checked_nelt(a: NElt) -> NElt:
-    """a = (w, t), once t has one nonzero rational value per coordinate of
-    w's datum (`_checked_torus`)."""
-    w, t = a
-    return w, _checked_torus(w.datum, t)
-
-
 def nelt_mul(a: NElt, b: NElt) -> NElt:
-    """The product (n_w tau)(n_v s) = n_{wv} t.  Each torus element needs one
-    nonzero rational value per coordinate of its datum: a wrong length or
-    value type is a DomainError, a zero value a ZeroTorusValue, and factors
-    of two root data are a PreconditionViolated."""
-    a, b = _checked_nelt(a), _checked_nelt(b)
-    if a[0].datum is not b[0].datum:
+    """The product (n_w tau)(n_v s) = n_{wv} t.  Each torus element is read
+    by `cartan.torus_values` as one value per coordinate of its datum, and
+    factors of two root data are a PreconditionViolated."""
+    (w, tau), (v, s) = a, b
+    tau, s = torus_values(tau, w.datum.m), torus_values(s, v.datum.m)
+    if w.datum is not v.datum:
         raise PreconditionViolated("normalizer product of elements of two root data")
-    return _nelt_mul(a, b)
+    return _nelt_mul((w, tau), (v, s))
 
 
 def _nelt_mul(a: NElt, b: NElt) -> NElt:
@@ -352,7 +328,8 @@ def nelt_lift(w: WeylElt) -> NElt:
 def nelt_inv(a: NElt) -> NElt:
     """The inverse of n_w tau in the normalizer; the torus element is checked
     as in `nelt_mul`."""
-    return _nelt_inv(_checked_nelt(a))
+    w, tau = a
+    return _nelt_inv((w, torus_values(tau, w.datum.m)))
 
 
 def _nelt_inv(a: NElt) -> NElt:
@@ -415,7 +392,7 @@ class NhatElt:
 def nhat_from(w: WeylElt, t: Optional[TorusVals] = None,
               face: Optional[Face] = None) -> NhatElt:
     datum = w.datum
-    t = torus_one(datum) if t is None else _checked_torus(datum, t)
+    t = torus_one(datum) if t is None else torus_values(t, datum.m)
     if face is None:
         face = F.full_cone(datum)
     elif face.datum is not datum:

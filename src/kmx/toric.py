@@ -8,10 +8,11 @@ homomorphisms into the rationals with its idempotent and orbit structure.
 Every lattice here, the lineality, the equalities and each face's hull,
 is the saturated kernel of integer rows (`exact.kernel_lattice_basis`): a
 face's hull is the kernel of the equalities and its active facets.  An
-element t e(F) of the Hom monoid M-hat keeps its torus element t, as
-`monoids`' T-hat does: its values on the hull, its product (t t' on the
-meet) and its value at a point of F are all `exact.character` of t, so no
-point is written in coordinates of a hull basis.
+element t e(F) of the Hom monoid M-hat reads its torus element t by
+`cartan.torus_values` and keeps it, as `monoids`' T-hat does: its values
+on the hull, its product (t t' on the meet) and its value at a point of F
+are all `exact.character` of t, so no point is written in coordinates of a
+hull basis.
 
 Every point query reads one pass over the facet pairings (`_locate`): x
 lies in a face F iff F's active facets vanish at x, and in its relative
@@ -33,9 +34,9 @@ from operator import mul
 from typing import Optional, Sequence
 
 from . import exact
-from .cartan import exact_ints, exact_rationals
+from .cartan import exact_ints, torus_values
 from .errors import (InternalError, NotAFace, NotInMonoid, PreconditionViolated, RankMismatch,
-                     SizeGuard, ZeroTorusValue)
+                     SizeGuard)
 from .exact import IntVec
 
 RANK_GUARD = 8
@@ -306,18 +307,13 @@ class MhatElt:
 
 
 def mhat_normalize(monoid: LatticeMonoid, t: Sequence[Fraction], f: MonoidFace) -> MhatElt:
-    """t e(F) for a torus element t of `monoid.rank` nonzero values, each a
-    Fraction or an int: another value type is a DomainError, a wrong length
-    a RankMismatch and a zero value a ZeroTorusValue.  A face of another
-    monoid is a PreconditionViolated."""
+    """t e(F) for a torus element t of `monoid.rank` values, read by
+    `cartan.torus_values`.  A face of another monoid is a
+    PreconditionViolated."""
     faces = monoid.faces()
     if f.index >= len(faces) or faces[f.index] is not f:
         raise PreconditionViolated("Hom-monoid element on a face of another monoid")
-    t = exact_rationals(t, "torus value")
-    if len(t) != monoid.rank:
-        raise RankMismatch(f"torus element needs {monoid.rank} values, one per coordinate")
-    if any(v == 0 for v in t):
-        raise ZeroTorusValue("torus values must be nonzero")
+    t = torus_values(t, monoid.rank)
     return MhatElt(monoid=monoid, face_index=f.index,
                    values=tuple(exact.character(t, b) for b in f.hull), rep=t)
 

@@ -55,7 +55,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from . import exact
-from .cartan import RootDatum, check_index, exact_ints
+from .cartan import RootDatum, check_index, exact_ints, exact_rationals
 from .errors import (DomainError, InternalError, NotInTitsCone, PreconditionViolated,
                      Undecided)
 from .exact import IntMat
@@ -237,6 +237,7 @@ def identity_elt(datum: RootDatum) -> WeylElt:
 
 
 def simple(datum: RootDatum, i: int) -> WeylElt:
+    check_index(datum.n, i)
     if not hasattr(datum, "_simple_elts"):
         elts = tuple(_multiply_out(identity_elt(datum), (j,)) for j in range(datum.n))
         for j, s in enumerate(elts):
@@ -370,6 +371,8 @@ class DominantResult:
 
 def dominant_rep(datum: RootDatum, weight: Sequence, cap: int = 2000) -> DominantResult:
     """Dominant representative of a weight, with a Weyl witness w*dom = weight.
+    The weight is read by `cartan.exact_rationals`: a coordinate that is
+    not a Fraction or an int is a DomainError.
 
     Membership in the Tits cone is only semi-decidable; the loop reflects at
     the smallest negative coordinate and watches two exact negative
@@ -382,7 +385,7 @@ def dominant_rep(datum: RootDatum, weight: Sequence, cap: int = 2000) -> Dominan
     walk reached.  The walk keeps the current weight and the applied
     letters; w is multiplied out once, when it is returned.
     """
-    lam = tuple(Fraction(x) for x in weight)
+    lam = tuple(Fraction(x, 1) for x in exact_rationals(weight, "weight coordinate"))
     if len(lam) != datum.m:
         raise DomainError(f"weight needs {datum.m} coordinates")
     specials = [t for t in datum.special_sets() if t]

@@ -325,8 +325,12 @@ def test_decomposable_matrix_machinery():
     (lambda d: d.stabilizer_type((0, 1, 3)), "simple index 4 out of range 1..3"),
     (lambda d: d.coroot(-1), "coroot index 0 out of range 1..3"),  # it gave (0, 0, 0)
     (lambda d: d.coroot(3), "coroot index 4 out of range 1..3"),
+    # it gave (0, 0, 0)
+    (lambda d: d.fundamental_weight(7), "fundamental weight index 8 out of range 1..3"),
+    (lambda d: d.fundamental_weight(-1), "fundamental weight index 0 out of range 1..3"),
 ], ids=["perp-minus-one", "perp-four", "expose-six", "expose-minus-one",
-        "stabilizer-four", "coroot-minus-one", "coroot-four"])
+        "stabilizer-four", "coroot-minus-one", "coroot-four", "fundamental-eight",
+        "fundamental-minus-one"])
 def test_index_arguments_rejected_one_based_before_the_tables(call, message):
     hyp = build_realization(HYPERBOLIC_ROWS)
     with pytest.raises(DomainError, match=message):

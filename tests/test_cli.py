@@ -245,7 +245,19 @@ INPUT_ERRORS = [
      "JSON integer has 5000 characters, more than"),
     (["that-mul", "--gcm", A2, "--left", '{"face": {}, "t": ["1", "%s"]}' % ("9" * 5000),
       "--right", '{"face": {}}'], "torus value has 5000 characters, more than"),
+    # a negative height compared no column, so two different words were equal
+    (["ghat-equal", "--gcm", A2, "--word1", "X-(1;1)", "--word2", "X-(1;2)",
+      "--probes", "1,0:2:-1"], "height -1 is negative"),
 ]
+
+
+@pytest.mark.parametrize("verb", ["that-mul", "nhat-mul"])
+def test_a_wrong_length_torus_is_a_rank_mismatch(capsys, verb):
+    for t in (["2"], ["2", "1", "1"]):
+        left = json.dumps({"face": {"w": "", "theta": []}, "t": t})
+        code, out = run(capsys, [verb, "--gcm", A2, "--left", left, "--right", left])
+        assert code == 1 and json.loads(out)["error"] == {
+            "kind": "RankMismatch", "message": "torus element needs 2 values"}
 
 
 @pytest.mark.parametrize("argv,message", INPUT_ERRORS,

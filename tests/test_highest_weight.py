@@ -713,3 +713,46 @@ def test_a_hand_built_zero_torus_letter_is_a_zero_torus_value():
     sl = HW.build_basis(A2, (1, 0), 2)
     with pytest.raises(ZeroTorusValue):
         HW.apply_letter(("T", A2.coroot(0), Fr(0)), sl.highest_vector())
+    with pytest.raises(DomainError, match="torus value 0.5 is not a Fraction or an int"):
+        HW.apply_letter(("T", A2.coroot(0), 0.5), sl.highest_vector())
+
+
+def test_letter_indices_and_coweights_are_checked_against_the_datum():
+    # f_{-1} was read as a certified zero on L(Lambda_3), so theta came out 1
+    sl = HW.build_basis(HYP, (0, 0, 1), 3)
+    ok = HW.GhatWord((HW.xplus(2, 1), HW.xminus(2, 1)))
+    assert HW.theta(sl, ok) == 2
+    for i in (-1, 3):
+        word = HW.GhatWord((HW.xplus(i, 1), HW.xminus(i, 1)))
+        with pytest.raises(DomainError, match=f"simple index {i + 1} out of range 1..3"):
+            HW.theta(sl, word)
+    # xplus(5, 1) ended in IndexError; N applies X+- letters, so is checked too
+    a2 = HW.build_basis(A2, (1, 1), 2)
+    for letter in (HW.xplus(5, 1), HW.xminus(-1, 1), HW.nsimple(2)):
+        with pytest.raises(DomainError, match="out of range 1..2"):
+            HW.theta(a2, HW.GhatWord((letter,)))
+    # a short or long T coweight was zipped with each weight
+    assert HW.theta(a2, HW.GhatWord((HW.torus_letter((1, 0), 2),))) == 2
+    for h in ((1,), (1, 0, 5)):
+        with pytest.raises(DomainError, match="torus coweight needs 2 coordinates"):
+            HW.theta(a2, HW.GhatWord((HW.torus_letter(h, 2),)))
+    # bruhat_cell read N(-1) and X-(8;1) on A2 without complaint
+    full = FC.full_cone(A2)
+    for word in ((HW.nsimple(-1),), (HW.nsimple(0), HW.idem(full), HW.xminus(7, 1)),
+                 (HW.xplus(2, 1),)):
+        with pytest.raises(DomainError, match="simple index (0|3|8) out of range 1..2"):
+            HW.bruhat_cell(A2, HW.GhatWord(word))
+
+
+def test_max_height_is_read_as_a_height():
+    # "2" was a raw TypeError, 1.5 and True were read as heights, and -1
+    # compared no column, so two different words were equal on the probe
+    sl = HW.build_basis(A2, (1, 0), 2)
+    word = HW.GhatWord((HW.xminus(0, 1),))
+    for bad in ("2", 1.5, True):
+        with pytest.raises(DomainError, match=re.escape(f"height {bad!r} is not an integer")):
+            HW.evaluate_word(sl, word, max_height=bad)
+    with pytest.raises(DomainError, match="height -1 is negative"):
+        HW.probe_equal(A2, word, HW.GhatWord((HW.xminus(0, 2),)), [((1, 0), 2, -1)])
+    assert isinstance(HW.probe_equal(A2, word, HW.GhatWord((HW.xminus(0, 2),)),
+                                     [((1, 0), 2, 0)]), HW.Distinct)

@@ -1,12 +1,15 @@
 import random
+import re
 from fractions import Fraction as Fr
+from operator import attrgetter
 
 import pytest
 
-from kmx import faces as FC, monoids as MO, weyl as W
+from kmx import faces as FC, highest_weight as HW, monoids as MO, weyl as W
 from kmx.cartan import (A2_ROWS, AFFINE_A1_ROWS, HYPERBOLIC_ROWS,
-                        build_realization)
-from kmx.errors import DomainError, PreconditionViolated, ZeroTorusValue
+                        build_realization, torus_values)
+from kmx.errors import DomainError, PreconditionViolated, RankMismatch, ZeroTorusValue
+from kmx.toric import LatticeMonoid, mhat_unit
 
 A2 = build_realization(A2_ROWS)
 AFF = build_realization(AFFINE_A1_ROWS)
@@ -196,13 +199,14 @@ def test_torus_inputs_are_checked_never_truncated():
         MO.that_normalize((Fr(2), Fr(1), Fr(1)), FC.full_cone(A2))
     with pytest.raises(ZeroTorusValue):
         MO.nhat_from(W.identity_elt(A2), (Fr(0), Fr(1)))
-    # torus_eval read int(1/2) = 0 and zipped a short or long weight with t
+    # torus_eval read int(1/2) = 0 and zipped a short or long weight with
+    # t; t is read as a torus element of one value per weight coordinate
     t = (Fr(2), Fr(3))
     assert MO.torus_eval(t, (1, 2)) == 18
     with pytest.raises(DomainError, match=r"coordinate Fraction\(1, 2\) is not an integer"):
         MO.torus_eval(t, (Fr(1, 2), 0))
     for weight in ((1,), (1, 1, 5)):
-        with pytest.raises(DomainError, match="weight needs 2 coordinates"):
+        with pytest.raises(RankMismatch, match=f"torus element needs {len(weight)} values"):
             MO.torus_eval(t, weight)
     # the character reads numerators and denominators: a float torus value
     # was evaluated in floating point, then raised AttributeError
@@ -234,7 +238,7 @@ def test_torus_act_checks_its_torus():
 def test_torus_mul_checks_both_factors():
     # a short factor was zipped with the other
     assert MO.torus_mul((Fr(1, 2), 3), (2, Fr(1, 3))) == (1, 1)
-    with pytest.raises(DomainError, match="torus elements of 1 and 2 values"):
+    with pytest.raises(RankMismatch, match="torus element needs 1 values"):
         MO.torus_mul((1,), (2, 3))
     with pytest.raises(DomainError, match="is not a Fraction or an int"):
         MO.torus_mul((Fr(1), 2.0), (1, 1))
@@ -458,3 +462,85 @@ def test_that_unit_regular_and_inverse():
         xi = MO.that_normalize(tuple(1 / v for v in t), r)
         assert MO.that_mul(MO.that_mul(x, xi), x) == x
         assert MO.that_mul(MO.that_mul(xi, x), xi) == xi
+
+
+def _typed(x):
+    """x with each number paired with its type: 2 and Fraction(2) differ."""
+    if isinstance(x, tuple):
+        return tuple(_typed(y) for y in x)
+    if isinstance(x, (int, Fr)):
+        return type(x).__name__, x
+    return x
+
+
+_FULL = FC.full_cone(A2)
+_S1 = W.simple(A2, 0)
+
+# Each reader takes one tuple of caller values (a torus element, a weight
+# or a one-value parameter) and maps good values to the results below.  The
+# torus readers also reject a zero value, and those marked "count" a
+# wrong number of values.
+READERS = {
+    "torus_values": (lambda v: torus_values(v, 2), "count", {
+        (2, Fr(1, 3)): (2, Fr(1, 3))}),
+    "torus_from_coweight": (lambda v: MO.torus_from_coweight(A2, (1, -1), *v), "torus", {
+        (2,): (Fr(2), Fr(1, 2)), (Fr(2, 3),): (Fr(2, 3), Fr(3, 2))}),
+    "torus_mul": (lambda v: MO.torus_mul((2, Fr(1, 3)), v), "count", {
+        (3, 6): (6, Fr(2)), (Fr(3, 2), 3): (Fr(3), Fr(1))}),
+    "torus_inv": (MO.torus_inv, "torus", {
+        (2, -4): (Fr(1, 2), Fr(-1, 4)), (Fr(2, 3), 1): (Fr(3, 2), Fr(1))}),
+    "torus_eval": (lambda v: MO.torus_eval(v, (1, -2)), "count", {
+        (3, 2): Fr(3, 4), (3, Fr(1, 2)): Fr(12)}),
+    "torus_act": (lambda v: MO.torus_act(_S1, v), "count", {
+        (2, 3): (Fr(3, 2), Fr(3)), (Fr(1, 2), 3): (Fr(6), Fr(3))}),
+    "that_normalize": (lambda v: attrgetter("values", "rep")(MO.that_normalize(v, _FULL)),
+                       "count", {(2, 3): ((Fr(2), Fr(3)), (2, 3)),
+                                 (Fr(1, 2), 3): ((Fr(1, 2), Fr(3)), (Fr(1, 2), 3))}),
+    "nelt_mul": (lambda v: MO.nelt_mul((_S1, v), MO.nelt_lift(W.simple(A2, 1)))[1], "count", {
+        (2, 3): (Fr(2), Fr(2, 3)), (Fr(1, 2), 3): (Fr(1, 2), Fr(1, 6))}),
+    "nelt_inv": (lambda v: MO.nelt_inv((_S1, v))[1], "count", {
+        (2, 3): (Fr(-2, 3), Fr(1, 3)), (Fr(1, 2), 3): (Fr(-1, 6), Fr(1, 3))}),
+    "nhat_from": (lambda v: MO.nhat_from(_S1, v).torus, "count", {
+        (2, 3): (2, 3), (Fr(1, 2), 3): (Fr(1, 2), 3)}),
+    "mhat_unit": (lambda v: attrgetter("values", "rep")(
+        mhat_unit(LatticeMonoid([(1, 0), (0, 1)], 2), v)), "count", {
+        (2, 3): ((Fr(2), Fr(3)), (2, 3)),
+        (Fr(1, 2), 3): ((Fr(1, 2), Fr(3)), (Fr(1, 2), 3))}),
+    "dominant_rep": (lambda v: W.dominant_rep(A2, v).dominant, "rational", {
+        (-1, 2): (Fr(1), Fr(1)), (Fr(-1, 2), 1): (Fr(1, 2), Fr(1, 2))}),
+    "face_of_point": (lambda v: FC.face_of_point(A2, v) == _FULL, "rational", {
+        (1, 0): True, (Fr(1, 2), 0): True}),
+    "contains": (lambda v: FC.contains(_FULL, v), "rational", {
+        (1, 0): True, (Fr(1, 2), 1): True}),
+    "in_relative_interior": (lambda v: FC.in_relative_interior(_FULL, v), "rational", {
+        (1, 1): True, (Fr(1, 2), 0): True}),
+    "wm_apply": (lambda v: MO.wm_apply(MO.wm_unit(A2, _S1), v), "rational", {
+        (1, 0): (-1, 1), (Fr(1, 2), 0): (Fr(-1, 2), Fr(1, 2))}),
+    "xplus": (lambda v: HW.xplus(0, *v), "rational", {
+        (2,): ("X+", 0, Fr(2)), (Fr(-1, 2),): ("X+", 0, Fr(-1, 2))}),
+    "xminus": (lambda v: HW.xminus(1, *v), "rational", {
+        (2,): ("X-", 1, Fr(2)), (Fr(-1, 2),): ("X-", 1, Fr(-1, 2))}),
+    "torus_letter": (lambda v: HW.torus_letter((1, 0), *v), "torus", {
+        (2,): ("T", (1, 0), Fr(2)), (Fr(-1, 2),): ("T", (1, 0), Fr(-1, 2))}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(READERS))
+def test_each_reader_reads_exact_values_only(name):
+    # 0.1 was read as its binary fraction or a float, True as 1, and a zero
+    # torus value ended in ZeroDivisionError; int and Fraction values give
+    # what they gave, types included
+    read, kind, goods = READERS[name]
+    for good, want in goods.items():
+        assert _typed(read(good)) == _typed(want), good
+    good = next(iter(goods))
+    for bad in (0.1, True, "1", None):
+        with pytest.raises(DomainError, match=re.escape(f"{bad!r} is not a Fraction or an int")):
+            read((bad,) + good[1:])
+    if kind != "rational":
+        with pytest.raises(ZeroTorusValue):
+            read((0,) + good[1:])
+    if kind == "count":
+        for wrong in (good[:1], good + (1,)):
+            with pytest.raises(RankMismatch, match="torus element needs 2 values"):
+                read(wrong)

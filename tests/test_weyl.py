@@ -388,6 +388,10 @@ def test_from_word_rejects_out_of_range_index_one_based():
         W.from_word(A2, (0, 2))
     with pytest.raises(DomainError, match="simple index 0 out of range"):
         W.from_word(A2, (-1,))
+    # simple(A2, -1) gave s_2
+    for i, shown in ((-1, 0), (2, 3)):
+        with pytest.raises(DomainError, match=f"simple index {shown} out of range 1..2"):
+            W.simple(A2, i)
 
 
 COSET_WALKS = {
