@@ -33,6 +33,11 @@ heights below the vector it stopped at.  Fraction appears only in the
 letter parameters and in the values handed back by theta,
 matrix_coefficient, inner, evaluate_word and Distinct.
 
+One reader, `_read_letter`, decides whether a letter is valid and hands it
+back unchanged; apply_letter and bruhat_cell read every letter through it.
+bruhat_cell reads the cell of a factored word in the Weyl monoid W-hat,
+where kappa lands, so it forms no torus cocycle.
+
 A lowering f_i out of the bottom layer lands one step past the window.  Its
 target weight is marked nonzero when some candidate there has a nonzero
 e_j-image: L(hw) is irreducible, so a vector below the top that every e_j
@@ -59,7 +64,7 @@ from . import exact, faces as FC, monoids as MO, weyl as W
 from .cartan import (RootDatum, check_index, exact_ints, exact_rationals, one_based,
                      torus_values, typed_numbers)
 from .errors import (DepthExceeded, DepthTooLarge, DomainError, InternalError,
-                     NotDominant, NotFactored, SizeGuard)
+                     NotDominant, NotFactored, PreconditionViolated, SizeGuard)
 from .exact import IntMat, IntVec
 from .faces import Face
 from .monoids import NhatElt, WmonElt
@@ -149,7 +154,11 @@ def root_multiplicities(datum: RootDatum, max_height: int) -> dict[Beta, int]:
 
 def real_roots_with_witness(datum: RootDatum, max_height: int
                             ) -> dict[Beta, tuple[W.WeylElt, int]]:
-    """Real roots alpha = u(alpha_i) of |height| <= max_height, with (u, i)."""
+    """Real roots alpha = u(alpha_i) of |height| <= max_height (a Python
+    int; none below 1), with (u, i)."""
+    exact_ints((max_height,), "height")
+    if max_height < 1:
+        return {}
     out: dict[Beta, tuple[W.WeylElt, int]] = {}
     frontier: list[tuple[Beta, W.WeylElt, int]] = []
     for i in range(datum.n):
@@ -161,7 +170,7 @@ def real_roots_with_witness(datum: RootDatum, max_height: int
         for b, u, i in frontier:
             for j in range(datum.n):
                 s = W.simple(datum, j)
-                nb = tuple(int(x) for x in s.act_root(b))
+                nb = s.act_root(b)
                 if sum(abs(x) for x in nb) <= max_height and nb not in out:
                     out[nb] = (s * u, i)
                     new.append((nb, s * u, i))
@@ -578,23 +587,35 @@ def idem(face: Face) -> Letter:
     return ("E", face)
 
 
-def apply_letter(letter: Letter, v: Vector) -> Vector:
-    """The letter applied to v.  An X+, X- or N index outside the slice's
-    datum, or a T coweight of the wrong length, is a DomainError; so is a
-    hand-built T letter whose s `cartan.torus_values` rejects."""
-    sl = v.slice
+def _read_letter(datum: RootDatum, letter: Letter) -> Letter:
+    """The letter, unchanged, once checked against the datum: the one place
+    that decides whether a letter is valid.  Indices go through check_index,
+    X+- parameters through exact_rationals, a T coweight through exact_ints
+    (datum.m of them) and its s through torus_values; an unknown tag is a
+    DomainError, an E face of another datum a PreconditionViolated."""
     tag = letter[0]
     if tag in ("X+", "X-", "N"):
-        check_index(sl.datum.n, letter[1])
-    if tag in ("X+", "X-"):
-        sign = 1 if tag == "X+" else -1
-        return _exp_series(v, letter[1], sign, letter[2])
+        check_index(datum.n, letter[1])
+        if tag != "N":
+            exact_rationals((letter[2],), "letter parameter")
+    elif tag == "T":
+        if len(exact_ints(letter[1], "torus coweight coordinate")) != datum.m:
+            raise DomainError(f"torus coweight needs {datum.m} coordinates")
+        torus_values((letter[2],), 1)
+    elif tag != "E":
+        raise DomainError(f"unknown letter {letter!r}")
+    elif letter[1].datum is not datum:
+        raise PreconditionViolated("idempotent letter of a face of another root datum")
+    return letter
+
+
+def apply_letter(letter: Letter, v: Vector) -> Vector:
+    """The letter, read by `_read_letter`, applied to v."""
+    tag = _read_letter(v.slice.datum, letter)[0]
+    if tag == "X+" or tag == "X-":
+        return _exp_series(v, letter[1], 1 if tag == "X+" else -1, letter[2])
     if tag == "T":
-        h = letter[1]
-        (s,) = torus_values((letter[2],), 1)
-        if len(h) != sl.datum.m:
-            raise DomainError(f"torus coweight needs {sl.datum.m} coordinates")
-        p, q = s.numerator, s.denominator
+        h, p, q = letter[1], letter[2].numerator, letter[2].denominator
         pieces = {}
         for wt, coeffs in v.parts.items():
             # s^e as num / den with den > 0: (p^e, q^e) or (q^-e, p^-e)
@@ -607,12 +628,10 @@ def apply_letter(letter: Letter, v: Vector) -> Vector:
     if tag == "N":  # n_i = exp(e_i) exp(-f_i) exp(e_i)
         i = letter[1]
         return _exp_series(_exp_series(_exp_series(v, i, 1, 1), i, -1, -1), i, 1, 1)
-    if tag == "E":
-        face: Face = letter[1]
-        c = face.exposing()
-        return Vector(sl, {wt: coeffs for wt, coeffs in v.parts.items()
-                           if exact.vec_dot(wt, c) == 0}, v.den)
-    raise DomainError(f"unknown letter {letter!r}")
+    # E: keep the weights that the face's exposing coweight kills
+    c = letter[1].exposing()
+    return Vector(v.slice, {wt: coeffs for wt, coeffs in v.parts.items()
+                            if exact.vec_dot(wt, c) == 0}, v.den)
 
 
 def apply_word(word: GhatWord, v: Vector) -> Vector:
@@ -775,10 +794,6 @@ def nhat_letters(x: NhatElt) -> list[Letter]:
     return out
 
 
-def _root_supp(datum: RootDatum, root: Beta) -> tuple[int, ...]:
-    return tuple(i for i in range(datum.n) if root[i] != 0)
-
-
 def _absorbs(face: Face, root: Beta, side: str) -> bool:
     """Whether exp(g_root) is killed against e(face) on the given side.
 
@@ -786,17 +801,12 @@ def _absorbs(face: Face, root: Beta, side: str) -> bool:
     e(face).  The root is conjugated through the face's minimal
     representative and compared against the combinatorial absorption sets.
     """
-    datum = face.datum
-    g = tuple(int(c) for c in face.w.inv().act_root(root))
-    supp = _root_supp(datum, g)
-    theta = set(face.theta)
-    perp = set(datum.theta_perp(face.theta))
-    if set(supp) <= theta:
+    g = face.w.inv().act_root(root)
+    supp = {i for i, c in enumerate(g) if c}
+    if supp <= set(face.theta):
         return True
-    in_perp_part = set(supp) <= perp
-    if side == "left":
-        return all(c >= 0 for c in g) and not in_perp_part
-    return all(c <= 0 for c in g) and not in_perp_part
+    signed = all(c >= 0 for c in g) if side == "left" else all(c <= 0 for c in g)
+    return signed and not supp <= set(face.datum.theta_perp(face.theta))
 
 
 def bruhat_cell(datum: RootDatum, word: GhatWord) -> WmonElt:
@@ -807,58 +817,44 @@ def bruhat_cell(datum: RootDatum, word: GhatWord) -> WmonElt:
     Simple-root exponentials adjacent to an idempotent are also absorbed
     when the absorption predicate allows it.  Anything else raises
     NotFactored; a general word-to-normal-form rewriter is out of scope.
+
+    Letters are read by `_read_letter`, and the cell in W-hat through kappa:
+    N(i) is the unit s_i, E(face) the face's idempotent, T the unit.
     """
-    middle: Optional[NhatElt] = None
-    stage = 0  # 0: lowering prefix, 1: middle, 2: raising suffix
+    middle = MO.wm_unit(datum)
+    started = False  # past the lowering prefix
     pending_plus: list[Letter] = []
-
-    def fold(elt: NhatElt):
-        nonlocal middle
-        middle = elt if middle is None else MO.nhat_mul(middle, elt)
-
     for letter in word.letters:
-        tag = letter[0]
-        if tag in ("X+", "X-"):
-            check_index(datum.n, letter[1])
+        tag = _read_letter(datum, letter)[0]
         if tag == "X-":
-            root = tuple(-1 if j == letter[1] else 0 for j in range(datum.n))
-            if stage == 0:
+            if not started:
                 continue  # part of the lowering prefix; irrelevant for the cell
-            if stage == 1 and not pending_plus and middle is not None \
-                    and _absorbs(middle.face, root, side="right"):
+            # middle is e(F) n_sigma = n_sigma e(sigma^-1 F): its right face
+            root = tuple(-1 if j == letter[1] else 0 for j in range(datum.n))
+            if not pending_plus and _absorbs(FC.act_face(middle.w.inv(), middle.face),
+                                             root, side="right"):
                 continue
             raise NotFactored("lowering letter after the normalizer block")
         if tag == "X+":
-            stage = max(stage, 1)
+            started = True
             pending_plus.append(letter)
             continue
-        # normalizer letters: N / T / E
         if tag == "T":
             # torus letters commute across exponentials (rescaling their
-            # parameters, which never affects the cell) and die in the
-            # T-quotient, so they fold from any position
-            fold(MO.nhat_from(W.identity_elt(datum),
-                              MO.torus_from_coweight(datum, letter[1], letter[2])))
+            # parameters) and are the unit of W-hat: they drop out anywhere
             continue
         if pending_plus:
             if tag != "E":
                 raise NotFactored("raising letters blocked before a non-idempotent")
-            face: Face = letter[1]
             for pl in pending_plus:
                 root = tuple(1 if j == pl[1] else 0 for j in range(datum.n))
-                if not _absorbs(face, root, side="left"):
+                if not _absorbs(letter[1], root, side="left"):
                     raise NotFactored("raising letter does not absorb into the idempotent")
             pending_plus = []
-        stage = 1
-        if tag == "N":
-            fold(MO.nhat_from(W.simple(datum, letter[1])))
-        elif tag == "E":
-            fold(MO.nhat_idempotent(letter[1]))
-        else:
-            raise DomainError(f"unknown letter {letter!r}")
-    if middle is None:
-        return MO.wm_unit(datum)
-    return MO.nhat_to_wmon(middle)
+        started = True
+        middle = MO.wm_mul(middle, MO.wm_unit(datum, W.simple(datum, letter[1]))
+                           if tag == "N" else MO.wm_idempotent(letter[1]))
+    return middle
 
 
 # -- word syntax --------------------------------------------------------------------

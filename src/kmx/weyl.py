@@ -383,8 +383,11 @@ def dominant_rep(datum: RootDatum, weight: Sequence, cap: int = 2000) -> Dominan
     Raises NotInTitsCone with the certificate, or Undecided(cap) if the
     budget runs out without a verdict; its .weight is the last weight the
     walk reached.  The walk keeps the current weight and the applied
-    letters; w is multiplied out once, when it is returned.
+    letters; w is multiplied out once, when it is returned.  A cap (step
+    budget) that is not a Python int, or is negative, is a DomainError.
     """
+    if exact_ints((cap,), "step budget")[0] < 0:
+        raise DomainError(f"step budget {cap} is negative")
     lam = tuple(Fraction(x, 1) for x in exact_rationals(weight, "weight coordinate"))
     if len(lam) != datum.m:
         raise DomainError(f"weight needs {datum.m} coordinates")

@@ -28,13 +28,20 @@ in that basis (`lattice_coords`, one rational solve).  Beside them,
 `toric_faces` builds a lattice monoid's face list the way the package did
 before each face's dimension came from one elimination: one Smith normal
 form per face, the faces sorted by (hull size, ray set).
+
+At the end sits the cell of a factored word as the package read it before
+it multiplied in the Weyl monoid: `bruhat_cell` folds the normalizer
+letters in N-hat, torus letters and their cocycles included, and sends the
+product to W-hat by kappa at the end; a lowering letter after the block is
+tested against the N-hat product's own face.
 """
 
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from kmx.cartan import RootDatum
-from kmx.errors import InternalError
+from kmx import monoids as MO, weyl as W
+from kmx.cartan import RootDatum, check_index
+from kmx.errors import DomainError, InternalError, NotFactored
 from kmx.exact import IntVec, RatVec, identity, int_mat, mat_vec, primitive, smith_normal_form
 from kmx import highest_weight as HW
 from kmx.highest_weight import Beta, _compositions
@@ -479,3 +486,68 @@ def toric_faces(m) -> list[tuple[int, tuple[int, ...], tuple[int, ...], tuple[In
         faces.append((len(hull), tuple(sorted(rs)), active, hull))
     faces.sort(key=lambda t: (t[0], t[1]))
     return faces
+
+
+def _absorbs(face, root: Beta, side: str) -> bool:
+    """Whether exp(g_root) is killed against e(face) on the given side."""
+    datum = face.datum
+    g = tuple(int(c) for c in face.w.inv().act_root(root))
+    supp = tuple(i for i in range(datum.n) if g[i] != 0)
+    theta = set(face.theta)
+    perp = set(datum.theta_perp(face.theta))
+    if set(supp) <= theta:
+        return True
+    in_perp_part = set(supp) <= perp
+    if side == "left":
+        return all(c >= 0 for c in g) and not in_perp_part
+    return all(c <= 0 for c in g) and not in_perp_part
+
+
+def bruhat_cell(datum: RootDatum, word):
+    """The Weyl-monoid class of a factored word, folded in N-hat."""
+    middle = None
+    stage = 0  # 0: lowering prefix, 1: middle
+    pending_plus = []
+
+    def fold(elt):
+        nonlocal middle
+        middle = elt if middle is None else MO.nhat_mul(middle, elt)
+
+    for letter in word.letters:
+        tag = letter[0]
+        if tag in ("X+", "X-"):
+            check_index(datum.n, letter[1])
+        if tag == "X-":
+            root = tuple(-1 if j == letter[1] else 0 for j in range(datum.n))
+            if stage == 0:
+                continue
+            if stage == 1 and not pending_plus and middle is not None \
+                    and _absorbs(middle.face, root, side="right"):
+                continue
+            raise NotFactored("lowering letter after the normalizer block")
+        if tag == "X+":
+            stage = 1
+            pending_plus.append(letter)
+            continue
+        if tag == "T":
+            fold(MO.nhat_from(W.identity_elt(datum),
+                              MO.torus_from_coweight(datum, letter[1], letter[2])))
+            continue
+        if pending_plus:
+            if tag != "E":
+                raise NotFactored("raising letters blocked before a non-idempotent")
+            for pl in pending_plus:
+                root = tuple(1 if j == pl[1] else 0 for j in range(datum.n))
+                if not _absorbs(letter[1], root, side="left"):
+                    raise NotFactored("raising letter does not absorb into the idempotent")
+            pending_plus = []
+        stage = 1
+        if tag == "N":
+            fold(MO.nhat_from(W.simple(datum, letter[1])))
+        elif tag == "E":
+            fold(MO.nhat_idempotent(letter[1]))
+        else:
+            raise DomainError(f"unknown letter {letter!r}")
+    if middle is None:
+        return MO.wm_unit(datum)
+    return MO.nhat_to_wmon(middle)

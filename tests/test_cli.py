@@ -248,6 +248,10 @@ INPUT_ERRORS = [
     # a negative height compared no column, so two different words were equal
     (["ghat-equal", "--gcm", A2, "--word1", "X-(1;1)", "--word2", "X-(1;2)",
       "--probes", "1,0:2:-1"], "height -1 is negative"),
+    # a negative cap answered Undecided for a weight already dominant
+    (["dominant", "--gcm", A2, "--weight", "1,0", "--cap", "-1"], "step budget -1 is negative"),
+    (["face-of-point", "--gcm", A2, "--weight", "1,0", "--cap", "-5"],
+     "step budget -5 is negative"),
 ]
 
 

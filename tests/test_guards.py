@@ -45,6 +45,51 @@ def test_offence_finder_sees_each_kind():
         "assert", "float literal 0.5", "float( call", "float literal 2j"]
 
 
+_LETTER_CHECKERS = {"check_index", "exact_rationals", "exact_ints", "torus_values"}
+
+
+def _own_letter_checks(func):
+    """The checker calls and unknown-letter raises in a function's body."""
+    found = []
+    for node in ast.walk(func):
+        if isinstance(node, ast.Call):
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            if name in _LETTER_CHECKERS:
+                found.append(f"{name} call")
+        if isinstance(node, ast.Raise) and node.exc is not None and any(
+                isinstance(c, ast.Constant) and isinstance(c.value, str)
+                and "unknown letter" in c.value for c in ast.walk(node.exc)):
+            found.append("unknown-letter raise")
+    return found
+
+
+def test_word_entries_check_no_letter_themselves():
+    # highest_weight._read_letter is the one place that decides whether a
+    # letter is valid; apply_letter and bruhat_cell read every letter
+    # through it and keep no check of their own
+    tree = ast.parse((Path(kmx.__file__).parent / "highest_weight.py").read_text())
+    funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    for name in ("apply_letter", "bruhat_cell"):
+        assert _own_letter_checks(funcs[name]) == [], name
+        assert "_read_letter" in {n.id for n in ast.walk(funcs[name]) if isinstance(n, ast.Name)}
+    assert _own_letter_checks(funcs["_read_letter"])
+
+
+def test_letter_check_finder_sees_each_kind():
+    tree = ast.parse("def f(letter):\n"
+                     "    check_index(2, letter[1])\n"
+                     "    C.exact_rationals((letter[2],), 'p')\n"
+                     "    exact_ints(letter[1], 'h')\n"
+                     "    torus_values((letter[2],), 1)\n"
+                     "    raise DomainError(f'unknown letter {letter!r}')\n"
+                     "    raise DomainError('bad index')\n"
+                     "    _read_letter(datum, letter)\n")
+    assert sorted(_own_letter_checks(tree.body[0])) == [
+        "check_index call", "exact_ints call", "exact_rationals call",
+        "torus_values call", "unknown-letter raise"]
+
+
 def test_no_value_error_for_user_input():
     # bad input is a DomainError: no module raises a bare ValueError but
     # exact.py, whose ValueErrors are its documented contract for matrix

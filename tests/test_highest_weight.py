@@ -9,7 +9,7 @@ from kmx import faces as FC, highest_weight as HW, monoids as MO, weyl as W
 from kmx.cartan import (A2_ROWS, AFFINE_A1_ROWS, HYPERBOLIC_ROWS,
                         build_realization)
 from kmx.errors import (DepthExceeded, DepthTooLarge, DomainError, InternalError,
-                        NotDominant, NotFactored, ZeroTorusValue)
+                        NotDominant, NotFactored, PreconditionViolated, ZeroTorusValue)
 from kmx.toric import LatticeMonoid
 
 A2 = build_realization(A2_ROWS)
@@ -42,6 +42,18 @@ def test_real_roots_mult_one_spot_check():
     for b in roots:
         if all(c >= 0 for c in b):
             assert rm.get(b) == 1, b
+
+
+def test_real_roots_keep_their_height_bound():
+    # heights 0 and -3 both gave the two simple roots, and 1.5 was accepted
+    assert HW.real_roots_with_witness(A2, 0) == {}
+    assert HW.real_roots_with_witness(A2, -3) == {}
+    assert set(HW.real_roots_with_witness(A2, 1)) == {(1, 0), (0, 1), (-1, 0), (0, -1)}
+    assert set(HW.real_roots_with_witness(A2, 2)) == {
+        (1, 0), (0, 1), (1, 1), (-1, 0), (0, -1), (-1, -1)}
+    for bad in (1.5, "2", True):
+        with pytest.raises(DomainError, match=re.escape(f"height {bad!r} is not an integer")):
+            HW.real_roots_with_witness(A2, bad)
 
 
 def test_weights_and_mults_examples():
@@ -756,3 +768,119 @@ def test_max_height_is_read_as_a_height():
         HW.probe_equal(A2, word, HW.GhatWord((HW.xminus(0, 2),)), [((1, 0), 2, -1)])
     assert isinstance(HW.probe_equal(A2, word, HW.GhatWord((HW.xminus(0, 2),)),
                                      [((1, 0), 2, 0)]), HW.Distinct)
+
+
+# -- one reader per letter -------------------------------------------------------
+
+_FUND = HW.build_basis(A2, (1, 0), 3)  # the whole 3-dim module: no word leaves it
+_FOREIGN = FC.standard_face(HYP, (0, 1))
+
+# each public entry that reads words, applied to a word on A2
+WORD_ENTRIES = {
+    "apply_letter": lambda w: HW.apply_letter(w.letters[0], _FUND.highest_vector()),
+    "apply_word": lambda w: HW.apply_word(w, _FUND.highest_vector()),
+    "theta": lambda w: HW.theta(_FUND, w),
+    "evaluate_word": lambda w: HW.evaluate_word(_FUND, w),
+    "word_columns": lambda w: list(HW.word_columns(_FUND, (w,))),
+    "probe_equal": lambda w: HW.probe_equal(A2, w, w, [((1, 0), 3)]),
+    "bruhat_cell": lambda w: HW.bruhat_cell(A2, w),
+}
+
+BAD_LETTERS = [
+    (("X+", 0, 0.5), DomainError, "letter parameter 0.5 is not a Fraction or an int"),
+    (("X-", 1, 0.5), DomainError, "letter parameter 0.5 is not a Fraction or an int"),
+    (("X+", 1, True), DomainError, "letter parameter True is not a Fraction or an int"),
+    (("X-", 0, True), DomainError, "letter parameter True is not a Fraction or an int"),
+    (("T", (1, 0.5), 2), DomainError, "torus coweight coordinate 0.5 is not an integer"),
+    (("E", _FOREIGN), PreconditionViolated, "face of another root datum"),
+    (("Q", 0), DomainError, "unknown letter"),
+]
+
+
+@pytest.mark.parametrize("entry", sorted(WORD_ENTRIES))
+def test_every_word_entry_reads_hand_built_letters_through_the_one_reader(entry):
+    # a float X+- parameter ended in a raw AttributeError, and an E letter on
+    # a rank-3 face gave theta 0 on A2 and a bruhat_cell class on that face
+    run = WORD_ENTRIES[entry]
+    for letter, error, message in BAD_LETTERS:
+        with pytest.raises(error, match=re.escape(message)):
+            run(HW.GhatWord((letter,)))
+    # a valid hand-built letter with an int parameter acts as the constructor's
+    # letter, whose parameter is a Fraction
+    for hand, built in ((("X+", 0, 1), HW.xplus(0, 1)), (("X-", 1, -2), HW.xminus(1, -2)),
+                        (("T", (1, 0), 2), HW.torus_letter((1, 0), 2))):
+        assert run(HW.GhatWord((hand,))) == run(HW.GhatWord((built,))), hand
+
+
+def _factored_word(datum, rng, faces):
+    """A seeded word in factored shape: a lowering prefix, normalizer letters
+    (N, T, E), raising letters and lowering letters in the middle, some of
+    them on the idempotent's own simple roots so that they absorb, and a
+    raising suffix.  A lift after an idempotent makes the right face of the
+    product differ from its left face.  Many of these words are not
+    factored."""
+    n = datum.n
+    letters = [HW.xminus(rng.randrange(n), rng.choice((1, -2)))
+               for _ in range(rng.randrange(3))]
+    theta = ()  # the last idempotent's type: its simple roots absorb
+    for _ in range(rng.randrange(1, 6)):
+        kind = rng.randrange(7)
+        j = rng.choice(theta) if theta and rng.randrange(3) else rng.randrange(n)
+        if kind == 0:
+            letters.append(HW.nsimple(rng.randrange(n)))
+        elif kind == 1:
+            letters.append(HW.torus_letter(datum.coroot(rng.randrange(datum.m)),
+                                           rng.choice((2, Fr(-1, 3)))))
+        elif kind == 2:
+            face = rng.choice(faces)
+            theta = face.theta
+            letters.append(HW.idem(face))
+        elif kind == 3:
+            face = rng.choice(faces)
+            if face.theta and rng.randrange(2):
+                j = rng.choice(face.theta)
+            theta = face.theta
+            letters += [HW.xplus(j, 1), HW.idem(face)]
+        elif kind == 4:
+            letters.append(HW.xminus(j, Fr(3, 2)))
+        elif kind == 5:
+            letters.append(HW.xplus(j, -1))
+        else:  # the idempotent, then a lift that moves its right face
+            face = rng.choice(faces)
+            theta = face.theta
+            letters += [HW.idem(face), HW.nsimple(rng.randrange(n)),
+                        HW.xminus(rng.randrange(n), 1)]
+    letters += [HW.xplus(rng.randrange(n), 2) for _ in range(rng.randrange(3))]
+    return HW.GhatWord(tuple(letters))
+
+
+@pytest.mark.parametrize("name", ["A2", "affine-A1", "hyperbolic-3", "D8++"])
+def test_bruhat_cell_in_the_weyl_monoid_matches_the_nhat_fold(name):
+    from test_weyl import KERNEL_DATA
+
+    datum = {"A2": A2, "affine-A1": AFF}.get(name) or KERNEL_DATA[name]
+    rng = random.Random(24)
+    # A2 has no face but the full cone, so no lowering letter absorbs there
+    specials = datum.special_sets()
+    faces = [FC.normalize_face(W.from_word(datum, [rng.randrange(datum.n)
+                                                   for _ in range(rng.randrange(3))]),
+                               rng.choice(specials)) for _ in range(8)]
+    faces += [FC.standard_face(datum, t) for t in specials[:4]]
+    seen = {"cell": 0, "absorbed": 0, "not factored": 0}
+    for _ in range(300):
+        word = _factored_word(datum, rng, faces)
+        try:
+            want = ref.bruhat_cell(datum, word)
+        except NotFactored:
+            with pytest.raises(NotFactored):
+                HW.bruhat_cell(datum, word)
+            seen["not factored"] += 1
+            continue
+        assert HW.bruhat_cell(datum, word) == want, word
+        seen["cell"] += 1
+        tags = [letter[0] for letter in word.letters]
+        started = next((k for k, t in enumerate(tags) if t != "X-" and t != "T"), len(tags))
+        if "X-" in tags[started:]:
+            seen["absorbed"] += 1
+    assert seen["cell"] >= 15 and seen["not factored"] >= 15, seen
+    assert seen["absorbed"] >= (15 if len(specials) > 1 else 0), seen

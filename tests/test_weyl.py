@@ -196,6 +196,26 @@ def test_undecided_says_how_far_the_walk_got():
     assert Undecided(5).weight is None
 
 
+def test_the_cap_is_read_as_a_step_budget():
+    # a negative cap answered Undecided for a weight already dominant, 1.5
+    # and "3" were raw TypeErrors and True was read as 1
+    face = F.standard_face(HYP, (0, 1))
+    reads = [lambda cap: W.dominant_rep(A2, (1, 0), cap=cap),
+             lambda cap: F.face_of_point(A2, (1, 0), cap=cap),
+             lambda cap: F.contains(face, (0, 0, 1), cap=cap),
+             lambda cap: F.in_relative_interior(face, (0, 0, 1), cap=cap),
+             lambda cap: F.face_predicates(face, weight=(0, 0, 1), cap=cap)]
+    for read in reads:
+        for cap in (-1, -5):
+            with pytest.raises(DomainError, match=f"step budget {cap} is negative"):
+                read(cap)
+        for cap in (1.5, "3", True):
+            with pytest.raises(DomainError, match=f"step budget {cap!r} is not an integer"):
+                read(cap)
+    assert W.dominant_rep(A2, (1, 0), cap=0).dominant == (1, 0)
+    assert F.contains(face, (0, 0, 1), cap=0)
+
+
 def test_not_in_cone_negative_lightcone():
     # the opposite lightcone component pairs negatively with the full-support
     # exposing coweight at once
