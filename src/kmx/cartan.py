@@ -5,7 +5,10 @@ trichotomy, special subsets, exposing coweights, and the canonical
 realization on dual lattices of rank 2n - l.
 
 Index convention: 0-based everywhere inside the library; the CLI shifts to
-1-based for user-facing text.
+1-based for user-facing text.  A library index is a Python int in 0..n-1,
+read by `check_index`; a node subset is read by `index_set`, which reads
+each of its indices by `check_index` and returns the subset sorted without
+repeats.
 """
 
 from __future__ import annotations
@@ -89,9 +92,20 @@ def _components(a: IntMat, subset: Sequence[int]) -> list[tuple[int, ...]]:
 
 
 def check_index(n: int, i: int, what: str = "simple index") -> None:
-    """A 0-based index outside 0..n-1 is a DomainError naming it 1-based."""
-    if not 0 <= i < n:
+    """A 0-based index that is not a Python int (a bool, float, str), or is
+    outside 0..n-1 (named 1-based), is a DomainError."""
+    if type(i) is not int or not 0 <= i < n:
+        exact_ints((i,), what)
         raise DomainError(f"{what} {i + 1} out of range 1..{n}")
+
+
+def index_set(n: int, idx: Iterable, what: str = "simple index") -> tuple[int, ...]:
+    """The subset idx of 0..n-1 sorted without repeats, each index read by
+    `check_index` before any two meet in a set (set((1, True)) is {1})."""
+    idx = tuple(idx)
+    for i in idx:
+        check_index(n, i, what)
+    return tuple(sorted(set(idx)))
 
 
 def one_based(n: int, toks: Iterable, what: str = "simple index") -> tuple[int, ...]:
@@ -233,7 +247,7 @@ def _component_type_cached(gcm: GCM, comp: tuple[int, ...]) -> ComponentType:
 
 def component_type(gcm: GCM, comp: Sequence[int]) -> ComponentType:
     """LP trichotomy for one indecomposable principal submatrix."""
-    return _component_type_cached(gcm, tuple(sorted(comp)))
+    return _component_type_cached(gcm, index_set(gcm.n, comp))
 
 
 @dataclass(frozen=True)
@@ -258,16 +272,13 @@ def _classify_cached(gcm: GCM, idx: tuple[int, ...]) -> Classification:
 
 
 def classify(gcm: GCM, subset: Optional[Sequence[int]] = None) -> Classification:
-    """Classify the components of A restricted to a subset of indices."""
-    idx = tuple(sorted(range(gcm.n) if subset is None else subset))
-    return _classify_cached(gcm, idx)
+    """Classify the components of A restricted to a subset (None: all) of indices."""
+    return _classify_cached(gcm, index_set(gcm.n, range(gcm.n) if subset is None else subset))
 
 
 def is_special(gcm: GCM, theta: Iterable[int]) -> bool:
-    t = tuple(sorted(set(theta)))
-    if not t:
-        return True
-    return classify(gcm, t).theta0 == ()
+    t = index_set(gcm.n, theta)
+    return not t or _classify_cached(gcm, t).theta0 == ()
 
 
 def special_sets(gcm: GCM) -> tuple[tuple[int, ...], ...]:
@@ -404,15 +415,8 @@ class RootDatum:
             self._special = special_sets(self.gcm)
         return self._special
 
-    def _theta_key(self, theta: Iterable[int]) -> tuple[int, ...]:
-        """Theta sorted without repeats, every index checked to lie in 0..n-1."""
-        key = tuple(sorted(set(theta)))
-        for i in key[:1] + key[-1:]:  # sorted: the ends are the extremes
-            check_index(self.n, i)
-        return key
-
     def theta_perp(self, theta: Sequence[int]) -> tuple[int, ...]:
-        key = self._theta_key(theta)
+        key = index_set(self.n, theta)
         if key not in self._perp:
             self._perp[key] = tuple(
                 i for i in range(self.n)
@@ -424,7 +428,7 @@ class RootDatum:
         """Theta u Theta^perp, sorted, for a special Theta: the type of the
         parabolic subgroup that stabilizes the standard face of type Theta.
         A Theta that is not special raises NotSpecial."""
-        key = self._theta_key(theta)
+        key = index_set(self.n, theta)
         stab = self._stab.get(key)
         if stab is None:
             if not is_special(self.gcm, key):
@@ -444,7 +448,7 @@ class RootDatum:
         Any valid certificate defines the same face; canonicality is only
         for reproducibility.
         """
-        key = self._theta_key(theta)
+        key = index_set(self.n, theta)
         if key in self._ctheta:
             return self._ctheta[key]
         if not is_special(self.gcm, key):

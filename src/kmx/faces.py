@@ -7,8 +7,8 @@ every query is normal-form local.
 
 Normalizing strips the right descents in the stabilizer type
 Theta u Theta^perp, which the root datum keeps in a table per special Theta
-(`RootDatum.stabilizer_type`); an index of Theta outside 0..n-1 is a
-DomainError, checked before the table is read.
+(`RootDatum.stabilizer_type`); Theta is read by `cartan.index_set` before
+the table is read.
 
 Intersection realizes faces as exposed faces: each face is the zero set on
 the Tits cone of an integer coweight (a Weyl image of an exposing coweight),
@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from . import weyl as W
-from .cartan import RootDatum, classify, one_based
+from .cartan import RootDatum, classify, index_set, one_based
 from .errors import DomainError
 from .exact import IntVec, vec_add
 from .weyl import WeylElt, antidominant_coweight, dominant_rep
@@ -86,9 +86,9 @@ def _face(rep: WeylElt, key: tuple[int, ...]) -> Face:
 
 
 def normalize_face(w: WeylElt, theta: Sequence[int]) -> Face:
-    """The face w R(Theta) in normal form.  An index of Theta outside
-    0..n-1 is a DomainError, a Theta that is not special NotSpecial."""
-    key = tuple(sorted(set(theta)))
+    """The face w R(Theta) in normal form, Theta read by `index_set`; a
+    Theta that is not special is NotSpecial."""
+    key = index_set(w.datum.n, theta)
     return _face(W._strip_right(w, w.datum.stabilizer_type(key))[0], key)
 
 

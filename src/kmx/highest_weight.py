@@ -552,6 +552,7 @@ def _exp_series(v: Vector, i: int, sign: int, t: Fraction) -> Vector:
 
 # letters: ("X+", i, t) ("X-", i, t) ("T", coweight, s) ("N", i) ("E", Face)
 Letter = tuple
+_FIELDS = {"X+": 3, "X-": 3, "T": 3, "N": 2, "E": 2}
 
 
 @dataclass(frozen=True)
@@ -591,9 +592,14 @@ def _read_letter(datum: RootDatum, letter: Letter) -> Letter:
     """The letter, unchanged, once checked against the datum: the one place
     that decides whether a letter is valid.  Indices go through check_index,
     X+- parameters through exact_rationals, a T coweight through exact_ints
-    (datum.m of them) and its s through torus_values; an unknown tag is a
-    DomainError, an E face of another datum a PreconditionViolated."""
-    tag = letter[0]
+    (datum.m of them) and its s through torus_values; an unknown tag, a
+    wrong field count or an E letter without a Face is a DomainError, an E
+    face of another datum a PreconditionViolated."""
+    tag = letter[0] if isinstance(letter, tuple) and letter else None
+    if type(tag) is not str or tag not in _FIELDS:
+        raise DomainError(f"unknown letter {letter!r}")
+    if len(letter) != _FIELDS[tag]:
+        raise DomainError(f"{tag} letter needs {_FIELDS[tag]} fields, not {len(letter)}")
     if tag in ("X+", "X-", "N"):
         check_index(datum.n, letter[1])
         if tag != "N":
@@ -602,8 +608,8 @@ def _read_letter(datum: RootDatum, letter: Letter) -> Letter:
         if len(exact_ints(letter[1], "torus coweight coordinate")) != datum.m:
             raise DomainError(f"torus coweight needs {datum.m} coordinates")
         torus_values((letter[2],), 1)
-    elif tag != "E":
-        raise DomainError(f"unknown letter {letter!r}")
+    elif not isinstance(letter[1], FC.Face):
+        raise DomainError(f"idempotent letter on {letter[1]!r}, not on a Face")
     elif letter[1].datum is not datum:
         raise PreconditionViolated("idempotent letter of a face of another root datum")
     return letter

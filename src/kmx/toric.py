@@ -22,7 +22,8 @@ it ends at the first negative pairing.  The face lattice is built once,
 with indexes by active set and by ray set, so `face_of` and `face_meet` are
 lookups.  A face's dimension comes from one elimination of its normals
 (`exact.int_rref`); its hull, one Smith normal form, is built when it is
-first read.
+first read.  Every query that takes a face reads it through one check
+(`LatticeMonoid._own`): a face of another monoid is a PreconditionViolated.
 """
 
 from __future__ import annotations
@@ -237,9 +238,18 @@ class LatticeMonoid:
             raise NotAFace(f"no face with active set {act}")
         return f
 
+    def _own(self, f: MonoidFace) -> MonoidFace:
+        """f, once checked to be a face of this monoid: a face of another
+        monoid is a PreconditionViolated."""
+        faces = self.faces()
+        if f.index >= len(faces) or faces[f.index] is not f:
+            raise PreconditionViolated("face of another monoid")
+        return f
+
     def face_contains(self, f: MonoidFace, x: Sequence[int]) -> bool:
         """x lies in f: a saturated monoid meets the zero set of f's active
         facets exactly in f, so no test against the hull lattice is needed."""
+        self._own(f)
         act = self._locate(x)
         return act is not None and set(f.active).issubset(act)
 
@@ -247,10 +257,10 @@ class LatticeMonoid:
         return self.faces()[-1]
 
     def face_leq(self, f: MonoidFace, g: MonoidFace) -> bool:
-        return set(f.ray_ids) <= set(g.ray_ids)
+        return set(self._own(f).ray_ids) <= set(self._own(g).ray_ids)
 
     def face_meet(self, f: MonoidFace, g: MonoidFace) -> MonoidFace:
-        rs = tuple(sorted(set(f.ray_ids) & set(g.ray_ids)))
+        rs = tuple(sorted(set(self._own(f).ray_ids) & set(self._own(g).ray_ids)))
         if (h := self._lattice[2].get(rs)) is None:
             raise NotAFace("meet fell outside the computed lattice")
         return h
@@ -262,12 +272,12 @@ class LatticeMonoid:
 
     def relative_interior_contains(self, f: MonoidFace, x: Sequence[int]) -> bool:
         """In f but in no proper subface: active sets coincide."""
-        return self._locate(x) == f.active
+        return self._locate(x) == self._own(f).active
 
     def dual_face(self, f: MonoidFace) -> "LatticeMonoid":
         """The monoid M - F, generated by M and the negated hull of F."""
         gens = list(self.generators)
-        for v in f.hull:
+        for v in self._own(f).hull:
             gens.append(v)
             gens.append(tuple(-x for x in v))
         return LatticeMonoid(gens, self.rank)
@@ -310,9 +320,7 @@ def mhat_normalize(monoid: LatticeMonoid, t: Sequence[Fraction], f: MonoidFace) 
     """t e(F) for a torus element t of `monoid.rank` values, read by
     `cartan.torus_values`.  A face of another monoid is a
     PreconditionViolated."""
-    faces = monoid.faces()
-    if f.index >= len(faces) or faces[f.index] is not f:
-        raise PreconditionViolated("Hom-monoid element on a face of another monoid")
+    monoid._own(f)
     t = torus_values(t, monoid.rank)
     return MhatElt(monoid=monoid, face_index=f.index,
                    values=tuple(exact.character(t, b) for b in f.hull), rep=t)

@@ -55,7 +55,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from . import exact
-from .cartan import RootDatum, check_index, exact_ints, exact_rationals
+from .cartan import RootDatum, check_index, exact_ints, exact_rationals, index_set
 from .errors import (DomainError, InternalError, NotInTitsCone, PreconditionViolated,
                      Undecided)
 from .exact import IntMat
@@ -165,10 +165,12 @@ class WeylElt:
 
     def right_descent(self, i: int) -> bool:
         """True iff w(alpha_i) is a negative root, i.e. (P^{-1} rho)_i < 0."""
+        check_index(self.datum.n, i)
         return sum(self.mat_p_inv[i]) < 0
 
     def left_descent(self, i: int) -> bool:
         """True iff w^{-1}(alpha_i) is a negative root, i.e. (P rho)_i < 0."""
+        check_index(self.datum.n, i)
         return sum(self.mat_p[i]) < 0
 
     def right_descents(self) -> tuple[int, ...]:
@@ -296,8 +298,9 @@ def from_word(datum: RootDatum, word: Iterable[int]) -> WeylElt:
 def _strip_right(w: WeylElt, j: Sequence[int]) -> tuple[WeylElt, list[int]]:
     """The descent walk: w' = w s_{i1} ... s_{ik}, stripping the smallest
     right descent in J at each step until none is left, and the stripped
-    indices i1, ..., ik as a fresh list.  Every index of J is checked first.
-    The walk is kept in w's memo under J.
+    indices i1, ..., ik as a fresh list.  The walk is kept in w's memo under
+    J as given, and J is read by `index_set` on a miss only: a float or bool
+    J equal to an int J already walked gets that walk, the int's answer.
 
     The walk reads the right descents of the current element from the one
     vector v = w^{-1} rho (i is a descent iff v_i < 0), which a step with s_i
@@ -306,11 +309,8 @@ def _strip_right(w: WeylElt, j: Sequence[int]) -> tuple[WeylElt, list[int]]:
     memo = _memo(w, "_strips")
     walk = memo.get(key)
     if walk is None:
-        datum = w.datum
-        js = sorted(set(key))
-        for i in js:
-            check_index(datum.n, i)
-        support = datum.alpha_support
+        js = index_set(w.datum.n, key)
+        support = w.datum.alpha_support
         v = [sum(row) for row in w.mat_p_inv]
         letters: list[int] = []
         while (i := next((i for i in js if v[i] < 0), None)) is not None:
@@ -476,9 +476,10 @@ def denominator(datum: RootDatum, max_height: int) -> dict[Vec, int]:
     is reached from s_i w, for i a left descent of w, whose beta has
     smaller height; rho is regular, so beta names w, and a beta met twice in
     a level is one element.  A step raises the height by p > 0, so the
-    walk stops at max_height without losing an element below it.
+    walk stops at max_height without losing an element below it.  A
+    max_height that is not a Python int, or is negative, is a DomainError.
     """
-    if max_height < 0:
+    if exact_ints((max_height,), "height")[0] < 0:
         raise DomainError(f"height {max_height} is negative")
     a, n = datum.gcm.a, datum.n
     level: dict[Vec, int] = {(0,) * n: 1}

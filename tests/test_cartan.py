@@ -1,14 +1,17 @@
 import re
 from fractions import Fraction
+from itertools import combinations
 
 import exact_reference as ref
 import pytest
 from conftest import all_small_gcms
 
 from kmx import exact
+from kmx import faces as FC
+from kmx import weyl as W
 from kmx.cartan import (A2_ROWS, AFFINE_A1_ROWS, HYPERBOLIC_ROWS, ComponentType,
-                        build_realization, classify, special_sets,
-                        typed_numbers, validate_and_symmetrize)
+                        build_realization, classify, component_type, is_special,
+                        special_sets, typed_numbers, validate_and_symmetrize)
 from kmx.errors import DomainError, NotGCM, NotSpecial, NotSymmetrizable
 
 
@@ -328,14 +331,58 @@ def test_decomposable_matrix_machinery():
     # it gave (0, 0, 0)
     (lambda d: d.fundamental_weight(7), "fundamental weight index 8 out of range 1..3"),
     (lambda d: d.fundamental_weight(-1), "fundamental weight index 0 out of range 1..3"),
+    # True was read as node 2 and 0.5, "1" ended in raw TypeErrors
+    (lambda d: d.exposing_coweight((True, False)), "simple index True is not an integer"),
+    (lambda d: d.theta_perp((0.5,)), "simple index 0.5 is not an integer"),
+    (lambda d: d.stabilizer_type(("1",)), "simple index '1' is not an integer"),
+    (lambda d: d.coroot(True), "coroot index True is not an integer"),
+    (lambda d: d.fundamental_weight(0.5), "fundamental weight index 0.5 is not an integer"),
+    (lambda d: d.coroot("1"), "coroot index '1' is not an integer"),
 ], ids=["perp-minus-one", "perp-four", "expose-six", "expose-minus-one",
         "stabilizer-four", "coroot-minus-one", "coroot-four", "fundamental-eight",
-        "fundamental-minus-one"])
+        "fundamental-minus-one", "expose-true", "perp-half", "stabilizer-str",
+        "coroot-true", "fundamental-half", "coroot-str"])
 def test_index_arguments_rejected_one_based_before_the_tables(call, message):
     hyp = build_realization(HYPERBOLIC_ROWS)
     with pytest.raises(DomainError, match=message):
         call(hyp)
     assert hyp._perp == {} and hyp._ctheta == {} and hyp._stab == {}
+
+
+def _fresh_hyp():
+    """A fresh rank-3 hyperbolic datum and s1 s2 s3 s2 on it: no descent walk
+    is kept yet that a bool or float J equal to an int J could be read from."""
+    hyp = build_realization(HYPERBOLIC_ROWS)
+    return hyp, W.from_word(hyp, (0, 1, 2, 1))
+
+
+# every reader of a node index or subset that no other test feeds a bad index
+INDEX_READERS = {
+    "classify": lambda bad: classify(_fresh_hyp()[0].gcm, (0, bad)),
+    "is_special": lambda bad: is_special(_fresh_hyp()[0].gcm, (0, 1, bad)),
+    "component_type": lambda bad: component_type(_fresh_hyp()[0].gcm, (bad,)),
+    "normalize_face": lambda bad: FC.normalize_face(_fresh_hyp()[1], (1, 0, bad)),
+    "standard_face": lambda bad: FC.standard_face(_fresh_hyp()[0], (bad,)),
+    "right_descent": lambda bad: _fresh_hyp()[1].right_descent(bad),
+    "left_descent": lambda bad: _fresh_hyp()[1].left_descent(bad),
+    "in_parabolic_product": lambda bad: W.in_parabolic_product(_fresh_hyp()[1], (bad,), (1,)),
+}
+
+
+@pytest.mark.parametrize("reader", list(INDEX_READERS))
+@pytest.mark.parametrize("bad,message", [
+    (-1, "simple index 0 out of range 1..3"),
+    (3, "simple index 4 out of range 1..3"),
+    (True, "simple index True is not an integer"),
+    (0.5, "simple index 0.5 is not an integer"),
+    ("1", "simple index '1' is not an integer"),
+], ids=["minus-one", "n", "true", "half", "str"])
+def test_every_index_reader_rejects_a_bad_index(reader, bad, message):
+    # is_special(HYP, (0, 1, -1)) was True, component_type((-1,)) FIN,
+    # right_descent(-1) read a row that is no simple coordinate, True was
+    # read as node 2 and classify((5,)), 0.5 and "1" were raw exceptions
+    with pytest.raises(DomainError, match=re.escape(message)):
+        INDEX_READERS[reader](bad)
 
 
 def test_coroot_covers_the_added_basis_coweights():
@@ -357,3 +404,47 @@ def test_stabilizer_type_is_theta_with_its_perp():
     with pytest.raises(NotSpecial):
         hyp.stabilizer_type((0,))
     assert set(hyp._stab) == {(), (0, 1), (0, 1, 2)}
+
+
+def _reference_components(a, subset):
+    """The components of subset, each with its LP type by the reference
+    simplex, ordered by their smallest node."""
+    out, left = [], list(subset)
+    while left:
+        comp, stack = {left[0]}, [left[0]]
+        while stack:
+            i = stack.pop()
+            for j in left:
+                if j not in comp and a[i][j]:
+                    comp.add(j)
+                    stack.append(j)
+        left = [i for i in left if i not in comp]
+        c = sorted(comp)
+        sub = [[a[i][j] for j in c] for i in c]
+        hits = [t for t, m, rel in ((ComponentType.FIN, [[-x for x in r] for r in sub], "lt"),
+                                    (ComponentType.AFF, sub, "eq"),
+                                    (ComponentType.IND, sub, "lt"))
+                if ref.lp_feasible(m, (rel,) * len(c)) is not None]
+        assert len(hits) == 1, (c, hits)
+        out.append((tuple(c), hits[0]))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("name", ["A2", "affine-A1", "hyperbolic-3", "D8++"])
+def test_classify_and_is_special_on_every_subset(name):
+    # each subset given reversed and with a repeat reads as the sorted subset
+    from test_weyl import KERNEL_DATA
+    rows = {"A2": A2_ROWS, "affine-A1": AFFINE_A1_ROWS, "hyperbolic-3": HYPERBOLIC_ROWS,
+            "D8++": KERNEL_DATA["D8++"].gcm.a}[name]
+    gcm = validate_and_symmetrize(rows)
+    n = gcm.n
+    for k in range(n + 1):
+        for sub in combinations(range(n), k):
+            comps = _reference_components(gcm.a, sub)
+            fin = tuple(sorted(i for c, t in comps if t is ComponentType.FIN for i in c))
+            cls = classify(gcm, sub[::-1] + sub[:1])
+            assert cls.components == comps, sub
+            assert cls.theta0 == fin
+            assert cls.theta_inf == tuple(i for i in sub if i not in fin)
+            assert is_special(gcm, sub[::-1] + sub[-1:]) == (fin == ())
+    assert classify(gcm) == classify(gcm, range(n))

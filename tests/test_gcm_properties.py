@@ -1,6 +1,9 @@
-"""Property test of GCM validation: a drawn square integer matrix is either
-returned with a positive symmetrizer or rejected with NotGCM or
-NotSymmetrizable, whose message names a real offence 1-based."""
+"""Property tests of GCM validation and of the node-subset reader.
+
+A drawn square integer matrix is either returned with a positive
+symmetrizer or rejected with NotGCM or NotSymmetrizable, whose message
+names a real offence 1-based.  A drawn subset of 0..n-1 reads as itself
+sorted without repeats, and one bad index anywhere in it is a DomainError."""
 
 import re
 
@@ -12,8 +15,8 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from kmx import exact  # noqa: E402
-from kmx.cartan import validate_and_symmetrize  # noqa: E402
-from kmx.errors import NotGCM, NotSymmetrizable  # noqa: E402
+from kmx.cartan import index_set, validate_and_symmetrize  # noqa: E402
+from kmx.errors import DomainError, NotGCM, NotSymmetrizable  # noqa: E402
 
 
 @st.composite
@@ -101,3 +104,21 @@ def test_validation_symmetrizes_or_names_the_offence(rows):
     assert all(e > 0 for e in gcm.eps)
     assert all(gcm.b[i][j] == gcm.b[j][i] for i in range(n) for j in range(n))
     assert _symmetrizable(rows)
+
+
+@st.composite
+def index_lists(draw):
+    """(n, indices in 0..n-1 with repeats, in any order)."""
+    n = draw(st.integers(1, 12))
+    return n, draw(st.lists(st.integers(0, n - 1), max_size=16))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(index_lists(), st.sampled_from([-1, "n", True, False, 0.5, 1.0, "1"]),
+       st.integers(0, 16))
+def test_index_set_sorts_a_valid_subset_and_refuses_a_bad_index(drawn, bad, at):
+    n, idx = drawn
+    assert index_set(n, idx) == index_set(n, iter(idx)) == tuple(sorted(set(idx)))
+    bad = n if bad == "n" else bad
+    with pytest.raises(DomainError, match="simple index"):
+        index_set(n, idx[:at] + [bad] + idx[at:])

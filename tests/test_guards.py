@@ -90,6 +90,57 @@ def test_letter_check_finder_sees_each_kind():
         "torus_values call", "unknown-letter raise"]
 
 
+def _name(node):
+    return getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+
+
+def _subset_sorts(tree):
+    """Each sorted(set(...)) call and each name _theta_key, as "function: kind"
+    with the function it sits in."""
+    found = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if (isinstance(node, ast.Call) and _name(node.func) == "sorted" and node.args
+                and isinstance(node.args[0], ast.Call) and _name(node.args[0].func) == "set"):
+            found.append(f"{func}: sorted(set(...))")
+        if _name(node) == "_theta_key":
+            found.append(f"{func}: _theta_key")
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_only_index_set_sorts_a_node_subset():
+    # cartan.index_set is the one reader of a node subset: it checks each
+    # index and sorts the subset without repeats; no other function in the
+    # modules that take node subsets sorts one itself
+    src = Path(kmx.__file__).parent
+    for name in ("cartan.py", "faces.py", "weyl.py"):
+        found = _subset_sorts(ast.parse((src / name).read_text()))
+        expect = ["index_set: sorted(set(...))"] if name == "cartan.py" else []
+        assert found == expect, name
+
+
+def test_subset_sort_finder_sees_each_kind():
+    tree = ast.parse("def index_set(n, idx):\n"
+                     "    return tuple(sorted(set(idx)))\n"
+                     "def f(theta):\n"
+                     "    key = sorted(set(theta)), sorted(theta), sorted(set(theta) & {1})\n"
+                     "class R:\n"
+                     "    def _theta_key(self, t):\n"
+                     "        return t\n"
+                     "    def g(self, t):\n"
+                     "        return self._theta_key(t)\n"
+                     "x = sorted(set(y))\n")
+    assert _subset_sorts(tree) == ["index_set: sorted(set(...))", "f: sorted(set(...))",
+                                   "_theta_key: _theta_key", "g: _theta_key",
+                                   "<module>: sorted(set(...))"]
+
+
 def test_no_value_error_for_user_input():
     # bad input is a DomainError: no module raises a bare ValueError but
     # exact.py, whose ValueErrors are its documented contract for matrix

@@ -794,6 +794,20 @@ BAD_LETTERS = [
     (("T", (1, 0.5), 2), DomainError, "torus coweight coordinate 0.5 is not an integer"),
     (("E", _FOREIGN), PreconditionViolated, "face of another root datum"),
     (("Q", 0), DomainError, "unknown letter"),
+    # an index that is not an int was read as one or ended in a raw TypeError
+    (("N", True), DomainError, "simple index True is not an integer"),
+    (("X+", 0.5, 1), DomainError, "simple index 0.5 is not an integer"),
+    (("N", 1.0), DomainError, "simple index 1.0 is not an integer"),
+    # a wrong shape ended in a raw AttributeError or IndexError, or its extra
+    # field was ignored
+    (("E", 3), DomainError, "idempotent letter on 3, not on a Face"),
+    (("E", "w=1;theta=1,2"), DomainError, "idempotent letter on 'w=1;theta=1,2', not on a Face"),
+    (("X+", 0), DomainError, "X+ letter needs 3 fields, not 2"),
+    (("T", (1, 0)), DomainError, "T letter needs 3 fields, not 2"),
+    ((), DomainError, "unknown letter ()"),
+    (("X+", 0, 1, 9), DomainError, "X+ letter needs 3 fields, not 4"),
+    (("N", 1, 5), DomainError, "N letter needs 2 fields, not 3"),
+    (("E", FC.full_cone(A2), 7), DomainError, "E letter needs 2 fields, not 3"),
 ]
 
 

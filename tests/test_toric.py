@@ -156,6 +156,30 @@ def test_mhat_on_a_face_of_another_monoid_is_a_precondition_violation():
         mhat_mul(mhat_unit(m, (2, 3)), mhat_unit(half, (2, 3)))
 
 
+FACE_READERS = {
+    "face_contains": lambda m, f: m.face_contains(f, (0, 0)),
+    "relative_interior_contains": lambda m, f: m.relative_interior_contains(f, (0, 0)),
+    "face_leq-left": lambda m, f: m.face_leq(f, m.top_face()),
+    "face_leq-right": lambda m, f: m.face_leq(m.faces()[0], f),
+    "face_meet": lambda m, f: m.face_meet(m.top_face(), f),
+    "subfaces": lambda m, f: m.subfaces(f),
+    "dual_face": lambda m, f: m.dual_face(f),
+}
+
+
+@pytest.mark.parametrize("reader", list(FACE_READERS))
+def test_face_readers_refuse_a_face_of_another_monoid(reader):
+    # with the quadrant m1 and m2 generated by (1, 0) and (1, 2),
+    # m1.subfaces(m2.top_face()) listed all four faces of m1 and a meet of
+    # two faces of m2 returned a face of m1
+    m1, m2 = N2(), LatticeMonoid([(1, 0), (1, 2)], 2)
+    for f in m2.faces():
+        with pytest.raises(PreconditionViolated, match="face of another monoid"):
+            FACE_READERS[reader](m1, f)
+    for f in m1.faces():
+        FACE_READERS[reader](m1, f)
+
+
 def test_elements_of_two_monoids_differ():
     # the same face index and values, but face 1 is the y-axis of a and the
     # x-axis of b

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -424,15 +425,20 @@ COSET_WALKS = {
 
 
 @pytest.mark.parametrize("walk", list(COSET_WALKS))
-@pytest.mark.parametrize("datum,j,message", [
-    (A2, (-1,), "simple index 0 out of range 1..2"),  # it used to read node 2
-    (AFF, (2,), "simple index 3 out of range 1..2"),
-    (AFF, (0, 5), "simple index 6 out of range 1..2"),
-    (AFF, (-1,), "simple index 0 out of range 1..2"),  # it used to loop forever
-], ids=["A2-minus-one", "affine-three", "affine-six", "affine-minus-one"])
-def test_coset_walks_reject_out_of_range_index_one_based(walk, datum, j, message):
-    w = W.from_word(datum, (0, 1, 0))
-    with pytest.raises(DomainError, match=message):
+@pytest.mark.parametrize("rows,j,message", [
+    (A2_ROWS, (-1,), "simple index 0 out of range 1..2"),  # it used to read node 2
+    (AFFINE_A1_ROWS, (2,), "simple index 3 out of range 1..2"),
+    (AFFINE_A1_ROWS, (0, 5), "simple index 6 out of range 1..2"),
+    (AFFINE_A1_ROWS, (-1,), "simple index 0 out of range 1..2"),  # it used to loop forever
+    (A2_ROWS, (True,), "simple index True is not an integer"),  # it was read as node 2
+    (A2_ROWS, (0, 0.5), "simple index 0.5 is not an integer"),  # a raw TypeError
+    (AFFINE_A1_ROWS, ("1",), "simple index '1' is not an integer"),  # a raw TypeError
+], ids=["A2-minus-one", "affine-three", "affine-six", "affine-minus-one", "A2-true",
+        "A2-half", "affine-str"])
+def test_coset_walks_reject_out_of_range_index_one_based(walk, rows, j, message):
+    # a fresh datum: a walk kept under an int J answers an equal bool or float J
+    w = W.from_word(build_realization(rows), (0, 1, 0))
+    with pytest.raises(DomainError, match=re.escape(message)):
         COSET_WALKS[walk](w, j)
 
 
@@ -519,3 +525,8 @@ def test_denominator_rejects_a_negative_height():
     assert W.denominator(A2, 0) == {(0, 0): 1}
     with pytest.raises(DomainError, match="height -1 is negative"):
         W.denominator(A2, -1)
+    # 1.5 and True were read as heights (4 terms each on the hyperbolic
+    # matrix) and "3" ended in a raw TypeError
+    for bad in (1.5, True, "3"):
+        with pytest.raises(DomainError, match=re.escape(f"height {bad!r} is not an integer")):
+            W.denominator(HYP, bad)
