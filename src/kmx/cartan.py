@@ -99,10 +99,22 @@ def check_index(n: int, i: int, what: str = "simple index") -> None:
         raise DomainError(f"{what} {i + 1} out of range 1..{n}")
 
 
+def entries(vals: Iterable, what: str) -> tuple:
+    """The entries of vals as a tuple.  A vals that has none to give (a
+    scalar, None) is a DomainError naming `what`; a TypeError raised while
+    an iterable vals runs passes through."""
+    try:
+        return tuple(vals)
+    except TypeError:
+        if hasattr(vals, "__iter__"):
+            raise
+        raise DomainError(f"{what} list {vals!r} is not a sequence") from None
+
+
 def index_set(n: int, idx: Iterable, what: str = "simple index") -> tuple[int, ...]:
     """The subset idx of 0..n-1 sorted without repeats, each index read by
     `check_index` before any two meet in a set (set((1, True)) is {1})."""
-    idx = tuple(idx)
+    idx = entries(idx, what)
     for i in idx:
         check_index(n, i, what)
     return tuple(sorted(set(idx)))
@@ -148,9 +160,10 @@ def typed_numbers(toks: Iterable, what: str, *, integral: bool = False) -> tuple
 
 
 def exact_ints(vals: Iterable, what: str) -> tuple[int, ...]:
-    """The entries of an integer vector as given: an entry that is not a
-    Python int (a bool, float, Fraction, str) is a DomainError naming it."""
-    vals = tuple(vals)
+    """The entries of an integer vector as given, read by `entries`: an
+    entry that is not a Python int (a bool, float, Fraction, str) is a
+    DomainError naming it."""
+    vals = entries(vals, what)
     for x in vals:
         if type(x) is not int:
             raise DomainError(f"{what} {x!r} is not an integer")
@@ -158,10 +171,11 @@ def exact_ints(vals: Iterable, what: str) -> tuple[int, ...]:
 
 
 def exact_rationals(vals: Iterable, what: str) -> tuple:
-    """The entries of a rational vector as given: a character reads their
-    numerators and denominators, so an entry that is not a Fraction or a
-    Python int (a bool, float, str) is a DomainError naming it."""
-    vals = tuple(vals)
+    """The entries of a rational vector as given, read by `entries`: a
+    character reads their numerators and denominators, so an entry that is
+    not a Fraction or a Python int (a bool, float, str) is a DomainError
+    naming it."""
+    vals = entries(vals, what)
     for x in vals:
         if not isinstance(x, (Fraction, int)) or isinstance(x, bool):
             raise DomainError(f"{what} {x!r} is not a Fraction or an int")

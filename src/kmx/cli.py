@@ -21,8 +21,8 @@ import traceback
 
 from . import faces as FC, highest_weight as HW, monoids as MO, toric, verify
 from . import weyl as W
-from .cartan import (RootDatum, build_realization, classify, one_based, special_sets,
-                     typed_numbers)
+from .cartan import (RootDatum, build_realization, classify, index_set, one_based,
+                     special_sets, typed_numbers)
 from .errors import DomainError, GuardError, NotInTitsCone
 
 
@@ -47,7 +47,8 @@ def _load_gcm(args) -> RootDatum:
 
 
 def _parse_subset(datum, text: str) -> tuple[int, ...]:
-    return tuple(sorted(one_based(datum.n, text.replace(",", " ").split())))
+    """A node subset as typed, 1-based, read as `cartan.index_set` reads it."""
+    return index_set(datum.n, one_based(datum.n, text.replace(",", " ").split()))
 
 
 def _parse_word(datum, text: str):

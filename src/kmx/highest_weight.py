@@ -38,17 +38,43 @@ back unchanged; apply_letter and bruhat_cell read every letter through it.
 bruhat_cell reads the cell of a factored word in the Weyl monoid W-hat,
 where kappa lands, so it forms no torus cocycle.
 
-A lowering f_i out of the bottom layer lands one step past the window.  Its
-target weight is marked nonzero when some candidate there has a nonzero
-e_j-image: L(hw) is irreducible, so a vector below the top that every e_j
-kills is zero, and the Gram matrices of the built spaces are nondegenerate,
-so this is the same as asking for a nonzero Gram entry without forming one.
+The build decides in closed form which weights it visits (Kac,
+Infinite-dimensional Lie algebras, ch. 11), so it forms no space at a
+non-weight, and it marks the weights one step past the window, where a
+lowering f_i out of the bottom layer lands, without forming anything there.
+Write nu = hw - sum_k c_k alpha_k, with <nu, h_i> its i-th coordinate
+(i < n).  Walk nu to the dominant chamber: while some <nu, h_i> < 0, apply
+s_i, which adds <nu, h_i> to c_i.  Then nu is a weight of L(hw) iff c stays
+>= 0 on the walk and, at its dominant end lam, every connected component of
+supp c in the Dynkin graph holds a node i with <hw, h_i> > 0.  c only falls,
+so the walk ends within sum c steps.
+- W permutes the weights, and every weight lies below hw.  So a negative
+  c_i rules nu out, and nu is a weight iff lam is.
+- Necessity of the support rule.  Let C be a component of supp c with
+  <hw, h_j> = 0 on C.  In a lowering monomial of weight lam, the letters
+  f_j with j in C commute with the others ([f_j, f_k] = 0 when a_jk = 0).
+  So they can act first, and f_j v_hw = 0.
+- Sufficiency.  Let lam be dominant and obey the rule.  Grow s from 0 to c
+  one unit at a time, adding 1 to s_i while s_i < c_i and <hw - s, h_i> > 0.
+  Each hw - s stays a weight: on an integrable module, f_i kills no nonzero
+  vector at a weight mu with <mu, h_i> > 0 (sl2).  Suppose the growth stops
+  at s != c.  Let C be a component of R = supp(c - s), and A_C the GCM on
+  C.  On R, <hw - s, h_i> <= 0, since no step is left, and <hw - c, h_i>
+  >= 0, since lam is dominant.  So d = c - s has <d, h_i> <= 0 on its
+  support: A_C d_C <= 0 with d_C > 0, and A_C is not of finite type (Kac,
+  Thm 4.3).  On C, <s, h_i> >= <hw, h_i>, that is,
+  (A_C s_C)_i >= <hw, h_i> + sum over j outside C of |a_ij| s_j >= 0.  For
+  affine or indefinite A_C this forces A_C s_C = 0 (Thm 4.3).  Then
+  <hw, h_i> = 0 on C, and s_j = 0 at every neighbour j of C.  Such j lie
+  outside R, so c_j = s_j = 0, and C is a component of supp c on which hw
+  vanishes, which the rule excludes.
+A predicted weight whose Gram matrix has rank 0 is an InternalError.
 
 Weight multiplicities come from two independent routes: the Freudenthal
 recursion (fed by root multiplicities read off the Weyl denominator, an
 integer recurrence on ht(b) c_b) and the Gram-rank route used to build the
 bases.  The test suite crosses them against each other; neither consults
-the other here.
+the other here, and the recursion reads no weight test.
 """
 
 from __future__ import annotations
@@ -61,8 +87,8 @@ from operator import add, sub
 from typing import Optional, Sequence
 
 from . import exact, faces as FC, monoids as MO, weyl as W
-from .cartan import (RootDatum, check_index, exact_ints, exact_rationals, one_based,
-                     torus_values, typed_numbers)
+from .cartan import (RootDatum, _components, check_index, exact_ints, exact_rationals,
+                     one_based, torus_values, typed_numbers)
 from .errors import (DepthExceeded, DepthTooLarge, DomainError, InternalError,
                      NotDominant, NotFactored, PreconditionViolated, SizeGuard)
 from .exact import IntMat, IntVec
@@ -194,7 +220,15 @@ def weights_and_mults(datum: RootDatum, hw: Sequence[int], depth: int,
                       *, max_depth: Optional[int] = None) -> dict[Wt, int]:
     """Exact weight multiplicities of L(hw) down to the given depth.
 
-    Freudenthal recursion over the depth cone; the denominator
+    Freudenthal's recursion at lam = hw - b reads
+    (|hw + rho|^2 - |lam + rho|^2) mult(b) = 2 sum over alpha > 0 and k >= 1
+    of mult(alpha) (lam + k alpha | alpha) mult(b - k alpha).
+    It runs in push form: with b' = b - k alpha, (lam + k alpha | alpha) is
+    (hw - b' | alpha), which does not depend on k.  So each nonzero mult(b')
+    adds mult(alpha) mult(b') (hw - b' | alpha), once per root, to every
+    b' + k alpha in the window.  These sums wait in one dict per height, and
+    height h visits only the b that hold one, in sorted order; every other b
+    has numerator 0, so multiplicity 0.  The denominator
     |hw + rho|^2 - |lam + rho|^2 vanishes only off the weight system, where
     the numerator is checked to vanish as well.  The loop runs in ints: the
     form is scaled by L = lcm(eps), which makes (alpha_i | alpha_j) and
@@ -212,49 +246,45 @@ def weights_and_mults(datum: RootDatum, hw: Sequence[int], depth: int,
     # L (hw + rho | alpha_i); only the first n coordinates pair with the roots
     lam_rho = [lw[i] * (x + r) for i, (x, r) in
                enumerate(zip(lam_top[:n], datum.rho()))]
-    # per root: alpha, its support (i, a_i > 0), mult, L (hw | alpha),
-    # L (alpha | alpha), L B alpha
-    roots = []
-    for alpha, ma in root_multiplicities(datum, depth).items():
-        b_alpha = [exact.vec_dot(row, alpha) for row in lb]
-        roots.append((alpha, [(i, a) for i, a in enumerate(alpha) if a > 0], ma,
-                      sum(lw[i] * lam_top[i] * alpha[i] for i in range(n)),
-                      exact.vec_dot(alpha, b_alpha), b_alpha))
+    # per root in height order: alpha, its height, mult, L (hw | alpha), L B alpha
+    roots = sorted((sum(alpha), alpha, ma, sum(lw[i] * lam_top[i] * alpha[i] for i in range(n)),
+                    [exact.vec_dot(row, alpha) for row in lb])
+                   for alpha, ma in root_multiplicities(datum, depth).items())
+    # pending[h][b]: half the numerator at b, summed over the b' pushed so far
+    pending: list[dict[Beta, int]] = [{} for _ in range(depth + 1)]
+
+    def push(b: Beta, h: int, m: int):
+        for ha, alpha, ma, hw_a, b_alpha in roots:
+            if h + ha > depth:
+                return
+            # mult(alpha) mult(b) L (hw - b | alpha), the same for every k
+            val = ma * m * (hw_a - exact.vec_dot(b, b_alpha))
+            if val:
+                nb = b
+                for row in pending[h + ha::ha]:  # the heights of b + k alpha
+                    nb = tuple(map(add, nb, alpha))
+                    row[nb] = row.get(nb, 0) + val
+
     mult: dict[Beta, int] = {(0,) * n: 1}
+    push((0,) * n, 0, 1)
     for h in range(1, depth + 1):
-        for b in _compositions(n, h):
+        for b, half in sorted(pending[h].items()):
             denom = 2 * exact.vec_dot(lam_rho, b) \
                 - sum(b[i] * exact.vec_dot(lb[i], b) for i in range(n) if b[i])
-            total = 0
-            for alpha, supp, ma, hw_a, a_a, b_alpha in roots:
-                # the k >= 1 with b - k alpha >= 0
-                kmax = min(b[i] // a for i, a in supp)
-                if not kmax:
-                    continue
-                # L (lam + k alpha | alpha) with lam = hw - b
-                base = hw_a - exact.vec_dot(b, b_alpha)
-                for k in range(1, kmax + 1):
-                    mu = mult.get(tuple(b[i] - k * alpha[i] for i in range(n)))
-                    if mu:
-                        total += ma * mu * (base + k * a_a)
-            total *= 2
+            total = 2 * half
             if denom == 0:
                 if total != 0:
                     raise InternalError("Freudenthal numerator nonzero at a null denominator")
-                mult[b] = 0
                 continue
             m, rem = divmod(total, denom)
             if rem or m < 0:
                 raise InternalError(f"weight multiplicity {total}/{denom} at {b} "
                                     "is not a natural number")
-            mult[b] = m
-    out: dict[Wt, int] = {}
-    for b, m in mult.items():
-        if m > 0:
-            wt = tuple(lam_top[j] - sum(b[i] * datum.alpha[i][j] for i in range(n))
-                       for j in range(datum.m))
-            out[wt] = m
-    return out
+            if m:
+                mult[b] = m
+                push(b, h, m)
+    return {tuple(lam_top[j] - sum(b[i] * datum.alpha[i][j] for i in range(n))
+                  for j in range(datum.m)): m for b, m in mult.items()}
 
 
 def _depth_guard(datum: RootDatum, depth: int, max_depth: Optional[int]):
@@ -328,6 +358,8 @@ class ModuleSlice:
     def _build(self):
         top = WeightSpace(weight=self.hw, height=0, words=((),), gram=((1,),))
         self.spaces[self.hw] = top
+        # c[wt]: the c with wt = hw - sum_k c_k alpha_k, for each built wt
+        c = {self.hw: (0,) * self.datum.n}
         level = [top]
         for h in range(1, self.depth + 2):
             # each weight lam one step down, formed once, with the spaces
@@ -339,20 +371,35 @@ class ModuleSlice:
             new_level = []
             for lam in sorted(targets):
                 above = targets[lam]
+                i, mu = next(iter(above.items()))
+                c_lam = tuple(x + (k == i) for k, x in enumerate(c[mu.weight]))
+                if not self._is_weight(lam, c_lam):
+                    continue
                 if h > self.depth:
-                    # probe pass: lam is a weight iff some candidate there
-                    # has a nonzero e-image (module docstring)
-                    if any(any(img) for imgs in self._e_images(above)[1]
-                           for img, _ in imgs.values()):
-                        self._nonzero_beyond.add(lam)
+                    self._nonzero_beyond.add(lam)
                     continue
                 ws = self._build_space(lam, h, above)
-                if ws is not None:
-                    self.spaces[lam] = ws
-                    new_level.append(ws)
+                if ws is None:
+                    raise InternalError(f"predicted weight {lam} has a zero space")
+                self.spaces[lam], c[lam] = ws, c_lam
+                new_level.append(ws)
             level = new_level
             if not level:
                 break
+
+    def _is_weight(self, nu: Wt, c: IntVec) -> bool:
+        """Whether nu = hw - sum_k c_k alpha_k is a weight of L(hw): the walk
+        to the dominant chamber and the support rule of the module
+        docstring."""
+        nu, c = list(nu[:self.datum.n]), list(c)
+        while (i := next((i for i, x in enumerate(nu) if x < 0), None)) is not None:
+            k = nu[i]
+            c[i] += k
+            if c[i] < 0:
+                return False
+            nu = [x - k * a for x, a in zip(nu, self.datum.alpha[i])]
+        return all(any(self.hw[i] > 0 for i in comp)
+                   for comp in _components(self.datum.gcm.a, [i for i, x in enumerate(c) if x]))
 
     @staticmethod
     def _e_images(above: dict[int, WeightSpace]):
@@ -384,7 +431,8 @@ class ModuleSlice:
     def _build_space(self, lam: Wt, h: int, above: dict[int, WeightSpace]
                      ) -> Optional[WeightSpace]:
         """The space at lam below `above` (i -> the space at lam + alpha_i),
-        linked to it both ways; None when lam is not a weight."""
+        linked to it both ways; None when its Gram matrix has rank 0, which
+        at a weight of L(hw) does not happen."""
         cands, e_imgs = self._e_images(above)
         # <f_i b_k | c> = <b_k | e_i c> by contravariance.  The entries are
         # Shapovalov values of lowering monomials on an integral weight, so

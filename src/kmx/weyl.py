@@ -55,7 +55,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from . import exact
-from .cartan import RootDatum, check_index, exact_ints, exact_rationals, index_set
+from .cartan import RootDatum, check_index, entries, exact_ints, exact_rationals, index_set
 from .errors import (DomainError, InternalError, NotInTitsCone, PreconditionViolated,
                      Undecided)
 from .exact import IntMat
@@ -284,7 +284,7 @@ def from_word(datum: RootDatum, word: Iterable[int]) -> WeylElt:
     """Multiply out a word of 0-based simple indices; the result carries its
     canonical reduced word, length and descent data.  A word met before is
     a lookup in the identity's memo."""
-    word = tuple(word)
+    word = entries(word, "simple index")
     for i in word:
         check_index(datum.n, i)
     if len(word) == 1:
@@ -300,14 +300,19 @@ def _strip_right(w: WeylElt, j: Sequence[int]) -> tuple[WeylElt, list[int]]:
     right descent in J at each step until none is left, and the stripped
     indices i1, ..., ik as a fresh list.  The walk is kept in w's memo under
     J as given, and J is read by `index_set` on a miss only: a float or bool
-    J equal to an int J already walked gets that walk, the int's answer.
+    J equal to an int J already walked gets that walk, the int's answer.  A
+    J that is no sequence, or holds an unhashable index, is a DomainError.
 
     The walk reads the right descents of the current element from the one
     vector v = w^{-1} rho (i is a descent iff v_i < 0), which a step with s_i
     changes to v - v_i alpha_i; w' is multiplied out once at the end."""
-    key = tuple(j)
+    key = entries(j, "simple index")
     memo = _memo(w, "_strips")
-    walk = memo.get(key)
+    try:
+        walk = memo.get(key)
+    except TypeError:  # an unhashable index: index_set rejects it by name
+        index_set(w.datum.n, key)
+        raise
     if walk is None:
         js = index_set(w.datum.n, key)
         support = w.datum.alpha_support

@@ -9,7 +9,10 @@ reference rests on the integer pivot itself.
 
 Beside them sits Peterson's recurrence for root multiplicities, which the
 package used before it read them off the Weyl denominator; it rests on the
-invariant form alone, not on the Weyl group.  Then come the torus character
+invariant form alone, not on the Weyl group.  After it comes Freudenthal's
+recursion for weight multiplicities in the pull form the package used
+before it pushed each nonzero multiplicity up: every composition b reads
+every mult(b - k alpha).  Then come the torus character
 and the torus action as a product of Fraction powers, which the package
 used before it kept one integer numerator and one denominator.
 
@@ -36,13 +39,15 @@ product to W-hat by kappa at the end; a lowering letter after the block is
 tested against the N-hat product's own face.
 """
 
+import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from kmx import monoids as MO, weyl as W
 from kmx.cartan import RootDatum, check_index
 from kmx.errors import DomainError, InternalError, NotFactored
-from kmx.exact import IntVec, RatVec, identity, int_mat, mat_vec, primitive, smith_normal_form
+from kmx.exact import (IntVec, RatVec, identity, int_mat, mat_vec, primitive,
+                       smith_normal_form, vec_dot)
 from kmx import highest_weight as HW
 from kmx.highest_weight import Beta, _compositions
 
@@ -345,6 +350,77 @@ def _proper_summands(b: Beta):
         for k in range(b[pos] + 1):
             yield from rec(pos + 1, acc + [k], nonzero or k > 0)
     yield from rec(0, [], False)
+
+
+# -- weight multiplicities (Freudenthal in pull form) -----------------------------
+
+
+def weights_and_mults(datum: RootDatum, hw: Sequence[int], depth: int,
+                      *, max_depth: Optional[int] = None) -> dict[IntVec, int]:
+    """Exact weight multiplicities of L(hw) down to the given depth.
+
+    Freudenthal's recursion in the pull form the package used before it
+    pushed each nonzero multiplicity to the b above it: every composition b
+    of every height h <= depth, and for each root alpha every k >= 1 with
+    b - k alpha >= 0, reads mult(b - k alpha).  It takes its root
+    multiplicities from the package's `root_multiplicities`, so a comparison
+    isolates the recursion.  A null denominator with a nonzero numerator,
+    and a quotient that is not a natural number, are InternalErrors.
+    """
+    lam_top = HW._check_dominant(datum, hw)
+    HW._depth_guard(datum, depth, max_depth)
+    n = datum.n
+    eps = tuple(int(e) for e in datum.gcm.eps)
+    scale = math.lcm(*eps)
+    # L (alpha_i | alpha_j) = a_ij L / eps_i and L (Lambda_i | alpha_i) = L / eps_i
+    lb = [[a * (scale // eps[i]) for a in row] for i, row in enumerate(datum.gcm.a)]
+    lw = [scale // e for e in eps]
+    # L (hw + rho | alpha_i); only the first n coordinates pair with the roots
+    lam_rho = [lw[i] * (x + r) for i, (x, r) in
+               enumerate(zip(lam_top[:n], datum.rho()))]
+    # per root: alpha, its support (i, a_i > 0), mult, L (hw | alpha),
+    # L (alpha | alpha), L B alpha
+    roots = []
+    for alpha, ma in HW.root_multiplicities(datum, depth).items():
+        b_alpha = [vec_dot(row, alpha) for row in lb]
+        roots.append((alpha, [(i, a) for i, a in enumerate(alpha) if a > 0], ma,
+                      sum(lw[i] * lam_top[i] * alpha[i] for i in range(n)),
+                      vec_dot(alpha, b_alpha), b_alpha))
+    mult: dict[Beta, int] = {(0,) * n: 1}
+    for h in range(1, depth + 1):
+        for b in _compositions(n, h):
+            denom = 2 * vec_dot(lam_rho, b) \
+                - sum(b[i] * vec_dot(lb[i], b) for i in range(n) if b[i])
+            total = 0
+            for alpha, supp, ma, hw_a, a_a, b_alpha in roots:
+                # the k >= 1 with b - k alpha >= 0
+                kmax = min(b[i] // a for i, a in supp)
+                if not kmax:
+                    continue
+                # L (lam + k alpha | alpha) with lam = hw - b
+                base = hw_a - vec_dot(b, b_alpha)
+                for k in range(1, kmax + 1):
+                    mu = mult.get(tuple(b[i] - k * alpha[i] for i in range(n)))
+                    if mu:
+                        total += ma * mu * (base + k * a_a)
+            total *= 2
+            if denom == 0:
+                if total != 0:
+                    raise InternalError("Freudenthal numerator nonzero at a null denominator")
+                mult[b] = 0
+                continue
+            m, rem = divmod(total, denom)
+            if rem or m < 0:
+                raise InternalError(f"weight multiplicity {total}/{denom} at {b} "
+                                    "is not a natural number")
+            mult[b] = m
+    out: dict[IntVec, int] = {}
+    for b, m in mult.items():
+        if m > 0:
+            wt = tuple(lam_top[j] - sum(b[i] * datum.alpha[i][j] for i in range(n))
+                       for j in range(datum.m))
+            out[wt] = m
+    return out
 
 
 def torus_eval(t: Sequence[Fraction], weight: Sequence[int]) -> Fraction:

@@ -8,6 +8,7 @@ from conftest import all_small_gcms
 
 from kmx import exact
 from kmx import faces as FC
+from kmx import highest_weight as HW
 from kmx import weyl as W
 from kmx.cartan import (A2_ROWS, AFFINE_A1_ROWS, HYPERBOLIC_ROWS, ComponentType,
                         build_realization, classify, component_type, is_special,
@@ -383,6 +384,24 @@ def test_every_index_reader_rejects_a_bad_index(reader, bad, message):
     # read as node 2 and classify((5,)), 0.5 and "1" were raw exceptions
     with pytest.raises(DomainError, match=re.escape(message)):
         INDEX_READERS[reader](bad)
+
+
+def _scalar_theta_letter():
+    hyp = build_realization(HYPERBOLIC_ROWS)
+    return HW.theta(HW.build_basis(hyp, (0, 0, 1), 2), HW.GhatWord((("T", 5, 2),)))
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: classify(build_realization(HYPERBOLIC_ROWS).gcm, 3),
+     "simple index list 3 is not a sequence"),
+    (lambda: W.from_word(build_realization(HYPERBOLIC_ROWS), None),
+     "simple index list None is not a sequence"),
+    (_scalar_theta_letter, "torus coweight coordinate list 5 is not a sequence"),
+], ids=["classify", "from_word", "theta-T-letter"])
+def test_a_scalar_where_entries_are_read_is_a_domain_error(call, message):
+    # each ended in a raw TypeError: 'int' object is not iterable
+    with pytest.raises(DomainError, match=re.escape(message)):
+        call()
 
 
 def test_coroot_covers_the_added_basis_coweights():

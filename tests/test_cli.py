@@ -562,3 +562,9 @@ def test_verify_timings_go_to_stderr_only(capsys, monkeypatch):
     assert first[0][1:] == (0, 0) and first[2][1] > 0 and first[2][2] > 0
     assert main(["verify", "--timings"]) == 0
     assert counts(capsys.readouterr().err) == first
+
+
+def test_a_repeated_subset_index_is_read_once(capsys):
+    # it printed "theta": [1, 2, 2]
+    payload = run_json(capsys, ["expose", "--gcm", HYP, "--theta", "1,2,2"])
+    assert payload == {"theta": [1, 2], "coweight": [1, 1, 0]}

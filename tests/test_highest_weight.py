@@ -692,6 +692,63 @@ def test_probe_pass_forms_no_gram_matrix():
         assert sl._nonzero_beyond  # none of these modules ends inside the window
 
 
+@pytest.mark.parametrize("datum,hw,depth", [(A2, (1, 0), 1), (AFF, (1, 0, 0), 3),
+                                             (HYP, (1, 1, 1), 3), (HYP, (0, 0, 1), 5)],
+                         ids=["A2", "affine", "hyperbolic-rho", "hyperbolic-L3"])
+def test_the_build_forms_spaces_and_e_images_only_at_weights(datum, hw, depth):
+    # _build_space runs once per non-top weight of the window, and e-images
+    # are formed only inside it: no pass past the window forms any
+    built, inside, e_calls = [], [], []
+
+    class Recording(HW.ModuleSlice):
+        def _build_space(self, lam, h, above):
+            built.append(lam)
+            inside.append(lam)
+            try:
+                return super()._build_space(lam, h, above)
+            finally:
+                inside.pop()
+
+        @staticmethod
+        def _e_images(above):
+            assert inside, "e-images formed outside _build_space"
+            e_calls.append(inside[-1])
+            return HW.ModuleSlice._e_images(above)
+
+    sl = Recording(datum, hw, depth)
+    assert sorted(built) == sorted(wt for wt in sl.spaces if wt != sl.hw)
+    assert e_calls == built
+    assert sl._nonzero_beyond  # the rule marked the weights past the window
+
+
+def test_a_dominant_weight_below_the_top_need_not_be_a_weight():
+    # Lambda_3 - (alpha_1 + alpha_2) = (0, 0, 2) on the rank-3 hyperbolic
+    # matrix is dominant and below Lambda_3, but <Lambda_3, h_i> = 0 on its
+    # support {1, 2}, so f_1 and f_2 kill the top: it is no weight
+    lam, c = (0, 0, 2), (1, 1, 0)
+    assert tuple(x - a - b for x, a, b in zip((0, 0, 1), HYP.alpha[0], HYP.alpha[1])) == lam
+    for depth in (2, 4):
+        sl = HW.ModuleSlice(HYP, (0, 0, 1), depth)
+        assert not sl._is_weight(lam, c)
+        assert lam not in sl.dims()
+        assert lam not in HW.weights_and_mults(HYP, (0, 0, 1), depth)
+        assert lam not in ref.weights_and_mults(HYP, (0, 0, 1), depth)
+    # on L(Lambda_1) the same c meets the support of hw: (1, 0, 1) is a weight
+    sl = HW.ModuleSlice(HYP, (1, 0, 0), 2)
+    assert sl._is_weight((1, 0, 1), c) and sl.dims()[(1, 0, 1)] == 1
+
+
+def test_a_predicted_weight_with_a_zero_space_is_an_internal_error():
+    # a rule that calls every weight one step down a weight meets a zero
+    # Gram matrix on L(Lambda_3) of the hyperbolic matrix
+    class EveryWeight(HW.ModuleSlice):
+        def _is_weight(self, nu, c):
+            return True
+
+    with pytest.raises(InternalError, match="predicted weight .* has a zero space"):
+        EveryWeight(HYP, (0, 0, 1), 2)
+
+
 def test_idem_annihilates_iff_type_outside_facet():
     # the face projection kills a whole module exactly when the face type is
     # not contained in the facet type of the highest weight

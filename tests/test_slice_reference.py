@@ -10,6 +10,10 @@ fraction-free build must give the same slices, entry for entry.
 Fraction coordinates with the reference slice's Fraction matrices.  The
 integer vectors of the engine must give the same theta values and
 evaluate_word matrices.
+
+`exact_reference.weights_and_mults` keeps Freudenthal's recursion in the
+pull form it had before the push form: the package must give the same
+multiplicities.
 """
 
 import gc
@@ -21,10 +25,11 @@ from typing import Optional
 
 import exact_reference
 import pytest
+from conftest import all_small_gcms
 
 from kmx import highest_weight as HW
-from kmx.cartan import build_realization
-from kmx.errors import DepthExceeded, InternalError
+from kmx.cartan import build_realization, validate_and_symmetrize
+from kmx.errors import DepthExceeded, InternalError, NotSymmetrizable
 from kmx.exact import vec_dot
 from kmx.highest_weight import WeightSpace, Wt
 
@@ -378,3 +383,54 @@ def test_non_integral_gram_entry_is_an_internal_error():
     top.gram = ((Fraction(1, 2),),)
     with pytest.raises(InternalError):
         sl._build_space((-1, 2), 1, {0: top})
+
+
+# -- Freudenthal in push form against the pull form --------------------------------
+
+
+def _both_forms(datum, hw, depth):
+    cap = depth if datum.n > HW.DEFAULT_MAX_RANK else None  # lifts the rank guard
+    return (HW.weights_and_mults(datum, hw, depth, max_depth=cap),
+            exact_reference.weights_and_mults(datum, hw, depth, max_depth=cap))
+
+
+FREUDENTHAL_CASES = [(ALGEBRAS[alg], hw, depth) for alg, hw, depth in SPECS] + [
+    (((2, -1, 0, -1), (-1, 2, -1, 0), (0, -1, 2, -1), (-1, 0, -1, 2)), "rho", 8),  # A3^(1)
+    (ALGEBRAS["hyperbolic-3"], (4, 4, 4), 8),
+]
+
+
+@pytest.mark.parametrize("rows,hw,depth", FREUDENTHAL_CASES,
+                         ids=[f"{a}-{h}-{d}" for a, h, d in SPECS] + ["A3^(1)-rho-8",
+                                                                       "hyperbolic-3-444-8"])
+def test_push_form_equals_the_pull_form(rows, hw, depth):
+    datum = build_realization(rows)
+    hw = datum.rho() if hw == "rho" else datum.fundamental_weight(0) if hw == "L1" else hw
+    push, pull = _both_forms(datum, hw, depth)
+    assert push == pull
+    assert list(push) == list(pull)  # the same order: by height, then b
+
+
+def symmetrizable_small_gcms():
+    """Every symmetrizable GCM of rank 2 and 3 from `all_small_gcms`."""
+    out = []
+    for n in (2, 3):
+        for rows in all_small_gcms(n):
+            try:
+                validate_and_symmetrize(rows)
+            except NotSymmetrizable:
+                continue
+            out.append(rows)
+    return out
+
+
+def test_push_form_equals_the_pull_form_on_small_gcms():
+    # highest weights with entries from {0, 0, 1, 2}, so that the support
+    # of hw is often partial
+    rng = random.Random(26)
+    gcms = symmetrizable_small_gcms()
+    for _ in range(60):
+        datum = build_realization(rng.choice(gcms))
+        hw = tuple(rng.choice((0, 0, 1, 2)) for _ in range(datum.n)) + (0,) * (datum.m - datum.n)
+        push, pull = _both_forms(datum, hw, 6)
+        assert push == pull, (datum.gcm.a, hw)

@@ -433,8 +433,11 @@ COSET_WALKS = {
     (A2_ROWS, (True,), "simple index True is not an integer"),  # it was read as node 2
     (A2_ROWS, (0, 0.5), "simple index 0.5 is not an integer"),  # a raw TypeError
     (AFFINE_A1_ROWS, ("1",), "simple index '1' is not an integer"),  # a raw TypeError
+    # the memo was keyed by the list: 'unhashable type'
+    (AFFINE_A1_ROWS, ([0],), "simple index [0] is not an integer"),
+    (A2_ROWS, 3, "simple index list 3 is not a sequence"),  # 'int' object is not iterable
 ], ids=["A2-minus-one", "affine-three", "affine-six", "affine-minus-one", "A2-true",
-        "A2-half", "affine-str"])
+        "A2-half", "affine-str", "affine-list", "A2-scalar"])
 def test_coset_walks_reject_out_of_range_index_one_based(walk, rows, j, message):
     # a fresh datum: a walk kept under an int J answers an equal bool or float J
     w = W.from_word(build_realization(rows), (0, 1, 0))
