@@ -22,19 +22,21 @@ denominators.  Each e-image is a gcd-reduced (ints, den) pair, and each
 Gram entry is the exact quotient of an integer dot product by den (a
 remainder is an InternalError).  A Vector is int parts over one den in
 lowest terms, with den 1 on the zero vector, so equal vectors compare
-equal.  Each X+- letter sums its exponential series in ints over one
-running denominator and reduces once, to a Vector, at its end; the T
+equal.  A word runs in one raw pass: its letters act on int parts keyed
+by the WeightSpace, over one running denominator, through the neighbour
+maps, and the word reduces once, to a Vector, at its end.  An X+- letter
+sums its exponential series in ints and drops the parts that cancel; the T
 letter reads s^<wt,h> as an int pair.  word_columns is the one pass that
-applies words to basis vectors: it walks the basis in height order up to a
-height bound and raises DepthExceeded at the first vector a word leaves the
-window from.  evaluate_word builds its dense matrix from that pass,
-probe_equal compares its sparse images, and verify's fitted probes keep the
-heights below the vector it stopped at.  Fraction appears only in the
-letter parameters and in the values handed back by theta,
-matrix_coefficient, inner, evaluate_word and Distinct.
+applies words to basis vectors: it reads its words once, walks the basis in
+height order up to a height bound and raises DepthExceeded at the first
+vector a word leaves the window from.  evaluate_word builds its dense
+matrix from that pass, probe_equal compares its sparse images, and verify's
+fitted probes keep the heights below the vector it stopped at.  Fraction
+appears only in the letter parameters and in the values handed back by
+theta, matrix_coefficient, inner, evaluate_word and Distinct.
 
-One reader, `_read_letter`, decides whether a letter is valid and hands it
-back unchanged; apply_letter and bruhat_cell read every letter through it.
+One reader, `_read_letter`, decides whether a letter is valid; the one word
+reader, `_read_word`, reads every letter through it before any is applied.
 bruhat_cell reads the cell of a factored word in the Weyl monoid W-hat,
 where kappa lands, so it forms no torus cocycle.
 
@@ -116,7 +118,7 @@ def _over_common_den(pairs: Sequence[tuple[IntVec, int]]) -> tuple[list[IntVec],
     if len(pairs) == 1:
         return [pairs[0][0]], pairs[0][1]
     den = math.lcm(*[d for _, d in pairs])
-    return [v if d == den else tuple(x * (den // d) for x in v) for v, d in pairs], den
+    return [v if d == den else [x * (den // d) for x in v] for v, d in pairs], den
 
 
 # -- root multiplicities (Weyl denominator) ------------------------------------
@@ -310,7 +312,7 @@ def _depth_guard(datum: RootDatum, depth: int, max_depth: Optional[int]):
 OpMat = tuple[IntMat, int]
 
 
-@dataclass
+@dataclass(eq=False)  # hashed by identity: the operators key raw parts by the space
 class WeightSpace:
     weight: Wt
     height: int
@@ -321,8 +323,8 @@ class WeightSpace:
     # e_mat[i]: matrix of e_i from this space to up[i], the space at weight + alpha_i
     e_mat: dict[int, OpMat] = field(default_factory=dict)
     # the neighbouring spaces: up has the keys of e_mat, down those of f_mat
-    up: dict[int, "WeightSpace"] = field(default_factory=dict, compare=False, repr=False)
-    down: dict[int, "WeightSpace"] = field(default_factory=dict, compare=False, repr=False)
+    up: dict[int, "WeightSpace"] = field(default_factory=dict, repr=False)
+    down: dict[int, "WeightSpace"] = field(default_factory=dict, repr=False)
 
     @property
     def dim(self) -> int:
@@ -529,73 +531,96 @@ class Vector:
         return not self.parts
 
 
-def _from_pieces(v: Vector, pieces: dict[Wt, tuple[IntVec, int]]) -> Vector:
-    """The vector with part pieces[wt] = (ints, den) at each wt, over v.den."""
-    vecs, den = _over_common_den(list(pieces.values()))
-    return Vector(v.slice, dict(zip(pieces, vecs)), den * v.den)
+# Raw parts: int sequences keyed by the weight space itself, standing for
+# the vector sum over sp of parts[sp] / den, den > 0 kept beside them.
+Raw = dict[WeightSpace, Sequence[int]]
 
 
-def _step(sl: ModuleSlice, parts: dict[Wt, IntVec], i: int, sign: int
-          ) -> tuple[dict[Wt, IntVec], int]:
-    """X = e_i (sign 1) or f_i (sign -1) on int parts, unreduced: (ints, m)
-    with X parts = ints / m, zero parts dropped.  Each image lands in the
+def _step(sl: ModuleSlice, parts: Raw, i: int, sign: int) -> tuple[Raw, int]:
+    """X = e_i (sign 1) or f_i (sign -1) on raw parts: (ints, m) with
+    X parts = ints / m, zero parts dropped.  Each image lands in the
     neighbouring space up[i] or down[i].  A missing matrix is DepthExceeded
     when its target weight, formed only then, is nonzero past the window, a
     certified zero otherwise."""
-    wts, images = [], []
-    for wt, coeffs in parts.items():
-        sp = sl.spaces[wt]
-        mats, nbrs = (sp.e_mat, sp.up) if sign > 0 else (sp.f_mat, sp.down)
-        found = mats.get(i)
+    spaces, images = [], []
+    for sp, coeffs in parts.items():
+        found = (sp.e_mat if sign > 0 else sp.f_mat).get(i)
         if found is None:
-            tgt_wt = tuple(map(add if sign > 0 else sub, wt, sl.datum.alpha[i]))
+            tgt_wt = tuple(map(add if sign > 0 else sub, sp.weight, sl.datum.alpha[i]))
             if tgt_wt in sl._nonzero_beyond:
                 raise DepthExceeded(needed=sp.height + 1, depth=sl.depth, weight=tgt_wt)
             continue  # certified zero: the target weight space vanishes
-        # distinct source weights have distinct targets
+        # distinct source spaces have distinct targets
         mat, den = found
-        img = tuple(exact.vec_dot(row, coeffs) for row in mat)
+        img = [exact.vec_dot(row, coeffs) for row in mat]
         if any(img):
-            wts.append(nbrs[i].weight)
+            spaces.append((sp.up if sign > 0 else sp.down)[i])
             images.append((img, den))
     if not images:
         return {}, 1
     vecs, m = _over_common_den(images)
-    return dict(zip(wts, vecs)), m
+    return dict(zip(spaces, vecs)), m
 
 
-def _exp_series(v: Vector, i: int, sign: int, t: Fraction) -> Vector:
-    """exp(t X) v = sum_k t^k / k! X^k v for X = e_i (sign 1) or f_i
-    (sign -1), which must be locally nilpotent on v.
-
-    The sum runs in ints over one running denominator.  X^k v is kept
-    unreduced as term / (v.den q_k), q_k the product of the _step
-    denominators, and with t = p/q its coefficient p^k / (q^k k!) is folded
-    in as ints.  Each term's denominator v.den q_k q^k k! divides the next
-    one's, so their running lcm is the latest and the total is rescaled by
-    the quotient at each step.  The one reduction is the Vector at the end.
-    """
-    sl = v.slice
+def _exp(sl: ModuleSlice, parts: Raw, den: int, i: int, sign: int, t) -> tuple[Raw, int]:
+    """exp(t X) on raw parts / den, for X = e_i (sign 1) or f_i (sign -1)
+    locally nilpotent on it and t = p/q.  X^k v is term / (den q_k), q_k the
+    product of the _step denominators, and its coefficient p^k / (q^k k!)
+    is folded in as ints.  Each term's denominator den q_k q^k k! divides
+    the next one's, so the total is rescaled by the quotient at each step.
+    A part that cancels is dropped: the next letter could lower that zero
+    out of the window and raise DepthExceeded."""
+    term, m = _step(sl, parts, i, sign)
+    if not term:
+        return parts, den
     p, q = t.numerator, t.denominator
-    total, den = dict(v.parts), 1  # the sum so far is total / (v.den den)
-    term, pk = v.parts, 1  # X^k v is term / (v.den q_k), p^k
-    k = 1
-    while True:
-        term, m = _step(sl, term, i, sign)
-        if not term:
-            return Vector(sl, total, den * v.den)
+    total, pk, k = dict(parts), 1, 1
+    while term:
         pk *= p
-        grow = m * q * k  # den / den_{k-1}, den = q_k q^k k!
+        grow = m * q * k  # the quotient of the term denominators k and k - 1
         den *= grow
         if grow != 1:
-            total = {wt: tuple(grow * x for x in u) for wt, u in total.items()}
-        for wt, u in term.items():
-            old = total.get(wt)
-            total[wt] = (tuple(pk * x for x in u) if old is None
-                         else tuple(a + pk * x for a, x in zip(old, u)))
+            total = {sp: [grow * x for x in u] for sp, u in total.items()}
+        for sp, u in term.items():
+            old = total.get(sp)
+            total[sp] = ([pk * x for x in u] if old is None
+                         else [a + pk * x for a, x in zip(old, u)])
         k += 1
         if k > 2 * sl.depth + 4:
             raise InternalError("exponential failed to terminate inside the slice")
+        term, m = _step(sl, term, i, sign)
+    return {sp: u for sp, u in total.items() if any(u)}, den
+
+
+def _run_word(sl: ModuleSlice, letters: Sequence[Letter], parts: Raw, den: int
+              ) -> tuple[Raw, int]:
+    """The letters, read by `_read_word`, applied last first to parts / den."""
+    for letter in reversed(letters):
+        tag = letter[0]
+        if tag == "X+" or tag == "X-":
+            parts, den = _exp(sl, parts, den, letter[1], 1 if tag == "X+" else -1, letter[2])
+        elif tag == "N":  # n_i = exp(e_i) exp(-f_i) exp(e_i)
+            for sign in (1, -1, 1):
+                parts, den = _exp(sl, parts, den, letter[1], sign, sign)
+        elif tag == "T":
+            h, p, q = letter[1], letter[2].numerator, letter[2].denominator
+            pieces = []
+            for sp, u in parts.items():
+                # s^e as num / d with d > 0: (p^e, q^e) or (q^-e, p^-e)
+                e = exact.vec_dot(sp.weight, h)
+                num, d = (p ** e, q ** e) if e >= 0 else (q ** -e, p ** -e)
+                pieces.append(([num * x for x in u], d) if d > 0 else ([-num * x for x in u], -d))
+            vecs, m = _over_common_den(pieces)
+            parts, den = dict(zip(parts, vecs)), den * m
+        else:  # E: keep the weights that the face's exposing coweight kills
+            c = letter[1].exposing()
+            parts = {sp: u for sp, u in parts.items() if exact.vec_dot(sp.weight, c) == 0}
+    return parts, den
+
+
+def _vector(sl: ModuleSlice, parts: Raw, den: int) -> Vector:
+    """The raw parts / den as a Vector: the one reduction of a word."""
+    return Vector(sl, {sp.weight: tuple(u) for sp, u in parts.items()}, den)
 
 
 # letters: ("X+", i, t) ("X-", i, t) ("T", coweight, s) ("N", i) ("E", Face)
@@ -663,57 +688,55 @@ def _read_letter(datum: RootDatum, letter: Letter) -> Letter:
     return letter
 
 
+def _read_word(datum: RootDatum, word: GhatWord) -> tuple[Letter, ...]:
+    """The letters of the word, each read by `_read_letter` before any is
+    applied: the one reader of a word.  Anything but a GhatWord is a
+    DomainError."""
+    if not isinstance(word, GhatWord):
+        raise DomainError(f"{word!r} is not a GhatWord")
+    for letter in word.letters:
+        _read_letter(datum, letter)
+    return word.letters
+
+
 def apply_letter(letter: Letter, v: Vector) -> Vector:
-    """The letter, read by `_read_letter`, applied to v."""
-    tag = _read_letter(v.slice.datum, letter)[0]
-    if tag == "X+" or tag == "X-":
-        return _exp_series(v, letter[1], 1 if tag == "X+" else -1, letter[2])
-    if tag == "T":
-        h, p, q = letter[1], letter[2].numerator, letter[2].denominator
-        pieces = {}
-        for wt, coeffs in v.parts.items():
-            # s^e as num / den with den > 0: (p^e, q^e) or (q^-e, p^-e)
-            e = exact.vec_dot(wt, h)
-            num, den = (p ** e, q ** e) if e >= 0 else (q ** -e, p ** -e)
-            if den < 0:
-                num, den = -num, -den
-            pieces[wt] = (tuple(num * x for x in coeffs), den)
-        return _from_pieces(v, pieces)
-    if tag == "N":  # n_i = exp(e_i) exp(-f_i) exp(e_i)
-        i = letter[1]
-        return _exp_series(_exp_series(_exp_series(v, i, 1, 1), i, -1, -1), i, 1, 1)
-    # E: keep the weights that the face's exposing coweight kills
-    c = letter[1].exposing()
-    return Vector(v.slice, {wt: coeffs for wt, coeffs in v.parts.items()
-                            if exact.vec_dot(wt, c) == 0}, v.den)
+    """The one-letter word of the letter applied to v."""
+    return apply_word(GhatWord((letter,)), v)
 
 
 def apply_word(word: GhatWord, v: Vector) -> Vector:
-    for letter in reversed(word.letters):
-        v = apply_letter(letter, v)
-    return v
+    """The word applied to v: read once, run on raw parts, reduced once."""
+    sl, letters = v.slice, _read_word(v.slice.datum, word)
+    return _vector(sl, *_run_word(sl, letters, {sl.spaces[wt]: u for wt, u in v.parts.items()},
+                                  v.den))
+
+
+def _check_height(h: int):
+    exact_ints((h,), "height")
+    if h < 0:
+        raise DomainError(f"height {h} is negative")
 
 
 def word_columns(slice_: ModuleSlice, words: Sequence[GhatWord],
                  max_height: Optional[int] = None):
     """(wt, k, images of `words`) for each basis vector k at wt, in
     basis_index() order, up to height `max_height` (all of the slice when
-    None).  The words are applied to one vector before the next is taken;
-    the first vector that a word leaves the window from raises
-    DepthExceeded, so a caller either lets it raise or keeps the columns
-    yielded before it.  A `max_height` that is not a Python int, or is
-    negative, is a DomainError."""
+    None).  The words are read once, before any column, and applied to one
+    vector before the next is taken; the first vector that a word leaves the
+    window from raises DepthExceeded, so a caller either lets it raise or
+    keeps the columns yielded before it.  A `max_height` that is not a
+    Python int, or is negative, is a DomainError."""
     if max_height is not None:
-        exact_ints((max_height,), "height")
-        if max_height < 0:
-            raise DomainError(f"height {max_height} is negative")
+        _check_height(max_height)
+    read = [_read_word(slice_.datum, word) for word in words]
     for wt in slice_.order:
         sp = slice_.spaces[wt]
         if max_height is not None and sp.height > max_height:
             return
         for k in range(sp.dim):
-            basis = Vector(slice_, {wt: tuple(int(j == k) for j in range(sp.dim))})
-            yield wt, k, [apply_word(word, basis) for word in words]
+            basis = {sp: [int(j == k) for j in range(sp.dim)]}
+            yield wt, k, [_vector(slice_, *_run_word(slice_, letters, basis, 1))
+                          for letters in read]
 
 
 def evaluate_word(slice_: ModuleSlice, word: GhatWord,
@@ -725,20 +748,24 @@ def evaluate_word(slice_: ModuleSlice, word: GhatWord,
     matrix is still exact, applications beyond the window still raise.
     """
     index = slice_.basis_index()
-    pos = {key: p for p, key in enumerate(index)}
+    first = {wt: p for p, (wt, k) in enumerate(index) if k == 0}  # row of (wt, 0)
     col_index, cols = [], []
     for wt, k, (img,) in word_columns(slice_, (word,), max_height):
         col = [Fraction(0)] * len(index)
         for wt2, coeffs in img.parts.items():
-            for j, x in enumerate(coeffs):
-                col[pos[(wt2, j)]] = Fraction(x, img.den)
+            for j, x in enumerate(coeffs, first[wt2]):
+                if x:
+                    col[j] = Fraction(x, img.den)
         col_index.append((wt, k))
         cols.append(col)
-    return (index, tuple(col_index)), tuple(tuple(col[r] for col in cols)
-                                            for r in range(len(index)))
+    return (index, tuple(col_index)), tuple(zip(*cols))
 
 
 def inner(slice_: ModuleSlice, v: Vector, u: Vector) -> Fraction:
+    """<v | u> under the slice's contravariant form; a vector of another
+    slice is a PreconditionViolated."""
+    if v.slice is not slice_ or u.slice is not slice_:
+        raise PreconditionViolated("vector of another slice")
     total = 0
     for wt, a in v.parts.items():
         b = u.parts.get(wt)
@@ -751,7 +778,7 @@ def inner(slice_: ModuleSlice, v: Vector, u: Vector) -> Fraction:
 
 def matrix_coefficient(slice_: ModuleSlice, v: Vector, u: Vector,
                        word: GhatWord) -> Fraction:
-    """<v | w(u)> under the slice's contravariant form."""
+    """<v | w(u)> under the slice's contravariant form (`inner`)."""
     return inner(slice_, v, apply_word(word, u))
 
 
@@ -872,14 +899,14 @@ def bruhat_cell(datum: RootDatum, word: GhatWord) -> WmonElt:
     when the absorption predicate allows it.  Anything else raises
     NotFactored; a general word-to-normal-form rewriter is out of scope.
 
-    Letters are read by `_read_letter`, and the cell in W-hat through kappa:
+    The word is read by `_read_word`, and the cell in W-hat through kappa:
     N(i) is the unit s_i, E(face) the face's idempotent, T the unit.
     """
     middle = MO.wm_unit(datum)
     started = False  # past the lowering prefix
     pending_plus: list[Letter] = []
-    for letter in word.letters:
-        tag = _read_letter(datum, letter)[0]
+    for letter in _read_word(datum, word):
+        tag = letter[0]
         if tag == "X-":
             if not started:
                 continue  # part of the lowering prefix; irrelevant for the cell

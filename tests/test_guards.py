@@ -64,15 +64,25 @@ def _own_letter_checks(func):
     return found
 
 
+def _names(func):
+    return {n.id for n in ast.walk(func) if isinstance(n, ast.Name)}
+
+
 def test_word_entries_check_no_letter_themselves():
     # highest_weight._read_letter is the one place that decides whether a
-    # letter is valid; apply_letter and bruhat_cell read every letter
-    # through it and keep no check of their own
+    # letter is valid, and _read_word, the one reader of a word, is the only
+    # function that calls it.  The word entries read their words through
+    # _read_word (apply_letter through apply_word), and neither they nor the
+    # raw letter code keep a check of their own
     tree = ast.parse((Path(kmx.__file__).parent / "highest_weight.py").read_text())
     funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-    for name in ("apply_letter", "bruhat_cell"):
+    for name in ("_read_word", "apply_letter", "apply_word", "word_columns", "bruhat_cell",
+                 "_run_word", "_exp", "_step", "_vector"):
         assert _own_letter_checks(funcs[name]) == [], name
-        assert "_read_letter" in {n.id for n in ast.walk(funcs[name]) if isinstance(n, ast.Name)}
+    assert [name for name, f in funcs.items() if "_read_letter" in _names(f)] == ["_read_word"]
+    for name in ("apply_word", "word_columns", "bruhat_cell"):
+        assert "_read_word" in _names(funcs[name]), name
+    assert "apply_word" in _names(funcs["apply_letter"])
     assert _own_letter_checks(funcs["_read_letter"])
 
 

@@ -18,9 +18,11 @@ HYP = build_realization(HYPERBOLIC_ROWS)
 
 
 def _apply(v, i, sign):
-    """e_i v (sign 1) or f_i v (sign -1), through the engine's one step."""
-    parts, m = HW._step(v.slice, v.parts, i, sign)
-    return HW.Vector(v.slice, parts, m * v.den)
+    """e_i v (sign 1) or f_i v (sign -1), through the engine's one step on
+    parts keyed by weight space."""
+    sl = v.slice
+    parts, m = HW._step(sl, {sl.spaces[wt]: u for wt, u in v.parts.items()}, i, sign)
+    return HW.Vector(sl, {sp.weight: tuple(u) for sp, u in parts.items()}, m * v.den)
 
 
 # -- weights and multiplicities ----------------------------------------------------
@@ -662,9 +664,10 @@ def test_evaluate_word_columns_are_column_images():
                        for j, x in enumerate(part) if x}
 
 
-def test_probe_pass_forms_no_gram_matrix():
-    # the weights one step past the window are decided by e-images alone,
-    # and agree with a nonzero Gram entry there
+def test_weights_past_the_window_have_a_nonzero_gram_matrix():
+    # the build marks the weights one step past the window by the weight
+    # rule alone, forming nothing there; the marked weights are exactly
+    # those where a built space, a nonzero Gram matrix, would lie
     seen = []
 
     class Recording(HW.ModuleSlice):
@@ -881,6 +884,61 @@ def test_every_word_entry_reads_hand_built_letters_through_the_one_reader(entry)
     for hand, built in ((("X+", 0, 1), HW.xplus(0, 1)), (("X-", 1, -2), HW.xminus(1, -2)),
                         (("T", (1, 0), 2), HW.torus_letter((1, 0), 2))):
         assert run(HW.GhatWord((hand,))) == run(HW.GhatWord((built,))), hand
+
+
+# each public entry that reads whole words, on something that is not a GhatWord
+NOT_WORDS = {
+    "apply_word": lambda: HW.apply_word([HW.xplus(0, 1)], _FUND.highest_vector()),
+    "theta": lambda: HW.theta(_FUND, (HW.xplus(0, 1),)),
+    "evaluate_word": lambda: HW.evaluate_word(_FUND, "N(1)"),
+    "word_columns": lambda: list(HW.word_columns(_FUND, ((HW.nsimple(0),),), 0)),
+    "bruhat_cell": lambda: HW.bruhat_cell(A2, [HW.nsimple(0)]),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(NOT_WORDS))
+def test_a_word_that_is_not_a_ghat_word_is_a_domain_error(entry):
+    # a list, tuple or str ended in a raw AttributeError on .letters
+    with pytest.raises(DomainError, match="is not a GhatWord"):
+        NOT_WORDS[entry]()
+
+
+def test_vectors_of_another_slice_are_a_precondition_violation():
+    # inner raised a raw KeyError, and matrix_coefficient returned 0
+    s11, s20 = HW.build_basis(A2, (1, 1), 3), HW.build_basis(A2, (2, 0), 3)
+    v11, v20 = s11.highest_vector(), s20.highest_vector()
+    for read in (lambda: HW.inner(s11, v20, v20), lambda: HW.inner(s11, v11, v20),
+                 lambda: HW.matrix_coefficient(s11, v11, v20, HW.GhatWord(())),
+                 lambda: HW.matrix_coefficient(s11, v20, v11, HW.GhatWord(()))):
+        with pytest.raises(PreconditionViolated, match="vector of another slice"):
+            read()
+    assert HW.matrix_coefficient(s11, v11, v11, HW.GhatWord(())) == 1
+
+
+def test_each_word_is_read_once_and_reduced_once(monkeypatch):
+    # word_columns reads every letter of its words once, however many
+    # columns it yields, and each applied word forms one Vector, at its end
+    reads, vectors = [], []
+    read_letter, post_init = HW._read_letter, HW.Vector.__post_init__
+    monkeypatch.setattr(HW, "_read_letter",
+                        lambda datum, letter: reads.append(letter) or read_letter(datum, letter))
+    monkeypatch.setattr(HW.Vector, "__post_init__",
+                        lambda self: vectors.append(self) or post_init(self))
+    sl = HW.build_basis(A2, (1, 1), 4)
+    words = [HW.parse_word(A2, "X-(1;2) N(2) T(h1;3) X+(2;-1)"), HW.parse_word(A2, "N(1) N(2)")]
+    letters = [letter for word in words for letter in word.letters]
+    cols = list(HW.word_columns(sl, words))
+    assert len(cols) == 8
+    assert reads == letters and len(vectors) == 2 * len(cols)
+    top = sl.highest_vector()
+    reads.clear()
+    vectors.clear()
+    HW.apply_word(words[0] * words[1], top)
+    assert reads == letters and len(vectors) == 1
+    reads.clear()
+    vectors.clear()
+    HW.evaluate_word(sl, words[0], max_height=1)
+    assert reads == list(words[0].letters) and len(vectors) == 3
 
 
 def _factored_word(datum, rng, faces):

@@ -333,6 +333,21 @@ def test_word_values_equal_the_fraction_reference(alg, hw_name):
     assert checked > 10
 
 
+def test_a_part_that_cancels_is_not_lowered_out_of_the_window():
+    # on A2^(1) rho at depth 5, a part at the window's bottom cancels inside
+    # one of this word's exponentials; kept, a later exponential lowered that
+    # zero past the window and raised DepthExceeded
+    new = _slice(HW.ModuleSlice, "A2^(1)", "rho", 5)
+    ref = _slice(RefSlice, "A2^(1)", "rho", 5)
+    word = HW.parse_word(new.datum, "X-(1;2) N(2) N(2)")
+    (rows, cols), mat = HW.evaluate_word(new, word, max_height=2)
+    assert len(cols) == sum(sp.dim for sp in new.spaces.values() if sp.height <= 2)
+    for c, (wt, k) in enumerate(cols):
+        col = _ref_word(ref, word, {wt: [Fraction(int(j == k)) for j in range(new.spaces[wt].dim)]})
+        for r, (wt2, j) in enumerate(rows):
+            assert mat[r][c] == col.get(wt2, [0] * (j + 1))[j], (wt, k, wt2, j)
+
+
 def _assert_canonical(v):
     """v is in lowest terms: no zero part, den coprime to the entries, den 1
     on the zero vector."""
