@@ -347,6 +347,12 @@ class ModuleSlice:
         self._build()
         # the build inserts the spaces in (height, weight) order
         self.order: tuple[Wt, ...] = tuple(self.spaces)
+        # the basis never changes after the build: its index, and the row of
+        # each (wt, 0) in it
+        self._index: tuple[tuple[Wt, int], ...] = tuple(
+            (wt, k) for wt in self.order for k in range(self.spaces[wt].dim))
+        self._first_row: dict[Wt, int] = {wt: p for p, (wt, k) in enumerate(self._index)
+                                          if k == 0}
 
     def __del__(self):
         # The neighbour maps link the spaces in cycles.  Cutting them frees
@@ -481,7 +487,7 @@ class ModuleSlice:
         return self.spaces[wt].height
 
     def basis_index(self) -> tuple[tuple[Wt, int], ...]:
-        return tuple((wt, k) for wt in self.order for k in range(self.spaces[wt].dim))
+        return self._index
 
     def highest_vector(self) -> "Vector":
         return Vector(self, {self.hw: (1,)})
@@ -747,8 +753,7 @@ def evaluate_word(slice_: ModuleSlice, word: GhatWord,
     most that bound (rows always run over the whole slice); the restricted
     matrix is still exact, applications beyond the window still raise.
     """
-    index = slice_.basis_index()
-    first = {wt: p for p, (wt, k) in enumerate(index) if k == 0}  # row of (wt, 0)
+    index, first = slice_.basis_index(), slice_._first_row
     col_index, cols = [], []
     for wt, k, (img,) in word_columns(slice_, (word,), max_height):
         col = [Fraction(0)] * len(index)

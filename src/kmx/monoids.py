@@ -48,7 +48,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import exact, faces as F, weyl as W
-from .cartan import RootDatum, exact_ints, exact_rationals, torus_values
+from .cartan import RootDatum, exact_ints, torus_values
 from .errors import DomainError, InternalError, PreconditionViolated
 from .exact import IntVec
 from .faces import Face
@@ -160,10 +160,10 @@ def wm_apply(x: WmonElt, weight: Sequence):
     Well-defined on congruence classes: replacing sigma by z sigma with z
     centralizing the face changes neither the membership test nor the image.
     `faces.contains` certifies the image in the Tits cone, so its verdicts
-    (NotInTitsCone / Undecided) pass through.  The weight is read by
-    `cartan.exact_rationals` before it is acted on.
+    (NotInTitsCone / Undecided) pass through.  `WeylElt.act_weight` reads
+    the weight by `cartan.exact_rationals`.
     """
-    img = x.w.act_weight(exact_rationals(weight, "weight coordinate"))
+    img = x.w.act_weight(weight)
     if F.contains(x.face, img):
         return tuple(img)
     return ZERO

@@ -384,7 +384,7 @@ def check_operator_theorems() -> CheckResult:
             cvec = face.exposing()
             for root in sorted(roots):
                 u, i = roots[root]
-                g = tuple(int(c) for c in face.w.inv().act_root(root))
+                g = face.w.inv().act_root(root)
                 supp = set(j for j, c in enumerate(g) if c)
                 predicate = (all(c >= 0 for c in g) or supp <= set(face.theta)
                              or supp <= set(datum.theta_perp(face.theta)))

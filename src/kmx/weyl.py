@@ -11,7 +11,9 @@ updates in place to one mutable copy of P and of P^{-1} and freezes them
 into one element, so `from_word` builds at most one element however long the
 word.  A product with the identity returns the other factor, and any other
 product takes one matrix product, and a second for P^{-1} only when the
-element is new.  The actions check the length of their vector; the coweight
+element is new.  The actions read a weight or coweight by
+`cartan.exact_rationals` and a root by `cartan.exact_ints`, and check the
+length of their vector; the coweight
 action y -> y^T P^{-1} adds the rows of P^{-1} at the nonzero coordinates
 of y.  Descents are signs of w.rho, where rho = (1, ..., 1):
 s_i w < w iff (P rho)_i < 0, w s_i < w iff (P^{-1} rho)_i < 0.  The stored
@@ -25,9 +27,12 @@ indices and multiplies them out once; the left-hand forms walk w^{-1}.  The
 factor u in W_J is multiplied out from those indices only by
 `min_coset_right` and `min_coset_left`, which return it; the double coset,
 the parabolic membership tests and the callers in `faces` and `monoids`
-read only the representative.  `dominant_rep` reflects its weight in place
-and `antidominant_coweight` keeps the pairings alpha_j(d), updated in O(n)
-per reflection; each multiplies its witness out once, at the end.
+read only the representative.  `dominant_rep` walks in ints: it reflects
+the integer numerator of its weight in place and keeps its pairings with
+the exposing coweights, updated in O(1) each per reflection, and forms a
+Fraction only at its exits.  `antidominant_coweight` keeps the pairings
+alpha_j(d), updated in O(n) per reflection; each walk multiplies its
+witness out once, at the end.
 
 `denominator` walks the signed orbit of rho, truncated by height, on the
 vectors rho - w rho alone: it reads the GCM and builds no element.
@@ -52,6 +57,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Optional, Sequence
 
 from . import exact
@@ -133,14 +139,18 @@ class WeylElt:
     # -- actions -------------------------------------------------------------
 
     def act_weight(self, x: Sequence) -> Vec:
-        x = tuple(x)
+        """P x, for a weight read by `cartan.exact_rationals`."""
+        x = exact_rationals(x, "weight coordinate")
         if len(x) != self.datum.m:
             raise DomainError(f"weight needs {self.datum.m} coordinates")
         return exact.mat_vec(self.mat_p, x)
 
     def act_coweight(self, y: Sequence) -> Vec:
-        """Contragredient action y^T P^{-1}: the rows of mat_p_inv at the
-        nonzero coordinates of y, scaled and added."""
+        """Contragredient action y^T P^{-1} on a coweight read by
+        `cartan.exact_rationals` (a rational point of H, as the weights are of
+        P): the rows of mat_p_inv at the nonzero coordinates of y, scaled and
+        added."""
+        y = exact_rationals(y, "coweight coordinate")
         m = len(self.mat_p_inv)
         if len(y) != m:
             raise DomainError(f"coweight needs {m} coordinates")
@@ -151,14 +161,15 @@ class WeylElt:
         return tuple(out)
 
     def act_root(self, c: Sequence) -> Vec:
-        """w on the root lattice in the simple-root basis: the reflections of
-        the canonical word, s_i acting by c_i -= sum_j a_ij c_j."""
+        """w on the root lattice in the simple-root basis, for an integer
+        root read by `cartan.exact_ints`: the reflections of the canonical
+        word, s_i acting by c_i -= sum_j a_ij c_j."""
         a = self.datum.gcm.a
-        v = list(c)
+        v = list(exact_ints(c, "root coordinate"))
         if len(v) != self.datum.n:
             raise DomainError(f"root needs {self.datum.n} coordinates")
         for i in reversed(self.word):
-            v[i] -= sum(x * y for x, y in zip(a[i], v))
+            v[i] -= exact.vec_dot(a[i], v)
         return tuple(v)
 
     # -- descents ------------------------------------------------------------
@@ -387,47 +398,59 @@ def dominant_rep(datum: RootDatum, weight: Sequence, cap: int = 2000) -> Dominan
         face span requires.
     Raises NotInTitsCone with the certificate, or Undecided(cap) if the
     budget runs out without a verdict; its .weight is the last weight the
-    walk reached.  The walk keeps the current weight and the applied
-    letters; w is multiplied out once, when it is returned.  A cap (step
-    budget) that is not a Python int, or is negative, is a DomainError.
+    walk reached.  A cap (step budget) that is not a Python int, or is
+    negative, is a DomainError.
+
+    The walk runs in ints.  The weight is scaled once by d, the lcm of its
+    denominators, and the walk reflects the integer numerator cur = d lam
+    in place, and beside it one pairing <cur, c_Theta> per special
+    Theta; a step with s_i subtracts cur_i <alpha_i, c_Theta> from each, so
+    the certificates cost O(1) per Theta and reflection.  A Fraction x / d
+    is formed only at the exits: the dominant weight, Undecided.weight and
+    the two certificates' values.  The walk keeps the applied letters; w is
+    multiplied out once, when it is returned.
     """
     if exact_ints((cap,), "step budget")[0] < 0:
         raise DomainError(f"step budget {cap} is negative")
-    lam = tuple(Fraction(x, 1) for x in exact_rationals(weight, "weight coordinate"))
+    lam = exact_rationals(weight, "weight coordinate")
     if len(lam) != datum.m:
         raise DomainError(f"weight needs {datum.m} coordinates")
-    specials = [t for t in datum.special_sets() if t]
-    cvecs = [(t, datum.exposing_coweight(t)) for t in specials]
-    support = datum.alpha_support
+    d = lcm(*(x.denominator for x in lam))
+    numerator = tuple([x.numerator * (d // x.denominator) for x in lam])
+    cur = list(numerator)
+    n, alpha, support = datum.n, datum.alpha, datum.alpha_support
+    thetas = [t for t in datum.special_sets() if t]
+    cvecs = [datum.exposing_coweight(t) for t in thetas]
+    vals = [exact.vec_dot(cur, c) for c in cvecs]  # <cur, c_Theta>
+    steps = [[exact.vec_dot(alpha[i], c) for c in cvecs] for i in range(n)]  # <alpha_i, c_Theta>
     letters: list[int] = []  # w = s_{letters[0]} s_{letters[1]} ..., w * current = input
-    cur = list(lam)
     for _ in range(cap + 1):
-        for theta, c in cvecs:
-            val = datum.pair(cur, c)
+        for theta, val in zip(thetas, vals):
             if val < 0:
                 applied = from_word(datum, letters).inv().word
                 cert = (f"pairing with the type-{tuple(i + 1 for i in theta)} exposing "
-                        f"coweight is {val} < 0 after applying {applied}")
+                        f"coweight is {Fraction(val, d)} < 0 after applying {applied}")
                 raise NotInTitsCone(cert)
             if val == 0:
                 bad = next((i for i in theta if cur[i] != 0), None)
                 if bad is not None:
                     cert = (f"vanishes on the type-{tuple(i + 1 for i in theta)} exposing "
-                            f"coweight but pairs to {cur[bad]} != 0 with coroot {bad + 1}")
+                            f"coweight but pairs to {Fraction(cur[bad], d)} != 0 with "
+                            f"coroot {bad + 1}")
                     raise NotInTitsCone(cert)
-        i = next((i for i in range(datum.n) if cur[i] < 0), None)
+        i = next((i for i in range(n) if cur[i] < 0), None)
         if i is None:
-            dom = tuple(cur)
             w = from_word(datum, letters)
-            facet = tuple(i for i in range(datum.n) if dom[i] == 0)
-            if w.act_weight(dom) != lam:
+            if w.act_weight(cur) != numerator:
                 raise InternalError("dominant representative does not map back to the input")
-            return DominantResult(dominant=dom, w=w, facet_type=facet)
+            return DominantResult(dominant=tuple([Fraction(x, d) for x in cur]), w=w,
+                                  facet_type=tuple(i for i in range(n) if cur[i] == 0))
         c = cur[i]  # s_i cur = cur - <cur, h_i> alpha_i
         for k, a in support[i]:
             cur[k] -= c * a
+        vals = [x - c * y for x, y in zip(vals, steps[i])]
         letters.append(i)
-    raise Undecided(cap, weight=tuple(cur))
+    raise Undecided(cap, weight=tuple([Fraction(x, d) for x in cur]))
 
 
 def antidominant_coweight(datum: RootDatum, coweight: Sequence) -> tuple[Vec, WeylElt]:
@@ -496,7 +519,7 @@ def denominator(datum: RootDatum, max_height: int) -> dict[Vec, int]:
         for beta in level:
             h = sum(beta)
             for i in range(n):
-                p = 1 - sum(x * y for x, y in zip(a[i], beta))
+                p = 1 - exact.vec_dot(a[i], beta)
                 if p > 0 and h + p <= max_height:
                     nxt[beta[:i] + (beta[i] + p,) + beta[i + 1:]] = sign
         out.update(nxt)

@@ -37,6 +37,10 @@ it multiplied in the Weyl monoid: `bruhat_cell` folds the normalizer
 letters in N-hat, torus letters and their cocycles included, and sends the
 product to W-hat by kappa at the end; a lowering letter after the block is
 tested against the N-hat product's own face.
+
+Last of all, `dominant_rep` is the walk to the dominant chamber as the
+package ran it before it walked in ints: it reflects a Fraction weight and
+pairs it with every exposing coweight anew at each step.
 """
 
 import math
@@ -44,8 +48,9 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from kmx import monoids as MO, weyl as W
-from kmx.cartan import RootDatum, check_index
-from kmx.errors import DomainError, InternalError, NotFactored
+from kmx.cartan import RootDatum, check_index, exact_ints, exact_rationals
+from kmx.errors import (DomainError, InternalError, NotFactored, NotInTitsCone,
+                        Undecided)
 from kmx.exact import (IntVec, RatVec, identity, int_mat, mat_vec, primitive,
                        smith_normal_form, vec_dot)
 from kmx import highest_weight as HW
@@ -627,3 +632,60 @@ def bruhat_cell(datum: RootDatum, word):
     if middle is None:
         return MO.wm_unit(datum)
     return MO.nhat_to_wmon(middle)
+
+
+def dominant_rep(datum: RootDatum, weight: Sequence, cap: int = 2000) -> W.DominantResult:
+    """Dominant representative of a weight, with a Weyl witness w*dom = weight,
+    by the Fraction walk: every pairing is a `RootDatum.pair` over Fraction.
+    The weight is read by `cartan.exact_rationals`: a coordinate that is
+    not a Fraction or an int is a DomainError.
+
+    Membership in the Tits cone is only semi-decidable; the loop reflects at
+    the smallest negative coordinate and watches two exact negative
+    certificates along the way:
+      * lam(u * c_Theta) < 0 for a tracked exposing coweight, or
+      * lam(u * c_Theta) = 0 while lam vanishes on no larger set than the
+        face span requires.
+    Raises NotInTitsCone with the certificate, or Undecided(cap) if the
+    budget runs out without a verdict; its .weight is the last weight the
+    walk reached.  The walk keeps the current weight and the applied
+    letters; w is multiplied out once, when it is returned.  A cap (step
+    budget) that is not a Python int, or is negative, is a DomainError.
+    """
+    if exact_ints((cap,), "step budget")[0] < 0:
+        raise DomainError(f"step budget {cap} is negative")
+    lam = tuple(Fraction(x, 1) for x in exact_rationals(weight, "weight coordinate"))
+    if len(lam) != datum.m:
+        raise DomainError(f"weight needs {datum.m} coordinates")
+    specials = [t for t in datum.special_sets() if t]
+    cvecs = [(t, datum.exposing_coweight(t)) for t in specials]
+    support = datum.alpha_support
+    letters: list[int] = []  # w = s_{letters[0]} s_{letters[1]} ..., w * current = input
+    cur = list(lam)
+    for _ in range(cap + 1):
+        for theta, c in cvecs:
+            val = datum.pair(cur, c)
+            if val < 0:
+                applied = W.from_word(datum, letters).inv().word
+                cert = (f"pairing with the type-{tuple(i + 1 for i in theta)} exposing "
+                        f"coweight is {val} < 0 after applying {applied}")
+                raise NotInTitsCone(cert)
+            if val == 0:
+                bad = next((i for i in theta if cur[i] != 0), None)
+                if bad is not None:
+                    cert = (f"vanishes on the type-{tuple(i + 1 for i in theta)} exposing "
+                            f"coweight but pairs to {cur[bad]} != 0 with coroot {bad + 1}")
+                    raise NotInTitsCone(cert)
+        i = next((i for i in range(datum.n) if cur[i] < 0), None)
+        if i is None:
+            dom = tuple(cur)
+            w = W.from_word(datum, letters)
+            facet = tuple(i for i in range(datum.n) if dom[i] == 0)
+            if w.act_weight(dom) != lam:
+                raise InternalError("dominant representative does not map back to the input")
+            return W.DominantResult(dominant=dom, w=w, facet_type=facet)
+        c = cur[i]  # s_i cur = cur - <cur, h_i> alpha_i
+        for k, a in support[i]:
+            cur[k] -= c * a
+        letters.append(i)
+    raise Undecided(cap, weight=tuple(cur))

@@ -168,3 +168,51 @@ def test_no_value_error_for_user_input():
     for path in modules:
         assert raises_value_error(ast.parse(path.read_text())) == [], path.name
     assert raises_value_error(ast.parse((src / "exact.py").read_text()))
+
+
+def _genexp_dots(tree):
+    """Each sum(x * y for x, y in zip(...)): a generator expression that
+    multiplies the two names one zip target binds, as "function: line"."""
+    found = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if (isinstance(node, ast.Call) and _name(node.func) == "sum" and len(node.args) == 1
+                and isinstance(node.args[0], ast.GeneratorExp)
+                and len(node.args[0].generators) == 1):
+            elt, loop = node.args[0].elt, node.args[0].generators[0]
+            bound = ({_name(t) for t in loop.target.elts}
+                     if isinstance(loop.target, ast.Tuple) else set())
+            if (isinstance(loop.iter, ast.Call) and _name(loop.iter.func) == "zip"
+                    and isinstance(elt, ast.BinOp) and isinstance(elt.op, ast.Mult)
+                    and all(isinstance(x, ast.Name) and x.id in bound
+                            for x in (elt.left, elt.right))):
+                found.append(f"{func}: {node.lineno}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_one_dot_product_kernel():
+    # exact.vec_dot, sum(map(mul, u, v)), is the one dot product of the
+    # library, and mat_mul and mat_vec use its form; no module multiplies
+    # out a dot product in a generator expression of its own
+    src = Path(kmx.__file__).parent
+    found = [f"{path.name} {hit}" for path in sorted(src.glob("*.py"))
+             for hit in _genexp_dots(ast.parse(path.read_text(), str(path)))]
+    assert found == []
+
+
+def test_dot_product_finder_sees_each_kind():
+    tree = ast.parse("def f(u, v, a):\n"
+                     "    x = sum(x * y for x, y in zip(u, v))\n"
+                     "    y = sum(p * q for p, q in zip(u, v) if p)\n"
+                     "    z = sum(map(mul, u, v))\n"
+                     "    t = sum(x + y for x, y in zip(u, v))\n"
+                     "    s = sum(x * f(y) for x, y in zip(u, v))\n"
+                     "    r = sum(x * y for x in u for y in v)\n"
+                     "w = sum(b * a for a, b in zip(u, v))\n")
+    assert _genexp_dots(tree) == ["f: 2", "f: 3", "<module>: 8"]

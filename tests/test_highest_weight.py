@@ -939,6 +939,8 @@ def test_each_word_is_read_once_and_reduced_once(monkeypatch):
     vectors.clear()
     HW.evaluate_word(sl, words[0], max_height=1)
     assert reads == list(words[0].letters) and len(vectors) == 3
+    # the basis index is built once, with the slice, and kept
+    assert sl.basis_index() is sl.basis_index()
 
 
 def _factored_word(datum, rng, faces):

@@ -51,6 +51,29 @@ def test_actions_reject_vectors_of_the_wrong_length(bad):
         s.act_weight((1, 0))
 
 
+@pytest.mark.parametrize("action, bad, message", [
+    ("act_weight", 0.5, "weight coordinate 0.5 is not a Fraction or an int"),
+    ("act_weight", True, "weight coordinate True is not a Fraction or an int"),
+    ("act_weight", "a", "weight coordinate 'a' is not a Fraction or an int"),
+    ("act_coweight", 0.5, "coweight coordinate 0.5 is not a Fraction or an int"),
+    ("act_coweight", True, "coweight coordinate True is not a Fraction or an int"),
+    ("act_coweight", "a", "coweight coordinate 'a' is not a Fraction or an int"),
+    ("act_root", 0.5, "root coordinate 0.5 is not an integer"),
+    ("act_root", True, "root coordinate True is not an integer"),
+    ("act_root", "a", "root coordinate 'a' is not an integer"),
+    ("act_root", Fraction(1, 2), r"root coordinate Fraction\(1, 2\) is not an integer"),
+])
+def test_actions_read_their_input(action, bad, message):
+    # on A2 act_weight((0.5, 1)) gave (-0.5, 1.5), act_coweight gave floats,
+    # True was read as 1 and "a" was a raw TypeError
+    s = W.simple(A2, 0)
+    with pytest.raises(DomainError, match=message):
+        getattr(s, action)((bad, 1))
+    assert s.act_weight((Fraction(1, 2), 1)) == (Fraction(-1, 2), Fraction(3, 2))
+    assert s.act_coweight((Fraction(1, 2), 1)) == (Fraction(1, 2), 1)
+    assert s.act_root((1, 1)) == (0, 1)
+
+
 def test_act_contragredient_and_form_invariance():
     rng = random.Random(3)
     for datum in (A2, AFF, HYP):
