@@ -4,6 +4,18 @@ Validation, symmetrization, component classification by the exact LP
 trichotomy, special subsets, exposing coweights, and the canonical
 realization on dual lattices of rank 2n - l.
 
+A GCM keeps its hash, so each lookup in the process-wide caches of
+component types and classifications hashes its n^2 entries once.  The
+special subsets come from the connected subsets of the Dynkin graph, each
+typed once by the LP trichotomy: a subset, held as a bitmask, is special iff
+each of its components, found by a bitmask flood inside it, is not of
+finite type.  The realization checks its invariant form by one elimination
+that inverts the Gram matrix on all simple roots at once.
+
+The functions that read a GCM (`special_sets`, `classify`, `is_special`,
+`component_type`) take a `GCM` alone: anything else, a RootDatum or raw
+rows, is a DomainError before any cache is read.
+
 Index convention: 0-based everywhere inside the library; the CLI shifts to
 1-based for user-facing text.  A library index is a Python int in 0..n-1,
 read by `check_index`; a node subset is read by `index_set`, which reads
@@ -15,11 +27,10 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 from math import gcd
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
@@ -48,10 +59,19 @@ class GCM:
     `eps` is the positive rational symmetrizer: with D = diag(eps) the matrix
     B = D^{-1} A is symmetric, i.e. A = D B.  eps is normalized per
     component to positive integers with gcd 1.
+
+    The hash of (a, eps) is kept in `_hash` on first use; init=False, so
+    dataclasses.replace starts a new matrix without it.
     """
 
     a: IntMat
     eps: tuple[Fraction, ...]
+    _hash: Optional[int] = field(init=False, compare=False, repr=False, default=None)
+
+    def __hash__(self):
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.a, self.eps)))
+        return self._hash  # type: ignore[return-value]
 
     @property
     def n(self) -> int:
@@ -259,9 +279,18 @@ def _component_type_cached(gcm: GCM, comp: tuple[int, ...]) -> ComponentType:
     return ComponentType(hits[0])
 
 
+def _check_gcm(gcm) -> GCM:
+    """gcm itself if it is a GCM; anything else (a RootDatum, raw rows) is a
+    DomainError naming its type and the GCM to pass instead."""
+    if type(gcm) is not GCM:
+        raise DomainError(f"expected a GCM, got {type(gcm).__name__}: pass datum.gcm "
+                          "for a RootDatum, validate_and_symmetrize(rows) for rows")
+    return gcm
+
+
 def component_type(gcm: GCM, comp: Sequence[int]) -> ComponentType:
     """LP trichotomy for one indecomposable principal submatrix."""
-    return _component_type_cached(gcm, index_set(gcm.n, comp))
+    return _component_type_cached(_check_gcm(gcm), index_set(gcm.n, comp))
 
 
 @dataclass(frozen=True)
@@ -287,24 +316,47 @@ def _classify_cached(gcm: GCM, idx: tuple[int, ...]) -> Classification:
 
 def classify(gcm: GCM, subset: Optional[Sequence[int]] = None) -> Classification:
     """Classify the components of A restricted to a subset (None: all) of indices."""
-    return _classify_cached(gcm, index_set(gcm.n, range(gcm.n) if subset is None else subset))
+    n = _check_gcm(gcm).n
+    return _classify_cached(gcm, index_set(n, range(n) if subset is None else subset))
 
 
 def is_special(gcm: GCM, theta: Iterable[int]) -> bool:
-    t = index_set(gcm.n, theta)
+    t = index_set(_check_gcm(gcm).n, theta)
     return not t or _classify_cached(gcm, t).theta0 == ()
 
 
 def special_sets(gcm: GCM) -> tuple[tuple[int, ...], ...]:
-    """All special subsets, ordered by (size, lex).  Includes the empty set."""
-    if gcm.n > SPECIAL_SET_RANK_GUARD:
+    """All special subsets, ordered by (size, lex).  Includes the empty set.
+
+    Subsets are bitmasks.  The component of the lowest node of a mask is
+    found by a flood through the Dynkin graph inside the mask; it is a
+    connected subset, and every connected subset is the component of its
+    lowest node in itself, so each connected subset is typed once by
+    `component_type`.  A mask is special iff that component is not FIN
+    and the rest of the mask, a smaller mask, is special.
+    """
+    n = _check_gcm(gcm).n
+    if n > SPECIAL_SET_RANK_GUARD:
         raise SizeGuard(f"special-set enumeration guarded at n <= {SPECIAL_SET_RANK_GUARD}")
-    out = [()]
-    for k in range(1, gcm.n + 1):
-        for t in combinations(range(gcm.n), k):
-            if is_special(gcm, t):
-                out.append(t)
-    return tuple(out)
+    adjacent = [sum(1 << j for j in range(n) if j != i and gcm.a[i][j]) for i in range(n)]
+    nbr = [0] * (1 << n)  # nbr[mask]: the nodes adjacent to a node of mask
+    special = [True] * (1 << n)
+    types: dict[int, ComponentType] = {}
+    for mask in range(1, 1 << n):
+        comp = mask & -mask
+        nbr[mask] = nbr[mask ^ comp] | adjacent[comp.bit_length() - 1]
+        while (grown := (comp | nbr[comp]) & mask) != comp:
+            comp = grown
+        if comp not in types:
+            types[comp] = component_type(gcm, _nodes(comp))
+        special[mask] = types[comp] is not ComponentType.FIN and special[mask ^ comp]
+    return tuple(sorted((_nodes(mask) for mask in range(1 << n) if special[mask]),
+                        key=lambda t: (len(t), t)))
+
+
+def _nodes(mask: int) -> tuple[int, ...]:
+    """The nodes of a bitmask, in increasing order."""
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 class RootDatum:
@@ -349,8 +401,6 @@ class RootDatum:
             for j in range(m):
                 gram[i][j] = gram[j][i] = self.alpha[i][j] * eps[i]
         self.gram: IntMat = tuple(tuple(r) for r in gram)
-        if len(exact.int_rref(self.gram)[0]) != m:
-            raise InternalError("invariant form is degenerate")
         self._verify()
         self._perp: dict[tuple[int, ...], tuple[int, ...]] = {}
         self._ctheta: dict[tuple[int, ...], IntVec] = {}
@@ -365,8 +415,20 @@ class RootDatum:
         self._root_mults: dict[int, dict[IntVec, int]] = {}
 
     def _verify(self):
+        """Re-check the realization: the pairing alpha_i(h_j) = a_ji, the
+        saturated coroot lattice and (alpha_i | alpha_i) = 2 / eps_i.
+
+        The form is checked by one `int_rref` of [gram | alpha_1 ... alpha_n]
+        (the roots as columns): its pivots are 0..m-1 iff the form is
+        nondegenerate, and then column m + i of the reduced rows, over the
+        common pivot den, is gram^{-1} alpha_i, so every (alpha_i | alpha_i)
+        is read in ints from the one elimination."""
         n, m = self.n, self.m
         a = self.gcm.a
+        pivots, rows, den = exact.int_rref(
+            [row + col for row, col in zip(self.gram, zip(*self.alpha))])
+        if pivots != tuple(range(m)):
+            raise InternalError("invariant form is degenerate")
         # alpha_i(h_j) = a_{ji}; Lambda_i(h_j) = delta_ij is the dual pairing.
         for i in range(n):
             for j in range(n):
@@ -377,9 +439,10 @@ class RootDatum:
         _, d, _ = exact.smith_normal_form(hmat)
         if any(d[i][i] != 1 for i in range(n)):
             raise InternalError("coroot lattice not saturated")
-        # (alpha_i | alpha_i) = 2 / eps_i > 0 under A = diag(eps) B.
-        for i in range(n):
-            if self.form_weights(self.alpha[i], self.alpha[i]) != 2 / self.gcm.eps[i]:
+        # (alpha_i | alpha_i) = 2 / eps_i > 0 under A = diag(eps) B, i.e.
+        # eps_i <alpha_i, den gram^{-1} alpha_i> = 2 den.
+        for i, (alpha, eps) in enumerate(zip(self.alpha, self.gcm.eps)):
+            if eps * exact.vec_dot(alpha, [row[m + i] for row in rows]) != 2 * den:
                 raise InternalError("|alpha_i|^2 != 2/eps_i")
 
     # -- pairings and forms -------------------------------------------------
@@ -442,7 +505,10 @@ class RootDatum:
         """Theta u Theta^perp, sorted, for a special Theta: the type of the
         parabolic subgroup that stabilizes the standard face of type Theta.
         A Theta that is not special raises NotSpecial."""
-        key = index_set(self.n, theta)
+        return self._stabilizer(index_set(self.n, theta))
+
+    def _stabilizer(self, key: tuple[int, ...]) -> tuple[int, ...]:
+        """`stabilizer_type` of a Theta already read by `index_set`."""
         stab = self._stab.get(key)
         if stab is None:
             if not is_special(self.gcm, key):

@@ -7,8 +7,8 @@ every query is normal-form local.
 
 Normalizing strips the right descents in the stabilizer type
 Theta u Theta^perp, which the root datum keeps in a table per special Theta
-(`RootDatum.stabilizer_type`); Theta is read by `cartan.index_set` before
-the table is read.
+(`RootDatum.stabilizer_type`); Theta is read once, by `cartan.index_set`,
+and the table is read by that key.
 
 Intersection realizes faces as exposed faces: each face is the zero set on
 the Tits cone of an integer coweight (a Weyl image of an exposing coweight),
@@ -89,7 +89,7 @@ def normalize_face(w: WeylElt, theta: Sequence[int]) -> Face:
     """The face w R(Theta) in normal form, Theta read by `index_set`; a
     Theta that is not special is NotSpecial."""
     key = index_set(w.datum.n, theta)
-    return _face(W._strip_right(w, w.datum.stabilizer_type(key))[0], key)
+    return _face(W._strip_right(w, w.datum._stabilizer(key))[0], key)
 
 
 def full_cone(datum: RootDatum) -> Face:
@@ -187,7 +187,7 @@ def centralizes(r: Face, u: WeylElt) -> bool:
 
 
 def normalizes(r: Face, u: WeylElt) -> bool:
-    return W.in_parabolic(r.w.inv() * u * r.w, r.datum.stabilizer_type(r.theta))
+    return W.in_parabolic(r.w.inv() * u * r.w, r.datum._stabilizer(r.theta))
 
 
 def point_predicates(r: Face, weight: Sequence, own: Face) -> dict:

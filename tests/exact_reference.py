@@ -38,18 +38,24 @@ letters in N-hat, torus letters and their cocycles included, and sends the
 product to W-hat by kappa at the end; a lowering letter after the block is
 tested against the N-hat product's own face.
 
-Last of all, `dominant_rep` is the walk to the dominant chamber as the
+Then `dominant_rep` is the walk to the dominant chamber as the
 package ran it before it walked in ints: it reflects a Fraction weight and
 pairs it with every exposing coweight anew at each step.
+
+Last of all, `special_sets` is the enumeration the package ran before it
+typed each connected subset once: every subset in (size, lex) order, each
+one read and classified by `cartan.is_special`.
 """
 
 import math
 from fractions import Fraction
+from itertools import combinations
 from typing import Optional, Sequence
 
 from kmx import monoids as MO, weyl as W
-from kmx.cartan import RootDatum, check_index, exact_ints, exact_rationals
-from kmx.errors import (DomainError, InternalError, NotFactored, NotInTitsCone,
+from kmx.cartan import (GCM, SPECIAL_SET_RANK_GUARD, RootDatum, check_index, exact_ints,
+                        exact_rationals, is_special)
+from kmx.errors import (DomainError, InternalError, NotFactored, NotInTitsCone, SizeGuard,
                         Undecided)
 from kmx.exact import (IntVec, RatVec, identity, int_mat, mat_vec, primitive,
                        smith_normal_form, vec_dot)
@@ -689,3 +695,15 @@ def dominant_rep(datum: RootDatum, weight: Sequence, cap: int = 2000) -> W.Domin
             cur[k] -= c * a
         letters.append(i)
     raise Undecided(cap, weight=tuple(cur))
+
+
+def special_sets(gcm: GCM) -> tuple[tuple[int, ...], ...]:
+    """All special subsets, ordered by (size, lex).  Includes the empty set."""
+    if gcm.n > SPECIAL_SET_RANK_GUARD:
+        raise SizeGuard(f"special-set enumeration guarded at n <= {SPECIAL_SET_RANK_GUARD}")
+    out = [()]
+    for k in range(1, gcm.n + 1):
+        for t in combinations(range(gcm.n), k):
+            if is_special(gcm, t):
+                out.append(t)
+    return tuple(out)

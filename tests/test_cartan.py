@@ -6,7 +6,7 @@ import exact_reference as ref
 import pytest
 from conftest import all_small_gcms
 
-from kmx import exact
+from kmx import cartan, exact
 from kmx import faces as FC
 from kmx import highest_weight as HW
 from kmx import weyl as W
@@ -384,6 +384,26 @@ def test_every_index_reader_rejects_a_bad_index(reader, bad, message):
     # read as node 2 and classify((5,)), 0.5 and "1" were raw exceptions
     with pytest.raises(DomainError, match=re.escape(message)):
         INDEX_READERS[reader](bad)
+
+
+@pytest.mark.parametrize("call,got", [
+    (lambda d: special_sets(d), "RootDatum"),
+    (lambda d: classify(d), "RootDatum"),
+    (lambda d: is_special(d, (0, 1)), "RootDatum"),
+    (lambda d: component_type(d, (0,)), "RootDatum"),
+    (lambda d: special_sets(d.gcm.a), "tuple"),
+], ids=["special_sets", "classify", "is_special", "component_type", "special_sets-rows"])
+def test_gcm_readers_take_a_gcm_alone(call, got):
+    # each was a raw AttributeError: 'RootDatum' object has no attribute 'a'
+    # ('tuple' object has no attribute 'n' on rows), and no cache is read
+    hyp = build_realization(HYPERBOLIC_ROWS)
+    before = (cartan._classify_cached.cache_info(), cartan._component_type_cached.cache_info())
+    with pytest.raises(DomainError, match=re.escape(
+            f"expected a GCM, got {got}: pass datum.gcm for a RootDatum, "
+            "validate_and_symmetrize(rows) for rows")):
+        call(hyp)
+    assert (cartan._classify_cached.cache_info(),
+            cartan._component_type_cached.cache_info()) == before
 
 
 def _scalar_theta_letter():

@@ -294,3 +294,26 @@ def test_normalize_face_rejects_out_of_range_theta_one_based(theta, message):
     assert datum._stab == {} and datum._perp == {}
     FC.normalize_face(W.identity_elt(datum), (1, 0, 1))
     assert set(datum._stab) == {(0, 1)}
+
+
+def test_normalize_face_reads_theta_once(monkeypatch):
+    # normalize_face reads Theta by index_set and looks its stabilizer type up
+    # by that key; the stabilizer table and the descent walks are warm after
+    # the first pass, so a second pass makes one index_set call per face
+    from kmx import cartan
+    calls = []
+    real = cartan.index_set
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    datum = build_realization(HYPERBOLIC_ROWS)
+    rng = random.Random(5)
+    jobs = [(W.from_word(datum, [rng.randrange(3) for _ in range(rng.randrange(6))]), theta[::-1])
+            for theta in datum.special_sets() for _ in range(4)]
+    first = [FC.normalize_face(w, theta) for w, theta in jobs]
+    for module in (cartan, FC, W):
+        monkeypatch.setattr(module, "index_set", counted)
+    assert [FC.normalize_face(w, theta) for w, theta in jobs] == first
+    assert len(calls) == len(jobs)
