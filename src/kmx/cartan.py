@@ -1,13 +1,15 @@
 """Generalized Cartan matrices and explicit realizations.
 
-Validation, symmetrization, component classification by the exact LP
-trichotomy, special subsets, exposing coweights, and the canonical
-realization on dual lattices of rank 2n - l.
+Validation, symmetrization, component classification by the leading
+minors of the symmetrized matrix with exact Vinberg certificates, special
+subsets, exposing coweights, and the canonical realization on dual lattices
+of rank 2n - l.
 
 A GCM keeps its hash, so each lookup in the process-wide caches of
 component types and classifications hashes its n^2 entries once.  The
 special subsets come from the connected subsets of the Dynkin graph, each
-typed once by the LP trichotomy: a subset, held as a bitmask, is special iff
+typed once by one elimination (`_component_type_cached`; an indefinite
+one also runs the simplex once): a subset, held as a bitmask, is special iff
 each of its components, found by a bitmask flood inside it, is not of
 finite type.  The realization checks its invariant form by one elimination
 that inverts the Gram matrix on all simple roots at once.
@@ -31,7 +33,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from . import exact
@@ -268,15 +271,60 @@ def validate_and_symmetrize(rows: Sequence[Sequence[int]]) -> GCM:
 
 @lru_cache(maxsize=None)
 def _component_type_cached(gcm: GCM, comp: tuple[int, ...]) -> ComponentType:
-    sub = gcm.submatrix(comp)
-    neg = tuple(tuple(-x for x in row) for row in sub)
-    fin = exact.lp_feasible(LPProblem(matrix=neg, relations=("lt",) * len(sub)))
-    aff = exact.lp_feasible(LPProblem(matrix=sub, relations=("eq",) * len(sub)))
-    ind = exact.lp_feasible(LPProblem(matrix=sub, relations=("lt",) * len(sub)))
-    hits = [t for t, u in (("FIN", fin), ("AFF", aff), ("IND", ind)) if u is not None]
-    if len(hits) != 1:
-        raise InternalError(f"classification trichotomy violated on {comp}: {hits}")
-    return ComponentType(hits[0])
+    """The type of the connected component C = comp, decided by Sylvester's
+    criterion and proven by Vinberg certificates.
+
+    Decide.  With D = diag(eps) and L the lcm of eps on C, S = L D^{-1} A_C
+    is a symmetric integer matrix, and by Kac (Infinite-dimensional Lie
+    algebras, Prop. 4.7, with Vinberg's trichotomy, Thm. 4.3) C is FIN iff
+    S is positive definite and AFF iff S is positive semidefinite of corank
+    1.  [S | L D^{-1} 1] is pivoted down its diagonal by `_bareiss_pivot`
+    with no row exchange, so the r-th pivot is the leading minor D_r.  If
+    every D_r > 0, C is FIN, and the last column is d u with u = A_C^{-1} 1.
+    If D_1, ..., D_{k-1} > 0 and D_k = 0, S is semidefinite of corank 1, C
+    is AFF, and column k gives the null vector delta.  Otherwise S is not
+    semidefinite, or a proper principal minor vanishes, which no affine
+    matrix has, so C is IND, and one `exact.lp_feasible` finds u > 0 with
+    A_C u < 0.
+
+    Prove.  u > 0 must give A_C u > 0, = 0 or < 0, the system of its type,
+    and then y = L D^{-1} u > 0 must give A_C^T y the same strict sign.  For
+    an x > 0 that solved one of the other two systems, y^T A_C x would be
+    the sign of A_C^T y as (A_C^T y) . x and another sign as y . (A_C x), so
+    those systems are unsolvable and the type is proven in ints.  A failed
+    certificate, or an eps that does not symmetrize A_C, is an InternalError
+    naming C.
+    """
+    sub, eps = gcm.submatrix(comp), [gcm.eps[i] for i in comp]
+    nums = [e.numerator for e in eps]
+    if min(nums) <= 0:
+        raise InternalError(f"symmetrizer is not positive on component {comp}")
+    big = lcm(*nums)
+    scale = [big * e.denominator // p for e, p in zip(eps, nums)]  # L / eps_i
+    k = len(comp)
+    rows = [[s * x for x in row] + [s] for row, s in zip(sub, scale)]
+    if any(rows[r][c] != rows[c][r] for r in range(k) for c in range(r)):
+        raise InternalError(f"eps does not symmetrize the component {comp}")
+    d, r = 1, 0
+    while r < k and rows[r][r] > 0:
+        d = exact._bareiss_pivot(rows, r, r, d)
+        r += 1
+    if r == k:
+        kind, sign, u = ComponentType.FIN, 1, [row[k] for row in rows]
+    elif r == k - 1 and rows[r][r] == 0:
+        kind, sign, u = ComponentType.AFF, 0, [-row[r] for row in rows[:r]] + [d]
+    else:
+        kind, sign = ComponentType.IND, -1
+        found = exact.lp_feasible(LPProblem(matrix=sub, relations=("lt",) * k))
+        if found is None:
+            raise InternalError(f"indefinite component {comp} has no u > 0 with A u < 0")
+        u = exact.primitive(found)
+    y = [s * x for s, x in zip(scale, u)]
+    signs = {(v > 0) - (v < 0) for v in [sum(map(mul, row, u)) for row in sub]
+             + [sum(map(mul, col, y)) for col in zip(*sub)]}
+    if min(u) <= 0 or signs != {sign}:
+        raise InternalError(f"{kind.value} certificate fails on component {comp}")
+    return kind
 
 
 def _check_gcm(gcm) -> GCM:
@@ -289,7 +337,9 @@ def _check_gcm(gcm) -> GCM:
 
 
 def component_type(gcm: GCM, comp: Sequence[int]) -> ComponentType:
-    """LP trichotomy for one indecomposable principal submatrix."""
+    """The type FIN, AFF or IND of one indecomposable principal submatrix:
+    Sylvester's criterion on the symmetrized matrix, proven by Vinberg
+    certificates in ints (`_component_type_cached`)."""
     return _component_type_cached(_check_gcm(gcm), index_set(gcm.n, comp))
 
 

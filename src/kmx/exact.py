@@ -166,9 +166,16 @@ def int_rref(m: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], IntMat, int]:
     sign = -1 if prev < 0 else 1
     rows = tuple(tuple(sign * x for x in row) for row in a[:len(pivots)])
     d = sign * prev
+    # rows is d I at the pivot columns, so m[:, pivots] * rows == d * m holds
+    # there and is multiplied out at the free columns alone
+    for t, rr in enumerate(rows):
+        unit = [rr[p] for p in pivots]
+        if unit[t] != d or unit.count(0) != len(unit) - 1:
+            raise InternalError("int_rref rows are not d I at the pivot columns")
+    free = [(j, [rr[j] for rr in rows]) for j in range(nc) if j not in pivots]
     for row in m:
-        if any(sum(row[p] * rr[j] for p, rr in zip(pivots, rows)) != d * row[j]
-               for j in range(nc)):
+        at = [row[p] for p in pivots]
+        if any(sum(map(mul, at, col)) != d * row[j] for j, col in free):
             raise InternalError("int_rref fails to re-substitute")
     return tuple(pivots), rows, d
 

@@ -8,7 +8,9 @@ every query is normal-form local.
 Normalizing strips the right descents in the stabilizer type
 Theta u Theta^perp, which the root datum keeps in a table per special Theta
 (`RootDatum.stabilizer_type`); Theta is read once, by `cartan.index_set`,
-and the table is read by that key.
+and the table is read by that key.  A Theta the package built itself,
+sorted without repeats (a face's own, the support of an exposing coweight,
+the theta_inf of a classification), goes to `_normal_face` unread.
 
 Intersection realizes faces as exposed faces: each face is the zero set on
 the Tits cone of an integer coweight (a Weyl image of an exposing coweight),
@@ -88,8 +90,13 @@ def _face(rep: WeylElt, key: tuple[int, ...]) -> Face:
 def normalize_face(w: WeylElt, theta: Sequence[int]) -> Face:
     """The face w R(Theta) in normal form, Theta read by `index_set`; a
     Theta that is not special is NotSpecial."""
-    key = index_set(w.datum.n, theta)
-    return _face(W._strip_right(w, w.datum._stabilizer(key))[0], key)
+    return _normal_face(w, index_set(w.datum.n, theta))
+
+
+def _normal_face(w: WeylElt, key: tuple[int, ...]) -> Face:
+    """`normalize_face` of a Theta already sorted without repeats; its
+    stabilizer type, sorted too, is walked unread (`weyl._strip_read`)."""
+    return _face(W._strip_read(w, w.datum._stabilizer(key))[0], key)
 
 
 def full_cone(datum: RootDatum) -> Face:
@@ -120,7 +127,7 @@ def parse_face(datum: RootDatum, text: str) -> Face:
 
 
 def act_face(u: WeylElt, r: Face) -> Face:
-    return normalize_face(u * r.w, r.theta)
+    return _normal_face(u * r.w, r.theta)
 
 
 def includes(r: Face, s: Face) -> bool:
@@ -144,7 +151,7 @@ def _face_exposed_by(datum: RootDatum, d: IntVec) -> Face:
             face = full_cone(datum)
         else:
             dmin, v = antidominant_coweight(datum, d)
-            face = normalize_face(v.inv(), tuple(i for i in range(datum.n) if dmin[i] != 0))
+            face = _normal_face(v.inv(), tuple(i for i in range(datum.n) if dmin[i] != 0))
         datum._exposed[key] = face
     return face
 
@@ -163,8 +170,7 @@ def face_of_point(datum: RootDatum, weight: Sequence, cap: int = 2000) -> Face:
     relative interior.
     """
     res = dominant_rep(datum, weight, cap=cap)
-    theta = classify(datum.gcm, res.facet_type).theta_inf
-    return normalize_face(res.w, theta)
+    return _normal_face(res.w, classify(datum.gcm, res.facet_type).theta_inf)
 
 
 def contains(r: Face, weight: Sequence, *, cap: int = 2000) -> bool:

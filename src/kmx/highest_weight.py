@@ -149,8 +149,10 @@ def root_multiplicities(datum: RootDatum, max_height: int) -> dict[Beta, int]:
     recurrence on the integers g_b = ht(b) c_b = sum_k ht(b/k) mult(b/k):
     g_b = -ht(b) d_b - sum of d_delta g_{b - delta} over delta in supp d
     with 0 < delta < b.  Then ht(b) mult(b) is g_b less its k >= 2 terms.
-    Real roots come out with multiplicity one, which the test suite
-    spot-checks against the Weyl orbit of the simple roots.
+    Every delta is in Q+ and g holds every composition of smaller height,
+    so g_{b - delta} is a lookup that reads 0 where b - delta has a
+    negative entry.  Real roots come out with multiplicity one, which the
+    test suite spot-checks against the Weyl orbit of the simple roots.
     """
     exact_ints((max_height,), "height")
     cache = datum._root_mults
@@ -164,12 +166,14 @@ def root_multiplicities(datum: RootDatum, max_height: int) -> dict[Beta, int]:
         for b in _compositions(datum.n, h):
             total = -h * d.get(b, 0)
             for delta, hd, e in steps:
-                if hd < h and all(x <= y for x, y in zip(delta, b)):
-                    total -= e * g[tuple(y - x for x, y in zip(delta, b))]
+                if hd < h:
+                    total -= e * g.get(tuple(map(sub, b, delta)), 0)
             g[b] = total
-            # the part of g_b that comes from proper divisors b/k, k >= 2
+            # the part of g_b that comes from proper divisors b/k, k >= 2,
+            # the k that divide every entry of b
+            common = math.gcd(*b)
             below = sum(h // k * mult[tuple(x // k for x in b)]
-                        for k in range(2, h + 1) if all(x % k == 0 for x in b))
+                        for k in range(2, common + 1) if common % k == 0)
             m, rem = divmod(total - below, h)
             if rem or m < 0:
                 raise InternalError(f"root multiplicity {total - below}/{h} at {b} "

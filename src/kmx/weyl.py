@@ -310,9 +310,10 @@ def _strip_right(w: WeylElt, j: Sequence[int]) -> tuple[WeylElt, list[int]]:
     """The descent walk: w' = w s_{i1} ... s_{ik}, stripping the smallest
     right descent in J at each step until none is left, and the stripped
     indices i1, ..., ik as a fresh list.  The walk is kept in w's memo under
-    J as given, and J is read by `index_set` on a miss only: a float or bool
-    J equal to an int J already walked gets that walk, the int's answer.  A
-    J that is no sequence, or holds an unhashable index, is a DomainError.
+    J as given, and J is read by `index_set` on a miss only (the walk,
+    `_strip_read`, is kept under the J read too): a float or bool J equal to
+    an int J already walked gets that walk, the int's answer.  A J that is
+    no sequence, or holds an unhashable index, is a DomainError.
 
     The walk reads the right descents of the current element from the one
     vector v = w^{-1} rho (i is a descent iff v_i < 0), which a step with s_i
@@ -325,7 +326,16 @@ def _strip_right(w: WeylElt, j: Sequence[int]) -> tuple[WeylElt, list[int]]:
         index_set(w.datum.n, key)
         raise
     if walk is None:
-        js = index_set(w.datum.n, key)
+        walk = memo[key] = _strip_read(w, index_set(w.datum.n, key))
+    return walk[0], list(walk[1])
+
+
+def _strip_read(w: WeylElt, js: tuple[int, ...]) -> tuple[WeylElt, tuple[int, ...]]:
+    """The walk of `_strip_right` for a J already sorted without repeats, as
+    (w', stripped indices), kept in w's memo under J."""
+    memo = _memo(w, "_strips")
+    walk = memo.get(js)
+    if walk is None:
         support = w.datum.alpha_support
         v = [sum(row) for row in w.mat_p_inv]
         letters: list[int] = []
@@ -334,8 +344,8 @@ def _strip_right(w: WeylElt, j: Sequence[int]) -> tuple[WeylElt, list[int]]:
             for k, a in support[i]:
                 v[k] -= c * a
             letters.append(i)
-        walk = memo[key] = (_multiply_out(w, letters), tuple(letters))
-    return walk[0], list(walk[1])
+        walk = memo[js] = (_multiply_out(w, letters), tuple(letters))
+    return walk
 
 
 def _rep_left(w: WeylElt, j: Sequence[int]) -> WeylElt:

@@ -42,9 +42,18 @@ Then `dominant_rep` is the walk to the dominant chamber as the
 package ran it before it walked in ints: it reflects a Fraction weight and
 pairs it with every exposing coweight anew at each step.
 
-Last of all, `special_sets` is the enumeration the package ran before it
+Then `special_sets` is the enumeration the package ran before it
 typed each connected subset once: every subset in (size, lex) order, each
 one read and classified by `cartan.is_special`.
+
+Then `component_type` is the typing the package ran before it read the
+type off the leading minors of the symmetrized matrix: three simplex runs,
+one per Vinberg system (A u > 0, A u = 0, A u < 0 with u > 0), of which
+exactly one must be feasible.
+
+Last of all, `scanned_root_multiplicities` is the Weyl-denominator
+recurrence as the package ran it before it looked each g_{b - delta} up:
+every delta of the denominator is compared with b entry by entry.
 """
 
 import math
@@ -52,13 +61,13 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence
 
-from kmx import monoids as MO, weyl as W
-from kmx.cartan import (GCM, SPECIAL_SET_RANK_GUARD, RootDatum, check_index, exact_ints,
-                        exact_rationals, is_special)
+from kmx import exact, monoids as MO, weyl as W
+from kmx.cartan import (GCM, SPECIAL_SET_RANK_GUARD, ComponentType, RootDatum, check_index,
+                        exact_ints, exact_rationals, is_special)
 from kmx.errors import (DomainError, InternalError, NotFactored, NotInTitsCone, SizeGuard,
                         Undecided)
-from kmx.exact import (IntVec, RatVec, identity, int_mat, mat_vec, primitive,
-                       smith_normal_form, vec_dot)
+from kmx.exact import (IntVec, LPProblem, RatVec, identity, int_mat, mat_vec,
+                       primitive, smith_normal_form, vec_dot)
 from kmx import highest_weight as HW
 from kmx.highest_weight import Beta, _compositions
 
@@ -707,3 +716,40 @@ def special_sets(gcm: GCM) -> tuple[tuple[int, ...], ...]:
             if is_special(gcm, t):
                 out.append(t)
     return tuple(out)
+
+
+def component_type(gcm: GCM, comp: tuple[int, ...]) -> ComponentType:
+    """The type of one connected component by the LP trichotomy."""
+    sub = gcm.submatrix(comp)
+    neg = tuple(tuple(-x for x in row) for row in sub)
+    fin = exact.lp_feasible(LPProblem(matrix=neg, relations=("lt",) * len(sub)))
+    aff = exact.lp_feasible(LPProblem(matrix=sub, relations=("eq",) * len(sub)))
+    ind = exact.lp_feasible(LPProblem(matrix=sub, relations=("lt",) * len(sub)))
+    hits = [t for t, u in (("FIN", fin), ("AFF", aff), ("IND", ind)) if u is not None]
+    if len(hits) != 1:
+        raise InternalError(f"classification trichotomy violated on {comp}: {hits}")
+    return ComponentType(hits[0])
+
+
+def scanned_root_multiplicities(datum: RootDatum, max_height: int) -> dict[Beta, int]:
+    """`highest_weight.root_multiplicities` with each delta of the Weyl
+    denominator compared with b entry by entry; no cache on the datum."""
+    d = W.denominator(datum, max_height)
+    steps = [(delta, sum(delta), e) for delta, e in d.items() if any(delta)]
+    g: dict[Beta, int] = {}
+    mult: dict[Beta, int] = {}
+    for h in range(1, max_height + 1):
+        for b in _compositions(datum.n, h):
+            total = -h * d.get(b, 0)
+            for delta, hd, e in steps:
+                if hd < h and all(x <= y for x, y in zip(delta, b)):
+                    total -= e * g[tuple(y - x for x, y in zip(delta, b))]
+            g[b] = total
+            below = sum(h // k * mult[tuple(x // k for x in b)]
+                        for k in range(2, h + 1) if all(x % k == 0 for x in b))
+            m, rem = divmod(total - below, h)
+            if rem or m < 0:
+                raise InternalError(f"root multiplicity {total - below}/{h} at {b} "
+                                    "is not a natural number")
+            mult[b] = m
+    return {b: m for b, m in mult.items() if m > 0}

@@ -117,6 +117,28 @@ def test_int_rref_agrees_with_rank_and_rat_solve():
         _check_int_rref(m)
 
 
+@pytest.mark.parametrize("row,col,message", [
+    (0, 0, "rows are not d I at the pivot columns"),
+    (0, 1, "rows are not d I at the pivot columns"),
+    (1, 2, "fails to re-substitute"),
+], ids=["pivot-diagonal", "pivot-off-diagonal", "free-column"])
+def test_int_rref_catches_a_corrupted_reduced_row(row, col, message, monkeypatch):
+    # the guard checks d I at the pivot columns and multiplies out the free
+    # column alone; one entry changed after the last pivot fails one of them
+    real = exact._bareiss_pivot
+
+    def corrupt(rows, r, c, prev):
+        pv = real(rows, r, c, prev)
+        if r == 1:
+            rows[row][col] += 1
+        return pv
+
+    assert int_rref([[1, 2, 3], [4, 5, 6]])[0] == (0, 1)
+    monkeypatch.setattr(exact, "_bareiss_pivot", corrupt)
+    with pytest.raises(InternalError, match=message):
+        int_rref([[1, 2, 3], [4, 5, 6]])
+
+
 def test_rat_solve_agrees_with_the_reference_solver():
     # seeded rational systems of rank <= k: consistent ones (b = M x0),
     # inconsistent ones (b perturbed) and rank-deficient ones with kernels

@@ -317,3 +317,26 @@ def test_normalize_face_reads_theta_once(monkeypatch):
         monkeypatch.setattr(module, "index_set", counted)
     assert [FC.normalize_face(w, theta) for w, theta in jobs] == first
     assert len(calls) == len(jobs)
+
+
+def test_act_face_reads_no_theta(monkeypatch):
+    # act_face hands the face's own Theta, sorted without repeats, to the
+    # normalizer unread; the stabilizer table is warm after normalize_face
+    from kmx import cartan
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("act_face reads Theta by index_set")
+
+    datum = build_realization(HYPERBOLIC_ROWS)
+    rng = random.Random(6)
+
+    def word():
+        return W.from_word(datum, [rng.randrange(3) for _ in range(rng.randrange(7))])
+
+    jobs = [(word(), FC.normalize_face(word(), theta))
+            for theta in datum.special_sets() for _ in range(4)]
+    for module in (cartan, FC, W):
+        monkeypatch.setattr(module, "index_set", forbidden)
+    acted = [FC.act_face(u, r) for u, r in jobs]
+    monkeypatch.undo()
+    assert acted == [FC.normalize_face(u * r.w, r.theta) for u, r in jobs]

@@ -174,6 +174,14 @@ def test_root_multiplicities_match_peterson_to_height_ten(alg):
                                                     if sum(b) <= h}
 
 
+@pytest.mark.parametrize("alg", ORACLE_ALGEBRAS)
+def test_root_multiplicities_as_the_scanned_recurrence(alg):
+    """Looking g_{b - delta} up gives what comparing every delta of the
+    denominator with b entry by entry gave, to height 8."""
+    datum = build_realization(ORACLE_ALGEBRAS[alg])
+    assert HW.root_multiplicities(datum, 8) == ref.scanned_root_multiplicities(datum, 8)
+
+
 def test_negative_depth_is_a_domain_error():
     for build in (HW.build_basis, HW.weights_and_mults, HW.ModuleSlice):
         with pytest.raises(DomainError, match="depth -1 is negative"):

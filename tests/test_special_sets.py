@@ -1,7 +1,11 @@
 """Root-datum set-up against the work it did before: `special_sets` against
-the per-subset enumeration it replaced (`exact_reference.special_sets`), and
-the work each set-up step may do: one LP typing per connected subset, a GCM
-that hashes once, and a realization checked without `rat_solve`."""
+the per-subset enumeration it replaced (`exact_reference.special_sets`),
+`component_type` against the three-LP typing it replaced
+(`exact_reference.component_type`) on every connected subset, and the work
+each set-up step may do: one typing per connected subset, one simplex run
+per indefinite one, a GCM that hashes once, and a realization checked
+without `rat_solve`.  A component type whose certificate fails is an
+InternalError."""
 
 import dataclasses
 import random
@@ -16,8 +20,9 @@ from conftest import all_small_gcms
 from test_weyl import KERNEL_DATA
 
 from kmx import cartan, exact
-from kmx.cartan import (A2_ROWS, AFFINE_A1_ROWS, GCM, HYPERBOLIC_ROWS, RootDatum,
-                        build_realization, special_sets, validate_and_symmetrize)
+from kmx.cartan import (A2_ROWS, AFFINE_A1_ROWS, GCM, HYPERBOLIC_ROWS, ComponentType,
+                        RootDatum, build_realization, classify, component_type, special_sets,
+                        validate_and_symmetrize)
 from kmx.errors import InternalError, NotSymmetrizable
 
 
@@ -171,3 +176,80 @@ def test_gcm_hashes_its_entries_once():
 def test_realization_check_catches_a_wrong_symmetrizer(eps, message):
     with pytest.raises(InternalError, match=re.escape(message)):
         RootDatum(GCM(a=A2_ROWS, eps=eps))
+
+
+def _symmetrizable(rows_list):
+    for rows in rows_list:
+        try:
+            yield validate_and_symmetrize(rows)
+        except NotSymmetrizable:
+            pass
+
+
+def test_component_type_as_the_lp_trichotomy_on_every_connected_subset():
+    # every symmetrizable 2 x 2 and 3 x 3 GCM with entries down to -3, 300
+    # seeded draws of rank 4-6 and the named data
+    rng = random.Random(30)
+    gcms = [*_symmetrizable(all_small_gcms(2)), *_symmetrizable(all_small_gcms(3)),
+            *(_random_gcm(rng, rng.randint(4, 6)) for _ in range(300)),
+            *(validate_and_symmetrize(NAMED[name]) for name in ("A1+affine-A1", "D8++", "E10"))]
+    seen = {t: 0 for t in ComponentType}
+    for gcm in gcms:
+        for comp in _connected_subsets(gcm.a):
+            got = component_type(gcm, comp)
+            assert got is ref.component_type(gcm, comp), (gcm.a, comp)
+            seen[got] += 1
+    assert sum(seen.values()) > 4000 and min(seen.values()) > 200, seen
+
+
+@pytest.mark.parametrize("name", ["D8++", "E10"])
+def test_special_sets_runs_the_simplex_once(name):
+    # every connected subset but the whole hyperbolic diagram is FIN or AFF,
+    # typed by one elimination; the three-LP typing made 3 runs per subset
+    cartan._component_type_cached.cache_clear()
+    gcm = validate_and_symmetrize(NAMED[name])
+    before = exact.simplex_runs()
+    specials = special_sets(gcm)
+    assert exact.simplex_runs() - before == 1
+    assert specials == ref.special_sets(gcm)
+
+
+def test_a_wrong_symmetrizer_is_caught_by_the_typing():
+    with pytest.raises(InternalError, match=re.escape(
+            "eps does not symmetrize the component (0, 1)")):
+        classify(GCM(a=A2_ROWS, eps=(1, 2)))
+
+
+@pytest.mark.parametrize("forged,message", [
+    ((Fraction(1),) * 3, "IND certificate fails on component (0, 1, 2)"),
+    ((Fraction(1), Fraction(1), Fraction(-1)), "IND certificate fails on component (0, 1, 2)"),
+    (None, "indefinite component (0, 1, 2) has no u > 0 with A u < 0"),
+], ids=["not-negative", "not-positive", "none"])
+def test_a_forged_simplex_answer_is_caught(forged, message, monkeypatch):
+    cartan._component_type_cached.cache_clear()
+    monkeypatch.setattr(exact, "lp_feasible", lambda problem: forged)
+    with pytest.raises(InternalError, match=re.escape(message)):
+        component_type(validate_and_symmetrize(HYPERBOLIC_ROWS), (0, 1, 2))
+
+
+@pytest.mark.parametrize("rows,step,corrupt,message", [
+    # A2: the last entry of d u negated, so u is not positive
+    (A2_ROWS, 1, lambda rows: rows[1].__setitem__(2, -rows[1][2]), "FIN certificate fails"),
+    # A2: the second leading minor zeroed, so A2 reads as affine
+    (A2_ROWS, 0, lambda rows: rows[1].__setitem__(1, 0), "AFF certificate fails"),
+    # affine A1: the second leading minor made positive, so it reads as finite
+    (AFFINE_A1_ROWS, 0, lambda rows: rows[1].__setitem__(1, 1), "FIN certificate fails"),
+], ids=["A2-negated-u", "A2-zero-minor", "affine-A1-positive-minor"])
+def test_a_corrupted_pivot_is_caught(rows, step, corrupt, message, monkeypatch):
+    real = exact._bareiss_pivot
+
+    def corrupted(tab, r, c, prev):
+        pv = real(tab, r, c, prev)
+        if r == step:
+            corrupt(tab)
+        return pv
+
+    cartan._component_type_cached.cache_clear()
+    monkeypatch.setattr(exact, "_bareiss_pivot", corrupted)
+    with pytest.raises(InternalError, match=re.escape(f"{message} on component (0, 1)")):
+        component_type(validate_and_symmetrize(rows), (0, 1))
