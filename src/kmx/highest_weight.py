@@ -74,9 +74,10 @@ A predicted weight whose Gram matrix has rank 0 is an InternalError.
 
 Weight multiplicities come from two independent routes: the Freudenthal
 recursion (fed by root multiplicities read off the Weyl denominator, an
-integer recurrence on ht(b) c_b) and the Gram-rank route used to build the
-bases.  The test suite crosses them against each other; neither consults
-the other here, and the recursion reads no weight test.
+integer recurrence on ht(b) c_b, pushed from its nonzero terms) and the
+Gram-rank route used to build the bases.  Both recursions visit only the b
+that receive a term.  The test suite crosses the routes against each other;
+neither consults the other here, and the recursion reads no weight test.
 """
 
 from __future__ import annotations
@@ -124,21 +125,6 @@ def _over_common_den(pairs: Sequence[tuple[IntVec, int]]) -> tuple[list[IntVec],
 # -- root multiplicities (Weyl denominator) ------------------------------------
 
 
-def _compositions(n: int, h: int) -> list[Beta]:
-    """All b in Z_{>=0}^n with sum h, in lexicographic order."""
-    out = []
-
-    def rec(pos, left, acc):
-        if pos == n - 1:
-            out.append(tuple(acc + [left]))
-            return
-        for k in range(left + 1):
-            rec(pos + 1, left - k, acc + [k])
-
-    rec(0, h, [])
-    return out
-
-
 def root_multiplicities(datum: RootDatum, max_height: int) -> dict[Beta, int]:
     """Multiplicities of positive roots up to the given height.
 
@@ -149,39 +135,48 @@ def root_multiplicities(datum: RootDatum, max_height: int) -> dict[Beta, int]:
     recurrence on the integers g_b = ht(b) c_b = sum_k ht(b/k) mult(b/k):
     g_b = -ht(b) d_b - sum of d_delta g_{b - delta} over delta in supp d
     with 0 < delta < b.  Then ht(b) mult(b) is g_b less its k >= 2 terms.
-    Every delta is in Q+ and g holds every composition of smaller height,
-    so g_{b - delta} is a lookup that reads 0 where b - delta has a
-    negative entry.  Real roots come out with multiplicity one, which the
-    test suite spot-checks against the Weyl orbit of the simple roots.
+    It runs in push form: g_b starts as -ht(b) d_b, and each nonzero g_b,
+    once known, adds -d_delta g_b to every b + delta in the window.  These
+    sums wait in one dict per height, and height h visits only the b that
+    hold one, in sorted order, where the natural-number check runs.  A b
+    that nothing reaches has g_b = 0, and since every term ht(b/k) mult(b/k)
+    of g_b is >= 0, mult(b) = 0 and every mult(b/k) = 0 there.  Real roots
+    come out with multiplicity one, which the test suite spot-checks against
+    the Weyl orbit of the simple roots.  Each call returns its own copy of
+    the dict cached on the datum.
     """
     exact_ints((max_height,), "height")
     cache = datum._root_mults
-    if max_height in cache:
-        return cache[max_height]
-    d = W.denominator(datum, max_height)
-    steps = [(delta, sum(delta), e) for delta, e in d.items() if any(delta)]
-    g: dict[Beta, int] = {}
-    mult: dict[Beta, int] = {}
-    for h in range(1, max_height + 1):
-        for b in _compositions(datum.n, h):
-            total = -h * d.get(b, 0)
-            for delta, hd, e in steps:
-                if hd < h:
-                    total -= e * g.get(tuple(map(sub, b, delta)), 0)
-            g[b] = total
-            # the part of g_b that comes from proper divisors b/k, k >= 2,
-            # the k that divide every entry of b
-            common = math.gcd(*b)
-            below = sum(h // k * mult[tuple(x // k for x in b)]
-                        for k in range(2, common + 1) if common % k == 0)
-            m, rem = divmod(total - below, h)
-            if rem or m < 0:
-                raise InternalError(f"root multiplicity {total - below}/{h} at {b} "
-                                    "is not a natural number")
-            mult[b] = m
-    result = {b: m for b, m in mult.items() if m > 0}
-    cache[max_height] = result
-    return result
+    if max_height not in cache:
+        d = W.denominator(datum, max_height)
+        steps = sorted((sum(delta), delta, e) for delta, e in d.items() if any(delta))
+        # pending[h][b]: g_b, summed over the b - delta pushed so far
+        pending: list[dict[Beta, int]] = [{} for _ in range(max_height + 1)]
+        for hd, delta, e in steps:
+            pending[hd][delta] = -hd * e
+        mult: dict[Beta, int] = {}
+        for h in range(1, max_height + 1):
+            for b, g in sorted(pending[h].items()):
+                # the part of g_b that comes from proper divisors b/k, k >= 2,
+                # the k that divide every entry of b
+                common = math.gcd(*b)
+                below = sum(h // k * mult.get(tuple(x // k for x in b), 0)
+                            for k in range(2, common + 1) if common % k == 0)
+                m, rem = divmod(g - below, h)
+                if rem or m < 0:
+                    raise InternalError(f"root multiplicity {g - below}/{h} at {b} "
+                                        "is not a natural number")
+                if m:
+                    mult[b] = m
+                if g:
+                    for hd, delta, e in steps:
+                        if h + hd > max_height:
+                            break
+                        key = tuple(map(add, b, delta))
+                        up = pending[h + hd]
+                        up[key] = up.get(key, 0) - e * g
+        cache[max_height] = mult
+    return dict(cache[max_height])
 
 
 def real_roots_with_witness(datum: RootDatum, max_height: int

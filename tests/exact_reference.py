@@ -53,7 +53,13 @@ exactly one must be feasible.
 
 Last of all, `scanned_root_multiplicities` is the Weyl-denominator
 recurrence as the package ran it before it looked each g_{b - delta} up:
-every delta of the denominator is compared with b entry by entry.
+every delta of the denominator is compared with b entry by entry.  It pulls
+each g_b at every composition b of every height, where the package pushes
+each nonzero g_b to the b + delta above it and visits only the b that
+receive a term.  `_compositions`, the lexicographic walk over the
+compositions of a height, lives here now: the three pull-form references
+(Peterson's recurrence, Freudenthal's recursion and this scan) share it,
+and the package walks no compositions.
 """
 
 import math
@@ -69,7 +75,22 @@ from kmx.errors import (DomainError, InternalError, NotFactored, NotInTitsCone, 
 from kmx.exact import (IntVec, LPProblem, RatVec, identity, int_mat, mat_vec,
                        primitive, smith_normal_form, vec_dot)
 from kmx import highest_weight as HW
-from kmx.highest_weight import Beta, _compositions
+from kmx.highest_weight import Beta
+
+
+def _compositions(n: int, h: int) -> list[Beta]:
+    """All b in Z_{>=0}^n with sum h, in lexicographic order."""
+    out = []
+
+    def rec(pos, left, acc):
+        if pos == n - 1:
+            out.append(tuple(acc + [left]))
+            return
+        for k in range(left + 1):
+            rec(pos + 1, left - k, acc + [k])
+
+    rec(0, h, [])
+    return out
 
 
 def rank(m) -> int:

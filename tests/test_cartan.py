@@ -445,9 +445,10 @@ def test_stabilizer_type_is_theta_with_its_perp():
     assert set(hyp._stab) == {(), (0, 1), (0, 1, 2)}
 
 
-def _reference_components(a, subset):
-    """The components of subset, each with its LP type by the reference
-    simplex, ordered by their smallest node."""
+def _reference_components(gcm, subset):
+    """The components of subset, each with its type by the reference
+    three-LP typing, ordered by their smallest node."""
+    a = gcm.a
     out, left = [], list(subset)
     while left:
         comp, stack = {left[0]}, [left[0]]
@@ -458,14 +459,8 @@ def _reference_components(a, subset):
                     comp.add(j)
                     stack.append(j)
         left = [i for i in left if i not in comp]
-        c = sorted(comp)
-        sub = [[a[i][j] for j in c] for i in c]
-        hits = [t for t, m, rel in ((ComponentType.FIN, [[-x for x in r] for r in sub], "lt"),
-                                    (ComponentType.AFF, sub, "eq"),
-                                    (ComponentType.IND, sub, "lt"))
-                if ref.lp_feasible(m, (rel,) * len(c)) is not None]
-        assert len(hits) == 1, (c, hits)
-        out.append((tuple(c), hits[0]))
+        c = tuple(sorted(comp))
+        out.append((c, ref.component_type(gcm, c)))
     return tuple(out)
 
 
@@ -479,7 +474,7 @@ def test_classify_and_is_special_on_every_subset(name):
     n = gcm.n
     for k in range(n + 1):
         for sub in combinations(range(n), k):
-            comps = _reference_components(gcm.a, sub)
+            comps = _reference_components(gcm, sub)
             fin = tuple(sorted(i for c, t in comps if t is ComponentType.FIN for i in c))
             cls = classify(gcm, sub[::-1] + sub[:1])
             assert cls.components == comps, sub

@@ -1,0 +1,82 @@
+"""Snapshot of the kmx benchmark: every workload, end to end and per layer.
+
+    python3 tools/bench_snapshot.py BENCH_<n>.json
+
+Runs perfbench/run.py on each of its workloads with a fixed seed: once with
+--trace 0 for SECONDS seconds (the end-to-end metrics and the host-speed
+probe), then once with --trace 1 (the per-layer metrics).  It writes one
+JSON object to the given path: the commit (`git rev-parse HEAD`), whether
+the working tree differed from it, the Python version, the seed, and per
+workload both runs' metrics, their correct/attempted/failed counts and the
+`# host speed` line.  Stdlib only;
+run it from anywhere inside a kmx checkout.  It exits 1, and writes
+nothing, if a run fails or its output does not pass the benchmark's gate.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import platform
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+WORKLOADS = ("coxeter-rank10", "hw-slices", "verify")
+SEED = 3
+SECONDS = 5
+
+
+def run(workload: str, trace: int) -> tuple[dict, list[str]]:
+    """The last-line JSON object of one perfbench run, and its comment lines."""
+    cmd = [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
+           "--seed", str(SEED), "--seconds", str(SECONDS), "--trace", str(trace)]
+    proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{' '.join(cmd)} exited with {proc.returncode}:\n{proc.stderr}")
+    lines = proc.stdout.strip().splitlines()
+    return json.loads(lines[-1]), [ln for ln in lines if ln.startswith("# ")]
+
+
+def snapshot() -> dict:
+    head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True,
+                          text=True, check=True).stdout.strip()
+    dirty = subprocess.run(["git", "status", "--porcelain"], cwd=ROOT, capture_output=True,
+                           text=True, check=True).stdout.strip() != ""
+    out = {"commit": head, "uncommitted_changes": dirty, "python": platform.python_version(),
+           "seed": SEED, "seconds": SECONDS, "workloads": {}}
+    for workload in WORKLOADS:
+        runs = {}
+        for trace, key in ((0, "end_to_end"), (1, "per_layer")):
+            result, notes = run(workload, trace)
+            if not result["correct"]:
+                raise RuntimeError(f"{workload} --trace {trace}: outputs failed the gate")
+            runs[key] = {"metrics": {k: m["value"] for k, m in result["metrics"].items()},
+                         "units": {k: m["unit"] for k, m in result["metrics"].items()},
+                         "attempted": result["attempted"], "failed": result["failed"]}
+            if trace == 0:
+                runs["host_speed"] = next(n for n in notes if n.startswith("# host speed"))
+        out["workloads"][workload] = runs
+        print(f"{workload}: wall_s {runs['end_to_end']['metrics']['wall_s']:.4f} s",
+              file=sys.stderr)
+    return out
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 1:
+        print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
+        return 2
+    try:
+        data = snapshot()
+    except (RuntimeError, subprocess.CalledProcessError) as e:
+        print(f"bench_snapshot: {e}", file=sys.stderr)
+        return 1
+    with open(args[0], "w") as fh:
+        json.dump(data, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
