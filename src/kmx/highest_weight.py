@@ -6,13 +6,18 @@ and the raising and lowering operator matrices in those bases.  The slice
 is a weight graph: the build forms each weight lam = mu - alpha_i once,
 together with the spaces above it, and each weight space keeps its
 neighbours up[i] and down[i], the spaces at weight +- alpha_i, which every
-later step reads.  At each weight the candidates f_i b (b a basis vector
-one step up) have an integer Gram matrix; one fraction-free Gauss-Jordan
-elimination of it (exact.int_rref) picks the first independent candidates
-in degree-lex order as the basis and gives every candidate's coordinates in
-it, which are the lowering matrices.  Operator application is either exact
-(all terms stay inside the slice) or a hard DepthExceeded error; results
-are never silently truncated.
+later step reads.  At each weight the candidates are f_i b (b a basis
+vector one step up).  L(hw) is irreducible, so a vector below hw is zero
+iff every e_j kills it (Kac, Infinite-dimensional Lie algebras, ch. 9):
+the linear relations of the candidates are the column relations of their
+stacked e-images.  One fraction-free Gauss-Jordan elimination of that
+matrix (exact.int_rref) picks the first independent candidates in
+degree-lex order as the basis and gives every candidate's coordinates in
+it, which are the lowering matrices.  The Gram matrix is formed on the
+basis only, and certified by its symmetry: each entry
+<f_i b_k | c> = <b_k | e_i c> is formed from both sides.  Operator
+application is either exact (all terms stay inside the slice) or a hard
+DepthExceeded error; results are never silently truncated.
 
 Every rational object of the engine is Python ints over one denominator,
 in the style of Bareiss's fraction-free elimination.  An operator matrix is
@@ -70,14 +75,17 @@ so the walk ends within sum c steps.
   <hw, h_i> = 0 on C, and s_j = 0 at every neighbour j of C.  Such j lie
   outside R, so c_j = s_j = 0, and C is a component of supp c on which hw
   vanishes, which the rule excludes.
-A predicted weight whose Gram matrix has rank 0 is an InternalError.
+A predicted weight whose candidates' e-images all vanish is an
+InternalError.
 
 Weight multiplicities come from two independent routes: the Freudenthal
 recursion (fed by root multiplicities read off the Weyl denominator, an
 integer recurrence on ht(b) c_b, pushed from its nonzero terms) and the
-Gram-rank route used to build the bases.  Both recursions visit only the b
-that receive a term.  The test suite crosses the routes against each other;
+e-image ranks that build the bases.  Both recursions visit only the b that
+receive a term.  The test suite crosses the routes against each other;
 neither consults the other here, and the recursion reads no weight test.
+The build does not assume that the contravariant form is nondegenerate;
+the test suite checks that every basis Gram matrix is nonsingular.
 """
 
 from __future__ import annotations
@@ -438,35 +446,45 @@ class ModuleSlice:
     def _build_space(self, lam: Wt, h: int, above: dict[int, WeightSpace]
                      ) -> Optional[WeightSpace]:
         """The space at lam below `above` (i -> the space at lam + alpha_i),
-        linked to it both ways; None when its Gram matrix has rank 0, which
-        at a weight of L(hw) does not happen."""
+        linked to it both ways; None when every candidate's e-images vanish,
+        which at a weight of L(hw) does not happen."""
         cands, e_imgs = self._e_images(above)
-        # <f_i b_k | c> = <b_k | e_i c> by contravariance.  The entries are
-        # Shapovalov values of lowering monomials on an integral weight, so
-        # they are integers.
-        gram_full = []
-        for i, k in cands:
+        # L(hw) is irreducible, so a vector below hw is zero iff every e_j
+        # kills it (Kac, ch. 9): the linear relations of the candidates are
+        # the column relations of their stacked e-images.  Block j is scaled
+        # to ints over its own common denominator; scaling rows keeps the
+        # column relations.  So the pivot columns are the first independent
+        # candidates in degree-lex order, and column c of the reduced form
+        # over d holds candidate c's coordinates in that basis.
+        stacked = []
+        for j in above:
+            cols, _ = _over_common_den([imgs[j] for imgs in e_imgs])
+            stacked.extend(zip(*cols))
+        selected, rows, d = exact.int_rref(stacked)
+        if not selected:
+            return None
+        basis = [cands[c] for c in selected]
+        # <f_i b_k | c> = <b_k | e_i c> by contravariance, on the basis only.
+        # The entries are Shapovalov values of lowering monomials on an
+        # integral weight, so they are integers, and the form is symmetric:
+        # each entry is formed from both sides, and they must agree.
+        gram = []
+        for i, k in basis:
             src_row = above[i].gram[k]
             row = []
-            for imgs in e_imgs:
-                img, den = imgs[i]
+            for s in selected:
+                img, den = e_imgs[s][i]
                 num = exact.vec_dot(src_row, img)
                 x, rem = divmod(num, den)
                 if rem:
                     raise InternalError(f"Gram entry {num}/{den} at weight {lam} "
                                         "is not an integer")
                 row.append(x)
-            gram_full.append(row)
-        # The contravariant form is nondegenerate on L(hw), so the column
-        # relations of the Gram matrix are the linear relations of the
-        # candidates: its pivot columns are the first independent candidates
-        # in degree-lex order, and column c of the reduced form over d holds
-        # candidate c's coordinates in that basis.
-        selected, rows, d = exact.int_rref(gram_full)
-        if not selected:
-            return None
-        words = tuple((i,) + above[i].words[k] for i, k in (cands[c] for c in selected))
-        gram = tuple(tuple(gram_full[a][b] for b in selected) for a in selected)
+            gram.append(tuple(row))
+        gram = tuple(gram)
+        if gram != tuple(zip(*gram)):
+            raise InternalError(f"Gram matrix at weight {lam} is not symmetric")
+        words = tuple((i,) + above[i].words[k] for i, k in basis)
         ws = WeightSpace(weight=lam, height=h, words=words, gram=gram)
         # f_i into this space and e_i out of it, both against above[i].
         for i, src in above.items():
@@ -515,22 +533,39 @@ class Vector:
     """The vector sum over wt of parts[wt] / den in the slice bases, with
     int tuples parts[wt] and den > 0.  It is kept in lowest terms: no zero
     part, den and the entries coprime, and den 1 on the zero vector.  So two
-    vectors compare equal exactly when they are the same vector."""
+    vectors compare equal exactly when they are the same vector.  A slice
+    that is not a ModuleSlice, a den that is not a positive Python int, a
+    weight outside the slice, or a part that is not dim ints for its space
+    is a DomainError."""
 
     slice: ModuleSlice
     parts: dict[Wt, IntVec]
     den: int = 1
 
     def __post_init__(self):
-        parts = {wt: v for wt, v in self.parts.items() if any(v)}
-        g = 1
-        if self.den != 1 and parts:
-            g = self.den
-            for v in parts.values():
-                g = math.gcd(g, *v)
+        if not isinstance(self.slice, ModuleSlice):
+            raise DomainError(f"vector of {self.slice!r}, not of a ModuleSlice")
+        den = self.den
+        if type(den) is not int or den <= 0:
+            raise DomainError(f"vector denominator {den!r} is not a positive int")
+        spaces, parts, g = self.slice.spaces, {}, den
+        for wt, v in self.parts.items():
+            sp = spaces.get(wt)
+            if sp is None:
+                raise DomainError(f"weight {wt} is not in the slice")
+            v = tuple(v)
+            if len(v) != sp.dim:
+                raise DomainError(f"part {v!r} at weight {wt} has {len(v)} entries, "
+                                  f"not {sp.dim}")
+            try:
+                g = math.gcd(g, *v)  # reads every entry as an int
+            except TypeError:
+                raise DomainError(f"part {v!r} at weight {wt} holds a non-integer") from None
+            if any(v):
+                parts[sp.weight] = v
         if g != 1:
             parts = {wt: tuple(x // g for x in v) for wt, v in parts.items()}
-        self.parts, self.den = parts, (self.den // g if parts else 1)
+        self.parts, self.den = parts, (den // g if parts else 1)
 
     def is_zero(self) -> bool:
         return not self.parts

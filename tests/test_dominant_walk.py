@@ -1,6 +1,8 @@
 """The integer walk of `weyl.dominant_rep` against the Fraction walk it
 replaced (`exact_reference.dominant_rep`), on finite, affine, hyperbolic,
-D8++ and E10 data, with weights of denominators 1-4."""
+D8++ and E10 data, with weights of denominators 1-4; and its decided
+verdicts against the closed forms of the Tits cone on affine and hyperbolic
+data, with weights drawn on the light cone and at level 0."""
 
 import random
 from fractions import Fraction
@@ -99,3 +101,96 @@ def test_dominant_rep_makes_no_pairing_call(monkeypatch):
     for datum, weight in cases:
         _outcome(ref.dominant_rep, datum, weight, 40)
     assert calls  # the counter sees the Fraction walk's pairings
+
+
+# -- the walk's verdicts against the closed forms of the Tits cone -----------------
+
+
+def _null_line(rows):
+    """The primitive nonnegative generator of the null space of rows, when
+    that space is one line through such a vector; None otherwise."""
+    _, kernel = ref.rat_solve(rows, [0] * len(rows))
+    if len(kernel) != 1:
+        return None
+    v = kernel[0] if min(kernel[0]) >= 0 else tuple(-x for x in kernel[0])
+    return tuple(int(x) for x in v) if min(v) >= 0 else None
+
+
+def _isotropic_roots(datum):
+    """Norm-0 imaginary roots delta, as weights: on affine data the null
+    root, on hyperbolic data the null root of the affine diagram left by
+    deleting one node (Kac, ch. 5)."""
+    a, n = datum.gcm.a, datum.n
+    roots = [_null_line(a)]
+    if roots[0] is None:
+        roots = []
+        for k in range(n):
+            rows = [[0 if k in (i, j) else a[i][j] for j in range(n)] for i in range(n)]
+            rows[k][k] = 1  # pins delta_k to 0
+            delta = _null_line(rows)
+            if delta is not None and delta not in roots:
+                roots.append(delta)
+    return [tuple(sum(c * al[j] for c, al in zip(delta, datum.alpha)) for j in range(datum.m))
+            for delta in roots]
+
+
+def _central(datum):
+    """The canonical central element K = sum a_i^vee h_i of affine data, as
+    its coefficients; None on hyperbolic data."""
+    return _null_line([list(col) for col in zip(*datum.gcm.a)])
+
+
+def _closed_form(datum, lam):
+    """Membership of lam in the Tits cone (Kac, ch. 5): on affine data, a
+    positive level or a level-0 weight that vanishes on every coroot; on
+    hyperbolic data, the closed light cone of rho, (lam|lam) <= 0 and
+    (lam|rho) <= 0."""
+    level = _central(datum)
+    if level is not None:
+        k = sum(c * x for c, x in zip(level, lam))
+        return k > 0 or (k == 0 and not any(lam[:datum.n]))
+    return datum.form_weights(lam, lam) <= 0 and datum.form_weights(lam, datum.rho()) <= 0
+
+
+def _oracle_weights(datum, rng):
+    """Random integer weights, the W-images of +- 1 and 2 times each
+    isotropic root (on the light cone, or at level 0 on affine data), and on
+    affine data random level-0 weights, with or without a nonzero pairing
+    with a coroot."""
+    out = [tuple(rng.randint(-4, 4) for _ in range(datum.m)) for _ in range(40)]
+    for delta in _isotropic_roots(datum):
+        for k in (1, 2, -1, -2):
+            for _ in range(3):
+                w = W.from_word(datum, [rng.randrange(datum.n) for _ in range(rng.randint(0, 8))])
+                out.append(w.act_weight(tuple(k * x for x in delta)))
+    level = _central(datum)
+    if level is not None:
+        for k in range(20):
+            lam = [rng.randint(-4, 4) if k % 2 or i >= datum.n else 0 for i in range(datum.m)]
+            lam[0] -= sum(c * x for c, x in zip(level, lam))  # a_0^vee = 1 on these data
+            out.append(tuple(lam))
+    return out
+
+
+# decided weights per datum, at least: (in the Tits cone, outside it).  All
+# of the 72, 72, 52, 76 and 52 weights drawn are decided at cap 200.
+ORACLE_DECIDED = {"affine A1": (40, 32), "A2^(1)": (33, 39), "hyperbolic-3": (15, 37),
+                  "D8++": (26, 50), "E10": (18, 34)}
+
+
+@pytest.mark.parametrize("name", list(ORACLE_DECIDED))
+def test_decided_walks_agree_with_the_closed_forms(name):
+    datum = DATA[name]
+    rng = random.Random(32)
+    decided = [0, 0]
+    for lam in _oracle_weights(datum, rng):
+        try:
+            W.dominant_rep(datum, lam, cap=200)
+            inside = True
+        except NotInTitsCone:
+            inside = False
+        except Undecided:
+            continue
+        assert inside == _closed_form(datum, lam), lam
+        decided[not inside] += 1
+    assert all(map(int.__ge__, decided, ORACLE_DECIDED[name])), decided

@@ -193,13 +193,21 @@ def test_contravariance_all_pairs():
         _assert_contravariant(HW.build_basis(datum, hw, 4))
 
 
-def test_gram_nonsingular_and_symmetric():
-    from exact_reference import det
-    sl = HW.build_basis(AFF, (1, 0, 0), 4)
+def _assert_gram_nonsingular_and_symmetric(sl):
+    """Every basis Gram matrix of the slice is an int, symmetric matrix with
+    a nonzero determinant: the contravariant form is nondegenerate on L(hw).
+    The build picks its basis without assuming this, so the tests check it."""
     for sp in sl.spaces.values():
         assert sp.gram == tuple(tuple(row) for row in zip(*sp.gram))
         assert all(type(x) is int for row in sp.gram for x in row)
-        assert det(sp.gram) != 0
+        assert ref.det(sp.gram) != 0
+
+
+def test_gram_nonsingular_and_symmetric():
+    from test_slice_reference import SPECS, _slice
+    _assert_gram_nonsingular_and_symmetric(HW.build_basis(AFF, (1, 0, 0), 4))
+    for spec in SPECS:
+        _assert_gram_nonsingular_and_symmetric(_slice(HW.ModuleSlice, *spec))
 
 
 # -- operator application ------------------------------------------------------------
@@ -657,6 +665,35 @@ def test_zero_vectors_compare_equal():
     word = HW.GhatWord((HW.xminus(0, Fr(-3, 2)), HW.xminus(0, Fr(3, 2))))
     assert HW.apply_word(word, top) == top
     assert top == HW.Vector(sl, {sl.hw: (1,)}, 2)
+
+
+@pytest.mark.parametrize("parts,den,message", [
+    # a negative den made -v / -1 and v / 1 compare unequal
+    ({(1, 1): (1,)}, -1, "denominator -1 is not a positive int"),
+    ({(1, 1): (1,)}, 0, "denominator 0 is not a positive int"),
+    ({(1, 1): (1,)}, 2.0, "denominator 2.0 is not a positive int"),
+    ({(1, 1): (1,)}, True, "denominator True is not a positive int"),
+    # apply_word ended in a bare KeyError
+    ({(9, 9): (1,)}, 1, r"weight \(9, 9\) is not in the slice"),
+    # inner read the part through zip and dropped the 2
+    ({(1, 1): (1, 2)}, 1, r"part \(1, 2\) at weight \(1, 1\) has 2 entries, not 1"),
+    ({(-1, 2): ()}, 1, "has 0 entries, not 1"),
+    ({(1, 1): (0.5,)}, 1, r"part \(0.5,\) at weight \(1, 1\) holds a non-integer"),
+    ({(1, 1): (2.0,)}, 1, "holds a non-integer"),
+    ({(1, 1): (Fr(1, 2),)}, 1, "holds a non-integer"),
+    ({(1, 1): ("1",)}, 1, "holds a non-integer"),
+])
+def test_vector_input_outside_its_contract_is_a_domain_error(parts, den, message):
+    sl = HW.ModuleSlice(A2, (1, 1), 3)
+    with pytest.raises(DomainError, match=message):
+        HW.Vector(sl, parts, den)
+
+
+def test_vector_reads_its_parts_as_int_tuples():
+    sl = HW.ModuleSlice(A2, (1, 1), 3)
+    assert HW.Vector(sl, {(1, 1): [2]}, 4) == HW.Vector(sl, {(1, 1): (1,)}, 2)
+    with pytest.raises(DomainError, match="not of a ModuleSlice"):
+        HW.Vector(sl.spaces, {(1, 1): (1,)})
 
 
 def test_evaluate_word_columns_are_column_images():

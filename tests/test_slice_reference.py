@@ -400,6 +400,25 @@ def test_non_integral_gram_entry_is_an_internal_error():
         sl._build_space((-1, 2), 1, {0: top})
 
 
+def test_an_asymmetric_gram_matrix_is_an_internal_error(monkeypatch):
+    # one e-image entry shifted by one: the basis Gram entries read from its
+    # two sides no longer agree
+    real = HW.ModuleSlice._e_images
+
+    def corrupted(above):
+        cands, e_imgs = real(above)
+        if len(cands) >= 2:
+            i = cands[0][0]
+            ints, den = e_imgs[1][i]
+            e_imgs[1][i] = ((ints[0] + den,) + ints[1:], den)
+        return cands, e_imgs
+
+    monkeypatch.setattr(HW.ModuleSlice, "_e_images", staticmethod(corrupted))
+    for alg, hw in (("A2", (1, 1)), ("hyperbolic-3", (1, 1, 1))):
+        with pytest.raises(InternalError, match="is not symmetric"):
+            HW.ModuleSlice(build_realization(ALGEBRAS[alg]), hw, 3)
+
+
 # -- Freudenthal in push form against the pull form --------------------------------
 
 
