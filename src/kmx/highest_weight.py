@@ -31,7 +31,25 @@ equal.  A word runs in one raw pass: its letters act on int parts keyed
 by the WeightSpace, over one running denominator, through the neighbour
 maps, and the word reduces once, to a Vector, at its end.  An X+- letter
 sums its exponential series in ints and drops the parts that cancel; the T
-letter reads s^<wt,h> as an int pair.  word_columns is the one pass that
+letter reads s^<wt,h> as an int pair.
+
+The N letter is the lift n_i = exp(e_i) exp(-f_i) exp(e_i), which maps the
+space at mu onto the one at s_i mu (Kac, Lemma 3.8).  Each WeightSpace keeps
+n_mat[i] = (the space at s_i mu, ints, den), the matrix of n_i there,
+formed on first use by the three exponentials on each basis vector, or None
+when one of those runs raises DepthExceeded.  A word applies the matrices
+when every part of its vector has one, and otherwise runs the three
+exponentials on the whole vector, as the memo's own runs do.  This is sound:
+- every intermediate term of the three exponentials is linear in v, and a
+  DepthExceeded is raised only at a nonzero part whose step exits the
+  window;
+- so if no basis vector's run leaves a nonzero part at such a weight, no
+  vector's run does, and the value on v is the matrix times v;
+- n_i maps distinct parts to distinct spaces (s_i is a bijection on
+  weights), so their images never cancel, and no part of the result is
+  zero (n_i is invertible).
+theta reads the top coordinate of the raw pass on v_top, since the top Gram
+matrix is ((1,),).  word_columns is the one pass that
 applies words to basis vectors: it reads its words once, walks the basis in
 height order up to a height bound and raises DepthExceeded at the first
 vector a word leaves the window from.  evaluate_word builds its dense
@@ -332,6 +350,11 @@ class WeightSpace:
     # the neighbouring spaces: up has the keys of e_mat, down those of f_mat
     up: dict[int, "WeightSpace"] = field(default_factory=dict, repr=False)
     down: dict[int, "WeightSpace"] = field(default_factory=dict, repr=False)
+    # n_mat[i]: (the space at s_i weight, ints, den), the matrix of n_i from
+    # this space to that one, formed on first use; None when a basis
+    # vector's run leaves the window
+    n_mat: dict[int, Optional[tuple["WeightSpace", IntMat, int]]] = field(
+        default_factory=dict, repr=False)
 
     @property
     def dim(self) -> int:
@@ -362,11 +385,13 @@ class ModuleSlice:
                                           if k == 0}
 
     def __del__(self):
-        # The neighbour maps link the spaces in cycles.  Cutting them frees
-        # a dropped slice at once, not at the next full garbage collection.
+        # The neighbour maps and the n_i memos link the spaces in cycles.
+        # Cutting them frees a dropped slice at once, not at the next full
+        # garbage collection.
         for sp in self.spaces.values():
             sp.up.clear()
             sp.down.clear()
+            sp.n_mat.clear()
 
     # construction ---------------------------------------------------------------
 
@@ -632,6 +657,34 @@ def _exp(sl: ModuleSlice, parts: Raw, den: int, i: int, sign: int, t) -> tuple[R
     return {sp: u for sp, u in total.items() if any(u)}, den
 
 
+def _n_mat(sl: ModuleSlice, sp: WeightSpace, i: int
+           ) -> Optional[tuple[WeightSpace, IntMat, int]]:
+    """sp.n_mat[i], formed on first use: the three exponentials of
+    n_i = exp(e_i) exp(-f_i) exp(e_i) run on each basis vector of sp, whose
+    image lies in the one space at s_i sp.weight.  None when one of those
+    runs raises DepthExceeded."""
+    if i in sp.n_mat:
+        return sp.n_mat[i]
+    target = tuple(x - sp.weight[i] * a for x, a in zip(sp.weight, sl.datum.alpha[i]))
+    cols = []
+    try:
+        for k in range(sp.dim):
+            parts, den = {sp: [int(j == k) for j in range(sp.dim)]}, 1
+            for sign in (1, -1, 1):
+                parts, den = _exp(sl, parts, den, i, sign, sign)
+            if [s.weight for s in parts] != [target]:
+                raise InternalError(f"n_{i + 1} maps a basis vector at {sp.weight} "
+                                    f"outside the space at {target}")
+            ((tgt, u),) = parts.items()
+            cols.append((u, den))
+    except DepthExceeded:
+        sp.n_mat[i] = None
+        return None
+    cols, den = _over_common_den(cols)
+    sp.n_mat[i] = (tgt, tuple(zip(*cols)), den)
+    return sp.n_mat[i]
+
+
 def _run_word(sl: ModuleSlice, letters: Sequence[Letter], parts: Raw, den: int
               ) -> tuple[Raw, int]:
     """The letters, read by `_read_word`, applied last first to parts / den."""
@@ -640,8 +693,16 @@ def _run_word(sl: ModuleSlice, letters: Sequence[Letter], parts: Raw, den: int
         if tag == "X+" or tag == "X-":
             parts, den = _exp(sl, parts, den, letter[1], 1 if tag == "X+" else -1, letter[2])
         elif tag == "N":  # n_i = exp(e_i) exp(-f_i) exp(e_i)
-            for sign in (1, -1, 1):
-                parts, den = _exp(sl, parts, den, letter[1], sign, sign)
+            i = letter[1]
+            mats = [_n_mat(sl, sp, i) for sp in parts]
+            if None in mats:  # some basis run leaves the window: the whole vector's run
+                for sign in (1, -1, 1):
+                    parts, den = _exp(sl, parts, den, i, sign, sign)
+                continue
+            # the parts land in distinct spaces, so their images never cancel
+            vecs, m = _over_common_den([([exact.vec_dot(row, u) for row in mat], d)
+                                        for (_, mat, d), u in zip(mats, parts.values())])
+            parts, den = {tgt: v for (tgt, _, _), v in zip(mats, vecs)}, den * m
         elif tag == "T":
             h, p, q = letter[1], letter[2].numerator, letter[2].denominator
             pieces = []
@@ -825,10 +886,13 @@ def theta(slice_: ModuleSlice, word: GhatWord) -> Fraction:
     """<v_top | w v_top> / <v_top | v_top>: the highest matrix coefficient.
 
     Independent of the choice of highest-weight vector and of the scaling of
-    the contravariant form.
+    the contravariant form.  The top Gram matrix is ((1,),), so this is the
+    top coordinate of the raw pass on v_top, read without forming a Vector.
     """
-    v = slice_.highest_vector()
-    return matrix_coefficient(slice_, v, v, word)
+    top = slice_.spaces[slice_.hw]
+    parts, den = _run_word(slice_, _read_word(slice_.datum, word), {top: (1,)}, 1)
+    u = parts.get(top)
+    return Fraction(u[0], den) if u else Fraction(0)
 
 
 # -- probes -----------------------------------------------------------------------

@@ -20,7 +20,10 @@ Then come the dense word matrix and the probe comparison the package used
 before one height-ordered column pass served them: `evaluate_word` applies
 the word to each basis vector of the column window in turn, and
 `probe_equal` builds both words' dense Fraction matrices and scans them
-row by row.
+row by row.  Beside them, `run_word` is the raw word pass as the package
+ran it before it kept the matrix of each lift n_i per weight space: every
+N(i) letter runs the three exponentials exp(e_i) exp(-f_i) exp(e_i) on the
+whole vector.
 
 Last come the lattice helpers the package used before each face lattice
 became the saturated kernel of its normals and each Hom-monoid element
@@ -496,6 +499,31 @@ def evaluate_word(slice_, word, max_height: Optional[int] = None):
         cols.append(col)
     return (index, col_index), tuple(tuple(cols[c][r] for c in range(len(col_index)))
                                      for r in range(len(index)))
+
+
+def run_word(sl, letters, parts, den):
+    """The letters applied last first to the raw parts / den, every N(i) as
+    n_i = exp(e_i) exp(-f_i) exp(e_i) on the whole vector: (parts, den)."""
+    for letter in reversed(letters):
+        tag = letter[0]
+        if tag == "X+" or tag == "X-":
+            parts, den = HW._exp(sl, parts, den, letter[1], 1 if tag == "X+" else -1, letter[2])
+        elif tag == "N":
+            for sign in (1, -1, 1):
+                parts, den = HW._exp(sl, parts, den, letter[1], sign, sign)
+        elif tag == "T":
+            h, p, q = letter[1], letter[2].numerator, letter[2].denominator
+            pieces = []
+            for sp, u in parts.items():
+                e = vec_dot(sp.weight, h)
+                num, d = (p ** e, q ** e) if e >= 0 else (q ** -e, p ** -e)
+                pieces.append(([num * x for x in u], d) if d > 0 else ([-num * x for x in u], -d))
+            vecs, m = HW._over_common_den(pieces)
+            parts, den = dict(zip(parts, vecs)), den * m
+        else:
+            c = letter[1].exposing()
+            parts = {sp: u for sp, u in parts.items() if vec_dot(sp.weight, c) == 0}
+    return parts, den
 
 
 def probe_equal(datum, w1, w2, probes):

@@ -3,7 +3,10 @@ terms: the answer is a private copy, it equals the scanned recurrence at
 rank 10 and under corrupted denominators, and it meets the closed forms
 of the level-1 roots of Feingold-Frenkel's F and of A2^(1)++."""
 
+import math
 import random
+import types
+from operator import add
 
 import exact_reference as ref
 import pytest
@@ -67,6 +70,32 @@ def test_d8pp_imaginary_root_to_height_fourteen():
     assert set(rm) == _positive_real_roots(datum, 14) | {delta}
     assert rm[delta] == 8
     assert {m for b, m in rm.items() if b != delta} == {1}
+
+
+def test_the_check_runs_only_where_a_term_is_pushed(monkeypatch):
+    """On E10 to height 8 the natural-number check runs at the b that
+    receive a term, not at each of the 43,757 compositions: at every
+    denominator term, and at b + delta for each b with g_b != 0, which are
+    the multiples k beta of the roots; 19,137 b in all.  math.gcd(*b) runs
+    once per visited b, so a counting gcd in the module names them."""
+    height = 8
+    datum = _fresh(KERNEL_DATA["E10"].gcm.a)
+    visited = []
+    counting = types.SimpleNamespace(**vars(math))
+    counting.gcd = lambda *b: visited.append(b) or math.gcd(*b)
+    monkeypatch.setattr(HW, "math", counting)
+    roots = HW.root_multiplicities(datum, height)
+    monkeypatch.undo()
+    terms = [delta for delta in W.denominator(datum, height) if any(delta)]
+    nonzero_g = {tuple(k * x for x in beta) for beta in roots
+                 for k in range(1, height // sum(beta) + 1)}
+    pushed = set(terms) | {tuple(map(add, b, delta)) for b in nonzero_g for delta in terms
+                           if sum(b) + sum(delta) <= height}
+    assert len(visited) == len(set(visited))
+    assert set(visited) == pushed
+    compositions = sum(math.comb(h + datum.n - 1, datum.n - 1) for h in range(1, height + 1))
+    assert compositions == 43_757
+    assert len(visited) < compositions // 2
 
 
 # -- corrupted denominators --------------------------------------------------------
