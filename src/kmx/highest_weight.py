@@ -4,34 +4,36 @@ Everything is exact.  A slice stores, per weight down to a fixed height, a
 basis of lowering monomials, its Gram matrix under the contravariant form,
 and the raising and lowering operator matrices in those bases.  The slice
 is a weight graph: the build forms each weight lam = mu - alpha_i once,
-together with the spaces above it, and each weight space keeps its
-neighbours up[i] and down[i], the spaces at weight +- alpha_i, which every
-later step reads.  At each weight the candidates are f_i b (b a basis
-vector one step up).  L(hw) is irreducible, so a vector below hw is zero
-iff every e_j kills it (Kac, Infinite-dimensional Lie algebras, ch. 9):
-the linear relations of the candidates are the column relations of their
-stacked e-images.  One fraction-free Gauss-Jordan elimination of that
-matrix (exact.int_rref) picks the first independent candidates in
-degree-lex order as the basis and gives every candidate's coordinates in
-it, which are the lowering matrices.  The Gram matrix is formed on the
-basis only, and certified by its symmetry: each entry
-<f_i b_k | c> = <b_k | e_i c> is formed from both sides.  Operator
-application is either exact (all terms stay inside the slice) or a hard
-DepthExceeded error; results are never silently truncated.
+together with the spaces above it, and each weight space keeps one edge
+per operator, up[i] = (the space at weight + alpha_i, ints, den) for e_i
+and down[i] = (the space at weight - alpha_i, ints, den) for f_i, which
+every later step reads.  A missing key is an operator that is zero there.
+At each weight the candidates are f_i b (b a basis vector one step up).
+L(hw) is irreducible, so a vector below hw is zero iff every e_j kills it
+(Kac, Infinite-dimensional Lie algebras, ch. 9): the linear relations of
+the candidates are the column relations of their stacked e-images.  One
+fraction-free Gauss-Jordan elimination of that matrix (exact.int_rref)
+picks the first independent candidates in degree-lex order as the basis
+and gives every candidate's coordinates in it, which are the lowering
+matrices.  The Gram matrix is formed on the basis only, and certified by
+its symmetry: each entry <f_i b_k | c> = <b_k | e_i c> is formed from both
+sides.  Operator application is either exact (all terms stay inside the
+slice) or a hard DepthExceeded error; results are never silently
+truncated.
 
 Every rational object of the engine is Python ints over one denominator,
-in the style of Bareiss's fraction-free elimination.  An operator matrix is
-a pair (ints, den): f_mat[i] is the int_rref rows over its common pivot d,
-and e_mat[i] holds the selected candidates' e-images over the lcm of their
+in the style of Bareiss's fraction-free elimination.  An edge holds its
+matrix as ints over den: down[i] the int_rref rows over their common pivot
+d, and up[i] the selected candidates' e-images over the lcm of their
 denominators.  Each e-image is a gcd-reduced (ints, den) pair, and each
 Gram entry is the exact quotient of an integer dot product by den (a
 remainder is an InternalError).  A Vector is int parts over one den in
 lowest terms, with den 1 on the zero vector, so equal vectors compare
 equal.  A word runs in one raw pass: its letters act on int parts keyed
-by the WeightSpace, over one running denominator, through the neighbour
-maps, and the word reduces once, to a Vector, at its end.  An X+- letter
-sums its exponential series in ints and drops the parts that cancel; the T
-letter reads s^<wt,h> as an int pair.
+by the WeightSpace, over one running denominator, along the edges, and
+the word reduces once, to a Vector, at its end.  An X+- letter sums its
+exponential series in ints and drops the parts that cancel; the T letter
+reads s^<wt,h> as an int pair.
 
 The N letter is the lift n_i = exp(e_i) exp(-f_i) exp(e_i), which maps the
 space at mu onto the one at s_i mu (Kac, Lemma 3.8).  Each WeightSpace keeps
@@ -60,13 +62,16 @@ theta, matrix_coefficient, inner, evaluate_word and Distinct.
 
 One reader, `_read_letter`, decides whether a letter is valid; the one word
 reader, `_read_word`, reads every letter through it before any is applied.
+`_read_letter` and format_word read a letter's shape by `_letter_tag`.
 bruhat_cell reads the cell of a factored word in the Weyl monoid W-hat,
 where kappa lands, so it forms no torus cocycle.
 
 The build decides in closed form which weights it visits (Kac,
 Infinite-dimensional Lie algebras, ch. 11), so it forms no space at a
-non-weight, and it marks the weights one step past the window, where a
-lowering f_i out of the bottom layer lands, without forming anything there.
+non-weight.  The window is a set of edges: its last pass marks down[i] =
+_BEYOND on each bottom-layer space whose f_i lands at a weight one step
+past the window, and forms nothing there.  So a step reads a DepthExceeded
+off the edge, and forms only the weight that the error names.
 Write nu = hw - sum_k c_k alpha_k, with <nu, h_i> its i-th coordinate
 (i < n).  Walk nu to the dominant chamber: while some <nu, h_i> < 0, apply
 s_i, which adds <nu, h_i> to c_i.  Then nu is a weight of L(hw) iff c stays
@@ -110,14 +115,15 @@ from __future__ import annotations
 
 import math
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add, sub
 from typing import Optional, Sequence
 
 from . import exact, faces as FC, monoids as MO, weyl as W
-from .cartan import (RootDatum, _components, check_index, exact_ints, exact_rationals,
-                     one_based, torus_values, typed_numbers)
+from .cartan import (RootDatum, _components, check_index, entries, exact_ints,
+                     exact_rationals, one_based, torus_values, typed_numbers)
 from .errors import (DepthExceeded, DepthTooLarge, DomainError, InternalError,
                      NotDominant, NotFactored, PreconditionViolated, SizeGuard)
 from .exact import IntMat, IntVec
@@ -314,10 +320,14 @@ def weights_and_mults(datum: RootDatum, hw: Sequence[int], depth: int,
                   for j in range(datum.m)): m for b, m in mult.items()}
 
 
+def _check_natural(x: int, what: str):
+    exact_ints((x,), what)
+    if x < 0:
+        raise DomainError(f"{what} {x} is negative")
+
+
 def _depth_guard(datum: RootDatum, depth: int, max_depth: Optional[int]):
-    exact_ints((depth,), "depth")
-    if depth < 0:
-        raise DomainError(f"depth {depth} is negative")
+    _check_natural(depth, "depth")
     if max_depth is not None:
         exact_ints((max_depth,), "max depth")
         if depth > max_depth:
@@ -333,8 +343,11 @@ def _depth_guard(datum: RootDatum, depth: int, max_depth: Optional[int]):
 # -- module slices ----------------------------------------------------------------
 
 
-# An operator matrix as (ints, den): the integer matrix ints over den > 0.
-OpMat = tuple[IntMat, int]
+# An operator edge (target space, ints, den): the integer matrix ints over
+# den > 0 from one weight space to the target.
+Edge = tuple["WeightSpace", IntMat, int]
+# the f_i edge of a bottom-layer space whose target is a weight past the window
+_BEYOND = object()
 
 
 @dataclass(eq=False)  # hashed by identity: the operators key raw parts by the space
@@ -343,18 +356,13 @@ class WeightSpace:
     height: int
     words: tuple[tuple[int, ...], ...]
     gram: IntMat
-    # f_mat[i]: matrix of f_i from this space to down[i], the space at weight - alpha_i
-    f_mat: dict[int, OpMat] = field(default_factory=dict)
-    # e_mat[i]: matrix of e_i from this space to up[i], the space at weight + alpha_i
-    e_mat: dict[int, OpMat] = field(default_factory=dict)
-    # the neighbouring spaces: up has the keys of e_mat, down those of f_mat
-    up: dict[int, "WeightSpace"] = field(default_factory=dict, repr=False)
-    down: dict[int, "WeightSpace"] = field(default_factory=dict, repr=False)
-    # n_mat[i]: (the space at s_i weight, ints, den), the matrix of n_i from
-    # this space to that one, formed on first use; None when a basis
-    # vector's run leaves the window
-    n_mat: dict[int, Optional[tuple["WeightSpace", IntMat, int]]] = field(
-        default_factory=dict, repr=False)
+    # up[i], down[i]: the edges of e_i and f_i, to the spaces at weight +- alpha_i;
+    # no key where the operator is zero, and down[i] may be _BEYOND
+    up: dict[int, Edge] = field(default_factory=dict, repr=False)
+    down: dict[int, Edge] = field(default_factory=dict, repr=False)
+    # n_mat[i]: the edge of n_i, to the space at s_i weight, formed on first
+    # use; None when a basis vector's run leaves the window
+    n_mat: dict[int, Optional[Edge]] = field(default_factory=dict, repr=False)
 
     @property
     def dim(self) -> int:
@@ -371,9 +379,6 @@ class ModuleSlice:
         self.hw = _check_dominant(datum, hw)
         self.depth = depth
         _depth_guard(datum, depth, max_depth)
-        # weights just past the window that are genuinely nonzero; lowering
-        # into one of these is a DepthExceeded, everything else is exact
-        self._nonzero_beyond: set[Wt] = set()
         self._build()
         # the build inserts the spaces in (height, weight) order
         self.order: tuple[Wt, ...] = tuple(self.spaces)
@@ -385,7 +390,7 @@ class ModuleSlice:
                                           if k == 0}
 
     def __del__(self):
-        # The neighbour maps and the n_i memos link the spaces in cycles.
+        # The edges and the n_i memos link the spaces in cycles.
         # Cutting them frees a dropped slice at once, not at the next full
         # garbage collection.
         for sp in self.spaces.values():
@@ -415,8 +420,9 @@ class ModuleSlice:
                 c_lam = tuple(x + (k == i) for k, x in enumerate(c[mu.weight]))
                 if not self._is_weight(lam, c_lam):
                     continue
-                if h > self.depth:
-                    self._nonzero_beyond.add(lam)
+                if h > self.depth:  # lam is nonzero past the window
+                    for i, mu in above.items():
+                        mu.down[i] = _BEYOND
                     continue
                 ws = self._build_space(lam, h, above)
                 if ws is None:
@@ -453,12 +459,12 @@ class ModuleSlice:
             imgs: dict[int, tuple[IntVec, int]] = {}
             for j, tgt in above.items():
                 # e_j f_i b_k = f_i (e_j b_k) + [j == i] * up(h_i) * b_k
-                up_e = src.e_mat.get(j)
+                up_e = src.up.get(j)
                 if up_e is None:
                     vec, den = [0] * tgt.dim, 1
                 else:
-                    emat, de = up_e
-                    fmat, df = src.up[j].f_mat[i]
+                    mid, emat, de = up_e
+                    _, fmat, df = mid.down[i]
                     col = [row[k] for row in emat]
                     vec = [exact.vec_dot(row, col) for row in fmat]
                     den = de * df
@@ -514,10 +520,9 @@ class ModuleSlice:
         # f_i into this space and e_i out of it, both against above[i].
         for i, src in above.items():
             first = cands.index((i, 0))
-            src.f_mat[i] = (tuple(row[first:first + src.dim] for row in rows), d)
             cols, den = _over_common_den([e_imgs[s][i] for s in selected])
-            ws.e_mat[i] = (tuple(zip(*cols)), den)
-            src.down[i], ws.up[i] = ws, src
+            src.down[i] = (ws, tuple(row[first:first + src.dim] for row in rows), d)
+            ws.up[i] = (src, tuple(zip(*cols)), den)
         return ws
 
     # queries ---------------------------------------------------------------------
@@ -559,9 +564,10 @@ class Vector:
     int tuples parts[wt] and den > 0.  It is kept in lowest terms: no zero
     part, den and the entries coprime, and den 1 on the zero vector.  So two
     vectors compare equal exactly when they are the same vector.  A slice
-    that is not a ModuleSlice, a den that is not a positive Python int, a
-    weight outside the slice, or a part that is not dim ints for its space
-    is a DomainError."""
+    that is not a ModuleSlice, parts that are not a mapping, a den that is
+    not a positive Python int, a weight outside the slice, or a part that is
+    not dim ints for its space (read by `cartan.entries`) is a
+    DomainError."""
 
     slice: ModuleSlice
     parts: dict[Wt, IntVec]
@@ -570,6 +576,8 @@ class Vector:
     def __post_init__(self):
         if not isinstance(self.slice, ModuleSlice):
             raise DomainError(f"vector of {self.slice!r}, not of a ModuleSlice")
+        if not isinstance(self.parts, Mapping):
+            raise DomainError(f"vector parts {self.parts!r} are not a mapping")
         den = self.den
         if type(den) is not int or den <= 0:
             raise DomainError(f"vector denominator {den!r} is not a positive int")
@@ -578,7 +586,7 @@ class Vector:
             sp = spaces.get(wt)
             if sp is None:
                 raise DomainError(f"weight {wt} is not in the slice")
-            v = tuple(v)
+            v = entries(v, "part")
             if len(v) != sp.dim:
                 raise DomainError(f"part {v!r} at weight {wt} has {len(v)} entries, "
                                   f"not {sp.dim}")
@@ -603,23 +611,23 @@ Raw = dict[WeightSpace, Sequence[int]]
 
 def _step(sl: ModuleSlice, parts: Raw, i: int, sign: int) -> tuple[Raw, int]:
     """X = e_i (sign 1) or f_i (sign -1) on raw parts: (ints, m) with
-    X parts = ints / m, zero parts dropped.  Each image lands in the
-    neighbouring space up[i] or down[i].  A missing matrix is DepthExceeded
-    when its target weight, formed only then, is nonzero past the window, a
-    certified zero otherwise."""
+    X parts = ints / m, zero parts dropped.  Each image lands in the target
+    of the edge up[i] or down[i].  A missing edge is a certified zero, a
+    _BEYOND edge a DepthExceeded at the weight it leaves to, formed only
+    then."""
     spaces, images = [], []
     for sp, coeffs in parts.items():
-        found = (sp.e_mat if sign > 0 else sp.f_mat).get(i)
-        if found is None:
-            tgt_wt = tuple(map(add if sign > 0 else sub, sp.weight, sl.datum.alpha[i]))
-            if tgt_wt in sl._nonzero_beyond:
-                raise DepthExceeded(needed=sp.height + 1, depth=sl.depth, weight=tgt_wt)
+        edge = (sp.up if sign > 0 else sp.down).get(i)
+        if edge is None:
             continue  # certified zero: the target weight space vanishes
+        if edge is _BEYOND:
+            raise DepthExceeded(needed=sp.height + 1, depth=sl.depth, weight=tuple(
+                map(add if sign > 0 else sub, sp.weight, sl.datum.alpha[i])))
         # distinct source spaces have distinct targets
-        mat, den = found
+        tgt, mat, den = edge
         img = [exact.vec_dot(row, coeffs) for row in mat]
         if any(img):
-            spaces.append((sp.up if sign > 0 else sp.down)[i])
+            spaces.append(tgt)
             images.append((img, den))
     if not images:
         return {}, 1
@@ -762,18 +770,25 @@ def idem(face: Face) -> Letter:
     return ("E", face)
 
 
-def _read_letter(datum: RootDatum, letter: Letter) -> Letter:
-    """The letter, unchanged, once checked against the datum: the one place
-    that decides whether a letter is valid.  Indices go through check_index,
-    X+- parameters through exact_rationals, a T coweight through exact_ints
-    (datum.m of them) and its s through torus_values; an unknown tag, a
-    wrong field count or an E letter without a Face is a DomainError, an E
-    face of another datum a PreconditionViolated."""
+def _letter_tag(letter: Letter) -> str:
+    """The tag of a letter; an unknown tag or a wrong field count is a
+    DomainError."""
     tag = letter[0] if isinstance(letter, tuple) and letter else None
     if type(tag) is not str or tag not in _FIELDS:
         raise DomainError(f"unknown letter {letter!r}")
     if len(letter) != _FIELDS[tag]:
         raise DomainError(f"{tag} letter needs {_FIELDS[tag]} fields, not {len(letter)}")
+    return tag
+
+
+def _read_letter(datum: RootDatum, letter: Letter) -> Letter:
+    """The letter, unchanged, once checked against the datum: the one place
+    that decides whether a letter is valid.  Its shape goes through
+    _letter_tag, indices through check_index, X+- parameters through
+    exact_rationals, a T coweight through exact_ints (datum.m of them) and
+    its s through torus_values; an E letter without a Face is a DomainError,
+    an E face of another datum a PreconditionViolated."""
+    tag = _letter_tag(letter)
     if tag in ("X+", "X-", "N"):
         check_index(datum.n, letter[1])
         if tag != "N":
@@ -812,12 +827,6 @@ def apply_word(word: GhatWord, v: Vector) -> Vector:
                                   v.den))
 
 
-def _check_height(h: int):
-    exact_ints((h,), "height")
-    if h < 0:
-        raise DomainError(f"height {h} is negative")
-
-
 def word_columns(slice_: ModuleSlice, words: Sequence[GhatWord],
                  max_height: Optional[int] = None):
     """(wt, k, images of `words`) for each basis vector k at wt, in
@@ -828,7 +837,7 @@ def word_columns(slice_: ModuleSlice, words: Sequence[GhatWord],
     keeps the columns yielded before it.  A `max_height` that is not a
     Python int, or is negative, is a DomainError."""
     if max_height is not None:
-        _check_height(max_height)
+        _check_natural(max_height, "height")
     read = [_read_word(slice_.datum, word) for word in words]
     for wt in slice_.order:
         sp = slice_.spaces[wt]
@@ -935,10 +944,10 @@ def _entry(v: Vector, wt: Wt, j: int) -> Fraction:
 def probe_equal(datum: RootDatum, w1: GhatWord, w2: GhatWord, probes: Sequence):
     """Compare two words as operators on the given probes.
 
-    Each probe is (hw, depth) or (hw, depth, max_height); the third entry
-    restricts the compared columns to basis vectors of bounded height so
-    that words with lowering content fit inside the window on infinite
-    modules.  Each word makes its own full pass over the columns, w1 first,
+    Each probe is (hw, depth) or (hw, depth, max_height), and anything else
+    is a DomainError; the third entry restricts the compared columns to
+    basis vectors of bounded height so that words with lowering content fit
+    inside the window on infinite modules.  Each word makes its own full pass over the columns, w1 first,
     so a word that leaves the window raises DepthExceeded even when the
     other already differs.  The images are compared as sparse vectors;
     Distinct holds the first differing entry in row-major order, the only
@@ -947,8 +956,10 @@ def probe_equal(datum: RootDatum, w1: GhatWord, w2: GhatWord, probes: Sequence):
     """
     tried = []
     for probe in probes:
-        hw, d = probe[0], probe[1]
-        hmax = probe[2] if len(probe) > 2 else None
+        shape = entries(probe, "probe")
+        if len(shape) not in (2, 3):
+            raise DomainError(f"probe {probe!r} is not (hw, depth) or (hw, depth, max_height)")
+        hw, d, hmax = (*shape, None)[:3]
         sl = build_basis(datum, hw, d)
         cols1 = list(word_columns(sl, (w1,), hmax))
         cols2 = list(word_columns(sl, (w2,), hmax))
@@ -1048,9 +1059,11 @@ _LETTER_RE = re.compile(
 
 
 def format_word(word: GhatWord) -> str:
+    """The word in the syntax of `parse_word`; each letter's shape is read by
+    `_letter_tag`."""
     parts = []
     for letter in word.letters:
-        tag = letter[0]
+        tag = _letter_tag(letter)
         if tag in ("X+", "X-"):
             parts.append(f"{tag}({letter[1] + 1};{letter[2]})")
         elif tag == "T":
@@ -1061,8 +1074,8 @@ def format_word(word: GhatWord) -> str:
                 parts.append(f"T(v={','.join(str(x) for x in h)};{letter[2]})")
         elif tag == "N":
             parts.append(f"N({letter[1] + 1})")
-        elif tag == "E":
-            face: Face = letter[1]
+        else:
+            face = letter[1]
             wtxt = " ".join(str(i + 1) for i in face.w.word)
             ttxt = ",".join(str(i + 1) for i in face.theta)
             parts.append(f"E(w={wtxt}; theta={ttxt})")

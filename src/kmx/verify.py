@@ -468,9 +468,8 @@ def check_multiplicity_oracles() -> CheckResult:
                    not agree, f"{name} multiplicities")
         bad = 0
         for sp in sl.spaces.values():
-            for i, (em, de) in sp.e_mat.items():
-                usp = sp.up[i]
-                fm, df = usp.f_mat[i]
+            for i, (usp, em, de) in sp.up.items():
+                _, fm, df = usp.down[i]
                 for a in range(sp.dim):
                     for b in range(usp.dim):
                         # <e_i b_a | b_b> = <b_a | f_i b_b>, both over their dens

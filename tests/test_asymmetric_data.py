@@ -177,13 +177,15 @@ def test_contravariance_with_eps():
     sl = HW.build_basis(datum, (1, 1), 4)
     for wt, sp in sl.spaces.items():
         for i in range(2):
-            if i not in sp.e_mat:
+            if i not in sp.up:
                 continue
             # the (ints, den) operator matrices as rational values
-            em = [[Fr(x, sp.e_mat[i][1]) for x in row] for row in sp.e_mat[i][0]]
+            _, ints, den = sp.up[i]
+            em = [[Fr(x, den) for x in row] for row in ints]
             up = tuple(wt[j] + datum.alpha[i][j] for j in range(2))
             usp = sl.spaces[up]
-            fm = [[Fr(x, usp.f_mat[i][1]) for x in row] for row in usp.f_mat[i][0]]
+            _, ints, den = usp.down[i]
+            fm = [[Fr(x, den) for x in row] for row in ints]
             for a in range(sp.dim):
                 for b in range(usp.dim):
                     lhs = sum(usp.gram[r][b] * em[r][a] for r in range(usp.dim))

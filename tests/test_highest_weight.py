@@ -4,6 +4,7 @@ from fractions import Fraction as Fr
 
 import exact_reference as ref
 import pytest
+from test_slice_reference import read_edges
 
 from kmx import faces as FC, highest_weight as HW, monoids as MO, weyl as W
 from kmx.cartan import (A2_ROWS, AFFINE_A1_ROWS, HYPERBOLIC_ROWS,
@@ -106,12 +107,12 @@ def _assert_contravariant(sl):
     datum = sl.datum
     for wt, sp in sl.spaces.items():
         for i in range(datum.n):
-            if i not in sp.e_mat:
+            if i not in sp.up:
                 continue
-            em, de = sp.e_mat[i]
+            _, em, de = sp.up[i]
             up = tuple(wt[j] + datum.alpha[i][j] for j in range(datum.m))
             usp = sl.spaces[up]
-            fm, df = usp.f_mat[i]
+            _, fm, df = usp.down[i]
             for a in range(sp.dim):
                 for b in range(usp.dim):
                     lhs = sum(usp.gram[r][b] * em[r][a] for r in range(usp.dim))
@@ -259,7 +260,7 @@ def test_depth_exceeded_names_the_weight_that_left_the_window():
     with pytest.raises(DepthExceeded) as err:
         HW.apply_word(word, sl.highest_vector())
     wt = err.value.weight
-    assert wt not in sl.spaces and wt in sl._nonzero_beyond
+    assert wt not in sl.spaces and wt in read_edges(sl)[2]
     assert AFF.weight_height((1, 0, 0), wt) == err.value.needed == 3
     assert str(err.value) == "needs module depth >= 3, slice has 2"
     assert DepthExceeded(needed=3, depth=2).weight is None
@@ -285,15 +286,15 @@ def test_exponential_letters_raise_at_the_first_term_past_the_window():
     sl = HW.ModuleSlice(AFF, (3, 0, 0), 2)
     with pytest.raises(DepthExceeded) as err:
         HW.apply_letter(HW.xminus(0, Fr(-2, 3)), sl.highest_vector())
-    assert err.value.weight == _minus(sl.hw, 3, AFF.alpha[0]) in sl._nonzero_beyond
+    assert err.value.weight == _minus(sl.hw, 3, AFF.alpha[0]) in read_edges(sl)[2]
     assert err.value.needed == 3
     # raising never leaves a genuine window, so the e_i branch of the guard
-    # is reached on a slice doctored to lose e_1 at hw - alpha_1: exp(e_1)
-    # on f_1^2 v keeps its first term and raises at the second
+    # is reached on a slice doctored to mark the e_1 edge at hw - alpha_1
+    # past the window: exp(e_1) on f_1^2 v keeps its first term and raises
+    # at the second
     sl = HW.ModuleSlice(A2, (2, 0), 2)
     low, mid = _minus(sl.hw, 2, A2.alpha[0]), _minus(sl.hw, 1, A2.alpha[0])
-    del sl.spaces[mid].e_mat[0]
-    sl._nonzero_beyond.add(sl.hw)
+    sl.spaces[mid].up[0] = HW._BEYOND
     with pytest.raises(DepthExceeded) as err:
         HW.apply_letter(HW.xplus(0, Fr(3, 2)), HW.Vector(sl, {low: (1,)}))
     assert err.value.weight == sl.hw
@@ -590,6 +591,21 @@ def test_bruhat_cell_distinct_cells_have_distinct_operators():
         assert isinstance(res, HW.Distinct)
 
 
+def test_format_word_reads_each_letter_shape():
+    # an unknown letter was dropped from the text, and a letter short of
+    # fields ended in a raw IndexError
+    with pytest.raises(DomainError, match=re.escape("unknown letter ('Q', 1)")):
+        HW.format_word(HW.GhatWord((("Q", 1), HW.nsimple(0))))
+    with pytest.raises(DomainError, match=re.escape("N letter needs 2 fields, not 1")):
+        HW.format_word(HW.GhatWord((("N",),)))
+    # every wrong shape raises what the letter reader raises
+    for letter, _, message in BAD_LETTERS:
+        if "unknown letter" in message or " fields, not " in message:
+            with pytest.raises(DomainError, match=re.escape(message)):
+                HW.format_word(HW.GhatWord((letter,)))
+    assert HW.format_word(HW.GhatWord((HW.nsimple(1), ("X+", 0, 2)))) == "N(2) X+(1;2)"
+
+
 def test_word_syntax_roundtrip():
     txt = "X+(1;3/2) X-(2;-1) T(h1;2) N(1) E(w=; theta=1,2)"
     word = HW.parse_word(AFF, txt)
@@ -682,6 +698,12 @@ def test_zero_vectors_compare_equal():
     ({(1, 1): (2.0,)}, 1, "holds a non-integer"),
     ({(1, 1): (Fr(1, 2),)}, 1, "holds a non-integer"),
     ({(1, 1): ("1",)}, 1, "holds a non-integer"),
+    # a part with no entries to give, or parts that are not a mapping,
+    # ended in a raw TypeError or AttributeError
+    ({(1, 1): 5}, 1, "part list 5 is not a sequence"),
+    ({(1, 1): None}, 1, "part list None is not a sequence"),
+    ([((1, 1), (1,))], 1, "are not a mapping"),
+    ((1, 1), 1, r"vector parts \(1, 1\) are not a mapping"),
 ])
 def test_vector_input_outside_its_contract_is_a_domain_error(parts, den, message):
     sl = HW.ModuleSlice(A2, (1, 1), 3)
@@ -723,6 +745,7 @@ def test_weights_past_the_window_have_a_nonzero_gram_matrix():
     for datum, hw, depth in ((A2, (1, 0), 1), (AFF, (1, 0, 0), 3), (HYP, (1, 1, 1), 3)):
         seen.clear()
         sl = Recording(datum, hw, depth)
+        beyond = read_edges(sl)[2]  # read before the spaces below link in
         assert all(datum.weight_height(sl.hw, lam) <= depth for lam in seen)
         # the spaces one step past the window, each with the spaces above it
         past: dict = {}
@@ -736,8 +759,8 @@ def test_weights_past_the_window_have_a_nonzero_gram_matrix():
         gram_nonzero = {lam for lam, above in past.items()
                         if HW.ModuleSlice._build_space(sl, lam, depth + 1,
                                                        dict(sorted(above.items())))}
-        assert sl._nonzero_beyond == gram_nonzero
-        assert sl._nonzero_beyond  # none of these modules ends inside the window
+        assert beyond == gram_nonzero
+        assert beyond  # none of these modules ends inside the window
 
 
 @pytest.mark.parametrize("datum,hw,depth", [(A2, (1, 0), 1), (AFF, (1, 0, 0), 3),
@@ -766,7 +789,7 @@ def test_the_build_forms_spaces_and_e_images_only_at_weights(datum, hw, depth):
     sl = Recording(datum, hw, depth)
     assert sorted(built) == sorted(wt for wt in sl.spaces if wt != sl.hw)
     assert e_calls == built
-    assert sl._nonzero_beyond  # the rule marked the weights past the window
+    assert read_edges(sl)[2]  # the rule marked the weights past the window
 
 
 def test_a_dominant_weight_below_the_top_need_not_be_a_weight():
@@ -859,6 +882,25 @@ def test_letter_indices_and_coweights_are_checked_against_the_datum():
                  (HW.xplus(2, 1),)):
         with pytest.raises(DomainError, match="simple index (0|3|8) out of range 1..2"):
             HW.bruhat_cell(A2, HW.GhatWord(word))
+
+
+@pytest.mark.parametrize("probe,message", [
+    # a probe short of entries or a str ended in a raw IndexError, and a
+    # fourth entry was ignored
+    (((1, 0),), "probe ((1, 0),) is not (hw, depth) or (hw, depth, max_height)"),
+    ("x", "probe 'x' is not (hw, depth) or (hw, depth, max_height)"),
+    (((1, 0), 3, 1, 9), "probe ((1, 0), 3, 1, 9) is not (hw, depth) or"),
+    ((), "probe () is not"),
+    (7, "probe list 7 is not a sequence"),
+])
+def test_probe_equal_reads_each_probe_shape(probe, message):
+    w = HW.GhatWord((HW.xminus(0, 1),))
+    with pytest.raises(DomainError, match=re.escape(message)):
+        HW.probe_equal(A2, w, w, [probe])
+    # a good probe before the bad one is tried, and the bad one still raises
+    with pytest.raises(DomainError, match=re.escape(message)):
+        HW.probe_equal(A2, w, w, [((1, 0), 2), probe])
+    assert HW.probe_equal(A2, w, w, [[(1, 0), 3, 1]]) == HW.EqualOnProbes((((1, 0), 3),))
 
 
 def test_max_height_is_read_as_a_height():

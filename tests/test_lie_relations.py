@@ -121,9 +121,9 @@ def test_a_shifted_lowering_entry_breaks_the_relations():
     sl = _slice(HW.ModuleSlice, "hyperbolic-3", "L1", 8)
     assert relation_check(sl)[1] == []
     # shift one entry of f_i at height 2 by one
-    sp = next(sp for sp in sl.spaces.values() if sp.height == 2 and sp.f_mat)
-    i, (ints, den) = next(iter(sp.f_mat.items()))
+    sp = next(sp for sp in sl.spaces.values() if sp.height == 2 and sp.down)
+    i, (tgt, ints, den) = next(iter(sp.down.items()))
     rows = [list(row) for row in ints]
     rows[0][0] += den
-    sp.f_mat[i] = (tuple(map(tuple, rows)), den)
+    sp.down[i] = (tgt, tuple(map(tuple, rows)), den)
     assert relation_check(sl)[1]

@@ -9,7 +9,7 @@ without assuming that the contravariant form is nondegenerate."""
 import random
 
 from test_highest_weight import _assert_gram_nonsingular_and_symmetric
-from test_slice_reference import RefSlice, _fractions, symmetrizable_small_gcms
+from test_slice_reference import RefSlice, _fractions, read_edges, symmetrizable_small_gcms
 
 from kmx import highest_weight as HW
 from kmx.cartan import build_realization
@@ -24,11 +24,12 @@ def test_slice_equals_the_greedy_reference_on_small_gcms():
         datum = build_realization(rng.choice(gcms[2 + k % 2]))
         hw = tuple(rng.choice((0, 0, 1, 2)) for _ in range(datum.n)) + (0,) * (datum.m - datum.n)
         new, ref = HW.ModuleSlice(datum, hw, 5), RefSlice(datum, hw, 5)
-        assert new._nonzero_beyond == ref._nonzero_beyond, (datum.gcm.a, hw)
+        e_mats, f_mats, beyond = read_edges(new)
+        assert beyond == ref._nonzero_beyond, (datum.gcm.a, hw)
         assert new.order == ref.order, (datum.gcm.a, hw)
         for wt, sp in ref.spaces.items():
             got = new.spaces[wt]
             assert (got.height, got.words, got.gram) == (sp.height, sp.words, sp.gram), wt
-            assert {i: _fractions(op) for i, op in got.f_mat.items()} == sp.f_mat, wt
-            assert {i: _fractions(op) for i, op in got.e_mat.items()} == sp.e_mat, wt
+            assert {i: _fractions(op) for i, op in f_mats[wt].items()} == sp.f_mat, wt
+            assert {i: _fractions(op) for i, op in e_mats[wt].items()} == sp.e_mat, wt
         _assert_gram_nonsingular_and_symmetric(new)

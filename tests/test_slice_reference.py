@@ -3,8 +3,12 @@
 `RefSlice` keeps the earlier construction of `ModuleSlice`: candidates are
 picked one by one by Gaussian elimination over Fraction in degree-lex order,
 and each candidate's coordinates come from its own solve of the selected
-Gram matrix, by the Fraction elimination kept in `exact_reference`.  The
-fraction-free build must give the same slices, entry for entry.
+Gram matrix, by the Fraction elimination kept in `exact_reference`.  It
+keeps its own spaces, `RefSpace`, with Fraction matrices e_mat[i] and
+f_mat[i], and the set `_nonzero_beyond` of the weights one step past the
+window that a Gram probe finds nonzero.  The fraction-free build must give
+the same slices, entry for entry: `read_edges` reads a library slice's
+edges back in that form.
 
 `_ref_word` keeps the earlier Fraction operator code: it applies a word to
 Fraction coordinates with the reference slice's Fraction matrices.  The
@@ -20,6 +24,7 @@ import gc
 import math
 import random
 import weakref
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -31,7 +36,7 @@ from kmx import highest_weight as HW
 from kmx.cartan import build_realization, validate_and_symmetrize
 from kmx.errors import DepthExceeded, InternalError, NotSymmetrizable
 from kmx.exact import vec_dot
-from kmx.highest_weight import WeightSpace, Wt
+from kmx.highest_weight import Wt
 
 ALGEBRAS = {
     "A2": ((2, -1), (-1, 2)),
@@ -49,14 +54,36 @@ SPECS = [(alg, hw, 5 if hw == "rho" and alg in ("A2^(1)", "hyperbolic-3") else 8
          for alg in ALGEBRAS for hw in ("rho", "L1")]
 
 
+@dataclass(eq=False)
+class RefSpace:
+    """A weight space of `RefSlice`: e_mat[i] and f_mat[i] are the Fraction
+    matrices of e_i and f_i to the spaces at weight +- alpha_i, with no key
+    where no space lies there."""
+
+    weight: Wt
+    height: int
+    words: tuple
+    gram: tuple
+    f_mat: dict = field(default_factory=dict)
+    e_mat: dict = field(default_factory=dict)
+
+    @property
+    def dim(self) -> int:
+        return len(self.words)
+
+
 class RefSlice(HW.ModuleSlice):
     """ModuleSlice built by greedy pivoting and one rat_solve per candidate."""
+
+    def __del__(self):
+        pass  # its spaces hold no links to cut
 
     def _build(self):
         datum = self.datum
         n, m = datum.n, datum.m
-        top = WeightSpace(weight=self.hw, height=0, words=((),),
-                          gram=((Fraction(1),),))
+        # weights just past the window whose Gram probe is nonzero
+        self._nonzero_beyond: set[Wt] = set()
+        top = RefSpace(weight=self.hw, height=0, words=((),), gram=((Fraction(1),),))
         self.spaces[self.hw] = top
         level: list[Wt] = [self.hw]
         for h in range(1, self.depth + 2):
@@ -81,7 +108,7 @@ class RefSlice(HW.ModuleSlice):
                 break
 
     def _build_space(self, lam: Wt, h: int, register: bool = True
-                     ) -> Optional[WeightSpace]:
+                     ) -> Optional[RefSpace]:
         datum = self.datum
         n, m = datum.n, datum.m
         cands: list[tuple[int, int]] = []  # (i, index in basis of lam + alpha_i)
@@ -147,15 +174,14 @@ class RefSlice(HW.ModuleSlice):
         if not selected:
             return None
         if not register:  # probe pass: only the nonvanishing matters
-            return WeightSpace(weight=lam, height=h, words=((),) * len(selected),
-                               gram=())
+            return RefSpace(weight=lam, height=h, words=((),) * len(selected), gram=())
         words = []
         for c in selected:
             i, k = cands[c]
             up = tuple(lam[j] + datum.alpha[i][j] for j in range(m))
             words.append((i,) + self.spaces[up].words[k])
         gram = tuple(tuple(gram_full[a][b] for b in selected) for a in selected)
-        ws = WeightSpace(weight=lam, height=h, words=tuple(words), gram=gram)
+        ws = RefSpace(weight=lam, height=h, words=tuple(words), gram=gram)
         # Coordinates of every candidate in the selected basis.
         coords: list[tuple[Fraction, ...]] = []
         for c in range(nc):
@@ -194,6 +220,24 @@ def _fractions(op):
     return tuple(tuple(Fraction(x, den) for x in row) for row in ints)
 
 
+def read_edges(sl):
+    """A library slice's edges read back: ({wt: {i: (ints, den)}} of e_i,
+    the same of f_i, the set of weights past the window).  A weight past
+    the window is wt - alpha_i at each down[i] that is `_BEYOND`; an up
+    edge that is `_BEYOND` fails here."""
+    e_mats, f_mats, beyond = {}, {}, set()
+    for wt, sp in sl.spaces.items():
+        assert HW._BEYOND not in sp.up.values(), wt
+        e_mats[wt] = {i: (ints, den) for i, (_, ints, den) in sp.up.items()}
+        f_mats[wt] = {}
+        for i, edge in sp.down.items():
+            if edge is HW._BEYOND:
+                beyond.add(tuple(x - a for x, a in zip(wt, sl.datum.alpha[i])))
+            else:
+                f_mats[wt][i] = edge[1:]
+    return e_mats, f_mats, beyond
+
+
 def _slice(cls, alg, hw_name, depth):
     datum = build_realization(ALGEBRAS[alg])
     hw = datum.rho() if hw_name == "rho" else datum.fundamental_weight(0)
@@ -205,27 +249,35 @@ def _slice(cls, alg, hw_name, depth):
 def test_slice_equals_greedy_reference(alg, hw_name, depth):
     new = _slice(HW.ModuleSlice, alg, hw_name, depth)
     ref = _slice(RefSlice, alg, hw_name, depth)
-    assert new._nonzero_beyond == ref._nonzero_beyond
+    e_mats, f_mats, beyond = read_edges(new)
+    assert beyond == ref._nonzero_beyond
     assert new.order == ref.order
     for wt, sp in ref.spaces.items():
         got = new.spaces[wt]
         assert (got.height, got.words, got.gram) == (sp.height, sp.words, sp.gram), wt
-        assert {i: _fractions(op) for i, op in got.f_mat.items()} == sp.f_mat, wt
-        assert {i: _fractions(op) for i, op in got.e_mat.items()} == sp.e_mat, wt
+        assert {i: _fractions(op) for i, op in f_mats[wt].items()} == sp.f_mat, wt
+        assert {i: _fractions(op) for i, op in e_mats[wt].items()} == sp.e_mat, wt
 
 
 @pytest.mark.parametrize("alg,hw_name,depth", SPECS,
                          ids=[f"{a}-{h}-{d}" for a, h, d in SPECS])
 def test_each_space_keeps_its_neighbours(alg, hw_name, depth):
     sl = _slice(HW.ModuleSlice, alg, hw_name, depth)
+    ref = _slice(RefSlice, alg, hw_name, depth)
     for wt, sp in sl.spaces.items():
-        assert sp.up.keys() == sp.e_mat.keys() and sp.down.keys() == sp.f_mat.keys(), wt
-        # up[i] and down[i] are the spaces at wt +- alpha_i, absent exactly
-        # when no space lies there
         for i, a in enumerate(sl.datum.alpha):
-            for nbrs, sign in ((sp.up, 1), (sp.down, -1)):
+            for edges, sign in ((sp.up, 1), (sp.down, -1)):
                 nbr_wt = tuple(x + sign * y for x, y in zip(wt, a))
-                assert nbrs.get(i) is sl.spaces.get(nbr_wt), (wt, i, sign)
+                edge = edges.get(i)
+                # down[i] is _BEYOND exactly where f_i leaves the window at
+                # a weight that the reference finds nonzero; no up edge is
+                beyond = sign < 0 and nbr_wt in ref._nonzero_beyond
+                assert (edge is HW._BEYOND) == beyond, (wt, i, sign)
+                if not beyond:
+                    # the edge's space is the one at wt +- alpha_i, and the
+                    # edge is absent exactly when no space lies there
+                    tgt = None if edge is None else edge[0]
+                    assert tgt is sl.spaces.get(nbr_wt), (wt, i, sign)
     assert list(sl.order) == sorted(sl.spaces, key=lambda wt: (sl.spaces[wt].height, wt))
 
 

@@ -8,7 +8,7 @@ cases, so they do not depend on what ran before in the same process."""
 
 import random
 
-from test_slice_reference import RefSlice, symmetrizable_small_gcms
+from test_slice_reference import RefSlice, read_edges, symmetrizable_small_gcms
 
 from kmx import highest_weight as HW
 from kmx.cartan import build_realization
@@ -22,4 +22,5 @@ def test_weight_rule_matches_freudenthal_and_the_gram_probe():
         hw = tuple(rng.choice((0, 0, 1, 2)) for _ in range(datum.n)) + (0,) * (datum.m - datum.n)
         sl = HW.ModuleSlice(datum, hw, 4)
         assert sl.dims() == HW.weights_and_mults(datum, hw, 4), (datum.gcm.a, hw)
-        assert sl._nonzero_beyond == RefSlice(datum, hw, 4)._nonzero_beyond, (datum.gcm.a, hw)
+        beyond = read_edges(sl)[2]
+        assert beyond == RefSlice(datum, hw, 4)._nonzero_beyond, (datum.gcm.a, hw)

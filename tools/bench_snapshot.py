@@ -8,18 +8,25 @@ probe), then once with --trace 1 (the per-layer metrics).  It writes one
 JSON object to the given path: the commit (`git rev-parse HEAD`), whether
 the working tree differed from it, the Python version, the seed, and per
 workload both runs' metrics, their correct/attempted/failed counts and the
-`# host speed` line.  Stdlib only;
-run it from anywhere inside a kmx checkout.  It exits 1, and writes
-nothing, if a run fails or its output does not pass the benchmark's gate.
+`# host speed` line.  Per module of src/kmx it also records the token count
+of its source (`tokenize`) and the tracemalloc peak of `compile()` on that
+source, in KiB: the perfbench workers compile src/kmx from source, so that
+peak can set their `peak_rss_mb`.  Stdlib only; run it from anywhere inside
+a kmx checkout.  It exits 1, and writes nothing, if a run fails or its
+output does not pass the benchmark's gate.
 """
 
 from __future__ import annotations
 
+import glob
+import io
 import json
 import os
 import platform
 import subprocess
 import sys
+import tokenize
+import tracemalloc
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("coxeter-rank10", "hw-slices", "verify")
@@ -38,13 +45,29 @@ def run(workload: str, trace: int) -> tuple[dict, list[str]]:
     return json.loads(lines[-1]), [ln for ln in lines if ln.startswith("# ")]
 
 
+def module_sizes() -> dict:
+    """{module file: {"tokens": n, "compile_peak_kib": peak}} for src/kmx."""
+    out = {}
+    for path in sorted(glob.glob(os.path.join(ROOT, "src", "kmx", "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            source = fh.read()
+        tokens = sum(1 for _ in tokenize.generate_tokens(io.StringIO(source).readline))
+        tracemalloc.start()
+        compile(source, path, "exec")
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        out[os.path.basename(path)] = {"tokens": tokens,
+                                       "compile_peak_kib": round(peak / 1024, 1)}
+    return out
+
+
 def snapshot() -> dict:
     head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True,
                           text=True, check=True).stdout.strip()
     dirty = subprocess.run(["git", "status", "--porcelain"], cwd=ROOT, capture_output=True,
                            text=True, check=True).stdout.strip() != ""
     out = {"commit": head, "uncommitted_changes": dirty, "python": platform.python_version(),
-           "seed": SEED, "seconds": SECONDS, "workloads": {}}
+           "seed": SEED, "seconds": SECONDS, "modules": module_sizes(), "workloads": {}}
     for workload in WORKLOADS:
         runs = {}
         for trace, key in ((0, "end_to_end"), (1, "per_layer")):
