@@ -62,7 +62,8 @@ theta, matrix_coefficient, inner, evaluate_word and Distinct.
 
 One reader, `_read_letter`, decides whether a letter is valid; the one word
 reader, `_read_word`, reads every letter through it before any is applied.
-`_read_letter` and format_word read a letter's shape by `_letter_tag`.
+`_read_letter` and format_word read a letter's shape and the fields that
+need no datum by `_letter_fields`.
 bruhat_cell reads the cell of a factored word in the Weyl monoid W-hat,
 where kappa lands, so it forms no torus cocycle.
 
@@ -742,6 +743,8 @@ class GhatWord:
     letters: tuple[Letter, ...]
 
     def __mul__(self, other: "GhatWord") -> "GhatWord":
+        if not isinstance(other, GhatWord):
+            return NotImplemented
         return GhatWord(self.letters + other.letters)
 
 
@@ -770,37 +773,46 @@ def idem(face: Face) -> Letter:
     return ("E", face)
 
 
-def _letter_tag(letter: Letter) -> str:
-    """The tag of a letter; an unknown tag or a wrong field count is a
-    DomainError."""
+def _letter_fields(letter: Letter) -> str:
+    """The tag of a letter once its shape and the fields that need no root
+    datum are read: an unknown tag or a wrong field count is a DomainError,
+    an index must be a Python int, an X+- parameter goes through
+    exact_rationals, a T coweight through exact_ints and its s through
+    torus_values, and an E letter must hold a Face.  The range of an index
+    needs the datum, so it is left to the caller."""
     tag = letter[0] if isinstance(letter, tuple) and letter else None
     if type(tag) is not str or tag not in _FIELDS:
         raise DomainError(f"unknown letter {letter!r}")
     if len(letter) != _FIELDS[tag]:
         raise DomainError(f"{tag} letter needs {_FIELDS[tag]} fields, not {len(letter)}")
+    if tag == "T":
+        exact_ints(letter[1], "torus coweight coordinate")
+        torus_values((letter[2],), 1)
+    elif tag == "E":
+        if not isinstance(letter[1], FC.Face):
+            raise DomainError(f"idempotent letter on {letter[1]!r}, not on a Face")
+    else:
+        if type(letter[1]) is not int:
+            exact_ints((letter[1],), "simple index")
+        if tag != "N":
+            exact_rationals((letter[2],), "letter parameter")
     return tag
 
 
 def _read_letter(datum: RootDatum, letter: Letter) -> Letter:
     """The letter, unchanged, once checked against the datum: the one place
-    that decides whether a letter is valid.  Its shape goes through
-    _letter_tag, indices through check_index, X+- parameters through
-    exact_rationals, a T coweight through exact_ints (datum.m of them) and
-    its s through torus_values; an E letter without a Face is a DomainError,
-    an E face of another datum a PreconditionViolated."""
-    tag = _letter_tag(letter)
-    if tag in ("X+", "X-", "N"):
-        check_index(datum.n, letter[1])
-        if tag != "N":
-            exact_rationals((letter[2],), "letter parameter")
-    elif tag == "T":
-        if len(exact_ints(letter[1], "torus coweight coordinate")) != datum.m:
+    that decides whether a letter is valid.  It is read by `_letter_fields`;
+    then an index goes through check_index, a T coweight needs datum.m
+    coordinates, and an E face of another datum is a PreconditionViolated."""
+    tag = _letter_fields(letter)
+    if tag == "T":
+        if len(letter[1]) != datum.m:
             raise DomainError(f"torus coweight needs {datum.m} coordinates")
-        torus_values((letter[2],), 1)
-    elif not isinstance(letter[1], FC.Face):
-        raise DomainError(f"idempotent letter on {letter[1]!r}, not on a Face")
-    elif letter[1].datum is not datum:
-        raise PreconditionViolated("idempotent letter of a face of another root datum")
+    elif tag == "E":
+        if letter[1].datum is not datum:
+            raise PreconditionViolated("idempotent letter of a face of another root datum")
+    else:
+        check_index(datum.n, letter[1])
     return letter
 
 
@@ -1059,11 +1071,14 @@ _LETTER_RE = re.compile(
 
 
 def format_word(word: GhatWord) -> str:
-    """The word in the syntax of `parse_word`; each letter's shape is read by
-    `_letter_tag`."""
+    """The word in the syntax of `parse_word`; each letter is read by
+    `_letter_fields`, and an index must be >= 0, so a letter that no datum
+    could hold is a DomainError."""
     parts = []
     for letter in word.letters:
-        tag = _letter_tag(letter)
+        tag = _letter_fields(letter)
+        if tag in ("X+", "X-", "N") and letter[1] < 0:
+            raise DomainError(f"simple index {letter[1] + 1} is below 1")
         if tag in ("X+", "X-"):
             parts.append(f"{tag}({letter[1] + 1};{letter[2]})")
         elif tag == "T":

@@ -6,19 +6,25 @@ words.  A product with a simple reflection s_i = I - alpha_i e_i^T is a
 rank-1 update that reads only the support of alpha_i (its nonzero
 coordinates, kept by the root datum as `alpha_support`): w s_i rewrites one
 column of P and the rows of P^{-1} on that support, s_i w the same on the
-inverse side.  A word is multiplied out once: `_multiply_out` applies its
-updates in place to one mutable copy of P and of P^{-1} and freezes them
-into one element, so `from_word` builds at most one element however long the
-word.  A product with the identity returns the other factor, and any other
-product takes one matrix product, and a second for P^{-1} only when the
-element is new.  The actions read a weight or coweight by
-`cartan.exact_rationals` and a root by `cartan.exact_ints`, and check the
-length of their vector; the coweight
-action y -> y^T P^{-1} adds the rows of P^{-1} at the nonzero coordinates
-of y.  Descents are signs of w.rho, where rho = (1, ..., 1):
+inverse side.  Each update is a C-level `operator` map over whole rows:
+for k != i on the support, row k of P^{-1} becomes map(add, row_k, row_i)
+when alpha_i[k] = -1, map(sub, row_k, row_i) when it is 1 (an extra
+coordinate) and map(sub, row_k, map(mul, row_i, repeat(a))) otherwise, and
+row i becomes map(neg, row_i), since alpha_i[i] = a_ii = 2; column i of P
+takes the same maps over P's columns.  A word is multiplied out once:
+`_multiply_out` transposes P once into a list of columns, applies the
+updates letter by letter to it and to a list of the rows of P^{-1}, and
+freezes the two into one element, so `from_word` builds at most one
+element however long the word.  A product with the identity returns the
+other factor, and any other product takes one matrix product, and a second
+for P^{-1} only when the element is new.  The actions read a weight or
+coweight by `cartan.exact_rationals` and a root by `cartan.exact_ints`, and
+check the length of their vector; the coweight action y -> y^T P^{-1}
+adds, with the same maps, the rows of P^{-1} at the nonzero coordinates of
+y, scaled.  Descents are signs of w.rho, where rho = (1, ..., 1):
 s_i w < w iff (P rho)_i < 0, w s_i < w iff (P^{-1} rho)_i < 0.  The stored
 word is the lexicographically smallest reduced word, read by walking
-v = w.rho down to rho.
+v = w.rho down to rho, each step an update of v on the support of alpha_i.
 
 The walks run on one vector and build no element per step.  Every coset
 normal form runs one descent walk, which reads the right descents from
@@ -57,7 +63,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
 from math import lcm
+from operator import add, mul, neg, sub
 from typing import Iterable, Optional, Sequence
 
 from . import exact
@@ -112,6 +120,8 @@ class WeylElt:
         return self is e or self.mat_p == e.mat_p
 
     def __mul__(self, other: "WeylElt") -> "WeylElt":
+        if not isinstance(other, WeylElt):
+            return NotImplemented
         if self.datum is not other.datum:
             raise PreconditionViolated("product of Weyl elements of two root data")
         if other._word is not None and len(other._word) == 1:
@@ -154,10 +164,10 @@ class WeylElt:
         m = len(self.mat_p_inv)
         if len(y) != m:
             raise DomainError(f"coweight needs {m} coordinates")
-        out = [0] * m
+        out = repeat(0, m)
         for yr, row in zip(y, self.mat_p_inv):
             if yr:
-                out = [o + yr * x for o, x in zip(out, row)]
+                out = map(add, out, map(mul, row, repeat(yr)))
         return tuple(out)
 
     def act_root(self, c: Sequence) -> Vec:
@@ -193,11 +203,14 @@ class WeylElt:
 
 def _canonical_word(datum: RootDatum, mat_p: IntMat) -> tuple[int, ...]:
     """Lex-smallest reduced word: strip the smallest left descent of w.rho."""
+    support = datum.alpha_support
     v = [sum(row) for row in mat_p]
     word = []
     while (i := next((i for i in range(datum.n) if v[i] < 0), None)) is not None:
-        word.append(i)  # s_i v = v - <v, h_i> alpha_i
-        v = [x - v[i] * a for x, a in zip(v, datum.alpha[i])]
+        c = v[i]  # s_i v = v - <v, h_i> alpha_i
+        for k, a in support[i]:
+            v[k] -= c * a
+        word.append(i)
     if tuple(v) != datum.rho():
         raise InternalError("w.rho is dominant but differs from rho")
     return tuple(word)
@@ -264,9 +277,13 @@ def _multiply_out(w: WeylElt, letters: Sequence[int]) -> WeylElt:
     memo under the letters.
 
     Each s_i = I - alpha_i e_i^T is a rank-1 update read over the support of
-    alpha_i, applied in place to one mutable copy of P (column i becomes
-    P[:, i] - P alpha_i) and of P^{-1} (row r on the support becomes
-    P^{-1}[r] - alpha_i[r] P^{-1}[i]); the two are frozen once and looked
+    alpha_i, as `operator` maps on whole vectors.  P is held by columns
+    (one transpose in, one out): column i becomes P[:, i] - P alpha_i, the
+    sum over the support of map(neg, P[:, i]) and, for k != i, of
+    P[:, k] added when alpha_i[k] = -1 or subtracted when it is 1, else
+    map(mul, P[:, k], repeat(a)) subtracted.  Row k of P^{-1} on the
+    support becomes P^{-1}[k] - alpha_i[k] P^{-1}[i] by the same maps, and
+    row i becomes map(neg, P^{-1}[i]).  The two are frozen once and looked
     up in the table.  No letters: w itself."""
     if not letters:
         return w
@@ -275,19 +292,25 @@ def _multiply_out(w: WeylElt, letters: Sequence[int]) -> WeylElt:
     out = memo.get(key)
     if out is None:
         support = w.datum.alpha_support
-        p = [list(row) for row in w.mat_p]
+        cols = list(zip(*w.mat_p))
         p_inv = list(w.mat_p_inv)
         for i in key:
-            sup = support[i]
-            for row in p:
-                x = row[i]
-                for k, a in sup:
-                    x -= row[k] * a
-                row[i] = x
             top = p_inv[i]
-            for r, a in sup:
-                p_inv[r] = tuple([x - a * y for x, y in zip(p_inv[r], top)])
-        out = memo[key] = _element(w.datum, tuple(map(tuple, p)), tuple(p_inv))
+            col = map(neg, cols[i])
+            for k, a in support[i]:
+                if k == i:
+                    p_inv[i] = tuple(map(neg, top))
+                elif a == -1:
+                    p_inv[k] = tuple(map(add, p_inv[k], top))
+                    col = map(add, col, cols[k])
+                elif a == 1:  # the extra coordinate of a realization with m > n
+                    p_inv[k] = tuple(map(sub, p_inv[k], top))
+                    col = map(sub, col, cols[k])
+                else:
+                    p_inv[k] = tuple(map(sub, p_inv[k], map(mul, top, repeat(a))))
+                    col = map(sub, col, map(mul, cols[k], repeat(a)))
+            cols[i] = tuple(col)
+        out = memo[key] = _element(w.datum, tuple(zip(*cols)), tuple(p_inv))
     return out
 
 

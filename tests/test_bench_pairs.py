@@ -1,0 +1,85 @@
+"""The summary of tools/bench_pairs.py on canned perfbench results; the
+tool's runs themselves are benchmarks and stay out of the test suite."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+_SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+BP = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(BP)
+
+
+def _result(value, correct=True, failed=0, name="op_p50_ms"):
+    return {"correct": correct, "attempted": 100, "failed": failed,
+            "metrics": {name: {"value": value, "unit": "ms"}}}
+
+
+def _pairs(parent, change, **kw):
+    return [(_result(a, **kw), _result(b, **kw)) for a, b in zip(parent, change)]
+
+
+PARENT = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.01, 0.99]
+
+
+def _line(lines):
+    (line,) = [ln for ln in lines if ln.startswith("op_p50_ms")]
+    return line
+
+
+def test_nine_wins_and_a_gap_past_the_parents_spread_claim_a_gain():
+    change = [0.80] * 9 + [1.05]
+    lines, ok = BP.summarize(_pairs(PARENT, change), {"op_p50_ms": "lower"})
+    assert ok
+    assert "change wins 9/10" in _line(lines) and _line(lines).endswith("gain claimable: yes")
+    assert "parent 1 [0.99-1.01]" in _line(lines)
+    assert "parent: 10/10 runs correct, 0 of 1000 ops failed" in lines
+
+
+def test_eight_wins_claim_nothing():
+    change = [0.80] * 8 + [1.05, 1.05]
+    lines, _ = BP.summarize(_pairs(PARENT, change), {"op_p50_ms": "lower"})
+    assert "change wins 8/10" in _line(lines) and _line(lines).endswith("claimable: no")
+
+
+def test_a_gap_inside_the_parents_spread_claims_nothing():
+    change = [x - 0.005 for x in PARENT]  # wins every pair by less than the IQR
+    lines, _ = BP.summarize(_pairs(PARENT, change), {"op_p50_ms": "lower"})
+    assert "change wins 10/10" in _line(lines) and _line(lines).endswith("claimable: no")
+
+
+def test_ties_count_for_neither_side():
+    change = [0.80] * 8 + PARENT[8:]
+    lines, _ = BP.summarize(_pairs(PARENT, change), {"op_p50_ms": "lower"})
+    assert "change wins 8/10" in _line(lines) and _line(lines).endswith("claimable: no")
+
+
+def test_a_higher_is_better_metric_wins_upward():
+    change = [1.20] * 10
+    lines, _ = BP.summarize(_pairs(PARENT, change), {"op_p50_ms": "higher"})
+    assert "change wins 10/10" in _line(lines) and _line(lines).endswith("claimable: yes")
+    lines, _ = BP.summarize(_pairs(PARENT, change), {"op_p50_ms": "lower"})
+    assert "change wins 0/10" in _line(lines)
+
+
+def test_an_incorrect_run_fails_the_summary_and_failed_ops_are_counted():
+    pairs = _pairs(PARENT, PARENT, failed=3)
+    pairs[4] = (pairs[4][0], _result(1.0, correct=False))
+    lines, ok = BP.summarize(pairs, {"op_p50_ms": "lower", "wall_s": "lower"})
+    assert not ok
+    assert "change: 9/10 runs correct, 27 of 1000 ops failed" in lines
+    assert "parent: 10/10 runs correct, 30 of 1000 ops failed" in lines
+    assert not any(ln.startswith("wall_s") for ln in lines)  # no run reports it
+
+
+@pytest.mark.parametrize("text,seeds", [("21-30", list(range(21, 31))), ("3,7,31", [3, 7, 31]),
+                                        ("1-2,9", [1, 2, 9]), ("5", [5])])
+def test_seed_lists(text, seeds):
+    assert BP.parse_seeds(text) == seeds
+
+
+def test_directions_are_the_benchmarks_end_to_end_metrics():
+    assert BP.directions() == {"setup_s": "lower", "wall_s": "lower", "op_p50_ms": "lower",
+                               "op_tail_ms": "lower", "peak_rss_mb": "lower"}

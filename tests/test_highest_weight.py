@@ -598,12 +598,64 @@ def test_format_word_reads_each_letter_shape():
         HW.format_word(HW.GhatWord((("Q", 1), HW.nsimple(0))))
     with pytest.raises(DomainError, match=re.escape("N letter needs 2 fields, not 1")):
         HW.format_word(HW.GhatWord((("N",),)))
-    # every wrong shape raises what the letter reader raises
-    for letter, _, message in BAD_LETTERS:
-        if "unknown letter" in message or " fields, not " in message:
+    # every letter the reader rejects without a datum raises what it raises
+    for letter, error, message in BAD_LETTERS:
+        if error is DomainError:
             with pytest.raises(DomainError, match=re.escape(message)):
                 HW.format_word(HW.GhatWord((letter,)))
     assert HW.format_word(HW.GhatWord((HW.nsimple(1), ("X+", 0, 2)))) == "N(2) X+(1;2)"
+
+
+FORMAT_ONLY_BAD = [
+    # each ended in a raw TypeError or AttributeError, or printed a letter
+    # that parse_word rejects or reads as another letter
+    (("N", "a"), "simple index 'a' is not an integer"),
+    (("E", 3), "idempotent letter on 3, not on a Face"),
+    (("T", 5, 2), "torus coweight coordinate list 5 is not a sequence"),
+    (("X+", 0, 0.5), "letter parameter 0.5 is not a Fraction or an int"),
+    (("X-", -1, 1), "simple index 0 is below 1"),
+    (("N", True), "simple index True is not an integer"),
+]
+
+
+@pytest.mark.parametrize("letter,message", FORMAT_ONLY_BAD)
+def test_format_word_reads_every_field_of_a_letter(letter, message):
+    with pytest.raises(DomainError, match=re.escape(message)):
+        HW.format_word(HW.GhatWord((HW.nsimple(0), letter)))
+    with pytest.raises(DomainError):  # a negative index is named against 1..n there
+        HW.apply_word(HW.GhatWord((letter,)), _FUND.highest_vector())
+
+
+def _any_letter_word(rng, datum):
+    """One to six letters of every kind: T on a unit and on a dense coweight."""
+    letters = []
+    for _ in range(rng.randint(1, 6)):
+        kind, i = rng.randrange(6), rng.randrange(datum.n)
+        t = Fr(rng.choice((1, -2, 3, 5)), rng.choice((1, 2, 3)))
+        if kind == 0:
+            letters.append(HW.xplus(i, t))
+        elif kind == 1:
+            letters.append(HW.xminus(i, t))
+        elif kind == 2:
+            letters.append(HW.torus_letter(datum.coroot(i), t))
+        elif kind == 3:
+            h = tuple(rng.randint(-2, 2) for _ in range(datum.m))
+            letters.append(HW.torus_letter(h, t))
+        elif kind == 4:
+            letters.append(HW.nsimple(i))
+        else:
+            w = W.from_word(datum, [rng.randrange(datum.n) for _ in range(rng.randint(0, 4))])
+            letters.append(HW.idem(FC.normalize_face(w, rng.choice(datum.special_sets()))))
+    return HW.GhatWord(tuple(letters))
+
+
+@pytest.mark.parametrize("datum", [A2, AFF, HYP], ids=["A2", "affine-A1", "rank3-hyperbolic"])
+def test_format_word_is_read_back_by_parse_word(datum):
+    rng = random.Random(40)
+    for _ in range(40):
+        word = _any_letter_word(rng, datum)
+        text = HW.format_word(word)
+        assert HW.parse_word(datum, text) == word, text
 
 
 def test_word_syntax_roundtrip():
@@ -1102,3 +1154,15 @@ def test_bruhat_cell_in_the_weyl_monoid_matches_the_nhat_fold(name):
             seen["absorbed"] += 1
     assert seen["cell"] >= 15 and seen["not factored"] >= 15, seen
     assert seen["absorbed"] >= (15 if len(specials) > 1 else 0), seen
+
+
+@pytest.mark.parametrize("other", [(HW.nsimple(0),), [HW.nsimple(0)], 2, None])
+def test_word_product_with_another_type_is_a_type_error_both_ways(other):
+    # GhatWord(...) * (letter,) ended in an AttributeError on .letters
+    word = HW.GhatWord((HW.nsimple(1),))
+    assert word.__mul__(other) is NotImplemented
+    with pytest.raises(TypeError):
+        word * other
+    with pytest.raises(TypeError):
+        other * word
+    assert word * HW.GhatWord((HW.nsimple(0),)) == HW.GhatWord((HW.nsimple(1), HW.nsimple(0)))

@@ -5,12 +5,17 @@ antidominant walk keeps the pairings alpha_j(d); the monoid products take
 their meet from the face exposed by a sum of coweights; the centralizer
 representative skips the walk when tau = w_R^{-1} sigma has no left descent
 in Theta.  Each route is compared here with the per-step computation it
-replaced, on the kernel reference data and the three `verify` data.
+replaced, on the kernel reference data and the three `verify` data.  The
+kernel's own updates (`_multiply_out` from any element, `_canonical_word`
+and `act_coweight`) are also compared with dense references on every small
+symmetrizable GCM of rank 2 and 3.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
+from conftest import all_small_gcms
 from test_asymmetric_data import SKEW_INDEFINITE_ROWS, TWISTED_AFFINE_ROWS
 from test_weyl import A2, AFF, KERNEL_DATA, RefElt
 
@@ -18,6 +23,8 @@ from kmx import faces as F
 from kmx import monoids as M
 from kmx import weyl as W
 from kmx.cartan import build_realization
+from kmx.errors import NotSymmetrizable
+from kmx.exact import identity, mat_mul, mat_vec, transpose
 
 # hyperbolic-3 is a kernel datum; the two rank-2 data with a nontrivial
 # symmetrizer tell a_ij from a_ji on infinite Weyl groups
@@ -82,6 +89,82 @@ def test_from_word_and_walks_agree_with_the_per_step_chain(name):
         rep, u = W.min_coset_left(w, j)
         inv_rep, inv_letters = _strip_reference(w.inv(), j)
         assert rep == inv_rep.inv() and u == _chain(datum, inv_letters)
+
+
+def _fresh(name):
+    """Fresh realizations of the named data, with empty Weyl tables, so that
+    every element the test meets comes from the kernel under test, and how
+    many words to draw on each.  "small-n" is every symmetrizable GCM of
+    `conftest.all_small_gcms(n)`."""
+    if name in DATA:
+        return [build_realization(DATA[name].gcm)], 30
+    data = []
+    for rows in all_small_gcms(int(name.removeprefix("small-"))):
+        try:
+            data.append(build_realization(rows))
+        except NotSymmetrizable:
+            continue
+    return data, 3
+
+
+KERNEL_CASES = [*DATA, "small-2", "small-3"]
+
+
+def _dense_word(datum, p):
+    """The canonical word walked on a dense v = P rho, re-formed at each step."""
+    v, word = [sum(row) for row in p], []
+    while (i := next((i for i in range(datum.n) if v[i] < 0), None)) is not None:
+        word.append(i)
+        v = [x - v[i] * a for x, a in zip(v, datum.alpha[i])]
+    assert tuple(v) == datum.rho()
+    return tuple(word)
+
+
+@pytest.mark.parametrize("name", KERNEL_CASES)
+def test_multiply_out_from_any_element_agrees_with_the_dense_reference(name):
+    # _chain and _strip_reference above run _multiply_out themselves; here
+    # the start is a product of one to six letters and the reference never
+    # meets the kernel
+    rng = random.Random(37)
+    data, count = _fresh(name)
+    for datum in data:
+        for _ in range(count):
+            start = [rng.randrange(datum.n) for _ in range(rng.randint(1, 6))]
+            more = _word(rng, datum, 6)
+            x = W._multiply_out(W.from_word(datum, start), more)
+            ref = RefElt.from_word(datum, start + more)
+            assert x.mat_p == ref.p and x.mat_p_inv == ref.pi, (start, more)
+            assert mat_mul(x.mat_p, x.mat_p_inv) == identity(datum.m)
+
+
+@pytest.mark.parametrize("name", KERNEL_CASES)
+def test_canonical_word_agrees_with_the_dense_walk(name):
+    rng = random.Random(38)
+    data, count = _fresh(name)
+    for datum in data:
+        for _ in range(count):
+            word = _word(rng, datum, 9)
+            ref = RefElt.from_word(datum, word)
+            got = W._canonical_word(datum, ref.p)
+            assert got == _dense_word(datum, ref.p) == W.from_word(datum, word).word, word
+            assert RefElt.from_word(datum, got).p == ref.p
+
+
+COWEIGHT_ENTRIES = (Fraction(0), Fraction(0), Fraction(1), Fraction(-1), Fraction(3, 2),
+                    Fraction(-2, 5), 0, 1, -1)
+
+
+@pytest.mark.parametrize("name", KERNEL_CASES)
+def test_act_coweight_agrees_with_the_dense_product(name):
+    rng = random.Random(39)
+    data, count = _fresh(name)
+    for datum in data:
+        for _ in range(count):
+            word = _word(rng, datum, 8)
+            w, ref = W.from_word(datum, word), RefElt.from_word(datum, word)
+            y = tuple(rng.choice(COWEIGHT_ENTRIES) for _ in range(datum.m))
+            assert w.act_coweight(y) == mat_vec(transpose(ref.pi), y), (word, y)
+            assert w.act_coweight((0,) * datum.m) == (0,) * datum.m
 
 
 @pytest.mark.parametrize("name", list(DATA))

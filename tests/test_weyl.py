@@ -556,3 +556,14 @@ def test_denominator_rejects_a_negative_height():
     for bad in (1.5, True, "3"):
         with pytest.raises(DomainError, match=re.escape(f"height {bad!r} is not an integer")):
             W.denominator(HYP, bad)
+
+
+@pytest.mark.parametrize("other", [3, None, "s1", (0,), 1.5])
+def test_product_with_another_type_is_a_type_error_both_ways(other):
+    # w * 3 ended in an AttributeError on .datum, while 3 * w was a TypeError
+    w = W.simple(A2, 0)
+    assert w.__mul__(other) is NotImplemented
+    with pytest.raises(TypeError):
+        w * other
+    with pytest.raises(TypeError):
+        other * w
