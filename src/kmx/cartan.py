@@ -468,15 +468,18 @@ class RootDatum:
         """Re-check the realization: the pairing alpha_i(h_j) = a_ji, the
         saturated coroot lattice and (alpha_i | alpha_i) = 2 / eps_i.
 
-        The form is checked by one `int_rref` of [gram | alpha_1 ... alpha_n]
-        (the roots as columns): its pivots are 0..m-1 iff the form is
-        nondegenerate, and then column m + i of the reduced rows, over the
-        common pivot den, is gram^{-1} alpha_i, so every (alpha_i | alpha_i)
-        is read in ints from the one elimination."""
+        The form is checked by one `int_rref` of [gram | alpha_1 ... alpha_n |
+        omega] (columns; omega = sum_i eps_i Lambda_i): its pivots are 0..m-1
+        iff the form is nondegenerate, and then column m + i of the reduced
+        rows, over the common pivot den, is gram^{-1} alpha_i = h_i / eps_i, so
+        every (alpha_i | alpha_i) is read in ints from the one elimination.
+        Column m + n is den x, x = gram^{-1} omega, so alpha_i(x) = 1 and
+        <beta, x> = ht(beta): `_height` = (den x, den, den <rho, x>)."""
         n, m = self.n, self.m
         a = self.gcm.a
+        omega = [int(e) for e in self.gcm.eps] + [0] * (m - n)
         pivots, rows, den = exact.int_rref(
-            [row + col for row, col in zip(self.gram, zip(*self.alpha))])
+            [row + col + (w,) for row, col, w in zip(self.gram, zip(*self.alpha), omega)])
         if pivots != tuple(range(m)):
             raise InternalError("invariant form is degenerate")
         # alpha_i(h_j) = a_{ji}; Lambda_i(h_j) = delta_ij is the dual pairing.
@@ -491,9 +494,13 @@ class RootDatum:
             raise InternalError("coroot lattice not saturated")
         # (alpha_i | alpha_i) = 2 / eps_i > 0 under A = diag(eps) B, i.e.
         # eps_i <alpha_i, den gram^{-1} alpha_i> = 2 den.
+        x = tuple(row[m + n] for row in rows)
         for i, (alpha, eps) in enumerate(zip(self.alpha, self.gcm.eps)):
             if eps * exact.vec_dot(alpha, [row[m + i] for row in rows]) != 2 * den:
                 raise InternalError("|alpha_i|^2 != 2/eps_i")
+            if exact.vec_dot(alpha, x) != den:
+                raise InternalError("alpha_i(x) != 1 for the height coweight x")
+        self._height = (x, den, sum(x))
 
     # -- pairings and forms -------------------------------------------------
 

@@ -60,10 +60,9 @@ fitted probes keep the heights below the vector it stopped at.  Fraction
 appears only in the letter parameters and in the values handed back by
 theta, matrix_coefficient, inner, evaluate_word and Distinct.
 
-One reader, `_read_letter`, decides whether a letter is valid; the one word
-reader, `_read_word`, reads every letter through it before any is applied.
-`_read_letter` and format_word read a letter's shape and the fields that
-need no datum by `_letter_fields`.
+A Letter reads its fields once, when it is built; the one word reader,
+`_read_word`, checks each letter against the datum before any is applied,
+and format_word only prints.
 bruhat_cell reads the cell of a factored word in the Weyl monoid W-hat,
 where kappa lands, so it forms no torus cocycle.
 
@@ -119,6 +118,7 @@ import re
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from operator import add, sub
 from typing import Optional, Sequence
 
@@ -219,12 +219,9 @@ def real_roots_with_witness(datum: RootDatum, max_height: int
     exact_ints((max_height,), "height")
     if max_height < 1:
         return {}
-    out: dict[Beta, tuple[W.WeylElt, int]] = {}
-    frontier: list[tuple[Beta, W.WeylElt, int]] = []
-    for i in range(datum.n):
-        b = tuple(1 if j == i else 0 for j in range(datum.n))
-        out[b] = (W.identity_elt(datum), i)
-        frontier.append((b, W.identity_elt(datum), i))
+    frontier = [(tuple(int(j == i) for j in range(datum.n)), W.identity_elt(datum), i)
+                for i in range(datum.n)]
+    out = {b: (u, i) for b, u, i in frontier}
     while frontier:
         new = []
         for b, u, i in frontier:
@@ -233,7 +230,7 @@ def real_roots_with_witness(datum: RootDatum, max_height: int
                 nb = s.act_root(b)
                 if sum(abs(x) for x in nb) <= max_height and nb not in out:
                     out[nb] = (s * u, i)
-                    new.append((nb, s * u, i))
+                    new.append((nb, *out[nb]))
         frontier = new
     return out
 
@@ -547,10 +544,7 @@ def build_basis(datum: RootDatum, hw: Sequence[int], depth: int,
     and guards run on every call, before the cache is read."""
     key = (_check_dominant(datum, hw), depth)
     _depth_guard(datum, depth, max_depth)
-    cache = getattr(datum, "_slice_cache", None)
-    if cache is None:
-        cache = {}
-        setattr(datum, "_slice_cache", cache)
+    cache = datum.__dict__.setdefault("_slice_cache", {})
     if key not in cache:
         cache[key] = ModuleSlice(datum, hw, depth, max_depth=max_depth)
     return cache[key]
@@ -591,10 +585,10 @@ class Vector:
             if len(v) != sp.dim:
                 raise DomainError(f"part {v!r} at weight {wt} has {len(v)} entries, "
                                   f"not {sp.dim}")
-            try:
-                g = math.gcd(g, *v)  # reads every entry as an int
-            except TypeError:
-                raise DomainError(f"part {v!r} at weight {wt} holds a non-integer") from None
+            for x in v:
+                if type(x) is not int:  # a bool too: gcd would read True as 1
+                    raise DomainError(f"part {v!r} at weight {wt} holds a non-integer {x!r}")
+            g = math.gcd(g, *v)
             if any(v):
                 parts[sp.weight] = v
         if g != 1:
@@ -603,6 +597,17 @@ class Vector:
 
     def is_zero(self) -> bool:
         return not self.parts
+
+
+def _read_slice(slice_: ModuleSlice, *vectors: Vector) -> None:
+    """The check of each slice reader; a Vector of another slice is a PreconditionViolated."""
+    if not isinstance(slice_, ModuleSlice):
+        raise DomainError(f"{slice_!r} is not a ModuleSlice")
+    for v in vectors:
+        if not isinstance(v, Vector):
+            raise DomainError(f"{v!r} is not a Vector")
+        if v.slice is not slice_:
+            raise PreconditionViolated("vector of another slice")
 
 
 # Raw parts: int sequences keyed by the weight space itself, standing for
@@ -733,14 +738,59 @@ def _vector(sl: ModuleSlice, parts: Raw, den: int) -> Vector:
     return Vector(sl, {sp.weight: tuple(u) for sp, u in parts.items()}, den)
 
 
-# letters: ("X+", i, t) ("X-", i, t) ("T", coweight, s) ("N", i) ("E", Face)
-Letter = tuple
 _FIELDS = {"X+": 3, "X-": 3, "T": 3, "N": 2, "E": 2}
+
+
+class Letter(tuple):
+    """Letter("X+", i, t), ("X-", i, t), ("T", h, s), ("N", i) or ("E", face),
+    its fields read here, once: an unknown tag or field count is a DomainError,
+    an index must be a Python int >= 0, t is read by exact_rationals, h by
+    exact_ints, s by torus_values, face must be a Face; t, s become Fractions."""
+
+    __slots__ = ()
+
+    def __new__(cls, *fields):
+        tag = fields[0] if fields else None
+        if type(tag) is not str or tag not in _FIELDS:
+            raise DomainError(f"unknown letter {fields!r}")
+        if len(fields) != _FIELDS[tag]:
+            raise DomainError(f"{tag} letter needs {_FIELDS[tag]} fields, not {len(fields)}")
+        if tag == "T":
+            h = exact_ints(fields[1], "torus coweight coordinate")
+            (s,) = torus_values((fields[2],), 1)
+            fields = (tag, h, s if type(s) is Fraction else Fraction(s, 1))
+        elif tag == "E":
+            if not isinstance(fields[1], Face):
+                raise DomainError(f"idempotent letter on {fields[1]!r}, not on a Face")
+        else:
+            (i,) = exact_ints((fields[1],), "simple index")
+            if i < 0:
+                raise DomainError(f"simple index {i + 1} is below 1")
+            if tag != "N":
+                (t,) = exact_rationals((fields[2],), "letter parameter")
+                fields = (tag, i, t if type(t) is Fraction else Fraction(t, 1))
+        return tuple.__new__(cls, fields)
+
+    def __getnewargs__(self):  # copy and pickle build through __new__
+        return tuple(self)
+
+
+# xplus(i, t), xminus(i, t), torus_letter(h, s), nsimple(i) and idem(face)
+xplus, xminus, torus_letter = partial(Letter, "X+"), partial(Letter, "X-"), partial(Letter, "T")
+nsimple, idem = partial(Letter, "N"), partial(Letter, "E")
 
 
 @dataclass(frozen=True)
 class GhatWord:
+    """A word in Letters, read by `cartan.entries` when built; a plain tuple is a DomainError."""
     letters: tuple[Letter, ...]
+
+    def __post_init__(self):
+        letters = entries(self.letters, "letter")
+        for letter in letters:
+            if not isinstance(letter, Letter):
+                raise DomainError(f"{letter!r} is not a Letter")
+        object.__setattr__(self, "letters", letters)
 
     def __mul__(self, other: "GhatWord") -> "GhatWord":
         if not isinstance(other, GhatWord):
@@ -748,82 +798,23 @@ class GhatWord:
         return GhatWord(self.letters + other.letters)
 
 
-def xplus(i: int, t) -> Letter:
-    (t,) = exact_rationals((t,), "letter parameter")
-    return ("X+", i, Fraction(t, 1))
-
-
-def xminus(i: int, t) -> Letter:
-    (t,) = exact_rationals((t,), "letter parameter")
-    return ("X-", i, Fraction(t, 1))
-
-
-def torus_letter(h: Sequence[int], s) -> Letter:
-    """T(h; s), with s read as a one-value torus element
-    (`cartan.torus_values`)."""
-    (s,) = torus_values((s,), 1)
-    return ("T", exact_ints(h, "torus coweight coordinate"), Fraction(s, 1))
-
-
-def nsimple(i: int) -> Letter:
-    return ("N", i)
-
-
-def idem(face: Face) -> Letter:
-    return ("E", face)
-
-
-def _letter_fields(letter: Letter) -> str:
-    """The tag of a letter once its shape and the fields that need no root
-    datum are read: an unknown tag or a wrong field count is a DomainError,
-    an index must be a Python int, an X+- parameter goes through
-    exact_rationals, a T coweight through exact_ints and its s through
-    torus_values, and an E letter must hold a Face.  The range of an index
-    needs the datum, so it is left to the caller."""
-    tag = letter[0] if isinstance(letter, tuple) and letter else None
-    if type(tag) is not str or tag not in _FIELDS:
-        raise DomainError(f"unknown letter {letter!r}")
-    if len(letter) != _FIELDS[tag]:
-        raise DomainError(f"{tag} letter needs {_FIELDS[tag]} fields, not {len(letter)}")
-    if tag == "T":
-        exact_ints(letter[1], "torus coweight coordinate")
-        torus_values((letter[2],), 1)
-    elif tag == "E":
-        if not isinstance(letter[1], FC.Face):
-            raise DomainError(f"idempotent letter on {letter[1]!r}, not on a Face")
-    else:
-        if type(letter[1]) is not int:
-            exact_ints((letter[1],), "simple index")
-        if tag != "N":
-            exact_rationals((letter[2],), "letter parameter")
-    return tag
-
-
-def _read_letter(datum: RootDatum, letter: Letter) -> Letter:
-    """The letter, unchanged, once checked against the datum: the one place
-    that decides whether a letter is valid.  It is read by `_letter_fields`;
-    then an index goes through check_index, a T coweight needs datum.m
-    coordinates, and an E face of another datum is a PreconditionViolated."""
-    tag = _letter_fields(letter)
-    if tag == "T":
-        if len(letter[1]) != datum.m:
-            raise DomainError(f"torus coweight needs {datum.m} coordinates")
-    elif tag == "E":
-        if letter[1].datum is not datum:
-            raise PreconditionViolated("idempotent letter of a face of another root datum")
-    else:
-        check_index(datum.n, letter[1])
-    return letter
-
-
 def _read_word(datum: RootDatum, word: GhatWord) -> tuple[Letter, ...]:
-    """The letters of the word, each read by `_read_letter` before any is
-    applied: the one reader of a word.  Anything but a GhatWord is a
-    DomainError."""
+    """The letters of the word, each checked against the datum before any is
+    applied: the one reader of a word.  A Letter read its fields; left are an
+    index by check_index, a T coweight of datum.m coordinates and an E face
+    of this datum.  Anything but a GhatWord is a DomainError."""
     if not isinstance(word, GhatWord):
         raise DomainError(f"{word!r} is not a GhatWord")
     for letter in word.letters:
-        _read_letter(datum, letter)
+        tag = letter[0]
+        if tag == "T":
+            if len(letter[1]) != datum.m:
+                raise DomainError(f"torus coweight needs {datum.m} coordinates")
+        elif tag == "E":
+            if letter[1].datum is not datum:
+                raise PreconditionViolated("idempotent letter of a face of another root datum")
+        else:
+            check_index(datum.n, letter[1])
     return word.letters
 
 
@@ -848,6 +839,7 @@ def word_columns(slice_: ModuleSlice, words: Sequence[GhatWord],
     window from raises DepthExceeded, so a caller either lets it raise or
     keeps the columns yielded before it.  A `max_height` that is not a
     Python int, or is negative, is a DomainError."""
+    _read_slice(slice_)
     if max_height is not None:
         _check_natural(max_height, "height")
     read = [_read_word(slice_.datum, word) for word in words]
@@ -869,24 +861,21 @@ def evaluate_word(slice_: ModuleSlice, word: GhatWord,
     most that bound (rows always run over the whole slice); the restricted
     matrix is still exact, applications beyond the window still raise.
     """
-    index, first = slice_.basis_index(), slice_._first_row
     col_index, cols = [], []
-    for wt, k, (img,) in word_columns(slice_, (word,), max_height):
-        col = [Fraction(0)] * len(index)
+    for wt, k, (img,) in word_columns(slice_, (word,), max_height):  # reads slice_ first
+        col = [Fraction(0)] * len(slice_._index)
         for wt2, coeffs in img.parts.items():
-            for j, x in enumerate(coeffs, first[wt2]):
+            for j, x in enumerate(coeffs, slice_._first_row[wt2]):
                 if x:
                     col[j] = Fraction(x, img.den)
         col_index.append((wt, k))
         cols.append(col)
-    return (index, tuple(col_index)), tuple(zip(*cols))
+    return (slice_.basis_index(), tuple(col_index)), tuple(zip(*cols))
 
 
 def inner(slice_: ModuleSlice, v: Vector, u: Vector) -> Fraction:
-    """<v | u> under the slice's contravariant form; a vector of another
-    slice is a PreconditionViolated."""
-    if v.slice is not slice_ or u.slice is not slice_:
-        raise PreconditionViolated("vector of another slice")
+    """<v | u> under the slice's contravariant form, read by `_read_slice`."""
+    _read_slice(slice_, v, u)
     total = 0
     for wt, a in v.parts.items():
         b = u.parts.get(wt)
@@ -900,6 +889,7 @@ def inner(slice_: ModuleSlice, v: Vector, u: Vector) -> Fraction:
 def matrix_coefficient(slice_: ModuleSlice, v: Vector, u: Vector,
                        word: GhatWord) -> Fraction:
     """<v | w(u)> under the slice's contravariant form (`inner`)."""
+    _read_slice(slice_, v, u)
     return inner(slice_, v, apply_word(word, u))
 
 
@@ -910,6 +900,7 @@ def theta(slice_: ModuleSlice, word: GhatWord) -> Fraction:
     the contravariant form.  The top Gram matrix is ((1,),), so this is the
     top coordinate of the raw pass on v_top, read without forming a Vector.
     """
+    _read_slice(slice_)
     top = slice_.spaces[slice_.hw]
     parts, den = _run_word(slice_, _read_word(slice_.datum, word), {top: (1,)}, 1)
     u = parts.get(top)
@@ -992,13 +983,9 @@ def probe_equal(datum: RootDatum, w1: GhatWord, w2: GhatWord, probes: Sequence):
 
 def nhat_letters(x: NhatElt) -> list[Letter]:
     """Letters realizing n_w * t * e(face) exactly as a slice operator."""
-    out: list[Letter] = [nsimple(i) for i in x.w.word]
-    for j, val in enumerate(x.torus):
-        if val != 1:
-            out.append(torus_letter(x.datum.coroot(j), val))
-    if not x.face.is_full_cone():
-        out.append(idem(x.face))
-    return out
+    return ([nsimple(i) for i in x.w.word]
+            + [torus_letter(x.datum.coroot(j), val) for j, val in enumerate(x.torus) if val != 1]
+            + ([] if x.face.is_full_cone() else [idem(x.face)]))
 
 
 def _absorbs(face: Face, root: Beta, side: str) -> bool:
@@ -1071,14 +1058,10 @@ _LETTER_RE = re.compile(
 
 
 def format_word(word: GhatWord) -> str:
-    """The word in the syntax of `parse_word`; each letter is read by
-    `_letter_fields`, and an index must be >= 0, so a letter that no datum
-    could hold is a DomainError."""
+    """The word in the syntax of `parse_word`; a Letter read its fields when built."""
     parts = []
     for letter in word.letters:
-        tag = _letter_fields(letter)
-        if tag in ("X+", "X-", "N") and letter[1] < 0:
-            raise DomainError(f"simple index {letter[1] + 1} is below 1")
+        tag = letter[0]
         if tag in ("X+", "X-"):
             parts.append(f"{tag}({letter[1] + 1};{letter[2]})")
         elif tag == "T":

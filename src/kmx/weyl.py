@@ -203,17 +203,34 @@ class WeylElt:
 
 def _canonical_word(datum: RootDatum, mat_p: IntMat) -> tuple[int, ...]:
     """Lex-smallest reduced word: strip the smallest left descent of w.rho."""
-    support = datum.alpha_support
     v = [sum(row) for row in mat_p]
-    word = []
-    while (i := next((i for i in range(datum.n) if v[i] < 0), None)) is not None:
-        c = v[i]  # s_i v = v - <v, h_i> alpha_i
-        for k, a in support[i]:
-            v[k] -= c * a
-        word.append(i)
+    word = _descend(datum, v, range(datum.n))
     if tuple(v) != datum.rho():
         raise InternalError("w.rho is dominant but differs from rho")
     return tuple(word)
+
+
+def _descend(datum: RootDatum, v: list, js: Iterable[int]) -> list[int]:
+    """The letters i of the walk v -> s_i v = v - v_i alpha_i (in place), i the
+    first in js with v_i < 0.  A step raises v by a positive multiple of
+    alpha_i, so from v = w.rho it takes at most ht(rho - v) steps; more (a
+    WeylElt built directly) is an InternalError."""
+    x, d, rho_x = datum._height  # alpha_i(x) = d, so ht(rho - v) = <rho - v, x> / d
+    steps = (rho_x - exact.vec_dot(v, x)) // d
+    support = datum.alpha_support
+    letters: list[int] = []
+    while True:
+        for i in js:  # a plain loop: a generator per step costs more than the bound
+            if v[i] < 0:
+                break
+        else:
+            return letters
+        if len(letters) >= steps:
+            raise InternalError(f"the walk from w.rho passed ht(rho - w.rho) = {steps} steps")
+        c = v[i]
+        for k, a in support[i]:
+            v[k] -= c * a
+        letters.append(i)
 
 
 def _keep(w: WeylElt, name: str, value) -> None:
@@ -338,9 +355,8 @@ def _strip_right(w: WeylElt, j: Sequence[int]) -> tuple[WeylElt, list[int]]:
     an int J already walked gets that walk, the int's answer.  A J that is
     no sequence, or holds an unhashable index, is a DomainError.
 
-    The walk reads the right descents of the current element from the one
-    vector v = w^{-1} rho (i is a descent iff v_i < 0), which a step with s_i
-    changes to v - v_i alpha_i; w' is multiplied out once at the end."""
+    The walk is `_descend` on v = w^{-1} rho (i is a right descent iff
+    v_i < 0); w' is multiplied out once at the end."""
     key = entries(j, "simple index")
     memo = _memo(w, "_strips")
     try:
@@ -359,14 +375,7 @@ def _strip_read(w: WeylElt, js: tuple[int, ...]) -> tuple[WeylElt, tuple[int, ..
     memo = _memo(w, "_strips")
     walk = memo.get(js)
     if walk is None:
-        support = w.datum.alpha_support
-        v = [sum(row) for row in w.mat_p_inv]
-        letters: list[int] = []
-        while (i := next((i for i in js if v[i] < 0), None)) is not None:
-            c = v[i]
-            for k, a in support[i]:
-                v[k] -= c * a
-            letters.append(i)
+        letters = _descend(w.datum, [sum(row) for row in w.mat_p_inv], js)
         walk = memo[js] = (_multiply_out(w, letters), tuple(letters))
     return walk
 

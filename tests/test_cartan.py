@@ -408,7 +408,7 @@ def test_gcm_readers_take_a_gcm_alone(call, got):
 
 def _scalar_theta_letter():
     hyp = build_realization(HYPERBOLIC_ROWS)
-    return HW.theta(HW.build_basis(hyp, (0, 0, 1), 2), HW.GhatWord((("T", 5, 2),)))
+    return HW.theta(HW.build_basis(hyp, (0, 0, 1), 2), HW.GhatWord((HW.Letter("T", 5, 2),)))
 
 
 @pytest.mark.parametrize("call,message", [

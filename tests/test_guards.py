@@ -69,21 +69,36 @@ def _names(func):
 
 
 def test_word_entries_check_no_letter_themselves():
-    # highest_weight._read_letter is the one place that decides whether a
-    # letter is valid, and _read_word, the one reader of a word, is the only
-    # function that calls it.  The word entries read their words through
-    # _read_word (apply_letter through apply_word), and neither they nor the
-    # raw letter code keep a check of their own
+    # highest_weight.Letter is the one place that reads a letter's fields:
+    # the field readers and the unknown-letter raise sit in Letter.__new__
+    # and nowhere else.  _read_word, the one reader of a word, keeps the
+    # checks that need the datum (check_index) and calls no field reader;
+    # format_word only prints, and the word entries read their words through
+    # _read_word (apply_letter through apply_word)
     tree = ast.parse((Path(kmx.__file__).parent / "highest_weight.py").read_text())
     funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-    for name in ("_read_word", "apply_letter", "apply_word", "word_columns", "bruhat_cell",
+    classes = {node.name: node for node in tree.body if isinstance(node, ast.ClassDef)}
+    methods = {(cls.name, node.name): node for cls in classes.values() for node in cls.body
+               if isinstance(node, ast.FunctionDef)}
+    new = methods["Letter", "__new__"]
+    assert sorted(set(_own_letter_checks(new))) == [
+        "exact_ints call", "exact_rationals call", "torus_values call", "unknown-letter raise"]
+    assert "_letter_fields" not in funcs
+    elsewhere = [(node.name, c) for node in ast.walk(tree)
+                 if isinstance(node, ast.FunctionDef) and node is not new
+                 for c in _own_letter_checks(node)
+                 if c in ("exact_rationals call", "torus_values call", "unknown-letter raise")]
+    assert elsewhere == []
+    for name in ("format_word", "apply_letter", "apply_word", "word_columns", "bruhat_cell",
                  "_run_word", "_exp", "_step", "_vector"):
         assert _own_letter_checks(funcs[name]) == [], name
-    assert [name for name, f in funcs.items() if "_read_letter" in _names(f)] == ["_read_word"]
+    assert _own_letter_checks(funcs["_read_word"]) == ["check_index call"]
+    assert "_read_letter" not in funcs
     for name in ("apply_word", "word_columns", "bruhat_cell"):
         assert "_read_word" in _names(funcs[name]), name
     assert "apply_word" in _names(funcs["apply_letter"])
-    assert _own_letter_checks(funcs["_read_letter"])
+    # a word takes Letters only, read once, when it is built
+    assert {"entries", "Letter"} <= _names(methods["GhatWord", "__post_init__"])
 
 
 def test_letter_check_finder_sees_each_kind():

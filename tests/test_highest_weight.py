@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import re
 from fractions import Fraction as Fr
@@ -521,12 +523,12 @@ def test_bruhat_cell_examples():
 
 
 def test_unknown_letters_are_domain_errors():
-    # a hand-built letter outside X+, X-, T, N, E was a bare ValueError
-    word = HW.GhatWord((("Q", 0),))
+    # a hand-built letter outside X+, X-, T, N, E was a bare ValueError; it
+    # is now rejected when it is built, and a word takes no plain tuple
     with pytest.raises(DomainError, match="unknown letter"):
-        HW.apply_word(word, HW.build_basis(A2, (1, 0), 2).highest_vector())
-    with pytest.raises(DomainError, match="unknown letter"):
-        HW.bruhat_cell(A2, word)
+        HW.Letter("Q", 0)
+    with pytest.raises(DomainError, match=re.escape("('Q', 0) is not a Letter")):
+        HW.GhatWord((("Q", 0),))
 
 
 def test_bruhat_cell_factored_and_rewrites():
@@ -593,17 +595,13 @@ def test_bruhat_cell_distinct_cells_have_distinct_operators():
 
 def test_format_word_reads_each_letter_shape():
     # an unknown letter was dropped from the text, and a letter short of
-    # fields ended in a raw IndexError
+    # fields ended in a raw IndexError; neither can now be built, so
+    # format_word only prints
     with pytest.raises(DomainError, match=re.escape("unknown letter ('Q', 1)")):
-        HW.format_word(HW.GhatWord((("Q", 1), HW.nsimple(0))))
+        HW.Letter("Q", 1)
     with pytest.raises(DomainError, match=re.escape("N letter needs 2 fields, not 1")):
-        HW.format_word(HW.GhatWord((("N",),)))
-    # every letter the reader rejects without a datum raises what it raises
-    for letter, error, message in BAD_LETTERS:
-        if error is DomainError:
-            with pytest.raises(DomainError, match=re.escape(message)):
-                HW.format_word(HW.GhatWord((letter,)))
-    assert HW.format_word(HW.GhatWord((HW.nsimple(1), ("X+", 0, 2)))) == "N(2) X+(1;2)"
+        HW.Letter("N")
+    assert HW.format_word(HW.GhatWord((HW.nsimple(1), HW.Letter("X+", 0, 2)))) == "N(2) X+(1;2)"
 
 
 FORMAT_ONLY_BAD = [
@@ -620,10 +618,11 @@ FORMAT_ONLY_BAD = [
 
 @pytest.mark.parametrize("letter,message", FORMAT_ONLY_BAD)
 def test_format_word_reads_every_field_of_a_letter(letter, message):
+    # each letter is rejected when it is built, so no word holds it
     with pytest.raises(DomainError, match=re.escape(message)):
-        HW.format_word(HW.GhatWord((HW.nsimple(0), letter)))
-    with pytest.raises(DomainError):  # a negative index is named against 1..n there
-        HW.apply_word(HW.GhatWord((letter,)), _FUND.highest_vector())
+        HW.Letter(*letter)
+    with pytest.raises(DomainError, match=re.escape(f"{letter!r} is not a Letter")):
+        HW.GhatWord((HW.nsimple(0), letter))
 
 
 def _any_letter_word(rng, datum):
@@ -756,6 +755,8 @@ def test_zero_vectors_compare_equal():
     ({(1, 1): None}, 1, "part list None is not a sequence"),
     ([((1, 1), (1,))], 1, "are not a mapping"),
     ((1, 1), 1, r"vector parts \(1, 1\) are not a mapping"),
+    # a bool entry was kept as it was given
+    ({(1, 1): (True,)}, 1, r"part \(True,\) at weight \(1, 1\) holds a non-integer True"),
 ])
 def test_vector_input_outside_its_contract_is_a_domain_error(parts, den, message):
     sl = HW.ModuleSlice(A2, (1, 1), 3)
@@ -904,9 +905,11 @@ def test_classical_dimensions():
 def test_a_hand_built_zero_torus_letter_is_a_zero_torus_value():
     sl = HW.build_basis(A2, (1, 0), 2)
     with pytest.raises(ZeroTorusValue):
-        HW.apply_letter(("T", A2.coroot(0), Fr(0)), sl.highest_vector())
+        HW.Letter("T", A2.coroot(0), Fr(0))
     with pytest.raises(DomainError, match="torus value 0.5 is not a Fraction or an int"):
-        HW.apply_letter(("T", A2.coroot(0), 0.5), sl.highest_vector())
+        HW.Letter("T", A2.coroot(0), 0.5)
+    assert HW.apply_letter(HW.Letter("T", A2.coroot(0), Fr(3)), sl.highest_vector()) \
+        == HW.Vector(sl, {sl.hw: (3,)})
 
 
 def test_letter_indices_and_coweights_are_checked_against_the_datum():
@@ -914,13 +917,18 @@ def test_letter_indices_and_coweights_are_checked_against_the_datum():
     sl = HW.build_basis(HYP, (0, 0, 1), 3)
     ok = HW.GhatWord((HW.xplus(2, 1), HW.xminus(2, 1)))
     assert HW.theta(sl, ok) == 2
-    for i in (-1, 3):
-        word = HW.GhatWord((HW.xplus(i, 1), HW.xminus(i, 1)))
-        with pytest.raises(DomainError, match=f"simple index {i + 1} out of range 1..3"):
-            HW.theta(sl, word)
+    word = HW.GhatWord((HW.xplus(3, 1), HW.xminus(3, 1)))
+    with pytest.raises(DomainError, match="simple index 4 out of range 1..3"):
+        HW.theta(sl, word)
+    # an index below 0 fits no datum, so the letter is not built
+    for build in (HW.xplus, HW.xminus):
+        with pytest.raises(DomainError, match="simple index 0 is below 1"):
+            build(-1, 1)
+    with pytest.raises(DomainError, match="simple index 0 is below 1"):
+        HW.nsimple(-1)
     # xplus(5, 1) ended in IndexError; N applies X+- letters, so is checked too
     a2 = HW.build_basis(A2, (1, 1), 2)
-    for letter in (HW.xplus(5, 1), HW.xminus(-1, 1), HW.nsimple(2)):
+    for letter in (HW.xplus(5, 1), HW.xminus(2, 1), HW.nsimple(2)):
         with pytest.raises(DomainError, match="out of range 1..2"):
             HW.theta(a2, HW.GhatWord((letter,)))
     # a short or long T coweight was zipped with each weight
@@ -930,9 +938,8 @@ def test_letter_indices_and_coweights_are_checked_against_the_datum():
             HW.theta(a2, HW.GhatWord((HW.torus_letter(h, 2),)))
     # bruhat_cell read N(-1) and X-(8;1) on A2 without complaint
     full = FC.full_cone(A2)
-    for word in ((HW.nsimple(-1),), (HW.nsimple(0), HW.idem(full), HW.xminus(7, 1)),
-                 (HW.xplus(2, 1),)):
-        with pytest.raises(DomainError, match="simple index (0|3|8) out of range 1..2"):
+    for word in ((HW.nsimple(0), HW.idem(full), HW.xminus(7, 1)), (HW.xplus(2, 1),)):
+        with pytest.raises(DomainError, match="simple index (3|8) out of range 1..2"):
             HW.bruhat_cell(A2, HW.GhatWord(word))
 
 
@@ -991,7 +998,6 @@ BAD_LETTERS = [
     (("X+", 1, True), DomainError, "letter parameter True is not a Fraction or an int"),
     (("X-", 0, True), DomainError, "letter parameter True is not a Fraction or an int"),
     (("T", (1, 0.5), 2), DomainError, "torus coweight coordinate 0.5 is not an integer"),
-    (("E", _FOREIGN), PreconditionViolated, "face of another root datum"),
     (("Q", 0), DomainError, "unknown letter"),
     # an index that is not an int was read as one or ended in a raw TypeError
     (("N", True), DomainError, "simple index True is not an integer"),
@@ -1010,19 +1016,75 @@ BAD_LETTERS = [
 ]
 
 
+# well-built letters that do not fit A2: what is left to the word reader
+DATUM_BAD = [
+    # an E letter on a rank-3 face gave theta 0 on A2 and a bruhat_cell
+    # class on that face
+    (HW.Letter("E", _FOREIGN), PreconditionViolated, "face of another root datum"),
+    (HW.xplus(2, 1), DomainError, "simple index 3 out of range 1..2"),
+    (HW.torus_letter((1, 0, 0), 2), DomainError, "torus coweight needs 2 coordinates"),
+]
+
+
+@pytest.mark.parametrize("fields,error,message", BAD_LETTERS)
+def test_a_letter_reads_every_field_when_it_is_built(fields, error, message):
+    # a float X+- parameter ended in a raw AttributeError in every word entry
+    with pytest.raises(error, match=re.escape(message)):
+        HW.Letter(*fields)
+    # a plain tuple is no letter, so no word holds one
+    with pytest.raises(DomainError, match=re.escape(f"{fields!r} is not a Letter")):
+        HW.GhatWord((HW.nsimple(0), fields))
+
+
 @pytest.mark.parametrize("entry", sorted(WORD_ENTRIES))
 def test_every_word_entry_reads_hand_built_letters_through_the_one_reader(entry):
-    # a float X+- parameter ended in a raw AttributeError, and an E letter on
-    # a rank-3 face gave theta 0 on A2 and a bruhat_cell class on that face
     run = WORD_ENTRIES[entry]
-    for letter, error, message in BAD_LETTERS:
+    for letter, error, message in DATUM_BAD:
         with pytest.raises(error, match=re.escape(message)):
             run(HW.GhatWord((letter,)))
-    # a valid hand-built letter with an int parameter acts as the constructor's
-    # letter, whose parameter is a Fraction
-    for hand, built in ((("X+", 0, 1), HW.xplus(0, 1)), (("X-", 1, -2), HW.xminus(1, -2)),
-                        (("T", (1, 0), 2), HW.torus_letter((1, 0), 2))):
+    # a hand-built Letter with an int parameter is the constructor's letter,
+    # whose parameter is a Fraction
+    for hand, built in ((HW.Letter("X+", 0, 1), HW.xplus(0, 1)),
+                        (HW.Letter("X-", 1, -2), HW.xminus(1, -2)),
+                        (HW.Letter("T", [1, 0], 2), HW.torus_letter((1, 0), 2))):
+        assert hand == built and type(hand[2]) is Fr, hand
         assert run(HW.GhatWord((hand,))) == run(HW.GhatWord((built,))), hand
+
+
+def test_a_letter_is_a_tuple_built_once():
+    # the builders are Letter with the tag filled in, and check nothing more
+    for build, tag in ((HW.xplus, "X+"), (HW.xminus, "X-"), (HW.torus_letter, "T"),
+                       (HW.nsimple, "N"), (HW.idem, "E")):
+        assert build.func is HW.Letter and build.args == (tag,) and not build.keywords
+    letter = HW.xplus(1, Fr(3, 2))
+    assert letter == ("X+", 1, Fr(3, 2)) and hash(letter) == hash(("X+", 1, Fr(3, 2)))
+    assert HW.torus_letter([1, 0], 2)[1] == (1, 0)  # the coweight is kept as a tuple
+    for copied in (copy.copy(letter), pickle.loads(pickle.dumps(letter))):
+        assert type(copied) is HW.Letter and copied == letter
+    # a word reads its letters by cartan.entries, once, into a tuple
+    word = HW.GhatWord([letter, HW.nsimple(0)])
+    assert word.letters == (letter, HW.nsimple(0)) and type(word.letters) is tuple
+    assert (word * word).letters == word.letters * 2
+    with pytest.raises(DomainError, match="letter list 5 is not a sequence"):
+        HW.GhatWord(5)
+
+
+def test_letter_fields_are_read_when_built_and_never_again(monkeypatch):
+    # every read of a word re-checked every field of every letter
+    calls = []
+    read = HW.exact_rationals
+    monkeypatch.setattr(HW, "exact_rationals",
+                        lambda vals, what: calls.append(what) or read(vals, what))
+    sl = HW.build_basis(A2, (1, 1), 4)
+    word = HW.GhatWord(tuple((HW.xplus, HW.xminus)[k % 2](k % 2, Fr(k + 1, 2))
+                             for k in range(6)))
+    assert len(calls) == 6
+    for _ in range(10):
+        HW.theta(sl, word)
+    assert len(calls) == 6
+    list(HW.word_columns(sl, (word,)))
+    HW.format_word(word)
+    assert len(calls) == 6
 
 
 # each public entry that reads whole words, on something that is not a GhatWord
@@ -1042,6 +1104,26 @@ def test_a_word_that_is_not_a_ghat_word_is_a_domain_error(entry):
         NOT_WORDS[entry]()
 
 
+# each slice reader, on a slice or a vector that is not one, and what it says
+NOT_SLICES = {
+    "theta": (lambda v: HW.theta("x", HW.GhatWord(())), "'x' is not a ModuleSlice"),
+    "evaluate_word": (lambda v: HW.evaluate_word(None, HW.GhatWord(())),
+                      "None is not a ModuleSlice"),
+    "word_columns": (lambda v: list(HW.word_columns(3, ())), "3 is not a ModuleSlice"),
+    "inner": (lambda v: HW.inner(_FUND, 3, v), "3 is not a Vector"),
+    "matrix_coefficient": (lambda v: HW.matrix_coefficient(_FUND, v, [v], HW.GhatWord(())),
+                           "is not a Vector"),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(NOT_SLICES))
+def test_a_slice_reader_on_a_non_slice_is_a_domain_error(entry):
+    # each ended in a raw AttributeError
+    call, message = NOT_SLICES[entry]
+    with pytest.raises(DomainError, match=re.escape(message)):
+        call(_FUND.highest_vector())
+
+
 def test_vectors_of_another_slice_are_a_precondition_violation():
     # inner raised a raw KeyError, and matrix_coefficient returned 0
     s11, s20 = HW.build_basis(A2, (1, 1), 3), HW.build_basis(A2, (2, 0), 3)
@@ -1058,9 +1140,9 @@ def test_each_word_is_read_once_and_reduced_once(monkeypatch):
     # word_columns reads every letter of its words once, however many
     # columns it yields, and each applied word forms one Vector, at its end
     reads, vectors = [], []
-    read_letter, post_init = HW._read_letter, HW.Vector.__post_init__
-    monkeypatch.setattr(HW, "_read_letter",
-                        lambda datum, letter: reads.append(letter) or read_letter(datum, letter))
+    read_word, post_init = HW._read_word, HW.Vector.__post_init__
+    monkeypatch.setattr(HW, "_read_word",
+                        lambda datum, word: reads.extend(word.letters) or read_word(datum, word))
     monkeypatch.setattr(HW.Vector, "__post_init__",
                         lambda self: vectors.append(self) or post_init(self))
     sl = HW.build_basis(A2, (1, 1), 4)

@@ -1,6 +1,9 @@
+import contextlib
 import random
 import re
+import signal
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
@@ -9,7 +12,8 @@ from kmx import monoids as M
 from kmx import weyl as W
 from kmx.cartan import (A2_ROWS, AFFINE_A1_ROWS, HYPERBOLIC_ROWS,
                         build_realization, classify)
-from kmx.errors import DomainError, NotInTitsCone, PreconditionViolated, Undecided
+from kmx.errors import (DomainError, InternalError, NotInTitsCone, PreconditionViolated,
+                        Undecided)
 from kmx.exact import identity, mat_mul, mat_vec, rat_solve, transpose, vec_sub
 
 A2 = build_realization(A2_ROWS)
@@ -567,3 +571,54 @@ def test_product_with_another_type_is_a_type_error_both_ways(other):
         w * other
     with pytest.raises(TypeError):
         other * w
+
+
+@contextlib.contextmanager
+def _time_guard(seconds):
+    """Fail, instead of hanging, a block that runs past `seconds`."""
+    def expire(signum, frame):
+        raise AssertionError(f"ran past its {seconds} s guard")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
+@pytest.mark.parametrize("datum,p,message", [
+    # the walk of each never ended
+    (AFF, ((-1, 0, 0), (0, 1, 0), (0, 0, 1)), "passed ht(rho - w.rho) = 1 steps"),
+    (HYP, ((-1, 0, 0), (0, -1, 0), (0, 0, -1)), "passed ht(rho - w.rho)"),
+    (A2, ((2, 0), (0, 2)), "w.rho is dominant but differs from rho"),
+    (A2, ((-1, 0), (0, 5)), "passed ht(rho - w.rho) = -2 steps"),  # a negative height
+], ids=["affine-reflection-of-one-row", "hyperbolic-minus-identity", "A2-doubled",
+        "A2-negative-height"])
+def test_a_hand_built_non_weyl_matrix_has_no_word(datum, p, message):
+    # the canonical word and the coset walks walk w.rho (or w^-1 rho) up to
+    # rho; each step raises it by a positive multiple of alpha_i, so
+    # ht(rho - w.rho) bounds the steps
+    w = W.WeylElt(datum, p, p)
+    with _time_guard(5):
+        with pytest.raises(InternalError, match=re.escape(message)):
+            w.word
+        if "passed" in message:
+            with pytest.raises(InternalError, match="passed ht"):
+                W.min_coset_right(w, range(datum.n))
+
+
+@pytest.mark.parametrize("datum", [A2, AFF, HYP], ids=["A2", "affine-A1", "rank3-hyperbolic"])
+def test_the_walk_bound_is_the_height_of_rho_minus_w_rho(datum):
+    rng = random.Random(7)
+    words = [[rng.randrange(datum.n) for _ in range(rng.randrange(8))] for _ in range(20)]
+    elts = [W.from_word(datum, word) for word in words]
+    assert all(W.from_word(datum, w.word) == w for w in elts)
+    # x, formed once per datum, reads d times the height of the root lattice
+    x, d, rho_x = datum._height
+    assert rho_x == sum(x) and d > 0 and [sum(map(mul, a, x)) for a in datum.alpha] == [d] * datum.n
+    for w in elts:
+        v = mat_vec(w.mat_p, datum.rho())
+        height, rem = divmod(sum(map(mul, vec_sub(datum.rho(), v), x)), d)
+        assert rem == 0 and len(w.word) <= height
