@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import lcm
 from operator import mul
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
@@ -254,15 +254,8 @@ def validate_and_symmetrize(rows: Sequence[Sequence[int]]) -> GCM:
                     raise NotSymmetrizable(
                         f"no positive symmetrizer: cycle through ({i + 1},{j + 1})")
         # Normalize the component to integers with gcd 1.
-        den = 1
-        for i in comp:
-            den = den * eps[i].denominator // gcd(den, eps[i].denominator)
-        nums = [int(eps[i] * den) for i in comp]
-        g = 0
-        for x in nums:
-            g = gcd(g, x)
-        for i, x in zip(comp, nums):
-            eps[i] = Fraction(x, g)
+        for i, x in zip(comp, exact.primitive_ray([eps[i] for i in comp])):
+            eps[i] = Fraction(x, 1)
     es = tuple(e for e in eps)  # type: ignore[misc]
     if any(e is None or e <= 0 for e in es):
         raise NotSymmetrizable("no positive symmetrizer exists")
@@ -334,6 +327,14 @@ def _check_gcm(gcm) -> GCM:
         raise DomainError(f"expected a GCM, got {type(gcm).__name__}: pass datum.gcm "
                           "for a RootDatum, validate_and_symmetrize(rows) for rows")
     return gcm
+
+
+def _check_datum(datum) -> "RootDatum":
+    """datum itself if it is a RootDatum; anything else is a DomainError
+    naming its type."""
+    if not isinstance(datum, RootDatum):
+        raise DomainError(f"expected a RootDatum, got {type(datum).__name__}")
+    return datum
 
 
 def component_type(gcm: GCM, comp: Sequence[int]) -> ComponentType:
@@ -465,8 +466,9 @@ class RootDatum:
         self._root_mults: dict[int, dict[IntVec, int]] = {}
 
     def _verify(self):
-        """Re-check the realization: the pairing alpha_i(h_j) = a_ji, the
-        saturated coroot lattice and (alpha_i | alpha_i) = 2 / eps_i.
+        """Re-check the realization: the pairing alpha_i(h_j) = a_ji and
+        (alpha_i | alpha_i) = 2 / eps_i.  The coroot lattice needs no check:
+        h_i = e_i spans the coordinate sublattice Z^n, saturated as built.
 
         The form is checked by one `int_rref` of [gram | alpha_1 ... alpha_n |
         omega] (columns; omega = sum_i eps_i Lambda_i): its pivots are 0..m-1
@@ -487,11 +489,6 @@ class RootDatum:
             for j in range(n):
                 if self.alpha[i][j] != a[j][i]:
                     raise InternalError("pairing alpha_i(h_j) != a_ji")
-        # Coroot lattice saturated in H: SNF divisors of the h-matrix are 1.
-        hmat = tuple(tuple(1 if k == i else 0 for k in range(m)) for i in range(n))
-        _, d, _ = exact.smith_normal_form(hmat)
-        if any(d[i][i] != 1 for i in range(n)):
-            raise InternalError("coroot lattice not saturated")
         # (alpha_i | alpha_i) = 2 / eps_i > 0 under A = diag(eps) B, i.e.
         # eps_i <alpha_i, den gram^{-1} alpha_i> = 2 den.
         x = tuple(row[m + n] for row in rows)

@@ -123,8 +123,8 @@ from operator import add, sub
 from typing import Optional, Sequence
 
 from . import exact, faces as FC, monoids as MO, weyl as W
-from .cartan import (RootDatum, _components, check_index, entries, exact_ints,
-                     exact_rationals, one_based, torus_values, typed_numbers)
+from .cartan import (RootDatum, _check_datum, _components, check_index, entries,
+                     exact_ints, exact_rationals, one_based, torus_values, typed_numbers)
 from .errors import (DepthExceeded, DepthTooLarge, DomainError, InternalError,
                      NotDominant, NotFactored, PreconditionViolated, SizeGuard)
 from .exact import IntMat, IntVec
@@ -178,6 +178,7 @@ def root_multiplicities(datum: RootDatum, max_height: int) -> dict[Beta, int]:
     the Weyl orbit of the simple roots.  Each call returns its own copy of
     the dict cached on the datum.
     """
+    _check_datum(datum)
     exact_ints((max_height,), "height")
     cache = datum._root_mults
     if max_height not in cache:
@@ -216,6 +217,7 @@ def real_roots_with_witness(datum: RootDatum, max_height: int
                             ) -> dict[Beta, tuple[W.WeylElt, int]]:
     """Real roots alpha = u(alpha_i) of |height| <= max_height (a Python
     int; none below 1), with (u, i)."""
+    _check_datum(datum)
     exact_ints((max_height,), "height")
     if max_height < 1:
         return {}
@@ -239,9 +241,10 @@ def real_roots_with_witness(datum: RootDatum, max_height: int
 
 
 def _check_dominant(datum: RootDatum, hw: Sequence[int]) -> Wt:
+    m = _check_datum(datum).m
     lam = exact_ints(hw, "highest weight coordinate")
-    if len(lam) != datum.m:
-        raise NotDominant(f"highest weight needs {datum.m} coordinates")
+    if len(lam) != m:
+        raise NotDominant(f"highest weight needs {m} coordinates")
     if any(lam[i] < 0 for i in range(datum.n)):
         raise NotDominant(f"{lam} is not dominant")
     return lam
@@ -599,15 +602,18 @@ class Vector:
         return not self.parts
 
 
-def _read_slice(slice_: ModuleSlice, *vectors: Vector) -> None:
-    """The check of each slice reader; a Vector of another slice is a PreconditionViolated."""
-    if not isinstance(slice_, ModuleSlice):
-        raise DomainError(f"{slice_!r} is not a ModuleSlice")
+def _read_slice(slice_: ModuleSlice, *vectors: Vector) -> ModuleSlice:
+    """The check of each slice reader, vectors first (so `apply_word` may pass
+    a vector's own slice); a Vector of another slice is a PreconditionViolated."""
     for v in vectors:
         if not isinstance(v, Vector):
             raise DomainError(f"{v!r} is not a Vector")
+    if not isinstance(slice_, ModuleSlice):
+        raise DomainError(f"{slice_!r} is not a ModuleSlice")
+    for v in vectors:
         if v.slice is not slice_:
             raise PreconditionViolated("vector of another slice")
+    return slice_
 
 
 # Raw parts: int sequences keyed by the weight space itself, standing for
@@ -798,13 +804,16 @@ class GhatWord:
         return GhatWord(self.letters + other.letters)
 
 
-def _read_word(datum: RootDatum, word: GhatWord) -> tuple[Letter, ...]:
+def _read_word(datum: Optional[RootDatum], word: GhatWord) -> tuple[Letter, ...]:
     """The letters of the word, each checked against the datum before any is
     applied: the one reader of a word.  A Letter read its fields; left are an
     index by check_index, a T coweight of datum.m coordinates and an E face
-    of this datum.  Anything but a GhatWord is a DomainError."""
+    of this datum.  Anything but a GhatWord is a DomainError.  With no datum
+    (`format_word`) only the type is read."""
     if not isinstance(word, GhatWord):
         raise DomainError(f"{word!r} is not a GhatWord")
+    if datum is None:
+        return word.letters
     for letter in word.letters:
         tag = letter[0]
         if tag == "T":
@@ -825,7 +834,8 @@ def apply_letter(letter: Letter, v: Vector) -> Vector:
 
 def apply_word(word: GhatWord, v: Vector) -> Vector:
     """The word applied to v: read once, run on raw parts, reduced once."""
-    sl, letters = v.slice, _read_word(v.slice.datum, word)
+    sl = _read_slice(getattr(v, "slice", None), v)
+    letters = _read_word(sl.datum, word)
     return _vector(sl, *_run_word(sl, letters, {sl.spaces[wt]: u for wt, u in v.parts.items()},
                                   v.den))
 
@@ -957,6 +967,7 @@ def probe_equal(datum: RootDatum, w1: GhatWord, w2: GhatWord, probes: Sequence):
     one formed as a Fraction.  EqualOnProbes is NOT a proof of equality in
     the ambient monoid; Distinct returns an exact witness coefficient.
     """
+    _check_datum(datum)
     tried = []
     for probe in probes:
         shape = entries(probe, "probe")
@@ -983,6 +994,8 @@ def probe_equal(datum: RootDatum, w1: GhatWord, w2: GhatWord, probes: Sequence):
 
 def nhat_letters(x: NhatElt) -> list[Letter]:
     """Letters realizing n_w * t * e(face) exactly as a slice operator."""
+    if not isinstance(x, NhatElt):
+        raise DomainError(f"expected an NhatElt, got {type(x).__name__}")
     return ([nsimple(i) for i in x.w.word]
             + [torus_letter(x.datum.coroot(j), val) for j, val in enumerate(x.torus) if val != 1]
             + ([] if x.face.is_full_cone() else [idem(x.face)]))
@@ -1015,7 +1028,7 @@ def bruhat_cell(datum: RootDatum, word: GhatWord) -> WmonElt:
     The word is read by `_read_word`, and the cell in W-hat through kappa:
     N(i) is the unit s_i, E(face) the face's idempotent, T the unit.
     """
-    middle = MO.wm_unit(datum)
+    middle = MO.wm_unit(_check_datum(datum))
     started = False  # past the lowering prefix
     pending_plus: list[Letter] = []
     for letter in _read_word(datum, word):
@@ -1060,7 +1073,7 @@ _LETTER_RE = re.compile(
 def format_word(word: GhatWord) -> str:
     """The word in the syntax of `parse_word`; a Letter read its fields when built."""
     parts = []
-    for letter in word.letters:
+    for letter in _read_word(None, word):
         tag = letter[0]
         if tag in ("X+", "X-"):
             parts.append(f"{tag}({letter[1] + 1};{letter[2]})")

@@ -15,9 +15,10 @@ takes the same maps over P's columns.  A word is multiplied out once:
 `_multiply_out` transposes P once into a list of columns, applies the
 updates letter by letter to it and to a list of the rows of P^{-1}, and
 freezes the two into one element, so `from_word` builds at most one
-element however long the word.  A product with the identity returns the
-other factor, and any other product takes one matrix product, and a second
-for P^{-1} only when the element is new.  The actions read a weight or
+element however long the word.  A product u v multiplies out the shorter
+canonical word: v's on u, or u's reversed on v^{-1}, then inverted, as
+u v = (v^{-1} u^{-1})^{-1}; the identity and the simple reflections are
+cases of this rule.  The actions read a weight or
 coweight by `cartan.exact_rationals` and a root by `cartan.exact_ints`, and
 check the length of their vector; the coweight action y -> y^T P^{-1}
 adds, with the same maps, the rows of P^{-1} at the nonzero coordinates of
@@ -56,7 +57,8 @@ call), and the faces it represents (`faces.normalize_face`).  The table
 grows by one entry per distinct element the datum meets, about 0.6 KB each
 at rank 10 with its memos; it lives as long as its datum, so building a new
 `RootDatum` starts a fresh table.  A `WeylElt` built directly equals and
-hashes like the table's element with the same P, but is not in the table.
+hashes like the table's element with the same P, but is not in the table;
+its products read its word, so one that is no Weyl element raises there.
 """
 
 from __future__ import annotations
@@ -124,19 +126,9 @@ class WeylElt:
             return NotImplemented
         if self.datum is not other.datum:
             raise PreconditionViolated("product of Weyl elements of two root data")
-        if other._word is not None and len(other._word) == 1:
-            return _multiply_out(self, other._word)
-        if self._word is not None and len(self._word) == 1:
-            return _multiply_out(other.inv(), self._word).inv()  # s_i w = (w^-1 s_i)^-1
-        if self.is_identity():
-            return other
-        if other.is_identity():
-            return self
-        p = exact.mat_mul(self.mat_p, other.mat_p)
-        found = self.datum._weyl.get(p)
-        if found is not None:
-            return found
-        return _element(self.datum, p, exact.mat_mul(other.mat_p_inv, self.mat_p_inv))
+        if len(other.word) <= len(self.word):
+            return _multiply_out(self, other.word)
+        return _multiply_out(other.inv(), self.word[::-1]).inv()  # u v = (v^-1 u^-1)^-1
 
     def inv(self) -> "WeylElt":
         if self._inv is None:
@@ -284,7 +276,7 @@ def simple(datum: RootDatum, i: int) -> WeylElt:
     if not hasattr(datum, "_simple_elts"):
         elts = tuple(_multiply_out(identity_elt(datum), (j,)) for j in range(datum.n))
         for j, s in enumerate(elts):
-            _keep(s, "_word", (j,))  # its canonical word, read by the rank-1 products
+            _keep(s, "_word", (j,))  # its canonical word, known without a walk
         datum._simple_elts = elts
     return datum._simple_elts[i]
 
@@ -338,8 +330,6 @@ def from_word(datum: RootDatum, word: Iterable[int]) -> WeylElt:
     word = entries(word, "simple index")
     for i in word:
         check_index(datum.n, i)
-    if len(word) == 1:
-        return simple(datum, word[0])
     return _multiply_out(identity_elt(datum), word)
 
 

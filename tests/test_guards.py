@@ -1,7 +1,13 @@
 import ast
+import re
 from pathlib import Path
 
+import pytest
+
 import kmx
+from kmx import highest_weight as HW
+from kmx.cartan import A2_ROWS, build_realization
+from kmx.errors import DomainError
 
 
 def _offence(node, module=""):
@@ -94,7 +100,7 @@ def test_word_entries_check_no_letter_themselves():
         assert _own_letter_checks(funcs[name]) == [], name
     assert _own_letter_checks(funcs["_read_word"]) == ["check_index call"]
     assert "_read_letter" not in funcs
-    for name in ("apply_word", "word_columns", "bruhat_cell"):
+    for name in ("apply_word", "word_columns", "bruhat_cell", "format_word"):
         assert "_read_word" in _names(funcs[name]), name
     assert "apply_word" in _names(funcs["apply_letter"])
     # a word takes Letters only, read once, when it is built
@@ -231,3 +237,33 @@ def test_dot_product_finder_sees_each_kind():
                      "    r = sum(x * y for x in u for y in v)\n"
                      "w = sum(b * a for a, b in zip(u, v))\n")
     assert _genexp_dots(tree) == ["f: 2", "f: 3", "<module>: 8"]
+
+
+_A2 = build_realization(A2_ROWS)
+_NO_WORD = HW.GhatWord(())
+# each highest_weight entry, called with an argument of the wrong type, and
+# what it says; each ended in a raw AttributeError
+WRONG_TYPES = {
+    "apply_word": (lambda: HW.apply_word(_NO_WORD, 3), "3 is not a Vector"),
+    "apply_letter": (lambda: HW.apply_letter(HW.nsimple(0), None), "None is not a Vector"),
+    "format_word": (lambda: HW.format_word("N(1)"), "'N(1)' is not a GhatWord"),
+    "probe_equal": (lambda: HW.probe_equal("x", _NO_WORD, _NO_WORD, [((1, 0), 2)]),
+                    "expected a RootDatum, got str"),
+    "bruhat_cell": (lambda: HW.bruhat_cell("x", _NO_WORD), "expected a RootDatum, got str"),
+    "weights_and_mults": (lambda: HW.weights_and_mults(_A2.gcm, (1, 0), 2),
+                          "expected a RootDatum, got GCM"),
+    "ModuleSlice": (lambda: HW.ModuleSlice("x", (1, 0), 2), "expected a RootDatum, got str"),
+    "build_basis": (lambda: HW.build_basis(None, (1, 0), 2), "expected a RootDatum, got NoneType"),
+    "root_multiplicities": (lambda: HW.root_multiplicities("x", 3),
+                            "expected a RootDatum, got str"),
+    "real_roots_with_witness": (lambda: HW.real_roots_with_witness(A2_ROWS, 3),
+                                "expected a RootDatum, got tuple"),
+    "nhat_letters": (lambda: HW.nhat_letters(_A2), "expected an NhatElt, got RootDatum"),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(WRONG_TYPES))
+def test_an_argument_of_the_wrong_type_is_a_domain_error_naming_it(entry):
+    call, message = WRONG_TYPES[entry]
+    with pytest.raises(DomainError, match=re.escape(message)):
+        call()

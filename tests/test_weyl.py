@@ -404,6 +404,12 @@ def test_kernel_agrees_with_four_matrix_reference(name):
             assert w.act_coweight(coweight) == mat_vec(transpose(ref.pi), coweight)
 
 
+def _assert_matrix_product(u, v, uv):
+    """uv is u * v by the dense matrix products of P and of P^{-1}."""
+    assert uv.mat_p == mat_mul(u.mat_p, v.mat_p)
+    assert uv.mat_p_inv == mat_mul(v.mat_p_inv, u.mat_p_inv)
+
+
 @pytest.mark.parametrize("name", list(KERNEL_DATA))
 def test_simple_products_agree_with_general_product(name):
     datum = KERNEL_DATA[name]
@@ -411,18 +417,34 @@ def test_simple_products_agree_with_general_product(name):
         w = W.from_word(datum, word)
         for i in range(datum.n):
             s = W.simple(datum, i)
-            s_plain = W.WeylElt(datum, s.mat_p, s.mat_p_inv)  # no word: general path
-            for rank1, general, factors in ((w * s, w * s_plain, (w.mat_p, s.mat_p)),
-                                            (s * w, s_plain * w, (s.mat_p, w.mat_p))):
-                assert rank1.mat_p == general.mat_p == mat_mul(*factors)
-                assert rank1.mat_p_inv == general.mat_p_inv
+            _assert_matrix_product(w, s, w * s)
+            _assert_matrix_product(s, w, s * w)
 
 
-def test_simple_products_take_no_matrix_product(monkeypatch):
+def _factor(datum, rng):
+    """The identity, a simple reflection or a word of 2 to 12 letters."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return W.identity_elt(datum)
+    if kind == 1:
+        return W.simple(datum, rng.randrange(datum.n))
+    return W.from_word(datum, [rng.randrange(datum.n) for _ in range(rng.randint(2, 12))])
+
+
+def test_products_take_no_matrix_product(monkeypatch):
+    # every product multiplies out the shorter canonical word; the dense
+    # products below are the test module's own mat_mul, not the patched one
     def forbidden(a, b):
-        raise AssertionError("mat_mul called for a product with a simple reflection")
+        raise AssertionError("mat_mul called for a product of Weyl elements")
 
     monkeypatch.setattr(W.exact, "mat_mul", forbidden)
+    rng = random.Random(37)
+    for datum in KERNEL_DATA.values():
+        for _ in range(30):
+            u, v = _factor(datum, rng), _factor(datum, rng)
+            uv = u * v
+            _assert_matrix_product(u, v, uv)
+            assert uv is W.from_word(datum, u.word + v.word)
     datum = KERNEL_DATA["D8++"]
     word = (0, 1, 8, 9, 5, 6, 7)
     w, s = W.from_word(datum, word), W.simple(datum, 5)
@@ -604,6 +626,11 @@ def test_a_hand_built_non_weyl_matrix_has_no_word(datum, p, message):
     with _time_guard(5):
         with pytest.raises(InternalError, match=re.escape(message)):
             w.word
+        # a product reads both factors' words: it was a dense matrix product
+        for other in (W.identity_elt(datum), W.simple(datum, 0), W.from_word(datum, (1, 0))):
+            for product in (lambda: w * other, lambda: other * w):
+                with pytest.raises(InternalError, match=re.escape(message)):
+                    product()
         if "passed" in message:
             with pytest.raises(InternalError, match="passed ht"):
                 W.min_coset_right(w, range(datum.n))

@@ -11,9 +11,12 @@ workload both runs' metrics, their correct/attempted/failed counts and the
 `# host speed` line.  Per module of src/kmx it also records the token count
 of its source (`tokenize`) and the tracemalloc peak of `compile()` on that
 source, in KiB: the perfbench workers compile src/kmx from source, so that
-peak can set their `peak_rss_mb`.  Stdlib only; run it from anywhere inside
-a kmx checkout.  It exits 1, and writes nothing, if a run fails or its
-output does not pass the benchmark's gate.
+peak can set their `peak_rss_mb`.  Its runs set PYTHONDONTWRITEBYTECODE=1,
+but Python still reads a bytecode cache that exists, so a checkout with a
+src/kmx/__pycache__ would time a cached set-up: the tool then exits 1, and
+writes nothing, until that directory is removed.  Stdlib only; run it from
+anywhere inside a kmx checkout.  It exits 1, and writes nothing, if a run
+fails or its output does not pass the benchmark's gate.
 """
 
 from __future__ import annotations
@@ -38,7 +41,8 @@ def run(workload: str, trace: int) -> tuple[dict, list[str]]:
     """The last-line JSON object of one perfbench run, and its comment lines."""
     cmd = [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
            "--seed", str(SEED), "--seconds", str(SECONDS), "--trace", str(trace)]
-    proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True)
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"{' '.join(cmd)} exited with {proc.returncode}:\n{proc.stderr}")
     lines = proc.stdout.strip().splitlines()
@@ -90,6 +94,11 @@ def main(argv=None) -> int:
     if len(args) != 1:
         print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
         return 2
+    cache = os.path.join(ROOT, "src", "kmx", "__pycache__")
+    if os.path.exists(cache):
+        print(f"bench_snapshot: {cache} exists, and the runs would read it; "
+              "remove it to time a cold compile", file=sys.stderr)
+        return 1
     try:
         data = snapshot()
     except (RuntimeError, subprocess.CalledProcessError) as e:
