@@ -506,8 +506,16 @@ class RootDatum:
         on int input, a Fraction on Fraction input."""
         return exact.vec_dot(weight, coweight)
 
+    def _weight(self, x: Sequence) -> tuple:
+        """x read by `exact_rationals` as a weight of m coordinates."""
+        x = exact_rationals(x, "weight coordinate")
+        if len(x) != self.m:
+            raise DomainError(f"weight needs {self.m} coordinates")
+        return x
+
     def form_weights(self, l1: Sequence, l2: Sequence) -> Fraction:
         """(l1 | l2) on the weight side, via nu^{-1} = gram^{-1}."""
+        l1, l2 = self._weight(l1), self._weight(l2)
         sol = exact.rat_solve(self.gram, l2)
         if sol is None:
             raise InternalError("invariant form is degenerate")
@@ -529,6 +537,7 @@ class RootDatum:
 
     def weight_height(self, top: Sequence, low: Sequence) -> Optional[int]:
         """Height of top - low as a nonnegative root-lattice element."""
+        top, low = self._weight(top), self._weight(low)
         sol = exact.rat_solve(exact.transpose(self.alpha), exact.vec_sub(top, low))
         if sol is None:
             return None

@@ -10,7 +10,8 @@ Theta u Theta^perp, which the root datum keeps in a table per special Theta
 (`RootDatum.stabilizer_type`); Theta is read once, by `cartan.index_set`,
 and the table is read by that key.  A Theta the package built itself,
 sorted without repeats (a face's own, the support of an exposing coweight,
-the theta_inf of a classification), goes to `_normal_face` unread.
+the theta_inf of a classification), goes to `_normal_face` unread, as a
+face's Theta, stabilizer type and `theta_perp` go to `weyl._strip_read`.
 
 Intersection realizes faces as exposed faces: each face is the zero set on
 the Tits cone of an integer coweight (a Weyl image of an exposing coweight),
@@ -43,7 +44,7 @@ from typing import Optional, Sequence
 
 from . import weyl as W
 from .cartan import RootDatum, classify, index_set, one_based
-from .errors import DomainError
+from .errors import DomainError, PreconditionViolated
 from .exact import IntVec, vec_add
 from .weyl import WeylElt, antidominant_coweight, dominant_rep
 
@@ -135,7 +136,7 @@ def includes(r: Face, s: Face) -> bool:
     if not set(s.theta) >= set(r.theta):
         return False
     perp = r.datum.theta_perp(r.theta)
-    return W.in_parabolic_product(r.w.inv() * s.w, perp, s.theta)
+    return W._strip_read(W._rep_left(r.w.inv() * s.w, perp), s.theta)[0].is_identity()
 
 
 def _face_exposed_by(datum: RootDatum, d: IntVec) -> Face:
@@ -158,6 +159,8 @@ def _face_exposed_by(datum: RootDatum, d: IntVec) -> Face:
 
 def intersect(r: Face, s: Face) -> Face:
     """Meet in the face lattice via added exposing coweights."""
+    if r.datum is not s.datum:
+        raise PreconditionViolated("meet of faces of two root data")
     return _face_exposed_by(r.datum, vec_add(r.exposing(), s.exposing()))
 
 
@@ -184,16 +187,17 @@ def in_relative_interior(r: Face, weight: Sequence, cap: int = 2000) -> bool:
 
 
 def in_span(r: Face, weight: Sequence) -> bool:
+    weight = r.datum._weight(weight)
     return all(r.datum.pair(weight, h) == 0 for h in r.span_normals())
 
 
 def centralizes(r: Face, u: WeylElt) -> bool:
     """u fixes the face pointwise iff u lies in w_R W_Theta w_R^{-1}."""
-    return W.in_parabolic(r.w.inv() * u * r.w, r.theta)
+    return W._strip_read(r.w.inv() * u * r.w, r.theta)[0].is_identity()
 
 
 def normalizes(r: Face, u: WeylElt) -> bool:
-    return W.in_parabolic(r.w.inv() * u * r.w, r.datum._stabilizer(r.theta))
+    return W._strip_read(r.w.inv() * u * r.w, r.datum._stabilizer(r.theta))[0].is_identity()
 
 
 def point_predicates(r: Face, weight: Sequence, own: Face) -> dict:

@@ -23,7 +23,8 @@ class keeps its products (`WmonElt._products`, y -> x y, keyed by y's value
 equality), so `wm_mul` computes each meet once per pair of classes.  The
 tables live as long as their datum; a class built directly equals and
 hashes like the table's by (face, w).  A Weyl element and a face of two
-root data make no class: that is a PreconditionViolated.
+root data make no class, and elements of two root data have no product
+(`wm_mul`, `nhat_mul`) or meet (`faces.intersect`): a PreconditionViolated.
 
 Torus-monoid elements t e(R) are canonicalized by the values of t on the
 saturated basis of span(R) cap P that `exact.kernel_lattice_basis` reads
@@ -145,6 +146,8 @@ def wm_mul(x: WmonElt, y: WmonElt) -> WmonElt:
     kept = W._memo(x, "_products")
     z = kept.get(y)
     if z is None:
+        if x.datum is not y.datum:
+            raise PreconditionViolated("Weyl-monoid product of classes of two root data")
         d = exact.vec_add(x.face.exposing(), x.w.act_coweight(y.face.exposing()))
         z = kept[y] = wm_normalize(x.w * y.w, F._face_exposed_by(x.datum, d))
     return z
@@ -368,7 +371,7 @@ class NhatElt:
         q = _nelt_mul(_nelt_inv(nelt_lift(sigma)), (self.w, self.torus))
         v, s0 = q
         vbar = self.face.w.inv() * v * self.face.w
-        if not W.in_parabolic(vbar, self.face.theta):
+        if not W._strip_read(vbar, self.face.theta)[0].is_identity():
             raise InternalError("leftover Weyl part does not centralize the face")
         m = _nelt_mul(_nelt_mul(nelt_lift(self.face.w), nelt_lift(vbar)),
                       _nelt_inv(nelt_lift(self.face.w)))
@@ -407,6 +410,8 @@ def nhat_idempotent(face: Face) -> NhatElt:
 
 def nhat_mul(x: NhatElt, y: NhatElt) -> NhatElt:
     """e(R) n_v = n_v e(v^{-1} R) moves both idempotents to the right."""
+    if x.datum is not y.datum:
+        raise PreconditionViolated("normalizer-monoid product of elements of two root data")
     w, tau = _nelt_mul((x.w, x.torus), (y.w, y.torus))
     d = exact.vec_add(y.w.inv().act_coweight(x.face.exposing()), y.face.exposing())
     return NhatElt(w=w, torus=tau, face=F._face_exposed_by(x.datum, d))

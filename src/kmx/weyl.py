@@ -28,18 +28,20 @@ word is the lexicographically smallest reduced word, read by walking
 v = w.rho down to rho, each step an update of v on the support of alpha_i.
 
 The walks run on one vector and build no element per step.  Every coset
-normal form runs one descent walk, which reads the right descents from
-v = w^{-1} rho (s_i takes v to v - v_i alpha_i), records the stripped
-indices and multiplies them out once; the left-hand forms walk w^{-1}.  The
-factor u in W_J is multiplied out from those indices only by
-`min_coset_right` and `min_coset_left`, which return it; the double coset,
-the parabolic membership tests and the callers in `faces` and `monoids`
-read only the representative.  `dominant_rep` walks in ints: it reflects
-the integer numerator of its weight in place and keeps its pairings with
-the exposing coweights, updated in O(1) each per reflection, and forms a
+normal form runs one descent walk (`_strip_read`), which reads the right
+descents from v = w^{-1} rho (s_i takes v to v - v_i alpha_i), records the
+stripped indices and multiplies them out once; the left-hand forms walk
+w^{-1}, and `min_double_coset` is one left walk, then one right walk.  The
+public entries read each index set once, by `cartan.index_set`, and the
+walk takes only a set so read; `faces` and `monoids` pass it the sets they
+hold read (a face's Theta, its stabilizer type, `theta_perp`).  Only
+`min_coset_right` and `min_coset_left` multiply the factor u in W_J out of
+the stripped indices.  `dominant_rep` walks in ints: it reflects the
+integer numerator of its weight in place and keeps its pairings with the
+exposing coweights, updated in O(1) each per reflection, and forms a
 Fraction only at its exits.  `antidominant_coweight` keeps the pairings
-alpha_j(d), updated in O(n) per reflection; each walk multiplies its
-witness out once, at the end.
+alpha_j(d), updated in O(n) per reflection.  Each walk hands its letters
+to `_multiply_out` once, at the end, not back through `from_word`'s reader.
 
 `denominator` walks the signed orbit of rho, truncated by height, on the
 vectors rho - w rho alone: it reads the GCM and builds no element.
@@ -52,13 +54,13 @@ other elements (`RootDatum._weyl_rows`): row r of P is w^{-1} h_r, a real
 coroot for r < n, so few distinct rows occur.  An element keeps what it has
 worked out: its canonical word, its hash, its inverse (linked both ways),
 `_multiply_out` by the letters (so `from_word` on a word met before is a
-lookup on the identity), `_strip_right` by J (a fresh list of letters per
-call), and the faces it represents (`faces.normalize_face`).  The table
-grows by one entry per distinct element the datum meets, about 0.6 KB each
-at rank 10 with its memos; it lives as long as its datum, so building a new
-`RootDatum` starts a fresh table.  A `WeylElt` built directly equals and
-hashes like the table's element with the same P, but is not in the table;
-its products read its word, so one that is no Weyl element raises there.
+lookup on the identity), its descent walks by the J read, and the faces
+it represents (`faces.normalize_face`).  The table grows by one entry per
+distinct element the datum meets, about 0.6 KB each at rank 10 with its
+memos; it lives as long as its datum, so building a new `RootDatum` starts
+a fresh table.  A `WeylElt` built directly equals and hashes like the
+table's element with the same P, but is not in the table; its products
+read its word, so one that is no Weyl element raises there.
 """
 
 from __future__ import annotations
@@ -92,7 +94,7 @@ class WeylElt:
     _hash: Optional[int] = field(init=False, repr=False, default=None)
     _inv: Optional["WeylElt"] = field(init=False, repr=False, default=None)
     _products: Optional[dict] = field(init=False, repr=False, default=None)  # letters -> w s...
-    _strips: Optional[dict] = field(init=False, repr=False, default=None)  # J -> (rep, letters)
+    _strips: Optional[dict] = field(init=False, repr=False, default=None)  # J read -> walk
     _faces: Optional[dict] = field(init=False, repr=False, default=None)  # Theta -> Face
 
     def __hash__(self):
@@ -141,11 +143,8 @@ class WeylElt:
     # -- actions -------------------------------------------------------------
 
     def act_weight(self, x: Sequence) -> Vec:
-        """P x, for a weight read by `cartan.exact_rationals`."""
-        x = exact_rationals(x, "weight coordinate")
-        if len(x) != self.datum.m:
-            raise DomainError(f"weight needs {self.datum.m} coordinates")
-        return exact.mat_vec(self.mat_p, x)
+        """P x, for a weight read by `RootDatum._weight`."""
+        return exact.mat_vec(self.mat_p, self.datum._weight(x))
 
     def act_coweight(self, y: Sequence) -> Vec:
         """Contragredient action y^T P^{-1} on a coweight read by
@@ -336,32 +335,11 @@ def from_word(datum: RootDatum, word: Iterable[int]) -> WeylElt:
 # -- coset normal forms -------------------------------------------------------
 
 
-def _strip_right(w: WeylElt, j: Sequence[int]) -> tuple[WeylElt, list[int]]:
-    """The descent walk: w' = w s_{i1} ... s_{ik}, stripping the smallest
-    right descent in J at each step until none is left, and the stripped
-    indices i1, ..., ik as a fresh list.  The walk is kept in w's memo under
-    J as given, and J is read by `index_set` on a miss only (the walk,
-    `_strip_read`, is kept under the J read too): a float or bool J equal to
-    an int J already walked gets that walk, the int's answer.  A J that is
-    no sequence, or holds an unhashable index, is a DomainError.
-
-    The walk is `_descend` on v = w^{-1} rho (i is a right descent iff
-    v_i < 0); w' is multiplied out once at the end."""
-    key = entries(j, "simple index")
-    memo = _memo(w, "_strips")
-    try:
-        walk = memo.get(key)
-    except TypeError:  # an unhashable index: index_set rejects it by name
-        index_set(w.datum.n, key)
-        raise
-    if walk is None:
-        walk = memo[key] = _strip_read(w, index_set(w.datum.n, key))
-    return walk[0], list(walk[1])
-
-
 def _strip_read(w: WeylElt, js: tuple[int, ...]) -> tuple[WeylElt, tuple[int, ...]]:
-    """The walk of `_strip_right` for a J already sorted without repeats, as
-    (w', stripped indices), kept in w's memo under J."""
+    """The descent walk for a J read by `index_set`, kept in w's memo under
+    J: (w', (i1, ..., ik)) with w' = w s_{i1} ... s_{ik}, each i the smallest
+    right descent in J left, found by `_descend` on v = w^{-1} rho (i is a
+    right descent iff v_i < 0); w' is multiplied out once at the end."""
     memo = _memo(w, "_strips")
     walk = memo.get(js)
     if walk is None:
@@ -370,36 +348,42 @@ def _strip_read(w: WeylElt, js: tuple[int, ...]) -> tuple[WeylElt, tuple[int, ..
     return walk
 
 
-def _rep_left(w: WeylElt, j: Sequence[int]) -> WeylElt:
-    """The minimal representative of W_J w: w^{-1} walked on the right."""
-    return _strip_right(w.inv(), j)[0].inv()
+def _rep_left(w: WeylElt, js: tuple[int, ...]) -> WeylElt:
+    """The minimal representative of W_J w, J read: w^{-1} walked on the right."""
+    return _strip_read(w.inv(), js)[0].inv()
 
 
 def min_coset_right(w: WeylElt, j: Sequence[int]) -> tuple[WeylElt, WeylElt]:
     """Split w = w' * u with u in W_J and w' the minimal representative of
-    w W_J (no right descent inside J)."""
-    rep, letters = _strip_right(w, j)
-    return rep, from_word(w.datum, letters[::-1])
+    w W_J (no right descent inside J); J is read by `index_set`."""
+    rep, letters = _strip_read(w, index_set(w.datum.n, j))
+    return rep, _multiply_out(identity_elt(w.datum), letters[::-1])
 
 
 def min_coset_left(w: WeylElt, j: Sequence[int]) -> tuple[WeylElt, WeylElt]:
     """Split w = u * w' with u in W_J and w' minimal in W_J w."""
-    rep, letters = _strip_right(w.inv(), j)
-    return rep.inv(), from_word(w.datum, letters)
+    rep, letters = _strip_read(w.inv(), index_set(w.datum.n, j))
+    return rep.inv(), _multiply_out(identity_elt(w.datum), letters)
 
 
 def min_double_coset(w: WeylElt, k: Sequence[int], j: Sequence[int]) -> WeylElt:
-    """The unique minimal element of W_K w W_J."""
-    cur = w
-    while True:
-        nxt = _strip_right(_rep_left(cur, k), j)[0]
-        if nxt == cur:
-            return cur
-        cur = nxt
+    """The unique minimal element of W_K w W_J: one left walk, then one
+    right walk, K and J each read once by `index_set`.
+
+    The left walk gives x with no left descent in K.  Each step y -> y s of
+    the right walk (y s < y) keeps that: were t in K a left descent of y s,
+    then l(t y) = l(t (y s) s) <= l(t y s) + 1 = l(y) - 1, so t would be a
+    left descent of y.  The walk ends at x' in W_K w W_J with no left
+    descent in K and no right descent in J, and the minimal element is the
+    only such element of its double coset (Bjorner and Brenti,
+    Combinatorics of Coxeter Groups, ch. 2)."""
+    ks, js = index_set(w.datum.n, k), index_set(w.datum.n, j)
+    return _strip_read(_rep_left(w, ks), js)[0]
 
 
 def in_parabolic(w: WeylElt, j: Sequence[int]) -> bool:
-    return _strip_right(w, j)[0].is_identity()
+    """w in W_J, J read by `index_set`: w's right walk in J ends at 1."""
+    return _strip_read(w, index_set(w.datum.n, j))[0].is_identity()
 
 
 def in_parabolic_product(w: WeylElt, k: Sequence[int], j: Sequence[int]) -> bool:
@@ -419,8 +403,8 @@ class DominantResult:
 
 def dominant_rep(datum: RootDatum, weight: Sequence, cap: int = 2000) -> DominantResult:
     """Dominant representative of a weight, with a Weyl witness w*dom = weight.
-    The weight is read by `cartan.exact_rationals`: a coordinate that is
-    not a Fraction or an int is a DomainError.
+    The weight is read by `RootDatum._weight`: a coordinate that is not a
+    Fraction or an int, or a length other than m, is a DomainError.
 
     Membership in the Tits cone is only semi-decidable; the loop reflects at
     the smallest negative coordinate and watches two exact negative
@@ -444,9 +428,7 @@ def dominant_rep(datum: RootDatum, weight: Sequence, cap: int = 2000) -> Dominan
     """
     if exact_ints((cap,), "step budget")[0] < 0:
         raise DomainError(f"step budget {cap} is negative")
-    lam = exact_rationals(weight, "weight coordinate")
-    if len(lam) != datum.m:
-        raise DomainError(f"weight needs {datum.m} coordinates")
+    lam = datum._weight(weight)
     d = lcm(*(x.denominator for x in lam))
     numerator = tuple([x.numerator * (d // x.denominator) for x in lam])
     cur = list(numerator)
@@ -459,7 +441,7 @@ def dominant_rep(datum: RootDatum, weight: Sequence, cap: int = 2000) -> Dominan
     for _ in range(cap + 1):
         for theta, val in zip(thetas, vals):
             if val < 0:
-                applied = from_word(datum, letters).inv().word
+                applied = _multiply_out(identity_elt(datum), letters).inv().word
                 cert = (f"pairing with the type-{tuple(i + 1 for i in theta)} exposing "
                         f"coweight is {Fraction(val, d)} < 0 after applying {applied}")
                 raise NotInTitsCone(cert)
@@ -472,7 +454,7 @@ def dominant_rep(datum: RootDatum, weight: Sequence, cap: int = 2000) -> Dominan
                     raise NotInTitsCone(cert)
         i = next((i for i in range(n) if cur[i] < 0), None)
         if i is None:
-            w = from_word(datum, letters)
+            w = _multiply_out(identity_elt(datum), letters)
             if w.act_weight(cur) != numerator:
                 raise InternalError("dominant representative does not map back to the input")
             return DominantResult(dominant=tuple([Fraction(x, d) for x in cur]), w=w,

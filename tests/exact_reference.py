@@ -63,6 +63,10 @@ receive a term.  `_compositions`, the lexicographic walk over the
 compositions of a height, lives here now: the three pull-form references
 (Peterson's recurrence, Freudenthal's recursion and this scan) share it,
 and the package walks no compositions.
+
+After it, `min_double_coset` is the double coset walk as the package ran
+it before one left walk and one right walk served: it alternates the two
+one-sided minimal representatives until a round moves the element no more.
 """
 
 import math
@@ -802,3 +806,14 @@ def scanned_root_multiplicities(datum: RootDatum, max_height: int) -> dict[Beta,
                                     "is not a natural number")
             mult[b] = m
     return {b: m for b, m in mult.items() if m > 0}
+
+
+def min_double_coset(w: W.WeylElt, k: Sequence[int], j: Sequence[int]) -> W.WeylElt:
+    """The minimal element of W_K w W_J by rounds of a left walk in K and a
+    right walk in J, repeated until a round returns its own start."""
+    cur = w
+    while True:
+        nxt = W.min_coset_right(W.min_coset_left(cur, k)[0], j)[0]
+        if nxt == cur:
+            return cur
+        cur = nxt

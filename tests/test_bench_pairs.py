@@ -83,3 +83,29 @@ def test_seed_lists(text, seeds):
 def test_directions_are_the_benchmarks_end_to_end_metrics():
     assert BP.directions() == {"setup_s": "lower", "wall_s": "lower", "op_p50_ms": "lower",
                                "op_tail_ms": "lower", "peak_rss_mb": "lower"}
+
+
+def test_the_change_median_is_printed_as_a_share_of_the_parents():
+    lines, _ = BP.summarize(_pairs(PARENT, [0.8] * 10), {"op_p50_ms": "lower"})
+    assert "-> change 0.8 [0.8-0.8] (80.0% of parent); change wins 10/10" in _line(lines)
+    lines, _ = BP.summarize(_pairs([0.0] * 10, [0.5] * 10), {"op_p50_ms": "lower"},
+                            {"op_p50_ms": 0.25})
+    assert "(parent median 0, beyond bound 25%)" in _line(lines)
+
+
+@pytest.mark.parametrize("way,change,flagged", [
+    ("lower", 1.26, True), ("lower", 1.24, False), ("lower", 0.5, False),
+    ("higher", 0.74, True), ("higher", 0.76, False), ("higher", 2.0, False),
+])
+def test_a_change_worse_than_its_bound_is_flagged(way, change, flagged):
+    pairs = _pairs(PARENT, [change] * 10, failed=1)
+    lines, ok = BP.summarize(pairs, {"op_p50_ms": way}, {"op_p50_ms": 0.25})
+    assert ("beyond bound 25%" in _line(lines)) is flagged
+    assert ok  # the flag leaves the gate, and so the exit code, alone
+    lines, _ = BP.summarize(pairs, {"op_p50_ms": way})
+    assert "beyond bound" not in _line(lines)
+
+
+def test_bounds_are_the_benchmarks_end_to_end_bounds():
+    assert BP.bounds() == {"setup_s": 0.25, "wall_s": 0.2, "op_p50_ms": 0.25,
+                           "op_tail_ms": 0.25, "peak_rss_mb": 0.1}

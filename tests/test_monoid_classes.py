@@ -20,7 +20,7 @@ from test_weyl import A2, KERNEL_DATA
 from kmx import faces as F
 from kmx import monoids as M
 from kmx import weyl as W
-from kmx.cartan import build_realization
+from kmx.cartan import A2_ROWS, AFFINE_A1_ROWS, build_realization
 from kmx.errors import PreconditionViolated
 
 
@@ -134,6 +134,28 @@ def test_classes_of_two_root_data_are_refused():
     twin = build_realization(A2.gcm)
     with pytest.raises(PreconditionViolated, match="two root data"):
         M.wm_normalize(W.identity_elt(twin), F.full_cone(A2))
+
+
+@pytest.mark.parametrize("rows", [A2_ROWS, AFFINE_A1_ROWS], ids=["same-shape", "other-shape"])
+def test_meets_and_products_of_two_root_data_are_refused(rows):
+    # against a second A2 realization intersect and that_mul returned a face
+    # of the first and the products a class or element; against affine A1
+    # they raised "descent exceeded the rho budget" or "coweight needs m
+    # coordinates"
+    other = build_realization(rows)
+    r, s = F.full_cone(A2), F.standard_face(other, other.special_sets()[-1])
+    for x, y in ((r, s), (s, r)):
+        calls = {
+            "intersect": lambda: F.intersect(x, y),
+            "that_mul": lambda: M.that_mul(M.that_idempotent(x), M.that_idempotent(y)),
+            "wm_mul": lambda: M.wm_mul(M.wm_idempotent(x), M.wm_idempotent(y)),
+            "nhat_mul": lambda: M.nhat_mul(M.nhat_idempotent(x), M.nhat_idempotent(y)),
+            "nhat_conj_idem": lambda: M.nhat_conj_idem(M.nhat_from(W.identity_elt(x.datum)), y),
+        }
+        for name, call in calls.items():
+            with pytest.raises(PreconditionViolated, match="two root data"):
+                call()
+    assert all(y.datum is A2 for y in M.wm_idempotent(r)._products or {})
 
 
 @pytest.mark.parametrize("name", ["A2", "affine-A1", "hyperbolic-3"])

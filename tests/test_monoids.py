@@ -479,7 +479,8 @@ _S1 = W.simple(A2, 0)
 # Each reader takes one tuple of caller values (a torus element, a weight
 # or a one-value parameter) and maps good values to the results below.  The
 # torus readers also reject a zero value, and those marked "count" a
-# wrong number of values.
+# wrong number of values; those marked "weight" reject a weight of the
+# wrong length.
 READERS = {
     "torus_values": (lambda v: torus_values(v, 2), "count", {
         (2, Fr(1, 3)): (2, Fr(1, 3))}),
@@ -516,6 +517,16 @@ READERS = {
         (1, 1): True, (Fr(1, 2), 0): True}),
     "wm_apply": (lambda v: MO.wm_apply(MO.wm_unit(A2, _S1), v), "rational", {
         (1, 0): (-1, 1), (Fr(1, 2), 0): (Fr(-1, 2), Fr(1, 2))}),
+    "in_span": (lambda v: FC.in_span(_FULL, v), "weight", {
+        (1, 0): True, (Fr(1, 2), 0): True}),
+    "form_weights-left": (lambda v: A2.form_weights(v, (1, 0)), "weight", {
+        (1, 0): Fr(2, 3), (Fr(1, 2), 0): Fr(1, 3)}),
+    "form_weights-right": (lambda v: A2.form_weights((1, 0), v), "weight", {
+        (1, 0): Fr(2, 3), (Fr(1, 2), 0): Fr(1, 3)}),
+    "weight_height-top": (lambda v: A2.weight_height(v, (0, 0)), "weight", {
+        (2, -1): 1, (Fr(4), -2): 2}),
+    "weight_height-low": (lambda v: A2.weight_height((2, -1), v), "weight", {
+        (0, 0): 1, (Fr(-2), 1): 2}),
     "xplus": (lambda v: HW.xplus(0, *v), "rational", {
         (2,): ("X+", 0, Fr(2)), (Fr(-1, 2),): ("X+", 0, Fr(-1, 2))}),
     "xminus": (lambda v: HW.xminus(1, *v), "rational", {
@@ -537,10 +548,16 @@ def test_each_reader_reads_exact_values_only(name):
     for bad in (0.1, True, "1", None):
         with pytest.raises(DomainError, match=re.escape(f"{bad!r} is not a Fraction or an int")):
             read((bad,) + good[1:])
-    if kind != "rational":
+    if kind in ("torus", "count"):
         with pytest.raises(ZeroTorusValue):
             read((0,) + good[1:])
     if kind == "count":
         for wrong in (good[:1], good + (1,)):
             with pytest.raises(RankMismatch, match="torus element needs 2 values"):
+                read(wrong)
+    if kind == "weight":
+        # form_weights((1,), (1, 0)) on A2 gave 2/3, in_span cut the weight
+        # to its zip and weight_height raised an InternalError
+        for wrong in (good[:1], good + (0,)):
+            with pytest.raises(DomainError, match="weight needs 2 coordinates"):
                 read(wrong)

@@ -474,24 +474,44 @@ COSET_WALKS = {
 
 
 @pytest.mark.parametrize("walk", list(COSET_WALKS))
-@pytest.mark.parametrize("rows,j,message", [
-    (A2_ROWS, (-1,), "simple index 0 out of range 1..2"),  # it used to read node 2
-    (AFFINE_A1_ROWS, (2,), "simple index 3 out of range 1..2"),
-    (AFFINE_A1_ROWS, (0, 5), "simple index 6 out of range 1..2"),
-    (AFFINE_A1_ROWS, (-1,), "simple index 0 out of range 1..2"),  # it used to loop forever
-    (A2_ROWS, (True,), "simple index True is not an integer"),  # it was read as node 2
-    (A2_ROWS, (0, 0.5), "simple index 0.5 is not an integer"),  # a raw TypeError
-    (AFFINE_A1_ROWS, ("1",), "simple index '1' is not an integer"),  # a raw TypeError
+@pytest.mark.parametrize("rows,j,first,message", [
+    (A2_ROWS, (-1,), None, "simple index 0 out of range 1..2"),  # it used to read node 2
+    (AFFINE_A1_ROWS, (2,), None, "simple index 3 out of range 1..2"),
+    (AFFINE_A1_ROWS, (0, 5), None, "simple index 6 out of range 1..2"),
+    # it used to loop forever
+    (AFFINE_A1_ROWS, (-1,), None, "simple index 0 out of range 1..2"),
+    (A2_ROWS, (True,), (1,), "simple index True is not an integer"),  # it was read as node 2
+    (A2_ROWS, (0, 1.0), (0, 1), "simple index 1.0 is not an integer"),
+    (A2_ROWS, (0, 0.5), None, "simple index 0.5 is not an integer"),  # a raw TypeError
+    (AFFINE_A1_ROWS, ("1",), None, "simple index '1' is not an integer"),  # a raw TypeError
     # the memo was keyed by the list: 'unhashable type'
-    (AFFINE_A1_ROWS, ([0],), "simple index [0] is not an integer"),
-    (A2_ROWS, 3, "simple index list 3 is not a sequence"),  # 'int' object is not iterable
+    (AFFINE_A1_ROWS, ([0],), None, "simple index [0] is not an integer"),
+    (A2_ROWS, 3, None, "simple index list 3 is not a sequence"),  # 'int' object is not iterable
 ], ids=["A2-minus-one", "affine-three", "affine-six", "affine-minus-one", "A2-true",
-        "A2-half", "affine-str", "affine-list", "A2-scalar"])
-def test_coset_walks_reject_out_of_range_index_one_based(walk, rows, j, message):
-    # a fresh datum: a walk kept under an int J answers an equal bool or float J
+        "A2-one-point-zero", "A2-half", "affine-str", "affine-list", "A2-scalar"])
+def test_coset_walks_reject_out_of_range_index_one_based(walk, rows, j, first, message):
+    # the equal int J is walked first on the same element: a walk kept under
+    # the J as given once answered an equal bool or float J
     w = W.from_word(build_realization(rows), (0, 1, 0))
+    if first is not None:
+        COSET_WALKS[walk](w, first)
     with pytest.raises(DomainError, match=re.escape(message)):
         COSET_WALKS[walk](w, j)
+
+
+def test_min_double_coset_is_one_left_walk_and_one_right_walk(monkeypatch):
+    # the loop to a fixpoint walked each side again on what its first round
+    # reached, so it made four walks here
+    datum = build_realization(KERNEL_DATA["D8++"].gcm)
+    w = W.from_word(datum, (0, 1, 2, 8, 9, 5, 6, 7, 3))
+    walks = []
+    descend = W._descend
+    monkeypatch.setattr(W, "_descend", lambda *a: walks.append(a[2]) or descend(*a))
+    rep = W.min_double_coset(w, [2, 0, 1], (6, 7, 3, 7))
+    assert walks == [(0, 1, 2), (3, 6, 7)]
+    assert rep != w and rep.length < w.length
+    assert not any(rep.left_descent(i) for i in (0, 1, 2))
+    assert not any(rep.right_descent(i) for i in (3, 6, 7))
 
 
 # -- the Weyl denominator -----------------------------------------------------

@@ -70,18 +70,23 @@ def test_a_directly_built_element_is_equal_and_hashes_alike(name):
 
 @pytest.mark.parametrize("name", list(DATA))
 def test_the_strip_memo_survives_its_callers(name):
+    # J given as a list, unsorted or with repeats is read by index_set to
+    # one key, and every public entry answers from the one walk kept there
     datum = DATA[name]
     rng = random.Random(45)
     for word in _words(datum, 20, 45):
         w = W.from_word(datum, word)
-        j = [i for i in range(datum.n) if rng.randrange(2)]
-        rep, letters = W._strip_right(w, j)
-        kept = list(letters)
-        letters.append(0)
-        letters[:1] = []
-        again, letters2 = W._strip_right(w, j)
-        assert again is rep and letters2 == kept
-        assert rep is W.from_word(datum, word + kept)
+        key = tuple(i for i in range(datum.n) if rng.randrange(2))
+        walk = W._strip_read(w, key)
+        kept = dict(w._strips)
+        rep, letters = walk
+        assert type(letters) is tuple and rep is W.from_word(datum, word + list(letters))
+        for j in (list(key), key[::-1], key + key[:1], list(key[::-1]) * 2):
+            again, u = W.min_coset_right(w, j)
+            assert again is rep and u is W.from_word(datum, letters[::-1])
+            assert W.in_parabolic(w, j) is rep.is_identity()
+            assert W._strip_read(w, key) is walk
+        assert w._strips == kept and all(k == tuple(sorted(set(k))) for k in kept)
 
 
 @pytest.mark.parametrize("name", list(DATA))

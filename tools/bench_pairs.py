@@ -10,10 +10,14 @@ carries the offset of a longer path.  For each seed it runs
 `perfbench/run.py --workload W --seed S --seconds N` once in each directory
 under PYTHONDONTWRITEBYTECODE=1, the parent first on even pairs and the
 change first on odd ones.  It then prints, for each end-to-end metric of
-BENCHMARK.json, each side's median and quartiles, the pairs the change wins
-(ties count for neither side), and whether a gain may be claimed: the change
-wins at least nine pairs in ten and its median is better than the parent's
-by more than the parent's interquartile range.  It prints how many runs per
+BENCHMARK.json, each side's median and quartiles, the change's median as a
+share of the parent's, the pairs the change wins (ties count for neither
+side), and whether a gain may be claimed: the change wins at least nine
+pairs in ten and its median is better than the parent's by more than the
+parent's interquartile range.  A metric whose change median is worse than
+the parent's by more than the metric's `bound` in BENCHMARK.json, read as a
+share of the parent's median (perfbench/README.md), is flagged "beyond
+bound"; the flag does not change the exit code.  It prints how many runs per
 side passed the benchmark's output gate and how many ops failed.  Stdlib
 only; run it from anywhere inside a kmx checkout.  It exits 1 if a run fails
 or its outputs do not pass the gate.
@@ -74,10 +78,21 @@ def run_one(checkout: str, workload: str, seed: int, seconds: int) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+def end_to_end() -> list[dict]:
+    """The end-to-end metrics of BENCHMARK.json."""
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        return json.load(fh)["end_to_end"]
+
+
 def directions() -> dict[str, str]:
     """{metric: "lower" or "higher"} for the end-to-end metrics of BENCHMARK.json."""
-    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
-        return {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+    return {m["name"]: m["better"] for m in end_to_end()}
+
+
+def bounds() -> dict[str, float]:
+    """{metric: the share of the parent's median by which the change may be
+    worse} for the end-to-end metrics of BENCHMARK.json."""
+    return {m["name"]: m["bound"] for m in end_to_end()}
 
 
 def quartiles(xs: list[float]) -> tuple[float, float, float]:
@@ -88,10 +103,14 @@ def quartiles(xs: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> tuple[list[str], bool]:
+def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str],
+              bound: dict[str, float] | None = None) -> tuple[list[str], bool]:
     """Report lines for (parent result, change result) pairs, and whether
     every run passed the gate.  A metric whose direction `better` does not
-    name is left out."""
+    name is left out; one that `bound` names is flagged "beyond bound" when
+    the change's median is worse than the parent's by more than that share
+    of the parent's median."""
+    bound = bound or {}
     lines = []
     for name, way in better.items():
         if not all(name in r["metrics"] for pair in pairs for r in pair):
@@ -103,8 +122,12 @@ def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> tuple[l
         (o1, om, o3), (n1, nm, n3) = quartiles(old), quartiles(new)
         holds = 10 * wins >= 9 * len(pairs) and sign * (om - nm) > o3 - o1
         unit = pairs[0][0]["metrics"][name]["unit"]
+        share = f"{nm / om:.1%} of parent" if om else "parent median 0"
+        if name in bound and sign * (nm - om) > bound[name] * abs(om):
+            share += f", beyond bound {bound[name]:.0%}"
         lines.append(f"{name} ({unit}, {way} is better): parent {om:.6g} [{o1:.6g}-{o3:.6g}] "
-                     f"-> change {nm:.6g} [{n1:.6g}-{n3:.6g}]; change wins {wins}/{len(pairs)}; "
+                     f"-> change {nm:.6g} [{n1:.6g}-{n3:.6g}] ({share}); "
+                     f"change wins {wins}/{len(pairs)}; "
                      f"gain claimable: {'yes' if holds else 'no'}")
     ok = True
     for k, side in enumerate(SIDES):
@@ -145,7 +168,7 @@ def main(argv=None) -> int:
         return 1
     finally:
         shutil.rmtree(work, ignore_errors=True)
-    lines, ok = summarize(pairs, directions())
+    lines, ok = summarize(pairs, directions(), bounds())
     print(f"{args.workload}, {len(pairs)} pairs, --seconds {args.seconds}, "
           f"base {args.base}, seeds {args.seeds}")
     for line in lines:
