@@ -104,13 +104,18 @@ def _parse_face(datum, text: str) -> FC.Face:
     return FC.parse_face(datum, text)
 
 
+def _word_text(word) -> str:
+    """A word of 0-based letters as the 1-based text "1 2 1"."""
+    return " ".join(str(i + 1) for i in word)
+
+
 def _face_json(face: FC.Face) -> dict:
-    return {"w": " ".join(str(i + 1) for i in face.w.word),
+    return {"w": _word_text(face.w.word),
             "theta": [i + 1 for i in face.theta]}
 
 
 def _wmon_json(x: MO.WmonElt) -> dict:
-    return {"w": " ".join(str(i + 1) for i in x.w.word),
+    return {"w": _word_text(x.w.word),
             "face": _face_json(x.face),
             "is_idempotent": x.is_idempotent(),
             "is_unit": x.is_unit()}
@@ -154,10 +159,10 @@ def _parse_nhat(datum, text: str) -> MO.NhatElt:
 
 def _nhat_json(x: MO.NhatElt) -> dict:
     kappa, face, residual = x.canonical()
-    return {"w": " ".join(str(i + 1) for i in x.w.word),
+    return {"w": _word_text(x.w.word),
             "torus": [str(v) for v in x.torus],
             "face": _face_json(face),
-            "canonical_w": " ".join(str(i + 1) for i in kappa.w.word),
+            "canonical_w": _word_text(kappa.w.word),
             "residual_torus": [str(v) for v in residual],
             "kappa": _wmon_json(kappa)}
 
@@ -268,7 +273,7 @@ def cmd_weyl_reduce(args):
     datum = _load_gcm(args)
     w = _parse_word(datum, args.word)
     _emit(args, {
-        "word": " ".join(str(i + 1) for i in w.word),
+        "word": _word_text(w.word),
         "length": w.length,
         "left_descents": [i + 1 for i in w.left_descents()],
         "right_descents": [i + 1 for i in w.right_descents()],
@@ -283,7 +288,7 @@ def cmd_dominant(args):
         dmin, v = W.antidominant_coweight(datum, d)
         _emit(args, {
             "antidominant": list(dmin),
-            "word": " ".join(str(i + 1) for i in v.word),
+            "word": _word_text(v.word),
         })
         return
     lam = _parse_weight(datum, args.weight)
@@ -295,7 +300,7 @@ def cmd_dominant(args):
     _emit(args, {
         "status": "ok",
         "dominant": _vec_str_list(res.dominant),
-        "word": " ".join(str(i + 1) for i in res.w.word),
+        "word": _word_text(res.w.word),
         "facet_type": [i + 1 for i in res.facet_type],
     })
 
@@ -453,7 +458,7 @@ def cmd_module_basis(args):
         out.append({
             "weight": list(wt),
             "dim": sp.dim,
-            "basis_words": [" ".join(str(i + 1) for i in word) for word in sp.words],
+            "basis_words": [_word_text(word) for word in sp.words],
             "gram": [[str(x) for x in row] for row in sp.gram],
         })
     _emit(args, {"depth": sl.depth, "spaces": out})

@@ -35,12 +35,19 @@ weight they read t on lies in it.  `toric`'s M-hat keeps its torus element
 the same way.  Every torus element a caller hands in (`torus_mul`,
 `nelt_mul`, `that_normalize`, `nhat_from`, ...) is read by
 `cartan.torus_values`, and the parameter s of t_h(s) as a one-value torus
-element; the normalizer monoid (`nhat_mul`, `nhat_inv`,
-`NhatElt.canonical`) calls the unchecked private forms on values that
-`nhat_from` read.  A character t(lam) is `exact.character`, evaluated
-fraction-free.  Normalizer elements are n_w t e(R) where n_w is the
-canonical lift of a reduced word; products use the rank-one cocycle
-n_i^2 = t_{h_i}(-1).
+element.  `torus_act`, `torus_from_coweight` and the normalizer entries
+read each other argument's type first: a wrong type is a DomainError
+naming it.  The normalizer monoid (`nhat_mul`, `nhat_inv`,
+`NhatElt.canonical`) runs the private forms `_nelt_mul` and `_nelt_inv` on
+values that `nhat_from` read.  A character t(lam) is `exact.character`,
+evaluated fraction-free.
+
+Normalizer elements are n_w t e(R), n_w the canonical lift of a reduced
+word, with the one cocycle n_i^2 = t_{h_i}(-1).  If s_i u < u (row i of
+P_u sums below 0), n_i n_u = n_i^2 n_{s_i u} = n_{s_i u} t_c(-1) with
+c = (s_i u)^{-1} h_i = -u^{-1} h_i, minus row i of P_u; t_c(-1) is
+(-1)^{c_j} at Lambda_j, so `_nelt_mul` xors row i mod 2 into one flip
+vector and negates the flagged values once, at the end.
 """
 from __future__ import annotations
 
@@ -49,7 +56,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import exact, faces as F, weyl as W
-from .cartan import RootDatum, exact_ints, torus_values
+from .cartan import RootDatum, _check_datum, exact_ints, torus_values
 from .errors import DomainError, InternalError, PreconditionViolated
 from .exact import IntVec
 from .faces import Face
@@ -71,6 +78,13 @@ class ZeroWeight:
 
 
 ZERO = ZeroWeight()
+
+
+def _expect(x, cls: type, what: str):
+    """x itself if it is a cls; anything else is a DomainError naming its type."""
+    if not isinstance(x, cls):
+        raise DomainError(f"expected {what}, got {type(x).__name__}")
+    return x
 
 
 # -- Weyl monoid ---------------------------------------------------------------
@@ -185,9 +199,10 @@ def torus_from_coweight(datum: RootDatum, h: Sequence[int], s: Fraction) -> Toru
     """t_h(s): the homomorphism lam -> s^{lam(h)}.  The coweight h has
     datum.m Python-int coordinates; anything else is a DomainError.  s is
     read as a one-value torus element (`cartan.torus_values`)."""
+    m = _check_datum(datum).m
     h = exact_ints(h, "torus coweight coordinate")
-    if len(h) != datum.m:
-        raise DomainError(f"torus coweight needs {datum.m} coordinates")
+    if len(h) != m:
+        raise DomainError(f"torus coweight needs {m} coordinates")
     (s,) = torus_values((s,), 1)
     s = Fraction(s, 1)  # an int to a negative power is a float
     return tuple(s ** y for y in h)
@@ -225,7 +240,7 @@ def torus_eval(t: TorusVals, weight: Sequence[int]) -> Fraction:
 def torus_act(u: WeylElt, t: TorusVals) -> TorusVals:
     """(u t)(lam) = t(u^{-1} lam) for t with one value per coordinate of
     u's datum, read by `cartan.torus_values`."""
-    return _torus_act(u, torus_values(t, u.datum.m))
+    return _torus_act(u, torus_values(t, _expect(u, WeylElt, "a WeylElt").datum.m))
 
 
 def _torus_act(u: WeylElt, t: TorusVals) -> TorusVals:
@@ -288,51 +303,45 @@ def that_eval(x: ThatElt, weight: Sequence[int]):
 NElt = tuple[WeylElt, TorusVals]  # n_w followed by a torus element: n_w * t
 
 
-def _minus_one_torus(datum: RootDatum, i: int) -> TorusVals:
-    return torus_from_coweight(datum, datum.coroot(i), Fraction(-1))
-
-
-def _gen_mul(i: int, v: WeylElt, t: TorusVals) -> tuple[WeylElt, TorusVals]:
-    """n_i * (n_v t): fold one canonical generator from the left."""
-    datum = v.datum
-    s = W.simple(datum, i)
-    if v.left_descent(i):
-        v2 = s * v
-        corr = _torus_act(v2.inv(), _minus_one_torus(datum, i))
-        return v2, _torus_mul(corr, t)
-    return s * v, t
+def _read_nelt(a) -> NElt:
+    """A pair (w, tau) of a WeylElt and a torus element, read by
+    `cartan.torus_values` as one value per coordinate of w's datum."""
+    if not (isinstance(a, (tuple, list)) and len(a) == 2):
+        raise DomainError(f"expected a (WeylElt, torus) pair, got {type(a).__name__}")
+    w, tau = a
+    return _expect(w, WeylElt, "a WeylElt"), torus_values(tau, w.datum.m)
 
 
 def nelt_mul(a: NElt, b: NElt) -> NElt:
-    """The product (n_w tau)(n_v s) = n_{wv} t.  Each torus element is read
-    by `cartan.torus_values` as one value per coordinate of its datum, and
-    factors of two root data are a PreconditionViolated."""
-    (w, tau), (v, s) = a, b
-    tau, s = torus_values(tau, w.datum.m), torus_values(s, v.datum.m)
+    """The product (n_w tau)(n_v s) = n_{wv} t of two pairs read by
+    `_read_nelt`; factors of two root data are a PreconditionViolated."""
+    (w, tau), (v, s) = _read_nelt(a), _read_nelt(b)
     if w.datum is not v.datum:
         raise PreconditionViolated("normalizer product of elements of two root data")
     return _nelt_mul((w, tau), (v, s))
 
 
 def _nelt_mul(a: NElt, b: NElt) -> NElt:
-    """nelt_mul for factors its caller checked."""
-    w, tau = a
-    v, s = b
-    cur_v, cur_t = v, _torus_mul(_torus_act(v.inv(), tau), s)
+    """nelt_mul for factors its caller checked: n_w folded into n_v from the
+    right, the cocycles kept as one flip vector (module docstring)."""
+    (w, tau), (v, s) = a, b
+    t = _torus_mul(_torus_act(v.inv(), tau), s)
+    flip = [0] * len(t)
     for i in reversed(w.word):
-        cur_v, cur_t = _gen_mul(i, cur_v, cur_t)
-    return cur_v, cur_t
+        row = v.mat_p[i]
+        if sum(row) < 0:  # s_i v < v
+            flip = [f ^ (r & 1) for f, r in zip(flip, row)]
+        v = W.simple(v.datum, i) * v
+    return v, tuple(-x if f else x for x, f in zip(t, flip))
 
 
 def nelt_lift(w: WeylElt) -> NElt:
-    return (w, torus_one(w.datum))
+    return (w, torus_one(_expect(w, WeylElt, "a WeylElt").datum))
 
 
 def nelt_inv(a: NElt) -> NElt:
-    """The inverse of n_w tau in the normalizer; the torus element is checked
-    as in `nelt_mul`."""
-    w, tau = a
-    return _nelt_inv((w, torus_values(tau, w.datum.m)))
+    """The inverse of n_w tau in the normalizer, a pair read as in `nelt_mul`."""
+    return _nelt_inv(_read_nelt(a))
 
 
 def _nelt_inv(a: NElt) -> NElt:
@@ -359,26 +368,23 @@ class NhatElt:
     def canonical(self) -> tuple[WmonElt, Face, TorusVals]:
         """(kappa-class, face, residual torus values on the face span).
 
-        The class determines the canonical sigma; the residual torus element
-        s with  n_w t e(R) = n_sigma s e(R)  is found by dividing off a lift
-        of sigma and an explicit centralizer lift of the leftover Weyl part.
-        """
+        The class gives the canonical sigma, and n_sigma^{-1} n_w t = n_v s0.
+        The centralizer lift m = n_{w_R} n_vbar n_{w_R}^{-1} of the leftover
+        v = w_R vbar w_R^{-1} is n_v b with b a sign vector, so the residual s
+        with n_w t e(R) = n_sigma s e(R) is n_v s0 b n_v^{-1} = v(s0 b)."""
         cached = self.__dict__.get("_canon")
         if cached is not None:
             return cached
         kappa_class = nhat_to_wmon(self)
-        sigma = kappa_class.w
-        q = _nelt_mul(_nelt_inv(nelt_lift(sigma)), (self.w, self.torus))
-        v, s0 = q
+        v, s0 = _nelt_mul(_nelt_inv(nelt_lift(kappa_class.w)), (self.w, self.torus))
         vbar = self.face.w.inv() * v * self.face.w
         if not W._strip_read(vbar, self.face.theta)[0].is_identity():
             raise InternalError("leftover Weyl part does not centralize the face")
         m = _nelt_mul(_nelt_mul(nelt_lift(self.face.w), nelt_lift(vbar)),
                       _nelt_inv(nelt_lift(self.face.w)))
-        res = _nelt_mul(q, _nelt_inv(m))
-        if not res[0].is_identity():
+        if m[0] != v:
             raise InternalError("centralizer lift failed to cancel the Weyl part")
-        restricted = that_normalize(res[1], self.face)
+        restricted = that_normalize(_torus_act(v, _torus_mul(s0, m[1])), self.face)
         canon = (kappa_class, self.face, restricted.values)
         object.__setattr__(self, "_canon", canon)
         return canon
@@ -394,23 +400,23 @@ class NhatElt:
 
 def nhat_from(w: WeylElt, t: Optional[TorusVals] = None,
               face: Optional[Face] = None) -> NhatElt:
-    datum = w.datum
+    datum = _expect(w, WeylElt, "a WeylElt").datum
     t = torus_one(datum) if t is None else torus_values(t, datum.m)
     if face is None:
         face = F.full_cone(datum)
-    elif face.datum is not datum:
+    elif _expect(face, Face, "a Face").datum is not datum:
         raise PreconditionViolated("normalizer element of a Weyl element and a face "
                                    "of two root data")
     return NhatElt(w=w, torus=t, face=face)
 
 
 def nhat_idempotent(face: Face) -> NhatElt:
-    return nhat_from(W.identity_elt(face.datum), face=face)
+    return nhat_from(W.identity_elt(_expect(face, Face, "a Face").datum), face=face)
 
 
 def nhat_mul(x: NhatElt, y: NhatElt) -> NhatElt:
     """e(R) n_v = n_v e(v^{-1} R) moves both idempotents to the right."""
-    if x.datum is not y.datum:
+    if _expect(x, NhatElt, "an NhatElt").datum is not _expect(y, NhatElt, "an NhatElt").datum:
         raise PreconditionViolated("normalizer-monoid product of elements of two root data")
     w, tau = _nelt_mul((x.w, x.torus), (y.w, y.torus))
     d = exact.vec_add(y.w.inv().act_coweight(x.face.exposing()), y.face.exposing())
@@ -419,12 +425,14 @@ def nhat_mul(x: NhatElt, y: NhatElt) -> NhatElt:
 
 def nhat_to_wmon(x: NhatElt) -> WmonElt:
     """kappa: N-hat / T  ->  W-hat (a monoid isomorphism)."""
+    _expect(x, NhatElt, "an NhatElt")
     return wm_normalize(x.w, F.act_face(x.w, x.face))
 
 
 def nhat_conj_idem(x: NhatElt, face: Face) -> Face:
     """n e(R) n^{-1} = e(wR) for n in the unit group N; returns e's new face."""
-    if not x.face.is_full_cone():
+    _expect(face, Face, "a Face")
+    if not _expect(x, NhatElt, "an NhatElt").face.is_full_cone():
         raise PreconditionViolated("conjugation of idempotents needs a unit of N-hat")
     prod = nhat_mul(nhat_mul(x, nhat_idempotent(face)), nhat_inv(x))
     expect = F.act_face(x.w, face)
@@ -435,5 +443,5 @@ def nhat_conj_idem(x: NhatElt, face: Face) -> Face:
 
 def nhat_inv(x: NhatElt) -> NhatElt:
     """Monoid inverse: (n t e(R))^inv = e(R) (n t)^{-1} = (nt)^{-1} e(wR)."""
-    w, tau = _nelt_inv((x.w, x.torus))
+    w, tau = _nelt_inv((_expect(x, NhatElt, "an NhatElt").w, x.torus))
     return NhatElt(w=w, torus=tau, face=F.act_face(x.w, x.face))

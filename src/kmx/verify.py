@@ -230,7 +230,9 @@ def _kappa_laws(rng: random.Random, datum: RootDatum, pairs: int) -> int:
 
 
 def _cocycle_holds(datum: RootDatum, i: int) -> bool:
-    """n_i(1)^2 = t_{h_i}(-1) in the normalizer, algebraically."""
+    """n_i(1)^2 = t_{h_i}(-1) in the normalizer, algebraically: the parity
+    route of `monoids.nelt_mul` against t_{h_i}(-1) as `torus_from_coweight`
+    forms it, one power of -1 per coordinate."""
     ni = MO.nelt_lift(W.simple(datum, i))
     w2, t2 = MO.nelt_mul(ni, ni)
     return w2.is_identity() and t2 == MO.torus_from_coweight(datum, datum.coroot(i),

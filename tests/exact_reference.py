@@ -67,6 +67,11 @@ and the package walks no compositions.
 After it, `min_double_coset` is the double coset walk as the package ran
 it before one left walk and one right walk served: it alternates the two
 one-sided minimal representatives until a round moves the element no more.
+
+Then `nelt_mul` is the normalizer product as the package ran it before it
+read the cocycle as a parity vector: each left descent i met while n_w's
+letters are folded into n_v multiplies the torus part by the Fraction torus
+v'^{-1} t_{h_i}(-1), m characters of its own.
 """
 
 import math
@@ -817,3 +822,19 @@ def min_double_coset(w: W.WeylElt, k: Sequence[int], j: Sequence[int]) -> W.Weyl
         if nxt == cur:
             return cur
         cur = nxt
+
+
+def nelt_mul(a, b):
+    """(n_w tau)(n_v s) = n_{wv} t, n_w folded into n_v one letter at a time;
+    n_i n_u = n_{u'} u'^{-1}(t_{h_i}(-1)) with u' = s_i u when s_i u < u."""
+    (w, tau), (v, s) = a, b
+    datum = v.datum
+    tau = tuple(Fraction(x) for x in tau)  # an int to a negative power is a float
+    t = tuple(x * y for x, y in zip(torus_act(v.inv(), tau), s))
+    for i in reversed(w.word):
+        u = W.simple(datum, i) * v
+        if v.left_descent(i):
+            sign = MO.torus_from_coweight(datum, datum.coroot(i), Fraction(-1))
+            t = tuple(x * y for x, y in zip(torus_act(u.inv(), sign), t))
+        v = u
+    return v, t

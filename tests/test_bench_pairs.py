@@ -109,3 +109,21 @@ def test_a_change_worse_than_its_bound_is_flagged(way, change, flagged):
 def test_bounds_are_the_benchmarks_end_to_end_bounds():
     assert BP.bounds() == {"setup_s": 0.25, "wall_s": 0.2, "op_p50_ms": 0.25,
                            "op_tail_ms": 0.25, "peak_rss_mb": 0.1}
+
+
+@pytest.mark.parametrize("argv,want", [([], ["coxeter-rank10", "hw-slices", "verify"]),
+                                       (["--workload", "verify"], ["verify"])])
+def test_every_workload_runs_when_none_is_named(monkeypatch, capsys, argv, want):
+    runs = []
+
+    def run_one(checkout, workload, seed, seconds):
+        runs.append((workload, seed))
+        return _result(1.0)
+
+    monkeypatch.setattr(BP, "export", lambda base, *dirs: None)
+    monkeypatch.setattr(BP, "run_one", run_one)
+    assert BP.main(argv + ["--seeds", "1-2", "--seconds", "1"]) == 0
+    assert BP.workloads() == ["coxeter-rank10", "hw-slices", "verify"]
+    assert runs == [(w, seed) for w in want for seed in (1, 1, 2, 2)]
+    out = capsys.readouterr().out
+    assert [ln.split(",")[0] for ln in out.splitlines() if "pairs, --seconds 1" in ln] == want

@@ -5,7 +5,7 @@ from operator import attrgetter
 
 import pytest
 
-from kmx import faces as FC, highest_weight as HW, monoids as MO, weyl as W
+from kmx import exact, faces as FC, highest_weight as HW, monoids as MO, weyl as W
 from kmx.cartan import (A2_ROWS, AFFINE_A1_ROWS, HYPERBOLIC_ROWS,
                         build_realization, torus_values)
 from kmx.errors import DomainError, PreconditionViolated, RankMismatch, ZeroTorusValue
@@ -285,6 +285,8 @@ def test_nelt_inv_checks_its_torus():
         MO.nelt_inv((W.simple(A2, 0), (1,)))
     with pytest.raises(ZeroTorusValue):
         MO.nelt_inv((W.simple(A2, 0), (0, 1)))
+    # a pair given as a list is read as a tuple
+    assert MO.nelt_inv([a[0], list(a[1])]) == MO.nelt_inv(a)
 
 
 def test_the_normalizer_monoid_runs_the_unchecked_forms(monkeypatch):
@@ -395,6 +397,20 @@ def test_nelt_group_laws():
             ai = MO.nelt_inv(a)
             prod = MO.nelt_mul(a, ai)
             assert prod[0].is_identity() and all(v == 1 for v in prod[1])
+
+
+def test_one_normalizer_product_forms_m_characters(monkeypatch):
+    # the cocycle of each descent is a parity vector, not a torus of m
+    # characters: n_i n_i made 2m, n_w n_{w^-1} one m per letter of w
+    real, calls = exact.character, []
+    monkeypatch.setattr(exact, "character", lambda t, x: calls.append(x) or real(t, x))
+    for datum in (A2, AFF, HYP):
+        for word in ([0], [0, 1], [1, 0, 1, 0], [0, 1, 0, 1, 0, 1]):
+            w = W.from_word(datum, word)
+            for b in (MO.nelt_lift(w), MO.nelt_lift(w.inv())):
+                calls.clear()
+                MO.nelt_mul((w, (Fr(2),) * datum.m), b)
+                assert len(calls) == datum.m
 
 
 def test_nhat_kappa_isomorphism():
@@ -561,3 +577,37 @@ def test_each_reader_reads_exact_values_only(name):
         for wrong in (good[:1], good + (0,)):
             with pytest.raises(DomainError, match="weight needs 2 coordinates"):
                 read(wrong)
+
+
+_N1 = MO.nelt_lift(_S1)
+_X1 = MO.nhat_from(_S1)
+
+# Each entry with one argument of the wrong type: each raised a raw
+# AttributeError or TypeError ("cannot unpack non-iterable int") before
+WRONG_TYPES = {
+    "torus_act": (lambda: MO.torus_act(1, (2, 3)), "a WeylElt, got int"),
+    "torus_from_coweight": (lambda: MO.torus_from_coweight(A2.gcm, (1, 0), 2),
+                            "a RootDatum, got GCM"),
+    "nelt_mul-left": (lambda: MO.nelt_mul(1, _N1), r"a \(WeylElt, torus\) pair, got int"),
+    "nelt_mul-right": (lambda: MO.nelt_mul(_N1, (1, (1, 1))), "a WeylElt, got int"),
+    "nelt_inv": (lambda: MO.nelt_inv(None), r"a \(WeylElt, torus\) pair, got NoneType"),
+    "nelt_inv-triple": (lambda: MO.nelt_inv((_S1, (1, 1), 1)),
+                        r"a \(WeylElt, torus\) pair, got tuple"),
+    "nelt_lift": (lambda: MO.nelt_lift(_N1), "a WeylElt, got tuple"),
+    "nhat_from-w": (lambda: MO.nhat_from((0,)), "a WeylElt, got tuple"),
+    "nhat_from-face": (lambda: MO.nhat_from(_S1, face=(0,)), "a Face, got tuple"),
+    "nhat_idempotent": (lambda: MO.nhat_idempotent(None), "a Face, got NoneType"),
+    "nhat_mul-left": (lambda: MO.nhat_mul(_S1, _X1), "an NhatElt, got WeylElt"),
+    "nhat_mul-right": (lambda: MO.nhat_mul(_X1, _N1), "an NhatElt, got tuple"),
+    "nhat_inv": (lambda: MO.nhat_inv(_S1), "an NhatElt, got WeylElt"),
+    "nhat_to_wmon": (lambda: MO.nhat_to_wmon(_N1), "an NhatElt, got tuple"),
+    "nhat_conj_idem-x": (lambda: MO.nhat_conj_idem(_S1, _FULL), "an NhatElt, got WeylElt"),
+    "nhat_conj_idem-face": (lambda: MO.nhat_conj_idem(_X1, 1), "a Face, got int"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRONG_TYPES))
+def test_a_wrong_argument_type_is_a_domain_error(name):
+    call, message = WRONG_TYPES[name]
+    with pytest.raises(DomainError, match="expected " + message):
+        call()

@@ -1,26 +1,28 @@
-"""Parent/change pairs of the kmx benchmark on one workload.
+"""Parent/change pairs of the kmx benchmark on each of its workloads.
 
-    python3 tools/bench_pairs.py --workload coxeter-rank10 --seeds 21-30 --seconds 3
+    python3 tools/bench_pairs.py --seeds 21-30 --seconds 3
     python3 tools/bench_pairs.py --workload verify --seeds 41,43,47 --base HEAD~1
 
 Exports the commit --base (default HEAD) with `git archive`, and the working
 tree's files that `git add -A` would commit, into two sibling directories
 whose paths have the same length, so that neither side's `peak_rss_mb`
-carries the offset of a longer path.  For each seed it runs
-`perfbench/run.py --workload W --seed S --seconds N` once in each directory
-under PYTHONDONTWRITEBYTECODE=1, the parent first on even pairs and the
-change first on odd ones.  It then prints, for each end-to-end metric of
-BENCHMARK.json, each side's median and quartiles, the change's median as a
-share of the parent's, the pairs the change wins (ties count for neither
-side), and whether a gain may be claimed: the change wins at least nine
-pairs in ten and its median is better than the parent's by more than the
-parent's interquartile range.  A metric whose change median is worse than
-the parent's by more than the metric's `bound` in BENCHMARK.json, read as a
-share of the parent's median (perfbench/README.md), is flagged "beyond
-bound"; the flag does not change the exit code.  It prints how many runs per
-side passed the benchmark's output gate and how many ops failed.  Stdlib
-only; run it from anywhere inside a kmx checkout.  It exits 1 if a run fails
-or its outputs do not pass the gate.
+carries the offset of a longer path.  For each workload (--workload W, or
+every workload of BENCHMARK.json in its order when it is left out) and
+each seed it runs `perfbench/run.py --workload W --seed S --seconds N`
+once in each directory under PYTHONDONTWRITEBYTECODE=1, the parent first
+on even pairs and the change first on odd ones.  After each workload it
+prints, for each end-to-end metric of BENCHMARK.json, each side's median
+and quartiles, the change's median as a share of the parent's, the pairs
+the change wins (ties count for neither side), and whether a gain may be
+claimed: the change wins at least nine pairs in ten and its median is
+better than the parent's by more than the parent's interquartile range.
+A metric whose change median is worse than the parent's by more than the
+metric's `bound` in BENCHMARK.json, read as a share of the parent's median
+(perfbench/README.md), is flagged "beyond bound"; the flag does not change
+the exit code.  It prints how many runs per side passed the benchmark's
+output gate and how many ops failed.  Stdlib only; run it from anywhere
+inside a kmx checkout.  It exits 1 if a run fails or its outputs do not
+pass the gate.
 """
 
 from __future__ import annotations
@@ -78,10 +80,20 @@ def run_one(checkout: str, workload: str, seed: int, seconds: int) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+def benchmark() -> dict:
+    """BENCHMARK.json, as read."""
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        return json.load(fh)
+
+
 def end_to_end() -> list[dict]:
     """The end-to-end metrics of BENCHMARK.json."""
-    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
-        return json.load(fh)["end_to_end"]
+    return benchmark()["end_to_end"]
+
+
+def workloads() -> list[str]:
+    """The workload names of BENCHMARK.json, in its order."""
+    return [w["name"] for w in benchmark()["workloads"]]
 
 
 def directions() -> dict[str, str]:
@@ -141,38 +153,49 @@ def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str],
     return lines, ok
 
 
+def run_pairs(dirs: list[str], workload: str, seeds: list[int],
+              seconds: int) -> list[tuple[dict, dict]]:
+    """(parent result, change result) per seed, the sides' order alternating."""
+    pairs = []
+    for k, seed in enumerate(seeds):
+        order = (0, 1) if k % 2 == 0 else (1, 0)
+        got = {}
+        for side in order:
+            got[side] = run_one(dirs[side], workload, seed, seconds)
+        pairs.append((got[0], got[1]))
+        print(f"# {workload} seed {seed}: " + ", ".join(
+            f"{SIDES[s]} {json.dumps({n: m['value'] for n, m in got[s]['metrics'].items()})}"
+            for s in order), flush=True)
+    return pairs
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--workload", required=True)
+    ap.add_argument("--workload", help="one workload (default: every workload of "
+                                       "BENCHMARK.json)")
     ap.add_argument("--seeds", default="21-30", help='e.g. "21-30" or "3,7,31"')
     ap.add_argument("--seconds", type=int, default=3)
     ap.add_argument("--base", default="HEAD", help="the parent revision (default HEAD)")
     args = ap.parse_args(argv)
     seeds = parse_seeds(args.seeds)
+    ok = True
     work = tempfile.mkdtemp(prefix="kmx-bench-pairs-")
     try:
         dirs = [os.path.join(work, side) for side in SIDES]
         export(args.base, *dirs)
-        pairs = []
-        for k, seed in enumerate(seeds):
-            order = (0, 1) if k % 2 == 0 else (1, 0)
-            got = {}
-            for side in order:
-                got[side] = run_one(dirs[side], args.workload, seed, args.seconds)
-            pairs.append((got[0], got[1]))
-            print(f"# seed {seed}: " + ", ".join(
-                f"{SIDES[s]} {json.dumps({n: m['value'] for n, m in got[s]['metrics'].items()})}"
-                for s in order), flush=True)
+        for workload in [args.workload] if args.workload else workloads():
+            pairs = run_pairs(dirs, workload, seeds, args.seconds)
+            lines, passed = summarize(pairs, directions(), bounds())
+            print(f"{workload}, {len(pairs)} pairs, --seconds {args.seconds}, "
+                  f"base {args.base}, seeds {args.seeds}")
+            for line in lines:
+                print(line)
+            ok = ok and passed
     except (RuntimeError, subprocess.CalledProcessError) as e:
         print(f"bench_pairs: {e}", file=sys.stderr)
         return 1
     finally:
         shutil.rmtree(work, ignore_errors=True)
-    lines, ok = summarize(pairs, directions(), bounds())
-    print(f"{args.workload}, {len(pairs)} pairs, --seconds {args.seconds}, "
-          f"base {args.base}, seeds {args.seeds}")
-    for line in lines:
-        print(line)
     return 0 if ok else 1
 
 
