@@ -23,6 +23,18 @@ Index convention: 0-based everywhere inside the library; the CLI shifts to
 read by `check_index`; a node subset is read by `index_set`, which reads
 each of its indices by `check_index` and returns the subset sorted without
 repeats.
+
+The API boundary.  A public entry of kmx reads each object argument it is
+handed once, before it uses it: a face, Weyl element, monoid element or
+datum by `_expect` (`_check_datum` for a datum), and a vector, index set or
+list by `entries` or a reader built on it.  A wrong type is a DomainError
+naming it.  A private core (a leading underscore) reads nothing, and code
+inside kmx calls the core whenever it holds values that kmx built or
+already read, so each value is read once, where it enters.  An entry that
+keeps what it builds on the datum (`weyl.identity_elt`, `weyl.simple`)
+reads the datum only on the miss that builds it, as only a RootDatum keeps
+one.  The RootDatum methods are outside the rule: `pair` is a bare dot
+product on hot paths.
 """
 
 from __future__ import annotations

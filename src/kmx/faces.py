@@ -34,11 +34,11 @@ representative w, which is the datum's one object for that element
 (`weyl`), and its descent walk is kept on the element it started from.  A
 face met again, by normalizing, by a meet or as the full cone, is the same
 object, so `exposing` runs once per face, and its table of Weyl-monoid
-classes (`Face._classes`, filled by `monoids.wm_normalize`) is one table.
+classes (`Face._classes`, filled by `monoids._wm_class`) is one table.
 
-The entries read the type of each face, Weyl element or datum they are
-handed first (`cartan._expect`, `cartan._check_datum`): a wrong type is a
-DomainError naming it.
+The entries read their arguments at the API boundary (`cartan`); the
+routes inside kmx run the cores `_normal_face`, `_act_face`,
+`_face_exposed_by` and `_conjugate_in`, which read nothing.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from . import weyl as W
 from .cartan import RootDatum, _check_datum, _expect, classify, index_set, one_based
 from .errors import DomainError, PreconditionViolated
 from .exact import IntVec, vec_add
-from .weyl import WeylElt, antidominant_coweight, dominant_rep
+from .weyl import WeylElt, dominant_rep
 
 
 @dataclass(frozen=True)
@@ -61,7 +61,7 @@ class Face:
     # dataclasses.replace never carries it over to another w or Theta
     _exposing: Optional[IntVec] = field(init=False, compare=False, repr=False, default=None)
     # sigma -> the Weyl-monoid class (this face, sigma), filled by
-    # `monoids.wm_normalize`; init=False as above
+    # `monoids._wm_class`; init=False as above
     _classes: Optional[dict] = field(init=False, compare=False, repr=False, default=None)
 
     @property
@@ -75,7 +75,7 @@ class Face:
         """Integer coweight w c_Theta whose zero set on the Tits cone is this face."""
         if self._exposing is None:
             object.__setattr__(self, "_exposing",
-                               self.w.act_coweight(self.datum.exposing_coweight(self.theta)))
+                               self.w._act_coweight(self.datum.exposing_coweight(self.theta)))
         return self._exposing  # type: ignore[return-value]
 
     def span_normals(self) -> tuple[IntVec, ...]:
@@ -110,7 +110,7 @@ def full_cone(datum: RootDatum) -> Face:
 
 
 def standard_face(datum: RootDatum, theta: Sequence[int]) -> Face:
-    return normalize_face(W.identity_elt(datum), theta)
+    return _normal_face(W.identity_elt(datum), index_set(datum.n, theta))
 
 
 def parse_face(datum: RootDatum, text: str) -> Face:
@@ -129,12 +129,18 @@ def parse_face(datum: RootDatum, text: str) -> Face:
         if key in fields:
             raise DomainError(f"face field {key!r} given twice")
         fields[key] = val
-    return normalize_face(W.from_word(datum, one_based(datum.n, fields.get("w", "").split())),
-                          one_based(datum.n, fields.get("theta", "").replace(",", " ").split()))
+    w = W._multiply_out(W.identity_elt(datum), one_based(datum.n, fields.get("w", "").split()))
+    return _normal_face(w, index_set(datum.n, one_based(
+        datum.n, fields.get("theta", "").replace(",", " ").split())))
 
 
 def act_face(u: WeylElt, r: Face) -> Face:
-    return _normal_face(_expect(u, WeylElt, "a WeylElt") * _expect(r, Face, "a Face").w, r.theta)
+    return _act_face(_expect(u, WeylElt, "a WeylElt"), _expect(r, Face, "a Face"))
+
+
+def _act_face(u: WeylElt, r: Face) -> Face:
+    """The face u R in normal form."""
+    return _normal_face(u * r.w, r.theta)
 
 
 def includes(r: Face, s: Face) -> bool:
@@ -157,7 +163,7 @@ def _face_exposed_by(datum: RootDatum, d: IntVec) -> Face:
         if not any(d):
             face = full_cone(datum)
         else:
-            dmin, v = antidominant_coweight(datum, d)
+            dmin, v = W._antidominant(datum, key)
             face = _normal_face(v.inv(), tuple(i for i in range(datum.n) if dmin[i] != 0))
         datum._exposed[key] = face
     return face
@@ -200,23 +206,28 @@ def in_span(r: Face, weight: Sequence) -> bool:
 
 def centralizes(r: Face, u: WeylElt) -> bool:
     """u fixes the face pointwise iff u lies in w_R W_Theta w_R^{-1}."""
-    u = _expect(u, WeylElt, "a WeylElt")
-    return W._strip_read(_expect(r, Face, "a Face").w.inv() * u * r.w, r.theta)[0].is_identity()
+    return _conjugate_in(_expect(r, Face, "a Face"), _expect(u, WeylElt, "a WeylElt"), r.theta)
 
 
 def normalizes(r: Face, u: WeylElt) -> bool:
-    u = _expect(u, WeylElt, "a WeylElt")
-    return W._strip_read(_expect(r, Face, "a Face").w.inv() * u * r.w,
-                         r.datum._stabilizer(r.theta))[0].is_identity()
+    """u maps the face onto itself iff u lies in w_R W_{Theta u Theta^perp} w_R^{-1}."""
+    return _conjugate_in(_expect(r, Face, "a Face"), _expect(u, WeylElt, "a WeylElt"),
+                         r.datum._stabilizer(r.theta))
+
+
+def _conjugate_in(r: Face, u: WeylElt, js: tuple[int, ...]) -> bool:
+    """w_R^{-1} u w_R lies in W_J, for a J read."""
+    return W._strip_read(r.w.inv() * u * r.w, js)[0].is_identity()
 
 
 def point_predicates(r: Face, weight: Sequence, own: Face) -> dict:
     """Predicates of r at a weight whose `face_of_point` is `own`; that walk
     certified the weight in the Tits cone.  The weight lies in r iff it
     pairs to zero with c_R, in r's interior iff its own face is r."""
-    return {"contains": _expect(r, Face, "a Face").datum.pair(weight, r.exposing()) == 0,
-            "in_relative_interior": own == r,
-            "in_span": in_span(r, weight)}
+    weight = _expect(r, Face, "a Face").datum._weight(weight)
+    return {"contains": r.datum.pair(weight, r.exposing()) == 0,
+            "in_relative_interior": _expect(own, Face, "a Face") == r,
+            "in_span": all(r.datum.pair(weight, h) == 0 for h in r.span_normals())}
 
 
 def face_predicates(r: Face, *, weight: Optional[Sequence] = None,
@@ -224,10 +235,12 @@ def face_predicates(r: Face, *, weight: Optional[Sequence] = None,
     """Predicates of r at `weight` and `u`.  One `face_of_point` walk certifies
     the weight (or raises its verdict) and gives the point predicates their
     own face."""
+    r = _expect(r, Face, "a Face")
     out: dict = {}
     if weight is not None:
         out = point_predicates(r, weight, face_of_point(r.datum, weight, cap=cap))
     if u is not None:
-        out["centralizes"] = centralizes(r, u)
-        out["normalizes"] = normalizes(r, u)
+        u = _expect(u, WeylElt, "a WeylElt")
+        out["centralizes"] = _conjugate_in(r, u, r.theta)
+        out["normalizes"] = _conjugate_in(r, u, r.datum._stabilizer(r.theta))
     return out

@@ -62,7 +62,10 @@ theta, matrix_coefficient, inner, evaluate_word and Distinct.
 
 A Letter reads its fields once, when it is built; the one word reader,
 `_read_word`, checks each letter against the datum before any is applied,
-and format_word only prints.
+and format_word only prints.  The entries read their other arguments at the
+API boundary (`cartan`); build_basis builds a slice it has not cached
+without reading again (`ModuleSlice._setup`), and bruhat_cell runs the
+Weyl-monoid cores.
 bruhat_cell reads the cell of a factored word in the Weyl monoid W-hat,
 where kappa lands, so it forms no torus cocycle.
 
@@ -123,7 +126,7 @@ from operator import add, sub
 from typing import Optional, Sequence
 
 from . import exact, faces as FC, monoids as MO, weyl as W
-from .cartan import (RootDatum, _check_datum, _components, check_index, entries,
+from .cartan import (RootDatum, _check_datum, _components, _expect, check_index, entries,
                      exact_ints, exact_rationals, one_based, torus_values, typed_numbers)
 from .errors import (DepthExceeded, DepthTooLarge, DomainError, InternalError,
                      NotDominant, NotFactored, PreconditionViolated, SizeGuard)
@@ -241,7 +244,8 @@ def real_roots_with_witness(datum: RootDatum, max_height: int
 
 
 def _check_dominant(datum: RootDatum, hw: Sequence[int]) -> Wt:
-    m = _check_datum(datum).m
+    """hw read as a dominant weight of a datum read."""
+    m = datum.m
     lam = exact_ints(hw, "highest weight coordinate")
     if len(lam) != m:
         raise NotDominant(f"highest weight needs {m} coordinates")
@@ -269,7 +273,7 @@ def weights_and_mults(datum: RootDatum, hw: Sequence[int], depth: int,
     (Lambda_i | alpha_j) integral, and each multiplicity is the exact
     quotient of two integers.
     """
-    lam_top = _check_dominant(datum, hw)
+    lam_top = _check_dominant(_check_datum(datum), hw)
     _depth_guard(datum, depth, max_depth)
     n = datum.n
     eps = tuple(int(e) for e in datum.gcm.eps)
@@ -375,11 +379,16 @@ class ModuleSlice:
 
     def __init__(self, datum: RootDatum, hw: Sequence[int], depth: int,
                  *, max_depth: Optional[int] = None):
+        hw = _check_dominant(_check_datum(datum), hw)
+        _depth_guard(datum, depth, max_depth)
+        self._setup(datum, hw, depth)
+
+    def _setup(self, datum: RootDatum, hw: Wt, depth: int):
+        """The build, for a datum, highest weight and depth read and guarded."""
         self.spaces: dict[Wt, WeightSpace] = {}
         self.datum = datum
-        self.hw = _check_dominant(datum, hw)
+        self.hw = hw
         self.depth = depth
-        _depth_guard(datum, depth, max_depth)
         self._build()
         # the build inserts the spaces in (height, weight) order
         self.order: tuple[Wt, ...] = tuple(self.spaces)
@@ -394,7 +403,7 @@ class ModuleSlice:
         # The edges and the n_i memos link the spaces in cycles.
         # Cutting them frees a dropped slice at once, not at the next full
         # garbage collection.
-        for sp in self.spaces.values():
+        for sp in getattr(self, "spaces", {}).values():  # none if a check refused the slice
             sp.up.clear()
             sp.down.clear()
             sp.n_mat.clear()
@@ -544,12 +553,15 @@ class ModuleSlice:
 def build_basis(datum: RootDatum, hw: Sequence[int], depth: int,
                 *, max_depth: Optional[int] = None) -> ModuleSlice:
     """ModuleSlice(datum, hw, depth), cached on the datum.  The input checks
-    and guards run on every call, before the cache is read."""
-    key = (_check_dominant(datum, hw), depth)
+    and guards run on every call, before the cache is read; a miss builds
+    the slice without reading them again (`ModuleSlice._setup`)."""
+    key = (_check_dominant(_check_datum(datum), hw), depth)
     _depth_guard(datum, depth, max_depth)
     cache = datum.__dict__.setdefault("_slice_cache", {})
     if key not in cache:
-        cache[key] = ModuleSlice(datum, hw, depth, max_depth=max_depth)
+        sl = ModuleSlice.__new__(ModuleSlice)
+        sl._setup(datum, *key)
+        cache[key] = sl
     return cache[key]
 
 
@@ -852,7 +864,7 @@ def word_columns(slice_: ModuleSlice, words: Sequence[GhatWord],
     _read_slice(slice_)
     if max_height is not None:
         _check_natural(max_height, "height")
-    read = [_read_word(slice_.datum, word) for word in words]
+    read = [_read_word(slice_.datum, word) for word in entries(words, "word")]
     for wt in slice_.order:
         sp = slice_.spaces[wt]
         if max_height is not None and sp.height > max_height:
@@ -969,7 +981,7 @@ def probe_equal(datum: RootDatum, w1: GhatWord, w2: GhatWord, probes: Sequence):
     """
     _check_datum(datum)
     tried = []
-    for probe in probes:
+    for probe in entries(probes, "probe"):
         shape = entries(probe, "probe")
         if len(shape) not in (2, 3):
             raise DomainError(f"probe {probe!r} is not (hw, depth) or (hw, depth, max_height)")
@@ -1028,7 +1040,8 @@ def bruhat_cell(datum: RootDatum, word: GhatWord) -> WmonElt:
     The word is read by `_read_word`, and the cell in W-hat through kappa:
     N(i) is the unit s_i, E(face) the face's idempotent, T the unit.
     """
-    middle = MO.wm_unit(_check_datum(datum))
+    full = FC.full_cone(_check_datum(datum))
+    middle = MO._wm_class(full.w, full)
     started = False  # past the lowering prefix
     pending_plus: list[Letter] = []
     for letter in _read_word(datum, word):
@@ -1038,7 +1051,7 @@ def bruhat_cell(datum: RootDatum, word: GhatWord) -> WmonElt:
                 continue  # part of the lowering prefix; irrelevant for the cell
             # middle is e(F) n_sigma = n_sigma e(sigma^-1 F): its right face
             root = tuple(-1 if j == letter[1] else 0 for j in range(datum.n))
-            if not pending_plus and _absorbs(FC.act_face(middle.w.inv(), middle.face),
+            if not pending_plus and _absorbs(FC._act_face(middle.w.inv(), middle.face),
                                              root, side="right"):
                 continue
             raise NotFactored("lowering letter after the normalizer block")
@@ -1059,8 +1072,8 @@ def bruhat_cell(datum: RootDatum, word: GhatWord) -> WmonElt:
                     raise NotFactored("raising letter does not absorb into the idempotent")
             pending_plus = []
         started = True
-        middle = MO.wm_mul(middle, MO.wm_unit(datum, W.simple(datum, letter[1]))
-                           if tag == "N" else MO.wm_idempotent(letter[1]))
+        middle = MO._wm_mul(middle, MO._wm_class(W._multiply_out(full.w, (letter[1],)), full)
+                            if tag == "N" else MO._wm_class(full.w, letter[1]))
     return middle
 
 
@@ -1096,8 +1109,9 @@ def format_word(word: GhatWord) -> str:
 def parse_word(datum: RootDatum, text: str) -> GhatWord:
     """Parse the external word syntax, e.g.
     "X+(1;3/2) X-(2;-1) T(h1;2) N(1) E(w=3 1; theta=1,2)"."""
+    _check_datum(datum)
     letters: list[Letter] = []
-    rest = text.strip()
+    rest = _expect(text, str, "a str").strip()
     pos = 0
     while pos < len(rest):
         mm = _LETTER_RE.match(rest, pos)

@@ -15,7 +15,7 @@ comes up, and the faces it returns keep their exposing coweights, so a
 face met again costs neither a walk nor a Weyl action.
 
 One object per class.  Each face keeps a table of its classes
-(`Face._classes`, sigma -> class): `wm_normalize` looks sigma up there,
+(`Face._classes`, sigma -> class): `_wm_class` looks sigma up there,
 computes the representative only on a miss and keeps the class under both
 sigma and its representative, so `wm_unit`, `wm_idempotent`, `wm_invert`,
 `nhat_to_wmon` and `NhatElt.canonical` meet each class as one object.  A
@@ -33,16 +33,12 @@ form is run.  Each keeps the torus element t it was normalized from, and
 its product, its Weyl action and its value on a weight work through t: t
 agrees with the canonical values on that lattice, and every weight they
 read t on lies in it.  `toric`'s M-hat keeps its torus element the same
-way.  Every torus element a caller hands in (`torus_mul`,
-`nelt_mul`, `that_normalize`, `nhat_from`, ...) is read by
-`cartan.torus_values`, and the parameter s of t_h(s) as a one-value torus
-element.  `torus_act`, `torus_from_coweight` and the normalizer entries
-read each other argument's type first, as do the Weyl-monoid and
-torus-monoid entries (`cartan._expect`): a wrong type is a DomainError
-naming it.  The normalizer monoid (`nhat_mul`, `nhat_inv`,
-`NhatElt.canonical`) runs the private forms `_nelt_mul` and `_nelt_inv` on
-values that `nhat_from` read.  A character t(lam) is `exact.character`,
-evaluated fraction-free.
+way.  The entries read their arguments at the API boundary (`cartan`): a
+torus element by `cartan.torus_values`, the parameter s of t_h(s) as a
+one-value torus element.  Every route inside runs the private cores
+(`_wm_class`, `_wm_mul`, `_that`, `_nelt_mul`, `_nelt_inv`, `_nhat_mul`,
+`_lift`) on what it read or built, so `NhatElt.canonical` reads nothing.  A
+character t(lam) is `exact.character`, evaluated fraction-free.
 
 Normalizer elements are n_w t e(R), n_w the canonical lift of a reduced
 word, with the one cocycle n_i^2 = t_{h_i}(-1).  If s_i u < u (row i of
@@ -59,7 +55,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import exact, faces as F, weyl as W
-from .cartan import RootDatum, _check_datum, _expect, exact_ints, torus_values
+from .cartan import RootDatum, _check_datum, _expect, entries, exact_ints, torus_values
 from .errors import DomainError, InternalError, PreconditionViolated
 from .exact import IntVec
 from .faces import Face
@@ -122,13 +118,18 @@ def _centralizer_rep(face: Face, sigma: WeylElt) -> WeylElt:
 
 
 def wm_normalize(w: WeylElt, face: Face) -> WmonElt:
-    """The class of (face, w), looked up in the face's table of classes by w.
-    On a miss the representative is computed once and the class is kept
-    under both w and its representative.  A Weyl element and a face of two
-    root data are a PreconditionViolated."""
+    """The class of (face, w); a Weyl element and a face of two root data
+    are a PreconditionViolated."""
     if _expect(w, WeylElt, "a WeylElt").datum is not _expect(face, Face, "a Face").datum:
         raise PreconditionViolated("Weyl-monoid class of a Weyl element and a face "
                                    "of two root data")
+    return _wm_class(w, face)
+
+
+def _wm_class(w: WeylElt, face: Face) -> WmonElt:
+    """The class of (face, w), looked up in the face's table of classes by w.
+    On a miss the representative is computed once and the class is kept
+    under both w and its representative."""
     classes = W._memo(face, "_classes")
     x = classes.get(w)
     if x is None:
@@ -141,32 +142,43 @@ def wm_normalize(w: WeylElt, face: Face) -> WmonElt:
 
 
 def wm_unit(datum: RootDatum, w: Optional[WeylElt] = None) -> WmonElt:
-    return wm_normalize(w if w is not None else W.identity_elt(datum),
-                        F.full_cone(datum))
+    """The unit (full cone, w), w the identity when left out; a w of another
+    root datum is a PreconditionViolated, as in `wm_normalize`."""
+    full = F.full_cone(_check_datum(datum))
+    if w is None:
+        w = full.w
+    elif _expect(w, WeylElt, "a WeylElt").datum is not datum:
+        raise PreconditionViolated("Weyl-monoid class of a Weyl element and a face "
+                                   "of two root data")
+    return _wm_class(w, full)
 
 
 def wm_idempotent(face: Face) -> WmonElt:
-    return wm_normalize(W.identity_elt(_expect(face, Face, "a Face").datum), face)
+    return _wm_class(W.identity_elt(_expect(face, Face, "a Face").datum), face)
 
 
 def wm_mul(x: WmonElt, y: WmonElt) -> WmonElt:
+    """The product x y of two classes of one root datum (`_wm_mul`)."""
+    if _expect(x, WmonElt, "a WmonElt").datum is not _expect(y, WmonElt, "a WmonElt").datum:
+        raise PreconditionViolated("Weyl-monoid product of classes of two root data")
+    return _wm_mul(x, y)
+
+
+def _wm_mul(x: WmonElt, y: WmonElt) -> WmonElt:
     """(R, sigma)(S, tau) = (R cap sigma S, sigma tau): the meet is the face
     exposed by c_R + sigma c_S, for exposing coweights c_R of R and c_S of S.
-    The product is kept on x, keyed by y, and computed only on a miss, where
-    y's type is read."""
-    kept = W._memo(_expect(x, WmonElt, "a WmonElt"), "_products")
+    The product is kept on x, keyed by y, and computed only on a miss."""
+    kept = W._memo(x, "_products")
     z = kept.get(y)
     if z is None:
-        if x.datum is not _expect(y, WmonElt, "a WmonElt").datum:
-            raise PreconditionViolated("Weyl-monoid product of classes of two root data")
-        d = exact.vec_add(x.face.exposing(), x.w.act_coweight(y.face.exposing()))
-        z = kept[y] = wm_normalize(x.w * y.w, F._face_exposed_by(x.datum, d))
+        d = exact.vec_add(x.face.exposing(), x.w._act_coweight(y.face.exposing()))
+        z = kept[y] = _wm_class(x.w * y.w, F._face_exposed_by(x.datum, d))
     return z
 
 
 def wm_invert(x: WmonElt) -> WmonElt:
     u = _expect(x, WmonElt, "a WmonElt").w.inv()
-    return wm_normalize(u, F.act_face(u, x.face))
+    return _wm_class(u, F._act_face(u, x.face))
 
 
 def wm_apply(x: WmonElt, weight: Sequence):
@@ -190,7 +202,11 @@ TorusVals = tuple[Fraction, ...]  # values on the fundamental-weight basis of P
 
 
 def torus_one(datum: RootDatum) -> TorusVals:
-    return (Fraction(1),) * _check_datum(datum).m
+    return _one(_check_datum(datum))
+
+
+def _one(datum: RootDatum) -> TorusVals:
+    return (Fraction(1),) * datum.m
 
 
 def torus_from_coweight(datum: RootDatum, h: Sequence[int], s: Fraction) -> TorusVals:
@@ -209,6 +225,7 @@ def torus_from_coweight(datum: RootDatum, h: Sequence[int], s: Fraction) -> Toru
 def torus_mul(a: TorusVals, b: TorusVals) -> TorusVals:
     """The product a b of two torus elements with as many values, each read
     by `cartan.torus_values`: b's count is read against a's."""
+    a = entries(a, "torus value")
     a = torus_values(a, len(a))
     return _torus_mul(a, torus_values(b, len(a)))
 
@@ -220,6 +237,7 @@ def _torus_mul(a: TorusVals, b: TorusVals) -> TorusVals:
 def torus_inv(a: TorusVals) -> TorusVals:
     """The inverse of a torus element, value by value, as Fractions; a is
     read by `cartan.torus_values`."""
+    a = entries(a, "torus value")
     return _torus_inv(torus_values(a, len(a)))
 
 
@@ -267,27 +285,33 @@ class ThatElt:
 
 
 def that_normalize(t: TorusVals, face: Face) -> ThatElt:
-    t = torus_values(t, _expect(face, Face, "a Face").datum.m)
+    return _that(torus_values(t, _expect(face, Face, "a Face").datum.m), face)
+
+
+def _that(t: TorusVals, face: Face) -> ThatElt:
+    """t e(face) in canonical form, for a t of m values."""
     basis = tuple(col for j, col in enumerate(zip(*face.w.mat_p)) if j not in face.theta)
     return ThatElt(face=face, basis=basis,
                    values=tuple(exact.character(t, b) for b in basis), rep=t)
 
 
 def that_idempotent(face: Face) -> ThatElt:
-    return that_normalize(torus_one(_expect(face, Face, "a Face").datum), face)
+    return _that(_one(_expect(face, Face, "a Face").datum), face)
 
 
 def that_mul(x: ThatElt, y: ThatElt) -> ThatElt:
-    """(t e(R)) (t' e(S)) = t t' e(R cap S)."""
-    face = F.intersect(_expect(x, ThatElt, "a ThatElt").face,
-                       _expect(y, ThatElt, "a ThatElt").face)
-    return that_normalize(_torus_mul(x.rep, y.rep), face)
+    """(t e(R)) (t' e(S)) = t t' e(R cap S), the meet exposed by c_R + c_S."""
+    if _expect(x, ThatElt, "a ThatElt").datum is not _expect(y, ThatElt, "a ThatElt").datum:
+        raise PreconditionViolated("meet of faces of two root data")
+    d = exact.vec_add(x.face.exposing(), y.face.exposing())
+    return _that(_torus_mul(x.rep, y.rep), F._face_exposed_by(x.datum, d))
 
 
 def that_act(u: WeylElt, x: ThatElt) -> ThatElt:
     """sigma(t e(R)) = sigma(t) e(sigma R)."""
-    face = F.act_face(u, _expect(x, ThatElt, "a ThatElt").face)
-    return that_normalize(_torus_act(u, x.rep), face)
+    x = _expect(x, ThatElt, "a ThatElt")
+    face = F._act_face(_expect(u, WeylElt, "a WeylElt"), x.face)
+    return _that(_torus_act(u, x.rep), face)
 
 
 def that_eval(x: ThatElt, weight: Sequence[int]):
@@ -330,12 +354,16 @@ def _nelt_mul(a: NElt, b: NElt) -> NElt:
         row = v.mat_p[i]
         if sum(row) < 0:  # s_i v < v
             flip = [f ^ (r & 1) for f, r in zip(flip, row)]
-        v = W.simple(v.datum, i) * v
+        v = W._multiply_out(v.inv(), (i,)).inv()  # s_i v = (v^{-1} s_i)^{-1}
     return v, tuple(-x if f else x for x, f in zip(t, flip))
 
 
 def nelt_lift(w: WeylElt) -> NElt:
-    return (w, torus_one(_expect(w, WeylElt, "a WeylElt").datum))
+    return _lift(_expect(w, WeylElt, "a WeylElt"))
+
+
+def _lift(w: WeylElt) -> NElt:
+    return (w, _one(w.datum))
 
 
 def nelt_inv(a: NElt) -> NElt:
@@ -347,7 +375,7 @@ def _nelt_inv(a: NElt) -> NElt:
     """nelt_inv for an element its caller checked."""
     w, tau = a
     wi = w.inv()
-    _, c0 = _nelt_mul(nelt_lift(wi), nelt_lift(w))
+    _, c0 = _nelt_mul(_lift(wi), _lift(w))
     corr = _torus_act(w, _torus_inv(_torus_mul(tau, c0)))
     return (wi, corr)
 
@@ -374,10 +402,10 @@ class NhatElt:
         cached = self.__dict__.get("_canon")
         if cached is not None:
             return cached
-        kappa_class = nhat_to_wmon(self)
+        kappa_class = _wm_class(self.w, F._act_face(self.w, self.face))
         face = self.face
-        u, r = _nelt_mul(_nelt_mul(_nelt_inv(nelt_lift(kappa_class.w)), (self.w, self.torus)),
-                         nelt_lift(face.w))
+        u, r = _nelt_mul(_nelt_mul(_nelt_inv(_lift(kappa_class.w)), (self.w, self.torus)),
+                         _lift(face.w))
         if not W._strip_read(face.w.inv() * u, face.theta)[0].is_identity():
             raise InternalError("leftover Weyl part does not lie in the face's W_Theta")
         canon = (kappa_class, face, tuple(x for j, x in enumerate(r) if j not in face.theta))
@@ -396,7 +424,7 @@ class NhatElt:
 def nhat_from(w: WeylElt, t: Optional[TorusVals] = None,
               face: Optional[Face] = None) -> NhatElt:
     datum = _expect(w, WeylElt, "a WeylElt").datum
-    t = torus_one(datum) if t is None else torus_values(t, datum.m)
+    t = _one(datum) if t is None else torus_values(t, datum.m)
     if face is None:
         face = F.full_cone(datum)
     elif _expect(face, Face, "a Face").datum is not datum:
@@ -406,32 +434,43 @@ def nhat_from(w: WeylElt, t: Optional[TorusVals] = None,
 
 
 def nhat_idempotent(face: Face) -> NhatElt:
-    return nhat_from(W.identity_elt(_expect(face, Face, "a Face").datum), face=face)
+    return _nhat_idem(_expect(face, Face, "a Face"))
+
+
+def _nhat_idem(face: Face) -> NhatElt:
+    return NhatElt(w=W.identity_elt(face.datum), torus=_one(face.datum), face=face)
 
 
 def nhat_mul(x: NhatElt, y: NhatElt) -> NhatElt:
-    """e(R) n_v = n_v e(v^{-1} R) moves both idempotents to the right."""
+    """The product x y of two elements of one root datum (`_nhat_mul`)."""
     if _expect(x, NhatElt, "an NhatElt").datum is not _expect(y, NhatElt, "an NhatElt").datum:
         raise PreconditionViolated("normalizer-monoid product of elements of two root data")
+    return _nhat_mul(x, y)
+
+
+def _nhat_mul(x: NhatElt, y: NhatElt) -> NhatElt:
+    """e(R) n_v = n_v e(v^{-1} R) moves both idempotents to the right."""
     w, tau = _nelt_mul((x.w, x.torus), (y.w, y.torus))
-    d = exact.vec_add(y.w.inv().act_coweight(x.face.exposing()), y.face.exposing())
+    d = exact.vec_add(y.w.inv()._act_coweight(x.face.exposing()), y.face.exposing())
     return NhatElt(w=w, torus=tau, face=F._face_exposed_by(x.datum, d))
 
 
 def nhat_to_wmon(x: NhatElt) -> WmonElt:
     """kappa: N-hat / T  ->  W-hat (a monoid isomorphism)."""
-    _expect(x, NhatElt, "an NhatElt")
-    return wm_normalize(x.w, F.act_face(x.w, x.face))
+    return _wm_class(_expect(x, NhatElt, "an NhatElt").w, F._act_face(x.w, x.face))
 
 
 def nhat_conj_idem(x: NhatElt, face: Face) -> Face:
     """n e(R) n^{-1} = e(wR) for n in the unit group N; returns e's new face."""
-    _expect(face, Face, "a Face")
+    face = _expect(face, Face, "a Face")
     if not _expect(x, NhatElt, "an NhatElt").face.is_full_cone():
         raise PreconditionViolated("conjugation of idempotents needs a unit of N-hat")
-    prod = nhat_mul(nhat_mul(x, nhat_idempotent(face)), nhat_inv(x))
-    expect = F.act_face(x.w, face)
-    if prod != nhat_idempotent(expect):
+    if x.datum is not face.datum:
+        raise PreconditionViolated("normalizer-monoid product of elements of two root data")
+    w, tau = _nelt_inv((x.w, x.torus))  # the inverse of a unit has the full cone too
+    prod = _nhat_mul(_nhat_mul(x, _nhat_idem(face)), NhatElt(w=w, torus=tau, face=x.face))
+    expect = F._act_face(x.w, face)
+    if prod != _nhat_idem(expect):
         raise InternalError("idempotent conjugation disagrees with the face action")
     return expect
 
@@ -439,4 +478,4 @@ def nhat_conj_idem(x: NhatElt, face: Face) -> Face:
 def nhat_inv(x: NhatElt) -> NhatElt:
     """Monoid inverse: (n t e(R))^inv = e(R) (n t)^{-1} = (nt)^{-1} e(wR)."""
     w, tau = _nelt_inv((_expect(x, NhatElt, "an NhatElt").w, x.torus))
-    return NhatElt(w=w, torus=tau, face=F.act_face(x.w, x.face))
+    return NhatElt(w=w, torus=tau, face=F._act_face(x.w, x.face))

@@ -22,8 +22,11 @@ it ends at the first negative pairing.  The face lattice is built once,
 with indexes by active set and by ray set, so `face_of` and `face_meet` are
 lookups.  A face's dimension comes from one elimination of its normals
 (`exact.int_rref`); its hull, one Smith normal form, is built when it is
-first read.  Every query that takes a face reads it through one check
-(`LatticeMonoid._own`): a face of another monoid is a PreconditionViolated.
+first read.  The entries read their arguments at the API boundary
+(`cartan`): every query that takes a face reads it through one check
+(`LatticeMonoid._own`), and a face of another monoid is a
+PreconditionViolated.  `subfaces`, `principal_open` and `mhat_idempotents`
+read none of the faces that they enumerate themselves.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from operator import mul
 from typing import Optional, Sequence
 
 from . import exact
-from .cartan import exact_ints, torus_values
+from .cartan import _expect, entries, exact_ints, torus_values
 from .errors import (InternalError, NotAFace, NotInMonoid, PreconditionViolated, RankMismatch,
                      SizeGuard)
 from .exact import IntVec
@@ -143,7 +146,7 @@ class LatticeMonoid:
             raise RankMismatch(f"rank {rank} is negative")
         if rank > RANK_GUARD:
             raise SizeGuard(f"rank guarded to <= {RANK_GUARD}")
-        gens = [exact_ints(g, "generator coordinate") for g in generators]
+        gens = [exact_ints(g, "generator coordinate") for g in entries(generators, "generator")]
         if any(len(g) != rank for g in gens):
             raise RankMismatch("generator length differs from the ambient rank")
         if len(gens) > GENERATOR_GUARD:
@@ -242,7 +245,7 @@ class LatticeMonoid:
         """f, once checked to be a face of this monoid: a face of another
         monoid is a PreconditionViolated."""
         faces = self.faces()
-        if f.index >= len(faces) or faces[f.index] is not f:
+        if _expect(f, MonoidFace, "a MonoidFace").index >= len(faces) or faces[f.index] is not f:
             raise PreconditionViolated("face of another monoid")
         return f
 
@@ -266,7 +269,8 @@ class LatticeMonoid:
         return h
 
     def subfaces(self, f: MonoidFace) -> tuple[MonoidFace, ...]:
-        return tuple(g for g in self.faces() if self.face_leq(g, f))
+        rs = set(self._own(f).ray_ids)
+        return tuple(g for g in self.faces() if rs.issuperset(g.ray_ids))
 
     # -- section 1.2 operations -------------------------------------------------
 
@@ -284,8 +288,8 @@ class LatticeMonoid:
 
     def principal_open(self, m: Sequence[int]) -> tuple[MonoidFace, ...]:
         """Faces G with e(G)(m) != 0, i.e. G containing the ri-face of m."""
-        fm = self.face_of(m)
-        return tuple(g for g in self.faces() if self.face_leq(fm, g))
+        rs = self.face_of(m).ray_ids
+        return tuple(g for g in self.faces() if set(g.ray_ids).issuperset(rs))
 
 
 # -- the Hom monoid -------------------------------------------------------------
@@ -320,29 +324,35 @@ def mhat_normalize(monoid: LatticeMonoid, t: Sequence[Fraction], f: MonoidFace) 
     """t e(F) for a torus element t of `monoid.rank` values, read by
     `cartan.torus_values`.  A face of another monoid is a
     PreconditionViolated."""
-    monoid._own(f)
-    t = torus_values(t, monoid.rank)
+    f = _expect(monoid, LatticeMonoid, "a LatticeMonoid")._own(f)
+    return _mhat(monoid, torus_values(t, monoid.rank), f)
+
+
+def _mhat(monoid: LatticeMonoid, t: tuple, f: MonoidFace) -> MhatElt:
+    """t e(F) for t of `monoid.rank` values and a face of the monoid."""
     return MhatElt(monoid=monoid, face_index=f.index,
                    values=tuple(exact.character(t, b) for b in f.hull), rep=t)
 
 
 def mhat_idempotent(monoid: LatticeMonoid, f: MonoidFace) -> MhatElt:
-    return mhat_normalize(monoid, (Fraction(1),) * monoid.rank, f)
+    f = _expect(monoid, LatticeMonoid, "a LatticeMonoid")._own(f)
+    return _mhat(monoid, (Fraction(1),) * monoid.rank, f)
 
 
 def mhat_idempotents(monoid: LatticeMonoid) -> tuple[MhatElt, ...]:
-    return tuple(mhat_idempotent(monoid, f) for f in monoid.faces())
+    one = (Fraction(1),) * _expect(monoid, LatticeMonoid, "a LatticeMonoid").rank
+    return tuple(_mhat(monoid, one, f) for f in monoid.faces())
 
 
 def mhat_unit(monoid: LatticeMonoid, t: Sequence[Fraction]) -> MhatElt:
     """A unit: t e(F) for the whole monoid F, t checked as in `mhat_normalize`."""
-    return mhat_normalize(monoid, t, monoid.top_face())
+    top = _expect(monoid, LatticeMonoid, "a LatticeMonoid").top_face()
+    return _mhat(monoid, torus_values(t, monoid.rank), top)
 
 
 def mhat_mul(x: MhatElt, y: MhatElt) -> MhatElt:
     """(t e(F)) (t' e(G)) = t t' e(F cap G)."""
-    if x.monoid is not y.monoid:
+    if _expect(x, MhatElt, "an MhatElt").monoid is not _expect(y, MhatElt, "an MhatElt").monoid:
         raise PreconditionViolated("product of elements of two different monoids")
     m = x.monoid
-    return mhat_normalize(m, tuple(a * b for a, b in zip(x.rep, y.rep)),
-                          m.face_meet(x.face, y.face))
+    return _mhat(m, tuple(a * b for a, b in zip(x.rep, y.rep)), m.face_meet(x.face, y.face))

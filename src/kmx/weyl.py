@@ -46,10 +46,11 @@ to `_multiply_out` once, at the end, not back through `from_word`'s reader.
 `denominator` walks the signed orbit of rho, truncated by height, on the
 vectors rho - w rho alone: it reads the GCM and builds no element.
 
-The entries read the type of the datum or element they are handed first
-(`cartan._check_datum`, `cartan._expect`), a wrong type a DomainError naming
-it; `identity_elt` reads it only on the miss that builds the identity, as
-only a RootDatum keeps one.
+The entries read their arguments at the API boundary (`cartan`):
+`identity_elt` and `simple` read the datum only on the miss that builds the
+identity or the reflections.  The cores that `faces` and `monoids` call on
+what kmx built (`_strip_read`, `_multiply_out`, `_antidominant`,
+`WeylElt._act_coweight`) read nothing.
 
 One object per element.  Each root datum keeps a table of its Weyl elements
 keyed by P (`RootDatum._weyl`), and every element this module builds comes
@@ -155,13 +156,17 @@ class WeylElt:
     def act_coweight(self, y: Sequence) -> Vec:
         """Contragredient action y^T P^{-1} on a coweight read by
         `cartan.exact_rationals` (a rational point of H, as the weights are of
-        P): the rows of mat_p_inv at the nonzero coordinates of y, scaled and
-        added."""
+        P)."""
         y = exact_rationals(y, "coweight coordinate")
         m = len(self.mat_p_inv)
         if len(y) != m:
             raise DomainError(f"coweight needs {m} coordinates")
-        out = repeat(0, m)
+        return self._act_coweight(y)
+
+    def _act_coweight(self, y: Vec) -> Vec:
+        """act_coweight of a coweight of m coordinates that kmx built: the
+        rows of mat_p_inv at the nonzero coordinates of y, scaled and added."""
+        out = repeat(0, len(y))
         for yr, row in zip(y, self.mat_p_inv):
             if yr:
                 out = map(add, out, map(mul, row, repeat(yr)))
@@ -280,13 +285,17 @@ def identity_elt(datum: RootDatum) -> WeylElt:
 
 
 def simple(datum: RootDatum, i: int) -> WeylElt:
-    check_index(_check_datum(datum).n, i)
-    if not hasattr(datum, "_simple_elts"):
-        elts = tuple(_multiply_out(identity_elt(datum), (j,)) for j in range(datum.n))
+    """The simple reflection s_i, the datum's reflections built on first
+    use; only a RootDatum keeps them, so the datum's type is read there."""
+    elts = getattr(datum, "_simple_elts", None)
+    if elts is None:
+        e = identity_elt(_check_datum(datum))
+        elts = tuple(_multiply_out(e, (j,)) for j in range(datum.n))
         for j, s in enumerate(elts):
             _keep(s, "_word", (j,))  # its canonical word, known without a walk
         datum._simple_elts = elts
-    return datum._simple_elts[i]
+    check_index(datum.n, i)
+    return elts[i]
 
 
 def _multiply_out(w: WeylElt, letters: Sequence[int]) -> WeylElt:
@@ -491,9 +500,16 @@ def antidominant_coweight(datum: RootDatum, coweight: Sequence) -> tuple[Vec, We
     > 0, takes d_i -= c and alpha_j(d) -= c a_ij, O(n) per reflection.  The
     returned v, with v * coweight = d, is multiplied out once at the end.
     """
-    d = list(exact_ints(coweight, "coweight coordinate"))
+    d = exact_ints(coweight, "coweight coordinate")
     if len(d) != _check_datum(datum).m:
         raise DomainError(f"coweight needs {datum.m} coordinates")
+    return _antidominant(datum, d)
+
+
+def _antidominant(datum: RootDatum, coweight: Vec) -> tuple[Vec, WeylElt]:
+    """antidominant_coweight of an int coweight of m coordinates that kmx
+    built (`faces._face_exposed_by`)."""
+    d = list(coweight)
     budget = exact.vec_dot(datum.rho(), d)
     if budget < 0:
         raise PreconditionViolated(f"rho(d) = {budget} < 0")

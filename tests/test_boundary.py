@@ -1,0 +1,235 @@
+"""The API boundary: each public entry reads its arguments' types.
+
+A sweep over every public module-level function of `monoids`, `faces`,
+`weyl`, `toric` and `highest_weight`, and over `LatticeMonoid` and its
+public methods.  Each call gets valid arguments except one required
+positional argument, which is None, and must raise a KmxError, never a raw
+AttributeError or TypeError.  A callable with no required argument
+(`weyl.elements_added`, `LatticeMonoid.faces`, `LatticeMonoid.top_face`)
+has nothing to sweep.  The `RootDatum` methods are out of scope: `pair` is
+a bare dot product on hot paths and reads nothing.
+
+The second half counts `cartan._expect` reads per public call.  Kmx reads
+each object argument once, where it enters, and calls its private cores on
+what it built or already read, so a call makes one read per object argument
+handed in from outside: a class, a face, a Weyl element or a datum.
+"""
+
+import inspect
+from fractions import Fraction as Fr
+
+import pytest
+
+from kmx import cartan, faces as FC, highest_weight as HW, monoids as MO, toric as TO
+from kmx import weyl as W
+from kmx.cartan import HYPERBOLIC_ROWS, build_realization
+from kmx.errors import KmxError
+
+F = build_realization(HYPERBOLIC_ROWS)  # special sets (1, 2) and (1, 2, 3)
+_S1 = W.simple(F, 0)
+_FULL = FC.full_cone(F)
+_R1 = FC.standard_face(F, (0, 1))
+_LM = TO.LatticeMonoid([(1, 0), (0, 1)], 2)
+_LF = _LM.top_face()
+_SL = HW.build_basis(F, (1, 0, 0), 2)
+_V = _SL.highest_vector()
+_WORD = HW.GhatWord((HW.xplus(0, 2),))
+_X = MO.nhat_from(_S1)
+_MH = TO.mhat_unit(_LM, (2, 3))
+
+# valid arguments of each public callable, its required positional
+# arguments first
+VALID = {
+    "monoids.wm_normalize": (_S1, _FULL),
+    "monoids.wm_unit": (F,),
+    "monoids.wm_idempotent": (_R1,),
+    "monoids.wm_mul": (MO.wm_unit(F, _S1), MO.wm_idempotent(_R1)),
+    "monoids.wm_invert": (MO.wm_unit(F, _S1),),
+    "monoids.wm_apply": (MO.wm_unit(F, _S1), (1, 0, 0)),
+    "monoids.torus_one": (F,),
+    "monoids.torus_from_coweight": (F, (1, 0, 0), 2),
+    "monoids.torus_mul": ((1, 2, 3), (3, 4, 5)),
+    "monoids.torus_inv": ((1, 2, 3),),
+    "monoids.torus_eval": ((1, 2, 3), (1, 0, 0)),
+    "monoids.torus_act": (_S1, (1, 2, 3)),
+    "monoids.that_normalize": ((1, 2, 3), _R1),
+    "monoids.that_idempotent": (_R1,),
+    "monoids.that_mul": (MO.that_idempotent(_R1), MO.that_idempotent(_FULL)),
+    "monoids.that_act": (_S1, MO.that_idempotent(_R1)),
+    "monoids.that_eval": (MO.that_idempotent(_FULL), (1, 0, 0)),
+    "monoids.nelt_mul": (MO.nelt_lift(_S1), MO.nelt_lift(_S1)),
+    "monoids.nelt_lift": (_S1,),
+    "monoids.nelt_inv": (MO.nelt_lift(_S1),),
+    "monoids.nhat_from": (_S1,),
+    "monoids.nhat_idempotent": (_R1,),
+    "monoids.nhat_mul": (_X, _X),
+    "monoids.nhat_to_wmon": (_X,),
+    "monoids.nhat_conj_idem": (_X, _R1),
+    "monoids.nhat_inv": (_X,),
+    "faces.normalize_face": (_S1, (0, 1)),
+    "faces.full_cone": (F,),
+    "faces.standard_face": (F, (0, 1)),
+    "faces.parse_face": (F, "theta=1,2"),
+    "faces.act_face": (_S1, _R1),
+    "faces.includes": (_FULL, _R1),
+    "faces.intersect": (_FULL, _R1),
+    "faces.face_of_point": (F, (1, 0, 0)),
+    "faces.contains": (_FULL, (1, 0, 0)),
+    "faces.in_relative_interior": (_FULL, (1, 0, 0)),
+    "faces.in_span": (_FULL, (1, 0, 0)),
+    "faces.centralizes": (_FULL, _S1),
+    "faces.normalizes": (_FULL, _S1),
+    "faces.point_predicates": (_FULL, (1, 1, 1), _FULL),
+    "faces.face_predicates": (_FULL,),
+    "weyl.elements_added": (),
+    "weyl.identity_elt": (F,),
+    "weyl.simple": (F, 0),
+    "weyl.from_word": (F, (0, 1)),
+    "weyl.min_coset_right": (_S1, (0,)),
+    "weyl.min_coset_left": (_S1, (0,)),
+    "weyl.min_double_coset": (_S1, (0,), (1,)),
+    "weyl.in_parabolic": (_S1, (0,)),
+    "weyl.in_parabolic_product": (_S1, (0,), (1,)),
+    "weyl.dominant_rep": (F, (1, 0, 0)),
+    "weyl.antidominant_coweight": (F, (1, 1, 0)),
+    "weyl.denominator": (F, 2),
+    "toric.mhat_normalize": (_LM, (2, 3), _LF),
+    "toric.mhat_idempotent": (_LM, _LF),
+    "toric.mhat_idempotents": (_LM,),
+    "toric.mhat_unit": (_LM, (2, 3)),
+    "toric.mhat_mul": (_MH, _MH),
+    "highest_weight.root_multiplicities": (F, 2),
+    "highest_weight.real_roots_with_witness": (F, 2),
+    "highest_weight.weights_and_mults": (F, (1, 0, 0), 2),
+    "highest_weight.build_basis": (F, (1, 0, 0), 2),
+    "highest_weight.apply_letter": (HW.xplus(0, 2), _V),
+    "highest_weight.apply_word": (_WORD, _V),
+    "highest_weight.word_columns": (_SL, (_WORD,)),
+    "highest_weight.evaluate_word": (_SL, _WORD),
+    "highest_weight.inner": (_SL, _V, _V),
+    "highest_weight.matrix_coefficient": (_SL, _V, _V, _WORD),
+    "highest_weight.theta": (_SL, _WORD),
+    "highest_weight.probe_equal": (F, _WORD, _WORD, [((1, 0, 0), 2)]),
+    "highest_weight.nhat_letters": (_X,),
+    "highest_weight.bruhat_cell": (F, _WORD),
+    "highest_weight.format_word": (_WORD,),
+    "highest_weight.parse_word": (F, "N(1)"),
+    "LatticeMonoid": ([(1, 0), (0, 1)], 2),
+    "LatticeMonoid.contains": ((1, 0),),
+    "LatticeMonoid.active_set": ((1, 0),),
+    "LatticeMonoid.faces": (),
+    "LatticeMonoid.face_of": ((1, 0),),
+    "LatticeMonoid.face_contains": (_LF, (1, 0)),
+    "LatticeMonoid.top_face": (),
+    "LatticeMonoid.face_leq": (_LF, _LF),
+    "LatticeMonoid.face_meet": (_LF, _LF),
+    "LatticeMonoid.subfaces": (_LF,),
+    "LatticeMonoid.relative_interior_contains": (_LF, (1, 0)),
+    "LatticeMonoid.dual_face": (_LF,),
+    "LatticeMonoid.principal_open": ((1, 0),),
+}
+
+
+def _public():
+    """name -> callable for every public callable the sweep covers."""
+    out = {}
+    for mod in (MO, FC, W, TO, HW):
+        short = mod.__name__.rsplit(".", 1)[-1]
+        for name, f in vars(mod).items():
+            if inspect.isfunction(f) and f.__module__ == mod.__name__ and name[0] != "_":
+                out[f"{short}.{name}"] = f
+    out["LatticeMonoid"] = TO.LatticeMonoid
+    for name, f in vars(TO.LatticeMonoid).items():
+        if inspect.isfunction(f) and name[0] != "_":
+            out[f"LatticeMonoid.{name}"] = getattr(_LM, name)
+    return out
+
+
+PUBLIC = _public()
+
+
+def _required(f) -> int:
+    return sum(1 for p in inspect.signature(f).parameters.values()
+               if p.kind is p.POSITIONAL_OR_KEYWORD and p.default is p.empty)
+
+
+def test_the_sweep_covers_every_public_callable():
+    assert sorted(PUBLIC) == sorted(VALID)
+    assert len(PUBLIC) == 87
+    for name, f in PUBLIC.items():
+        assert len(VALID[name]) == _required(f), name
+        f(*VALID[name])  # the valid arguments are valid
+
+
+CASES = [(name, k) for name in sorted(VALID) for k in range(len(VALID[name]))]
+
+
+@pytest.mark.parametrize("name,k", CASES, ids=[f"{n}-{k}" for n, k in CASES])
+def test_none_in_any_required_argument_is_a_kmx_error(name, k):
+    args = list(VALID[name])
+    args[k] = None
+    with pytest.raises(KmxError):
+        out = PUBLIC[name](*args)
+        if inspect.isgenerator(out):  # word_columns reads its words before the first column
+            next(out)
+
+
+# -- one read per argument ---------------------------------------------------------
+
+
+def _fresh():
+    """Operands on a new root datum, so every table and memo starts empty."""
+    datum = build_realization(HYPERBOLIC_ROWS)
+    u, v = W.from_word(datum, (0, 1)), W.from_word(datum, (2, 1, 0))
+    r, s = FC.parse_face(datum, "w=3; theta=1,2"), FC.parse_face(datum, "w=2 1; theta=1,2")
+    t = (Fr(2), Fr(3), Fr(-5))
+    return {
+        "datum": datum, "u": u, "r": r, "s": s,
+        "x": MO.wm_normalize(u, r), "y": MO.wm_normalize(v, s),
+        "n": MO.nhat_from(u, t, r), "m": MO.nhat_from(v, t, s), "unit": MO.nhat_from(v, t),
+        "tx": MO.that_normalize(t, r), "ty": MO.that_normalize(t, s),
+        "word": HW.parse_word(datum, "N(1) E(w=1; theta=1,2) N(2)"),
+    }
+
+
+# public call -> the object arguments it is handed, so the reads it makes
+READS = {
+    "wm_mul": (lambda a: MO.wm_mul(a["x"], a["y"]), 2),
+    "wm_invert": (lambda a: MO.wm_invert(a["x"]), 1),
+    "wm_idempotent": (lambda a: MO.wm_idempotent(a["r"]), 1),
+    "nhat_to_wmon": (lambda a: MO.nhat_to_wmon(a["n"]), 1),
+    "nhat_inv": (lambda a: MO.nhat_inv(a["n"]), 1),
+    "that_idempotent": (lambda a: MO.that_idempotent(a["r"]), 1),
+    "bruhat_cell": (lambda a: HW.bruhat_cell(a["datum"], a["word"]), 1),
+    "that_mul": (lambda a: MO.that_mul(a["tx"], a["ty"]), 2),
+    "that_act": (lambda a: MO.that_act(a["u"], a["tx"]), 2),
+    "nhat_mul": (lambda a: MO.nhat_mul(a["n"], a["m"]), 2),
+    "nhat_conj_idem": (lambda a: MO.nhat_conj_idem(a["unit"], a["r"]), 2),
+    "act_face": (lambda a: FC.act_face(a["u"], a["r"]), 2),
+    "intersect": (lambda a: FC.intersect(a["r"], a["s"]), 2),
+    "canonical": (lambda a: a["n"].canonical(), 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(READS))
+def test_a_public_call_reads_each_object_argument_once(name, monkeypatch):
+    args = _fresh()
+    reads = []
+    real = cartan._expect
+
+    def counted(x, cls, what):
+        reads.append(what)
+        return real(x, cls, what)
+
+    for mod in (cartan, W, FC, MO, TO, HW):
+        if getattr(mod, "_expect", None) is real:
+            monkeypatch.setattr(mod, "_expect", counted)
+    call, want = READS[name]
+    exposed = len(args["datum"]._exposed)
+    call(args)
+    assert len(reads) == want, reads
+    if name == "intersect":  # the meet was a table miss
+        assert len(args["datum"]._exposed) == exposed + 1
+    if name == "wm_mul":  # the repeat is a lookup in x's products, and reads both again
+        call(args)
+        assert len(reads) == 2 * want, reads

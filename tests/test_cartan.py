@@ -13,7 +13,7 @@ from kmx import weyl as W
 from kmx.cartan import (A2_ROWS, AFFINE_A1_ROWS, HYPERBOLIC_ROWS, ComponentType,
                         build_realization, classify, component_type, is_special,
                         special_sets, typed_numbers, validate_and_symmetrize)
-from kmx.errors import DomainError, NotGCM, NotSpecial, NotSymmetrizable
+from kmx.errors import DomainError, InternalError, NotGCM, NotSpecial, NotSymmetrizable
 
 
 def test_validate_a2():
@@ -209,6 +209,35 @@ def test_exposing_coweight_affine_is_primitive_null_vector(rows, theta, null_vec
     assert tuple(c[i] for i in theta) == null_vector
     for j in theta:
         assert datum.pair(datum.alpha[j], c) == 0
+
+
+# an indefinite GCM; (1, 1, 0) solves A u < 0 and A^T u <= 0 but is not > 0
+_INDEFINITE = ((2, -3, -3), (-3, 2, -3), (-3, -3, 2))
+
+
+def _forge_certificate(monkeypatch):
+    """exact.lp_feasible returns the forged certificate (1, 1, 0)."""
+    monkeypatch.setattr(exact, "lp_feasible", lambda problem: (1, 1, 0))
+
+
+def test_a_forged_vinberg_certificate_raises(monkeypatch):
+    # a certificate check weakened to min(u) < 0, or to "and", accepts it
+    gcm = validate_and_symmetrize(_INDEFINITE)
+    cartan._component_type_cached.cache_clear()
+    _forge_certificate(monkeypatch)
+    with pytest.raises(InternalError, match="IND certificate fails"):
+        component_type(gcm, (0, 1, 2))
+
+
+def test_a_forged_exposing_certificate_raises(monkeypatch):
+    # the type is certified by the true simplex first; an inequality check
+    # weakened to "and" accepts c = (1, 1, 0), whose support is not Theta
+    datum = build_realization(validate_and_symmetrize(_INDEFINITE))
+    cartan._component_type_cached.cache_clear()
+    assert is_special(datum.gcm, (0, 1, 2))
+    _forge_certificate(monkeypatch)
+    with pytest.raises(InternalError, match="exposing coweight fails"):
+        datum.exposing_coweight((0, 1, 2))
 
 
 @pytest.mark.parametrize("rows,n,l,m", [

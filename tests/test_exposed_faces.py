@@ -142,9 +142,8 @@ def test_replace_computes_a_fresh_coweight():
 def test_a_failed_walk_is_not_stored(monkeypatch):
     datum = build_realization(A2.gcm)
     walks = []
-    real = F.antidominant_coweight
-    monkeypatch.setattr(F, "antidominant_coweight",
-                        lambda dt, d: walks.append(d) or real(dt, d))
+    real = W._antidominant
+    monkeypatch.setattr(W, "_antidominant", lambda dt, d: walks.append(d) or real(dt, d))
     for _ in range(2):  # (1, 0) is no sum of exposing coweights on finite A2
         with pytest.raises(PreconditionViolated):
             F._face_exposed_by(datum, (1, 0))
@@ -169,8 +168,8 @@ def test_the_walk_runs_once_per_distinct_coweight(name, monkeypatch):
     datum = build_realization(DATA[name].gcm)
     cold = build_realization(datum.gcm)
     walks, keys = [], []
-    real_walk, real_lookup = F.antidominant_coweight, F._face_exposed_by
-    monkeypatch.setattr(F, "antidominant_coweight",
+    real_walk, real_lookup = W._antidominant, F._face_exposed_by
+    monkeypatch.setattr(W, "_antidominant",
                         lambda dt, d: walks.append(tuple(d)) or real_walk(dt, d))
     monkeypatch.setattr(F, "_face_exposed_by",
                         lambda dt, d: keys.append(tuple(d)) or real_lookup(dt, d))

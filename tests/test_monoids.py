@@ -656,6 +656,8 @@ WRONG_TYPES = {
     "wm_idempotent": (lambda: MO.wm_idempotent(_S1), "a Face, got WeylElt"),
     "wm_mul-left": (lambda: MO.wm_mul(1, _M1), "a WmonElt, got int"),
     "wm_mul-right": (lambda: MO.wm_mul(_M1, 1), "a WmonElt, got int"),
+    # "unhashable type: 'list'" from the lookup in x's products
+    "wm_mul-right-list": (lambda: MO.wm_mul(_M1, [1]), "a WmonElt, got list"),
     "wm_invert": (lambda: MO.wm_invert(_S1), "a WmonElt, got WeylElt"),
     "wm_apply": (lambda: MO.wm_apply(_FULL, (1, 0)), "a WmonElt, got Face"),
     "torus_one": (lambda: MO.torus_one(None), "a RootDatum, got NoneType"),
@@ -703,4 +705,21 @@ WRONG_TYPES = {
 def test_a_wrong_argument_type_is_a_domain_error(name):
     call, message = WRONG_TYPES[name]
     with pytest.raises(DomainError, match="expected " + message):
+        call()
+
+
+# Each raised a raw TypeError (len(1), len(None), None in a pairing) before
+# its sequence was read
+NOT_SEQUENCES = {
+    "torus_mul": (lambda: MO.torus_mul(1, (1, 1)), "torus value list 1"),
+    "torus_inv": (lambda: MO.torus_inv(None), "torus value list None"),
+    "point_predicates": (lambda: FC.point_predicates(_FULL, None, _FULL),
+                         "weight coordinate list None"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NOT_SEQUENCES))
+def test_a_non_sequence_is_a_domain_error(name):
+    call, what = NOT_SEQUENCES[name]
+    with pytest.raises(DomainError, match=re.escape(what) + " is not a sequence"):
         call()

@@ -172,13 +172,13 @@ def test_kappa_and_cocycle_build_no_dense_matrix(monkeypatch):
 def test_operator_theorems_build_each_probe_slice_once(monkeypatch):
     # the special-set legs read their data from the check's own _data()
     built = []
-    init = HW.ModuleSlice.__init__
+    setup = HW.ModuleSlice._setup
 
-    def counting(self, *args, **kwargs):
+    def counting(self, *args):
         built.append(self)
-        init(self, *args, **kwargs)
+        setup(self, *args)
 
-    monkeypatch.setattr(HW.ModuleSlice, "__init__", counting)
+    monkeypatch.setattr(HW.ModuleSlice, "_setup", counting)
     assert verify.check_operator_theorems().passed
     assert len(built) == 10
 
