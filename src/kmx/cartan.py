@@ -162,6 +162,7 @@ def one_based(n: int, toks: Iterable, what: str = "simple index") -> tuple[int, 
     the token as typed.
     """
     index = {str(i + 1): i for i in range(n)}
+    toks = entries(toks, what)
     for t in toks:
         if str(t) not in index:
             raise DomainError(f"{what} {t} out of range 1..{n}")
@@ -265,13 +266,12 @@ def validate_and_symmetrize(rows: Sequence[Sequence[int]]) -> GCM:
                 if eps[i] * a[j][i] != eps[j] * a[i][j]:
                     raise NotSymmetrizable(
                         f"no positive symmetrizer: cycle through ({i + 1},{j + 1})")
-        # Normalize the component to integers with gcd 1.
+        # Normalize the component to integers with gcd 1.  Every node of the
+        # component was reached from eps = 1, each step a ratio of two
+        # negative entries, and primitive_ray keeps the signs: eps > 0.
         for i, x in zip(comp, exact.primitive_ray([eps[i] for i in comp])):
             eps[i] = Fraction(x, 1)
-    es = tuple(e for e in eps)  # type: ignore[misc]
-    if any(e is None or e <= 0 for e in es):
-        raise NotSymmetrizable("no positive symmetrizer exists")
-    return GCM(a=a, eps=es)  # type: ignore[arg-type]
+    return GCM(a=a, eps=tuple(eps))  # type: ignore[arg-type]
 
 
 @lru_cache(maxsize=None)
@@ -437,7 +437,7 @@ class RootDatum:
     integer completion c assigns one extra unit coordinate to each column
     of A that is linearly dependent on its predecessors.  With this choice
     the coroot lattice is the coordinate sublattice Z^n, visibly saturated,
-    and every pairing identity holds by construction (and is re-verified).
+    and every pairing identity holds by construction.
     """
 
     def __init__(self, gcm: GCM):
@@ -483,9 +483,11 @@ class RootDatum:
         self._root_mults: dict[int, dict[IntVec, int]] = {}
 
     def _verify(self):
-        """Re-check the realization: the pairing alpha_i(h_j) = a_ji and
-        (alpha_i | alpha_i) = 2 / eps_i.  The coroot lattice needs no check:
-        h_i = e_i spans the coordinate sublattice Z^n, saturated as built.
+        """Re-check the realization's form: (alpha_i | alpha_i) = 2 / eps_i.
+        The coroot lattice needs no check: h_i = e_i spans the coordinate
+        sublattice Z^n, saturated as built.  Nor does the pairing
+        alpha_i(h_j) = a_ji: `__init__` copies those coordinates from A, and
+        the completion writes only coordinates n and above.
 
         The form is checked by one `int_rref` of [gram | alpha_1 ... alpha_n |
         omega] (columns; omega = sum_i eps_i Lambda_i): its pivots are 0..m-1
@@ -495,17 +497,11 @@ class RootDatum:
         Column m + n is den x, x = gram^{-1} omega, so alpha_i(x) = 1 and
         <beta, x> = ht(beta): `_height` = (den x, den, den <rho, x>)."""
         n, m = self.n, self.m
-        a = self.gcm.a
         omega = [int(e) for e in self.gcm.eps] + [0] * (m - n)
         pivots, rows, den = exact.int_rref(
             [row + col + (w,) for row, col, w in zip(self.gram, zip(*self.alpha), omega)])
         if pivots != tuple(range(m)):
             raise InternalError("invariant form is degenerate")
-        # alpha_i(h_j) = a_{ji}; Lambda_i(h_j) = delta_ij is the dual pairing.
-        for i in range(n):
-            for j in range(n):
-                if self.alpha[i][j] != a[j][i]:
-                    raise InternalError("pairing alpha_i(h_j) != a_ji")
         # (alpha_i | alpha_i) = 2 / eps_i > 0 under A = diag(eps) B, i.e.
         # eps_i <alpha_i, den gram^{-1} alpha_i> = 2 den.
         x = tuple(row[m + n] for row in rows)

@@ -44,10 +44,6 @@ class NotDominant(DomainError):
     pass
 
 
-class NotAFace(DomainError):
-    pass
-
-
 class NotInMonoid(DomainError):
     pass
 

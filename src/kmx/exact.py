@@ -11,13 +11,15 @@ Matrices are dense tuples of tuples, adequate for the small ranks this
 library targets.
 
 `kernel_lattice_basis` gives the saturated lattice cut out by a set of
-integer rows from one Smith normal form: `toric` reads each face of a
-lattice monoid off it.  The Tits-cone faces of `monoids`' T-hat need no
-such routine, as a face w R(Theta) has the basis w Lambda_j (j not in
-Theta) in closed form.  `character` reads t(x) = prod t_i ** x_i
-fraction-free for both Hom monoids (T-hat and `toric`'s M-hat); an
-element that keeps its torus element t reads its values through
-`character` and needs no coordinates in the face lattice.
+integer rows from one unimodular column reduction (`_echelon_columns`):
+`toric` reads each face of a lattice monoid off it.  The Smith normal form
+runs the same reduction on columns and rows in turn; no library route
+calls it.  The Tits-cone faces of `monoids`' T-hat need no such routine,
+as a face w R(Theta) has the basis w Lambda_j (j not in Theta) in closed
+form.  `character` reads t(x) = prod t_i ** x_i fraction-free for both
+Hom monoids (T-hat and `toric`'s M-hat); an element that keeps its torus
+element t reads its values through `character` and needs no coordinates
+in the face lattice.
 
 Every answer of the one simplex, `_simplex_feasible`, is certified: a
 feasible x is re-substituted, and an infeasible end yields, from its final
@@ -101,6 +103,7 @@ def primitive_ray(v: Sequence) -> IntVec:
 
     Entries are ints or Fractions; both carry `numerator` and `denominator`.
     """
+    v = tuple(v)
     den = lcm(*(x.denominator for x in v))
     ints = [x.numerator * (den // x.denominator) for x in v]
     g = gcd(*ints)
@@ -214,99 +217,84 @@ def rat_solve(m, b) -> Optional[tuple[RatVec, tuple[RatVec, ...]]]:
     return sol, tuple(kernel)
 
 
+def _echelon_columns(cols: list, track: list) -> int:
+    """Unimodular column reduction of the matrix with columns `cols`, in
+    place, each column operation applied to `track` too; returns the rank r.
+
+    Row by row, the unpivoted column with the smallest nonzero entry in the
+    row becomes the pivot and moves to the front of the unpivoted ones, and
+    every other one loses its floor quotient times the pivot, until the row
+    is zero past it; the pivot is then made positive.  Columns r.. end zero.
+    A zero column is never a pivot and loses nothing, so a later pass over
+    the result moves and changes none of the columns r.. .
+    """
+    rank = 0
+    for i in range(len(cols[0]) if cols else 0):
+        while live := [j for j in range(rank, len(cols)) if cols[j][i]]:
+            p = min(live, key=lambda j: abs(cols[j][i]))
+            cols[rank], cols[p], track[rank], track[p] = cols[p], cols[rank], track[p], track[rank]
+            pc, pt = cols[rank], track[rank]
+            if len(live) == 1:
+                if pc[i] < 0:
+                    cols[rank], track[rank] = [-x for x in pc], [-x for x in pt]
+                rank += 1
+                break
+            for j in range(rank + 1, len(cols)):
+                if q := cols[j][i] // pc[i]:
+                    cols[j] = [x - q * y for x, y in zip(cols[j], pc)]
+                    track[j] = [x - q * y for x, y in zip(track[j], pt)]
+    return rank
+
+
 def smith_normal_form(m: IntMat) -> tuple[IntMat, IntMat, IntMat]:
     """Smith normal form: U, D, V with U*M*V = D, U and V unimodular.
 
-    D is diagonal with d_1 | d_2 | ... and nonnegative entries.  The identity
-    U*M*V == D is asserted before returning.
+    D is diagonal with d_1 | d_2 | ... and nonnegative entries.  The matrix
+    goes through `_echelon_columns` on its columns (tracking V) and on its
+    rows (tracking U's rows) in turn until it is diagonal; where d_s does
+    not divide d_{s+1}, row s + 1 is added to row s and it is reduced again.
+    The first step is `kernel_lattice_basis`'s reduction, so V's columns at
+    zero diagonal entries are its basis.  U*M*V == D is asserted.
     """
-    a = [list(row) for row in m]
-    nr = len(a)
-    nc = len(a[0]) if nr else 0
-    u = [list(row) for row in identity(nr)]
-    v = [list(row) for row in identity(nc)]
-
-    def row_op(i, j, q):  # row_i -= q*row_j
-        a[i] = [x - q * y for x, y in zip(a[i], a[j])]
-        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
-
-    def col_op(i, j, q):  # col_i -= q*col_j
-        for row in a:
-            row[i] -= q * row[j]
-        for row in v:
-            row[i] -= q * row[j]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    t = 0
-    while t < min(nr, nc):
-        # Pivot: smallest nonzero absolute value in the remaining block.
-        best = None
-        for i in range(t, nr):
-            for j in range(t, nc):
-                if a[i][j] != 0 and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
+    nr = len(m)
+    nc = len(m[0]) if nr else 0
+    rows, u, v = list(m), list(identity(nr)), list(identity(nc))
+    while True:
+        cols = [[row[j] for row in rows] for j in range(nc)]
+        rank = _echelon_columns(cols, v)
+        rows = [[col[i] for col in cols] for i in range(nr)]
+        _echelon_columns(rows, u)
+        if any(x for i, row in enumerate(rows) for j, x in enumerate(row) if i != j):
+            continue
+        s = next((s for s in range(rank - 1) if rows[s + 1][s + 1] % rows[s][s]), None)
+        if s is None:
             break
-        swap_rows(t, best[0])
-        swap_cols(t, best[1])
-        dirty = False
-        for i in range(t + 1, nr):
-            if a[i][t] != 0:
-                row_op(i, t, a[i][t] // a[t][t])
-                dirty = dirty or a[i][t] != 0
-        for j in range(t + 1, nc):
-            if a[t][j] != 0:
-                col_op(j, t, a[t][j] // a[t][t])
-                dirty = dirty or a[t][j] != 0
-        if dirty:
-            continue
-        # Enforce divisibility d_t | a[i][j] for the remaining block.
-        offender = None
-        for i in range(t + 1, nr):
-            for j in range(t + 1, nc):
-                if a[i][j] % a[t][t] != 0:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            a[t] = [x + y for x, y in zip(a[t], a[offender])]
-            u[t] = [x + y for x, y in zip(u[t], u[offender])]
-            continue
-        if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
-            u[t] = [-x for x in u[t]]
-        t += 1
-    uu = tuple(tuple(row) for row in u)
-    dd = tuple(tuple(row) for row in a)
-    vv = tuple(tuple(row) for row in v)
+        rows[s] = [x + y for x, y in zip(rows[s], rows[s + 1])]
+        u[s] = [x + y for x, y in zip(u[s], u[s + 1])]
+    uu, dd, vv = tuple(map(tuple, u)), tuple(map(tuple, rows)), transpose(v)
     if mat_mul(mat_mul(uu, m), vv) != dd:
         raise InternalError("SNF identity U*M*V == D failed")
     return uu, dd, vv
 
 
 def kernel_lattice_basis(rows: Sequence[Sequence[int]], dim: int) -> tuple[IntVec, ...]:
-    """Saturated basis of the lattice {x in Z^dim : R x = 0}: the columns j
-    of V for one SNF U R V = D whose D_jj is zero or past the last row, since
-    R x = 0 iff D (V^{-1} x) = 0 and V is unimodular.  No rows give the
-    standard basis of Z^dim.  `toric` reads its faces' lattices off it."""
+    """Saturated basis of the lattice {x in Z^dim : R x = 0}: one
+    `_echelon_columns` of R's columns, tracking V = I, leaves R V zero past
+    its rank r, so V's columns from r on are a basis, V being unimodular
+    (H. Cohen, A Course in Computational Algebraic Number Theory, 1993,
+    section 2.4).  Each is checked to be killed by R (InternalError).  No
+    rows give the standard basis of Z^dim.  `toric` reads its lattices off
+    it."""
     m = int_mat(rows)
     if not m:
         return identity(dim)
     if len(m[0]) != dim:
         raise ValueError(f"kernel rows have {len(m[0])} entries, not {dim}")
-    _, d, v = smith_normal_form(m)
-    return tuple(tuple(row[j] for row in v)
-                 for j in range(dim) if j >= len(m) or d[j][j] == 0)
+    v = list(identity(dim))
+    basis = tuple(map(tuple, v[_echelon_columns(list(zip(*m)), v):]))
+    if any(vec_dot(row, b) for b in basis for row in m):
+        raise InternalError("a kernel basis vector is not killed by the rows")
+    return basis
 
 
 def character(t: Sequence[Fraction], x: Sequence[int]) -> Fraction:

@@ -190,8 +190,9 @@ def face_of_point(datum: RootDatum, weight: Sequence, cap: int = 2000) -> Face:
 
 def contains(r: Face, weight: Sequence, *, cap: int = 2000) -> bool:
     """Point containment: lam in X and lam(c_R) = 0 for the exposing coweight."""
+    weight = _expect(r, Face, "a Face").datum._weight(weight)
     # dominant_rep raises if the weight is not certified inside
-    dominant_rep(_expect(r, Face, "a Face").datum, weight, cap=cap)
+    dominant_rep(r.datum, weight, cap=cap)
     return r.datum.pair(weight, r.exposing()) == 0
 
 
@@ -238,6 +239,7 @@ def face_predicates(r: Face, *, weight: Optional[Sequence] = None,
     r = _expect(r, Face, "a Face")
     out: dict = {}
     if weight is not None:
+        weight = r.datum._weight(weight)
         out = point_predicates(r, weight, face_of_point(r.datum, weight, cap=cap))
     if u is not None:
         u = _expect(u, WeylElt, "a WeylElt")

@@ -316,6 +316,7 @@ def that_act(u: WeylElt, x: ThatElt) -> ThatElt:
 
 def that_eval(x: ThatElt, weight: Sequence[int]):
     """Operator value on a weight: t(lam) on the face, else Zero."""
+    weight = entries(weight, "weight coordinate")
     if F.contains(_expect(x, ThatElt, "a ThatElt").face, weight):
         return torus_eval(x.rep, weight)
     return ZERO

@@ -16,15 +16,16 @@ hull basis.
 
 Every point query reads one pass over the facet pairings (`_locate`): x
 lies in a face F iff F's active facets vanish at x, and in its relative
-interior iff exactly they do.  The pass checks x's coordinates once, so a
+interior iff exactly they do.  The pass checks x's coordinates, so a
 point that is not an integer vector is a DomainError for every query, and
-it ends at the first negative pairing.  The face lattice is built once,
+it ends at the first negative pairing; an entry that uses x beyond the
+pass (`active_set`, an M-hat value) reads it first.  The face lattice is built once,
 with indexes by active set and by ray set, so `face_of` and `face_meet` are
 lookups.  A face's dimension comes from one elimination of its normals
-(`exact.int_rref`); its hull, one Smith normal form, is built when it is
-first read.  The entries read their arguments at the API boundary
-(`cartan`): every query that takes a face reads it through one check
-(`LatticeMonoid._own`), and a face of another monoid is a
+(`exact.int_rref`); its hull, one column reduction of its normals, is
+built when it is first read.  The entries read their arguments at the API
+boundary (`cartan`): every query that takes a face reads it through one
+check (`LatticeMonoid._own`), and a face of another monoid is a
 PreconditionViolated.  `subfaces`, `principal_open` and `mhat_idempotents`
 read none of the faces that they enumerate themselves.
 """
@@ -39,7 +40,7 @@ from typing import Optional, Sequence
 
 from . import exact
 from .cartan import _expect, entries, exact_ints, torus_values
-from .errors import (InternalError, NotAFace, NotInMonoid, PreconditionViolated, RankMismatch,
+from .errors import (InternalError, NotInMonoid, PreconditionViolated, RankMismatch,
                      SizeGuard)
 from .exact import IntVec
 
@@ -190,9 +191,10 @@ class LatticeMonoid:
         return self._locate(x) is not None
 
     def active_set(self, x: Sequence[int]) -> tuple[int, ...]:
+        x = exact_ints(x, "point coordinate")
         act = self._locate(x)
         if act is None:
-            raise NotInMonoid(f"{tuple(x)} is outside the monoid")
+            raise NotInMonoid(f"{x} is outside the monoid")
         return act
 
     # -- face lattice ----------------------------------------------------------
@@ -235,10 +237,11 @@ class LatticeMonoid:
         return faces, {f.active: f for f in faces}, {f.ray_ids: f for f in faces}
 
     def face_of(self, x: Sequence[int]) -> MonoidFace:
-        """Smallest face containing x; its full active set matches that of x."""
+        """Smallest face containing x; its full active set matches that of x,
+        since the facets that vanish at x are the active set of x's face."""
         act = self.active_set(x)
         if (f := self._lattice[1].get(act)) is None:
-            raise NotAFace(f"no face with active set {act}")
+            raise InternalError(f"no face with active set {act}")
         return f
 
     def _own(self, f: MonoidFace) -> MonoidFace:
@@ -263,9 +266,10 @@ class LatticeMonoid:
         return set(self._own(f).ray_ids) <= set(self._own(g).ray_ids)
 
     def face_meet(self, f: MonoidFace, g: MonoidFace) -> MonoidFace:
+        """The meet, whose ray set is the rays that f and g share."""
         rs = tuple(sorted(set(self._own(f).ray_ids) & set(self._own(g).ray_ids)))
         if (h := self._lattice[2].get(rs)) is None:
-            raise NotAFace("meet fell outside the computed lattice")
+            raise InternalError("meet fell outside the computed lattice")
         return h
 
     def subfaces(self, f: MonoidFace) -> tuple[MonoidFace, ...]:
@@ -315,6 +319,7 @@ class MhatElt:
         return self.monoid.faces()[self.face_index]
 
     def __call__(self, x: Sequence[int]) -> Fraction:
+        x = exact_ints(x, "point coordinate")
         if set(self.face.active).issubset(self.monoid.active_set(x)):
             return exact.character(self.rep, x)
         return Fraction(0)

@@ -30,10 +30,18 @@ became the saturated kernel of its normals and each Hom-monoid element
 kept its torus element: `saturate_span` saturates the span of a set of
 vectors by two Smith normal forms, and `eval_character` reads a character
 given by its values on a saturated basis through the point's coordinates
-in that basis (`lattice_coords`, one rational solve).  Beside them,
-`toric_faces` builds a lattice monoid's face list the way the package did
-before each face's dimension came from one elimination: one Smith normal
-form per face, the faces sorted by (hull size, ray set).
+in that basis (`lattice_coords`, one rational solve, which `same_lattice`
+reads both ways).  Beside them, `toric_faces` builds a lattice monoid's
+face list the way the package did before each face's dimension came from
+one elimination: one Smith normal form per face, the faces sorted by (hull
+size, ray set).  These helpers run the package's `exact.smith_normal_form`,
+whose V holds the package's kernel basis at its zero diagonal entries, so
+`toric_faces` reads the hulls the package reads.  Beside them,
+`smith_normal_form` is the Smith normal form as the package ran it before
+one column reduction (`exact._echelon_columns`) served it and the
+saturated kernel: each pivot is the smallest entry of the whole remaining
+block.  Its D and its kernel lattices are the reference for the
+package's.
 
 At the end sits the cell of a factored word as the package read it before
 it multiplied in the Weyl monoid: `bruhat_cell` folds the normalizer
@@ -92,8 +100,8 @@ from kmx.cartan import (GCM, SPECIAL_SET_RANK_GUARD, ComponentType, RootDatum, c
                         exact_ints, exact_rationals, is_special)
 from kmx.errors import (DomainError, InternalError, NotFactored, NotInTitsCone, SizeGuard,
                         Undecided)
-from kmx.exact import (IntVec, LPProblem, RatVec, identity, int_mat, mat_vec,
-                       primitive, smith_normal_form, vec_dot)
+from kmx.exact import (IntMat, IntVec, LPProblem, RatVec, identity, int_mat, mat_mul,
+                       mat_vec, primitive, vec_dot)
 from kmx import highest_weight as HW
 from kmx.highest_weight import Beta
 
@@ -563,13 +571,97 @@ def probe_equal(datum, w1, w2, probes):
     return HW.EqualOnProbes(probes=tuple(tried))
 
 
+def smith_normal_form(m: IntMat) -> tuple[IntMat, IntMat, IntMat]:
+    """Smith normal form: U, D, V with U*M*V = D, U and V unimodular, as the
+    package computed it before one column reduction served it and the
+    saturated kernel: each pivot is the smallest nonzero entry of the whole
+    remaining block, cleared by row and column operations, and where d_t
+    does not divide an entry of the block below it, that entry's row is
+    added to row t.  D is diagonal with d_1 | d_2 | ... and nonnegative entries.
+    The identity U*M*V == D is asserted before returning.
+    """
+    a = [list(row) for row in m]
+    nr = len(a)
+    nc = len(a[0]) if nr else 0
+    u = [list(row) for row in identity(nr)]
+    v = [list(row) for row in identity(nc)]
+
+    def row_op(i, j, q):  # row_i -= q*row_j
+        a[i] = [x - q * y for x, y in zip(a[i], a[j])]
+        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
+
+    def col_op(i, j, q):  # col_i -= q*col_j
+        for row in a:
+            row[i] -= q * row[j]
+        for row in v:
+            row[i] -= q * row[j]
+
+    def swap_rows(i, j):
+        a[i], a[j] = a[j], a[i]
+        u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i, j):
+        for row in a:
+            row[i], row[j] = row[j], row[i]
+        for row in v:
+            row[i], row[j] = row[j], row[i]
+
+    t = 0
+    while t < min(nr, nc):
+        # Pivot: smallest nonzero absolute value in the remaining block.
+        best = None
+        for i in range(t, nr):
+            for j in range(t, nc):
+                if a[i][j] != 0 and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
+                    best = (i, j)
+        if best is None:
+            break
+        swap_rows(t, best[0])
+        swap_cols(t, best[1])
+        dirty = False
+        for i in range(t + 1, nr):
+            if a[i][t] != 0:
+                row_op(i, t, a[i][t] // a[t][t])
+                dirty = dirty or a[i][t] != 0
+        for j in range(t + 1, nc):
+            if a[t][j] != 0:
+                col_op(j, t, a[t][j] // a[t][t])
+                dirty = dirty or a[t][j] != 0
+        if dirty:
+            continue
+        # Enforce divisibility d_t | a[i][j] for the remaining block.
+        offender = None
+        for i in range(t + 1, nr):
+            for j in range(t + 1, nc):
+                if a[i][j] % a[t][t] != 0:
+                    offender = i
+                    break
+            if offender is not None:
+                break
+        if offender is not None:
+            a[t] = [x + y for x, y in zip(a[t], a[offender])]
+            u[t] = [x + y for x, y in zip(u[t], u[offender])]
+            continue
+        if a[t][t] < 0:
+            a[t] = [-x for x in a[t]]
+            u[t] = [-x for x in u[t]]
+        t += 1
+    uu = tuple(tuple(row) for row in u)
+    dd = tuple(tuple(row) for row in a)
+    vv = tuple(tuple(row) for row in v)
+    if mat_mul(mat_mul(uu, m), vv) != dd:
+        raise InternalError("SNF identity U*M*V == D failed")
+    return uu, dd, vv
+
+
 def _kernel_lattice_basis(m) -> tuple[IntVec, ...]:
-    """Basis of the saturated lattice {x in Z^nc : M x = 0}, via SNF."""
+    """Basis of the saturated lattice {x in Z^nc : M x = 0}, via the
+    package's SNF."""
     nr = len(m)
     nc = len(m[0]) if nr else 0
     if nr == 0:
         return tuple(tuple(row) for row in identity(nc))
-    _, d, v = smith_normal_form(m)
+    _, d, v = exact.smith_normal_form(m)
     cols = []
     for j in range(nc):
         dj = d[j][j] if j < nr else 0
@@ -611,6 +703,13 @@ def lattice_coords(basis: Sequence[Sequence[int]], x: Sequence[int]) -> Optional
     if kernel or any(c.denominator != 1 for c in coords):
         raise InternalError("lattice basis is not independent and saturated")
     return tuple(int(c) for c in coords)
+
+
+def same_lattice(basis: Sequence[Sequence[int]], reference: Sequence[Sequence[int]]) -> bool:
+    """Each basis has integer coordinates in the other; `lattice_coords`
+    raises InternalError on a basis that is dependent or not saturated."""
+    return (all(lattice_coords(reference, v) is not None for v in basis)
+            and all(lattice_coords(basis, v) is not None for v in reference))
 
 
 def eval_character(basis: Sequence[Sequence[int]], values: Sequence, x: Sequence[int]) -> Fraction:

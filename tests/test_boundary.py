@@ -20,7 +20,8 @@ from fractions import Fraction as Fr
 
 import pytest
 
-from kmx import cartan, faces as FC, highest_weight as HW, monoids as MO, toric as TO
+from kmx import cartan, exact, faces as FC, highest_weight as HW, monoids as MO
+from kmx import toric as TO
 from kmx import weyl as W
 from kmx.cartan import HYPERBOLIC_ROWS, build_realization
 from kmx.errors import KmxError
@@ -172,6 +173,64 @@ def test_none_in_any_required_argument_is_a_kmx_error(name, k):
         out = PUBLIC[name](*args)
         if inspect.isgenerator(out):  # word_columns reads its words before the first column
             next(out)
+
+
+# -- one-shot iterables -----------------------------------------------------------
+
+
+def _one_shot(a):
+    """a as a one-shot iterator when it is a plain tuple or list.  A Letter
+    (a tuple subclass) and a (WeylElt, torus) pair are typed values, not
+    sequences, and stay."""
+    if type(a) in (tuple, list) and not (len(a) == 2 and isinstance(a[0], W.WeylElt)):
+        return iter(a)
+    return a
+
+
+def _outcome(f, args, kwargs):
+    """What a call gives: its value (a generator run out, a LatticeMonoid
+    by its fields), or its KmxError's class and message."""
+    try:
+        out = f(*args, **kwargs)
+    except KmxError as e:
+        return type(e), str(e)
+    if inspect.isgenerator(out):
+        return list(out)
+    return vars(out) if isinstance(out, TO.LatticeMonoid) else out
+
+
+# the VALID rows, then a proper face for `contains` and `face_predicates`,
+# an M-hat value, and the readers of typed indices and rational rays
+ONE_SHOT = [(name, PUBLIC[name], args, {}) for name, args in sorted(VALID.items())] + [
+    ("faces.contains", FC.contains, (_R1, (1, 1, 1)), {}),
+    ("faces.face_predicates", FC.face_predicates, (_R1,), {"weight": (1, 1, 1)}),
+    ("MhatElt.__call__", _MH, ((1, 1),), {}),
+    ("cartan.one_based", cartan.one_based, (3, ["1", "2"]), {}),
+    ("exact.primitive_ray", exact.primitive_ray, ((Fr(1, 2), 2),), {}),
+    ("exact.primitive", exact.primitive, ((Fr(-1, 2), 2),), {}),
+]
+SHOT_CASES = [case for case in ONE_SHOT
+              if any(type(a) in (tuple, list) and _one_shot(a) is not a
+                     for a in case[2] + tuple(case[3].values()))]
+
+
+@pytest.mark.parametrize("name,f,args,kwargs", SHOT_CASES,
+                         ids=[f"{c[0]}-{k}" for k, c in enumerate(SHOT_CASES)])
+def test_a_one_shot_iterable_gives_what_its_tuple_gives(name, f, args, kwargs):
+    # each entry reads a sequence argument once, so an iterator handed in
+    # gives the tuple call's value, or raises its error
+    want = _outcome(f, args, kwargs)
+    shot = _outcome(f, tuple(map(_one_shot, args)),
+                    {key: _one_shot(a) for key, a in kwargs.items()})
+    assert shot == want
+
+
+def test_the_one_shot_sweep_reaches_the_double_readers():
+    names = [c[0] for c in SHOT_CASES]
+    assert len(SHOT_CASES) == 42 and len(set(names)) == 41
+    assert {"monoids.that_eval", "faces.contains", "faces.face_predicates",
+            "MhatElt.__call__", "cartan.one_based", "exact.primitive"} <= set(names)
+    assert FC.contains(_R1, (1, 1, 1)) is False and _MH((1, 1)) == 6
 
 
 # -- one read per argument ---------------------------------------------------------

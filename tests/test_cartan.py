@@ -72,6 +72,16 @@ def test_validate_messages_are_one_based():
         validate_and_symmetrize([[2, -1], [1, 2]])
 
 
+def test_weight_height_is_none_off_the_nonnegative_root_lattice():
+    # on affine A1 the roots span {(x, -x, z)}: (1, 0, 0) is off their span,
+    # alpha_0 - alpha_1 is a root-lattice element with a negative coordinate
+    aff = build_realization(AFFINE_A1_ROWS)
+    a0, a1 = aff.alpha
+    assert aff.weight_height((1, 0, 0), (0, 0, 0)) is None
+    assert aff.weight_height(a0, a1) is None
+    assert aff.weight_height(exact.vec_add(a0, a1), (0, 0, 0)) == 2
+
+
 def test_validate_rejects_nonsymmetrizable():
     # 3-cycle with mismatched products: eps propagation is inconsistent
     with pytest.raises(NotSymmetrizable):

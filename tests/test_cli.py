@@ -40,8 +40,9 @@ def test_face_intersect_example(capsys):
 
 def test_toric_faces_prints_each_hull_as_a_kernel_basis(capsys):
     # a hull is the saturated kernel of the equalities and the face's active
-    # facets, printed as the Smith normal form gives it; face 1's basis
-    # vector reads (1, -1, -2), the negative of the generator spanning it
+    # facets, printed as one column reduction (`exact.kernel_lattice_basis`)
+    # gives it; face 1's basis vector reads (1, -1, -2), the negative of the
+    # generator spanning it
     payload = run_json(capsys, ["toric-faces", "--monoid",
                                 '{"rank": 3, "generators": [[3,-2,-2],[-1,1,2],[1,-3,-1]]}'])
     assert payload == {"faces": [
@@ -52,6 +53,24 @@ def test_toric_faces_prints_each_hull_as_a_kernel_basis(capsys):
         {"index": 4, "dim": 2, "hull": [[1, -5, 0], [0, -2, 1]]},
         {"index": 5, "dim": 2, "hull": [[0, 1, 4], [1, 0, 2]]},
         {"index": 6, "dim": 2, "hull": [[1, 4, 0], [0, 7, 1]]},
+        {"index": 7, "dim": 3, "hull": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}]}
+
+
+def test_toric_faces_prints_the_column_reductions_orientation(capsys):
+    # the column reduction and the Smith normal form before it give bases of
+    # one lattice that can differ in sign: face 2's hull is (-1, 2, -2), the
+    # negative of the generator (1, -2, 2), where the Smith normal form gave
+    # that generator
+    payload = run_json(capsys, ["toric-faces", "--monoid", '{"rank": 3, "generators": '
+                                '[[1,3,-2],[1,-2,2],[-1,0,-3],[2,-3,0]]}'])
+    assert payload == {"faces": [
+        {"index": 0, "dim": 0, "hull": []},
+        {"index": 1, "dim": 1, "hull": [[1, 0, 3]]},
+        {"index": 2, "dim": 1, "hull": [[-1, 2, -2]]},
+        {"index": 3, "dim": 1, "hull": [[1, 3, -2]]},
+        {"index": 4, "dim": 2, "hull": [[1, -6, 0], [0, 2, 1]]},
+        {"index": 5, "dim": 2, "hull": [[0, 3, -5], [1, 0, 3]]},
+        {"index": 6, "dim": 2, "hull": [[2, 1, 0], [-5, 0, -2]]},
         {"index": 7, "dim": 3, "hull": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}]}
 
 
@@ -264,6 +283,14 @@ INPUT_ERRORS = [
     (["dominant", "--gcm", A2, "--weight", "1,0", "--cap", "-1"], "step budget -1 is negative"),
     (["face-of-point", "--gcm", A2, "--weight", "1,0", "--cap", "-5"],
      "step budget -5 is negative"),
+    # a matrix that is not square, none given, or not an object, and a
+    # torus coweight that is neither hk nor v=...
+    (["validate", "--gcm", '{"A": [[2,-1],[-1,2],[0,0]]}'],
+     "matrix must be a square nonempty list of rows"),
+    (["classify"], "no Cartan matrix given: use -i FILE or --gcm JSON"),
+    (["classify", "--gcm", "[1, 2]"], 'Cartan matrix input must be {"A": [[...], ...]}'),
+    (["ghat-theta", "--gcm", A2, "--hw", "1,0", "--depth", "2", "--word", "T(x1;2)"],
+     "bad torus coweight 'x1'"),
 ]
 
 
@@ -440,9 +467,9 @@ COVERAGE = [
     (["classify", "--gcm", HYP, "-S", "1,2"], "components"),
     # cartan: special_sets
     (["special", "--gcm", HYP], None),
-    # cartan: exposing_functional
+    # cartan: RootDatum.exposing_coweight
     (["expose", "--gcm", HYP, "--theta", "1,2"], "coweight"),
-    # cartan: build_realization (and exact.smith_normal_form underneath)
+    # cartan: build_realization (and exact.int_rref underneath)
     (["realize", "--gcm", AFF], "alpha"),
     # weyl: from_word / descents
     (["weyl-reduce", "--gcm", A2, "--word", "2 1 2"], "word"),

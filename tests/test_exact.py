@@ -228,6 +228,16 @@ def test_kernel_lattice_is_saturated():
         kernel_lattice_basis([[1, 0]], 3)
 
 
+def test_a_kernel_vector_the_rows_do_not_kill_is_an_internal_error(monkeypatch):
+    # a reduction that reports rank - 1 hands back its last pivot column of
+    # V, which the rows do not kill
+    real = exact._echelon_columns
+    monkeypatch.setattr(exact, "_echelon_columns", lambda cols, track: real(cols, track) - 1)
+    for rows in ([[1, 2, 3]], [[2, -2], [-2, 2]], [[1, 0, 0], [0, 3, 0]], [[0, 5]]):
+        with pytest.raises(InternalError, match="not killed by the rows"):
+            kernel_lattice_basis(rows, len(rows[0]))
+
+
 def test_lp_examples():
     a2 = [[2, -1], [-1, 2]]
     neg = int_mat([[-x for x in row] for row in a2])
@@ -303,21 +313,30 @@ def test_lp_and_nonneg_solve_reject_non_int_entries(bad):
         nonneg_solve([[1, 1]], (bad,))
 
 
-@pytest.mark.parametrize("call", [
+@pytest.mark.parametrize("call,message", [
     # the -5 was dropped, and the full system is feasible
-    lambda: LPProblem(matrix=((-1,), (1, -5)), relations=("le", "le")),
+    (lambda: LPProblem(matrix=((-1,), (1, -5)), relations=("le", "le")), "LP matrix is ragged"),
     # IndexError before
-    lambda: nonneg_solve([[1, 0], [0, 1]], (1,)),
+    (lambda: nonneg_solve([[1, 0], [0, 1]], (1,)),
+     "nonneg_solve input right-hand side needs 2 entries, one per row"),
     # InternalError before
-    lambda: nonneg_solve([[1], [1, 1]], (1, 2)),
-    lambda: nonneg_solve([[1, 0], [0, 1]], (1, 2, 3)),
-    lambda: nonneg_feasible([[1], [1, 1]], [(1, 2)]),
-    lambda: nonneg_feasible([[1, 0], [0, 1]], [(1, 2), (1,)]),
-    lambda: nonneg_feasible([[1, 0], [0, 1]], [(1, 2.0)]),
+    (lambda: nonneg_solve([[1], [1, 1]], (1, 2)), "nonneg_solve input matrix is ragged"),
+    (lambda: nonneg_solve([[1, 0], [0, 1]], (1, 2, 3)),
+     "nonneg_solve input right-hand side needs 2 entries, one per row"),
+    (lambda: nonneg_feasible([[1], [1, 1]], [(1, 2)]), "nonneg_feasible input matrix is ragged"),
+    (lambda: nonneg_feasible([[1, 0], [0, 1]], [(1, 2), (1,)]),
+     "nonneg_feasible input right-hand side is ragged"),
+    (lambda: nonneg_feasible([[1, 0], [0, 1]], [(1, 2.0)]),
+     "nonneg_feasible input right-hand side must have integer entries"),
+    (lambda: int_mat([[1, 2], [3]]), "ragged matrix"),
+    (lambda: LPProblem(matrix=(), relations=()), "need at least one variable"),
+    (lambda: LPProblem(matrix=((1,),), relations=()), "one relation per row required"),
+    (lambda: LPProblem(matrix=((1,),), relations=("ge",)), "bad relation"),
 ], ids=["lp-ragged", "solve-short-b", "solve-ragged", "solve-long-b", "feasible-ragged",
-        "feasible-short-b", "feasible-float-b"])
-def test_malformed_lp_input_is_a_value_error(call):
-    with pytest.raises(ValueError):
+        "feasible-short-b", "feasible-float-b", "int-mat-ragged", "lp-no-variable",
+        "lp-relation-count", "lp-bad-relation"])
+def test_malformed_lp_input_is_a_value_error(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
         call()
 
 

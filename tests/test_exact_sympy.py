@@ -1,6 +1,9 @@
 """`exact.smith_normal_form`, `exact.int_rref` and
 `exact.kernel_lattice_basis` against sympy on seeded integer matrices,
-full-rank and rank-deficient."""
+full-rank and rank-deficient.  Then the Smith normal form and the kernel
+against the reference Smith normal form (`exact_reference`), the one the
+package ran before one column reduction served both, on the same matrices
+and on the kernel calls of one `verify.check_toric()`."""
 
 import random
 from fractions import Fraction
@@ -11,8 +14,11 @@ sympy = pytest.importorskip("sympy")
 
 from sympy.matrices.normalforms import invariant_factors  # noqa: E402
 
-from kmx.exact import (identity, int_rref, kernel_lattice_basis, mat_mul,  # noqa: E402
-                       smith_normal_form)
+import exact_reference as ref  # noqa: E402
+
+from kmx import exact, verify  # noqa: E402
+from kmx.exact import (identity, int_mat, int_rref, kernel_lattice_basis,  # noqa: E402
+                       mat_mul, smith_normal_form)
 
 
 def _matrices(seed, count):
@@ -83,3 +89,62 @@ def test_kernel_lattice_basis_is_the_saturated_kernel(k):
 def test_no_rows_give_the_whole_lattice():
     for dim in range(5):
         assert kernel_lattice_basis((), dim) == identity(dim)
+
+
+# -- against the reference Smith normal form ------------------------------------
+
+
+def _ref_kernel(m, dim):
+    """The kernel basis as the package read it before: the columns of the
+    reference V at zero diagonal entries of D or past the last row."""
+    if not m:
+        return identity(dim)
+    _, d, v = ref.smith_normal_form(m)
+    return tuple(tuple(row[j] for row in v) for j in range(dim) if j >= len(m) or d[j][j] == 0)
+
+
+def _matches_the_reference(m):
+    """D is the reference's D, the kernel basis spans the reference's
+    kernel lattice, and V's columns at zero diagonal entries are the
+    kernel basis."""
+    dim = len(m[0])
+    _, d, v = smith_normal_form(m)
+    basis = kernel_lattice_basis(m, dim)
+    return (d == ref.smith_normal_form(m)[1] and ref.same_lattice(basis, _ref_kernel(m, dim))
+            and basis == tuple(tuple(row[j] for row in v) for j in range(dim)
+                               if j >= len(m) or d[j][j] == 0))
+
+
+@pytest.fixture(scope="module")
+def verify_kernels():
+    """(rows, dim) of each `kernel_lattice_basis` call of one
+    `verify.check_toric()`."""
+    calls = []
+    real = exact.kernel_lattice_basis
+
+    def recording(rows, dim):
+        calls.append((int_mat(rows), dim))
+        return real(rows, dim)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exact, "kernel_lattice_basis", recording)
+        assert verify.check_toric().passed
+    return calls
+
+
+def test_verify_kernels_are_the_reference_bases(verify_kernels):
+    # the column reduction picks the pivots the reference did on every
+    # kernel verify asks for, so the verify report cannot move
+    assert len(verify_kernels) == 400
+    for m, dim in verify_kernels:
+        assert kernel_lattice_basis(m, dim) == _ref_kernel(m, dim), m
+
+
+def test_verify_kernels_match_the_reference_smith_normal_form(verify_kernels):
+    assert all(_matches_the_reference(m) for m, _ in verify_kernels if m)
+
+
+@pytest.mark.parametrize("k", range(0, len(MATRICES), 20))
+def test_smith_normal_form_and_kernel_match_the_reference(k):
+    for m in MATRICES[k:k + 20]:
+        assert _matches_the_reference(m), m

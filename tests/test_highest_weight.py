@@ -74,6 +74,8 @@ def test_weights_and_mults_examples():
 def test_weights_reject_nondominant():
     with pytest.raises(NotDominant):
         HW.weights_and_mults(A2, (-1, 0), 2)
+    with pytest.raises(NotDominant, match="^highest weight needs 2 coordinates$"):
+        HW.weights_and_mults(A2, (1, 0, 0), 2)
     # coordinates beyond the coroots are unconstrained
     HW.weights_and_mults(AFF, (1, 0, -5), 1)
 

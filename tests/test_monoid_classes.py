@@ -129,6 +129,9 @@ def test_classes_of_two_root_data_are_refused():
         M.wm_normalize(W.simple(A2, 0), cone)
     with pytest.raises(PreconditionViolated, match="two root data"):
         M.nhat_from(W.simple(A2, 0), face=cone)
+    with pytest.raises(PreconditionViolated, match="^Weyl-monoid class of a Weyl element and "
+                                                   "a face of two root data$"):
+        M.wm_unit(hyp, W.simple(A2, 0))
     assert W.simple(A2, 0) not in (cone._classes or {})
     # the same matrix built twice is two root data as well
     twin = build_realization(A2.gcm)
@@ -151,6 +154,7 @@ def test_meets_and_products_of_two_root_data_are_refused(rows):
             "wm_mul": lambda: M.wm_mul(M.wm_idempotent(x), M.wm_idempotent(y)),
             "nhat_mul": lambda: M.nhat_mul(M.nhat_idempotent(x), M.nhat_idempotent(y)),
             "nhat_conj_idem": lambda: M.nhat_conj_idem(M.nhat_from(W.identity_elt(x.datum)), y),
+            "weyl_mul": lambda: W.simple(x.datum, 0) * W.simple(y.datum, 0),
         }
         for name, call in calls.items():
             with pytest.raises(PreconditionViolated, match="two root data"):

@@ -5,6 +5,8 @@ from itertools import product
 import exact_reference as ref
 import pytest
 
+from kmx import exact, verify
+from kmx.cli import main
 from kmx.errors import (DomainError, NotInMonoid, PreconditionViolated, RankMismatch, SizeGuard,
                         ZeroTorusValue)
 from kmx.exact import int_mat, nonneg_solve, rat_solve, transpose, vec_dot
@@ -214,6 +216,8 @@ def test_unit_group_is_hom_of_hull():
 def test_guards_and_errors():
     with pytest.raises(SizeGuard):
         LatticeMonoid([(0,) * 9], 9)
+    with pytest.raises(SizeGuard, match="^at most 64 generators supported$"):
+        LatticeMonoid([(1, 0)] * 65, 2)
     with pytest.raises(RankMismatch):
         LatticeMonoid([(1, 0, 0)], 2)
     # generator entries are read as they are, never truncated
@@ -377,13 +381,6 @@ def test_lineality_and_equalities_checked_without_the_double_description():
     assert seen_lin > 30 and seen_eq > 30, (seen_lin, seen_eq)
 
 
-def _same_lattice(basis, reference):
-    """Each basis has integer coordinates in the other; `lattice_coords`
-    raises InternalError on a basis that is dependent or not saturated."""
-    return (all(ref.lattice_coords(reference, v) is not None for v in basis)
-            and all(ref.lattice_coords(basis, v) is not None for v in reference))
-
-
 def test_face_lineality_and_equality_lattices_match_the_saturated_spans():
     # every lattice of a cone is the saturated kernel of integer rows; the
     # reference saturates a spanning set by two Smith normal forms instead:
@@ -400,12 +397,25 @@ def test_face_lineality_and_equality_lattices_match_the_saturated_spans():
         cols = transpose(gens)
         neg_in_cone = [g for g in gens
                        if ref.nonneg_solve(cols, tuple(-x for x in g)) is not None]
-        assert _same_lattice(m.lineality, ref.saturate_span(neg_in_cone, rank))
+        assert ref.same_lattice(m.lineality, ref.saturate_span(neg_in_cone, rank))
         _, kernel = ref.rat_solve(gens, (0,) * len(gens))
-        assert _same_lattice(m.equalities, ref.saturate_span(kernel, rank))
+        assert ref.same_lattice(m.equalities, ref.saturate_span(kernel, rank))
         for f in m.faces():
             span = [m.rays[k] for k in f.ray_ids] + list(m.lineality)
-            assert _same_lattice(f.hull, ref.saturate_span(span, rank))
+            assert ref.same_lattice(f.hull, ref.saturate_span(span, rank))
             assert f.dim == len(f.hull)
             faces += 1
     assert faces > 2000, faces
+
+
+def test_no_library_route_runs_a_smith_normal_form(monkeypatch, capsys):
+    # every saturated kernel is one column reduction; one `kmx verify` ran
+    # 376 Smith normal forms, all for toric, before
+    snfs = []
+    real = exact.smith_normal_form
+    monkeypatch.setattr(exact, "smith_normal_form", lambda m: snfs.append(m) or real(m))
+    assert verify.check_toric().passed
+    monoid = '{"rank": 3, "generators": [[1,3,-2],[1,-2,2],[-1,0,-3],[2,-3,0]]}'
+    assert main(["toric-saturate", "--monoid", monoid, "--contains", "1,1,0"]) == 0
+    assert main(["toric-faces", "--monoid", monoid, "--face", "3", "--dual"]) == 0
+    assert "hull" in capsys.readouterr().out and not snfs

@@ -228,9 +228,10 @@ def test_mhat_products_units_and_values_solve_no_system(monkeypatch):
 
 def test_face_lattice_runs_one_smith_normal_form_per_face(monkeypatch):
     # each hull is the saturated kernel of the equalities and the face's
-    # active facets, built when first read; a face with neither is the whole
-    # lattice, and no SNF.  Building the lattice reads no hull
-    snfs = _counting(monkeypatch, "smith_normal_form")
+    # active facets, built when first read by one column reduction (the
+    # first step of a Smith normal form); a face with neither is the whole
+    # lattice, and no reduction.  Building the lattice reads no hull
+    snfs = _counting(monkeypatch, "_echelon_columns")
     for m in _cones(seed=70, count=25):
         snfs.clear()
         fl = m.faces()
@@ -255,6 +256,29 @@ def test_face_dims_hulls_and_order_match_the_one_snf_per_face_reference():
         assert [(f.dim, f.ray_ids, f.active, f.hull) for f in fl] == toric_faces(m)
         checked += len(fl)
     assert checked > 1000, checked
+
+
+def test_a_face_missing_from_an_index_is_an_internal_error():
+    # the facets vanishing at a point are its face's active set, and the rays
+    # two faces share are their meet's ray set, so a lookup can miss only if
+    # an index lost a face: drop each entry of each index in turn
+    dropped = 0
+    for m in _cones(seed=73, count=20):
+        faces, by_active, by_rays = m._lattice
+        for f in faces:
+            x = tuple(map(sum, zip((0,) * m.rank, *(m.rays[k] for k in f.ray_ids))))
+            assert m.face_of(x) is f and m.face_meet(f, f) is f
+            m.__dict__["_lattice"] = (faces, {a: g for a, g in by_active.items() if g is not f},
+                                      by_rays)
+            with pytest.raises(InternalError, match="no face with active set"):
+                m.face_of(x)
+            m.__dict__["_lattice"] = (faces, by_active,
+                                      {r: g for r, g in by_rays.items() if g is not f})
+            with pytest.raises(InternalError, match="meet fell outside the computed lattice"):
+                m.face_meet(f, f)
+            m.__dict__["_lattice"] = (faces, by_active, by_rays)
+            dropped += 1
+    assert dropped > 100, dropped
 
 
 def test_faces_compare_and_hash_by_their_hulls():
