@@ -374,7 +374,7 @@ def _classify_cached(gcm: GCM, idx: tuple[int, ...]) -> Classification:
     t0: list[int] = []
     tinf: list[int] = []
     for comp in _components(gcm.a, idx):
-        ct = component_type(gcm, comp)
+        ct = _component_type_cached(gcm, comp)
         comps.append((comp, ct))
         (t0 if ct is ComponentType.FIN else tinf).extend(comp)
     return Classification(
@@ -587,7 +587,7 @@ class RootDatum:
         """`stabilizer_type` of a Theta already read by `index_set`."""
         stab = self._stab.get(key)
         if stab is None:
-            if not is_special(self.gcm, key):
+            if _classify_cached(self.gcm, key).theta0:
                 raise NotSpecial(key)
             stab = self._stab[key] = tuple(sorted(key + self.theta_perp(key)))
         return stab
@@ -604,10 +604,13 @@ class RootDatum:
         Any valid certificate defines the same face; canonicality is only
         for reproducibility.
         """
-        key = index_set(self.n, theta)
+        return self._exposing(index_set(self.n, theta))
+
+    def _exposing(self, key: tuple[int, ...]) -> IntVec:
+        """`exposing_coweight` of a Theta already read by `index_set`."""
         if key in self._ctheta:
             return self._ctheta[key]
-        if not is_special(self.gcm, key):
+        if _classify_cached(self.gcm, key).theta0:
             raise NotSpecial(key)
         coef = {i: 0 for i in range(self.n)}
         for comp in _components(self.gcm.a, key):

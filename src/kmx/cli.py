@@ -560,7 +560,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--weight", required=True)
     p.add_argument("--antidominant", action="store_true",
                    help="treat the input as an integer coweight and antidominant-minimize")
-    p.add_argument("--cap", type=int, default=2000)
+    p.add_argument("--cap", type=int, default=W.STEP_BUDGET)
     p = verb("face-normalize", cmd_face_normalize, help="face normal form")
     p.add_argument("--face", required=True, help="'w=3 1;theta=1,2' or JSON")
     p = verb("face-include", cmd_face_include, help="is the right face inside the left?")
@@ -573,7 +573,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--weight", required=True)
     p.add_argument("--predicates", help="face to test the point's predicates against")
     p.add_argument("--element", help="Weyl word for centralize/normalize predicates")
-    p.add_argument("--cap", type=int, default=2000)
+    p.add_argument("--cap", type=int, default=W.STEP_BUDGET)
     p = verb("wmon-mul", cmd_wmon_mul, help="Weyl monoid product")
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)

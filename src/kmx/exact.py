@@ -365,7 +365,8 @@ def lp_feasible(p: LPProblem) -> Optional[RatVec]:
     homogeneous, so u_i > 0 and (Mu)_r < 0 may be scaled to u = 1 + x with
     x >= 0 and (Mu)_r <= -1.  Phase-1 simplex with Bland's rule decides
     feasibility.  The returned u satisfies every relation exactly, and still
-    does after scaling to a primitive integer vector (`primitive`).
+    does after scaling to a primitive integer vector (`primitive`); None
+    rests on the final basis's Farkas vector (`_farkas`).
     """
     # row . x + s_r == -row . 1 ('le'), row . x == -row . 1 ('eq') or
     # row . x + s_r == -row . 1 - 1 ('lt'), one slack s_r >= 0 per
@@ -374,8 +375,9 @@ def lp_feasible(p: LPProblem) -> Optional[RatVec]:
     rows = [tuple(row) + tuple(int(r == k) for k in slacks)
             for r, row in enumerate(p.matrix)]
     rhs = [-sum(row) - (rel == "lt") for row, rel in zip(p.matrix, p.relations)]
-    x, d, _ = _simplex_feasible(rows, rhs)
+    x, d, basis = _simplex_feasible(rows, rhs)
     if x is None:
+        _farkas(rows, rhs, basis)
         return None
     du = [d + xi for xi in x[:len(p.matrix[0])]]  # d * u with d > 0
     if min(du) <= 0 or not all({"le": v <= 0, "eq": v == 0, "lt": v < 0}[rel]
@@ -405,6 +407,9 @@ def _simplex_feasible(rows, rhs) -> tuple[Optional[list[int]], int, list[int]]:
     is one `_bareiss_pivot`, so the tableau is the integer one over the
     last pivot d > 0.  Bland's rule picks the entering column; the ratio
     test compares by cross-multiplying, ties to the smaller basic index.
+    The last row's b entry is d times the phase-1 objective, the sum of the
+    basic artificials' values, each nonnegative; so when it ends at zero,
+    every artificial still basic sits at zero and x solves A x = b.
     """
     global _simplex_runs
     _simplex_runs += 1
@@ -437,8 +442,6 @@ def _simplex_feasible(rows, rhs) -> tuple[Optional[list[int]], int, list[int]]:
     for i in range(nr):
         if basis[i] < width:
             x[basis[i]] = tab[i][-1]
-        elif tab[i][-1] != 0:
-            return None, d, basis  # artificial stuck at a positive level
     return x, d, basis
 
 

@@ -38,7 +38,12 @@ classes (`Face._classes`, filled by `monoids._wm_class`) is one table.
 
 The entries read their arguments at the API boundary (`cartan`); the
 routes inside kmx run the cores `_normal_face`, `_act_face`,
-`_face_exposed_by` and `_conjugate_in`, which read nothing.
+`_face_exposed_by` and `_conjugate_in`, which read nothing.  A point query
+reads its weight by `RootDatum._weight` and its step budget by
+`weyl._budget`, then walks once (`weyl._dominant`): `_face_of` types the
+walk's facet, `_contains` certifies a weight by the walk alone and pairs
+it, and each predicate is written once (`_pairs_to_zero`, `_in_span`,
+`_predicates`).
 """
 
 from __future__ import annotations
@@ -47,10 +52,10 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from . import weyl as W
-from .cartan import RootDatum, _check_datum, _expect, classify, index_set, one_based
+from .cartan import RootDatum, _check_datum, _classify_cached, _expect, index_set, one_based
 from .errors import DomainError, PreconditionViolated
 from .exact import IntVec, vec_add
-from .weyl import WeylElt, dominant_rep
+from .weyl import WeylElt
 
 
 @dataclass(frozen=True)
@@ -75,7 +80,7 @@ class Face:
         """Integer coweight w c_Theta whose zero set on the Tits cone is this face."""
         if self._exposing is None:
             object.__setattr__(self, "_exposing",
-                               self.w._act_coweight(self.datum.exposing_coweight(self.theta)))
+                               self.w._act_coweight(self.datum._exposing(self.theta)))
         return self._exposing  # type: ignore[return-value]
 
     def span_normals(self) -> tuple[IntVec, ...]:
@@ -176,7 +181,7 @@ def intersect(r: Face, s: Face) -> Face:
     return _face_exposed_by(r.datum, vec_add(r.exposing(), s.exposing()))
 
 
-def face_of_point(datum: RootDatum, weight: Sequence, cap: int = 2000) -> Face:
+def face_of_point(datum: RootDatum, weight: Sequence, cap: int = W.STEP_BUDGET) -> Face:
     """Smallest face containing a Tits-cone weight.
 
     Propagates NotInTitsCone / Undecided verdicts from dominance
@@ -184,25 +189,44 @@ def face_of_point(datum: RootDatum, weight: Sequence, cap: int = 2000) -> Face:
     w R(J^infty): finite-type components of J keep the point in the
     relative interior.
     """
-    res = dominant_rep(datum, weight, cap=cap)
-    return _normal_face(res.w, classify(datum.gcm, res.facet_type).theta_inf)
+    return _face_of(datum, _check_datum(datum)._weight(weight), W._budget(cap))
 
 
-def contains(r: Face, weight: Sequence, *, cap: int = 2000) -> bool:
+def _face_of(datum: RootDatum, lam: tuple, cap: int) -> Face:
+    """`face_of_point` of a weight and a budget read; the facet type is
+    sorted without repeats, so it is classified unread."""
+    res = W._dominant(datum, lam, cap)
+    return _normal_face(res.w, _classify_cached(datum.gcm, res.facet_type).theta_inf)
+
+
+def contains(r: Face, weight: Sequence, *, cap: int = W.STEP_BUDGET) -> bool:
     """Point containment: lam in X and lam(c_R) = 0 for the exposing coweight."""
-    weight = _expect(r, Face, "a Face").datum._weight(weight)
-    # dominant_rep raises if the weight is not certified inside
-    dominant_rep(r.datum, weight, cap=cap)
-    return r.datum.pair(weight, r.exposing()) == 0
+    return _contains(r, _expect(r, Face, "a Face").datum._weight(weight), W._budget(cap))
 
 
-def in_relative_interior(r: Face, weight: Sequence, cap: int = 2000) -> bool:
-    return face_of_point(_expect(r, Face, "a Face").datum, weight, cap=cap) == r
+def _contains(r: Face, lam: tuple, cap: int) -> bool:
+    """`contains` of a weight and a budget read: the walk certifies the
+    weight in the Tits cone, or raises its verdict."""
+    W._dominant(r.datum, lam, cap)
+    return _pairs_to_zero(r, lam)
+
+
+def _pairs_to_zero(r: Face, lam: tuple) -> bool:
+    """A weight certified in the Tits cone lies in r iff it pairs to zero
+    with c_R."""
+    return r.datum.pair(lam, r.exposing()) == 0
+
+
+def in_relative_interior(r: Face, weight: Sequence, cap: int = W.STEP_BUDGET) -> bool:
+    return _face_of(_expect(r, Face, "a Face").datum, r.datum._weight(weight), W._budget(cap)) == r
 
 
 def in_span(r: Face, weight: Sequence) -> bool:
-    weight = _expect(r, Face, "a Face").datum._weight(weight)
-    return all(r.datum.pair(weight, h) == 0 for h in r.span_normals())
+    return _in_span(r, _expect(r, Face, "a Face").datum._weight(weight))
+
+
+def _in_span(r: Face, lam: tuple) -> bool:
+    return all(r.datum.pair(lam, h) == 0 for h in r.span_normals())
 
 
 def centralizes(r: Face, u: WeylElt) -> bool:
@@ -223,24 +247,27 @@ def _conjugate_in(r: Face, u: WeylElt, js: tuple[int, ...]) -> bool:
 
 def point_predicates(r: Face, weight: Sequence, own: Face) -> dict:
     """Predicates of r at a weight whose `face_of_point` is `own`; that walk
-    certified the weight in the Tits cone.  The weight lies in r iff it
-    pairs to zero with c_R, in r's interior iff its own face is r."""
-    weight = _expect(r, Face, "a Face").datum._weight(weight)
-    return {"contains": r.datum.pair(weight, r.exposing()) == 0,
-            "in_relative_interior": _expect(own, Face, "a Face") == r,
-            "in_span": all(r.datum.pair(weight, h) == 0 for h in r.span_normals())}
+    certified the weight in the Tits cone."""
+    lam = _expect(r, Face, "a Face").datum._weight(weight)
+    return _predicates(r, lam, _expect(own, Face, "a Face"))
+
+
+def _predicates(r: Face, lam: tuple, own: Face) -> dict:
+    """`point_predicates` of a weight read: it lies in r's interior iff its
+    own face is r."""
+    return {"contains": _pairs_to_zero(r, lam),
+            "in_relative_interior": own == r, "in_span": _in_span(r, lam)}
 
 
 def face_predicates(r: Face, *, weight: Optional[Sequence] = None,
-                    u: Optional[WeylElt] = None, cap: int = 2000) -> dict:
-    """Predicates of r at `weight` and `u`.  One `face_of_point` walk certifies
-    the weight (or raises its verdict) and gives the point predicates their
-    own face."""
+                    u: Optional[WeylElt] = None, cap: int = W.STEP_BUDGET) -> dict:
+    """Predicates of r at `weight` and `u`.  One walk certifies the weight
+    (or raises its verdict) and gives the point predicates their own face."""
     r = _expect(r, Face, "a Face")
     out: dict = {}
     if weight is not None:
-        weight = r.datum._weight(weight)
-        out = point_predicates(r, weight, face_of_point(r.datum, weight, cap=cap))
+        lam = r.datum._weight(weight)
+        out = _predicates(r, lam, _face_of(r.datum, lam, W._budget(cap)))
     if u is not None:
         u = _expect(u, WeylElt, "a WeylElt")
         out["centralizes"] = _conjugate_in(r, u, r.theta)

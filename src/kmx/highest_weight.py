@@ -334,7 +334,7 @@ def _check_natural(x: int, what: str):
 def _depth_guard(datum: RootDatum, depth: int, max_depth: Optional[int]):
     _check_natural(depth, "depth")
     if max_depth is not None:
-        exact_ints((max_depth,), "max depth")
+        _check_natural(max_depth, "max depth")
         if depth > max_depth:
             raise DepthTooLarge(f"depth {depth} over the requested cap {max_depth}")
         return  # an explicit cap also lifts the default rank guard
@@ -970,18 +970,22 @@ def probe_equal(datum: RootDatum, w1: GhatWord, w2: GhatWord, probes: Sequence):
     """Compare two words as operators on the given probes.
 
     Each probe is (hw, depth) or (hw, depth, max_height), and anything else
-    is a DomainError; the third entry restricts the compared columns to
-    basis vectors of bounded height so that words with lowering content fit
-    inside the window on infinite modules.  Each word makes its own full pass over the columns, w1 first,
-    so a word that leaves the window raises DepthExceeded even when the
-    other already differs.  The images are compared as sparse vectors;
+    is a DomainError, as is an empty probe list; the third entry restricts
+    the compared columns to basis vectors of bounded height so that words
+    with lowering content fit inside the window on infinite modules.  Each
+    word makes its own full pass over the columns, w1 first, so a word that
+    leaves the window raises DepthExceeded even when the other already
+    differs.  The images are compared as sparse vectors;
     Distinct holds the first differing entry in row-major order, the only
     one formed as a Fraction.  EqualOnProbes is NOT a proof of equality in
     the ambient monoid; Distinct returns an exact witness coefficient.
     """
     _check_datum(datum)
+    probes = entries(probes, "probe")
+    if not probes:
+        raise DomainError("probe list is empty, so no probe could tell the words apart")
     tried = []
-    for probe in entries(probes, "probe"):
+    for probe in probes:
         shape = entries(probe, "probe")
         if len(shape) not in (2, 3):
             raise DomainError(f"probe {probe!r} is not (hw, depth) or (hw, depth, max_height)")

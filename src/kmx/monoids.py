@@ -37,8 +37,10 @@ way.  The entries read their arguments at the API boundary (`cartan`): a
 torus element by `cartan.torus_values`, the parameter s of t_h(s) as a
 one-value torus element.  Every route inside runs the private cores
 (`_wm_class`, `_wm_mul`, `_that`, `_nelt_mul`, `_nelt_inv`, `_nhat_mul`,
-`_lift`) on what it read or built, so `NhatElt.canonical` reads nothing.  A
-character t(lam) is `exact.character`, evaluated fraction-free.
+`_lift`) on what it read or built, so `NhatElt.canonical` reads nothing,
+and `wm_apply` and `that_eval` certify the weight they read by
+`faces._contains`.  A character t(lam) is `exact.character`, evaluated
+fraction-free.
 
 Normalizer elements are n_w t e(R), n_w the canonical lift of a reduced
 word, with the one cocycle n_i^2 = t_{h_i}(-1).  If s_i u < u (row i of
@@ -186,12 +188,12 @@ def wm_apply(x: WmonElt, weight: Sequence):
 
     Well-defined on congruence classes: replacing sigma by z sigma with z
     centralizing the face changes neither the membership test nor the image.
-    `faces.contains` certifies the image in the Tits cone, so its verdicts
-    (NotInTitsCone / Undecided) pass through.  `WeylElt.act_weight` reads
-    the weight by `cartan.exact_rationals`.
+    The Tits-cone walk certifies the image (`faces._contains`), so its
+    verdicts (NotInTitsCone / Undecided) pass through.  `WeylElt.act_weight`
+    reads the weight by `cartan.exact_rationals`.
     """
     img = _expect(x, WmonElt, "a WmonElt").w.act_weight(weight)
-    if F.contains(x.face, img):
+    if F._contains(x.face, img, W.STEP_BUDGET):
         return tuple(img)
     return ZERO
 
@@ -315,10 +317,14 @@ def that_act(u: WeylElt, x: ThatElt) -> ThatElt:
 
 
 def that_eval(x: ThatElt, weight: Sequence[int]):
-    """Operator value on a weight: t(lam) on the face, else Zero."""
-    weight = entries(weight, "weight coordinate")
-    if F.contains(_expect(x, ThatElt, "a ThatElt").face, weight):
-        return torus_eval(x.rep, weight)
+    """Operator value on a weight: t(lam) on the face, else Zero.  The
+    weight is read as m integers by `cartan.exact_ints`, so a coordinate
+    that is not a Python int is a DomainError wherever the weight lies."""
+    lam = exact_ints(weight, "weight coordinate")
+    if len(lam) != _expect(x, ThatElt, "a ThatElt").datum.m:
+        raise DomainError(f"weight needs {x.datum.m} coordinates")
+    if F._contains(x.face, lam, W.STEP_BUDGET):
+        return exact.character(x.rep, lam)
     return ZERO
 
 

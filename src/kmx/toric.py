@@ -14,20 +14,20 @@ on the hull, its product (t t' on the meet) and its value at a point of F
 are all `exact.character` of t, so no point is written in coordinates of a
 hull basis.
 
-Every point query reads one pass over the facet pairings (`_locate`): x
-lies in a face F iff F's active facets vanish at x, and in its relative
-interior iff exactly they do.  The pass checks x's coordinates, so a
-point that is not an integer vector is a DomainError for every query, and
-it ends at the first negative pairing; an entry that uses x beyond the
-pass (`active_set`, an M-hat value) reads it first.  The face lattice is built once,
-with indexes by active set and by ray set, so `face_of` and `face_meet` are
-lookups.  A face's dimension comes from one elimination of its normals
-(`exact.int_rref`); its hull, one column reduction of its normals, is
-built when it is first read.  The entries read their arguments at the API
-boundary (`cartan`): every query that takes a face reads it through one
-check (`LatticeMonoid._own`), and a face of another monoid is a
-PreconditionViolated.  `subfaces`, `principal_open` and `mhat_idempotents`
-read none of the faces that they enumerate themselves.
+Every point query reads its point once (`LatticeMonoid._point`), so a
+point that is not an integer vector of the ambient rank is an error for
+every query, and makes one pass over the facet pairings (`_locate`), which
+ends at the first negative pairing: x lies in a face F iff F's active
+facets vanish at x, and in its relative interior iff exactly they do.  The
+face lattice is built once, with indexes by active set and by ray set, so
+`face_of` and the meet (`_meet`) are lookups.  A face's dimension comes
+from one elimination of its normals (`exact.int_rref`); its hull, one
+column reduction of its normals, is built when it is first read.  The
+entries read their arguments at the API boundary (`cartan`): every query
+that takes a face reads it through one check (`LatticeMonoid._own`), and a
+face of another monoid is a PreconditionViolated; `mhat_mul` meets its
+operands' faces unread.  `subfaces`, `principal_open` and
+`mhat_idempotents` read none of the faces that they enumerate themselves.
 """
 
 from __future__ import annotations
@@ -168,13 +168,18 @@ class LatticeMonoid:
 
     # -- membership ----------------------------------------------------------
 
-    def _locate(self, x: Sequence[int]) -> Optional[tuple[int, ...]]:
-        """The facets vanishing at x, or None when x is outside the monoid:
-        one pass that ends at the first nonzero equality or negative facet
-        pairing.  A coordinate that is not a Python int is a DomainError."""
+    def _point(self, x: Sequence[int]) -> IntVec:
+        """x read as a lattice point: a coordinate that is not a Python int
+        is a DomainError, a length other than the rank a RankMismatch."""
         x = exact_ints(x, "point coordinate")
         if len(x) != self.rank:
             raise RankMismatch("point has the wrong length")
+        return x
+
+    def _locate(self, x: IntVec) -> Optional[tuple[int, ...]]:
+        """The facets vanishing at a point read by `_point`, or None when it
+        is outside the monoid: one pass that ends at the first nonzero
+        equality or negative facet pairing."""
         for a in self.equalities:
             if sum(map(mul, a, x)):
                 return None
@@ -188,10 +193,13 @@ class LatticeMonoid:
         return tuple(active)
 
     def contains(self, x: Sequence[int]) -> bool:
-        return self._locate(x) is not None
+        return self._locate(self._point(x)) is not None
 
     def active_set(self, x: Sequence[int]) -> tuple[int, ...]:
-        x = exact_ints(x, "point coordinate")
+        return self._active(self._point(x))
+
+    def _active(self, x: IntVec) -> tuple[int, ...]:
+        """`active_set` of a point read by `_point`."""
         act = self._locate(x)
         if act is None:
             raise NotInMonoid(f"{x} is outside the monoid")
@@ -256,7 +264,7 @@ class LatticeMonoid:
         """x lies in f: a saturated monoid meets the zero set of f's active
         facets exactly in f, so no test against the hull lattice is needed."""
         self._own(f)
-        act = self._locate(x)
+        act = self._locate(self._point(x))
         return act is not None and set(f.active).issubset(act)
 
     def top_face(self) -> MonoidFace:
@@ -267,7 +275,11 @@ class LatticeMonoid:
 
     def face_meet(self, f: MonoidFace, g: MonoidFace) -> MonoidFace:
         """The meet, whose ray set is the rays that f and g share."""
-        rs = tuple(sorted(set(self._own(f).ray_ids) & set(self._own(g).ray_ids)))
+        return self._meet(self._own(f), self._own(g))
+
+    def _meet(self, f: MonoidFace, g: MonoidFace) -> MonoidFace:
+        """`face_meet` of two faces of this monoid."""
+        rs = tuple(sorted(set(f.ray_ids) & set(g.ray_ids)))
         if (h := self._lattice[2].get(rs)) is None:
             raise InternalError("meet fell outside the computed lattice")
         return h
@@ -280,7 +292,7 @@ class LatticeMonoid:
 
     def relative_interior_contains(self, f: MonoidFace, x: Sequence[int]) -> bool:
         """In f but in no proper subface: active sets coincide."""
-        return self._locate(x) == self._own(f).active
+        return self._locate(self._point(x)) == self._own(f).active
 
     def dual_face(self, f: MonoidFace) -> "LatticeMonoid":
         """The monoid M - F, generated by M and the negated hull of F."""
@@ -319,8 +331,8 @@ class MhatElt:
         return self.monoid.faces()[self.face_index]
 
     def __call__(self, x: Sequence[int]) -> Fraction:
-        x = exact_ints(x, "point coordinate")
-        if set(self.face.active).issubset(self.monoid.active_set(x)):
+        x = self.monoid._point(x)
+        if set(self.face.active).issubset(self.monoid._active(x)):
             return exact.character(self.rep, x)
         return Fraction(0)
 
@@ -360,4 +372,4 @@ def mhat_mul(x: MhatElt, y: MhatElt) -> MhatElt:
     if _expect(x, MhatElt, "an MhatElt").monoid is not _expect(y, MhatElt, "an MhatElt").monoid:
         raise PreconditionViolated("product of elements of two different monoids")
     m = x.monoid
-    return _mhat(m, tuple(a * b for a, b in zip(x.rep, y.rep)), m.face_meet(x.face, y.face))
+    return _mhat(m, tuple(a * b for a, b in zip(x.rep, y.rep)), m._meet(x.face, y.face))

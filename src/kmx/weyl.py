@@ -50,7 +50,8 @@ The entries read their arguments at the API boundary (`cartan`):
 `identity_elt` and `simple` read the datum only on the miss that builds the
 identity or the reflections.  The cores that `faces` and `monoids` call on
 what kmx built (`_strip_read`, `_multiply_out`, `_antidominant`,
-`WeylElt._act_coweight`) read nothing.
+`_dominant`, `WeylElt._act_coweight`) read nothing; `_dominant` takes the
+exposing coweights by `RootDatum._exposing` on the datum's special sets.
 
 One object per element.  Each root datum keeps a table of its Weyl elements
 keyed by P (`RootDatum._weyl`), and every element this module builds comes
@@ -86,6 +87,9 @@ from .errors import (DomainError, InternalError, NotInTitsCone, PreconditionViol
 from .exact import IntMat
 
 Vec = tuple
+
+# the default step budget of the Tits-cone walk (`dominant_rep`)
+STEP_BUDGET = 2000
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -420,7 +424,7 @@ class DominantResult:
     facet_type: tuple[int, ...]
 
 
-def dominant_rep(datum: RootDatum, weight: Sequence, cap: int = 2000) -> DominantResult:
+def dominant_rep(datum: RootDatum, weight: Sequence, cap: int = STEP_BUDGET) -> DominantResult:
     """Dominant representative of a weight, with a Weyl witness w*dom = weight.
     The weight is read by `RootDatum._weight`: a coordinate that is not a
     Fraction or an int, or a length other than m, is a DomainError.
@@ -445,15 +449,26 @@ def dominant_rep(datum: RootDatum, weight: Sequence, cap: int = 2000) -> Dominan
     the two certificates' values.  The walk keeps the applied letters; w is
     multiplied out once, when it is returned.
     """
+    return _dominant(datum, _check_datum(datum)._weight(weight), _budget(cap))
+
+
+def _budget(cap) -> int:
+    """A step budget read: one that is not a Python int, or is negative, is
+    a DomainError."""
     if exact_ints((cap,), "step budget")[0] < 0:
         raise DomainError(f"step budget {cap} is negative")
-    lam = _check_datum(datum)._weight(weight)
+    return cap
+
+
+def _dominant(datum: RootDatum, lam: tuple, cap: int) -> DominantResult:
+    """dominant_rep of a weight read by `RootDatum._weight`, under a budget
+    read by `_budget`."""
     d = lcm(*(x.denominator for x in lam))
     numerator = tuple([x.numerator * (d // x.denominator) for x in lam])
     cur = list(numerator)
     n, alpha, support = datum.n, datum.alpha, datum.alpha_support
     thetas = [t for t in datum.special_sets() if t]
-    cvecs = [datum.exposing_coweight(t) for t in thetas]
+    cvecs = [datum._exposing(t) for t in thetas]
     vals = [exact.vec_dot(cur, c) for c in cvecs]  # <cur, c_Theta>
     steps = [[exact.vec_dot(alpha[i], c) for c in cvecs] for i in range(n)]  # <alpha_i, c_Theta>
     letters: list[int] = []  # w = s_{letters[0]} s_{letters[1]} ..., w * current = input
@@ -474,7 +489,7 @@ def dominant_rep(datum: RootDatum, weight: Sequence, cap: int = 2000) -> Dominan
         i = next((i for i in range(n) if cur[i] < 0), None)
         if i is None:
             w = _multiply_out(identity_elt(datum), letters)
-            if w.act_weight(cur) != numerator:
+            if exact.mat_vec(w.mat_p, cur) != numerator:
                 raise InternalError("dominant representative does not map back to the input")
             return DominantResult(dominant=tuple([Fraction(x, d) for x in cur]), w=w,
                                   facet_type=tuple(i for i in range(n) if cur[i] == 0))

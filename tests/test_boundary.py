@@ -13,6 +13,11 @@ The second half counts `cartan._expect` reads per public call.  Kmx reads
 each object argument once, where it enters, and calls its private cores on
 what it built or already read, so a call makes one read per object argument
 handed in from outside: a class, a face, a Weyl element or a datum.
+
+The last table counts the reads of every `cartan` reader per point query (a
+weight or lattice point located in the Tits cone or a lattice monoid):
+each query reads each argument once, a default step budget included, and
+walks once.
 """
 
 import inspect
@@ -292,3 +297,77 @@ def test_a_public_call_reads_each_object_argument_once(name, monkeypatch):
     if name == "wm_mul":  # the repeat is a lookup in x's products, and reads both again
         call(args)
         assert len(reads) == 2 * want, reads
+
+
+# -- one read per argument of a point query ----------------------------------------
+
+# the cartan readers; a read is an outermost call of one of them, so a reader
+# that another reader calls (`exact_ints` calls `entries`) is not counted
+READERS = ("_expect", "_check_datum", "entries", "exact_ints", "exact_rationals",
+           "index_set", "torus_values", "_check_gcm")
+
+
+def _point_operands():
+    """Operands of the point queries on a new root datum, and an M-hat unit."""
+    datum = build_realization(HYPERBOLIC_ROWS)
+    u = W.from_word(datum, (0, 1))
+    r = FC.parse_face(datum, "w=3; theta=1,2")
+    lm = TO.LatticeMonoid([(1, 0), (0, 1)], 2)
+    return {"datum": datum, "u": u, "r": r, "x": MO.wm_normalize(u, r), "lm": lm,
+            "tx": MO.that_normalize((Fr(2), Fr(3), Fr(-5)), r),
+            "mh": TO.mhat_unit(lm, (2, 3)), "lf": lm.top_face()}
+
+
+# public point query -> its reads: one per argument it is handed, a default
+# step budget included
+POINT_READS = {
+    "faces.contains": (lambda a: FC.contains(a["r"], (1, 1, 1)), 3),
+    "faces.in_relative_interior": (lambda a: FC.in_relative_interior(a["r"], (1, 1, 1)), 3),
+    "faces.face_of_point": (lambda a: FC.face_of_point(a["datum"], (1, 1, 1)), 3),
+    "faces.face_predicates-weight": (lambda a: FC.face_predicates(a["r"], weight=(1, 1, 1)), 3),
+    "faces.face_predicates-weight-u": (
+        lambda a: FC.face_predicates(a["r"], weight=(1, 1, 1), u=a["u"]), 4),
+    "faces.in_span": (lambda a: FC.in_span(a["r"], (1, 1, 1)), 2),
+    "faces.point_predicates": (lambda a: FC.point_predicates(a["r"], (1, 1, 1), a["r"]), 3),
+    "monoids.wm_apply": (lambda a: MO.wm_apply(a["x"], (1, 1, 1)), 2),
+    "monoids.that_eval": (lambda a: MO.that_eval(a["tx"], (1, 1, 1)), 2),
+    "weyl.dominant_rep": (lambda a: W.dominant_rep(a["datum"], (1, 1, 1)), 3),
+    "toric.mhat_mul": (lambda a: TO.mhat_mul(a["mh"], a["mh"]), 2),
+    "LatticeMonoid.contains": (lambda a: a["lm"].contains((1, 1)), 1),
+    "LatticeMonoid.active_set": (lambda a: a["lm"].active_set((1, 1)), 1),
+    "LatticeMonoid.face_of": (lambda a: a["lm"].face_of((1, 1)), 1),
+    "LatticeMonoid.principal_open": (lambda a: a["lm"].principal_open((1, 1)), 1),
+    "LatticeMonoid.face_contains": (lambda a: a["lm"].face_contains(a["lf"], (1, 1)), 2),
+    "MhatElt.__call__": (lambda a: a["mh"]((1, 1)), 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(POINT_READS))
+def test_a_point_query_reads_each_argument_once(name, monkeypatch):
+    # the first call builds the datum's special sets and exposing coweights;
+    # the second, counted, reads only what it is handed
+    operands = _point_operands()
+    call, want = POINT_READS[name]
+    call(operands)
+    reads = []
+    depth = [0]
+
+    def counter(reader, real):
+        def counted(*args, **kwargs):
+            if not depth[0]:
+                reads.append(reader)
+            depth[0] += 1
+            try:
+                return real(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+        return counted
+
+    for reader in READERS:
+        real = getattr(cartan, reader)
+        counted = counter(reader, real)
+        for mod in (cartan, W, FC, MO, TO, HW):
+            if getattr(mod, reader, None) is real:
+                monkeypatch.setattr(mod, reader, counted)
+    call(operands)
+    assert len(reads) == want, reads

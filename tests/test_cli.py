@@ -400,17 +400,17 @@ FACE_OF_POINT_OUTPUTS = [  # argv after the verb, and the line it prints
 
 
 def test_face_of_point_predicates_walk_the_weight_once(capsys, monkeypatch):
-    # the printed face and the predicates read one dominant_rep walk
-    from kmx import faces
+    # the printed face and the predicates read one Tits-cone walk
+    from kmx import weyl
 
     walks = []
-    real = faces.dominant_rep
+    real = weyl._dominant
 
     def counting(*args, **kwargs):
         walks.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(faces, "dominant_rep", counting)
+    monkeypatch.setattr(weyl, "_dominant", counting)
     for argv, printed in FACE_OF_POINT_OUTPUTS:
         walks.clear()
         assert run(capsys, ["face-of-point"] + argv) == (0, printed + "\n")

@@ -465,3 +465,15 @@ def test_int_rref_and_the_simplex_share_one_pivot_step(monkeypatch):
     before = len(calls)
     nonneg_solve([[1, 1], [0, 2]], (1, 1))
     assert len(calls) > before
+
+
+def test_an_infeasible_lp_verdict_rests_on_a_farkas_vector(monkeypatch):
+    # lp_feasible returned None on the simplex's word alone; a feasible LP
+    # reported infeasible now fails the final basis's Farkas check
+    prob = LPProblem(matrix=((-2, 1), (1, -2)), relations=("lt", "lt"))
+    assert lp_feasible(prob) is not None
+    real = exact._simplex_feasible
+    monkeypatch.setattr(exact, "_simplex_feasible",
+                        lambda rows, rhs: (None, *real(rows, rhs)[1:]))
+    with pytest.raises(InternalError, match="phase-1 basis gives no Farkas certificate"):
+        lp_feasible(prob)

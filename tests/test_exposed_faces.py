@@ -117,8 +117,8 @@ def test_each_datum_has_its_own_table():
 def test_exposing_is_w_acting_on_c_theta_and_is_kept():
     datum = build_realization(KERNEL_DATA["hyperbolic-3"].gcm)
     calls = []
-    real = datum.exposing_coweight
-    datum.exposing_coweight = lambda theta: calls.append(theta) or real(theta)
+    real = datum._exposing
+    datum._exposing = lambda theta: calls.append(theta) or real(theta)
     face = F.normalize_face(W.from_word(datum, (2, 1, 0)), (0, 1))
     c = face.w.act_coweight(real(face.theta))
     assert face.exposing() == c and face.exposing() is face.exposing()

@@ -101,7 +101,7 @@ def test_predicates_examples():
 
 
 def test_face_predicates_walk_the_weight_once(monkeypatch):
-    # one face_of_point walk serves contains and in_relative_interior; the
+    # one Tits-cone walk serves contains and in_relative_interior; the
     # answers are those of the predicates run one by one
     rng = random.Random(13)
     cases = []
@@ -115,13 +115,13 @@ def test_face_predicates_walk_the_weight_once(monkeypatch):
     assert {tuple(want.values()) for _, _, want in cases} >= {
         (True, True, True), (True, False, True), (False, False, False)}
     walks = []
-    real = FC.dominant_rep
+    real = W._dominant
 
     def counting(*args, **kwargs):
         walks.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(FC, "dominant_rep", counting)
+    monkeypatch.setattr(W, "_dominant", counting)
     for r, lam, want in cases:
         walks.clear()
         assert FC.face_predicates(r, weight=lam) == want

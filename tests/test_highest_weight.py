@@ -191,6 +191,10 @@ def test_negative_depth_is_a_domain_error():
     for build in (HW.build_basis, HW.weights_and_mults, HW.ModuleSlice):
         with pytest.raises(DomainError, match="depth -1 is negative"):
             build(A2, (1, 0), -1)
+        # a negative cap was read as a cap: DepthTooLarge("depth 2 over the
+        # requested cap -3")
+        with pytest.raises(DomainError, match="max depth -3 is negative"):
+            build(A2, (1, 0), 2, max_depth=-3)
 
 
 def test_contravariance_all_pairs():
@@ -962,6 +966,14 @@ def test_probe_equal_reads_each_probe_shape(probe, message):
     with pytest.raises(DomainError, match=re.escape(message)):
         HW.probe_equal(A2, w, w, [((1, 0), 2), probe])
     assert HW.probe_equal(A2, w, w, [[(1, 0), 3, 1]]) == HW.EqualOnProbes((((1, 0), 3),))
+
+
+def test_an_empty_probe_list_is_a_domain_error():
+    # it gave EqualOnProbes(probes=()), an equality verdict with no evidence
+    w = HW.GhatWord((HW.xminus(0, 1),))
+    for probes in ([], (), iter([])):
+        with pytest.raises(DomainError, match="probe list is empty"):
+            HW.probe_equal(A2, w, w, probes)
 
 
 def test_max_height_is_read_as_a_height():

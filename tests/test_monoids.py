@@ -366,6 +366,11 @@ def test_that_eval_operator_semantics():
     # on the edge lattice Z*Lambda_3 the value is 5^k
     assert MO.that_eval(x, (0, 0, 2)) == 25
     assert MO.that_eval(x, (1, 0, 0)) is MO.ZERO
+    # a weight that is not integral was Zero off the face and a DomainError
+    # on it; it is a DomainError wherever it lies
+    for weight in ((Fr(1, 2), 0, 0), (0, 0, Fr(1, 2))):
+        with pytest.raises(DomainError, match=re.escape("Fraction(1, 2) is not an integer")):
+            MO.that_eval(x, weight)
 
 
 # -- canonical lifts and N-hat -----------------------------------------------------
@@ -446,6 +451,10 @@ def test_nhat_equality_modulo_centralizer():
     y = MO.nhat_mul(z, x)
     # the kappa classes agree although the raw Weyl parts differ
     assert MO.nhat_to_wmon(y) == MO.nhat_to_wmon(x)
+    # so do the elements, and equal elements hash alike; a non-element is
+    # left to its own __eq__
+    assert y == x and y.w != x.w and hash(y) == hash(x)
+    assert x.__eq__(R12) is NotImplemented and x != R12 and x != (x.w, x.torus)
 
 
 def test_the_rebuilt_normal_form_is_the_same_operator():

@@ -20,6 +20,7 @@ import pytest
 from test_slice_reference import SPECS, _slice, read_edges
 
 from kmx import highest_weight as HW, verify
+from kmx.cartan import HYPERBOLIC_ROWS, build_realization
 from kmx.errors import DepthExceeded
 
 IDS = [f"{a}-{h}-{d}" for a, h, d in SPECS]
@@ -191,3 +192,21 @@ def test_a_shifted_n_mat_entry_is_caught():
     bad = n_mat_mismatches(sl, random.Random(1))
     assert (sp.weight, i, "basis vector 0") in bad
     assert all(wt == sp.weight and j == i for wt, j, _ in bad)
+
+
+def test_a_fallback_run_that_stays_inside_returns_its_value():
+    # every basis vector's run of N(2) from the space at (4, 1, 2) of F's
+    # (2, 2, 2) slice at depth 6 leaves the window, so the letter runs on the
+    # whole vector; this vector's own run stays inside.  The depth-8 slice
+    # has the matrix there and gives the same value
+    datum = build_realization(HYPERBOLIC_ROWS)
+    word = HW.GhatWord((HW.nsimple(1),))
+    values = []
+    for depth in (6, 8):
+        sl = HW.build_basis(datum, (2, 2, 2), depth)
+        sp = sl.spaces[(4, 1, 2)]
+        assert (sl.height_of(sp.weight), sp.dim) == (4, 7)
+        out = HW.apply_word(word, HW.Vector(sl, {sp.weight: (6, -9, -2, 3, 0, 0, 0)}))
+        assert (sp.n_mat[1] is None) == (depth == 6)
+        values.append((out.parts, out.den))
+    assert values == [({(6, -1, 3): (0, -6, 9, 2, -3, 0, 0)}, 1)] * 2

@@ -291,6 +291,8 @@ def test_faces_compare_and_hash_by_their_hulls():
     other = MonoidFace(index=f.index, ray_ids=f.ray_ids, active=f.active, dim=f.dim,
                        normals=g.normals, rank=2)
     assert other.hull == g.hull != f.hull and other != f
+    # a non-face is left to its own __eq__
+    assert f.__eq__(f.index) is NotImplemented and f != f.index and f != m
 
 
 def test_a_hull_of_the_wrong_size_is_an_internal_error():

@@ -303,6 +303,9 @@ def test_antidominant_termination_and_special_support():
 def test_antidominant_precondition_violated():
     with pytest.raises(PreconditionViolated):
         W.antidominant_coweight(HYP, (-5, 0, 0))
+    # rho(d) = 2 >= 0, but the walk ends at (-1, 0)
+    with pytest.raises(PreconditionViolated, match="antidominant limit has a negative coordinate"):
+        W.antidominant_coweight(A2, (-1, 3))
 
 
 # -- the two-matrix kernel against the four-matrix reference -------------------
@@ -609,6 +612,7 @@ def test_product_with_another_type_is_a_type_error_both_ways(other):
     # w * 3 ended in an AttributeError on .datum, while 3 * w was a TypeError
     w = W.simple(A2, 0)
     assert w.__mul__(other) is NotImplemented
+    assert w.__eq__(other) is NotImplemented and w != other
     with pytest.raises(TypeError):
         w * other
     with pytest.raises(TypeError):
