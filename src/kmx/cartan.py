@@ -11,8 +11,9 @@ special subsets come from the connected subsets of the Dynkin graph, each
 typed once by one elimination (`_component_type_cached`; an indefinite
 one also runs the simplex once): a subset, held as a bitmask, is special iff
 each of its components, found by a bitmask flood inside it, is not of
-finite type.  The realization checks its invariant form by one elimination
-that inverts the Gram matrix on all simple roots at once.
+finite type, and its exposing coweight is read off its components' Vinberg
+certificates, no simplex of its own.  The realization checks its invariant
+form by one elimination that inverts the Gram matrix on all simple roots.
 
 The functions that read a GCM (`special_sets`, `classify`, `is_special`,
 `component_type`) take a `GCM` alone: anything else, a RootDatum or raw
@@ -275,9 +276,10 @@ def validate_and_symmetrize(rows: Sequence[Sequence[int]]) -> GCM:
 
 
 @lru_cache(maxsize=None)
-def _component_type_cached(gcm: GCM, comp: tuple[int, ...]) -> ComponentType:
-    """The type of the connected component C = comp, decided by Sylvester's
-    criterion and proven by Vinberg certificates.
+def _component_type_cached(gcm: GCM, comp: tuple[int, ...]) -> tuple[ComponentType, IntVec]:
+    """(type, y) of the connected component C = comp: the type decided by
+    Sylvester's criterion and proven by Vinberg certificates, y the primitive
+    certificate on A_C^T below, which `RootDatum._exposing` takes.
 
     Decide.  With D = diag(eps) and L the lcm of eps on C, S = L D^{-1} A_C
     is a symmetric integer matrix, and by Kac (Infinite-dimensional Lie
@@ -329,7 +331,7 @@ def _component_type_cached(gcm: GCM, comp: tuple[int, ...]) -> ComponentType:
              + [sum(map(mul, col, y)) for col in zip(*sub)]}
     if min(u) <= 0 or signs != {sign}:
         raise InternalError(f"{kind.value} certificate fails on component {comp}")
-    return kind
+    return kind, exact.primitive(y)
 
 
 def _check_gcm(gcm) -> GCM:
@@ -358,7 +360,7 @@ def component_type(gcm: GCM, comp: Sequence[int]) -> ComponentType:
     """The type FIN, AFF or IND of one indecomposable principal submatrix:
     Sylvester's criterion on the symmetrized matrix, proven by Vinberg
     certificates in ints (`_component_type_cached`)."""
-    return _component_type_cached(_check_gcm(gcm), index_set(gcm.n, comp))
+    return _component_type_cached(_check_gcm(gcm), index_set(gcm.n, comp))[0]
 
 
 @dataclass(frozen=True)
@@ -374,7 +376,7 @@ def _classify_cached(gcm: GCM, idx: tuple[int, ...]) -> Classification:
     t0: list[int] = []
     tinf: list[int] = []
     for comp in _components(gcm.a, idx):
-        ct = _component_type_cached(gcm, comp)
+        ct = _component_type_cached(gcm, comp)[0]
         comps.append((comp, ct))
         (t0 if ct is ComponentType.FIN else tinf).extend(comp)
     return Classification(
@@ -527,12 +529,10 @@ class RootDatum:
         return x
 
     def form_weights(self, l1: Sequence, l2: Sequence) -> Fraction:
-        """(l1 | l2) on the weight side, via nu^{-1} = gram^{-1}."""
+        """(l1 | l2) on the weight side, via nu^{-1} = gram^{-1}, which
+        exists: `_verify` proved gram nondegenerate."""
         l1, l2 = self._weight(l1), self._weight(l2)
-        sol = exact.rat_solve(self.gram, l2)
-        if sol is None:
-            raise InternalError("invariant form is degenerate")
-        return self.pair(l1, sol[0])
+        return self.pair(l1, exact.rat_solve(self.gram, l2)[0])
 
     def fundamental_weight(self, i: int) -> IntVec:
         check_index(self.m, i, "fundamental weight index")
@@ -549,14 +549,14 @@ class RootDatum:
         return (1,) * self.m
 
     def weight_height(self, top: Sequence, low: Sequence) -> Optional[int]:
-        """Height of top - low as a nonnegative root-lattice element."""
+        """Height of top - low as a nonnegative root-lattice element, whose
+        expansion is unique: row i < n of gram is eps_i alpha_i, and
+        `_verify` proved gram nondegenerate."""
         top, low = self._weight(top), self._weight(low)
         sol = exact.rat_solve(exact.transpose(self.alpha), exact.vec_sub(top, low))
         if sol is None:
             return None
-        coords, kernel = sol
-        if kernel:  # alpha has full row rank, so expansion is unique
-            raise InternalError("simple roots not independent")
+        coords = sol[0]
         if any(c.denominator != 1 or c < 0 for c in coords):
             return None
         return int(sum(coords))
@@ -569,12 +569,13 @@ class RootDatum:
         return self._special
 
     def theta_perp(self, theta: Sequence[int]) -> tuple[int, ...]:
-        key = index_set(self.n, theta)
+        return self._theta_perp(index_set(self.n, theta))
+
+    def _theta_perp(self, key: tuple[int, ...]) -> tuple[int, ...]:
+        """`theta_perp` of a Theta already read by `index_set`."""
         if key not in self._perp:
-            self._perp[key] = tuple(
-                i for i in range(self.n)
-                if i not in key and all(self.gcm.a[i][j] == 0 for j in key)
-            )
+            self._perp[key] = tuple(i for i in range(self.n) if i not in key
+                                    and all(self.gcm.a[i][j] == 0 for j in key))
         return self._perp[key]
 
     def stabilizer_type(self, theta: Sequence[int]) -> tuple[int, ...]:
@@ -589,20 +590,20 @@ class RootDatum:
         if stab is None:
             if _classify_cached(self.gcm, key).theta0:
                 raise NotSpecial(key)
-            stab = self._stab[key] = tuple(sorted(key + self.theta_perp(key)))
+            stab = self._stab[key] = tuple(sorted(key + self._theta_perp(key)))
         return stab
 
     def exposing_coweight(self, theta: Sequence[int]) -> IntVec:
         """Canonical integer coweight c_Theta with support Theta.
 
         Positive on its support, with alpha_j(c) <= 0 for every j; the zero
-        set of c on the Tits cone is exactly the face of type Theta.  Per
-        component C of Theta: the simplex certificate u > 0 with
-        A_C^T u <= 0 (`exact.lp_feasible`), scaled to a primitive integer
-        vector.  On an affine component every such u is a multiple of the
-        positive null vector, so the result is that primitive null vector.
+        set of c on the Tits cone is exactly the face of type Theta.  On each
+        component C of Theta, c is C's primitive Vinberg certificate y > 0
+        (`_component_type_cached`): A_C^T y = 0 on an affine C, which makes
+        y its primitive null vector, and A_C^T y < 0 on an indefinite one.
         Any valid certificate defines the same face; canonicality is only
-        for reproducibility.
+        for reproducibility.  alpha_j(c) <= 0 off Theta rests on the GCM's
+        sign pattern, which a hand-built GCM can break, so it is checked.
         """
         return self._exposing(index_set(self.n, theta))
 
@@ -610,16 +611,12 @@ class RootDatum:
         """`exposing_coweight` of a Theta already read by `index_set`."""
         if key in self._ctheta:
             return self._ctheta[key]
-        if _classify_cached(self.gcm, key).theta0:
+        cls = _classify_cached(self.gcm, key)
+        if cls.theta0:
             raise NotSpecial(key)
-        coef = {i: 0 for i in range(self.n)}
-        for comp in _components(self.gcm.a, key):
-            at = tuple(tuple(self.gcm.a[i][j] for i in comp) for j in comp)  # A_C^T
-            u = exact.lp_feasible(LPProblem(matrix=at, relations=("le",) * len(comp)))
-            if u is None:
-                raise InternalError(f"special component {comp} has no exposing certificate")
-            for i, x in zip(comp, exact.primitive(u)):
-                coef[i] = x
+        coef: dict[int, int] = {}
+        for comp, _ in cls.components:
+            coef.update(zip(comp, _component_type_cached(self.gcm, comp)[1]))
         c = tuple(coef.get(j, 0) for j in range(self.n)) + (0,) * (self.m - self.n)
         for j in range(self.n):
             val = self.pair(self.alpha[j], c)

@@ -235,7 +235,7 @@ def cmd_validate(args):
 
 def cmd_classify(args):
     datum = _load_gcm(args)
-    subset = _parse_subset(datum, args.subset) if args.subset else None
+    subset = None if args.subset is None else _parse_subset(datum, args.subset)
     cls = classify(datum.gcm, subset)
     _emit(args, {
         "components": [{"set": [i + 1 for i in comp], "type": t.value}
@@ -329,7 +329,7 @@ def cmd_face_of_point(args):
     lam = _parse_weight(datum, args.weight)
     face = FC.face_of_point(datum, lam, cap=args.cap)
     out = _face_json(face)
-    if args.predicates:
+    if args.predicates is not None:
         ref = _parse_face(datum, args.predicates)
         preds = FC.point_predicates(ref, lam, face)  # the verb's walk serves them
         if args.element is not None:

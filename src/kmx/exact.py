@@ -22,13 +22,14 @@ element t reads its values through `character` and needs no coordinates
 in the face lattice.
 
 Every answer of the one simplex, `_simplex_feasible`, is certified: a
-feasible x is re-substituted, and an infeasible end yields, from its final
-basis B, the Farkas vector y = c_B^T B^{-1} with y . A <= 0 < y . b
-(Farkas' lemma), checked before it is believed.  `nonneg_feasible` keeps
-these certificates, Farkas vectors and feasible bases alike, and reuses
-them for every later right-hand side they decide, so one simplex run
-answers many points of one matrix.  A certificate that fails its check is
-an InternalError.  `simplex_runs()` counts the runs of the process.
+feasible x is re-substituted, or read off a basis B whose `int_rref` proved
+B (d B^{-1}) = d I, and an infeasible end yields, from its final basis B,
+the Farkas vector y = c_B^T B^{-1} with y . A <= 0 < y . b (Farkas' lemma),
+checked before it is believed.  `nonneg_feasible` keeps these certificates,
+Farkas vectors and feasible bases alike, and reuses them for every later
+right-hand side they decide, so one simplex run answers many points of one
+matrix.  A certificate that fails its check is an InternalError.
+`simplex_runs()` counts the runs of the process.
 """
 
 from __future__ import annotations
@@ -188,13 +189,18 @@ def rat_solve(m, b) -> Optional[tuple[RatVec, tuple[RatVec, ...]]]:
     """Solve M x = b exactly.
 
     Returns (particular solution, kernel basis) or None when the system is
-    inconsistent.  The result re-substitutes exactly: M x == b holds
-    identically.  Kernel basis vectors are scaled to primitive integers.
+    inconsistent.  Kernel basis vectors are scaled to primitive integers.
+    A b without one entry per row of M is a ValueError.
 
     Each row of [M | b] is scaled to integers and the whole goes through one
     `int_rref`: the system is inconsistent iff b is a pivot column, and x
     and the kernel are read off the reduced rows over the common pivot.
+    M x == b needs no re-substitution: `int_rref` has checked
+    m'[:, P] rows == d m' on every free column, b's column included, and
+    each row of m' is a positive multiple of [row | b_i].
     """
+    if len(b) != len(m):
+        raise ValueError(f"right-hand side needs {len(m)} entries, one per row")
     nc = len(m[0]) if m else 0
     pivots, rows, d = int_rref([primitive_ray(tuple(row) + (bi,)) for row, bi in zip(m, b)])
     if nc in pivots:
@@ -211,10 +217,7 @@ def rat_solve(m, b) -> Optional[tuple[RatVec, tuple[RatVec, ...]]]:
         for row, c in zip(rows, pivots):
             v[c] = -row[fc]
         kernel.append(tuple(Fraction(z) for z in primitive(v)))
-    sol = tuple(x)
-    if mat_vec(m, sol) != tuple(Fraction(z) for z in b):
-        raise InternalError("rat_solve solution fails to re-substitute")
-    return sol, tuple(kernel)
+    return tuple(x), tuple(kernel)
 
 
 def _echelon_columns(cols: list, track: list) -> int:
@@ -487,19 +490,15 @@ def _farkas(a: IntMat, b: IntVec, basis: Sequence[int]) -> IntVec:
 def _basis_decides(a: IntMat, cert: tuple[IntMat, int, tuple[int, ...]], b: IntVec) -> bool:
     """Whether a feasible basis certificate (d B^{-1}, d, basis) proves that
     some x >= 0 has A x = b: z = d B^{-1} b must be >= 0 and zero at the
-    artificial positions.  Then x with x_{basis[r]} = z_r / d is one, and a
-    failed re-substitution A (d x) = d b is an InternalError."""
-    inv, d, basis = cert
+    artificial positions.  Then x with x_{basis[r]} = z_r / d is one, with
+    no re-substitution: `_basis_inverse`'s `int_rref` proved
+    B (d B^{-1}) = d I, so A (d x) = B z = d b."""
+    inv, _, basis = cert
     n = len(a[0]) if a else 0
-    x = [0] * n
     for row, k in zip(inv, basis):
         z = vec_dot(row, b)
         if z < 0 or (z and k >= n):
             return False
-        if k < n:
-            x[k] = z
-    if mat_vec(a, x) != vec_scale(d, b):
-        raise InternalError("basis certificate fails to re-substitute")
     return True
 
 
@@ -527,7 +526,7 @@ def nonneg_feasible(a: Sequence[Sequence[int]],
     decides is a miss: one `_simplex_feasible` run.  An infeasible end keeps
     its Farkas vector y (`_farkas`), which decides b False when y . b > 0.
     A feasible end keeps (d B^{-1}, d, basis) (`_basis_inverse`), which
-    decides b True when `_basis_decides` re-substitutes an x >= 0 from it.
+    decides b True when `_basis_decides` reads an x >= 0 off it.
     A certificate that decides a point moves to the front of its list, so
     neighbouring points try it first; each is a sound proof, so the order
     changes neither an answer nor a miss.  A miss that its own certificate

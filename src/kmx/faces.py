@@ -11,7 +11,8 @@ Theta u Theta^perp, which the root datum keeps in a table per special Theta
 and the table is read by that key.  A Theta the package built itself,
 sorted without repeats (a face's own, the support of an exposing coweight,
 the theta_inf of a classification), goes to `_normal_face` unread, as a
-face's Theta, stabilizer type and `theta_perp` go to `weyl._strip_read`.
+face's Theta, stabilizer type and Theta^perp (`RootDatum._theta_perp`) go to
+`weyl._strip_read`.
 
 Intersection realizes faces as exposed faces: each face is the zero set on
 the Tits cone of an integer coweight (a Weyl image of an exposing coweight),
@@ -152,7 +153,7 @@ def includes(r: Face, s: Face) -> bool:
     """S <= R, i.e. S is a subset of R (double-coset criterion)."""
     if not set(_expect(s, Face, "a Face").theta) >= set(_expect(r, Face, "a Face").theta):
         return False
-    perp = r.datum.theta_perp(r.theta)
+    perp = r.datum._theta_perp(r.theta)
     return W._strip_read(W._rep_left(r.w.inv() * s.w, perp), s.theta)[0].is_identity()
 
 

@@ -1029,7 +1029,7 @@ def _absorbs(face: Face, root: Beta, side: str) -> bool:
     if supp <= set(face.theta):
         return True
     signed = all(c >= 0 for c in g) if side == "left" else all(c <= 0 for c in g)
-    return signed and not supp <= set(face.datum.theta_perp(face.theta))
+    return signed and not supp <= set(face.datum._theta_perp(face.theta))
 
 
 def bruhat_cell(datum: RootDatum, word: GhatWord) -> WmonElt:

@@ -389,7 +389,7 @@ def check_operator_theorems() -> CheckResult:
                 g = face.w.inv().act_root(root)
                 supp = set(j for j, c in enumerate(g) if c)
                 predicate = (all(c >= 0 for c in g) or supp <= set(face.theta)
-                             or supp <= set(datum.theta_perp(face.theta)))
+                             or supp <= set(datum._theta_perp(face.theta)))
                 word = _conj_letters(MO.nhat_from(u), [HW.xplus(i, Fraction(1))])
                 verdict = _check_preserves(datum, word, cvec)
                 verdicts.append(None if verdict is None else verdict == predicate)

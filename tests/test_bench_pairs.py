@@ -2,6 +2,8 @@
 tool's runs themselves are benchmarks and stay out of the test suite."""
 
 import importlib.util
+import io
+import tarfile
 from pathlib import Path
 
 import pytest
@@ -159,3 +161,26 @@ def test_every_workload_runs_when_none_is_named(monkeypatch, capsys, argv, want)
     assert runs == [(w, seed) for w in want for seed in (1, 1, 2, 2)]
     out = capsys.readouterr().out
     assert [ln.split(",")[0] for ln in out.splitlines() if "pairs, --seconds 1" in ln] == want
+
+
+def test_export_extracts_where_tarfile_has_no_filters(tmp_path, monkeypatch):
+    # Python before 3.10.12 and 3.11.4 has no data_filter, and its
+    # extractall takes no filter argument
+    buf = io.BytesIO()
+    with tarfile.open(fileobj=buf, mode="w") as tar:
+        data = b"print(1)\n"
+        info = tarfile.TarInfo("src/kmx/a.py")
+        info.size = len(data)
+        tar.addfile(info, io.BytesIO(data))
+    monkeypatch.setattr(BP, "git", lambda *args: buf.getvalue() if args[0] == "archive" else b"")
+    monkeypatch.delattr(tarfile, "data_filter")
+    real = tarfile.TarFile.extractall
+
+    def old_extractall(self, path=".", members=None, *, numeric_owner=False, **kwargs):
+        if kwargs:
+            raise TypeError("extractall() got an unexpected keyword argument")
+        return real(self, path, members, numeric_owner=numeric_owner)
+
+    monkeypatch.setattr(tarfile.TarFile, "extractall", old_extractall)
+    BP.export("HEAD", str(tmp_path / "parent"), str(tmp_path / "change"))
+    assert (tmp_path / "parent" / "src" / "kmx" / "a.py").read_bytes() == b"print(1)\n"

@@ -17,7 +17,8 @@ handed in from outside: a class, a face, a Weyl element or a datum.
 The last table counts the reads of every `cartan` reader per point query (a
 weight or lattice point located in the Tits cone or a lattice monoid):
 each query reads each argument once, a default step budget included, and
-walks once.
+walks once.  It also counts them for `faces.includes`, which reads its two
+faces and nothing they hold.
 """
 
 import inspect
@@ -319,8 +320,10 @@ def _point_operands():
 
 
 # public point query -> its reads: one per argument it is handed, a default
-# step budget included
+# step budget included; `faces.includes`, a face query, reads its two faces
+# and not the Theta^perp of the first, which it takes from the datum's core
 POINT_READS = {
+    "faces.includes": (lambda a: FC.includes(a["r"], a["r"]), 2),
     "faces.contains": (lambda a: FC.contains(a["r"], (1, 1, 1)), 3),
     "faces.in_relative_interior": (lambda a: FC.in_relative_interior(a["r"], (1, 1, 1)), 3),
     "faces.face_of_point": (lambda a: FC.face_of_point(a["datum"], (1, 1, 1)), 3),

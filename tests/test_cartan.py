@@ -1,6 +1,7 @@
 import re
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 import exact_reference as ref
 import pytest
@@ -10,8 +11,8 @@ from kmx import cartan, exact
 from kmx import faces as FC
 from kmx import highest_weight as HW
 from kmx import weyl as W
-from kmx.cartan import (A2_ROWS, AFFINE_A1_ROWS, HYPERBOLIC_ROWS, ComponentType,
-                        build_realization, classify, component_type, is_special,
+from kmx.cartan import (A2_ROWS, AFFINE_A1_ROWS, GCM, HYPERBOLIC_ROWS, ComponentType,
+                        RootDatum, build_realization, classify, component_type, is_special,
                         special_sets, typed_numbers, validate_and_symmetrize)
 from kmx.errors import DomainError, InternalError, NotGCM, NotSpecial, NotSymmetrizable
 
@@ -240,14 +241,62 @@ def test_a_forged_vinberg_certificate_raises(monkeypatch):
 
 
 def test_a_forged_exposing_certificate_raises(monkeypatch):
-    # the type is certified by the true simplex first; an inequality check
-    # weakened to "and" accepts c = (1, 1, 0), whose support is not Theta
+    # the type is certified by the true simplex; the coweight is read off a
+    # certificate forged to (1, 1, 0), which an inequality check weakened to
+    # "and" accepts, though its support is not Theta
     datum = build_realization(validate_and_symmetrize(_INDEFINITE))
-    cartan._component_type_cached.cache_clear()
-    assert is_special(datum.gcm, (0, 1, 2))
-    _forge_certificate(monkeypatch)
+    real = cartan._component_type_cached
+    assert real(datum.gcm, (0, 1, 2))[0] is ComponentType.IND
+    monkeypatch.setattr(cartan, "_component_type_cached",
+                        lambda gcm, comp: (real(gcm, comp)[0], (1, 1, 0)))
     with pytest.raises(InternalError, match="exposing coweight fails"):
         datum.exposing_coweight((0, 1, 2))
+
+
+def test_a_nonpositive_symmetrizer_is_caught_by_the_type_certificate():
+    # a hand-built GCM with eps < 0, which validate_and_symmetrize never gives
+    with pytest.raises(InternalError, match=re.escape(
+            "symmetrizer is not positive on component (0, 1)")):
+        component_type(GCM(a=A2_ROWS, eps=(Fraction(-1), Fraction(-1))), (0, 1))
+
+
+def test_a_fractional_symmetrizer_is_caught_by_the_realization():
+    # the Gram matrix is built from eps in ints, so eps = 1/2 cannot stand
+    with pytest.raises(InternalError, match="symmetrizer is not integral"):
+        RootDatum(GCM(a=A2_ROWS, eps=(Fraction(1, 2), Fraction(1, 2))))
+
+
+# datum -> the exposing coweight of its full node set, one indefinite component
+VINBERG_DATA = {
+    "hyperbolic-3": (lambda: HYPERBOLIC_ROWS, (9, 10, 4)),
+    "E10": (lambda: _e10_rows(), (30, 61, 93, 126, 160, 195, 231, 153, 76, 115)),
+    "D8++": (lambda: _d8pp_rows(), (22, 45, 40, 36, 33, 31, 15, 15, 29, 14)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VINBERG_DATA))
+def test_exposing_coweights_are_the_vinberg_certificates(name):
+    # once the special sets are typed, every exposing coweight is read off
+    # their components' certificates and runs no simplex: on each component
+    # C, c is primitive and u = diag(eps) c has u > 0 with A_C u < 0 (IND)
+    # or = 0 (AFF), the Vinberg system of C's type
+    rows, full = VINBERG_DATA[name]
+    datum = build_realization(rows())
+    sets = datum.special_sets()
+    runs = exact.simplex_runs()
+    coweights = {theta: datum.exposing_coweight(theta) for theta in sets}
+    assert exact.simplex_runs() == runs
+    assert coweights[tuple(range(datum.n))][:datum.n] == full
+    gcm = datum.gcm
+    for theta, c in coweights.items():
+        for comp, kind in classify(gcm, theta).components:
+            y = tuple(c[i] for i in comp)
+            assert y == cartan._component_type_cached(gcm, comp)[1]
+            assert gcd(*y) == 1 and min(y) > 0
+            u = [gcm.eps[i] * c[i] for i in comp]
+            signs = {(v > 0) - (v < 0) for v in (sum(gcm.a[i][j] * x for j, x in zip(comp, u))
+                                                 for i in comp)}
+            assert signs == {-1 if kind is ComponentType.IND else 0}, (theta, comp)
 
 
 @pytest.mark.parametrize("rows,n,l,m", [

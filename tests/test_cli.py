@@ -595,12 +595,42 @@ def test_verify_timings_go_to_stderr_only(capsys, monkeypatch):
 
     # each check reports the Weyl elements its own fresh root data took and
     # the simplex runs their classification made: [1] reuses the data of the
-    # run before and builds none, and a second run reports the same counts
+    # run before and builds none, [4]'s exposing coweights are read off the
+    # type certificates of the run before, and a second run reports the same
+    # counts
     first = counts(timed.err)
     assert [num for num, _, _ in first] == ["1", "3", "4"]
-    assert first[0][1:] == (0, 0) and first[2][1] > 0 and first[2][2] > 0
+    assert first[0][1:] == (0, 0) and first[2][1] > 0 and first[2][2] == 0
     assert main(["verify", "--timings"]) == 0
     assert counts(capsys.readouterr().err) == first
+
+
+
+def test_a_failing_check_makes_verify_exit_1(capsys, monkeypatch):
+    from kmx import verify
+    failing = verify.CheckResult("forged", False, ("a failing leg",))
+    monkeypatch.setattr(verify, "ALL_CHECKS", (("1", lambda: failing),))
+    with pytest.raises(SystemExit) as exit_:
+        main(["verify"])
+    assert exit_.value.code == 1
+    assert capsys.readouterr().out == ("[1] forged: FAIL\n    a failing leg\n"
+                                       "result: FAILURES PRESENT\n")
+
+
+def test_an_empty_subset_is_classified_as_given(capsys):
+    # an empty -S is the empty subset, not a missing -S
+    payload = run_json(capsys, ["classify", "--gcm", HYP, "-S", ""])
+    assert payload == {"components": [], "theta0": [], "theta_inf": []}
+
+
+def test_empty_predicates_are_the_full_cone(capsys):
+    # an empty --predicates is the face "w=;theta=", not a missing option
+    argv = ["face-of-point", "--gcm", HYP, "--weight", "0,0,1", "--element", "1",
+            "--predicates"]
+    payload = run_json(capsys, argv + [""])
+    assert payload == run_json(capsys, argv + ["w=;theta="])
+    assert set(payload["predicates"]) == {"contains", "in_relative_interior", "in_span",
+                                          "centralizes", "normalizes"}
 
 
 def test_a_repeated_subset_index_is_read_once(capsys):

@@ -31,6 +31,13 @@ def test_rat_solve_inconsistent():
     assert rat_solve([[1, 1]], (1,)) is not None
 
 
+@pytest.mark.parametrize("b", [(3,), (3, 5, 7)])
+def test_rat_solve_needs_one_entry_per_row(b):
+    # the rows are zipped with b, so a short b would solve its rows alone
+    with pytest.raises(ValueError, match="right-hand side needs 2 entries"):
+        rat_solve([[1, 0], [0, 1]], b)
+
+
 def test_rat_solve_resubstitutes():
     rng = random.Random(0)
     for _ in range(60):
@@ -477,3 +484,11 @@ def test_an_infeasible_lp_verdict_rests_on_a_farkas_vector(monkeypatch):
                         lambda rows, rhs: (None, *real(rows, rhs)[1:]))
     with pytest.raises(InternalError, match="phase-1 basis gives no Farkas certificate"):
         lp_feasible(prob)
+
+
+def test_an_invalid_simplex_answer_is_caught(monkeypatch):
+    # x = (0, 2) over d = 1 gives u = (1, 3), and the first row reads 1,
+    # not < 0; the slacks take no part in the check
+    monkeypatch.setattr(exact, "_simplex_feasible", lambda rows, rhs: ([0, 2, 0, 0], 1, [1, 0]))
+    with pytest.raises(InternalError, match="simplex returned an invalid certificate"):
+        lp_feasible(LPProblem(((-2, 1), (1, -2)), ("lt", "lt")))

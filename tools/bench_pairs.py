@@ -62,7 +62,11 @@ def git(*args: str) -> bytes:
 def export(base: str, parent_dir: str, change_dir: str) -> None:
     """The commit `base` into parent_dir, the working tree into change_dir."""
     with tarfile.open(fileobj=io.BytesIO(git("archive", "--format=tar", base))) as tar:
-        tar.extractall(parent_dir, filter="data")
+        # extraction filters came in Python 3.10.12 and 3.11.4
+        if hasattr(tarfile, "data_filter"):
+            tar.extractall(parent_dir, filter="data")
+        else:
+            tar.extractall(parent_dir)
     names = git("ls-files", "-z", "--cached", "--others", "--exclude-standard").split(b"\0")
     for name in filter(None, (n.decode() for n in names)):
         src = os.path.join(ROOT, name)
