@@ -53,7 +53,7 @@ from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 from . import exact
 from .errors import (DomainError, InternalError, NotGCM, NotSpecial, NotSymmetrizable,
                      RankMismatch, SizeGuard, ZeroTorusValue)
-from .exact import IntMat, IntVec, LPProblem, RatVec
+from .exact import IntMat, IntVec, RatVec
 
 if TYPE_CHECKING:
     from .faces import Face
@@ -322,7 +322,7 @@ def _component_type_cached(gcm: GCM, comp: tuple[int, ...]) -> tuple[ComponentTy
         kind, sign, u = ComponentType.AFF, 0, [-row[r] for row in rows[:r]] + [d]
     else:
         kind, sign = ComponentType.IND, -1
-        found = exact.lp_feasible(LPProblem(matrix=sub, relations=("lt",) * k))
+        found = exact.lp_feasible(sub)
         if found is None:
             raise InternalError(f"indefinite component {comp} has no u > 0 with A u < 0")
         u = exact.primitive(found)
@@ -401,9 +401,10 @@ def special_sets(gcm: GCM) -> tuple[tuple[int, ...], ...]:
     Subsets are bitmasks.  The component of the lowest node of a mask is
     found by a flood through the Dynkin graph inside the mask; it is a
     connected subset, and every connected subset is the component of its
-    lowest node in itself, so each connected subset is typed once by
-    `component_type`.  A mask is special iff that component is not FIN
-    and the rest of the mask, a smaller mask, is special.
+    lowest node in itself, so each connected subset is typed once, by the
+    core `_component_type_cached` on the GCM read once.  A mask is special
+    iff that component is not FIN and the rest of the mask, a smaller
+    mask, is special.
     """
     n = _check_gcm(gcm).n
     if n > SPECIAL_SET_RANK_GUARD:
@@ -418,7 +419,7 @@ def special_sets(gcm: GCM) -> tuple[tuple[int, ...], ...]:
         while (grown := (comp | nbr[comp]) & mask) != comp:
             comp = grown
         if comp not in types:
-            types[comp] = component_type(gcm, _nodes(comp))
+            types[comp] = _component_type_cached(gcm, _nodes(comp))[0]
         special[mask] = types[comp] is not ComponentType.FIN and special[mask ^ comp]
     return tuple(sorted((_nodes(mask) for mask in range(1 << n) if special[mask]),
                         key=lambda t: (len(t), t)))

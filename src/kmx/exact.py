@@ -21,32 +21,32 @@ Hom monoids (T-hat and `toric`'s M-hat); an element that keeps its torus
 element t reads its values through `character` and needs no coordinates
 in the face lattice.
 
-Every answer of the one simplex, `_simplex_feasible`, is certified: a
-feasible x is re-substituted, or read off a basis B whose `int_rref` proved
-B (d B^{-1}) = d I, and an infeasible end yields, from its final basis B,
-the Farkas vector y = c_B^T B^{-1} with y . A <= 0 < y . b (Farkas' lemma),
-checked before it is believed.  `nonneg_feasible` keeps these certificates,
-Farkas vectors and feasible bases alike, and reuses them for every later
-right-hand side they decide, so one simplex run answers many points of one
-matrix.  A certificate that fails its check is an InternalError.
+Every answer of the one simplex, `_simplex_feasible`, to its one question,
+some x >= 0 with A x = b, is certified: a feasible x is checked >= 0 and
+re-substituted (`_nonneg_solve`), or read off a basis B whose `int_rref`
+proved B (d B^{-1}) = d I, and an infeasible end yields, from its final
+basis B, the Farkas vector y = c_B^T B^{-1} with y . A <= 0 < y . b
+(Farkas' lemma), checked before it is believed.  The library's one LP,
+Vinberg's indefinite system u > 0 with A u < 0 (`lp_feasible`), reduces to
+that question.  `nonneg_feasible` keeps these certificates, Farkas vectors
+and feasible bases alike, and reuses them for every later right-hand side
+they decide, so one simplex run answers many points of one matrix.  A
+certificate that fails its check is an InternalError.
 `simplex_runs()` counts the runs of the process.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import Literal, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import InternalError
 
 IntVec = tuple[int, ...]
 RatVec = tuple[Fraction, ...]
 IntMat = tuple[IntVec, ...]
-
-Relation = Literal["le", "eq", "lt"]
 
 
 def _exact_int(x) -> int:
@@ -228,11 +228,15 @@ def _echelon_columns(cols: list, track: list) -> int:
     row becomes the pivot and moves to the front of the unpivoted ones, and
     every other one loses its floor quotient times the pivot, until the row
     is zero past it; the pivot is then made positive.  Columns r.. end zero.
+    Each remainder is smaller than its pivot, so from pass to pass of a row
+    the pivot shrinks strictly until it is the one live column; a pass with
+    two or more live columns whose pivot did not shrink is an InternalError.
     A zero column is never a pivot and loses nothing, so a later pass over
     the result moves and changes none of the columns r.. .
     """
     rank = 0
     for i in range(len(cols[0]) if cols else 0):
+        size = None  # the pivot's size in the row's last pass
         while live := [j for j in range(rank, len(cols)) if cols[j][i]]:
             p = min(live, key=lambda j: abs(cols[j][i]))
             cols[rank], cols[p], track[rank], track[p] = cols[p], cols[rank], track[p], track[rank]
@@ -242,6 +246,9 @@ def _echelon_columns(cols: list, track: list) -> int:
                     cols[rank], track[rank] = [-x for x in pc], [-x for x in pt]
                 rank += 1
                 break
+            if size is not None and abs(pc[i]) >= size:
+                raise InternalError("a column reduction pass did not shrink its pivot")
+            size = abs(pc[i])
             for j in range(rank + 1, len(cols)):
                 if q := cols[j][i] // pc[i]:
                     cols[j] = [x - q * y for x, y in zip(cols[j], pc)]
@@ -339,54 +346,27 @@ def _nonneg_input(a: Sequence[Sequence], points: Sequence[Sequence],
     return a, points
 
 
-@dataclass(frozen=True)
-class LPProblem:
-    """Homogeneous integer feasibility problem in strictly positive u.
+def lp_feasible(matrix: Sequence[Sequence[int]]) -> Optional[RatVec]:
+    """Some u > 0 with A u < 0, Vinberg's indefinite system (Kac,
+    Infinite-dimensional Lie algebras, Thm. 4.3), or None when there is
+    none.  A ragged A, an entry that is not a Python int, or an A with no
+    column is a ValueError.
 
-    Each row r of `matrix` is constrained by `relations[r]` against zero:
-    'le' means (M u)_r <= 0, 'eq' means = 0, 'lt' means < 0; every variable
-    must satisfy u_i > 0.
+    The system is homogeneous, so u may be scaled to u = 1 + x with x >= 0
+    and A u <= -1: one `_nonneg_solve` of A x + s = -A 1 - 1, with one slack
+    s_r >= 0 per row after the variables.  Its certificate proves x, s >= 0
+    and A x + s = -A 1 - 1, so A u = A 1 + A x = -1 - s <= -1 < 0 and
+    u = 1 + x >= 1 > 0; u needs no check of its own, and stays a solution
+    when scaled to a primitive integer vector (`primitive`).  None rests on
+    the final basis's Farkas vector (`_farkas`).
     """
-
-    matrix: IntMat
-    relations: tuple[Relation, ...]
-
-    def __post_init__(self):
-        if not self.matrix or not self.matrix[0]:
-            raise ValueError("need at least one variable")
-        if len(self.relations) != len(self.matrix):
-            raise ValueError("one relation per row required")
-        if any(r not in ("le", "eq", "lt") for r in self.relations):
-            raise ValueError("bad relation")
-        _int_rows(self.matrix, "LP matrix")
-
-
-def lp_feasible(p: LPProblem) -> Optional[RatVec]:
-    """Exact certificate u for an LPProblem, or None when infeasible.
-
-    Strict relations are handled by margin normalization: the system is
-    homogeneous, so u_i > 0 and (Mu)_r < 0 may be scaled to u = 1 + x with
-    x >= 0 and (Mu)_r <= -1.  Phase-1 simplex with Bland's rule decides
-    feasibility.  The returned u satisfies every relation exactly, and still
-    does after scaling to a primitive integer vector (`primitive`); None
-    rests on the final basis's Farkas vector (`_farkas`).
-    """
-    # row . x + s_r == -row . 1 ('le'), row . x == -row . 1 ('eq') or
-    # row . x + s_r == -row . 1 - 1 ('lt'), one slack s_r >= 0 per
-    # inequality row, the slack columns after the variables
-    slacks = [r for r, rel in enumerate(p.relations) if rel != "eq"]
-    rows = [tuple(row) + tuple(int(r == k) for k in slacks)
-            for r, row in enumerate(p.matrix)]
-    rhs = [-sum(row) - (rel == "lt") for row, rel in zip(p.matrix, p.relations)]
-    x, d, basis = _simplex_feasible(rows, rhs)
-    if x is None:
-        _farkas(rows, rhs, basis)
-        return None
-    du = [d + xi for xi in x[:len(p.matrix[0])]]  # d * u with d > 0
-    if min(du) <= 0 or not all({"le": v <= 0, "eq": v == 0, "lt": v < 0}[rel]
-                               for v, rel in zip(mat_vec(p.matrix, du), p.relations)):
-        raise InternalError("simplex returned an invalid certificate")
-    return tuple(Fraction(ui, d) for ui in du)
+    matrix = tuple(tuple(row) for row in matrix)
+    if not matrix or not matrix[0]:
+        raise ValueError("need at least one variable")
+    _int_rows(matrix, "LP matrix")
+    rows = tuple(row + e for row, e in zip(matrix, identity(len(matrix))))
+    x = _nonneg_solve(rows, tuple(-sum(row) - 1 for row in matrix))
+    return None if x is None else tuple(1 + xi for xi in x[:len(matrix[0])])
 
 
 _simplex_runs = 0  # `_simplex_feasible` runs in this process
@@ -502,19 +482,28 @@ def _basis_decides(a: IntMat, cert: tuple[IntMat, int, tuple[int, ...]], b: IntV
     return True
 
 
-def nonneg_solve(a: Sequence[Sequence[int]], b: Sequence[int]) -> Optional[RatVec]:
-    """Some x >= 0 with A x = b, or None.  Phase-1 simplex, exact: x is
-    re-substituted, and None rests on the final basis's Farkas vector
-    (`_farkas`).  A ragged A, a right-hand side whose length is not the row
-    count, or an entry that is not a Python int is a ValueError."""
-    a, (b,) = _nonneg_input(a, (b,), "nonneg_solve input")
+def _nonneg_solve(a: IntMat, b: IntVec) -> Optional[RatVec]:
+    """Some x >= 0 with A x = b, or None, for an int matrix A and an int b
+    with one entry per row: one `_simplex_feasible` run.  A feasible x must
+    be >= 0 and re-substitute, A (d x) = d b, and None rests on the final
+    basis's Farkas vector (`_farkas`); an answer that fails its check is an
+    InternalError."""
     x, d, basis = _simplex_feasible(a, b)
     if x is None:
         _farkas(a, b, basis)
         return None
-    if mat_vec(a, x) != vec_scale(d, b):
-        raise InternalError("nonneg_solve solution fails to re-substitute")
-    return tuple(Fraction(xi, d) for xi in x)
+    sol = tuple(Fraction(xi, d) for xi in x)
+    if min(sol, default=0) < 0 or mat_vec(a, x) != vec_scale(d, b):
+        raise InternalError("the simplex's x is not a certificate of x >= 0 with A x = b")
+    return sol
+
+
+def nonneg_solve(a: Sequence[Sequence[int]], b: Sequence[int]) -> Optional[RatVec]:
+    """Some x >= 0 with A x = b, or None, certified by `_nonneg_solve`.  A
+    ragged A, a right-hand side whose length is not the row count, or an
+    entry that is not a Python int is a ValueError."""
+    a, (b,) = _nonneg_input(a, (b,), "nonneg_solve input")
+    return _nonneg_solve(a, b)
 
 
 def nonneg_feasible(a: Sequence[Sequence[int]],

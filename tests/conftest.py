@@ -23,8 +23,6 @@ def grid_certificate(a, relation, bound=8):
         vals = [sum(r * x for r, x in zip(row, u)) for row in a]
         if relation == "gt" and all(v > 0 for v in vals):
             return u
-        if relation == "eq" and all(v == 0 for v in vals):
-            return u
         if relation == "lt" and all(v < 0 for v in vals):
             return u
     return None

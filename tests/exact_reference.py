@@ -100,7 +100,7 @@ from kmx.cartan import (GCM, SPECIAL_SET_RANK_GUARD, ComponentType, RootDatum, c
                         exact_ints, exact_rationals, is_special)
 from kmx.errors import (DomainError, InternalError, NotFactored, NotInTitsCone, SizeGuard,
                         Undecided)
-from kmx.exact import (IntMat, IntVec, LPProblem, RatVec, identity, int_mat, mat_mul,
+from kmx.exact import (IntMat, IntVec, RatVec, identity, int_mat, mat_mul,
                        mat_vec, primitive, vec_dot)
 from kmx import highest_weight as HW
 from kmx.highest_weight import Beta
@@ -884,12 +884,13 @@ def special_sets(gcm: GCM) -> tuple[tuple[int, ...], ...]:
 
 
 def component_type(gcm: GCM, comp: tuple[int, ...]) -> ComponentType:
-    """The type of one connected component by the LP trichotomy."""
+    """The type of one connected component by the LP trichotomy, each of
+    Vinberg's three systems on the Fraction tableau above."""
     sub = gcm.submatrix(comp)
     neg = tuple(tuple(-x for x in row) for row in sub)
-    fin = exact.lp_feasible(LPProblem(matrix=neg, relations=("lt",) * len(sub)))
-    aff = exact.lp_feasible(LPProblem(matrix=sub, relations=("eq",) * len(sub)))
-    ind = exact.lp_feasible(LPProblem(matrix=sub, relations=("lt",) * len(sub)))
+    fin = lp_feasible(neg, ("lt",) * len(sub))
+    aff = lp_feasible(sub, ("eq",) * len(sub))
+    ind = lp_feasible(sub, ("lt",) * len(sub))
     hits = [t for t, u in (("FIN", fin), ("AFF", aff), ("IND", ind)) if u is not None]
     if len(hits) != 1:
         raise InternalError(f"classification trichotomy violated on {comp}: {hits}")

@@ -321,8 +321,11 @@ def _point_operands():
 
 # public point query -> its reads: one per argument it is handed, a default
 # step budget included; `faces.includes`, a face query, reads its two faces
-# and not the Theta^perp of the first, which it takes from the datum's core
+# and not the Theta^perp of the first, which it takes from the datum's core;
+# `cartan.special_sets` reads its GCM once and types every connected subset
+# through the core, which reads nothing again
 POINT_READS = {
+    "cartan.special_sets": (lambda a: cartan.special_sets(a["datum"].gcm), 1),
     "faces.includes": (lambda a: FC.includes(a["r"], a["r"]), 2),
     "faces.contains": (lambda a: FC.contains(a["r"], (1, 1, 1)), 3),
     "faces.in_relative_interior": (lambda a: FC.in_relative_interior(a["r"], (1, 1, 1)), 3),

@@ -228,7 +228,7 @@ _INDEFINITE = ((2, -3, -3), (-3, 2, -3), (-3, -3, 2))
 
 def _forge_certificate(monkeypatch):
     """exact.lp_feasible returns the forged certificate (1, 1, 0)."""
-    monkeypatch.setattr(exact, "lp_feasible", lambda problem: (1, 1, 0))
+    monkeypatch.setattr(exact, "lp_feasible", lambda matrix: (1, 1, 0))
 
 
 def test_a_forged_vinberg_certificate_raises(monkeypatch):
@@ -510,6 +510,17 @@ def test_a_scalar_where_entries_are_read_is_a_domain_error(call, message):
     # each ended in a raw TypeError: 'int' object is not iterable
     with pytest.raises(DomainError, match=re.escape(message)):
         call()
+
+
+def test_a_type_error_inside_an_iterable_passes_through():
+    # an iterable that fails while it runs is not a scalar: its own
+    # TypeError, not a DomainError, comes out
+    def failing():
+        yield 1
+        raise TypeError("the iterable failed")
+
+    with pytest.raises(TypeError, match="the iterable failed"):
+        cartan.exact_ints(failing(), "weight coordinate")
 
 
 def test_coroot_covers_the_added_basis_coweights():

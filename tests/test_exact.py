@@ -8,7 +8,7 @@ from conftest import all_small_gcms, grid_certificate
 
 from kmx import exact
 from kmx.errors import InternalError
-from kmx.exact import (LPProblem, int_mat, int_rref, kernel_lattice_basis, lp_feasible,
+from kmx.exact import (int_mat, int_rref, kernel_lattice_basis, lp_feasible,
                        mat_mul, mat_vec, nonneg_feasible, nonneg_solve, primitive, rat_solve,
                        smith_normal_form)
 
@@ -245,38 +245,45 @@ def test_a_kernel_vector_the_rows_do_not_kill_is_an_internal_error(monkeypatch):
             kernel_lattice_basis(rows, len(rows[0]))
 
 
+class Stuck(int):
+    """An int whose floor quotient is 0, so no column reduction shrinks it."""
+
+    def __floordiv__(self, other):
+        return 0
+
+
+def test_a_column_reduction_that_does_not_shrink_its_pivot_is_an_internal_error():
+    # the pass on (3, 5) leaves 5 as it was, and the next pass's pivot is
+    # 3 again; the loop ran until it was killed.  The row (5, 3), whose
+    # pivot shrinks 3, 2, 1 before its closing pass, still reduces
+    with pytest.raises(InternalError, match="did not shrink its pivot"):
+        exact._echelon_columns([[Stuck(3)], [Stuck(5)]], [[1, 0], [0, 1]])
+    assert kernel_lattice_basis([[5, 3]], 2) == ((3, -5),)
+
+
 def test_lp_examples():
     a2 = [[2, -1], [-1, 2]]
     neg = int_mat([[-x for x in row] for row in a2])
-    u = lp_feasible(LPProblem(matrix=neg, relations=("lt", "lt")))
+    u = lp_feasible(neg)
     assert u is not None
     assert all(sum(r * x for r, x in zip(row, u)) > 0 for row in a2)
 
-    aff = int_mat([[2, -2], [-2, 2]])
-    u = lp_feasible(LPProblem(matrix=aff, relations=("eq", "eq")))
-    assert u is not None and all(x > 0 for x in u)
-
-    assert lp_feasible(LPProblem(matrix=int_mat(a2), relations=("lt", "lt"))) is None
+    assert lp_feasible(int_mat(a2)) is None
 
 
 def test_lp_agrees_with_grid_search():
     for n in (2, 3):
         for a in all_small_gcms(n):
             neg = int_mat([[-x for x in row] for row in a])
-            systems = (
-                (LPProblem(matrix=neg, relations=("lt",) * n), "gt"),  # Au > 0
-                (LPProblem(matrix=int_mat(a), relations=("eq",) * n), "eq"),
-                (LPProblem(matrix=int_mat(a), relations=("lt",) * n), "lt"),
-            )
-            for prob, grid_rel in systems:
-                got = lp_feasible(prob)
+            for matrix, grid_rel in ((neg, "gt"), (int_mat(a), "lt")):  # -Au < 0 is Au > 0
+                got = lp_feasible(matrix)
                 want = grid_certificate(a, grid_rel)
                 assert (got is not None) == (want is not None), (a, grid_rel)
 
 
 def test_lp_certificate_survives_clearing_denominators():
     a = int_mat([[2, -2, 0], [-2, 2, -1], [0, -1, 2]])
-    u = lp_feasible(LPProblem(matrix=a, relations=("le", "le", "le")))
+    u = lp_feasible(a)
     assert u is not None
     ints = primitive(u)
     assert all(sum(r * x for r, x in zip(row, ints)) <= 0 for row in a)
@@ -298,9 +305,8 @@ def test_simplex_agrees_with_the_reference_tableau():
     for _ in range(3000):
         nr, nc = rng.randrange(1, 5), rng.randrange(1, 7)
         m = tuple(tuple(rng.randrange(-3, 4) for _ in range(nc)) for _ in range(nr))
-        rels = tuple(rng.choice(("le", "eq", "lt")) for _ in range(nr))
-        got = lp_feasible(LPProblem(matrix=m, relations=rels))
-        assert got == ref.lp_feasible(m, rels), (m, rels)
+        got = lp_feasible(m)
+        assert got == ref.lp_feasible(m, ("lt",) * nr), m
         outcomes["lp"][got is None] += 1
         b = tuple(rng.randrange(-3, 4) for _ in range(nr))
         got = nonneg_solve(m, b)
@@ -313,7 +319,7 @@ def test_simplex_agrees_with_the_reference_tableau():
 @pytest.mark.parametrize("bad", [Fraction(1), 1.0, True, "1"])
 def test_lp_and_nonneg_solve_reject_non_int_entries(bad):
     with pytest.raises(ValueError):
-        LPProblem(matrix=((bad, -1), (-1, 2)), relations=("le", "le"))
+        lp_feasible(((bad, -1), (-1, 2)))
     with pytest.raises(ValueError):
         nonneg_solve([[bad, 1]], (1,))
     with pytest.raises(ValueError):
@@ -322,7 +328,7 @@ def test_lp_and_nonneg_solve_reject_non_int_entries(bad):
 
 @pytest.mark.parametrize("call,message", [
     # the -5 was dropped, and the full system is feasible
-    (lambda: LPProblem(matrix=((-1,), (1, -5)), relations=("le", "le")), "LP matrix is ragged"),
+    (lambda: lp_feasible(((-1,), (1, -5))), "LP matrix is ragged"),
     # IndexError before
     (lambda: nonneg_solve([[1, 0], [0, 1]], (1,)),
      "nonneg_solve input right-hand side needs 2 entries, one per row"),
@@ -336,12 +342,9 @@ def test_lp_and_nonneg_solve_reject_non_int_entries(bad):
     (lambda: nonneg_feasible([[1, 0], [0, 1]], [(1, 2.0)]),
      "nonneg_feasible input right-hand side must have integer entries"),
     (lambda: int_mat([[1, 2], [3]]), "ragged matrix"),
-    (lambda: LPProblem(matrix=(), relations=()), "need at least one variable"),
-    (lambda: LPProblem(matrix=((1,),), relations=()), "one relation per row required"),
-    (lambda: LPProblem(matrix=((1,),), relations=("ge",)), "bad relation"),
+    (lambda: lp_feasible(()), "need at least one variable"),
 ], ids=["lp-ragged", "solve-short-b", "solve-ragged", "solve-long-b", "feasible-ragged",
-        "feasible-short-b", "feasible-float-b", "int-mat-ragged", "lp-no-variable",
-        "lp-relation-count", "lp-bad-relation"])
+        "feasible-short-b", "feasible-float-b", "int-mat-ragged", "lp-no-variable"])
 def test_malformed_lp_input_is_a_value_error(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         call()
@@ -467,7 +470,7 @@ def test_int_rref_and_the_simplex_share_one_pivot_step(monkeypatch):
     monkeypatch.setattr(exact, "_bareiss_pivot", counted)
     int_rref([[2, -1], [-1, 2]])
     assert len(calls) == 2
-    lp_feasible(LPProblem(matrix=((-2, 1), (1, -2)), relations=("lt", "lt")))
+    lp_feasible(((-2, 1), (1, -2)))
     assert len(calls) > 2
     before = len(calls)
     nonneg_solve([[1, 1], [0, 2]], (1, 1))
@@ -477,7 +480,7 @@ def test_int_rref_and_the_simplex_share_one_pivot_step(monkeypatch):
 def test_an_infeasible_lp_verdict_rests_on_a_farkas_vector(monkeypatch):
     # lp_feasible returned None on the simplex's word alone; a feasible LP
     # reported infeasible now fails the final basis's Farkas check
-    prob = LPProblem(matrix=((-2, 1), (1, -2)), relations=("lt", "lt"))
+    prob = ((-2, 1), (1, -2))
     assert lp_feasible(prob) is not None
     real = exact._simplex_feasible
     monkeypatch.setattr(exact, "_simplex_feasible",
@@ -488,7 +491,19 @@ def test_an_infeasible_lp_verdict_rests_on_a_farkas_vector(monkeypatch):
 
 def test_an_invalid_simplex_answer_is_caught(monkeypatch):
     # x = (0, 2) over d = 1 gives u = (1, 3), and the first row reads 1,
-    # not < 0; the slacks take no part in the check
+    # not < 0; x with its zero slacks does not re-substitute
     monkeypatch.setattr(exact, "_simplex_feasible", lambda rows, rhs: ([0, 2, 0, 0], 1, [1, 0]))
-    with pytest.raises(InternalError, match="simplex returned an invalid certificate"):
-        lp_feasible(LPProblem(((-2, 1), (1, -2)), ("lt", "lt")))
+    with pytest.raises(InternalError, match="is not a certificate of x >= 0 with A x = b"):
+        lp_feasible(((-2, 1), (1, -2)))
+
+
+@pytest.mark.parametrize("solve, x, basis", [
+    (lambda: nonneg_solve([[1, -1]], (0,)), [-1, -1], [0]),
+    # u = (3, 1) reads A u = (-5, 1); the slack s_2 = -2 balances the second row
+    (lambda: lp_feasible(((-2, 1), (1, -2))), [2, 0, 4, -2], [0, 2]),
+], ids=["nonneg_solve", "lp_feasible"])
+def test_a_negative_simplex_answer_that_re_substitutes_is_caught(solve, x, basis, monkeypatch):
+    # each x solves its system A x = b and was returned with a negative entry
+    monkeypatch.setattr(exact, "_simplex_feasible", lambda rows, rhs: (x, 1, basis))
+    with pytest.raises(InternalError, match="is not a certificate of x >= 0 with A x = b"):
+        solve()

@@ -371,6 +371,10 @@ def test_that_eval_operator_semantics():
     for weight in ((Fr(1, 2), 0, 0), (0, 0, Fr(1, 2))):
         with pytest.raises(DomainError, match=re.escape("Fraction(1, 2) is not an integer")):
             MO.that_eval(x, weight)
+    hx = MO.that_normalize((Fr(2), Fr(3), Fr(-5)), FC.standard_face(HYP, ()))
+    for weight in ((1, 0), (1, 0, 0, 0)):
+        with pytest.raises(DomainError, match="^weight needs 3 coordinates$"):
+            MO.that_eval(hx, weight)
 
 
 # -- canonical lifts and N-hat -----------------------------------------------------

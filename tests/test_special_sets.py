@@ -104,16 +104,16 @@ def _connected_subsets(a):
 @pytest.mark.parametrize("name,count", [("D8++", 76), ("E10", 67)])
 def test_special_sets_types_each_connected_subset_once(name, count, monkeypatch):
     typed = []
-    real = cartan.component_type
+    real = cartan._component_type_cached
 
     def counted(gcm, comp):
-        typed.append(tuple(comp))
+        typed.append(comp)
         return real(gcm, comp)
 
     def forbidden(*args):
         raise AssertionError("special_sets classifies a subset")
 
-    monkeypatch.setattr(cartan, "component_type", counted)
+    monkeypatch.setattr(cartan, "_component_type_cached", counted)
     monkeypatch.setattr(cartan, "is_special", forbidden)
     monkeypatch.setattr(cartan, "_classify_cached", forbidden)
     gcm = validate_and_symmetrize(NAMED[name])
@@ -227,7 +227,7 @@ def test_a_wrong_symmetrizer_is_caught_by_the_typing():
 ], ids=["not-negative", "not-positive", "none"])
 def test_a_forged_simplex_answer_is_caught(forged, message, monkeypatch):
     cartan._component_type_cached.cache_clear()
-    monkeypatch.setattr(exact, "lp_feasible", lambda problem: forged)
+    monkeypatch.setattr(exact, "lp_feasible", lambda matrix: forged)
     with pytest.raises(InternalError, match=re.escape(message)):
         component_type(validate_and_symmetrize(HYPERBOLIC_ROWS), (0, 1, 2))
 
