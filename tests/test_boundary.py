@@ -18,16 +18,21 @@ The last table counts the reads of every `cartan` reader per point query (a
 weight or lattice point located in the Tits cone or a lattice monoid):
 each query reads each argument once, a default step budget included, and
 walks once.  It also counts them for `faces.includes`, which reads its two
-faces and nothing they hold.
+faces and nothing they hold.  The verify table counts the same readers,
+and `check_index`, for one draw of verify's samplers and for the laws of
+one [4] triple: a sampler builds on the cores from indices it drew itself,
+so it reads nothing.
 """
 
 import inspect
+import random
 from fractions import Fraction as Fr
 
 import pytest
 
 from kmx import cartan, exact, faces as FC, highest_weight as HW, monoids as MO
 from kmx import toric as TO
+from kmx import verify
 from kmx import weyl as W
 from kmx.cartan import HYPERBOLIC_ROWS, build_realization
 from kmx.errors import KmxError
@@ -348,13 +353,9 @@ POINT_READS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(POINT_READS))
-def test_a_point_query_reads_each_argument_once(name, monkeypatch):
-    # the first call builds the datum's special sets and exposing coweights;
-    # the second, counted, reads only what it is handed
-    operands = _point_operands()
-    call, want = POINT_READS[name]
-    call(operands)
+def _count_reads(monkeypatch, readers) -> list:
+    """The list that each outermost call of one of the `cartan` readers
+    appends its name to, from here on."""
     reads = []
     depth = [0]
 
@@ -369,11 +370,49 @@ def test_a_point_query_reads_each_argument_once(name, monkeypatch):
                 depth[0] -= 1
         return counted
 
-    for reader in READERS:
+    for reader in readers:
         real = getattr(cartan, reader)
         counted = counter(reader, real)
         for mod in (cartan, W, FC, MO, TO, HW):
             if getattr(mod, reader, None) is real:
                 monkeypatch.setattr(mod, reader, counted)
+    return reads
+
+
+@pytest.mark.parametrize("name", sorted(POINT_READS))
+def test_a_point_query_reads_each_argument_once(name, monkeypatch):
+    # the first call builds the datum's special sets and exposing coweights;
+    # the second, counted, reads only what it is handed
+    operands = _point_operands()
+    call, want = POINT_READS[name]
     call(operands)
+    reads = _count_reads(monkeypatch, READERS)
+    call(operands)
+    assert len(reads) == want, reads
+
+
+# -- what verify's samplers and laws read -------------------------------------------
+
+# verify's route -> its reads.  The samplers build on the cores from indices
+# they drew themselves, so a face or a class, and so the triple that [4]
+# draws, reads nothing; one [4] triple's laws read only through the public
+# names that stay: the datum once (`wm_unit`), the class that `wm_invert`
+# inverts (a law-leg test patches it) and the two faces of `intersect`, the
+# meet that the idempotents are checked against
+VERIFY_READS = {
+    "_rand_face": (verify._rand_face, 0),
+    "_rand_wmon": (verify._rand_wmon, 0),
+    "[4] laws of one triple": (lambda rng, datum: verify._monoid_laws(rng, datum, 1), 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VERIFY_READS))
+def test_verify_s_samplers_read_nothing_they_drew(name, monkeypatch):
+    # the first call builds the datum's special sets and exposing coweights;
+    # the second, counted, draws other samples
+    datum = build_realization(HYPERBOLIC_ROWS)
+    call, want = VERIFY_READS[name]
+    call(random.Random(1), datum)
+    reads = _count_reads(monkeypatch, READERS + ("check_index",))
+    call(random.Random(2), datum)
     assert len(reads) == want, reads

@@ -1,6 +1,8 @@
 """The verify battery's shared plumbing: the one-pass probe of [6] against
 the height-by-height retry it replaced, run on the dense reference matrices
-of `exact_reference`, the verdict tally and the report lines."""
+of `exact_reference`, the samplers against `randrange` and the public
+entries, the verdict tally and the report lines, and corruption tests that
+each law leg counts its violations."""
 
 import random
 import re
@@ -12,6 +14,7 @@ import pytest
 from test_weyl import KERNEL_DATA
 
 from kmx import exact, faces as FC, highest_weight as HW, monoids as MO, toric, verify
+from kmx import weyl as W
 from kmx.cartan import build_realization
 from kmx.errors import DepthExceeded
 
@@ -183,6 +186,53 @@ def test_operator_theorems_build_each_probe_slice_once(monkeypatch):
     assert len(built) == 10
 
 
+# -- the samplers' stream, against randrange and the public entries -----------------
+
+
+@pytest.mark.parametrize("seed", [0, 1, 20, 40, 611])
+def test_below_draws_randrange_s_stream(seed):
+    ours, theirs = random.Random(seed), random.Random(seed)
+    for n in range(1, 18):
+        assert [verify._below(ours, n) for _ in range(50)] == \
+            [theirs.randrange(n) for _ in range(50)]
+    mixed = random.Random(seed + 1000)
+    for _ in range(500):
+        n = mixed.randrange(1, 18)
+        assert verify._below(ours, n) == theirs.randrange(n)
+    assert ours.getstate() == theirs.getstate()
+
+
+def ref_rand_weyl(rng, datum, maxlen=6):
+    return W.from_word(datum, [rng.randrange(datum.n)
+                               for _ in range(rng.randrange(maxlen + 1))])
+
+
+def ref_rand_face(rng, datum):
+    theta = rng.choice(datum.special_sets())
+    return FC.normalize_face(ref_rand_weyl(rng, datum), theta)
+
+
+def ref_rand_nhat(rng, datum):
+    tvals = tuple(Fraction(rng.choice([1, 2, 3, -1, -2]), rng.choice([1, 2]))
+                  for _ in range(datum.m))
+    return MO.nhat_from(ref_rand_weyl(rng, datum, 4), tvals, ref_rand_face(rng, datum))
+
+
+SAMPLED = DATA + [(name, KERNEL_DATA[name]) for name in ("D8++", "E10")]
+
+
+@pytest.mark.parametrize("name,datum", SAMPLED, ids=[name for name, _ in SAMPLED])
+def test_the_samplers_draw_what_randrange_and_the_public_entries_give(name, datum):
+    # at rank 10 a letter takes 4 bits, so the redraw loop runs
+    ours, theirs = random.Random(46), random.Random(46)
+    for _ in range(100):
+        assert verify._rand_weyl(ours, datum, 4) is ref_rand_weyl(theirs, datum, 4)
+        assert verify._rand_face(ours, datum) is ref_rand_face(theirs, datum)
+        a, b = verify._rand_nhat(ours, datum), ref_rand_nhat(theirs, datum)
+        assert a.w is b.w and a.face is b.face and a.torus == b.torus
+    assert ours.getstate() == theirs.getstate()
+
+
 # -- tally and report lines ----------------------------------------------------------
 
 
@@ -200,7 +250,8 @@ def test_leg_appends_a_fail_line_only_when_failed():
 
 
 def test_weyl_monoid_zero_absorption_leg_reports_failure(monkeypatch):
-    # a product that keeps its left factor breaks every law of [4]
+    # a product that keeps its left factor breaks [4]'s zero absorption,
+    # whose products stay on the public wm_mul
     monkeypatch.setattr(MO, "wm_mul", lambda x, y: x)
     res = verify.check_weyl_monoid(triples=20)
     assert not res.passed
@@ -238,6 +289,68 @@ def test_the_law_legs_count_violations(monkeypatch):
     assert verify._kappa_laws(random.Random(50), datum, 50) > 0
     monkeypatch.setattr(MO, "nelt_mul", lambda a, b: a)
     assert not any(verify._cocycle_holds(datum, i) for i in range(datum.n))
+
+
+def test_each_product_law_of_check_4_counts_its_violation(monkeypatch):
+    # a product equal to nothing breaks, on every triple, each of the six
+    # laws of [4] that compares products: associativity, the unit, unit
+    # regularity, the factorization and both idempotent laws
+    monkeypatch.setattr(MO, "_wm_mul", lambda x, y: object())
+    assert verify._monoid_laws(random.Random(40), DATA[0][1], 30) == 6 * 30
+
+
+def test_the_action_and_standard_meet_legs_of_check_3_count_violations(monkeypatch):
+    datum = verify._data()["rank3-hyperbolic"]
+    real_standard = FC.standard_face
+    # an action that forgets u and w keeps each face's type only, which
+    # meets do not respect
+    monkeypatch.setattr(FC, "_act_face", lambda u, r: real_standard(r.datum, r.theta))
+    assert verify._galois_laws(random.Random(30), datum, 50) > 0
+    monkeypatch.undo()
+    # the largest standard face read as the full cone breaks the meets of
+    # standard faces, the only leg that a run with no pairs checks
+    monkeypatch.setattr(FC, "standard_face", lambda d, theta: real_standard(
+        d, () if len(theta) == d.n else theta))
+    assert verify._galois_laws(random.Random(30), datum, 0) > 0
+
+
+def test_the_face_leg_of_the_random_sweep_counts_violations(monkeypatch):
+    monkeypatch.setattr(FC, "includes", lambda r, s: True)
+    res = verify.check_random_gcms()
+    assert int(re.search(r"(\d+) violations", res.lines[0])[1]) > 0, res.lines
+
+
+def test_the_toric_round_trip_counts_its_violations(monkeypatch):
+    # a monoid that forgets its last ray regenerates a smaller cone, whose
+    # missing points the round trip counts
+    real_init = toric.LatticeMonoid.__init__
+
+    def forgetful(self, generators, rank):
+        real_init(self, generators, rank)
+        self.rays = self.rays[:-1]
+
+    monkeypatch.setattr(toric.LatticeMonoid, "__init__", forgetful)
+    res = verify.check_toric(count=10)
+    assert int(re.search(r"round-trip (\d+),", res.lines[0])[1]) > 0, res.lines
+
+
+def test_the_indicator_law_counts_each_pair_that_breaks_it():
+    # pairings 1, 0, -1: five of the nine pairs hold a weight outside the
+    # cone, and (1, -1), (-1, 1) sum to zero with neither weight at zero
+    assert verify._indicator_laws([(1, 0), (0, 5), (-1, 2)], [(1, 0)]) == 5 + 2
+    assert verify._indicator_laws([(1, 0), (0, 5)], [(1, 0), (0, 1)]) == 0
+
+
+def test_zero_absorption_counts_a_word_absorbed_on_one_side_only(monkeypatch):
+    # a probe that reads equal exactly when both words start alike: e w = e
+    # holds and w e = e fails, so each word of [6]'s zero absorption fails
+    monkeypatch.setattr(verify, "_adaptive_probe",
+                        lambda datum, w1, w2, probes: w1.letters[0] == w2.letters[0])
+    lines = [line for line in verify.check_operator_theorems().lines
+             if ": zero absorption " in line]
+    assert len(lines) == len(verify._SPECIAL_CASES)
+    assert all(line.endswith("zero absorption 10 words, 10 failures, 0 beyond depth")
+               for line in lines), lines
 
 
 def test_the_toric_oracle_reuses_its_simplex_certificates(monkeypatch):

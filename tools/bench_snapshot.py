@@ -8,15 +8,20 @@ probe), then once with --trace 1 (the per-layer metrics).  It writes one
 JSON object to the given path: the commit (`git rev-parse HEAD`), whether
 the working tree differed from it, the Python version, the seed, and per
 workload both runs' metrics, their correct/attempted/failed counts and the
-`# host speed` line.  Per module of src/kmx it also records the token count
-of its source (`tokenize`) and the tracemalloc peak of `compile()` on that
-source, in KiB: the perfbench workers compile src/kmx from source, so that
-peak can set their `peak_rss_mb`.  Its runs set PYTHONDONTWRITEBYTECODE=1,
-but Python still reads a bytecode cache that exists, so a checkout with a
-src/kmx/__pycache__ would time a cached set-up: the tool then exits 1, and
-writes nothing, until that directory is removed.  Stdlib only; run it from
+`# host speed` line.  Under "tier1" it records one run of the Tier-1 suite
+(ROADMAP.md: `python -m pytest -q` over tests/, src on PYTHONPATH), made
+with --durations=DURATIONS: its wall and CPU seconds, the counts of its
+summary line and its DURATIONS slowest test phases.  Per module of src/kmx
+it also records the token count of its source (`tokenize`) and the
+tracemalloc peak of `compile()` on that source, in KiB: the perfbench
+workers compile src/kmx from source, so that peak can set their
+`peak_rss_mb`.  Its runs set PYTHONDONTWRITEBYTECODE=1, but Python still
+reads a bytecode cache that exists, so a checkout with a src/kmx/__pycache__
+would time a cached set-up: the tool then exits 1, and writes nothing,
+until that directory is removed.  Stdlib only; run it from
 anywhere inside a kmx checkout.  It exits 1, and writes nothing, if a run
-fails or its output does not pass the benchmark's gate.
+fails, its output does not pass the benchmark's gate, or a Tier-1 test
+fails.
 """
 
 from __future__ import annotations
@@ -26,8 +31,10 @@ import io
 import json
 import os
 import platform
+import re
 import subprocess
 import sys
+import time
 import tokenize
 import tracemalloc
 
@@ -35,6 +42,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("coxeter-rank10", "hw-slices", "verify")
 SEED = 3
 SECONDS = 5
+DURATIONS = 10  # the slowest Tier-1 test phases recorded
 
 
 def run(workload: str, trace: int) -> tuple[dict, list[str]]:
@@ -47,6 +55,34 @@ def run(workload: str, trace: int) -> tuple[dict, list[str]]:
         raise RuntimeError(f"{' '.join(cmd)} exited with {proc.returncode}:\n{proc.stderr}")
     lines = proc.stdout.strip().splitlines()
     return json.loads(lines[-1]), [ln for ln in lines if ln.startswith("# ")]
+
+
+def tier1() -> dict:
+    """One Tier-1 run: its wall and CPU seconds, the counts of its summary
+    line ("1679 passed in 69.01s" gives {"passed": 1679}) and its DURATIONS
+    slowest test phases, slowest first."""
+    cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+           "--continue-on-collection-errors", f"--durations={DURATIONS}"]
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH="src" + (os.pathsep + path if path else ""))
+    before, start = os.times(), time.perf_counter()
+    proc = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True, text=True)
+    wall, after = time.perf_counter() - start, os.times()
+    if proc.returncode != 0:
+        tail = "\n".join(proc.stdout.strip().splitlines()[-5:])
+        raise RuntimeError(f"the Tier-1 suite exited with {proc.returncode}:\n{tail}")
+    lines = proc.stdout.strip().splitlines()
+    counts = {kind: int(k) for k, kind in re.findall(r"(\d+) ([a-z]+)", lines[-1])}
+    slowest = []
+    for line in lines:
+        m = re.fullmatch(r"(\d+\.\d+)s (setup|call|teardown) +(.+)", line)
+        if m:
+            slowest.append({"test": m[3], "phase": m[2], "s": float(m[1])})
+    cpu = (after.children_user - before.children_user
+           + after.children_system - before.children_system)
+    return {"wall_s": round(wall, 2), "cpu_s": round(cpu, 2), "counts": counts,
+            "slowest": slowest}
 
 
 def module_sizes() -> dict:
@@ -86,6 +122,8 @@ def snapshot() -> dict:
         out["workloads"][workload] = runs
         print(f"{workload}: wall_s {runs['end_to_end']['metrics']['wall_s']:.4f} s",
               file=sys.stderr)
+    out["tier1"] = tier1()
+    print(f"Tier-1: {out['tier1']['counts']}, {out['tier1']['wall_s']} s wall", file=sys.stderr)
     return out
 
 
