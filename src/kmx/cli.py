@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import traceback
 
@@ -187,11 +186,14 @@ def _vec_str_list(v):
     return [str(x) for x in v]
 
 
-def _default_depth(args) -> int:
-    if getattr(args, "depth", None) is not None:
-        return args.depth
-    (depth,) = typed_numbers([os.environ.get("KMX_DEPTH", "4")], "KMX_DEPTH", integral=True)
-    return depth
+def _int_option(text, option: str):
+    """An integer option as typed ([+-]digits), None when left out: read
+    here, not by argparse's type=int, which takes 1_0 and non-ASCII digits
+    and whose errors escape `main`'s exit codes."""
+    if text is None:
+        return None
+    (n,) = typed_numbers([text], option, integral=True)
+    return n
 
 
 def _emit(args, obj) -> None:
@@ -283,6 +285,7 @@ def cmd_weyl_reduce(args):
 
 def cmd_dominant(args):
     datum = _load_gcm(args)
+    cap = _int_option(args.cap, "--cap")
     if args.antidominant:
         d = _parse_weight(datum, args.weight, "coweight", integral=True)
         dmin, v = W.antidominant_coweight(datum, d)
@@ -293,7 +296,7 @@ def cmd_dominant(args):
         return
     lam = _parse_weight(datum, args.weight)
     try:
-        res = W.dominant_rep(datum, lam, cap=args.cap)
+        res = W.dominant_rep(datum, lam, cap=cap)
     except NotInTitsCone as e:
         _emit(args, {"status": "not_in_tits_cone", "certificate": e.certificate})
         return
@@ -327,7 +330,7 @@ def cmd_face_intersect(args):
 def cmd_face_of_point(args):
     datum = _load_gcm(args)
     lam = _parse_weight(datum, args.weight)
-    face = FC.face_of_point(datum, lam, cap=args.cap)
+    face = FC.face_of_point(datum, lam, cap=_int_option(args.cap, "--cap"))
     out = _face_json(face)
     if args.predicates is not None:
         ref = _parse_face(datum, args.predicates)
@@ -408,13 +411,14 @@ def cmd_toric_saturate(args):
 
 def cmd_toric_faces(args):
     m = _parse_monoid(args)
+    index = _int_option(args.face, "--face")
     faces = m.faces()
     out = {"faces": [{"index": f.index, "dim": f.dim,
                       "hull": [list(b) for b in f.hull]} for f in faces]}
-    if args.face is not None:
-        if not 0 <= args.face < len(faces):
-            raise DomainError(f"face index {args.face} out of range 0..{len(faces) - 1}")
-        f = faces[args.face]
+    if index is not None:
+        if not 0 <= index < len(faces):
+            raise DomainError(f"face index {index} out of range 0..{len(faces) - 1}")
+        f = faces[index]
         entry = {"index": f.index, "dim": f.dim,
                  "hull": [list(b) for b in f.hull],
                  "subfaces": [g.index for g in m.subfaces(f)]}
@@ -443,7 +447,7 @@ def _parse_hw(datum, text):
 def cmd_module_weights(args):
     datum = _load_gcm(args)
     hw = _parse_hw(datum, args.hw)
-    table = HW.weights_and_mults(datum, hw, _default_depth(args))
+    table = HW.weights_and_mults(datum, hw, _int_option(args.depth, "--depth"))
     _emit(args, {"weights": [{"weight": list(wt), "mult": table[wt]}
                              for wt in sorted(table)]})
 
@@ -451,7 +455,7 @@ def cmd_module_weights(args):
 def cmd_module_basis(args):
     datum = _load_gcm(args)
     hw = _parse_hw(datum, args.hw)
-    sl = HW.build_basis(datum, hw, _default_depth(args))
+    sl = HW.build_basis(datum, hw, _int_option(args.depth, "--depth"))
     out = []
     for wt in sl.order:
         sp = sl.spaces[wt]
@@ -467,9 +471,10 @@ def cmd_module_basis(args):
 def cmd_ghat_eval(args):
     datum = _load_gcm(args)
     hw = _parse_hw(datum, args.hw)
-    sl = HW.build_basis(datum, hw, _default_depth(args))
+    max_height = _int_option(args.max_height, "--max-height")
+    sl = HW.build_basis(datum, hw, _int_option(args.depth, "--depth"))
     word = HW.parse_word(datum, args.word)
-    (rows, cols), mat = HW.evaluate_word(sl, word, max_height=args.max_height)
+    (rows, cols), mat = HW.evaluate_word(sl, word, max_height=max_height)
     _emit(args, {
         "rows": [{"weight": list(wt), "index": k} for wt, k in rows],
         "cols": [{"weight": list(wt), "index": k} for wt, k in cols],
@@ -480,7 +485,7 @@ def cmd_ghat_eval(args):
 def cmd_ghat_theta(args):
     datum = _load_gcm(args)
     hw = _parse_hw(datum, args.hw)
-    sl = HW.build_basis(datum, hw, _default_depth(args))
+    sl = HW.build_basis(datum, hw, _int_option(args.depth, "--depth"))
     word = HW.parse_word(datum, args.word)
     _emit(args, {"theta": str(HW.theta(sl, word))})
 
@@ -560,7 +565,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--weight", required=True)
     p.add_argument("--antidominant", action="store_true",
                    help="treat the input as an integer coweight and antidominant-minimize")
-    p.add_argument("--cap", type=int, default=W.STEP_BUDGET)
+    p.add_argument("--cap", default=str(W.STEP_BUDGET))
     p = verb("face-normalize", cmd_face_normalize, help="face normal form")
     p.add_argument("--face", required=True, help="'w=3 1;theta=1,2' or JSON")
     p = verb("face-include", cmd_face_include, help="is the right face inside the left?")
@@ -573,7 +578,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--weight", required=True)
     p.add_argument("--predicates", help="face to test the point's predicates against")
     p.add_argument("--element", help="Weyl word for centralize/normalize predicates")
-    p.add_argument("--cap", type=int, default=W.STEP_BUDGET)
+    p.add_argument("--cap", default=str(W.STEP_BUDGET))
     p = verb("wmon-mul", cmd_wmon_mul, help="Weyl monoid product")
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)
@@ -595,25 +600,25 @@ def make_parser() -> argparse.ArgumentParser:
     p = verb("toric-faces", cmd_toric_faces, gcm=False,
              help="face lattice of a lattice monoid")
     p.add_argument("--monoid", required=True)
-    p.add_argument("--face", type=int, help="face index for detailed operations")
+    p.add_argument("--face", help="face index for detailed operations")
     p.add_argument("--ri", help="point for a relative-interior test")
     p.add_argument("--dual", action="store_true")
     p.add_argument("--principal-open", help="point m for D(m)")
     p.add_argument("--idempotents", action="store_true")
     p = verb("module-weights", cmd_module_weights, help="weight multiplicities")
     p.add_argument("--hw", required=True)
-    p.add_argument("--depth", type=int)
+    p.add_argument("--depth", default="4")
     p = verb("module-basis", cmd_module_basis, help="slice bases and Gram matrices")
     p.add_argument("--hw", required=True)
-    p.add_argument("--depth", type=int)
+    p.add_argument("--depth", default="4")
     p = verb("ghat-eval", cmd_ghat_eval, help="operator matrix of a word")
     p.add_argument("--hw", required=True)
-    p.add_argument("--depth", type=int)
+    p.add_argument("--depth", default="4")
     p.add_argument("--word", required=True)
-    p.add_argument("--max-height", type=int)
+    p.add_argument("--max-height")
     p = verb("ghat-theta", cmd_ghat_theta, help="highest matrix coefficient")
     p.add_argument("--hw", required=True)
-    p.add_argument("--depth", type=int)
+    p.add_argument("--depth", default="4")
     p.add_argument("--word", required=True)
     p = verb("ghat-equal", cmd_ghat_equal, help="probe operator equality of two words")
     p.add_argument("--word1", required=True)

@@ -37,10 +37,18 @@ way.  The entries read their arguments at the API boundary (`cartan`): a
 torus element by `cartan.torus_values`, the parameter s of t_h(s) as a
 one-value torus element.  Every route inside runs the private cores
 (`_wm_class`, `_wm_mul`, `_that`, `_nelt_mul`, `_nelt_inv`, `_nhat_mul`,
-`_lift`) on what it read or built, so `NhatElt.canonical` reads nothing,
-and `wm_apply` and `that_eval` certify the weight they read by
+`_lift`, `_kappa`) on what it read or built, so `NhatElt.canonical` reads
+nothing, and `wm_apply` and `that_eval` certify the weight they read by
 `faces._contains`.  A character t(lam) is `exact.character`, evaluated
 fraction-free.
+
+The torus T and the normalizer N are the unit groups of T-hat and N-hat
+(the elements on the full cone), so they have no entries of their own:
+their arithmetic is the cores `_one`, `_torus_mul`, `_torus_inv`,
+`_torus_act`, `_lift`, `_nelt_mul` and `_nelt_inv`, reached through units
+(`nhat_from(w, t)` with `nhat_mul` and `nhat_inv`; `that_act`).  Two torus
+entries stay: `torus_from_coweight` builds t_h(s), and `torus_eval` gives
+t's character at any integer weight, off the Tits cone too.
 
 Normalizer elements are n_w t e(R), n_w the canonical lift of a reduced
 word, with the one cocycle n_i^2 = t_{h_i}(-1).  If s_i u < u (row i of
@@ -57,7 +65,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import exact, faces as F, weyl as W
-from .cartan import RootDatum, _check_datum, _expect, entries, exact_ints, torus_values
+from .cartan import RootDatum, _check_datum, _expect, exact_ints, torus_values
 from .errors import DomainError, InternalError, PreconditionViolated
 from .exact import IntVec
 from .faces import Face
@@ -203,10 +211,6 @@ def wm_apply(x: WmonElt, weight: Sequence):
 TorusVals = tuple[Fraction, ...]  # values on the fundamental-weight basis of P
 
 
-def torus_one(datum: RootDatum) -> TorusVals:
-    return _one(_check_datum(datum))
-
-
 def _one(datum: RootDatum) -> TorusVals:
     return (Fraction(1),) * datum.m
 
@@ -224,23 +228,8 @@ def torus_from_coweight(datum: RootDatum, h: Sequence[int], s: Fraction) -> Toru
     return tuple(s ** y for y in h)
 
 
-def torus_mul(a: TorusVals, b: TorusVals) -> TorusVals:
-    """The product a b of two torus elements with as many values, each read
-    by `cartan.torus_values`: b's count is read against a's."""
-    a = entries(a, "torus value")
-    a = torus_values(a, len(a))
-    return _torus_mul(a, torus_values(b, len(a)))
-
-
 def _torus_mul(a: TorusVals, b: TorusVals) -> TorusVals:
     return tuple(x * y for x, y in zip(a, b))
-
-
-def torus_inv(a: TorusVals) -> TorusVals:
-    """The inverse of a torus element, value by value, as Fractions; a is
-    read by `cartan.torus_values`."""
-    a = entries(a, "torus value")
-    return _torus_inv(torus_values(a, len(a)))
 
 
 def _torus_inv(a: TorusVals) -> TorusVals:
@@ -255,15 +244,8 @@ def torus_eval(t: TorusVals, weight: Sequence[int]) -> Fraction:
     return exact.character(torus_values(t, len(weight)), weight)
 
 
-def torus_act(u: WeylElt, t: TorusVals) -> TorusVals:
-    """(u t)(lam) = t(u^{-1} lam) for t with one value per coordinate of
-    u's datum, read by `cartan.torus_values`."""
-    return _torus_act(u, torus_values(t, _expect(u, WeylElt, "a WeylElt").datum.m))
-
-
 def _torus_act(u: WeylElt, t: TorusVals) -> TorusVals:
-    """torus_act for a t its caller checked; exact via the integer matrix
-    of u^{-1}."""
+    """(u t)(lam) = t(u^{-1} lam), exact via the integer matrix of u^{-1}."""
     cols = exact.transpose(u.mat_p_inv)
     return tuple(exact.character(t, col) for col in cols)
 
@@ -333,27 +315,9 @@ def that_eval(x: ThatElt, weight: Sequence[int]):
 NElt = tuple[WeylElt, TorusVals]  # n_w followed by a torus element: n_w * t
 
 
-def _read_nelt(a) -> NElt:
-    """A pair (w, tau) of a WeylElt and a torus element, read by
-    `cartan.torus_values` as one value per coordinate of w's datum."""
-    if not (isinstance(a, (tuple, list)) and len(a) == 2):
-        raise DomainError(f"expected a (WeylElt, torus) pair, got {type(a).__name__}")
-    w, tau = a
-    return _expect(w, WeylElt, "a WeylElt"), torus_values(tau, w.datum.m)
-
-
-def nelt_mul(a: NElt, b: NElt) -> NElt:
-    """The product (n_w tau)(n_v s) = n_{wv} t of two pairs read by
-    `_read_nelt`; factors of two root data are a PreconditionViolated."""
-    (w, tau), (v, s) = _read_nelt(a), _read_nelt(b)
-    if w.datum is not v.datum:
-        raise PreconditionViolated("normalizer product of elements of two root data")
-    return _nelt_mul((w, tau), (v, s))
-
-
 def _nelt_mul(a: NElt, b: NElt) -> NElt:
-    """nelt_mul for factors its caller checked: n_w folded into n_v from the
-    right, the cocycles kept as one flip vector (module docstring)."""
+    """The product (n_w tau)(n_v s) = n_{wv} t: n_w folded into n_v from
+    the right, the cocycles kept as one flip vector (module docstring)."""
     (w, tau), (v, s) = a, b
     t = _torus_mul(_torus_act(v.inv(), tau), s)
     flip = [0] * len(t)
@@ -365,21 +329,12 @@ def _nelt_mul(a: NElt, b: NElt) -> NElt:
     return v, tuple(-x if f else x for x, f in zip(t, flip))
 
 
-def nelt_lift(w: WeylElt) -> NElt:
-    return _lift(_expect(w, WeylElt, "a WeylElt"))
-
-
 def _lift(w: WeylElt) -> NElt:
     return (w, _one(w.datum))
 
 
-def nelt_inv(a: NElt) -> NElt:
-    """The inverse of n_w tau in the normalizer, a pair read as in `nelt_mul`."""
-    return _nelt_inv(_read_nelt(a))
-
-
 def _nelt_inv(a: NElt) -> NElt:
-    """nelt_inv for an element its caller checked."""
+    """The inverse of n_w tau in the normalizer."""
     w, tau = a
     wi = w.inv()
     _, c0 = _nelt_mul(_lift(wi), _lift(w))
@@ -409,7 +364,7 @@ class NhatElt:
         cached = self.__dict__.get("_canon")
         if cached is not None:
             return cached
-        kappa_class = _wm_class(self.w, F._act_face(self.w, self.face))
+        kappa_class = _kappa(self)
         face = self.face
         u, r = _nelt_mul(_nelt_mul(_nelt_inv(_lift(kappa_class.w)), (self.w, self.torus)),
                          _lift(face.w))
@@ -441,10 +396,7 @@ def nhat_from(w: WeylElt, t: Optional[TorusVals] = None,
 
 
 def nhat_idempotent(face: Face) -> NhatElt:
-    return _nhat_idem(_expect(face, Face, "a Face"))
-
-
-def _nhat_idem(face: Face) -> NhatElt:
+    face = _expect(face, Face, "a Face")
     return NhatElt(w=W.identity_elt(face.datum), torus=_one(face.datum), face=face)
 
 
@@ -464,22 +416,22 @@ def _nhat_mul(x: NhatElt, y: NhatElt) -> NhatElt:
 
 def nhat_to_wmon(x: NhatElt) -> WmonElt:
     """kappa: N-hat / T  ->  W-hat (a monoid isomorphism)."""
-    return _wm_class(_expect(x, NhatElt, "an NhatElt").w, F._act_face(x.w, x.face))
+    return _kappa(_expect(x, NhatElt, "an NhatElt"))
+
+
+def _kappa(x: NhatElt) -> WmonElt:
+    """kappa(n_w t e(R)) = (wR, w), the class of w on the face it maps R to."""
+    return _wm_class(x.w, F._act_face(x.w, x.face))
 
 
 def nhat_conj_idem(x: NhatElt, face: Face) -> Face:
-    """n e(R) n^{-1} = e(wR) for n in the unit group N; returns e's new face."""
+    """n e(R) n^{-1} = e(wR) for n in the unit group N: e's new face, wR."""
     face = _expect(face, Face, "a Face")
     if not _expect(x, NhatElt, "an NhatElt").face.is_full_cone():
         raise PreconditionViolated("conjugation of idempotents needs a unit of N-hat")
     if x.datum is not face.datum:
         raise PreconditionViolated("normalizer-monoid product of elements of two root data")
-    w, tau = _nelt_inv((x.w, x.torus))  # the inverse of a unit has the full cone too
-    prod = _nhat_mul(_nhat_mul(x, _nhat_idem(face)), NhatElt(w=w, torus=tau, face=x.face))
-    expect = F._act_face(x.w, face)
-    if prod != _nhat_idem(expect):
-        raise InternalError("idempotent conjugation disagrees with the face action")
-    return expect
+    return F._act_face(x.w, face)
 
 
 def nhat_inv(x: NhatElt) -> NhatElt:

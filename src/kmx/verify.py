@@ -19,11 +19,16 @@ The samplers draw `random.randrange`'s stream without its Python wrapper:
 the report does not move.  What they draw is built by the cores on values
 verify made itself, as the `cartan` docstring asks of code inside kmx: a
 word by `weyl._multiply_out`, a face by `faces._normal_face` on one of the
-datum's special sets, a class by `monoids._wm_class`.  [3] and [4] act on
-faces by `faces._act_face`, and [4]'s law products are `monoids._wm_mul`.
-The laws keep the public names that the law-leg tests patch to corrupt
-them: `faces.includes` in [3], `monoids.wm_invert` in [4], and
-`monoids.wm_mul` in [4]'s zero absorption and [5]'s kappa leg.  The few
+datum's special sets, a class by `monoids._wm_class`, and an element of
+N-hat as an `NhatElt` of the drawn word, torus values and face.  [3] and
+[4] act on faces by `faces._act_face`, [4]'s law products are
+`monoids._wm_mul`, and [5]'s kappa leg multiplies by `monoids._nhat_mul`
+and maps by `monoids._kappa`.  The laws keep the public names that the
+law-leg tests patch to corrupt them: `faces.includes` in [3],
+`monoids.wm_invert` in [4], and `monoids.wm_mul` in [4]'s zero absorption
+and [5]'s kappa leg.  [5]'s cocycle squares the unit n_i by the public
+`monoids.nhat_mul`, which a law-leg test patches too, and [6] conjugates
+by `monoids.nhat_inv` of a unit; both run the `_nelt_mul` fold.  The few
 draws of [6], [8], [9] and [r] outside the samplers stay on `randrange`.
 """
 
@@ -247,7 +252,7 @@ def _rand_nhat(rng: random.Random, datum: RootDatum) -> MO.NhatElt:
     tvals = tuple(Fraction(_TNUMS[_below(rng, len(_TNUMS))],
                            _TDENS[_below(rng, len(_TDENS))])
                   for _ in range(datum.m))
-    return MO.nhat_from(_rand_weyl(rng, datum, 4), tvals, _rand_face(rng, datum))
+    return MO.NhatElt(w=_rand_weyl(rng, datum, 4), torus=tvals, face=_rand_face(rng, datum))
 
 
 def _kappa_laws(rng: random.Random, datum: RootDatum, pairs: int) -> int:
@@ -256,20 +261,19 @@ def _kappa_laws(rng: random.Random, datum: RootDatum, pairs: int) -> int:
     bad = 0
     for _ in range(pairs):
         a, b = _rand_nhat(rng, datum), _rand_nhat(rng, datum)
-        if MO.nhat_to_wmon(MO.nhat_mul(a, b)) != MO.wm_mul(
-                MO.nhat_to_wmon(a), MO.nhat_to_wmon(b)):
+        if MO._kappa(MO._nhat_mul(a, b)) != MO.wm_mul(MO._kappa(a), MO._kappa(b)):
             bad += 1
     return bad
 
 
 def _cocycle_holds(datum: RootDatum, i: int) -> bool:
     """n_i(1)^2 = t_{h_i}(-1) in the normalizer, algebraically: the parity
-    route of `monoids.nelt_mul` against t_{h_i}(-1) as `torus_from_coweight`
-    forms it, one power of -1 per coordinate."""
-    ni = MO.nelt_lift(W.simple(datum, i))
-    w2, t2 = MO.nelt_mul(ni, ni)
-    return w2.is_identity() and t2 == MO.torus_from_coweight(datum, datum.coroot(i),
-                                                             Fraction(-1))
+    route of `monoids.nhat_mul` on the unit n_i against t_{h_i}(-1) as
+    `torus_from_coweight` forms it, one power of -1 per coordinate."""
+    ni = MO.nhat_from(W.simple(datum, i))
+    sq = MO.nhat_mul(ni, ni)
+    return sq.w.is_identity() and sq.torus == MO.torus_from_coweight(datum, datum.coroot(i),
+                                                                     Fraction(-1))
 
 
 def check_kappa_and_cocycle(pairs: int = 500) -> CheckResult:
@@ -357,9 +361,7 @@ def _check_preserves(datum, word: HW.GhatWord, cvec) -> Optional[bool]:
 
 
 def _conj_letters(x: MO.NhatElt, mid: list) -> HW.GhatWord:
-    inv_w, inv_t = MO.nelt_inv((x.w, x.torus))
-    return HW.GhatWord(tuple(HW.nhat_letters(x) + mid
-                             + HW.nhat_letters(MO.nhat_from(inv_w, inv_t))))
+    return HW.GhatWord(tuple(HW.nhat_letters(x) + mid + HW.nhat_letters(MO.nhat_inv(x))))
 
 
 def _fundamental_probes(datum, depth):

@@ -961,12 +961,12 @@ def nhat_canonical(x: MO.NhatElt):
     n_sigma^{-1} n_w t = n_v s0, and the centralizer lift m = n_v b of
     v = w_R vbar w_R^{-1}, b a sign vector, gives the residual v(s0 b)."""
     kappa_class = MO.nhat_to_wmon(x)
-    v, s0 = MO._nelt_mul(MO._nelt_inv(MO.nelt_lift(kappa_class.w)), (x.w, x.torus))
+    v, s0 = MO._nelt_mul(MO._nelt_inv(MO._lift(kappa_class.w)), (x.w, x.torus))
     vbar = x.face.w.inv() * v * x.face.w
     if not W._strip_read(vbar, x.face.theta)[0].is_identity():
         raise InternalError("leftover Weyl part does not centralize the face")
-    m = MO._nelt_mul(MO._nelt_mul(MO.nelt_lift(x.face.w), MO.nelt_lift(vbar)),
-                     MO._nelt_inv(MO.nelt_lift(x.face.w)))
+    m = MO._nelt_mul(MO._nelt_mul(MO._lift(x.face.w), MO._lift(vbar)),
+                     MO._nelt_inv(MO._lift(x.face.w)))
     if m[0] != v:
         raise InternalError("centralizer lift failed to cancel the Weyl part")
     residual = torus_act(v, tuple(a * b for a, b in zip(s0, m[1])))

@@ -20,8 +20,8 @@ each query reads each argument once, a default step budget included, and
 walks once.  It also counts them for `faces.includes`, which reads its two
 faces and nothing they hold.  The verify table counts the same readers,
 and `check_index`, for one draw of verify's samplers and for the laws of
-one [4] triple: a sampler builds on the cores from indices it drew itself,
-so it reads nothing.
+one [4] triple and one [5] kappa pair: a sampler builds on the cores from
+indices and values it drew itself, so it reads nothing.
 """
 
 import inspect
@@ -58,20 +58,13 @@ VALID = {
     "monoids.wm_mul": (MO.wm_unit(F, _S1), MO.wm_idempotent(_R1)),
     "monoids.wm_invert": (MO.wm_unit(F, _S1),),
     "monoids.wm_apply": (MO.wm_unit(F, _S1), (1, 0, 0)),
-    "monoids.torus_one": (F,),
     "monoids.torus_from_coweight": (F, (1, 0, 0), 2),
-    "monoids.torus_mul": ((1, 2, 3), (3, 4, 5)),
-    "monoids.torus_inv": ((1, 2, 3),),
     "monoids.torus_eval": ((1, 2, 3), (1, 0, 0)),
-    "monoids.torus_act": (_S1, (1, 2, 3)),
     "monoids.that_normalize": ((1, 2, 3), _R1),
     "monoids.that_idempotent": (_R1,),
     "monoids.that_mul": (MO.that_idempotent(_R1), MO.that_idempotent(_FULL)),
     "monoids.that_act": (_S1, MO.that_idempotent(_R1)),
     "monoids.that_eval": (MO.that_idempotent(_FULL), (1, 0, 0)),
-    "monoids.nelt_mul": (MO.nelt_lift(_S1), MO.nelt_lift(_S1)),
-    "monoids.nelt_lift": (_S1,),
-    "monoids.nelt_inv": (MO.nelt_lift(_S1),),
     "monoids.nhat_from": (_S1,),
     "monoids.nhat_idempotent": (_R1,),
     "monoids.nhat_mul": (_X, _X),
@@ -167,7 +160,7 @@ def _required(f) -> int:
 
 def test_the_sweep_covers_every_public_callable():
     assert sorted(PUBLIC) == sorted(VALID)
-    assert len(PUBLIC) == 87
+    assert len(PUBLIC) == 80
     for name, f in PUBLIC.items():
         assert len(VALID[name]) == _required(f), name
         f(*VALID[name])  # the valid arguments are valid
@@ -191,11 +184,8 @@ def test_none_in_any_required_argument_is_a_kmx_error(name, k):
 
 def _one_shot(a):
     """a as a one-shot iterator when it is a plain tuple or list.  A Letter
-    (a tuple subclass) and a (WeylElt, torus) pair are typed values, not
-    sequences, and stay."""
-    if type(a) in (tuple, list) and not (len(a) == 2 and isinstance(a[0], W.WeylElt)):
-        return iter(a)
-    return a
+    (a tuple subclass) is a typed value, not a sequence, and stays."""
+    return iter(a) if type(a) in (tuple, list) else a
 
 
 def _outcome(f, args, kwargs):
@@ -238,7 +228,7 @@ def test_a_one_shot_iterable_gives_what_its_tuple_gives(name, f, args, kwargs):
 
 def test_the_one_shot_sweep_reaches_the_double_readers():
     names = [c[0] for c in SHOT_CASES]
-    assert len(SHOT_CASES) == 42 and len(set(names)) == 41
+    assert len(SHOT_CASES) == 39 and len(set(names)) == 38
     assert {"monoids.that_eval", "faces.contains", "faces.face_predicates",
             "MhatElt.__call__", "cartan.one_based", "exact.primitive"} <= set(names)
     assert FC.contains(_R1, (1, 1, 1)) is False and _MH((1, 1)) == 6
@@ -398,11 +388,14 @@ def test_a_point_query_reads_each_argument_once(name, monkeypatch):
 # draws, reads nothing; one [4] triple's laws read only through the public
 # names that stay: the datum once (`wm_unit`), the class that `wm_invert`
 # inverts (a law-leg test patches it) and the two faces of `intersect`, the
-# meet that the idempotents are checked against
+# meet that the idempotents are checked against; one [5] kappa pair reads
+# only the two classes of the public `wm_mul` (a law-leg test patches it)
 VERIFY_READS = {
     "_rand_face": (verify._rand_face, 0),
     "_rand_wmon": (verify._rand_wmon, 0),
+    "_rand_nhat": (verify._rand_nhat, 0),
     "[4] laws of one triple": (lambda rng, datum: verify._monoid_laws(rng, datum, 1), 4),
+    "[5] kappa of one pair": (lambda rng, datum: verify._kappa_laws(rng, datum, 1), 2),
 }
 
 

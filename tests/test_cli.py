@@ -342,12 +342,31 @@ def test_internal_errors_exit_4(capsys, monkeypatch):
         assert json.loads(out) == {"error": {"kind": type(exc).__name__, "message": str(exc)}}
 
 
-def test_depth_env_is_read_as_an_integer(capsys, monkeypatch):
-    monkeypatch.setenv("KMX_DEPTH", "1.5")
-    code, out = run(capsys, ["module-weights", "--gcm", A2, "--hw", "1,1"])
+_MONOID = '{"rank": 2, "generators": [[1, 0], [0, 1]]}'
+
+# each integer option with the verb that takes it
+INT_OPTIONS = [
+    (["module-weights", "--gcm", A2, "--hw", "1,1"], "--depth"),
+    (["module-basis", "--gcm", A2, "--hw", "1,1"], "--depth"),
+    (["ghat-eval", "--gcm", A2, "--hw", "1,0", "--word", "N(1)"], "--depth"),
+    (["ghat-theta", "--gcm", A2, "--hw", "1,0", "--word", "N(1)"], "--depth"),
+    (["ghat-eval", "--gcm", A2, "--hw", "1,0", "--word", "N(1)"], "--max-height"),
+    (["dominant", "--gcm", A2, "--weight", "1,0"], "--cap"),
+    (["face-of-point", "--gcm", A2, "--weight", "1,0"], "--cap"),
+    (["toric-faces", "--monoid", _MONOID], "--face"),
+]
+
+
+@pytest.mark.parametrize("argv,option", INT_OPTIONS, ids=[f"{a[0]}{o}" for a, o in INT_OPTIONS])
+@pytest.mark.parametrize("token", ["1_0", "\u0663", "1.5"])
+def test_an_integer_option_is_read_as_typed(capsys, argv, option, token):
+    # argparse's int() read 1_0 as 10 and the Arabic-Indic digit three as
+    # 3, and 1.5 was a usage error (exit 2); each is a domain error naming
+    # the token, as every other typed integer is
+    code, out = run(capsys, argv + [option, token])
     assert code == 1
     assert json.loads(out)["error"] == {"kind": "DomainError",
-                                        "message": "KMX_DEPTH 1.5 is not an integer"}
+                                        "message": f"{option} {token} is not an integer"}
 
 
 def test_module_weights_past_the_vanishing_peterson_coefficient(capsys):
@@ -451,11 +470,35 @@ def test_ghat_equal_builds_no_dense_matrix(capsys, monkeypatch):
     assert verdicts == ["equal_on_probes", "distinct"] and calls == []
 
 
-def test_depth_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("KMX_DEPTH", "1")
-    payload = run_json(capsys, ["module-weights", "--gcm", A2, "--hw", "1,1"])
+def test_depth_option_truncates(capsys):
+    payload = run_json(capsys, ["module-weights", "--gcm", A2, "--hw", "1,1", "--depth", "1"])
     hts = {tuple(e["weight"]) for e in payload["weights"]}
     assert (1, 1) in hts and len(hts) == 3  # top and the two height-1 weights
+
+
+def test_classify_writes_both_type_sets_one_based(capsys):
+    # affine A1 on nodes 1, 2 beside A2 on nodes 3, 4: a 0-based theta0 or
+    # theta_inf would print indices from 0
+    gcm = '{"A": [[2,-2,0,0],[-2,2,0,0],[0,0,2,-1],[0,0,-1,2]]}'
+    assert run_json(capsys, ["classify", "--gcm", gcm]) == {
+        "components": [{"set": [1, 2], "type": "AFF"}, {"set": [3, 4], "type": "FIN"}],
+        "theta0": [3, 4], "theta_inf": [1, 2]}
+
+
+def test_a_distinct_verdict_names_its_witness_entry(capsys):
+    # N(1) and N(2) differ on v_rho at the entry (row (1,1) #0, column
+    # (-1,2) #0); each index is the entry's index, not its weight
+    assert run_json(capsys, ["ghat-equal", "--gcm", A2, "--word1", "N(1)", "--word2", "N(2)",
+                             "--probes", "1,1:4"]) == {
+        "verdict": "distinct", "probe": {"hw": [1, 1], "depth": 4},
+        "row": {"weight": [1, 1], "index": 0}, "col": {"weight": [-1, 2], "index": 0},
+        "left": "1", "right": "0"}
+
+
+def test_toric_faces_takes_the_first_face_index(capsys):
+    # 0 is a face index: the range check is 0 <= index < #faces
+    payload = run_json(capsys, ["toric-faces", "--monoid", _MONOID, "--face", "0"])
+    assert payload["face"]["index"] == 0
 
 
 # one invocation per verb; the table records which library operation each

@@ -415,10 +415,9 @@ def test_unipotent_radical_fixes_parabolic_submodule():
     for root, (u, i) in sorted(roots.items()):
         if all(c >= 0 for c in root) and any(root[k] for k in range(datum.n)
                                              if k not in jset):
-            inv_w, inv_t = MO.nelt_inv((u, MO.torus_one(datum)))
-            word = HW.GhatWord(tuple(
-                HW.nhat_letters(MO.nhat_from(u)) + [HW.xplus(i, Fr(1))]
-                + HW.nhat_letters(MO.nhat_from(inv_w, inv_t))))
+            n = MO.nhat_from(u)
+            word = HW.GhatWord(tuple(HW.nhat_letters(n) + [HW.xplus(i, Fr(1))]
+                                     + HW.nhat_letters(MO.nhat_inv(n))))
             for v in vecs:
                 try:
                     out = HW.apply_word(word, v)
@@ -506,9 +505,8 @@ def test_probe_conjugation_identity_sampled():
     c = FC.standard_face(AFF, (0, 1))
     for word in ((0,), (1,), (0, 1)):
         sig = W.from_word(AFF, word)
-        inv_w, inv_t = MO.nelt_inv((sig, MO.torus_one(AFF)))
-        letters = HW.nhat_letters(MO.nhat_from(sig)) + [HW.idem(c)] \
-            + HW.nhat_letters(MO.nhat_from(inv_w, inv_t))
+        n = MO.nhat_from(sig)
+        letters = HW.nhat_letters(n) + [HW.idem(c)] + HW.nhat_letters(MO.nhat_inv(n))
         res = HW.probe_equal(AFF, HW.GhatWord(tuple(letters)),
                              HW.GhatWord((HW.idem(FC.act_face(sig, c)),)),
                              [((1, 0, 0), 4, 0), ((0, 1, 0), 4, 0)])

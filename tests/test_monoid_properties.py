@@ -110,19 +110,24 @@ def normalizer_pairs(draw):
 @settings(derandomize=True, max_examples=400, deadline=None, database=None)
 @given(normalizer_pairs())
 def test_normalizer_product_and_inverse_match_the_character_fold(case):
+    # N is the unit group of N-hat: n_w t is the unit nhat_from(w, t)
     datum, a, b = case
-    assert M.nelt_mul(a, b) == ref_nelt_mul(a, b)
-    one = (W.identity_elt(datum), M.torus_one(datum))
-    ai = M.nelt_inv(a)
-    assert M.nelt_mul(a, ai) == one == M.nelt_mul(ai, a)
+    x = M.nhat_from(*a)
+    xy = M.nhat_mul(x, M.nhat_from(*b))
+    assert (xy.w, xy.torus) == ref_nelt_mul(a, b)
+    one = M.nhat_from(W.identity_elt(datum))
+    xi = M.nhat_inv(x)
+    for z in (M.nhat_mul(x, xi), M.nhat_mul(xi, x)):
+        assert (z.w, z.torus) == (one.w, one.torus)
     # n_{w^-1} n_w = t_c(-1) for c = rho^vee - w^{-1} rho^vee, the sum of the
     # coroots of the positive roots that w makes negative; den rho^vee = x
-    w = a[0]
+    w = x.w
     x, den, _ = datum._height
     c = [Fraction(p - q) / den for p, q in zip(x, w.inv().act_coweight(x))]
     assert all(y.denominator == 1 for y in c)
     want = M.torus_from_coweight(datum, [int(y) for y in c], -1)
-    assert M.nelt_mul(M.nelt_lift(w.inv()), M.nelt_lift(w)) == (one[0], want)
+    z = M.nhat_mul(M.nhat_from(w.inv()), M.nhat_from(w))
+    assert (z.w, z.torus) == (one.w, want)
 
 
 # the normalizer data and the affine A3^(1)
@@ -160,9 +165,11 @@ def test_torus_monoid_forms_match_the_smith_normal_form_lattice():
                       for _ in range(2))
             agree = rng.random() < 0.5
             if agree:  # t1 times t_h(s) for normals h of R, trivial on span(R)
+                one = W.identity_elt(datum)
                 t2 = t1
                 for h in face.span_normals():
-                    t2 = M.torus_mul(t2, M.torus_from_coweight(datum, h, rng.choice((-1, 2))))
+                    th = M.torus_from_coweight(datum, h, rng.choice((-1, 2)))
+                    t2 = M.nhat_mul(M.nhat_from(one, t2), M.nhat_from(one, th)).torus
             new, old = M.that_normalize(t1, face), ref.that_normalize(t1, face)
             _assert_unimodular_change(new.basis, old.basis)
             assert new.values == _through(old.basis, old.values, new.basis)

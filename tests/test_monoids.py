@@ -177,7 +177,7 @@ def test_that_normalize_examples():
     c = FC.standard_face(AFF, (0, 1))
     t = MO.torus_from_coweight(AFF, AFF.coroot(0), Fr(7, 3))
     assert MO.that_normalize(t, c) == MO.that_idempotent(c)
-    unit = MO.that_normalize(MO.torus_one(AFF), FC.full_cone(AFF))
+    unit = MO.that_normalize(MO.nhat_from(W.identity_elt(AFF)).torus, FC.full_cone(AFF))
     assert unit == MO.that_idempotent(FC.full_cone(AFF))
     with pytest.raises(ZeroTorusValue):
         MO.that_normalize((Fr(0), Fr(1), Fr(1)), c)
@@ -221,88 +221,37 @@ def test_torus_inputs_are_checked_never_truncated():
     assert MO.torus_eval((2, Fr(1, 3)), (1, -1)) == 6
 
 
-def test_torus_act_checks_its_torus():
-    # a short torus was zipped with the action's columns, a float value
-    # raised AttributeError
-    u = W.simple(A2, 0)
+def test_torus_and_normalizer_examples_through_units():
+    # T and N are the unit groups of T-hat and N-hat: their products,
+    # inverses and Weyl action are those of elements on the full cone
+    one = W.identity_elt(A2)
+    prod = MO.nhat_mul(MO.nhat_from(one, (Fr(1, 2), 3)), MO.nhat_from(one, (2, Fr(1, 3))))
+    assert prod.torus == (1, 1)
+    inv = MO.nhat_inv(MO.nhat_from(one, (2, Fr(-3, 4)))).torus
+    assert inv == (Fr(1, 2), Fr(-4, 3))
+    assert all(type(v) is Fr for v in MO.nhat_inv(MO.nhat_from(one, (2, 1))).torus)
     # (s_1 t)(Lambda_1) = t(Lambda_2 - Lambda_1), (s_1 t)(Lambda_2) = t(Lambda_2)
-    assert MO.torus_act(u, (Fr(2), 3)) == (Fr(3, 2), Fr(3))
-    for short_or_long in ((1,), (1, 1, 1)):
-        with pytest.raises(DomainError, match="torus element needs 2 values"):
-            MO.torus_act(u, short_or_long)
-    with pytest.raises(DomainError, match="is not a Fraction or an int"):
-        MO.torus_act(u, (0.5, 2.0))
-    with pytest.raises(ZeroTorusValue):
-        MO.torus_act(u, (Fr(0), Fr(1)))
-
-
-def test_torus_mul_checks_both_factors():
-    # a short factor was zipped with the other
-    assert MO.torus_mul((Fr(1, 2), 3), (2, Fr(1, 3))) == (1, 1)
-    with pytest.raises(RankMismatch, match="torus element needs 1 values"):
-        MO.torus_mul((1,), (2, 3))
-    with pytest.raises(DomainError, match="is not a Fraction or an int"):
-        MO.torus_mul((Fr(1), 2.0), (1, 1))
-    with pytest.raises(ZeroTorusValue):
-        MO.torus_mul((1, 1), (Fr(0), 1))
-
-
-def test_torus_inv_checks_its_values_and_stays_exact():
-    # a zero value raised ZeroDivisionError, a float or int one gave a float
-    assert MO.torus_inv((2, Fr(-3, 4))) == (Fr(1, 2), Fr(-4, 3))
-    assert all(type(v) is Fr for v in MO.torus_inv((2, 1)))
-    with pytest.raises(ZeroTorusValue):
-        MO.torus_inv((0, 1))
-    with pytest.raises(DomainError, match="is not a Fraction or an int"):
-        MO.torus_inv((0.5,))
-
-
-def test_nelt_mul_checks_both_factors():
-    # a one-value torus was zipped with the action's columns into a
-    # two-value product
-    s0, s1 = MO.nelt_lift(W.simple(A2, 0)), MO.nelt_lift(W.simple(A2, 1))
-    assert MO.nelt_mul((W.simple(A2, 0), (Fr(2), 3)), s1)[0] == W.from_word(A2, [0, 1])
-    for bad in ((1,), (1, 1, 1)):
-        with pytest.raises(DomainError, match="torus element needs 2 values"):
-            MO.nelt_mul((W.simple(A2, 0), bad), s1)
-        with pytest.raises(DomainError, match="torus element needs 2 values"):
-            MO.nelt_mul(s0, (W.simple(A2, 1), bad))
-    with pytest.raises(DomainError, match="is not a Fraction or an int"):
-        MO.nelt_mul((W.simple(A2, 0), (0.5, 2.0)), s1)
-    with pytest.raises(ZeroTorusValue):
-        MO.nelt_mul(s0, (W.simple(A2, 1), (Fr(0), 1)))
-    with pytest.raises(PreconditionViolated):
-        MO.nelt_mul(s0, MO.nelt_lift(W.simple(AFF, 0)))
-
-
-def test_nelt_inv_checks_its_torus():
-    # a float value raised AttributeError
-    a = (W.simple(A2, 0), (Fr(1, 2), 2))
-    w, t = MO.nelt_mul(a, MO.nelt_inv(a))
-    assert w.is_identity() and t == MO.torus_one(A2)
-    with pytest.raises(DomainError, match="is not a Fraction or an int"):
-        MO.nelt_inv((W.simple(A2, 0), (0.5, 2.0)))
-    with pytest.raises(DomainError, match="torus element needs 2 values"):
-        MO.nelt_inv((W.simple(A2, 0), (1,)))
-    with pytest.raises(ZeroTorusValue):
-        MO.nelt_inv((W.simple(A2, 0), (0, 1)))
-    # a pair given as a list is read as a tuple
-    assert MO.nelt_inv([a[0], list(a[1])]) == MO.nelt_inv(a)
+    acted = MO.that_act(W.simple(A2, 0), MO.that_normalize((Fr(2), 3), FC.full_cone(A2)))
+    assert acted.values == (Fr(3, 2), Fr(3))
+    prod = MO.nhat_mul(MO.nhat_from(W.simple(A2, 0), (Fr(2), 3)), MO.nhat_from(W.simple(A2, 1)))
+    assert prod.w == W.from_word(A2, [0, 1]) and prod.face.is_full_cone()
+    a = MO.nhat_from(W.simple(A2, 0), (Fr(1, 2), 2))
+    for b in (MO.nhat_mul(a, MO.nhat_inv(a)), MO.nhat_mul(MO.nhat_inv(a), a)):
+        assert b.w.is_identity() and b.torus == MO.nhat_from(one).torus and b.face.is_full_cone()
 
 
 def test_the_normalizer_monoid_runs_the_unchecked_forms(monkeypatch):
-    # nhat_from checks the torus element once; products, inverses and
-    # canonical forms then call neither checked normalizer form
+    # nhat_from reads the torus element once; products, inverses and
+    # canonical forms then run the cores and read no torus value again
     rng = random.Random(28)
     xs = [rand_nhat(rng, HYP) for _ in range(6)]
     want = [[MO.nhat_mul(x, y).canonical() for y in xs] for x in xs]
     inverses = [MO.nhat_inv(x).canonical() for x in xs]
 
     def checked(*args):
-        raise AssertionError("a checked normalizer form was called")
+        raise AssertionError("a torus element was read again")
 
-    monkeypatch.setattr(MO, "nelt_mul", checked)
-    monkeypatch.setattr(MO, "nelt_inv", checked)
+    monkeypatch.setattr(MO, "torus_values", checked)
     assert [[MO.nhat_mul(x, y).canonical() for y in xs] for x in xs] == want
     assert [MO.nhat_inv(x).canonical() for x in xs] == inverses
 
@@ -355,7 +304,8 @@ def test_that_act_formula():
         r = rand_face(rng, datum)
         u = rand_weyl(rng, datum, 4)
         lhs = MO.that_act(u, MO.that_normalize(t, r))
-        rhs = MO.that_normalize(MO.torus_act(u, t), FC.act_face(u, r))
+        acted = MO.that_act(u, MO.that_normalize(t, FC.full_cone(datum))).values
+        rhs = MO.that_normalize(acted, FC.act_face(u, r))
         assert lhs == rhs
 
 
@@ -383,30 +333,30 @@ def test_that_eval_operator_semantics():
 def test_cocycle_and_braid_lifts():
     for datum in (A2, AFF, HYP):
         for i in range(datum.n):
-            ni = MO.nelt_lift(W.simple(datum, i))
-            w2, t2 = MO.nelt_mul(ni, ni)
-            assert w2.is_identity()
-            assert t2 == MO.torus_from_coweight(datum, datum.coroot(i), Fr(-1))
+            ni = MO.nhat_from(W.simple(datum, i))
+            sq = MO.nhat_mul(ni, ni)
+            assert sq.w.is_identity()
+            assert sq.torus == MO.torus_from_coweight(datum, datum.coroot(i), Fr(-1))
     # braid: products along both reduced words of the longest A2 element agree
-    a, b = W.simple(A2, 0), W.simple(A2, 1)
-    lhs = MO.nelt_mul(MO.nelt_lift(a), MO.nelt_mul(MO.nelt_lift(b), MO.nelt_lift(a)))
-    rhs = MO.nelt_mul(MO.nelt_lift(b), MO.nelt_mul(MO.nelt_lift(a), MO.nelt_lift(b)))
-    assert lhs[0] == rhs[0] and lhs[1] == rhs[1]
+    a, b = MO.nhat_from(W.simple(A2, 0)), MO.nhat_from(W.simple(A2, 1))
+    lhs = MO.nhat_mul(a, MO.nhat_mul(b, a))
+    rhs = MO.nhat_mul(b, MO.nhat_mul(a, b))
+    assert lhs.w == rhs.w and lhs.torus == rhs.torus
 
 
 def test_nelt_group_laws():
     rng = random.Random(27)
     for datum in (AFF, HYP):
         for _ in range(40):
-            a = (rand_weyl(rng, datum), rand_torus(rng, datum))
-            b = (rand_weyl(rng, datum), rand_torus(rng, datum))
-            c = (rand_weyl(rng, datum), rand_torus(rng, datum))
-            ab_c = MO.nelt_mul(MO.nelt_mul(a, b), c)
-            a_bc = MO.nelt_mul(a, MO.nelt_mul(b, c))
-            assert ab_c == a_bc
-            ai = MO.nelt_inv(a)
-            prod = MO.nelt_mul(a, ai)
-            assert prod[0].is_identity() and all(v == 1 for v in prod[1])
+            a = MO.nhat_from(rand_weyl(rng, datum), rand_torus(rng, datum))
+            b = MO.nhat_from(rand_weyl(rng, datum), rand_torus(rng, datum))
+            c = MO.nhat_from(rand_weyl(rng, datum), rand_torus(rng, datum))
+            ab_c = MO.nhat_mul(MO.nhat_mul(a, b), c)
+            a_bc = MO.nhat_mul(a, MO.nhat_mul(b, c))
+            assert (ab_c.w, ab_c.torus) == (a_bc.w, a_bc.torus)
+            ai = MO.nhat_inv(a)
+            prod = MO.nhat_mul(a, ai)
+            assert prod.w.is_identity() and all(v == 1 for v in prod.torus)
 
 
 def test_one_normalizer_product_forms_m_characters(monkeypatch):
@@ -417,9 +367,10 @@ def test_one_normalizer_product_forms_m_characters(monkeypatch):
     for datum in (A2, AFF, HYP):
         for word in ([0], [0, 1], [1, 0, 1, 0], [0, 1, 0, 1, 0, 1]):
             w = W.from_word(datum, word)
-            for b in (MO.nelt_lift(w), MO.nelt_lift(w.inv())):
+            a = MO.nhat_from(w, (Fr(2),) * datum.m)
+            for b in (MO.nhat_from(w), MO.nhat_from(w.inv())):
                 calls.clear()
-                MO.nelt_mul((w, (Fr(2),) * datum.m), b)
+                MO.nhat_mul(a, b)
                 assert len(calls) == datum.m
 
 
@@ -432,17 +383,36 @@ def test_nhat_kappa_isomorphism():
                 == MO.wm_mul(MO.nhat_to_wmon(a), MO.nhat_to_wmon(b))
 
 
-def test_nhat_conjugation_matches_face_action():
+def _conjugation_samples():
+    """40 units n and faces R per datum, affine A1 and the hyperbolic one."""
     rng = random.Random(29)
     for datum in (AFF, HYP):
         for _ in range(40):
             n = MO.nhat_from(rand_weyl(rng, datum), rand_torus(rng, datum))
-            r = rand_face(rng, datum)
-            assert MO.nhat_conj_idem(n, r) == FC.act_face(n.w, r)
+            yield n, rand_face(rng, datum)
+
+
+def _conjugation_breaks(n, r) -> bool:
+    """Whether n e(R) n^{-1} = e(wR) fails in N-hat for the unit n = n_w t."""
+    conj = MO.nhat_mul(MO.nhat_mul(n, MO.nhat_idempotent(r)), MO.nhat_inv(n))
+    return conj != MO.nhat_idempotent(FC.act_face(n.w, r))
+
+
+def test_nhat_conjugation_matches_face_action():
+    for n, r in _conjugation_samples():
+        assert MO.nhat_conj_idem(n, r) == FC.act_face(n.w, r)
+        assert not _conjugation_breaks(n, r)
     with pytest.raises(PreconditionViolated):
         MO.nhat_conj_idem(MO.nhat_from(W.identity_elt(HYP),
                                        face=FC.standard_face(HYP, (0, 1))),
                           FC.full_cone(HYP))
+
+
+def test_a_forged_normalizer_inverse_breaks_the_conjugation_identity(monkeypatch):
+    # the inverse without its cocycle correction, n_w^{-1} t^{-1} read on
+    # the wrong side, leaves a torus factor in n e(R) n^{-1}
+    monkeypatch.setattr(MO, "_nelt_inv", lambda a: (a[0].inv(), MO._torus_inv(a[1])))
+    assert sum(_conjugation_breaks(n, r) for n, r in _conjugation_samples()) > 0
 
 
 def test_nhat_equality_modulo_centralizer():
@@ -474,7 +444,8 @@ def test_the_rebuilt_normal_form_is_the_same_operator():
             kappa, face, residual = x.canonical()
             values = iter(residual)
             r = tuple(Fr(1) if j in face.theta else next(values) for j in range(datum.m))
-            y = MO.nhat_from(kappa.w, MO.torus_act(face.w, r), face)
+            s = MO.that_act(face.w, MO.that_normalize(r, FC.full_cone(datum))).values
+            y = MO.nhat_from(kappa.w, s, face)
             try:
                 verdict = HW.probe_equal(datum, HW.GhatWord(tuple(HW.nhat_letters(x))),
                                          HW.GhatWord(tuple(HW.nhat_letters(y))), probes)
@@ -559,21 +530,11 @@ READERS = {
         (2, Fr(1, 3)): (2, Fr(1, 3))}),
     "torus_from_coweight": (lambda v: MO.torus_from_coweight(A2, (1, -1), *v), "torus", {
         (2,): (Fr(2), Fr(1, 2)), (Fr(2, 3),): (Fr(2, 3), Fr(3, 2))}),
-    "torus_mul": (lambda v: MO.torus_mul((2, Fr(1, 3)), v), "count", {
-        (3, 6): (6, Fr(2)), (Fr(3, 2), 3): (Fr(3), Fr(1))}),
-    "torus_inv": (MO.torus_inv, "torus", {
-        (2, -4): (Fr(1, 2), Fr(-1, 4)), (Fr(2, 3), 1): (Fr(3, 2), Fr(1))}),
     "torus_eval": (lambda v: MO.torus_eval(v, (1, -2)), "count", {
         (3, 2): Fr(3, 4), (3, Fr(1, 2)): Fr(12)}),
-    "torus_act": (lambda v: MO.torus_act(_S1, v), "count", {
-        (2, 3): (Fr(3, 2), Fr(3)), (Fr(1, 2), 3): (Fr(6), Fr(3))}),
     "that_normalize": (lambda v: attrgetter("values", "rep")(MO.that_normalize(v, _FULL)),
                        "count", {(2, 3): ((Fr(2), Fr(3)), (2, 3)),
                                  (Fr(1, 2), 3): ((Fr(1, 2), Fr(3)), (Fr(1, 2), 3))}),
-    "nelt_mul": (lambda v: MO.nelt_mul((_S1, v), MO.nelt_lift(W.simple(A2, 1)))[1], "count", {
-        (2, 3): (Fr(2), Fr(2, 3)), (Fr(1, 2), 3): (Fr(1, 2), Fr(1, 6))}),
-    "nelt_inv": (lambda v: MO.nelt_inv((_S1, v))[1], "count", {
-        (2, 3): (Fr(-2, 3), Fr(1, 3)), (Fr(1, 2), 3): (Fr(-1, 6), Fr(1, 3))}),
     "nhat_from": (lambda v: MO.nhat_from(_S1, v).torus, "count", {
         (2, 3): (2, 3), (Fr(1, 2), 3): (Fr(1, 2), 3)}),
     "mhat_unit": (lambda v: attrgetter("values", "rep")(
@@ -636,8 +597,8 @@ def test_each_reader_reads_exact_values_only(name):
                 read(wrong)
 
 
-_N1 = MO.nelt_lift(_S1)
 _X1 = MO.nhat_from(_S1)
+_N1 = (_S1, _X1.torus)  # a (w, t) pair, not an NhatElt
 _M1 = MO.wm_unit(A2, _S1)
 _T1 = MO.that_idempotent(_FULL)
 
@@ -645,15 +606,8 @@ _T1 = MO.that_idempotent(_FULL)
 # AttributeError or TypeError ("cannot unpack non-iterable int",
 # "unsupported operand type(s) for *") before
 WRONG_TYPES = {
-    "torus_act": (lambda: MO.torus_act(1, (2, 3)), "a WeylElt, got int"),
     "torus_from_coweight": (lambda: MO.torus_from_coweight(A2.gcm, (1, 0), 2),
                             "a RootDatum, got GCM"),
-    "nelt_mul-left": (lambda: MO.nelt_mul(1, _N1), r"a \(WeylElt, torus\) pair, got int"),
-    "nelt_mul-right": (lambda: MO.nelt_mul(_N1, (1, (1, 1))), "a WeylElt, got int"),
-    "nelt_inv": (lambda: MO.nelt_inv(None), r"a \(WeylElt, torus\) pair, got NoneType"),
-    "nelt_inv-triple": (lambda: MO.nelt_inv((_S1, (1, 1), 1)),
-                        r"a \(WeylElt, torus\) pair, got tuple"),
-    "nelt_lift": (lambda: MO.nelt_lift(_N1), "a WeylElt, got tuple"),
     "nhat_from-w": (lambda: MO.nhat_from((0,)), "a WeylElt, got tuple"),
     "nhat_from-face": (lambda: MO.nhat_from(_S1, face=(0,)), "a Face, got tuple"),
     "nhat_idempotent": (lambda: MO.nhat_idempotent(None), "a Face, got NoneType"),
@@ -673,7 +627,6 @@ WRONG_TYPES = {
     "wm_mul-right-list": (lambda: MO.wm_mul(_M1, [1]), "a WmonElt, got list"),
     "wm_invert": (lambda: MO.wm_invert(_S1), "a WmonElt, got WeylElt"),
     "wm_apply": (lambda: MO.wm_apply(_FULL, (1, 0)), "a WmonElt, got Face"),
-    "torus_one": (lambda: MO.torus_one(None), "a RootDatum, got NoneType"),
     "that_normalize": (lambda: MO.that_normalize((1, 1), 1), "a Face, got int"),
     "that_idempotent": (lambda: MO.that_idempotent(_M1), "a Face, got WmonElt"),
     "that_mul-left": (lambda: MO.that_mul(1, _T1), "a ThatElt, got int"),
@@ -724,8 +677,6 @@ def test_a_wrong_argument_type_is_a_domain_error(name):
 # Each raised a raw TypeError (len(1), len(None), None in a pairing) before
 # its sequence was read
 NOT_SEQUENCES = {
-    "torus_mul": (lambda: MO.torus_mul(1, (1, 1)), "torus value list 1"),
-    "torus_inv": (lambda: MO.torus_inv(None), "torus value list None"),
     "point_predicates": (lambda: FC.point_predicates(_FULL, None, _FULL),
                          "weight coordinate list None"),
 }

@@ -287,7 +287,7 @@ def test_the_law_legs_count_violations(monkeypatch):
     assert verify._monoid_laws(random.Random(40), datum, 50) > 0
     monkeypatch.setattr(MO, "wm_mul", lambda x, y: x)
     assert verify._kappa_laws(random.Random(50), datum, 50) > 0
-    monkeypatch.setattr(MO, "nelt_mul", lambda a, b: a)
+    monkeypatch.setattr(MO, "nhat_mul", lambda a, b: a)
     assert not any(verify._cocycle_holds(datum, i) for i in range(datum.n))
 
 
