@@ -128,14 +128,19 @@ def _bareiss_pivot(rows: list[list[int]], r: int, c: int, prev: int) -> int:
     Every other row becomes (pv * row - row[c] * rows[r]) // prev, where pv
     is the pivot and prev the pivot of the step before (1 at the start).
     Every entry stays a minor of the starting matrix, so the division is
-    exact; row r is kept.  Returns pv: the matrix over pv is the reduced one.
+    exact; row r is kept.  A row with row[c] = 0 becomes pv * row // prev,
+    and is kept when pv = prev.  Returns pv: the matrix over pv is the
+    reduced one.
     """
     prow = rows[r]
     pv = prow[c]
     for i, row in enumerate(rows):
         if i != r:
             f = row[c]
-            rows[i] = [(pv * x - f * y) // prev for x, y in zip(row, prow)]
+            if f:
+                rows[i] = [(pv * x - f * y) // prev for x, y in zip(row, prow)]
+            elif pv != prev:
+                rows[i] = [pv * x // prev for x in row]
     return pv
 
 
@@ -520,9 +525,15 @@ def nonneg_feasible(a: Sequence[Sequence[int]],
     neighbouring points try it first; each is a sound proof, so the order
     changes neither an answer nor a miss.  A miss that its own certificate
     does not decide is an InternalError.
-    Input is checked as in `nonneg_solve`.
+    Input is checked as in `nonneg_solve`, and answered by the core
+    `_nonneg_feasible`.
     """
-    a, points = _nonneg_input(a, points, "nonneg_feasible input")
+    return _nonneg_feasible(*_nonneg_input(a, points, "nonneg_feasible input"))
+
+
+def _nonneg_feasible(a: IntMat, points: Sequence[IntVec]) -> tuple[bool, ...]:
+    """`nonneg_feasible` for an int matrix A and int points with one entry
+    per row, read by `_nonneg_input` or built by kmx: it reads nothing."""
     farkas: list[IntVec] = []
     bases: list[tuple[IntMat, int, tuple[int, ...]]] = []
 

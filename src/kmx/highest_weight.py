@@ -51,12 +51,11 @@ exponentials on the whole vector, as the memo's own runs do.  This is sound:
   weights), so their images never cancel, and no part of the result is
   zero (n_i is invertible).
 theta reads the top coordinate of the raw pass on v_top, since the top Gram
-matrix is ((1,),).  word_columns is the one pass that
-applies words to basis vectors: it reads its words once, walks the basis in
-height order up to a height bound and raises DepthExceeded at the first
-vector a word leaves the window from.  evaluate_word builds its dense
-matrix from that pass, probe_equal compares its sparse images, and verify's
-fitted probes keep the heights below the vector it stopped at.  Fraction
+matrix is ((1,),).  The one column pass, `_columns`, applies words to the
+basis in height order up to a height bound and raises DepthExceeded at the
+first vector a word leaves the window from.  word_columns wraps its raw
+images as Vectors, which probe_equal compares and verify's fitted probes
+cut below the vector it stopped at; evaluate_word reads them raw.  Fraction
 appears only in the letter parameters and in the values handed back by
 theta, matrix_coefficient, inner, evaluate_word and Distinct.
 
@@ -752,8 +751,18 @@ def _run_word(sl: ModuleSlice, letters: Sequence[Letter], parts: Raw, den: int
 
 
 def _vector(sl: ModuleSlice, parts: Raw, den: int) -> Vector:
-    """The raw parts / den as a Vector: the one reduction of a word."""
-    return Vector(sl, {sp.weight: tuple(u) for sp, u in parts.items()}, den)
+    """The raw parts / den as a Vector in lowest terms, zero parts dropped:
+    the one reduction of a word, on kmx's own ints, so without the reads of
+    `Vector.__post_init__`."""
+    g = den
+    for u in parts.values():
+        g = math.gcd(g, *u)
+    v = object.__new__(Vector)
+    v.slice = sl
+    v.parts = {sp.weight: tuple(u) if g == 1 else tuple(x // g for x in u)
+               for sp, u in parts.items() if any(u)}
+    v.den = den // g if v.parts else 1
+    return v
 
 
 _FIELDS = {"X+": 3, "X-": 3, "T": 3, "N": 2, "E": 2}
@@ -852,6 +861,19 @@ def apply_word(word: GhatWord, v: Vector) -> Vector:
                                   v.den))
 
 
+def _columns(sl: ModuleSlice, read: Sequence[Sequence[Letter]],
+             max_height: Optional[int]):
+    """`word_columns` on words read by `_read_word`, each image the raw
+    (parts, den) of the pass: the one column pass, which reads nothing."""
+    for wt in sl.order:
+        sp = sl.spaces[wt]
+        if max_height is not None and sp.height > max_height:
+            return
+        for k in range(sp.dim):
+            basis = {sp: [int(j == k) for j in range(sp.dim)]}
+            yield wt, k, [_run_word(sl, letters, basis, 1) for letters in read]
+
+
 def word_columns(slice_: ModuleSlice, words: Sequence[GhatWord],
                  max_height: Optional[int] = None):
     """(wt, k, images of `words`) for each basis vector k at wt, in
@@ -865,14 +887,8 @@ def word_columns(slice_: ModuleSlice, words: Sequence[GhatWord],
     if max_height is not None:
         _check_natural(max_height, "height")
     read = [_read_word(slice_.datum, word) for word in entries(words, "word")]
-    for wt in slice_.order:
-        sp = slice_.spaces[wt]
-        if max_height is not None and sp.height > max_height:
-            return
-        for k in range(sp.dim):
-            basis = {sp: [int(j == k) for j in range(sp.dim)]}
-            yield wt, k, [_vector(slice_, *_run_word(slice_, letters, basis, 1))
-                          for letters in read]
+    for wt, k, images in _columns(slice_, read, max_height):
+        yield wt, k, [_vector(slice_, *image) for image in images]
 
 
 def evaluate_word(slice_: ModuleSlice, word: GhatWord,
@@ -882,17 +898,28 @@ def evaluate_word(slice_: ModuleSlice, word: GhatWord,
     With `max_height`, columns are restricted to basis vectors of height at
     most that bound (rows always run over the whole slice); the restricted
     matrix is still exact, applications beyond the window still raise.
+    Read as `word_columns` reads, from its raw pass: one Fraction per
+    nonzero entry, and one shared tuple of zeros for every zero row.
     """
-    col_index, cols = [], []
-    for wt, k, (img,) in word_columns(slice_, (word,), max_height):  # reads slice_ first
-        col = [Fraction(0)] * len(slice_._index)
-        for wt2, coeffs in img.parts.items():
-            for j, x in enumerate(coeffs, slice_._first_row[wt2]):
-                if x:
-                    col[j] = Fraction(x, img.den)
+    _read_slice(slice_)
+    if max_height is not None:
+        _check_natural(max_height, "height")
+    letters = _read_word(slice_.datum, word)
+    first, col_index, nonzero = slice_._first_row, [], {}
+    for c, (wt, k, ((parts, den),)) in enumerate(_columns(slice_, (letters,), max_height)):
         col_index.append((wt, k))
-        cols.append(col)
-    return (slice_.basis_index(), tuple(col_index)), tuple(zip(*cols))
+        for sp, u in parts.items():
+            for j, x in enumerate(u, first[sp.weight]):
+                if x:
+                    nonzero.setdefault(j, {})[c] = Fraction(x, den)
+    zero = (Fraction(0),) * len(col_index)
+    rows = [zero] * len(slice_._index)
+    for j, at in nonzero.items():
+        row = list(zero)
+        for c, x in at.items():
+            row[c] = x
+        rows[j] = tuple(row)
+    return (slice_.basis_index(), tuple(col_index)), tuple(rows)
 
 
 def inner(slice_: ModuleSlice, v: Vector, u: Vector) -> Fraction:

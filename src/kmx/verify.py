@@ -593,12 +593,12 @@ def check_toric(count: int = 100) -> CheckResult:
         # membership against an independent nonnegative-combination oracle
         span = 2
         pts = list(iproduct(range(-span, span + 1), repeat=rank))
-        cols = exact.transpose(exact.int_mat(gens))
+        cols = exact.transpose(gens)
         boxes += len(pts)
         # each box point is located once: None outside, else its active set
         located = [m1._locate(x) for x in pts]
         bad_mem += sum((act is not None) != feasible
-                       for act, feasible in zip(located, exact.nonneg_feasible(cols, pts)))
+                       for act, feasible in zip(located, exact._nonneg_feasible(cols, pts)))
         # round trip: regenerate from the cone description
         gens2 = list(m1.rays) + [v for b in m1.lineality for v in (b, tuple(-c for c in b))]
         m2 = toric.LatticeMonoid(gens2 or [(0,) * rank], rank)

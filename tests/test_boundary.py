@@ -19,9 +19,10 @@ weight or lattice point located in the Tits cone or a lattice monoid):
 each query reads each argument once, a default step budget included, and
 walks once.  It also counts them for `faces.includes`, which reads its two
 faces and nothing they hold.  The verify table counts the same readers,
-and `check_index`, for one draw of verify's samplers and for the laws of
-one [4] triple and one [5] kappa pair: a sampler builds on the cores from
-indices and values it drew itself, so it reads nothing.
+`check_index` and `exact`'s matrix readers, for one draw of verify's
+samplers, for the laws of one [4] triple and one [5] kappa pair, and for
+one [9] cone: a sampler builds on the cores from indices and values it drew
+itself, so it reads nothing, and [9] decides its box points on a core.
 """
 
 import inspect
@@ -215,8 +216,21 @@ SHOT_CASES = [case for case in ONE_SHOT
                      for a in case[2] + tuple(case[3].values()))]
 
 
-@pytest.mark.parametrize("name,f,args,kwargs", SHOT_CASES,
-                         ids=[f"{c[0]}-{k}" for k, c in enumerate(SHOT_CASES)])
+def _shot_ids(names):
+    """Each case's id: its name, suffixed -1, -2, ... only when the name
+    repeats, so that adding or deleting one case renames no other."""
+    seen = {}
+    ids = []
+    for name in names:
+        seen[name] = seen.get(name, 0) + 1
+        ids.append(name if names.count(name) == 1 else f"{name}-{seen[name]}")
+    return ids
+
+
+SHOT_IDS = _shot_ids([c[0] for c in SHOT_CASES])
+
+
+@pytest.mark.parametrize("name,f,args,kwargs", SHOT_CASES, ids=SHOT_IDS)
 def test_a_one_shot_iterable_gives_what_its_tuple_gives(name, f, args, kwargs):
     # each entry reads a sequence argument once, so an iterator handed in
     # gives the tuple call's value, or raises its error
@@ -229,6 +243,8 @@ def test_a_one_shot_iterable_gives_what_its_tuple_gives(name, f, args, kwargs):
 def test_the_one_shot_sweep_reaches_the_double_readers():
     names = [c[0] for c in SHOT_CASES]
     assert len(SHOT_CASES) == 39 and len(set(names)) == 38
+    assert len(set(SHOT_IDS)) == 39
+    assert [i for i in SHOT_IDS if i not in names] == ["faces.contains-1", "faces.contains-2"]
     assert {"monoids.that_eval", "faces.contains", "faces.face_predicates",
             "MhatElt.__call__", "cartan.one_based", "exact.primitive"} <= set(names)
     assert FC.contains(_R1, (1, 1, 1)) is False and _MH((1, 1)) == 6
@@ -361,9 +377,9 @@ def _count_reads(monkeypatch, readers) -> list:
         return counted
 
     for reader in readers:
-        real = getattr(cartan, reader)
+        real = getattr(cartan, reader, None) or getattr(exact, reader)
         counted = counter(reader, real)
-        for mod in (cartan, W, FC, MO, TO, HW):
+        for mod in (cartan, exact, W, FC, MO, TO, HW):
             if getattr(mod, reader, None) is real:
                 monkeypatch.setattr(mod, reader, counted)
     return reads
@@ -389,13 +405,19 @@ def test_a_point_query_reads_each_argument_once(name, monkeypatch):
 # names that stay: the datum once (`wm_unit`), the class that `wm_invert`
 # inverts (a law-leg test patches it) and the two faces of `intersect`, the
 # meet that the idempotents are checked against; one [5] kappa pair reads
-# only the two classes of the public `wm_mul` (a law-leg test patches it)
+# only the two classes of the public `wm_mul` (a law-leg test patches it);
+# the first [9] cone, of one generator, reads the rank, the generators and
+# the generator of each of its two LatticeMonoids, the rows of their two
+# `exact.kernel_lattice_basis` calls each (`int_mat`), and the two faces of
+# each of its four `face_meet`s, but none of its box points, which it
+# locates and decides on the cores (`_locate`, `exact._nonneg_feasible`)
 VERIFY_READS = {
     "_rand_face": (verify._rand_face, 0),
     "_rand_wmon": (verify._rand_wmon, 0),
     "_rand_nhat": (verify._rand_nhat, 0),
     "[4] laws of one triple": (lambda rng, datum: verify._monoid_laws(rng, datum, 1), 4),
     "[5] kappa of one pair": (lambda rng, datum: verify._kappa_laws(rng, datum, 1), 2),
+    "[9] one cone": (lambda rng, datum: verify.check_toric(1), 18),
 }
 
 
@@ -406,6 +428,6 @@ def test_verify_s_samplers_read_nothing_they_drew(name, monkeypatch):
     datum = build_realization(HYPERBOLIC_ROWS)
     call, want = VERIFY_READS[name]
     call(random.Random(1), datum)
-    reads = _count_reads(monkeypatch, READERS + ("check_index",))
+    reads = _count_reads(monkeypatch, READERS + ("check_index", "_nonneg_input", "int_mat"))
     call(random.Random(2), datum)
     assert len(reads) == want, reads

@@ -191,6 +191,11 @@ def test_snf_examples(m, expected):
     assert got == _determinantal_divisors(m)
 
 
+def test_snf_of_the_empty_matrix_is_empty():
+    # a matrix with no rows is read as 0 x 0, so U, D and V are all empty
+    assert smith_normal_form(()) == ((), (), ())
+
+
 def test_snf_identity_and_unimodularity():
     rng = random.Random(1)
     for _ in range(40):

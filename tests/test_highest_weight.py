@@ -788,6 +788,53 @@ def test_evaluate_word_columns_are_column_images():
                        for j, x in enumerate(part) if x}
 
 
+A2_AFF = build_realization(((2, -1, -1), (-1, 2, -1), (-1, -1, 2)))
+
+
+@pytest.mark.parametrize("datum,hw,depth", [(A2_AFF, (1, 1, 1, 0), 5), (HYP, (1, 0, 0), 8)],
+                         ids=["A2^(1)-rho", "hyperbolic-L1"])
+def test_evaluate_word_is_the_raw_column_pass(datum, hw, depth):
+    # evaluate_word reads the raw images that word_columns wraps as Vectors:
+    # the same columns, in the same order, each nonzero entry the Vector's
+    # entry, every other row all zero Fractions, and a word that leaves the
+    # window raises at the same column, with the same needed and weight
+    from test_verify_legs import _rand_word
+
+    rng = random.Random(4800)
+    sl = HW.build_basis(datum, hw, depth)
+    pos = {row: r for r, row in enumerate(sl.basis_index())}
+    # seeded words of one to four letters, and a lowering word long enough
+    # to leave the window
+    words = [_rand_word(rng, datum) for _ in range(12)]
+    words.append(HW.GhatWord(tuple(HW.xminus(k % datum.n, 1) for k in range(depth))))
+    kinds = []
+    for word in words:
+        for hmax in (1, 2):
+            try:
+                cols = list(HW.word_columns(sl, (word,), hmax))
+            except DepthExceeded as e:
+                with pytest.raises(DepthExceeded) as got:
+                    HW.evaluate_word(sl, word, hmax)
+                assert (got.value.needed, got.value.weight) == (e.needed, e.weight)
+                kinds.append("beyond")
+                continue
+            (rows, col_index), mat = HW.evaluate_word(sl, word, hmax)
+            assert rows == sl.basis_index()
+            assert col_index == tuple((wt, k) for wt, k, _ in cols)
+            zero = (Fr(0),) * len(cols)
+            want = [list(zero) for _ in rows]
+            for c, (_, _, (img,)) in enumerate(cols):
+                for wt, part in img.parts.items():
+                    for j, x in enumerate(part):
+                        want[pos[wt, j]][c] = Fr(x, img.den)
+            assert mat == tuple(map(tuple, want))
+            assert all(type(x) is Fr for row in mat for x in row)
+            zero_rows = [row for row in mat if not any(row)]
+            assert zero_rows and all(row == zero for row in zero_rows)
+            kinds.append("matrix")
+    assert set(kinds) == {"matrix", "beyond"}
+
+
 def test_weights_past_the_window_have_a_nonzero_gram_matrix():
     # the build marks the weights one step past the window by the weight
     # rule alone, forming nothing there; the marked weights are exactly
@@ -1150,28 +1197,34 @@ def test_vectors_of_another_slice_are_a_precondition_violation():
 
 def test_each_word_is_read_once_and_reduced_once(monkeypatch):
     # word_columns reads every letter of its words once, however many
-    # columns it yields, and each applied word forms one Vector, at its end
-    reads, vectors = [], []
-    read_word, post_init = HW._read_word, HW.Vector.__post_init__
+    # columns it yields, and each applied word is reduced once, at its end,
+    # by `_vector`, which forms its Vector without the public checks;
+    # evaluate_word reads the raw pass and forms no Vector at all
+    reads, reduced, checked = [], [], []
+    read_word, vector, post_init = HW._read_word, HW._vector, HW.Vector.__post_init__
     monkeypatch.setattr(HW, "_read_word",
                         lambda datum, word: reads.extend(word.letters) or read_word(datum, word))
+    monkeypatch.setattr(HW, "_vector", lambda *raw: reduced.append(raw) or vector(*raw))
     monkeypatch.setattr(HW.Vector, "__post_init__",
-                        lambda self: vectors.append(self) or post_init(self))
+                        lambda self: checked.append(self) or post_init(self))
     sl = HW.build_basis(A2, (1, 1), 4)
     words = [HW.parse_word(A2, "X-(1;2) N(2) T(h1;3) X+(2;-1)"), HW.parse_word(A2, "N(1) N(2)")]
     letters = [letter for word in words for letter in word.letters]
     cols = list(HW.word_columns(sl, words))
     assert len(cols) == 8
-    assert reads == letters and len(vectors) == 2 * len(cols)
+    assert reads == letters and len(reduced) == 2 * len(cols) and checked == []
+    assert all(type(img) is HW.Vector for _, _, imgs in cols for img in imgs)
     top = sl.highest_vector()
     reads.clear()
-    vectors.clear()
+    reduced.clear()
+    checked.clear()
     HW.apply_word(words[0] * words[1], top)
-    assert reads == letters and len(vectors) == 1
+    assert reads == letters and len(reduced) == 1 and checked == []
     reads.clear()
-    vectors.clear()
-    HW.evaluate_word(sl, words[0], max_height=1)
-    assert reads == list(words[0].letters) and len(vectors) == 3
+    reduced.clear()
+    (_, col_index), _ = HW.evaluate_word(sl, words[0], max_height=1)
+    assert len(col_index) == 3
+    assert reads == list(words[0].letters) and reduced == [] and checked == []
     # the basis index is built once, with the slice, and kept
     assert sl.basis_index() is sl.basis_index()
 
