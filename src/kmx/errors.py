@@ -87,7 +87,9 @@ class Undecided(GuardError):
 
 class DepthExceeded(GuardError):
     """.weight is the target weight that left the slice's window, when the
-    raiser knows it."""
+    raiser knows it.  It is the first such weight in the order of the pass
+    that left, so two exact routes to the same refusal may name different
+    weights."""
 
     def __init__(self, needed: int, depth: int, *, weight=None):
         self.needed = needed

@@ -12,7 +12,8 @@ library targets.
 
 `kernel_lattice_basis` gives the saturated lattice cut out by a set of
 integer rows from one unimodular column reduction (`_echelon_columns`):
-`toric` reads each face of a lattice monoid off it.  The Smith normal form
+`toric` reads each face of a lattice monoid off its core
+`_kernel_lattice_basis`, which reads nothing.  The Smith normal form
 runs the same reduction on columns and rows in turn; no library route
 calls it.  The Tits-cone faces of `monoids`' T-hat need no such routine,
 as a face w R(Theta) has the basis w Lambda_j (j not in Theta) in closed
@@ -298,13 +299,18 @@ def kernel_lattice_basis(rows: Sequence[Sequence[int]], dim: int) -> tuple[IntVe
     its rank r, so V's columns from r on are a basis, V being unimodular
     (H. Cohen, A Course in Computational Algebraic Number Theory, 1993,
     section 2.4).  Each is checked to be killed by R (InternalError).  No
-    rows give the standard basis of Z^dim.  `toric` reads its lattices off
-    it."""
+    rows give the standard basis of Z^dim."""
     m = int_mat(rows)
+    if m and len(m[0]) != dim:
+        raise ValueError(f"kernel rows have {len(m[0])} entries, not {dim}")
+    return _kernel_lattice_basis(m, dim)
+
+
+def _kernel_lattice_basis(m: Sequence[IntVec], dim: int) -> tuple[IntVec, ...]:
+    """`kernel_lattice_basis` of rows of dim ints already read: it reads
+    nothing.  `toric` reads its lattices off it, on rows it built itself."""
     if not m:
         return identity(dim)
-    if len(m[0]) != dim:
-        raise ValueError(f"kernel rows have {len(m[0])} entries, not {dim}")
     v = list(identity(dim))
     basis = tuple(map(tuple, v[_echelon_columns(list(zip(*m)), v):]))
     if any(vec_dot(row, b) for b in basis for row in m):

@@ -38,10 +38,15 @@ reads s^<wt,h> as an int pair.
 The N letter is the lift n_i = exp(e_i) exp(-f_i) exp(e_i), which maps the
 space at mu onto the one at s_i mu (Kac, Lemma 3.8).  Each WeightSpace keeps
 n_mat[i] = (the space at s_i mu, ints, den), the matrix of n_i there,
-formed on first use by the three exponentials on each basis vector, or None
-when one of those runs raises DepthExceeded.  A word applies the matrices
-when every part of its vector has one, and otherwise runs the three
-exponentials on the whole vector, as the memo's own runs do.  This is sound:
+formed on first use by the three exponentials on each basis vector.  Where
+one of those runs raises DepthExceeded, the memo keeps that refusal instead,
+so the exponentials run at most once per space and letter.  A word applies
+the matrix to each part of its vector, or raises DepthExceeded at the weight
+where the basis run of the first part without one left the window.  So a
+vector whose own three exponentials would stay inside the window is refused
+too: a refusal may stand where the whole vector's run would give a value,
+but a value is never a different one.  When every part has a matrix, the
+value is exact:
 - every intermediate term of the three exponentials is linear in v, and a
   DepthExceeded is raised only at a nonzero part whose step exits the
   window;
@@ -122,7 +127,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from operator import add, sub
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import exact, faces as FC, monoids as MO, weyl as W
 from .cartan import (RootDatum, _check_datum, _components, _expect, check_index, entries,
@@ -354,6 +359,14 @@ Edge = tuple["WeightSpace", IntMat, int]
 _BEYOND = object()
 
 
+# the n_i memo where a basis vector's run leaves the window: its DepthExceeded's
+# needed depth and weight, not the exception, whose traceback frames would hold
+# the slice in a cycle that `ModuleSlice.__del__` does not cut
+class _Refused(NamedTuple):
+    needed: int
+    weight: Wt
+
+
 @dataclass(eq=False)  # hashed by identity: the operators key raw parts by the space
 class WeightSpace:
     weight: Wt
@@ -365,8 +378,8 @@ class WeightSpace:
     up: dict[int, Edge] = field(default_factory=dict, repr=False)
     down: dict[int, Edge] = field(default_factory=dict, repr=False)
     # n_mat[i]: the edge of n_i, to the space at s_i weight, formed on first
-    # use; None when a basis vector's run leaves the window
-    n_mat: dict[int, Optional[Edge]] = field(default_factory=dict, repr=False)
+    # use; a _Refused record where a basis vector's run leaves the window
+    n_mat: dict[int, Edge | _Refused] = field(default_factory=dict, repr=False)
 
     @property
     def dim(self) -> int:
@@ -445,9 +458,14 @@ class ModuleSlice:
     def _is_weight(self, nu: Wt, c: IntVec) -> bool:
         """Whether nu = hw - sum_k c_k alpha_k is a weight of L(hw): the walk
         to the dominant chamber and the support rule of the module
-        docstring."""
+        docstring.  A step lowers sum c, so a walk past sum c steps is an
+        InternalError."""
         nu, c = list(nu[:self.datum.n]), list(c)
+        steps = sum(c)
         while (i := next((i for i, x in enumerate(nu) if x < 0), None)) is not None:
+            if steps == 0:
+                raise InternalError(f"the dominance walk to {nu} passed sum c steps")
+            steps -= 1
             k = nu[i]
             c[i] += k
             if c[i] < 0:
@@ -688,32 +706,32 @@ def _exp(sl: ModuleSlice, parts: Raw, den: int, i: int, sign: int, t) -> tuple[R
     return {sp: u for sp, u in total.items() if any(u)}, den
 
 
-def _n_mat(sl: ModuleSlice, sp: WeightSpace, i: int
-           ) -> Optional[tuple[WeightSpace, IntMat, int]]:
+def _n_mat(sl: ModuleSlice, sp: WeightSpace, i: int) -> Edge:
     """sp.n_mat[i], formed on first use: the three exponentials of
     n_i = exp(e_i) exp(-f_i) exp(e_i) run on each basis vector of sp, whose
-    image lies in the one space at s_i sp.weight.  None when one of those
-    runs raises DepthExceeded."""
-    if i in sp.n_mat:
-        return sp.n_mat[i]
-    target = tuple(x - sp.weight[i] * a for x, a in zip(sp.weight, sl.datum.alpha[i]))
-    cols = []
-    try:
-        for k in range(sp.dim):
-            parts, den = {sp: [int(j == k) for j in range(sp.dim)]}, 1
-            for sign in (1, -1, 1):
-                parts, den = _exp(sl, parts, den, i, sign, sign)
-            if [s.weight for s in parts] != [target]:
-                raise InternalError(f"n_{i + 1} maps a basis vector at {sp.weight} "
-                                    f"outside the space at {target}")
-            ((tgt, u),) = parts.items()
-            cols.append((u, den))
-    except DepthExceeded:
-        sp.n_mat[i] = None
-        return None
-    cols, den = _over_common_den(cols)
-    sp.n_mat[i] = (tgt, tuple(zip(*cols)), den)
-    return sp.n_mat[i]
+    image lies in the one space at s_i sp.weight.  Where one of those runs
+    raises DepthExceeded, the memo keeps its `_Refused` record, and every use
+    raises a fresh DepthExceeded from it."""
+    if i not in sp.n_mat:
+        target = tuple(x - sp.weight[i] * a for x, a in zip(sp.weight, sl.datum.alpha[i]))
+        cols = []
+        try:
+            for k in range(sp.dim):
+                parts, den = {sp: [int(j == k) for j in range(sp.dim)]}, 1
+                for sign in (1, -1, 1):
+                    parts, den = _exp(sl, parts, den, i, sign, sign)
+                if [s.weight for s in parts] != [target]:
+                    raise InternalError(f"n_{i + 1} maps a basis vector at {sp.weight} "
+                                        f"outside the space at {target}")
+                ((tgt, u),) = parts.items()
+                cols.append((u, den))
+            cols, den = _over_common_den(cols)
+            sp.n_mat[i] = (tgt, tuple(zip(*cols)), den)
+        except DepthExceeded as exc:
+            sp.n_mat[i] = _Refused(exc.needed, exc.weight)
+    if type(memo := sp.n_mat[i]) is _Refused:
+        raise DepthExceeded(memo.needed, sl.depth, weight=memo.weight)
+    return memo
 
 
 def _run_word(sl: ModuleSlice, letters: Sequence[Letter], parts: Raw, den: int
@@ -723,13 +741,8 @@ def _run_word(sl: ModuleSlice, letters: Sequence[Letter], parts: Raw, den: int
         tag = letter[0]
         if tag == "X+" or tag == "X-":
             parts, den = _exp(sl, parts, den, letter[1], 1 if tag == "X+" else -1, letter[2])
-        elif tag == "N":  # n_i = exp(e_i) exp(-f_i) exp(e_i)
-            i = letter[1]
-            mats = [_n_mat(sl, sp, i) for sp in parts]
-            if None in mats:  # some basis run leaves the window: the whole vector's run
-                for sign in (1, -1, 1):
-                    parts, den = _exp(sl, parts, den, i, sign, sign)
-                continue
+        elif tag == "N":  # n_i = exp(e_i) exp(-f_i) exp(e_i), by its matrix on each part
+            mats = [_n_mat(sl, sp, letter[1]) for sp in parts]
             # the parts land in distinct spaces, so their images never cancel
             vecs, m = _over_common_den([([exact.vec_dot(row, u) for row in mat], d)
                                         for (_, mat, d), u in zip(mats, parts.values())])

@@ -6,7 +6,8 @@ face lattice, relative interiors, hulls, dual faces, and the monoid of
 homomorphisms into the rationals with its idempotent and orbit structure.
 
 Every lattice here, the lineality, the equalities and each face's hull,
-is the saturated kernel of integer rows (`exact.kernel_lattice_basis`): a
+is the saturated kernel of integer rows (`exact._kernel_lattice_basis`, on
+rows that this module built itself, so it reads none of them again): a
 face's hull is the kernel of the equalities and its active facets.  An
 element t e(F) of the Hom monoid M-hat reads its torus element t by
 `cartan.torus_values` and keeps it, as `monoids`' T-hat does: its values
@@ -51,7 +52,7 @@ GENERATOR_GUARD = 64
 def _dd_pair(inequalities: Sequence[IntVec], dim: int) -> tuple[tuple[IntVec, ...], tuple[IntVec, ...]]:
     """Double description: (lineality basis, extreme rays) of
     {y : a . y >= 0 for all a}.  The lineality is the kernel of the
-    inequalities, read as a saturated lattice (`exact.kernel_lattice_basis`).
+    inequalities, read as a saturated lattice (`exact._kernel_lattice_basis`).
 
     Exact incremental method in primitive integer vectors; zero sets are
     recomputed against all inequalities processed so far, which keeps the
@@ -101,7 +102,7 @@ def _dd_pair(inequalities: Sequence[IntVec], dim: int) -> tuple[tuple[IntVec, ..
         processed.append(tuple(a))
 
     prim_rays = sorted({exact.primitive_ray(r) for r in rays if any(r)})
-    return exact.kernel_lattice_basis(inequalities, dim), tuple(prim_rays)
+    return exact._kernel_lattice_basis(inequalities, dim), tuple(prim_rays)
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,7 +122,7 @@ class MonoidFace:
 
     @cached_property
     def hull(self) -> tuple[IntVec, ...]:
-        hull = exact.kernel_lattice_basis(self.normals, self.rank)
+        hull = exact._kernel_lattice_basis(self.normals, self.rank)
         if len(hull) != self.dim:
             raise InternalError(f"face hull has {len(hull)} vectors, not dimension {self.dim}")
         return hull

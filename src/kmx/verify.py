@@ -621,7 +621,7 @@ def check_toric(count: int = 100) -> CheckResult:
                                  if f_act <= act)] += mult
         for fa in fl:
             for fb in fl:
-                meet = m1.face_meet(fa, fb).index
+                meet = m1._meet(fa, fb).index
                 for faces_of_x, mult in containing.items():
                     inter = fa.index in faces_of_x and fb.index in faces_of_x
                     if inter != (meet in faces_of_x):

@@ -117,17 +117,17 @@ def _matches_the_reference(m):
 
 @pytest.fixture(scope="module")
 def verify_kernels():
-    """(rows, dim) of each `kernel_lattice_basis` call of one
+    """(rows, dim) of each `_kernel_lattice_basis` call of one
     `verify.check_toric()`."""
     calls = []
-    real = exact.kernel_lattice_basis
+    real = exact._kernel_lattice_basis
 
     def recording(rows, dim):
         calls.append((int_mat(rows), dim))
         return real(rows, dim)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(exact, "kernel_lattice_basis", recording)
+        mp.setattr(exact, "_kernel_lattice_basis", recording)
         assert verify.check_toric().passed
     return calls
 

@@ -281,15 +281,31 @@ def test_each_space_keeps_its_neighbours(alg, hw_name, depth):
     assert list(sl.order) == sorted(sl.spaces, key=lambda wt: (sl.spaces[wt].height, wt))
 
 
+def _refuse_n_memos(sl):
+    """Apply each N(i) to the first basis vector of every bottom-layer space;
+    the number of letters refused."""
+    refused = 0
+    for sp in sl.spaces.values():
+        for i in range(sl.datum.n if sp.height == sl.depth else 0):
+            try:
+                HW.apply_letter(HW.nsimple(i), HW.Vector(sl, {sp.weight: (1,) + (0,) * (sp.dim - 1)}))
+            except DepthExceeded:
+                refused += 1
+    return refused
+
+
 def test_a_dropped_slice_is_freed_at_once():
-    # the neighbour maps are cut when the slice goes, so no space waits
-    # for the cycle collector
+    # the neighbour maps and the n_i memos are cut when the slice goes, so no
+    # space waits for the cycle collector; a memo that holds a refusal keeps
+    # no exception, whose traceback frames would hold the slice
     gc.disable()
     try:
-        sl = _slice(HW.ModuleSlice, "A2^(1)", "rho", 3)
-        top = weakref.ref(sl.spaces[sl.hw])
-        del sl
-        assert top() is None
+        for refuse in (False, True):
+            sl = _slice(HW.ModuleSlice, "A2^(1)", "rho", 3)
+            assert not refuse or _refuse_n_memos(sl)
+            top = weakref.ref(sl.spaces[sl.hw])
+            del sl
+            assert top() is None, refuse
     finally:
         gc.enable()
 

@@ -218,6 +218,9 @@ def test_guards_and_errors():
         LatticeMonoid([(0,) * 9], 9)
     with pytest.raises(SizeGuard, match="^at most 64 generators supported$"):
         LatticeMonoid([(1, 0)] * 65, 2)
+    # each guard lets its own bound through
+    assert LatticeMonoid([(0,) * 8], 8).lineality == ()
+    assert LatticeMonoid([(1, 0)] * 64, 2).rays == ((1, 0),)
     with pytest.raises(RankMismatch):
         LatticeMonoid([(1, 0, 0)], 2)
     # generator entries are read as they are, never truncated

@@ -391,8 +391,8 @@ def test_the_toric_laws_counted_per_face_set_match_the_per_point_count(monkeypat
     # [9] counts the ri-partition and meet laws once per distinct active set
     # and face set, with multiplicity; a wrong meet and a dropped active
     # facet give the same nonzero counts as the per-point triple loop
-    real_meet, real_locate = toric.LatticeMonoid.face_meet, toric.LatticeMonoid._locate
-    monkeypatch.setattr(toric.LatticeMonoid, "face_meet", lambda self, f, g: real_meet(self, f, f))
+    real_meet, real_locate = toric.LatticeMonoid._meet, toric.LatticeMonoid._locate
+    monkeypatch.setattr(toric.LatticeMonoid, "_meet", lambda self, f, g: real_meet(self, f, f))
     monkeypatch.setattr(toric.LatticeMonoid, "_locate",
                         lambda self, x: None if (a := real_locate(self, x)) is None else a[1:])
     res = verify.check_toric(count=10)
