@@ -207,6 +207,14 @@ def exact_ints(vals: Iterable, what: str) -> tuple[int, ...]:
     return vals
 
 
+def natural(x, what: str) -> int:
+    """A natural number read: one that is not a Python int (`exact_ints`),
+    or is negative, is a DomainError naming it."""
+    if exact_ints((x,), what)[0] < 0:
+        raise DomainError(f"{what} {x} is negative")
+    return x
+
+
 def exact_rationals(vals: Iterable, what: str) -> tuple:
     """The entries of a rational vector as given, read by `entries`: a
     character reads their numerators and denominators, so an entry that is

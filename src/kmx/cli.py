@@ -334,9 +334,13 @@ def cmd_face_of_point(args):
     out = _face_json(face)
     if args.predicates is not None:
         ref = _parse_face(datum, args.predicates)
-        preds = FC.point_predicates(ref, lam, face)  # the verb's walk serves them
+        # read off the point's own face: a Tits-cone point lies in ref iff
+        # its face does, and in ref's relative interior iff its face is ref
+        preds = {"contains": FC.includes(ref, face), "in_relative_interior": face == ref,
+                 "in_span": FC.in_span(ref, lam)}
         if args.element is not None:
-            preds.update(FC.face_predicates(ref, u=_parse_word(datum, args.element)))
+            u = _parse_word(datum, args.element)
+            preds.update(centralizes=FC.centralizes(ref, u), normalizes=FC.normalizes(ref, u))
         out = {"face": out, "predicates": preds}
     _emit(args, out)
 

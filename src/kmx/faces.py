@@ -42,9 +42,12 @@ routes inside kmx run the cores `_normal_face`, `_act_face`,
 `_face_exposed_by` and `_conjugate_in`, which read nothing.  A point query
 reads its weight by `RootDatum._weight` and its step budget by
 `weyl._budget`, then walks once (`weyl._dominant`): `_face_of` types the
-walk's facet, `_contains` certifies a weight by the walk alone and pairs
-it, and each predicate is written once (`_pairs_to_zero`, `_in_span`,
-`_predicates`).
+walk's facet, and `_contains` certifies a weight by the walk alone and
+pairs it.  Each predicate is one entry.  A Tits-cone point with face F
+lies in a face R iff F <= R (`includes`), since faces are unions of the
+relative interiors of their subfaces, and in R's relative interior iff
+F == R; so a caller that holds a point's face, as `kmx face-of-point
+--predicates` does, reads both answers off it without a second walk.
 """
 
 from __future__ import annotations
@@ -207,26 +210,14 @@ def contains(r: Face, weight: Sequence, *, cap: int = W.STEP_BUDGET) -> bool:
 
 def _contains(r: Face, lam: tuple, cap: int) -> bool:
     """`contains` of a weight and a budget read: the walk certifies the
-    weight in the Tits cone, or raises its verdict."""
+    weight in the Tits cone, or raises its verdict; a weight so certified
+    lies in r iff it pairs to zero with c_R."""
     W._dominant(r.datum, lam, cap)
-    return _pairs_to_zero(r, lam)
-
-
-def _pairs_to_zero(r: Face, lam: tuple) -> bool:
-    """A weight certified in the Tits cone lies in r iff it pairs to zero
-    with c_R."""
     return r.datum.pair(lam, r.exposing()) == 0
 
 
-def in_relative_interior(r: Face, weight: Sequence, cap: int = W.STEP_BUDGET) -> bool:
-    return _face_of(_expect(r, Face, "a Face").datum, r.datum._weight(weight), W._budget(cap)) == r
-
-
 def in_span(r: Face, weight: Sequence) -> bool:
-    return _in_span(r, _expect(r, Face, "a Face").datum._weight(weight))
-
-
-def _in_span(r: Face, lam: tuple) -> bool:
+    lam = _expect(r, Face, "a Face").datum._weight(weight)
     return all(r.datum.pair(lam, h) == 0 for h in r.span_normals())
 
 
@@ -244,33 +235,3 @@ def normalizes(r: Face, u: WeylElt) -> bool:
 def _conjugate_in(r: Face, u: WeylElt, js: tuple[int, ...]) -> bool:
     """w_R^{-1} u w_R lies in W_J, for a J read."""
     return W._strip_read(r.w.inv() * u * r.w, js)[0].is_identity()
-
-
-def point_predicates(r: Face, weight: Sequence, own: Face) -> dict:
-    """Predicates of r at a weight whose `face_of_point` is `own`; that walk
-    certified the weight in the Tits cone."""
-    lam = _expect(r, Face, "a Face").datum._weight(weight)
-    return _predicates(r, lam, _expect(own, Face, "a Face"))
-
-
-def _predicates(r: Face, lam: tuple, own: Face) -> dict:
-    """`point_predicates` of a weight read: it lies in r's interior iff its
-    own face is r."""
-    return {"contains": _pairs_to_zero(r, lam),
-            "in_relative_interior": own == r, "in_span": _in_span(r, lam)}
-
-
-def face_predicates(r: Face, *, weight: Optional[Sequence] = None,
-                    u: Optional[WeylElt] = None, cap: int = W.STEP_BUDGET) -> dict:
-    """Predicates of r at `weight` and `u`.  One walk certifies the weight
-    (or raises its verdict) and gives the point predicates their own face."""
-    r = _expect(r, Face, "a Face")
-    out: dict = {}
-    if weight is not None:
-        lam = r.datum._weight(weight)
-        out = _predicates(r, lam, _face_of(r.datum, lam, W._budget(cap)))
-    if u is not None:
-        u = _expect(u, WeylElt, "a WeylElt")
-        out["centralizes"] = _conjugate_in(r, u, r.theta)
-        out["normalizes"] = _conjugate_in(r, u, r.datum._stabilizer(r.theta))
-    return out

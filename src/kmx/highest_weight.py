@@ -131,7 +131,8 @@ from typing import NamedTuple, Optional, Sequence
 
 from . import exact, faces as FC, monoids as MO, weyl as W
 from .cartan import (RootDatum, _check_datum, _components, _expect, check_index, entries,
-                     exact_ints, exact_rationals, one_based, torus_values, typed_numbers)
+                     exact_ints, exact_rationals, natural, one_based, torus_values,
+                     typed_numbers)
 from .errors import (DepthExceeded, DepthTooLarge, DomainError, InternalError,
                      NotDominant, NotFactored, PreconditionViolated, SizeGuard)
 from .exact import IntMat, IntVec
@@ -329,16 +330,10 @@ def weights_and_mults(datum: RootDatum, hw: Sequence[int], depth: int,
                   for j in range(datum.m)): m for b, m in mult.items()}
 
 
-def _check_natural(x: int, what: str):
-    exact_ints((x,), what)
-    if x < 0:
-        raise DomainError(f"{what} {x} is negative")
-
-
 def _depth_guard(datum: RootDatum, depth: int, max_depth: Optional[int]):
-    _check_natural(depth, "depth")
+    natural(depth, "depth")
     if max_depth is not None:
-        _check_natural(max_depth, "max depth")
+        natural(max_depth, "max depth")
         if depth > max_depth:
             raise DepthTooLarge(f"depth {depth} over the requested cap {max_depth}")
         return  # an explicit cap also lifts the default rank guard
@@ -898,7 +893,7 @@ def word_columns(slice_: ModuleSlice, words: Sequence[GhatWord],
     Python int, or is negative, is a DomainError."""
     _read_slice(slice_)
     if max_height is not None:
-        _check_natural(max_height, "height")
+        natural(max_height, "height")
     read = [_read_word(slice_.datum, word) for word in entries(words, "word")]
     for wt, k, images in _columns(slice_, read, max_height):
         yield wt, k, [_vector(slice_, *image) for image in images]
@@ -916,7 +911,7 @@ def evaluate_word(slice_: ModuleSlice, word: GhatWord,
     """
     _read_slice(slice_)
     if max_height is not None:
-        _check_natural(max_height, "height")
+        natural(max_height, "height")
     letters = _read_word(slice_.datum, word)
     first, col_index, nonzero = slice_._first_row, [], {}
     for c, (wt, k, ((parts, den),)) in enumerate(_columns(slice_, (letters,), max_height)):

@@ -36,6 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 from operator import mul
 from typing import Optional, Sequence
 
@@ -56,7 +57,9 @@ def _dd_pair(inequalities: Sequence[IntVec], dim: int) -> tuple[tuple[IntVec, ..
 
     Exact incremental method in primitive integer vectors; zero sets are
     recomputed against all inequalities processed so far, which keeps the
-    combinatorial adjacency test sound.
+    combinatorial adjacency test sound.  After each inequality every kept
+    ray must be primitive, so rays come out distinct and primitive, and a
+    ray whose entries grow is an InternalError, not a slower step.
     """
     lineality: list[IntVec] = list(exact.identity(dim))
     rays: list[IntVec] = []
@@ -100,9 +103,11 @@ def _dd_pair(inequalities: Sequence[IntVec], dim: int) -> tuple[tuple[IntVec, ..
                     keep.append(exact.primitive_ray(newr))
             rays = list(dict.fromkeys(keep))
         processed.append(tuple(a))
+        if not all(gcd(*r) == 1 for r in rays):  # gcd 0: a zero ray
+            raise InternalError("double description kept a ray that is zero or "
+                                f"not primitive at inequality {len(processed)}")
 
-    prim_rays = sorted({exact.primitive_ray(r) for r in rays if any(r)})
-    return exact._kernel_lattice_basis(inequalities, dim), tuple(prim_rays)
+    return exact._kernel_lattice_basis(inequalities, dim), tuple(sorted(rays))
 
 
 @dataclass(frozen=True, eq=False)

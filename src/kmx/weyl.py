@@ -36,12 +36,15 @@ public entries read each index set once, by `cartan.index_set`, and the
 walk takes only a set so read; `faces` and `monoids` pass it the sets they
 hold read (a face's Theta, its stabilizer type, `theta_perp`).  Only
 `min_coset_right` and `min_coset_left` multiply the factor u in W_J out of
-the stripped indices.  `dominant_rep` walks in ints: it reflects the
-integer numerator of its weight in place and keeps its pairings with the
-exposing coweights, updated in O(1) each per reflection, and forms a
-Fraction only at its exits.  `antidominant_coweight` keeps the pairings
-alpha_j(d), updated in O(n) per reflection.  Each walk hands its letters
-to `_multiply_out` once, at the end, not back through `from_word`'s reader.
+the stripped indices.  Membership is read off the normal forms: w lies in
+W_J iff `min_coset_right(w, J)[0]` is 1, and in W_K W_J iff
+`min_double_coset(w, K, J)` is 1.  `dominant_rep` walks in ints: it
+reflects the integer numerator of its weight in place and keeps its
+pairings with the exposing coweights, updated in O(1) each per reflection,
+and forms a Fraction only at its exits.  `antidominant_coweight` keeps
+the pairings alpha_j(d), updated in O(n) per reflection.  Each walk hands
+its letters to `_multiply_out` once, at the end, not back through
+`from_word`'s reader.
 
 `denominator` walks the signed orbit of rho, truncated by height, on the
 vectors rho - w rho alone: it reads the GCM and builds no element.
@@ -81,7 +84,7 @@ from typing import Iterable, Optional, Sequence
 
 from . import exact
 from .cartan import (RootDatum, _check_datum, _expect, check_index, entries, exact_ints,
-                     exact_rationals, index_set)
+                     exact_rationals, index_set, natural)
 from .errors import (DomainError, InternalError, NotInTitsCone, PreconditionViolated,
                      Undecided)
 from .exact import IntMat
@@ -404,16 +407,6 @@ def min_double_coset(w: WeylElt, k: Sequence[int], j: Sequence[int]) -> WeylElt:
     return _strip_read(_rep_left(w, ks), js)[0]
 
 
-def in_parabolic(w: WeylElt, j: Sequence[int]) -> bool:
-    """w in W_J, J read by `index_set`: w's right walk in J ends at 1."""
-    return _strip_read(w, index_set(_expect(w, WeylElt, "a WeylElt").datum.n, j))[0].is_identity()
-
-
-def in_parabolic_product(w: WeylElt, k: Sequence[int], j: Sequence[int]) -> bool:
-    """Membership w in W_K W_J, decided by the minimal double coset rep."""
-    return min_double_coset(w, k, j).is_identity()
-
-
 # -- dominance ----------------------------------------------------------------
 
 
@@ -453,11 +446,8 @@ def dominant_rep(datum: RootDatum, weight: Sequence, cap: int = STEP_BUDGET) -> 
 
 
 def _budget(cap) -> int:
-    """A step budget read: one that is not a Python int, or is negative, is
-    a DomainError."""
-    if exact_ints((cap,), "step budget")[0] < 0:
-        raise DomainError(f"step budget {cap} is negative")
-    return cap
+    """A step budget read by `cartan.natural`."""
+    return natural(cap, "step budget")
 
 
 def _dominant(datum: RootDatum, lam: tuple, cap: int) -> DominantResult:
@@ -562,8 +552,7 @@ def denominator(datum: RootDatum, max_height: int) -> dict[Vec, int]:
     walk stops at max_height without losing an element below it.  A
     max_height that is not a Python int, or is negative, is a DomainError.
     """
-    if exact_ints((max_height,), "height")[0] < 0:
-        raise DomainError(f"height {max_height} is negative")
+    natural(max_height, "height")
     a, n = _check_datum(datum).gcm.a, datum.n
     level: dict[Vec, int] = {(0,) * n: 1}
     out = dict(level)

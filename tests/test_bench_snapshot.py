@@ -105,3 +105,17 @@ def test_the_snapshot_records_the_tier1_run(tmp_path, monkeypatch):
     out = tmp_path / "BENCH.json"
     assert BS.main([str(out)]) == 0
     assert json.loads(out.read_text())["tier1"] == tier1
+
+
+def test_the_workloads_are_those_of_the_benchmark(tmp_path):
+    # a workload added to BENCHMARK.json is in every snapshot, in its order
+    (tmp_path / "tools").mkdir()
+    (tmp_path / "tools" / "bench_snapshot.py").write_text(_PATH.read_text())
+    names = ["verify", "new-workload", "hw-slices"]
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(
+        {"workloads": [{"name": name} for name in names]}))
+    spec = importlib.util.spec_from_file_location("snapshot_copy",
+                                                  tmp_path / "tools" / "bench_snapshot.py")
+    copy = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(copy)
+    assert copy.WORKLOADS == tuple(names)

@@ -454,7 +454,6 @@ INDEX_READERS = {
     "standard_face": lambda bad: FC.standard_face(_fresh_hyp()[0], (bad,)),
     "right_descent": lambda bad: _fresh_hyp()[1].right_descent(bad),
     "left_descent": lambda bad: _fresh_hyp()[1].left_descent(bad),
-    "in_parabolic_product": lambda bad: W.in_parabolic_product(_fresh_hyp()[1], (bad,), (1,)),
 }
 
 

@@ -418,6 +418,13 @@ FACE_OF_POINT_OUTPUTS = [  # argv after the verb, and the line it prints
 ]
 
 
+def test_dominant_prints_its_facet_type_one_based(capsys):
+    assert run_json(capsys, ["dominant", "--gcm", HYP, "--weight", "0,0,1"]) == {
+        "status": "ok", "dominant": ["0", "0", "1"], "word": "", "facet_type": [1, 2]}
+    assert run_json(capsys, ["dominant", "--gcm", A2, "--weight=-1,1"]) == {
+        "status": "ok", "dominant": ["1", "0"], "word": "1", "facet_type": [2]}
+
+
 def test_face_of_point_predicates_walk_the_weight_once(capsys, monkeypatch):
     # the printed face and the predicates read one Tits-cone walk
     from kmx import weyl
@@ -529,7 +536,7 @@ COVERAGE = [
     # faces: intersect (antidominant minimization underneath)
     (["face-intersect", "--gcm", HYP, "--left", "w=;theta=1,2",
       "--right", "w=3;theta=1,2"], "theta"),
-    # faces: face_of_point + face_predicates
+    # faces: face_of_point, its predicates read off the point's face
     (["face-of-point", "--gcm", HYP, "--weight", "0,0,1",
       "--predicates", "w=;theta=1,2", "--element", "1"], "predicates"),
     # monoids: wm_normalize / wm_mul / act_face / wm_apply

