@@ -428,7 +428,7 @@ def cmd_toric_faces(args):
                  "subfaces": [g.index for g in m.subfaces(f)]}
         if args.ri is not None:
             x = _numbers(args.ri, "lattice point coordinate", integral=True)
-            entry["relative_interior_contains"] = m.relative_interior_contains(f, x)
+            entry["relative_interior_contains"] = m.contains(x) and m.face_of(x) == f
         if args.dual:
             d = m.dual_face(f)
             entry["dual_face"] = {"rays": [list(r) for r in d.rays],
@@ -439,8 +439,8 @@ def cmd_toric_faces(args):
         x = _numbers(args.principal_open, "lattice point coordinate", integral=True)
         out["principal_open"] = [f.index for f in m.principal_open(x)]
     if args.idempotents:
-        out["idempotents"] = [{"face": e.face_index, "values": [str(v) for v in e.values]}
-                              for e in toric.mhat_idempotents(m)]
+        out["idempotents"] = [{"face": f.index, "values": [
+            str(v) for v in toric.mhat_idempotent(m, f).values]} for f in faces]
     _emit(args, out)
 
 

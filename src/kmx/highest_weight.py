@@ -856,11 +856,6 @@ def _read_word(datum: Optional[RootDatum], word: GhatWord) -> tuple[Letter, ...]
     return word.letters
 
 
-def apply_letter(letter: Letter, v: Vector) -> Vector:
-    """The one-letter word of the letter applied to v."""
-    return apply_word(GhatWord((letter,)), v)
-
-
 def apply_word(word: GhatWord, v: Vector) -> Vector:
     """The word applied to v: read once, run on raw parts, reduced once."""
     sl = _read_slice(getattr(v, "slice", None), v)

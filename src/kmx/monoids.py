@@ -17,14 +17,15 @@ face met again costs neither a walk nor a Weyl action.
 One object per class.  Each face keeps a table of its classes
 (`Face._classes`, sigma -> class): `_wm_class` looks sigma up there,
 computes the representative only on a miss and keeps the class under both
-sigma and its representative, so `wm_unit`, `wm_idempotent`, `wm_invert`,
-`nhat_to_wmon` and `NhatElt.canonical` meet each class as one object.  A
-class keeps its products (`WmonElt._products`, y -> x y, keyed by y's value
-equality), so `wm_mul` computes each meet once per pair of classes.  The
-tables live as long as their datum; a class built directly equals and
-hashes like the table's by (face, w).  A Weyl element and a face of two
-root data make no class, and elements of two root data have no product
-(`wm_mul`, `nhat_mul`) or meet (`faces.intersect`): a PreconditionViolated.
+sigma and its representative, so `wm_normalize`, `wm_idempotent`,
+`wm_invert`, `nhat_to_wmon` and `NhatElt.canonical` meet each class as one
+object.  A class keeps its products (`WmonElt._products`, y -> x y, keyed
+by y's value equality), so `wm_mul` computes each meet once per pair of
+classes.  The tables live as long as their datum; a class built directly
+equals and hashes like the table's by (face, w).  A Weyl element and a face
+of two root data make no class, and elements of two root data have no
+product (`wm_mul`, `nhat_mul`) or meet (`faces.intersect`): a
+PreconditionViolated.
 
 Torus-monoid elements t e(R) are canonicalized by the values of t on the
 basis w_R Lambda_j (j not in Theta) of span(R) cap P, for the normal form
@@ -41,6 +42,11 @@ one-value torus element.  Every route inside runs the private cores
 nothing, and `wm_apply` and `that_eval` certify the weight they read by
 `faces._contains`.  A character t(lam) is `exact.character`, evaluated
 fraction-free.
+
+Each monoid has one constructor of the idempotent e(R), which also holds
+its identity e(full cone): `wm_idempotent`, `that_idempotent`,
+`nhat_idempotent` (`toric.mhat_idempotent`).  A unit is the normal form on
+the full cone; no monoid has a unit constructor.
 
 The torus T and the normalizer N are the unit groups of T-hat and N-hat
 (the elements on the full cone), so they have no entries of their own:
@@ -151,19 +157,8 @@ def _wm_class(w: WeylElt, face: Face) -> WmonElt:
     return x
 
 
-def wm_unit(datum: RootDatum, w: Optional[WeylElt] = None) -> WmonElt:
-    """The unit (full cone, w), w the identity when left out; a w of another
-    root datum is a PreconditionViolated, as in `wm_normalize`."""
-    full = F.full_cone(_check_datum(datum))
-    if w is None:
-        w = full.w
-    elif _expect(w, WeylElt, "a WeylElt").datum is not datum:
-        raise PreconditionViolated("Weyl-monoid class of a Weyl element and a face "
-                                   "of two root data")
-    return _wm_class(w, full)
-
-
 def wm_idempotent(face: Face) -> WmonElt:
+    """e(R), the class of (face, 1); on the full cone it is the identity."""
     return _wm_class(W.identity_elt(_expect(face, Face, "a Face").datum), face)
 
 

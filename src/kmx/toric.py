@@ -27,8 +27,12 @@ column reduction of its normals, is built when it is first read.  The
 entries read their arguments at the API boundary (`cartan`): every query
 that takes a face reads it through one check (`LatticeMonoid._own`), and a
 face of another monoid is a PreconditionViolated; `mhat_mul` meets its
-operands' faces unread.  `subfaces`, `principal_open` and
-`mhat_idempotents` read none of the faces that they enumerate themselves.
+operands' faces unread.  `subfaces` and `principal_open` read none of the
+faces that they enumerate themselves.
+
+One route per question: f <= g is `f in subfaces(g)`, x in the relative
+interior of f is `contains(x) and face_of(x) == f`, and a unit is
+`mhat_normalize` on the top face.
 """
 
 from __future__ import annotations
@@ -276,9 +280,6 @@ class LatticeMonoid:
     def top_face(self) -> MonoidFace:
         return self.faces()[-1]
 
-    def face_leq(self, f: MonoidFace, g: MonoidFace) -> bool:
-        return set(self._own(f).ray_ids) <= set(self._own(g).ray_ids)
-
     def face_meet(self, f: MonoidFace, g: MonoidFace) -> MonoidFace:
         """The meet, whose ray set is the rays that f and g share."""
         return self._meet(self._own(f), self._own(g))
@@ -295,10 +296,6 @@ class LatticeMonoid:
         return tuple(g for g in self.faces() if rs.issuperset(g.ray_ids))
 
     # -- section 1.2 operations -------------------------------------------------
-
-    def relative_interior_contains(self, f: MonoidFace, x: Sequence[int]) -> bool:
-        """In f but in no proper subface: active sets coincide."""
-        return self._locate(self._point(x)) == self._own(f).active
 
     def dual_face(self, f: MonoidFace) -> "LatticeMonoid":
         """The monoid M - F, generated by M and the negated hull of F."""
@@ -358,19 +355,10 @@ def _mhat(monoid: LatticeMonoid, t: tuple, f: MonoidFace) -> MhatElt:
 
 
 def mhat_idempotent(monoid: LatticeMonoid, f: MonoidFace) -> MhatElt:
+    """e(F), the idempotent of the face F: t e(F) for the torus element of
+    ones."""
     f = _expect(monoid, LatticeMonoid, "a LatticeMonoid")._own(f)
     return _mhat(monoid, (Fraction(1),) * monoid.rank, f)
-
-
-def mhat_idempotents(monoid: LatticeMonoid) -> tuple[MhatElt, ...]:
-    one = (Fraction(1),) * _expect(monoid, LatticeMonoid, "a LatticeMonoid").rank
-    return tuple(_mhat(monoid, one, f) for f in monoid.faces())
-
-
-def mhat_unit(monoid: LatticeMonoid, t: Sequence[Fraction]) -> MhatElt:
-    """A unit: t e(F) for the whole monoid F, t checked as in `mhat_normalize`."""
-    top = _expect(monoid, LatticeMonoid, "a LatticeMonoid").top_face()
-    return _mhat(monoid, torus_values(t, monoid.rank), top)
 
 
 def mhat_mul(x: MhatElt, y: MhatElt) -> MhatElt:

@@ -191,7 +191,7 @@ def _monoid_laws(rng: random.Random, datum: RootDatum, triples: int) -> int:
     classes of datum: associativity, the unit, unit regularity and its
     factorization, and idempotents mirroring the face lattice."""
     bad = 0
-    unit = MO.wm_unit(datum)
+    unit = MO.wm_idempotent(FC.full_cone(datum))
     one, full = unit.w, unit.face
     for _ in range(triples):
         x, y, z = (_rand_wmon(rng, datum) for _ in range(3))

@@ -38,10 +38,12 @@ hold read (a face's Theta, its stabilizer type, `theta_perp`).  Only
 `min_coset_right` and `min_coset_left` multiply the factor u in W_J out of
 the stripped indices.  Membership is read off the normal forms: w lies in
 W_J iff `min_coset_right(w, J)[0]` is 1, and in W_K W_J iff
-`min_double_coset(w, K, J)` is 1.  `dominant_rep` walks in ints: it
-reflects the integer numerator of its weight in place and keeps its
-pairings with the exposing coweights, updated in O(1) each per reflection,
-and forms a Fraction only at its exits.  `antidominant_coweight` keeps
+`min_double_coset(w, K, J)` is 1.  The Bruhat order (`bruhat_le`) is two
+walks in step, w's descent walk and v's, each on one vector.
+`dominant_rep` walks in ints: it reflects the integer numerator of its
+weight in place and keeps its pairings with the exposing coweights,
+updated in O(1) each per reflection, and forms a Fraction only at its
+exits.  `antidominant_coweight` keeps
 the pairings alpha_j(d), updated in O(n) per reflection.  Each walk hands
 its letters to `_multiply_out` once, at the end, not back through
 `from_word`'s reader.
@@ -405,6 +407,28 @@ def min_double_coset(w: WeylElt, k: Sequence[int], j: Sequence[int]) -> WeylElt:
     Combinatorics of Coxeter Groups, ch. 2)."""
     ks, js = index_set(_expect(w, WeylElt, "a WeylElt").datum.n, k), index_set(w.datum.n, j)
     return _strip_read(_rep_left(w, ks), js)[0]
+
+
+def bruhat_le(v: WeylElt, w: WeylElt) -> bool:
+    """v <= w in the Bruhat order, by the lifting property: for s a right
+    descent of w, v <= w iff min(v, v s) <= w s, and v <= 1 iff v = 1
+    (Bjorner and Brenti, Combinatorics of Coxeter Groups, Prop. 2.2.7).
+    The recursion never branches, so it is one loop: s runs over the
+    canonical word of w^{-1}, walked from w^{-1} rho and not kept, and
+    v^{-1} rho takes s where it is a right descent of v too (a negative
+    coordinate); v <= w iff it ends at rho.  Elements of two root data
+    are a PreconditionViolated."""
+    if _expect(v, WeylElt, "a WeylElt").datum is not _expect(w, WeylElt, "a WeylElt").datum:
+        raise PreconditionViolated("Bruhat order of Weyl elements of two root data")
+    datum = w.datum
+    support = datum.alpha_support
+    u = [sum(row) for row in v.mat_p_inv]
+    for i in _canonical_word(datum, w.mat_p_inv):
+        c = u[i]
+        if c < 0:
+            for k, a in support[i]:
+                u[k] -= c * a
+    return tuple(u) == datum.rho()
 
 
 # -- dominance ----------------------------------------------------------------

@@ -88,6 +88,15 @@ face's normals by one Smith normal form per call, and the residual of
 n_w t e(R) is found through the centralizer lift m = n_{w_R} n_vbar
 n_{w_R}^{-1} of the leftover v = w_R vbar w_R^{-1}, read as v(s0 b) on
 that basis.
+
+Last come two references the package never ran.  `bruhat_ideal` is the
+subword property of the Bruhat order (Bjorner and Brenti, Combinatorics of
+Coxeter Groups, Thm 2.2.2): v <= w iff v is the product of a subword of one
+reduced word of w, here w's canonical word.  `kac_root_walk` is Kac's root
+criterion (Infinite-dimensional Lie algebras, Prop. 5.1 and Thm 5.4): the
+real roots are W Pi and the positive imaginary ones are W K, for K the b in
+Q+ with <b, alpha_i^vee> <= 0 for all i and connected support.  It reads
+only the GCM: no Weyl element, denominator or slice.
 """
 
 import math
@@ -95,7 +104,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence
 
-from kmx import exact, monoids as MO, weyl as W
+from kmx import exact, faces as FC, monoids as MO, weyl as W
 from kmx.cartan import (GCM, SPECIAL_SET_RANK_GUARD, ComponentType, RootDatum, check_index,
                         exact_ints, exact_rationals, is_special)
 from kmx.errors import (DomainError, InternalError, NotFactored, NotInTitsCone, SizeGuard,
@@ -810,7 +819,7 @@ def bruhat_cell(datum: RootDatum, word):
         else:
             raise DomainError(f"unknown letter {letter!r}")
     if middle is None:
-        return MO.wm_unit(datum)
+        return MO.wm_idempotent(FC.full_cone(datum))
     return MO.nhat_to_wmon(middle)
 
 
@@ -971,3 +980,48 @@ def nhat_canonical(x: MO.NhatElt):
         raise InternalError("centralizer lift failed to cancel the Weyl part")
     residual = torus_act(v, tuple(a * b for a, b in zip(s0, m[1])))
     return kappa_class, x.face, that_normalize(residual, x.face).values
+
+
+def bruhat_ideal(w: W.WeylElt) -> set:
+    """{v : v <= w}: the products of the subwords of w's canonical word."""
+    ideal = {W.identity_elt(w.datum)}
+    for i in w.word:
+        s = W.simple(w.datum, i)
+        ideal |= {x * s for x in ideal}
+    return ideal
+
+
+def kac_root_walk(gcm: GCM, b: Beta) -> Optional[str]:
+    """"real", "imaginary" or None (no root) for a nonzero b in Q+, in the
+    simple-root basis: while some (A b)_i > 0, b <- s_i b = b - (A b)_i
+    alpha_i, which lowers the height.  W permutes the roots and the non-roots,
+    so the walk ends at a simple root (b is real), leaves Q+ (b is no root),
+    or stops at a b with every (A b)_i <= 0, an imaginary root iff its
+    support is connected."""
+    a = gcm.a
+    n = len(a)
+    b = list(b)
+    ab = [sum(a[i][j] * b[j] for j in range(n)) for i in range(n)]
+    height = sum(b)
+    while height > 1:
+        i = next((i for i in range(n) if ab[i] > 0), None)
+        if i is None:
+            break
+        c = ab[i]
+        b[i] -= c
+        if b[i] < 0:
+            return None
+        height -= c
+        for k in range(n):
+            ab[k] -= a[k][i] * c
+    if height == 1:
+        return "real"
+    supp = [i for i in range(n) if b[i]]
+    seen, stack = {supp[0]}, [supp[0]]
+    while stack:
+        k = stack.pop()
+        for j in supp:
+            if j not in seen and a[k][j]:
+                seen.add(j)
+                stack.append(j)
+    return "imaginary" if len(seen) == len(supp) else None

@@ -38,22 +38,23 @@ def test_face_intersect_example(capsys):
     assert payload == {"w": "", "theta": [1, 2, 3]}
 
 
+_CONE3 = '{"rank": 3, "generators": [[3,-2,-2],[-1,1,2],[1,-3,-1]]}'
+_CONE3_FACES = [{"index": 0, "dim": 0, "hull": []},
+                {"index": 1, "dim": 1, "hull": [[1, -1, -2]]},
+                {"index": 2, "dim": 1, "hull": [[-1, 3, 1]]},
+                {"index": 3, "dim": 1, "hull": [[3, -2, -2]]},
+                {"index": 4, "dim": 2, "hull": [[1, -5, 0], [0, -2, 1]]},
+                {"index": 5, "dim": 2, "hull": [[0, 1, 4], [1, 0, 2]]},
+                {"index": 6, "dim": 2, "hull": [[1, 4, 0], [0, 7, 1]]},
+                {"index": 7, "dim": 3, "hull": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}]
+
+
 def test_toric_faces_prints_each_hull_as_a_kernel_basis(capsys):
     # a hull is the saturated kernel of the equalities and the face's active
     # facets, printed as one column reduction (`exact.kernel_lattice_basis`)
     # gives it; face 1's basis vector reads (1, -1, -2), the negative of the
     # generator spanning it
-    payload = run_json(capsys, ["toric-faces", "--monoid",
-                                '{"rank": 3, "generators": [[3,-2,-2],[-1,1,2],[1,-3,-1]]}'])
-    assert payload == {"faces": [
-        {"index": 0, "dim": 0, "hull": []},
-        {"index": 1, "dim": 1, "hull": [[1, -1, -2]]},
-        {"index": 2, "dim": 1, "hull": [[-1, 3, 1]]},
-        {"index": 3, "dim": 1, "hull": [[3, -2, -2]]},
-        {"index": 4, "dim": 2, "hull": [[1, -5, 0], [0, -2, 1]]},
-        {"index": 5, "dim": 2, "hull": [[0, 1, 4], [1, 0, 2]]},
-        {"index": 6, "dim": 2, "hull": [[1, 4, 0], [0, 7, 1]]},
-        {"index": 7, "dim": 3, "hull": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}]}
+    assert run_json(capsys, ["toric-faces", "--monoid", _CONE3]) == {"faces": _CONE3_FACES}
 
 
 def test_toric_faces_prints_the_column_reductions_orientation(capsys):
@@ -508,6 +509,44 @@ def test_toric_faces_takes_the_first_face_index(capsys):
     assert payload["face"]["index"] == 0
 
 
+_QUADRANT_FACES = [{"index": 0, "dim": 0, "hull": []}, {"index": 1, "dim": 1, "hull": [[0, 1]]},
+                   {"index": 2, "dim": 1, "hull": [[1, 0]]},
+                   {"index": 3, "dim": 2, "hull": [[1, 0], [0, 1]]}]
+# monoid, --face, --ri, --principal-open, then the face's subfaces, its
+# relative-interior answer and the principal open set: points in the face's
+# relative interior, on a proper subface, on a face above it, and outside
+TORIC_FACES_CASES = [
+    (_MONOID, 3, "1,1", "1,1", [0, 1, 2, 3], True, [3]),
+    (_MONOID, 3, "2,0", "2,0", [0, 1, 2, 3], False, [2, 3]),
+    (_MONOID, 1, "0,3", "0,3", [0, 1], True, [1, 3]),
+    (_MONOID, 1, "-1,0", "0,0", [0, 1], False, [0, 1, 2, 3]),
+    (_MONOID, 0, "0,0", "0,0", [0], True, [0, 1, 2, 3]),
+    (_CONE3, 7, "3,-4,-1", "3,-4,-1", list(range(8)), True, [7]),
+    (_CONE3, 7, "1,0,0", "0,0,0", list(range(8)), False, list(range(8))),
+    (_CONE3, 5, "2,-1,0", "2,-1,0", [0, 1, 3, 5], True, [5, 7]),
+    (_CONE3, 5, "3,-2,-2", "3,-2,-2", [0, 1, 3, 5], False, [3, 5, 6, 7]),
+    (_CONE3, 1, "2,-1,0", "2,-1,0", [0, 1], False, [5, 7]),
+]
+
+
+@pytest.mark.parametrize("case", TORIC_FACES_CASES,
+                         ids=[f"rank{2 + (c[0] == _CONE3)}-face{c[1]}-ri{c[2]}"
+                              for c in TORIC_FACES_CASES])
+def test_toric_faces_prints_the_relative_interior_principal_open_and_idempotents(capsys, case):
+    # the whole line, byte for byte: --ri is "x lies in the monoid and its
+    # own face is this one", --idempotents is e(F) for each face F in face
+    # order, whose values are 1 on a basis of F's hull
+    monoid, index, ri, point, subfaces, inside, opened = case
+    faces = _QUADRANT_FACES if monoid == _MONOID else _CONE3_FACES
+    want = {"faces": faces,
+            "face": dict(faces[index], subfaces=subfaces, relative_interior_contains=inside),
+            "principal_open": opened,
+            "idempotents": [{"face": f["index"], "values": ["1"] * f["dim"]} for f in faces]}
+    assert run(capsys, ["toric-faces", "--monoid", monoid, "--face", str(index), "--ri=" + ri,
+                        "--principal-open=" + point, "--idempotents"]) \
+        == (0, json.dumps(want) + "\n")
+
+
 # one invocation per verb; the table records which library operation each
 # verb (with its options) reaches
 COVERAGE = [
@@ -560,7 +599,8 @@ COVERAGE = [
     # toric: LatticeMonoid + membership
     (["toric-saturate", "--monoid", '{"rank": 2, "generators": [[1,0],[1,2]]}',
       "--contains", "1,1"], "contains"),
-    # toric: monoid_face_ops / mhat_idempotents / closure / principal open
+    # toric: faces / subfaces / relative interior (contains, face_of) /
+    # dual_face / principal_open / mhat_idempotent of each face
     (["toric-faces", "--monoid", '{"rank": 2, "generators": [[1,0],[0,1]]}',
       "--face", "1", "--ri", "1,0", "--dual", "--principal-open", "0,0",
       "--idempotents"], "faces"),
@@ -568,7 +608,7 @@ COVERAGE = [
     (["module-weights", "--gcm", A2, "--hw", "1,1", "--depth", "2"], "weights"),
     # highest_weight: build_basis
     (["module-basis", "--gcm", A2, "--hw", "1,0", "--depth", "2"], "spaces"),
-    # highest_weight: evaluate_word / apply_generator
+    # highest_weight: evaluate_word
     (["ghat-eval", "--gcm", A2, "--hw", "1,0", "--depth", "2",
       "--word", "X-(1;1) T(h1;2)"], "matrix"),
     # highest_weight: theta / matrix_coefficient

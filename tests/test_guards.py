@@ -80,7 +80,7 @@ def test_word_entries_check_no_letter_themselves():
     # and nowhere else.  _read_word, the one reader of a word, keeps the
     # checks that need the datum (check_index) and calls no field reader;
     # format_word only prints, and the word entries read their words through
-    # _read_word (apply_letter through apply_word)
+    # _read_word
     tree = ast.parse((Path(kmx.__file__).parent / "highest_weight.py").read_text())
     funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
     classes = {node.name: node for node in tree.body if isinstance(node, ast.ClassDef)}
@@ -95,14 +95,13 @@ def test_word_entries_check_no_letter_themselves():
                  for c in _own_letter_checks(node)
                  if c in ("exact_rationals call", "torus_values call", "unknown-letter raise")]
     assert elsewhere == []
-    for name in ("format_word", "apply_letter", "apply_word", "word_columns", "bruhat_cell",
+    for name in ("format_word", "apply_word", "word_columns", "bruhat_cell",
                  "_run_word", "_exp", "_step", "_vector"):
         assert _own_letter_checks(funcs[name]) == [], name
     assert _own_letter_checks(funcs["_read_word"]) == ["check_index call"]
     assert "_read_letter" not in funcs
     for name in ("apply_word", "word_columns", "bruhat_cell", "format_word"):
         assert "_read_word" in _names(funcs[name]), name
-    assert "apply_word" in _names(funcs["apply_letter"])
     # a word takes Letters only, read once, when it is built
     assert {"entries", "Letter"} <= _names(methods["GhatWord", "__post_init__"])
 
@@ -245,7 +244,6 @@ _NO_WORD = HW.GhatWord(())
 # what it says; each ended in a raw AttributeError
 WRONG_TYPES = {
     "apply_word": (lambda: HW.apply_word(_NO_WORD, 3), "3 is not a Vector"),
-    "apply_letter": (lambda: HW.apply_letter(HW.nsimple(0), None), "None is not a Vector"),
     "format_word": (lambda: HW.format_word("N(1)"), "'N(1)' is not a GhatWord"),
     "probe_equal": (lambda: HW.probe_equal("x", _NO_WORD, _NO_WORD, [((1, 0), 2)]),
                     "expected a RootDatum, got str"),

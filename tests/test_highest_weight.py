@@ -293,7 +293,7 @@ def test_exponential_letters_raise_at_the_first_term_past_the_window():
     # f_1^2 v lie inside the depth-2 window, f_1^3 v is the first term past it
     sl = HW.ModuleSlice(AFF, (3, 0, 0), 2)
     with pytest.raises(DepthExceeded) as err:
-        HW.apply_letter(HW.xminus(0, Fr(-2, 3)), sl.highest_vector())
+        HW.apply_word(HW.GhatWord((HW.xminus(0, Fr(-2, 3)),)), sl.highest_vector())
     assert err.value.weight == _minus(sl.hw, 3, AFF.alpha[0]) in read_edges(sl)[2]
     assert err.value.needed == 3
     # raising never leaves a genuine window, so the e_i branch of the guard
@@ -304,7 +304,7 @@ def test_exponential_letters_raise_at_the_first_term_past_the_window():
     low, mid = _minus(sl.hw, 2, A2.alpha[0]), _minus(sl.hw, 1, A2.alpha[0])
     sl.spaces[mid].up[0] = HW._BEYOND
     with pytest.raises(DepthExceeded) as err:
-        HW.apply_letter(HW.xplus(0, Fr(3, 2)), HW.Vector(sl, {low: (1,)}))
+        HW.apply_word(HW.GhatWord((HW.xplus(0, Fr(3, 2)),)), HW.Vector(sl, {low: (1,)}))
     assert err.value.weight == sl.hw
 
 
@@ -314,14 +314,14 @@ def test_a_series_past_its_bound_is_an_internal_error():
     # of a slice whose depth is read as 1 stops them at the sixth
     sl = HW.ModuleSlice(A2, (6, 0), 6)
     top, bottom = sl.highest_vector(), HW.Vector(sl, {_minus(sl.hw, 6, A2.alpha[0]): (1,)})
-    want = [HW.apply_letter(HW.xminus(0, 1), top), HW.apply_letter(HW.xplus(0, 1), bottom)]
+    cases = ((HW.GhatWord((HW.xminus(0, 1),)), top), (HW.GhatWord((HW.xplus(0, 1),)), bottom))
+    want = [HW.apply_word(word, v) for word, v in cases]
     sl.depth = 1
-    for letter, v in ((HW.xminus(0, 1), top), (HW.xplus(0, 1), bottom)):
+    for word, v in cases:
         with pytest.raises(InternalError, match="exponential failed to terminate"):
-            HW.apply_letter(letter, v)
+            HW.apply_word(word, v)
     sl.depth = 2
-    assert [HW.apply_letter(HW.xminus(0, 1), top),
-            HW.apply_letter(HW.xplus(0, 1), bottom)] == want
+    assert [HW.apply_word(word, v) for word, v in cases] == want
 
 
 def test_weight_string_trichotomy():
@@ -959,8 +959,8 @@ def test_a_hand_built_zero_torus_letter_is_a_zero_torus_value():
         HW.Letter("T", A2.coroot(0), Fr(0))
     with pytest.raises(DomainError, match="torus value 0.5 is not a Fraction or an int"):
         HW.Letter("T", A2.coroot(0), 0.5)
-    assert HW.apply_letter(HW.Letter("T", A2.coroot(0), Fr(3)), sl.highest_vector()) \
-        == HW.Vector(sl, {sl.hw: (3,)})
+    assert HW.apply_word(HW.GhatWord((HW.Letter("T", A2.coroot(0), Fr(3)),)),
+                         sl.highest_vector()) == HW.Vector(sl, {sl.hw: (3,)})
 
 
 def test_letter_indices_and_coweights_are_checked_against_the_datum():
@@ -1042,7 +1042,6 @@ _FOREIGN = FC.standard_face(HYP, (0, 1))
 
 # each public entry that reads words, applied to a word on A2
 WORD_ENTRIES = {
-    "apply_letter": lambda w: HW.apply_letter(w.letters[0], _FUND.highest_vector()),
     "apply_word": lambda w: HW.apply_word(w, _FUND.highest_vector()),
     "theta": lambda w: HW.theta(_FUND, w),
     "evaluate_word": lambda w: HW.evaluate_word(_FUND, w),

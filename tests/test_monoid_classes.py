@@ -113,7 +113,7 @@ def test_the_representative_is_computed_once_per_face_and_element(name, monkeypa
             x, y = _cls(datum, a), _cls(datum, b)
             M.wm_invert(M.wm_mul(x, y))
             M.wm_idempotent(x.face)
-            M.wm_unit(datum, y.w)
+            M.wm_normalize(y.w, F.full_cone(datum))
 
     stream()
     first = len(calls)
@@ -125,13 +125,11 @@ def test_the_representative_is_computed_once_per_face_and_element(name, monkeypa
 def test_classes_of_two_root_data_are_refused():
     hyp = KERNEL_DATA["hyperbolic-3"]
     cone = F.full_cone(hyp)
-    with pytest.raises(PreconditionViolated, match="two root data"):
+    with pytest.raises(PreconditionViolated, match="^Weyl-monoid class of a Weyl element and "
+                                                   "a face of two root data$"):
         M.wm_normalize(W.simple(A2, 0), cone)
     with pytest.raises(PreconditionViolated, match="two root data"):
         M.nhat_from(W.simple(A2, 0), face=cone)
-    with pytest.raises(PreconditionViolated, match="^Weyl-monoid class of a Weyl element and "
-                                                   "a face of two root data$"):
-        M.wm_unit(hyp, W.simple(A2, 0))
     assert W.simple(A2, 0) not in (cone._classes or {})
     # the same matrix built twice is two root data as well
     twin = build_realization(A2.gcm)

@@ -55,7 +55,7 @@ def test_weyl_monoid_laws(case):
     datum, faces, elements = case
     x, y, z = (M.wm_normalize(w, face) for w, face in zip(elements, faces))
     assert M.wm_mul(M.wm_mul(x, y), z) == M.wm_mul(x, M.wm_mul(y, z))
-    unit = M.wm_unit(datum)
+    unit = M.wm_idempotent(F.full_cone(datum))
     assert M.wm_mul(unit, x) == x == M.wm_mul(x, unit)
     xi = M.wm_invert(x)
     assert M.wm_mul(M.wm_mul(x, xi), x) == x

@@ -10,7 +10,7 @@ from kmx.cartan import (A2_ROWS, AFFINE_A1_ROWS, HYPERBOLIC_ROWS,
                         build_realization, torus_values)
 from kmx.errors import (DepthExceeded, DomainError, PreconditionViolated, RankMismatch,
                         ZeroTorusValue)
-from kmx.toric import LatticeMonoid, mhat_unit
+from kmx.toric import LatticeMonoid, mhat_idempotent, mhat_mul, mhat_normalize
 
 A2 = build_realization(A2_ROWS)
 AFF = build_realization(AFFINE_A1_ROWS)
@@ -151,9 +151,9 @@ def test_wm_stabilizer_of_facet_is_parabolic_submonoid():
             assert stabilizes(MO.wm_mul(x, y))
     # and conversely W_J units and lam-containing faces do stabilize
     for word in ((), (0,), (1,), (0, 1), (1, 0, 1)):
-        assert stabilizes(MO.wm_unit(datum, W.from_word(datum, word)))
+        assert stabilizes(MO.wm_normalize(W.from_word(datum, word), FC.full_cone(datum)))
     assert stabilizes(MO.wm_idempotent(FC.standard_face(datum, jset)))
-    assert not stabilizes(MO.wm_unit(datum, W.simple(datum, 2)))
+    assert not stabilizes(MO.wm_normalize(W.simple(datum, 2), FC.full_cone(datum)))
 
 
 def test_wm_unit_group_and_zero_affine():
@@ -168,6 +168,26 @@ def test_wm_unit_group_and_zero_affine():
             assert x == zero
         assert MO.wm_mul(x, zero) == zero and MO.wm_mul(zero, x) == zero
     assert len(seen_units) > 3
+
+
+def test_each_monoid_s_identity_is_its_idempotent_of_the_full_cone():
+    # one constructor of e(R) per monoid, and e(full cone) is the identity:
+    # W-hat, T-hat and N-hat on F, and M-hat on a lattice monoid's top face
+    rng = random.Random(51)
+    full = FC.full_cone(HYP)
+    ones = {"wm": (MO.wm_idempotent(full), MO.wm_mul, rand_wmon),
+            "that": (MO.that_idempotent(full), MO.that_mul,
+                     lambda rng, d: MO.that_normalize(rand_torus(rng, d), rand_face(rng, d))),
+            "nhat": (MO.nhat_idempotent(full), MO.nhat_mul, rand_nhat)}
+    for one, mul, draw in ones.values():
+        for _ in range(20):
+            x = draw(rng, HYP)
+            assert mul(one, x) == x == mul(x, one)
+    m = LatticeMonoid([(1, 0), (1, 2), (0, -1)], 2)
+    one = mhat_idempotent(m, m.top_face())
+    for f in m.faces():
+        x = mhat_normalize(m, (Fr(2), Fr(-3, 5)), f)
+        assert mhat_mul(one, x) == x == mhat_mul(x, one)
 
 
 # -- torus monoid ---------------------------------------------------------------
@@ -519,6 +539,7 @@ def _typed(x):
 
 _FULL = FC.full_cone(A2)
 _S1 = W.simple(A2, 0)
+_QUADRANT = LatticeMonoid([(1, 0), (0, 1)], 2)
 
 # Each reader takes one tuple of caller values (a torus element, a weight
 # or a one-value parameter) and maps good values to the results below.  The
@@ -537,8 +558,8 @@ READERS = {
                                  (Fr(1, 2), 3): ((Fr(1, 2), Fr(3)), (Fr(1, 2), 3))}),
     "nhat_from": (lambda v: MO.nhat_from(_S1, v).torus, "count", {
         (2, 3): (2, 3), (Fr(1, 2), 3): (Fr(1, 2), 3)}),
-    "mhat_unit": (lambda v: attrgetter("values", "rep")(
-        mhat_unit(LatticeMonoid([(1, 0), (0, 1)], 2), v)), "count", {
+    "mhat_normalize": (lambda v: attrgetter("values", "rep")(
+        mhat_normalize(_QUADRANT, v, _QUADRANT.top_face())), "count", {
         (2, 3): ((Fr(2), Fr(3)), (2, 3)),
         (Fr(1, 2), 3): ((Fr(1, 2), Fr(3)), (Fr(1, 2), 3))}),
     "dominant_rep": (lambda v: W.dominant_rep(A2, v).dominant, "rational", {
@@ -547,7 +568,7 @@ READERS = {
         (1, 0): True, (Fr(1, 2), 0): True}),
     "contains": (lambda v: FC.contains(_FULL, v), "rational", {
         (1, 0): True, (Fr(1, 2), 1): True}),
-    "wm_apply": (lambda v: MO.wm_apply(MO.wm_unit(A2, _S1), v), "rational", {
+    "wm_apply": (lambda v: MO.wm_apply(MO.wm_normalize(_S1, _FULL), v), "rational", {
         (1, 0): (-1, 1), (Fr(1, 2), 0): (Fr(-1, 2), Fr(1, 2))}),
     "in_span": (lambda v: FC.in_span(_FULL, v), "weight", {
         (1, 0): True, (Fr(1, 2), 0): True}),
@@ -597,7 +618,7 @@ def test_each_reader_reads_exact_values_only(name):
 
 _X1 = MO.nhat_from(_S1)
 _N1 = (_S1, _X1.torus)  # a (w, t) pair, not an NhatElt
-_M1 = MO.wm_unit(A2, _S1)
+_M1 = MO.wm_normalize(_S1, _FULL)
 _T1 = MO.that_idempotent(_FULL)
 
 # Each entry with one argument of the wrong type: each raised a raw
@@ -617,7 +638,6 @@ WRONG_TYPES = {
     "nhat_conj_idem-face": (lambda: MO.nhat_conj_idem(_X1, 1), "a Face, got int"),
     "wm_normalize-w": (lambda: MO.wm_normalize(1, _FULL), "a WeylElt, got int"),
     "wm_normalize-face": (lambda: MO.wm_normalize(_S1, 1), "a Face, got int"),
-    "wm_unit": (lambda: MO.wm_unit(A2.gcm), "a RootDatum, got GCM"),
     "wm_idempotent": (lambda: MO.wm_idempotent(_S1), "a Face, got WeylElt"),
     "wm_mul-left": (lambda: MO.wm_mul(1, _M1), "a WmonElt, got int"),
     "wm_mul-right": (lambda: MO.wm_mul(_M1, 1), "a WmonElt, got int"),

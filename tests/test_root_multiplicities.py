@@ -14,6 +14,7 @@ import pytest
 from kmx import highest_weight as HW, weyl as W
 from kmx.cartan import A2_ROWS, HYPERBOLIC_ROWS, build_realization
 from kmx.errors import InternalError
+from test_highest_weight import ORACLE_ALGEBRAS
 from test_weyl import KERNEL_DATA
 
 A2PP_ROWS = ((2, -1, -1, -1), (-1, 2, -1, 0), (-1, -1, 2, 0), (-1, 0, 0, 2))
@@ -148,6 +149,79 @@ def test_corrupted_denominator_raises_as_the_scan_does(name, monkeypatch):
         outcomes.append(got is InternalError)
     # the mutations reach both verdicts
     assert any(outcomes) and not all(outcomes)
+
+
+# -- Kac's root criterion -----------------------------------------------------------
+
+# each datum and the height to which every b of Q+ is walked: the
+# `ORACLE_ALGEBRAS`, then E10 and D8++, whose first imaginary roots lie above
+# height 9 (the null roots of their affine subdiagrams), so only their real
+# roots are walked
+ROOT_WALK_DATA = {**ORACLE_ALGEBRAS, "E10": KERNEL_DATA["E10"].gcm.a,
+                  "D8++": KERNEL_DATA["D8++"].gcm.a}
+ROOT_WALK_HEIGHTS = {"A2": 8, "B2": 8, "G2": 8, "A3": 8, "A1^(1)": 24, "A2^(2)": 24,
+                     "A2^(1)": 18, "hyperbolic-3": 24, "A3^(1)": 14, "E10": 9, "D8++": 9}
+
+
+def _walked_roots(gcm, height):
+    """{b: "real" or "imaginary"} for every root b of Q+ up to `height`, by
+    Kac's walk, which reads the GCM alone."""
+    return {b: kind for h in range(1, height + 1) for b in ref._compositions(len(gcm.a), h)
+            if (kind := ref.kac_root_walk(gcm, b))}
+
+
+@pytest.mark.parametrize("name", ROOT_WALK_DATA)
+def test_the_roots_are_kac_s_walk_and_the_real_ones_have_multiplicity_one(name):
+    # the support of the denominator's multiplicities is the walk's root
+    # set on all of Q+ up to the height; a real root has multiplicity 1.
+    # The converse fails on affine data: delta is imaginary, of multiplicity 1
+    height = ROOT_WALK_HEIGHTS[name]
+    datum = _fresh(ROOT_WALK_DATA[name])
+    walked = _walked_roots(datum.gcm, height)
+    rm = HW.root_multiplicities(datum, height)
+    assert set(rm) == set(walked)
+    assert all(rm[b] == 1 for b, kind in walked.items() if kind == "real")
+    imaginary = sum(kind == "imaginary" for kind in walked.values())
+    if name == "hyperbolic-3":  # Feingold-Frenkel's F
+        assert (len(walked), imaginary) == (347, 289)
+    if name == "A1^(1)":  # k delta for k <= 12
+        assert sorted(b for b, kind in walked.items() if kind == "imaginary") \
+            == [(k, k) for k in range(1, 13)]
+
+
+@pytest.mark.parametrize("name", MUTATION_ROWS)
+def test_a_corrupted_denominator_term_is_caught_by_the_root_walk(name, monkeypatch):
+    """One nonzero term of the denominator dropped, negated or doubled: the
+    push raises InternalError, or its support is not the walk's root set,
+    or a real root's multiplicity is not 1.  Some corruptions pass the
+    push's own natural-number check and are caught by the walk alone."""
+    rows = MUTATION_ROWS[name]
+    height = 10
+    walked = _walked_roots(_fresh(rows).gcm, height)
+    true_denominator = W.denominator
+    terms = sorted(b for b in true_denominator(_fresh(rows), height) if any(b))
+    rng = random.Random(name)
+    by_walk = 0
+    for _ in range(40):
+        beta, kind = rng.choice(terms), rng.choice(("drop", "negate", "double"))
+
+        def corrupted(datum, max_height, beta=beta, kind=kind):
+            d = true_denominator(datum, max_height)
+            if kind == "drop":
+                del d[beta]
+            else:
+                d[beta] *= -1 if kind == "negate" else 2
+            return d
+
+        monkeypatch.setattr(W, "denominator", corrupted)
+        try:
+            rm = HW.root_multiplicities(_fresh(rows), height)
+        except InternalError:
+            continue
+        assert set(rm) != set(walked) or any(
+            rm.get(b) != 1 for b, kind in walked.items() if kind == "real"), (beta, kind)
+        by_walk += 1
+    assert by_walk
 
 
 # -- closed forms ------------------------------------------------------------------

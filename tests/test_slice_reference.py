@@ -288,7 +288,8 @@ def _refuse_n_memos(sl):
     for sp in sl.spaces.values():
         for i in range(sl.datum.n if sp.height == sl.depth else 0):
             try:
-                HW.apply_letter(HW.nsimple(i), HW.Vector(sl, {sp.weight: (1,) + (0,) * (sp.dim - 1)}))
+                HW.apply_word(HW.GhatWord((HW.nsimple(i),)),
+                              HW.Vector(sl, {sp.weight: (1,) + (0,) * (sp.dim - 1)}))
             except DepthExceeded:
                 refused += 1
     return refused

@@ -24,7 +24,7 @@ from exact_reference import eval_character, toric_faces
 from kmx import exact
 from kmx.errors import DomainError, InternalError, NotInMonoid, RankMismatch
 from kmx.exact import vec_dot
-from kmx.toric import LatticeMonoid, MonoidFace, mhat_mul, mhat_normalize, mhat_unit
+from kmx.toric import LatticeMonoid, MonoidFace, mhat_mul, mhat_normalize
 
 
 def _cones(seed=63, count=80):
@@ -94,7 +94,6 @@ def test_point_queries_agree_with_scan_and_pairing_references():
             assert m.contains(x) == (act is not None)
             for f in fl:
                 assert m.face_contains(f, x) == _ref_face_contains(m, f, x)
-                assert m.relative_interior_contains(f, x) == (act == f.active)
             if act is None:
                 for call in (m.active_set, m.face_of, m.principal_open, elts[-1]):
                     with pytest.raises(NotInMonoid):
@@ -104,7 +103,7 @@ def test_point_queries_agree_with_scan_and_pairing_references():
             assert m.active_set(x) == act
             assert m.face_of(x) is _ref_face_of(m, x)
             own = m.face_of(x)
-            assert m.principal_open(x) == tuple(g for g in fl if m.face_leq(own, g))
+            assert m.principal_open(x) == tuple(g for g in fl if own in m.subfaces(g))
             for e in elts:
                 want = (eval_character(e.face.hull, e.values, x)
                         if _ref_face_contains(m, e.face, x) else Fr(0))
@@ -141,7 +140,7 @@ def test_wrong_length_is_a_rank_mismatch_for_every_point_query():
     top = m.top_face()
     for call in (m.contains, m.active_set, m.face_of, m.principal_open,
                  lambda x: m.face_contains(top, x),
-                 lambda x: m.relative_interior_contains(top, x)):
+                 lambda x: m.contains(x) and m.face_of(x) == top):
         with pytest.raises(RankMismatch):
             call((1, 2, 3))
 
@@ -179,13 +178,12 @@ class _Rows(tuple):
 def test_each_point_query_makes_one_pairing_pass():
     for m in _cones(seed=64, count=25):
         fl = m.faces()
-        elt = mhat_unit(m, (Fr(2),) * m.rank)
+        elt = mhat_normalize(m, (Fr(2),) * m.rank, fl[-1])
         m.equalities, m.inequalities = _Rows(m.equalities), _Rows(m.inequalities)
         one_pass = len(m.equalities) + len(m.inequalities)
         for x in _box(m.rank)[::7]:
             member = _ref_active(m, x) is not None
-            queries = [m.contains, lambda x: m.face_contains(fl[0], x),
-                       lambda x: m.relative_interior_contains(fl[-1], x)]
+            queries = [m.contains, lambda x: m.face_contains(fl[0], x)]
             if member:
                 queries += [m.active_set, m.face_of, m.principal_open, elt]
             for query in queries:
@@ -215,8 +213,8 @@ def test_mhat_products_units_and_values_solve_no_system(monkeypatch):
     ops = 0
     for m in _cones(seed=69, count=25):
         fl = m.faces()
-        units = [mhat_unit(m, tuple(Fr(rng.choice([2, -3]), rng.choice([1, 7]))
-                                    for _ in range(m.rank))) for _ in range(2)]
+        units = [mhat_normalize(m, tuple(Fr(rng.choice([2, -3]), rng.choice([1, 7]))
+                                         for _ in range(m.rank)), fl[-1]) for _ in range(2)]
         elts = units + [mhat_mul(units[0], mhat_normalize(m, units[1].rep, f)) for f in fl]
         for x in _box(m.rank)[::3]:
             if m.contains(x):
@@ -304,13 +302,14 @@ def test_a_hull_of_the_wrong_size_is_an_internal_error():
 
 
 def _point_queries(m):
-    """Every point query of m, by name: the monoid's and an M-hat value."""
+    """Every point query of m, by name: the monoid's, an M-hat value, and
+    the relative interior of the top face, `contains` and `face_of`."""
     top = m.top_face()
     return {"contains": m.contains, "active_set": m.active_set, "face_of": m.face_of,
             "face_contains": lambda x: m.face_contains(top, x),
-            "relative_interior_contains": lambda x: m.relative_interior_contains(top, x),
+            "relative_interior_contains": lambda x: m.contains(x) and m.face_of(x) == top,
             "principal_open": m.principal_open,
-            "mhat_value": mhat_unit(m, tuple(Fr(k + 2) for k in range(m.rank)))}
+            "mhat_value": mhat_normalize(m, tuple(Fr(k + 2) for k in range(m.rank)), top)}
 
 
 @pytest.mark.parametrize("query", ["contains", "active_set", "face_of", "face_contains",
@@ -343,9 +342,10 @@ def test_each_point_query_locates_its_point_once(monkeypatch):
         for x in _box(m.rank)[::5]:
             if _ref_active(m, x) is None:
                 continue
-            for query in queries.values():
+            for name, query in queries.items():
                 calls.clear()
                 query(x)
-                assert len(calls) == 1
+                # the relative interior is two entries, `contains` and `face_of`
+                assert len(calls) == 1 + (name == "relative_interior_contains"), name
                 asked += 1
     assert asked > 100, asked

@@ -637,8 +637,11 @@ def _time_guard(seconds):
     (HYP, ((-1, 0, 0), (0, -1, 0), (0, 0, -1)), "passed ht(rho - w.rho)"),
     (A2, ((2, 0), (0, 2)), "w.rho is dominant but differs from rho"),
     (A2, ((-1, 0), (0, 5)), "passed ht(rho - w.rho) = -2 steps"),  # a negative height
+    # w.rho = rho + alpha_1 - alpha_2, of height 0, turns dominant, as (2, 2),
+    # one step past the bound: the bound is exact
+    (A2, ((4, 0), (0, -2)), "passed ht(rho - w.rho) = 0 steps"),
 ], ids=["affine-reflection-of-one-row", "hyperbolic-minus-identity", "A2-doubled",
-        "A2-negative-height"])
+        "A2-negative-height", "A2-dominant-one-step-past-the-bound"])
 def test_a_hand_built_non_weyl_matrix_has_no_word(datum, p, message):
     # the canonical word and the coset walks walk w.rho (or w^-1 rho) up to
     # rho; each step raises it by a positive multiple of alpha_i, so

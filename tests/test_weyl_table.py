@@ -66,6 +66,10 @@ def test_a_directly_built_element_is_equal_and_hashes_alike(name):
         assert hash(direct) == hash(w) and {w: 1}[direct] == 1
         assert direct.word == w.word and direct.inv() is w.inv()
         assert direct * W.identity_elt(datum) == w
+    # the identity too, which is_identity reads by P, not by the table's object
+    e = W.identity_elt(datum)
+    direct = W.WeylElt(datum, e.mat_p, e.mat_p_inv)
+    assert direct is not e and direct.is_identity()
 
 
 @pytest.mark.parametrize("name", list(DATA))
