@@ -33,7 +33,9 @@ equal.  A word runs in one raw pass: its letters act on int parts keyed
 by the WeightSpace, over one running denominator, along the edges, and
 the word reduces once, to a Vector, at its end.  An X+- letter sums its
 exponential series in ints and drops the parts that cancel; the T letter
-reads s^<wt,h> as an int pair.
+reads s^<wt,h> as an int pair.  The Chevalley generators e_i and f_i reach
+a Vector by one route, apply_chevalley: one `_step` per generator along
+the edges, in the same raw pass, so only this module knows the raw format.
 
 The N letter is the lift n_i = exp(e_i) exp(-f_i) exp(e_i), which maps the
 space at mu onto the one at s_i mu (Kac, Lemma 3.8).  Each WeightSpace keeps
@@ -58,16 +60,18 @@ value is exact:
 theta reads the top coordinate of the raw pass on v_top, since the top Gram
 matrix is ((1,),).  The one column pass, `_columns`, applies words to the
 basis in height order up to a height bound and raises DepthExceeded at the
-first vector a word leaves the window from.  word_columns wraps its raw
-images as Vectors, which probe_equal compares and verify's fitted probes
-cut below the vector it stopped at; evaluate_word reads them raw.  Fraction
-appears only in the letter parameters and in the values handed back by
-theta, matrix_coefficient, inner, evaluate_word and Distinct.
+first vector a word leaves the window from.  word_columns and probe_equal
+wrap its raw images as Vectors, which probe_equal compares and verify's
+fitted probes cut below the vector it stopped at; evaluate_word reads them
+raw.  Fraction appears only in the letter parameters and in the values
+handed back by theta, matrix_coefficient, inner, evaluate_word and
+Distinct.
 
 A Letter reads its fields once, when it is built; the one word reader,
 `_read_word`, checks each letter against the datum before any is applied,
 and format_word only prints.  The entries read their other arguments at the
-API boundary (`cartan`); build_basis builds a slice it has not cached
+API boundary (`cartan`); build_basis and probe_equal take a slice through
+one cache lookup, `_cached_slice`, which builds a slice it has not cached
 without reading again (`ModuleSlice._setup`), and bruhat_cell runs the
 Weyl-monoid cores.
 bruhat_cell reads the cell of a factored word in the Weyl monoid W-hat,
@@ -567,12 +571,19 @@ def build_basis(datum: RootDatum, hw: Sequence[int], depth: int,
     """ModuleSlice(datum, hw, depth), cached on the datum.  The input checks
     and guards run on every call, before the cache is read; a miss builds
     the slice without reading them again (`ModuleSlice._setup`)."""
-    key = (_check_dominant(_check_datum(datum), hw), depth)
+    hw = _check_dominant(_check_datum(datum), hw)
     _depth_guard(datum, depth, max_depth)
+    return _cached_slice(datum, hw, depth)
+
+
+def _cached_slice(datum: RootDatum, hw: Wt, depth: int) -> ModuleSlice:
+    """`build_basis` on a datum, highest weight and depth read and guarded:
+    the cache lookup, which reads nothing."""
     cache = datum.__dict__.setdefault("_slice_cache", {})
+    key = (hw, depth)
     if key not in cache:
         sl = ModuleSlice.__new__(ModuleSlice)
-        sl._setup(datum, *key)
+        sl._setup(datum, hw, depth)
         cache[key] = sl
     return cache[key]
 
@@ -864,6 +875,28 @@ def apply_word(word: GhatWord, v: Vector) -> Vector:
                                   v.den))
 
 
+def apply_chevalley(ops: Sequence, v: Vector) -> Vector:
+    """The Chevalley generators e_i and f_i applied to v: ops is a sequence
+    of ("e", i) and ("f", i), applied last first, as `apply_word` applies its
+    letters.  Every op is read before any step: an op that is not such a
+    pair is a DomainError, and its index is read by check_index.  The steps
+    run on raw parts over one running denominator, reduced once.  An
+    operator that leaves the window raises DepthExceeded, as a word does; a
+    missing edge is a certified zero."""
+    sl = _read_slice(getattr(v, "slice", None), v)
+    steps = []
+    for op in entries(ops, "op"):
+        if not (isinstance(op, tuple) and len(op) == 2 and op[0] in ("e", "f")):
+            raise DomainError(f"op {op!r} is not ('e', i) or ('f', i)")
+        check_index(sl.datum.n, op[1])
+        steps.append((op[1], 1 if op[0] == "e" else -1))
+    parts, den = {sl.spaces[wt]: u for wt, u in v.parts.items()}, v.den
+    for i, sign in reversed(steps):
+        parts, m = _step(sl, parts, i, sign)
+        den *= m
+    return _vector(sl, parts, den)
+
+
 def _columns(sl: ModuleSlice, read: Sequence[Sequence[Letter]],
              max_height: Optional[int]):
     """`word_columns` on words read by `_read_word`, each image the raw
@@ -1002,33 +1035,43 @@ def probe_equal(datum: RootDatum, w1: GhatWord, w2: GhatWord, probes: Sequence):
     Each probe is (hw, depth) or (hw, depth, max_height), and anything else
     is a DomainError, as is an empty probe list; the third entry restricts
     the compared columns to basis vectors of bounded height so that words
-    with lowering content fit inside the window on infinite modules.  Each
-    word makes its own full pass over the columns, w1 first, so a word that
-    leaves the window raises DepthExceeded even when the other already
-    differs.  The images are compared as sparse vectors;
-    Distinct holds the first differing entry in row-major order, the only
-    one formed as a Fraction.  EqualOnProbes is NOT a proof of equality in
+    with lowering content fit inside the window on infinite modules.  Both
+    words and every probe are read, once, before any slice is built, so a
+    malformed argument raises whatever the words are.  Each word makes its
+    own full pass over the columns, w1 first, so a word that leaves the
+    window raises DepthExceeded even when the other already differs.  The
+    images are compared as sparse vectors; Distinct holds the first
+    differing entry in row-major order, the only one formed as a Fraction.  EqualOnProbes is NOT a proof of equality in
     the ambient monoid; Distinct returns an exact witness coefficient.
     """
     _check_datum(datum)
+    read1, read2 = _read_word(datum, w1), _read_word(datum, w2)
     probes = entries(probes, "probe")
     if not probes:
         raise DomainError("probe list is empty, so no probe could tell the words apart")
-    tried = []
+    shapes = []
     for probe in probes:
         shape = entries(probe, "probe")
         if len(shape) not in (2, 3):
             raise DomainError(f"probe {probe!r} is not (hw, depth) or (hw, depth, max_height)")
         hw, d, hmax = (*shape, None)[:3]
-        sl = build_basis(datum, hw, d)
-        cols1 = list(word_columns(sl, (w1,), hmax))
-        cols2 = list(word_columns(sl, (w2,), hmax))
-        diffs = [(_first_difference(a, b), c) for c, ((_, _, (a,)), (_, _, (b,)))
+        hw = _check_dominant(datum, hw)
+        _depth_guard(datum, d, None)
+        if hmax is not None:
+            natural(hmax, "height")
+        shapes.append((hw, d, hmax))
+    tried = []
+    for hw, d, hmax in shapes:
+        sl = _cached_slice(datum, hw, d)
+        cols1 = [(wt, k, _vector(sl, *image)) for wt, k, (image,)
+                 in _columns(sl, (read1,), hmax)]
+        cols2 = [_vector(sl, *image) for _, _, (image,) in _columns(sl, (read2,), hmax)]
+        diffs = [(_first_difference(a, b), c) for c, ((_, _, a), b)
                  in enumerate(zip(cols1, cols2)) if a != b]
         if diffs:
             (_, wt, j), c = min(diffs)
-            col_wt, k, (a,) = cols1[c]
-            (b,) = cols2[c][2]
+            col_wt, k, a = cols1[c]
+            b = cols2[c]
             return Distinct(probe=(sl.hw, d), row=(wt, j), col=(col_wt, k),
                             left=_entry(a, wt, j), right=_entry(b, wt, j))
         tried.append((sl.hw, d))

@@ -72,7 +72,12 @@ distinct element the datum meets, about 0.6 KB each at rank 10 with its
 memos; it lives as long as its datum, so building a new `RootDatum` starts
 a fresh table.  A `WeylElt` built directly equals and hashes like the
 table's element with the same P, but is not in the table; its products
-read its word, so one that is no Weyl element raises there.
+read its word.  That word is the descent walk from w.rho, which raises
+InternalError exactly when w.rho is not in the orbit W.rho: the walk passes
+ht(rho - w.rho) steps, or ends at a dominant weight other than rho.  A
+matrix that is no Weyl element but moves rho to some u.rho gets u's word
+without an error, and its products are u's: the A2 diagram swap
+((0, 1), (1, 0)) fixes rho, so its word is () (ROADMAP, Known defects).
 """
 
 from __future__ import annotations

@@ -89,10 +89,15 @@ n_w t e(R) is found through the centralizer lift m = n_{w_R} n_vbar
 n_{w_R}^{-1} of the leftover v = w_R vbar w_R^{-1}, read as v(s0 b) on
 that basis.
 
-Last come two references the package never ran.  `bruhat_ideal` is the
+Last come three references the package never ran.  `bruhat_ideal` is the
 subword property of the Bruhat order (Bjorner and Brenti, Combinatorics of
 Coxeter Groups, Thm 2.2.2): v <= w iff v is the product of a subword of one
-reduced word of w, here w's canonical word.  `kac_root_walk` is Kac's root
+reduced word of w, here w's canonical word.  `demazure` is the Demazure
+operator D_i e^mu = (e^mu - e^{s_i mu - alpha_i}) / (1 - e^{-alpha_i}) on a
+character; D_w = D_{i1} ... D_{ik} along a reduced word of w gives the
+character of the Demazure module V_w(lam) as D_w e^lam (Kumar, Kac-Moody
+Groups, their Flag Varieties and Representation Theory, ch. 8).  It reads
+only the simple roots.  `kac_root_walk` is Kac's root
 criterion (Infinite-dimensional Lie algebras, Prop. 5.1 and Thm 5.4): the
 real roots are W Pi and the positive imaginary ones are W K, for K the b in
 Q+ with <b, alpha_i^vee> <= 0 for all i and connected support.  It reads
@@ -989,6 +994,21 @@ def bruhat_ideal(w: W.WeylElt) -> set:
         s = W.simple(w.datum, i)
         ideal |= {x * s for x in ideal}
     return ideal
+
+
+def demazure(datum: RootDatum, i: int, char: dict) -> dict:
+    """D_i on a character {weight: coefficient}: e^mu goes to e^mu + ... +
+    e^{mu - k alpha_i} for k = <mu, h_i> >= 0, and to -(e^{mu + alpha_i} +
+    ... + e^{mu + (-k - 1) alpha_i}) for k < 0."""
+    alpha = datum.alpha[i]
+    out = {}
+    for mu, c in char.items():
+        k = mu[i]
+        steps, sign = (range(0, -k - 1, -1), 1) if k >= 0 else (range(1, -k), -1)
+        for j in steps:
+            nu = tuple(x + j * a for x, a in zip(mu, alpha))
+            out[nu] = out.get(nu, 0) + sign * c
+    return {mu: c for mu, c in out.items() if c}
 
 
 def kac_root_walk(gcm: GCM, b: Beta) -> Optional[str]:

@@ -102,6 +102,7 @@ VALID = {
     "highest_weight.weights_and_mults": (F, (1, 0, 0), 2),
     "highest_weight.build_basis": (F, (1, 0, 0), 2),
     "highest_weight.apply_word": (_WORD, _V),
+    "highest_weight.apply_chevalley": ((("e", 0),), _V),
     "highest_weight.word_columns": (_SL, (_WORD,)),
     "highest_weight.evaluate_word": (_SL, _WORD),
     "highest_weight.inner": (_SL, _V, _V),
@@ -151,7 +152,7 @@ def _required(f) -> int:
 
 def test_the_sweep_covers_every_public_callable():
     assert sorted(PUBLIC) == sorted(VALID)
-    assert len(PUBLIC) == 70
+    assert len(PUBLIC) == 71
     for name, f in PUBLIC.items():
         assert len(VALID[name]) == _required(f), name
         f(*VALID[name])  # the valid arguments are valid
@@ -231,8 +232,8 @@ def test_a_one_shot_iterable_gives_what_its_tuple_gives(name, f, args, kwargs):
 
 def test_the_one_shot_sweep_reaches_the_double_readers():
     names = [c[0] for c in SHOT_CASES]
-    assert len(SHOT_CASES) == 32 and len(set(names)) == 31
-    assert len(set(SHOT_IDS)) == 32
+    assert len(SHOT_CASES) == 33 and len(set(names)) == 32
+    assert len(set(SHOT_IDS)) == 33
     assert [i for i in SHOT_IDS if i not in names] == ["faces.contains-1", "faces.contains-2"]
     assert {"monoids.that_eval", "faces.contains", "MhatElt.__call__", "cartan.one_based",
             "exact.primitive"} <= set(names)
@@ -254,6 +255,7 @@ def _fresh():
         "n": MO.nhat_from(u, t, r), "m": MO.nhat_from(v, t, s), "unit": MO.nhat_from(v, t),
         "tx": MO.that_normalize(t, r), "ty": MO.that_normalize(t, s),
         "word": HW.parse_word(datum, "N(1) E(w=1; theta=1,2) N(2)"),
+        "v": HW.build_basis(datum, (1, 1, 1), 2).highest_vector(),
     }
 
 
@@ -274,6 +276,8 @@ READS = {
     "intersect": (lambda a: FC.intersect(a["r"], a["s"]), 2),
     "bruhat_le": (lambda a: W.bruhat_le(a["u"], a["u"]), 2),
     "canonical": (lambda a: a["n"].canonical(), 0),
+    # a Vector is read by its type, through no `_expect`
+    "apply_chevalley": (lambda a: HW.apply_chevalley((("e", 0), ("f", 0)), a["v"]), 0),
 }
 
 

@@ -4,11 +4,11 @@ balls of W:
 - the subword property (`exact_reference.bruhat_ideal`): v <= w iff v is
   the product of a subword of a reduced word of w;
 - the support of the Demazure character: D_w e^rho, for D_w = D_{i1} ...
-  D_{ik} along a reduced word of w and D_i e^mu = (e^mu - e^{s_i mu -
-  alpha_i}) / (1 - e^{-alpha_i}), is nonzero at v rho iff v <= w, since rho
+  D_{ik} along a reduced word of w and D_i the reference
+  `exact_reference.demazure`, is nonzero at v rho iff v <= w, since rho
   is regular (Kumar, Kac-Moody Groups, their Flag Varieties and
   Representation Theory, ch. 8).  Its coefficients are dimensions, so none
-  is negative.
+  is negative; `test_demazure.py` checks them against the slices.
 
 The balls are those of every w with l(w) <= the radius: A2 (all of W), G2
 and affine A1 to 6, A2^(1) to 4, Feingold-Frenkel's F to 6, A3^(1) to 5,
@@ -37,21 +37,6 @@ BALLS = {
 }
 
 
-def _demazure(datum, i, char):
-    """D_i on a character {weight: coefficient}: e^mu goes to e^mu + ... +
-    e^{mu - k alpha_i} for k = <mu, h_i> >= 0, and to -(e^{mu + alpha_i} +
-    ... + e^{mu + (-k - 1) alpha_i}) for k < 0."""
-    alpha = datum.alpha[i]
-    out = {}
-    for mu, c in char.items():
-        k = mu[i]
-        steps, sign = (range(0, -k - 1, -1), 1) if k >= 0 else (range(1, -k), -1)
-        for j in steps:
-            nu = tuple(x + j * a for x, a in zip(mu, alpha))
-            out[nu] = out.get(nu, 0) + sign * c
-    return {mu: c for mu, c in out.items() if c}
-
-
 def _ball(datum, radius):
     """{w: D_w e^rho} for every w with l(w) <= radius, by s_i w for each
     left ascent i, with D_{s_i w} = D_i D_w."""
@@ -66,7 +51,7 @@ def _ball(datum, radius):
                     continue
                 sw = W.simple(datum, i) * w
                 if sw not in chars:
-                    chars[sw] = _demazure(datum, i, chars[w])
+                    chars[sw] = ref.demazure(datum, i, chars[w])
                     nxt.append(sw)
         layer = nxt
     return chars

@@ -100,7 +100,7 @@ def test_word_entries_check_no_letter_themselves():
         assert _own_letter_checks(funcs[name]) == [], name
     assert _own_letter_checks(funcs["_read_word"]) == ["check_index call"]
     assert "_read_letter" not in funcs
-    for name in ("apply_word", "word_columns", "bruhat_cell", "format_word"):
+    for name in ("apply_word", "word_columns", "probe_equal", "bruhat_cell", "format_word"):
         assert "_read_word" in _names(funcs[name]), name
     # a word takes Letters only, read once, when it is built
     assert {"entries", "Letter"} <= _names(methods["GhatWord", "__post_init__"])
@@ -244,6 +244,7 @@ _NO_WORD = HW.GhatWord(())
 # what it says; each ended in a raw AttributeError
 WRONG_TYPES = {
     "apply_word": (lambda: HW.apply_word(_NO_WORD, 3), "3 is not a Vector"),
+    "apply_chevalley": (lambda: HW.apply_chevalley((("e", 0),), 3), "3 is not a Vector"),
     "format_word": (lambda: HW.format_word("N(1)"), "'N(1)' is not a GhatWord"),
     "probe_equal": (lambda: HW.probe_equal("x", _NO_WORD, _NO_WORD, [((1, 0), 2)]),
                     "expected a RootDatum, got str"),

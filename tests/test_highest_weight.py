@@ -20,14 +20,6 @@ AFF = build_realization(AFFINE_A1_ROWS)
 HYP = build_realization(HYPERBOLIC_ROWS)
 
 
-def _apply(v, i, sign):
-    """e_i v (sign 1) or f_i v (sign -1), through the engine's one step on
-    parts keyed by weight space."""
-    sl = v.slice
-    parts, m = HW._step(sl, {sl.spaces[wt]: u for wt, u in v.parts.items()}, i, sign)
-    return HW.Vector(sl, {sp.weight: tuple(u) for sp, u in parts.items()}, m * v.den)
-
-
 # -- weights and multiplicities ----------------------------------------------------
 
 
@@ -87,8 +79,8 @@ def test_build_basis_examples():
     sl = HW.build_basis(A2, (1, 0), 2)
     assert sum(sl.dims().values()) == 3
     v = sl.highest_vector()
-    assert not _apply(v, 0, -1).is_zero()
-    assert _apply(v, 1, -1).is_zero()  # <f_2 v | f_2 v> = Lambda_1(h_2) = 0
+    assert not HW.apply_chevalley([("f", 0)], v).is_zero()
+    assert HW.apply_chevalley([("f", 1)], v).is_zero()  # <f_2 v | f_2 v> = Lambda_1(h_2) = 0
 
     sl = HW.build_basis(AFF, (1, 0, 0), 1)
     assert sl.dims() == {(1, 0, 0): 1, (-1, 2, 0): 1}
@@ -280,8 +272,38 @@ def test_depth_certified_zero_at_boundary():
     sl = HW.build_basis(A2, (1, 0), 2)
     low = (0, -1)
     unit = HW.Vector(sl, {low: (1,)})
-    assert _apply(unit, 0, -1).is_zero()
-    assert _apply(unit, 1, -1).is_zero()
+    assert HW.apply_chevalley([("f", 0)], unit).is_zero()
+    assert HW.apply_chevalley([("f", 1)], unit).is_zero()
+
+
+def test_apply_chevalley_at_the_window_s_edge():
+    # affine A1, L(Lambda_0) at depth 1: below f_1 v, f_1 is a certified zero
+    # and f_2 leaves the window, at the weight the word X-(2) X-(1) names
+    sl = HW.build_basis(AFF, (1, 0, 0), 1)
+    top = sl.highest_vector()
+    assert HW.apply_chevalley([("f", 0), ("f", 0)], top).is_zero()
+    assert HW.apply_chevalley([("e", 0), ("f", 0)], top) == top
+    with pytest.raises(DepthExceeded) as err:
+        HW.apply_chevalley([("f", 1), ("f", 0)], top)
+    with pytest.raises(DepthExceeded) as word_err:
+        HW.apply_word(HW.GhatWord((HW.xminus(1, 1), HW.xminus(0, 1))), top)
+    assert (err.value.needed, err.value.weight) == (2, word_err.value.weight)
+
+
+@pytest.mark.parametrize("ops,message", [
+    ([("g", 0)], "op ('g', 0) is not ('e', i) or ('f', i)"),
+    ([("e", 0, 1)], "op ('e', 0, 1) is not ('e', i) or ('f', i)"),
+    ([HW.nsimple(0)], "op ('N', 0) is not ('e', i) or ('f', i)"),
+    ([("e", 2)], "simple index 3 out of range 1..2"),
+    ([("f", True)], "simple index True is not an integer"),
+    # every op is read before any step: f_1 f_2 f_1 v_rho leaves the window
+    ([("e", 7), ("f", 0), ("f", 1), ("f", 0)], "simple index 8 out of range 1..2"),
+])
+def test_apply_chevalley_reads_every_op_first(ops, message):
+    # a v that is not a Vector is a row of test_guards.WRONG_TYPES
+    v = HW.build_basis(A2, A2.rho(), 2).highest_vector()
+    with pytest.raises(DomainError, match=re.escape(message)):
+        HW.apply_chevalley(ops, v)
 
 
 def _minus(wt, k, alpha):
@@ -405,7 +427,7 @@ def test_unipotent_radical_fixes_parabolic_submodule():
         new = []
         for v in frontier:
             for j in jset:
-                img = _apply(v, j, -1)
+                img = HW.apply_chevalley([("f", j)], v)
                 if not img.is_zero():
                     new.append(img)
         vecs.extend(new)
@@ -728,7 +750,7 @@ def test_a_size_that_is_not_an_int_is_a_domain_error(size):
 def test_zero_vectors_compare_equal():
     # e_1 of the top vector is zero; it used to keep the source's den 3
     sl = HW.build_basis(A2, (1, 1), 2)
-    zero = _apply(HW.Vector(sl, {sl.hw: (1,)}, 3), 0, 1)
+    zero = HW.apply_chevalley([("e", 0)], HW.Vector(sl, {sl.hw: (1,)}, 3))
     assert zero.is_zero() and zero.den == 1
     assert zero == HW.Vector(sl, {}) == HW.Vector(sl, {sl.hw: (0,)}, 7)
     top = HW.Vector(sl, {sl.hw: (2,)}, 4)
@@ -913,6 +935,26 @@ def test_a_dominant_weight_below_the_top_need_not_be_a_weight():
     assert sl._is_weight((1, 0, 1), c) and sl.dims()[(1, 0, 1)] == 1
 
 
+def test_a_dominance_walk_past_sum_c_steps_is_an_internal_error():
+    # a c that does not match nu: after its one unit of c is spent, the walk
+    # from (-1, 0) still meets a negative coordinate
+    sl = HW.build_basis(A2, (1, 0), 2)
+    with pytest.raises(InternalError, match=re.escape("dominance walk to [1, -1] passed sum c")):
+        sl._is_weight((-1, 0), (1, 0))
+
+
+def test_an_n_letter_that_leaves_its_target_space_is_an_internal_error():
+    # doubling f_1 at the top of A2's adjoint slice breaks [e_1, f_1] = h_1
+    # there, so n_1 v_rho keeps a part at rho
+    sl = HW.ModuleSlice(A2, A2.rho(), 4)
+    top = sl.spaces[sl.hw]
+    tgt, mat, den = top.down[0]
+    top.down[0] = (tgt, tuple(tuple(2 * x for x in row) for row in mat), den)
+    with pytest.raises(InternalError, match=re.escape(
+            "n_1 maps a basis vector at (1, 1) outside the space at (-1, 2)")):
+        HW.apply_word(HW.GhatWord((HW.nsimple(0),)), sl.highest_vector())
+
+
 def test_a_predicted_weight_with_a_zero_space_is_an_internal_error():
     # a rule that calls every weight one step down a weight meets a zero
     # Gram matrix on L(Lambda_3) of the hyperbolic matrix
@@ -1011,6 +1053,29 @@ def test_probe_equal_reads_each_probe_shape(probe, message):
     with pytest.raises(DomainError, match=re.escape(message)):
         HW.probe_equal(A2, w, w, [((1, 0), 2), probe])
     assert HW.probe_equal(A2, w, w, [[(1, 0), 3, 1]]) == HW.EqualOnProbes((((1, 0), 3),))
+
+
+@pytest.mark.parametrize("bad,error,message", [
+    ("garbage", DomainError, "probe 'garbage' is not (hw, depth) or (hw, depth, max_height)"),
+    (((1, 0), "x"), DomainError, "depth 'x' is not an integer"),
+    (((1, 0), 2, -1), DomainError, "height -1 is negative"),
+    (((0, -1), 2), NotDominant, "(0, -1) is not dominant"),
+    (((1, 0), 9), DepthTooLarge, "depth 9 over the default cap 8"),
+])
+def test_probe_equal_reads_every_probe_before_it_builds(bad, error, message, monkeypatch):
+    # the first probe tells X-(1;1) from the empty word, and the bad second
+    # probe gave Distinct there, but raised on two equal words
+    w1, w2 = HW.GhatWord((HW.xminus(0, 1),)), HW.GhatWord(())
+    calls = []
+    real = HW._read_word
+    monkeypatch.setattr(HW, "_read_word", lambda *a: calls.append(a) or real(*a))
+    for pair in ((w1, w2), (w1, w1)):
+        with pytest.raises(error, match=re.escape(message)):
+            HW.probe_equal(A2, *pair, [((1, 0), 2), bad])
+    # each word is read once, not once per probe
+    calls.clear()
+    assert isinstance(HW.probe_equal(A2, w1, w1, [((1, 0), 2), ((0, 1), 3)]), HW.EqualOnProbes)
+    assert len(calls) == 2
 
 
 def test_an_empty_probe_list_is_a_domain_error():

@@ -8,8 +8,8 @@ The build reads the basis off the e-images that `_e_images` forms through
 [e_i, f_i] = h_i, so the commutator checks the data that decides the basis,
 and the Serre relations hold in L(hw) only because the build quotients out
 the radical (Kac, Infinite-dimensional Lie algebras, ch. 3 and 9).  Each
-operator is one `_step` on raw parts; a DepthExceeded puts the instance
-outside the window, and it is not counted.
+monomial runs through `highest_weight.apply_chevalley`; a DepthExceeded
+puts the instance outside the window, and it is not counted.
 """
 
 import math
@@ -24,14 +24,11 @@ from kmx.cartan import build_realization
 from kmx.errors import DepthExceeded
 
 
-def _apply(sl, sp, k, ops):
-    """The word ops, a sequence of (i, sign) applied last first, on basis
-    vector k of sp, as {weight: Fraction coordinates}."""
-    parts, den = {sp: [int(j == k) for j in range(sp.dim)]}, 1
-    for i, sign in reversed(ops):
-        parts, m = HW._step(sl, parts, i, sign)
-        den *= m
-    return {s.weight: [Fraction(x, den) for x in u] for s, u in parts.items()}
+def _apply(ops, b):
+    """The monomial ops, ("e", i) and ("f", i) applied last first, on the
+    basis Vector b, as {weight: Fraction coordinates}."""
+    v = HW.apply_chevalley(ops, b)
+    return {wt: [Fraction(x, v.den) for x in u] for wt, u in v.parts.items()}
 
 
 def _combine(terms):
@@ -54,7 +51,7 @@ def relation_check(sl):
 
     def decide(kind, where, terms):
         try:
-            value = _combine((c, _apply(sl, sp, k, ops)) for c, ops in terms)
+            value = _combine((c, _apply(ops, b)) for c, ops in terms)
         except DepthExceeded:
             return
         counts[kind] += 1
@@ -64,19 +61,20 @@ def relation_check(sl):
     for wt in sl.order:
         sp = sl.spaces[wt]
         for k in range(sp.dim):
+            b = HW.Vector(sl, {wt: tuple(int(j == k) for j in range(sp.dim))})
             for i in range(n):
                 for j in range(n):
                     # e_i f_j - f_j e_i - delta_ij <wt, h_i>
-                    terms = [(1, ((i, 1), (j, -1))), (-1, ((j, -1), (i, 1)))]
+                    terms = [(1, (("e", i), ("f", j))), (-1, (("f", j), ("e", i)))]
                     if i == j:
                         terms.append((-wt[i], ()))
                     decide("commutator", (wt, k, i, j), terms)
                     if i == j:
                         continue
                     big_n = 1 - a[i][j]
-                    for kind, sign in (("f-Serre", -1), ("e-Serre", 1)):
+                    for kind, x in (("f-Serre", "f"), ("e-Serre", "e")):
                         terms = [((-1) ** m * math.comb(big_n, m),
-                                  ((i, sign),) * m + ((j, sign),) + ((i, sign),) * (big_n - m))
+                                  ((x, i),) * m + ((x, j),) + ((x, i),) * (big_n - m))
                                  for m in range(big_n + 1)]
                         decide(kind, (wt, k, i, j), terms)
     return counts, bad

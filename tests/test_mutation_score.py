@@ -78,3 +78,16 @@ def test_a_site_whose_edit_changes_the_grouping_is_refused():
                     if isinstance(getattr(nodes[n], "op", None), ast.And))
     with pytest.raises(ValueError, match="mutated tree"):
         MS.mutate(source, node, op)
+
+
+def test_each_module_s_share_of_the_draw_is_printed(src):
+    every = MS.module_sites(src, list(FIXTURE))
+    alpha = sum(name == "alpha" for name, _, _ in every)
+    chosen = [site for site in every if site[0] == "alpha"][:2]
+    assert MS.draw_lines(list(FIXTURE), every, chosen) == [
+        f"  alpha: 2 of {alpha} sites drawn",
+        f"  beta: 0 of {len(every) - alpha} sites drawn",
+        "no site of beta was drawn"]
+    # a draw of every site leaves no module out
+    assert not any(line.startswith("no site")
+                   for line in MS.draw_lines(list(FIXTURE), every, every))

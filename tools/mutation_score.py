@@ -15,10 +15,11 @@ temporary directory, by replacing the one token of its site, and is run
 there, one after another, under `python -m pytest -x -q` with a timeout of
 TIMEOUT seconds: a failing suite kills it, a passing one lets it survive.  A site
 whose token cannot be found in the source, or whose edited source does not
-parse to the mutated tree, is skipped and reported.  The tool prints one
-line per mutant, then the killed, survived, timed-out and skipped counts,
-then each survivor's diff.  Stdlib only; run it from anywhere inside a kmx
-checkout.  One mutant costs a suite run, seconds when it is killed early
+parse to the mutated tree, is skipped and reported.  The tool prints the
+drawn and total sites of each module, and names each module that got no
+draw; then one line per mutant, then the killed, survived, timed-out and
+skipped counts, then each survivor's diff.  Stdlib only; run it from
+anywhere inside a kmx checkout.  One mutant costs a suite run, seconds when it is killed early
 and the whole suite when it survives, so the Tier-1 suite does not run it.
 """
 
@@ -112,6 +113,17 @@ def draw(src: str, modules: list[str], seed: int, count: int) -> list[tuple[str,
     """count sites of the modules, drawn with random.Random(seed)."""
     every = module_sites(src, modules)
     return random.Random(seed).sample(every, min(count, len(every)))
+
+
+def draw_lines(modules: list[str], every: list[tuple[str, int, int]],
+               chosen: list[tuple[str, int, int]]) -> list[str]:
+    """One line per module with its drawn and total sites, then one line
+    per module that got no draw, so a score is not read as covering it."""
+    names = sorted(modules)
+    drawn = {name: sum(site[0] == name for site in chosen) for name in names}
+    total = {name: sum(site[0] == name for site in every) for name in names}
+    return ([f"  {name}: {drawn[name]} of {total[name]} sites drawn" for name in names]
+            + [f"no site of {name} was drawn" for name in names if not drawn[name]])
 
 
 def _offset(lines: list[str], lineno: int, col: int) -> int:
@@ -219,9 +231,11 @@ def main(argv=None) -> int:
         src = os.path.join(tmp, "src")
         modules = ([m for m in args.modules.split(",") if m] or
                    [f[:-3] for f in os.listdir(os.path.join(src, "kmx")) if f.endswith(".py")])
-        total = len(module_sites(src, modules))
+        every = module_sites(src, modules)
         chosen = draw(src, modules, args.seed, args.count)
-    print(f"{len(chosen)} of {total} sites in {', '.join(sorted(modules))}, seed {args.seed}")
+    print(f"{len(chosen)} of {len(every)} sites in {', '.join(sorted(modules))}, "
+          f"seed {args.seed}")
+    print("\n".join(draw_lines(modules, every, chosen)))
     counts = {"killed": 0, "survived": 0, "timeout": 0, "skipped": 0}
     survivors = []
     for site in chosen:
